@@ -1,46 +1,21 @@
-"""Hot numeric kernels with numba and pure-numpy twins.
+"""Hot numeric kernels: the integer grid scan and the primal-dual iteration.
 
 Two inner loops dominate runtime: the integer grid scan behind the brute-force
-l1 minimizer and the primal-dual iteration of the generic solver.  Both exist
-in a numba @njit version and a pure-numpy version producing identical results
-(bit-identical for the integer scan; same per-iteration arithmetic for the
-float loop).  Selection:
+l1 minimizer and the primal-dual iteration of the generic solver.  Both are
+written in numpy.
 
-    QCBPLAB_BACKEND=numba   force numba (error if unavailable)
-    QCBPLAB_BACKEND=numpy   force the numpy fallback
-    unset / auto            numba when importable, else numpy
-
-Exactness note: the grid scan is pure int64 arithmetic; callers must prove in
-Python big ints that no intermediate can overflow before dispatching here,
-and route to the object-int fallback otherwise.
+Exactness note: the numpy grid scan is pure int64 arithmetic; callers must
+prove in Python big ints that no intermediate can overflow before dispatching
+here, and route to the object-int fallback (``exact_fallback=True``)
+otherwise.  That fallback is also the reference the numpy scan is tested
+against.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAS_NUMBA = False
-
-_env = os.environ.get("QCBPLAB_BACKEND", "auto").strip().lower()
-if _env not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"QCBPLAB_BACKEND must be auto|numba|numpy, got {_env!r}")
-if _env == "numba" and not HAS_NUMBA:
-    raise RuntimeError("QCBPLAB_BACKEND=numba but numba is not importable")
-
-USE_NUMBA = HAS_NUMBA if _env == "auto" else (_env == "numba")
-
-
-def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
 
 
 # --- integer grid scan --------------------------------------------------------
@@ -49,7 +24,7 @@ def backend_name() -> str:
 # where s_i(p) = sum_j coeffs[i,j] * p_j - shift[i], all integers.  Axis
 # values are traversed in spiral order 0, 1, -1, 2, -2, ... and the first
 # point attaining the minimum objective in that order is reported; the spiral
-# order pins a deterministic tie-break shared by every backend.
+# order pins a deterministic tie-break shared by both scan paths.
 
 def spiral_values(k: int) -> np.ndarray:
     vals = np.empty(2 * k + 1, dtype=np.int64)
@@ -144,59 +119,6 @@ def _scan_numpy(coeffs, shift, rhs, k):
     return best_obj, best_p
 
 
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _scan_njit(coeffs, shift, rhs, k):  # pragma: no cover - measured via dispatcher
-        m, n = coeffs.shape
-        size = 2 * k + 1
-        vals = np.empty(size, dtype=np.int64)
-        vals[0] = 0
-        for i in range(1, k + 1):
-            vals[2 * i - 1] = i
-            vals[2 * i] = -i
-        best_obj = np.int64(-1)
-        best_p = np.zeros(n, dtype=np.int64)
-        p = np.zeros(n, dtype=np.int64)
-        ranks = np.zeros(n, dtype=np.int64)
-        partial = np.zeros((n + 1, m), dtype=np.int64)
-        prefix_obj = np.zeros(n + 1, dtype=np.int64)
-        axis = 0
-        ranks[0] = 0
-        while axis >= 0:
-            if ranks[axis] >= size:
-                axis -= 1
-                if axis >= 0:
-                    ranks[axis] += 1
-                continue
-            v = vals[ranks[axis]]
-            obj = prefix_obj[axis] + abs(v)
-            if best_obj >= 0 and obj > best_obj:
-                ranks[axis] += 1
-                continue
-            if best_obj >= 0 and obj == best_obj and axis < n - 1:
-                ranks[axis] += 1
-                continue
-            p[axis] = v
-            for i in range(m):
-                partial[axis + 1, i] = partial[axis, i] + coeffs[i, axis] * v
-            prefix_obj[axis + 1] = obj
-            if axis == n - 1:
-                acc = np.int64(0)
-                for i in range(m):
-                    s = partial[n, i] - shift[i]
-                    acc += s * s
-                if acc <= rhs and (best_obj < 0 or obj < best_obj):
-                    best_obj = obj
-                    for j in range(n):
-                        best_p[j] = p[j]
-                ranks[axis] += 1
-            else:
-                axis += 1
-                ranks[axis] = 0
-        return best_obj, best_p
-
-
 def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fallback: bool):
     """Dispatch the grid scan; ``exact_fallback`` routes to the big-int path.
 
@@ -207,9 +129,6 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
         return _scan_py(coeffs, shift, rhs, k)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
     shift = np.ascontiguousarray(shift, dtype=np.int64)
-    if USE_NUMBA:
-        obj, p = _scan_njit(coeffs, shift, np.int64(rhs), np.int64(k))
-        return int(obj), p
     obj, p = _scan_numpy(coeffs, shift, np.int64(rhs), int(k))
     return int(obj), p
 
@@ -240,44 +159,13 @@ def _pd_numpy(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
     return x, z, xbar
 
 
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _pd_njit(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):  # pragma: no cover
-        for _ in range(iters):
-            u = z + sigma * np.dot(K, xbar) - sigma * y
-            nrm = math.sqrt(np.dot(u, u))
-            factor = 0.0
-            if nrm > 0:
-                factor = max(0.0, 1.0 - sigma * eps / nrm)
-            z_new = u * factor
-            w = x - tau * np.dot(K.T, z_new)
-            x_new = w.copy()
-            for i in range(n_pairs):
-                a = w[i]
-                b = w[n_pairs + i]
-                mag = math.sqrt(a * a + b * b)
-                f = 0.0
-                if mag > 0:
-                    f = max(0.0, 1.0 - tau / mag)
-                x_new[i] = a * f
-                x_new[n_pairs + i] = b * f
-            xbar = 2.0 * x_new - x
-            x = x_new
-            z = z_new
-        return x, z, xbar
-
-
 def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
-    K = np.ascontiguousarray(K, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    args = (
+    return _pd_numpy(
+        np.ascontiguousarray(K, dtype=np.float64),
+        np.ascontiguousarray(y, dtype=np.float64),
         float(eps), float(tau), float(sigma),
         np.ascontiguousarray(x, dtype=np.float64),
         np.ascontiguousarray(z, dtype=np.float64),
         np.ascontiguousarray(xbar, dtype=np.float64),
         int(iters), int(n_pairs),
     )
-    if USE_NUMBA:
-        return _pd_njit(K, y, *args)
-    return _pd_numpy(K, y, *args)

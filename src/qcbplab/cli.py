@@ -4,8 +4,7 @@ Subcommands: oracle, solve, adversarial, halting, nn, gen-data.  Exact
 rational values are passed as "num/den" strings.  A plain key=value config
 file can seed any flag (--config); explicit flags win.  Every output file is
 written atomically and embeds the config hash and package version, so
-identical config and seed reproduce outputs byte for byte on a fixed
-backend.
+identical config and seed reproduce outputs byte for byte.
 
 Exit codes: 0 ok, 2 input error, 3 numerical failure.
 """
@@ -21,7 +20,6 @@ import tempfile
 from fractions import Fraction as Q
 
 from qcbplab import __version__, families, halting, mlp, qcbp
-from qcbplab._kernels import backend_name
 from qcbplab.rationals import (
     dyadic_sqrt_lower,
     fmt_rational,
@@ -36,6 +34,14 @@ EXIT_NUMERIC = 3
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    # usage errors (unknown flag or config key, missing required flag, bad
+    # int) follow the exit-code contract instead of argparse's own exit;
+    # subparsers are built with this class too, so they inherit it
+    def error(self, message: str):
+        raise InputError(message)
 
 
 _NON_EXPERIMENT_KEYS = ("func", "config", "out", "checkpoint", "instance", "machine")
@@ -56,7 +62,6 @@ def _meta(args: argparse.Namespace) -> dict:
     return {
         "config_hash": _config_hash(args),
         "version": __version__,
-        "backend": backend_name(),
     }
 
 
@@ -85,7 +90,7 @@ def _emit_json(payload: dict, args: argparse.Namespace) -> None:
 
 def _emit_csv(header: list[str], rows: list[list[str]], args: argparse.Namespace) -> None:
     meta = _meta(args)
-    lines = [f"# config_hash={meta['config_hash']} version={meta['version']} backend={meta['backend']}"]
+    lines = [f"# config_hash={meta['config_hash']} version={meta['version']}"]
     lines.append(",".join(header))
     lines += [",".join(row) for row in rows]
     text = "\n".join(lines) + "\n"
@@ -321,7 +326,7 @@ def _add_family_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcbplab",
         description="exact-arithmetic workbench for quadratically constrained basis pursuit",
     )
@@ -388,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -426,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_000_000))
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
+        argv = _apply_config(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:

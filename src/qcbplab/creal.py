@@ -18,10 +18,9 @@ witness is only semi-decidable, so demanding it keeps every operation total.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import isqrt
 from typing import Callable
 
-from qcbplab.rationals import ceil_log2
+from qcbplab.rationals import ceil_log2, dyadic_sqrt_lower
 
 LT, GT = -1, 1
 UNDECIDED = None
@@ -179,15 +178,6 @@ def arith(x: CReal, y: CReal | None, which: str, nonzero_witness: Q | None = Non
         raise ValueError(f"unknown operation {which!r}") from None
 
 
-def _rational_sqrt_floor(q: Q, prec: int) -> Q:
-    # floor-style dyadic sqrt: |result - sqrt(q)| <= 2**-prec, q >= 0
-    if q == 0:
-        return Q(0)
-    num, den = q.numerator, q.denominator
-    t = 1 << prec
-    return Q(isqrt(num * den * t * t), den * t)
-
-
 def sqrt_c(x: CReal, lower_witness: Q = Q(0)) -> CReal:
     """Square root; the witness asserts x >= lower_witness >= 0.
 
@@ -202,7 +192,7 @@ def sqrt_c(x: CReal, lower_witness: Q = Q(0)) -> CReal:
         s = 2 * k + 2
         xa = max(x.approx(s), Q(0))
         # input error <= sqrt(2**-s) = 2**-(k+1); rational sqrt adds <= 2**-(k+1)
-        return _rational_sqrt_floor(xa, k + 1)
+        return dyadic_sqrt_lower(xa, k + 1)
 
     return CReal(program, label=f"sqrt({x.label})")
 

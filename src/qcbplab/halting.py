@@ -279,22 +279,6 @@ def load_builtin(name: str) -> BoundedMachine:
     return parse_machine(ref.read_text(encoding="ascii"), name=f"builtin:{name}")
 
 
-def machine_even() -> BoundedMachine:
-    """Scans the unary input flipping parity; accepts even inputs at the end
-    of the scan and walks right forever on odd ones."""
-    t = {}
-    for sym in ("0", "1", BLANK):
-        for state, flip in (("even", "odd"), ("odd", "even")):
-            if sym == "1":
-                t[(state, sym)] = (flip, sym, "R")
-            elif sym == "0":
-                t[(state, sym)] = (state, sym, "R")
-        t[("loop", sym)] = ("loop", sym, "R")
-    t[("even", BLANK)] = ("yes", BLANK, "S")
-    t[("odd", BLANK)] = ("loop", BLANK, "R")
-    return BoundedMachine(transitions=t, initial="even", accepting="yes", name="even")
-
-
 def machine_never() -> BoundedMachine:
     """Accepts nothing: walks right forever on every input."""
     t = {("go", sym): ("go", sym, "R") for sym in SYMBOLS}

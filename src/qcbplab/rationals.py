@@ -205,9 +205,6 @@ class RationalVector:
     def is_real(self) -> bool:
         return all(e.im == 0 for e in self.entries)
 
-    def real_parts(self) -> tuple[Q, ...]:
-        return tuple(e.re for e in self.entries)
-
 
 def l2_norm_sq(v: RationalVector) -> Q:
     """Exact squared Euclidean norm: sum of |entry|^2 over all components."""

@@ -159,7 +159,7 @@ def test_criterion_6_computable_real_layer():
 
 def test_criterion_7_halting_gadget():
     start = time.time()
-    machine = ht.machine_even()
+    machine = ht.load_builtin("even")
     cert = fam.separation_certificate(P, 30)
     for n in range(51):
         d = ht.decide_membership(machine, n, 10**4, 64, P, cert)

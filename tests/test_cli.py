@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, reproducible outputs."""
 
 import json
+import re
 
 import pytest
 
@@ -248,9 +249,27 @@ def test_nn_divergence_exit_3(capsys):
 
 
 def test_nn_seed_required(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["nn", "--steps", "10"])
-    assert exc.value.code == 2
+    code, _, err = run(["nn", "--steps", "10"], capsys)
+    assert code == 2
+    assert "--seed" in json.loads(err)["error"]
+
+
+def test_non_integer_flag_exit_2(capsys):
+    code, _, err = run(["adversarial", "--n-max", "three"], capsys)
+    assert code == 2
+    assert "--n-max" in json.loads(err)["error"]
+
+
+def test_output_meta_is_hash_and_version(tmp_path, capsys):
+    code, out, _ = run(["oracle", "--A", "2,1"], capsys)
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert sorted(meta) == ["config_hash", "version"]
+    out_file = tmp_path / "adv.csv"
+    code, _, _ = run(["adversarial", "--n-max", "1", "--out", str(out_file)], capsys)
+    assert code == 0
+    header = out_file.read_text().splitlines()[0]
+    assert re.fullmatch(r"# config_hash=[0-9a-f]{16} version=" + re.escape(meta["version"]), header)
 
 
 def test_config_file_seeds_flags(tmp_path, capsys):
@@ -276,6 +295,14 @@ def test_config_file_missing_exit_2(capsys):
     code, _, err = run(["adversarial", "--config", "/no/such.cfg"], capsys)
     assert code == 2
     assert "config" in json.loads(err)["error"]
+
+
+def test_config_file_unknown_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bogus=1\n")
+    code, _, err = run(["adversarial", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "--bogus" in json.loads(err)["error"]
 
 
 def test_solve_instance_file(tmp_path, capsys):

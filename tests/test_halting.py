@@ -11,7 +11,7 @@ from qcbplab.rationals import l2_norm_sq, rat_cmp
 
 P = fam.FamilyParams()
 CERT = fam.separation_certificate(P, 30)
-EVEN = ht.machine_even()
+EVEN = ht.load_builtin("even")
 
 
 def test_run_bounded_examples():
@@ -210,12 +210,6 @@ def test_delay_machine_deep_acceptance():
 
 
 # --- machine format -----------------------------------------------------------------
-
-def test_builtin_matches_programmatic():
-    parsed = ht.load_builtin("even")
-    for n in range(10):
-        assert ht.run_bounded(parsed, n, 10**3) == ht.run_bounded(EVEN, n, 10**3)
-
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ht.MachineFormatError, match="line 3"):
