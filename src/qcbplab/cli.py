@@ -2,9 +2,12 @@
 
 Subcommands: oracle, solve, adversarial, halting, nn, gen-data.  Exact
 rational values are passed as "num/den" strings.  A plain key=value config
-file can seed any flag (--config); explicit flags win.  Every output file is
-written atomically and embeds the config hash and package version, so
-identical config and seed reproduce outputs byte for byte.
+file can seed any flag of the subcommand (--config FILE or --config=FILE,
+before or after the subcommand); keys are flag names with "_" for "-", an
+on/off flag such as ``solve`` takes 1/true (set) or 0/false (unset), and
+explicit flags win.  Every output file is written atomically and embeds the
+config hash and package version, so identical config and seed reproduce
+outputs byte for byte.
 
 Exit codes: 0 ok, 2 input error, 3 numerical failure.
 """
@@ -78,14 +81,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit_json(payload: dict, args: argparse.Namespace) -> None:
-    payload = dict(payload)
-    payload["meta"] = _meta(args)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _emit(text: str, args: argparse.Namespace) -> None:
     if getattr(args, "out", None):
         _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(payload: dict, args: argparse.Namespace) -> None:
+    payload = dict(payload)
+    payload["meta"] = _meta(args)
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args)
 
 
 def _emit_csv(header: list[str], rows: list[list[str]], args: argparse.Namespace) -> None:
@@ -93,11 +99,7 @@ def _emit_csv(header: list[str], rows: list[list[str]], args: argparse.Namespace
     lines = [f"# config_hash={meta['config_hash']} version={meta['version']}"]
     lines.append(",".join(header))
     lines += [",".join(row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if getattr(args, "out", None):
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args)
 
 
 def _parse_row(text: str) -> list[Q]:
@@ -155,8 +157,15 @@ def _load_instance(args: argparse.Namespace) -> qcbp.Instance:
     if args.instance:
         if not os.path.exists(args.instance):
             raise InputError(f"instance file not found: {args.instance}")
-        with open(args.instance, "r", encoding="ascii") as fh:
-            return qcbp.Instance.from_json(json.load(fh))
+        try:
+            with open(args.instance, "r", encoding="ascii") as fh:
+                return qcbp.Instance.from_json(json.load(fh))
+        except (OSError, KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+            # a file of the wrong shape (missing key, list at top level,
+            # unparsable rational) is an input error, not a crash
+            raise InputError(
+                f"bad instance file {args.instance}: {type(exc).__name__}: {exc}"
+            ) from None
     if not args.A:
         raise InputError("solve needs --A (with --y/--eps) or --instance")
     rows = [_parse_row(chunk) for chunk in args.A.split(";") if chunk.strip()]
@@ -393,7 +402,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(argv: list[str]) -> list[str]:
+def _switches(parser: argparse.ArgumentParser, command: str) -> set[str]:
+    """Option strings of ``command``'s on/off (store_true) flags."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction) and command in action.choices:
+            return {
+                opt
+                for a in action.choices[command]._actions
+                if isinstance(a, argparse._StoreTrueAction)
+                for opt in a.option_strings
+            }
+    return set()
+
+
+def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    # "--config=FILE" is the one-token spelling of "--config FILE"
+    for i, a in enumerate(argv):
+        if a.startswith("--config="):
+            argv = argv[:i] + ["--config", a.split("=", 1)[1]] + argv[i + 1:]
+            break
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -417,9 +444,15 @@ def _apply_config(argv: list[str]) -> list[str]:
     injected: list[str] = []
     rest = [a for i, a in enumerate(argv) if i not in (idx, idx + 1)]
     command = rest[0] if rest else ""
+    switches = _switches(parser, command)
     for key, value in overrides.items():
         flag = "--" + key.replace("_", "-")
-        injected += [flag, value]
+        if flag not in switches:
+            injected += [flag, value]
+        elif value.lower() in ("1", "true"):
+            injected.append(flag)
+        elif value.lower() not in ("0", "false"):
+            raise InputError(f"{path}: {key} is an on/off flag; expected 1/true or 0/false, got {value!r}")
     return [command] + injected + rest[1:]
 
 
@@ -431,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_000_000))
     parser = build_parser()
     try:
-        argv = _apply_config(argv)
+        argv = _apply_config(argv, parser)
         args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:

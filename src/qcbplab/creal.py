@@ -59,9 +59,6 @@ class CReal:
             self._cache[k] = got
         return got
 
-    def debug_dump(self, k: int) -> str:
-        return f"{self.label or '<creal>'} @ {k}: {self.approx(k)}"
-
     def __repr__(self) -> str:  # repr stays cheap: precision 8 peek only
         return f"CReal({self.label or self.approx(8)}~)"
 
@@ -70,10 +67,6 @@ def from_rational(q: Q | int, label: str = "") -> CReal:
     """The constant program: every rational is computable at every precision."""
     qq = Q(q)
     return CReal(lambda k: qq, label=label or str(qq))
-
-
-def neg(x: CReal) -> CReal:
-    return CReal(lambda k: -x.approx(k), label=f"-({x.label})")
 
 
 def add(x: CReal, y: CReal) -> CReal:
@@ -151,31 +144,6 @@ def max_(x: CReal, y: CReal) -> CReal:
 
 def min_(x: CReal, y: CReal) -> CReal:
     return CReal(lambda k: min(x.approx(k), y.approx(k)))
-
-
-_ARITH = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "max": max_,
-    "min": min_,
-}
-
-
-def arith(x: CReal, y: CReal | None, which: str, nonzero_witness: Q | None = None) -> CReal:
-    """Dispatch table mirror of the binary/unary arithmetic operations."""
-    if which == "abs":
-        return abs_(x)
-    if y is None:
-        raise ValueError(f"operation {which!r} needs a second operand")
-    if which == "div":
-        if nonzero_witness is None:
-            raise ValueError("div requires a positive rational lower bound on |y|")
-        return div(x, y, nonzero_witness)
-    try:
-        return _ARITH[which](x, y)
-    except KeyError:
-        raise ValueError(f"unknown operation {which!r}") from None
 
 
 def sqrt_c(x: CReal, lower_witness: Q = Q(0)) -> CReal:
@@ -380,32 +348,3 @@ def effective_limit_single(xs: Callable[[int], Q], modulus: Modulus) -> CReal:
     if modulus.arity != 1:
         raise ValueError("single-sequence form needs a unary modulus e(N)")
     return CReal(lambda m: Q(xs(modulus.at(m))), label="lim k x[k]")
-
-
-class CComplex:
-    """Complex computable number: componentwise computable real parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: CReal, im: CReal):
-        self.re = re
-        self.im = im
-
-    @staticmethod
-    def from_rationals(re: Q, im: Q) -> "CComplex":
-        return CComplex(from_rational(re), from_rational(im))
-
-    def __add__(self, other: "CComplex") -> "CComplex":
-        return CComplex(add(self.re, other.re), add(self.im, other.im))
-
-    def __sub__(self, other: "CComplex") -> "CComplex":
-        return CComplex(sub(self.re, other.re), sub(self.im, other.im))
-
-    def __mul__(self, other: "CComplex") -> "CComplex":
-        return CComplex(
-            sub(mul(self.re, other.re), mul(self.im, other.im)),
-            add(mul(self.re, other.im), mul(self.im, other.re)),
-        )
-
-    def abs_sq(self) -> CReal:
-        return add(mul(self.re, self.re), mul(self.im, self.im))

@@ -25,7 +25,6 @@ from qcbplab.rationals import (
     RationalVector,
     dyadic_sqrt_lower,
     l2_norm_sq,
-    rat_cmp,
 )
 
 
@@ -191,7 +190,7 @@ def separation_certificate(p: FamilyParams, n_max: int) -> SeparationCertificate
         check = l2_norm_sq(pair[0] - pair[1])
         if check != d_sq:
             raise AssertionError(f"pair distance formula mismatch at n={n}")
-        if min_sq is None or rat_cmp(d_sq, min_sq) < 0:
+        if min_sq is None or d_sq < min_sq:
             min_sq = d_sq
             witness = (n, pair)
     bound = _largest_dyadic_below_sqrt(min_sq)
@@ -200,9 +199,9 @@ def separation_certificate(p: FamilyParams, n_max: int) -> SeparationCertificate
     limit_gap_sq_min = None
     for n in range(1, n_max + 1):
         gap_sq = l2_norm_sq(perturbed_solution(2, n, p) - star)
-        if limit_gap_sq_min is None or rat_cmp(gap_sq, limit_gap_sq_min) < 0:
+        if limit_gap_sq_min is None or gap_sq < limit_gap_sq_min:
             limit_gap_sq_min = gap_sq
-    if rat_cmp(limit_gap_sq_min, bound * bound) < 0:
+    if limit_gap_sq_min < bound * bound:
         raise AssertionError("limit-gap certificate weaker than pair bound")
 
     n_w, pair_w = witness

@@ -33,7 +33,7 @@ from fractions import Fraction as Q
 from importlib import resources
 
 from qcbplab import creal, families
-from qcbplab.rationals import l2_norm_sq, rat_cmp
+from qcbplab.rationals import l2_norm_sq
 from qcbplab.qcbp import Instance, select_embedded
 
 BLANK = "_"
@@ -202,7 +202,7 @@ def decide_membership(
 
     # stabilized: the encoded instance is exactly the fixed family member
     d_sq = at_budget_sq
-    if rat_cmp(d_sq, threshold_sq) != 1:
+    if d_sq <= threshold_sq:
         raise AssertionError("separation certificate violated at decision time")
 
     # computable-real mirror: approximate the distance itself to within

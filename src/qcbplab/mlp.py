@@ -107,12 +107,7 @@ def forward(net: MLP, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input width {x.shape[-1]} does not match layer width {net.weights[0].shape[1]}"
         )
-    a = x
-    for ell, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w.T + b
-        if ell < net.depth - 1:
-            a = np.maximum(a, 0.0)
-    return a
+    return _forward_trace(net, x)[1][-1]
 
 
 def _forward_trace(net: MLP, x: np.ndarray):

@@ -18,7 +18,6 @@ from this choice.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import ceil, lcm
@@ -40,7 +39,6 @@ from qcbplab.rationals import (
     matrix_to_json,
     operator_norm_sq_upper,
     parse_rational,
-    rat_cmp,
     row_rank,
     vector_from_json,
     vector_to_json,
@@ -57,6 +55,9 @@ class RankDeficientError(ValueError):
 
 class GridTooLargeError(ValueError):
     """brute_force_min rejected the requested grid size."""
+
+
+GRID_POINT_CAP = 300_000_000  # largest (2k+1)**N box brute_force_min will scan
 
 
 @dataclass(frozen=True)
@@ -141,16 +142,6 @@ class SolutionSimplex:
         entries[j] = ComplexQ(self.scale * self.inv_coeff[which], Q(0))
         return RationalVector(tuple(entries))
 
-    def point(self, weights: list[Q]) -> RationalVector:
-        if len(weights) != len(self.active):
-            raise ValueError("one weight per active index")
-        if any(w < 0 for w in weights) or sum(weights) != 1:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        entries = [CZERO] * self.dimension
-        for w, j, inv in zip(weights, self.active, self.inv_coeff):
-            entries[j] = ComplexQ(w * self.scale * inv, Q(0))
-        return RationalVector(tuple(entries))
-
     def l1_value(self) -> Q:
         """Shared exact l1 norm of every point of the simplex."""
         return self.scale * self.inv_coeff[0]
@@ -186,32 +177,12 @@ def select(simplex: SolutionSimplex) -> RationalVector:
     return simplex.vertex(0)
 
 
-def enumerate_solutions(simplex: SolutionSimplex, count: int, seed: int) -> list[RationalVector]:
-    """``count`` exact points of the simplex: the selection first, then
-    rational barycentric combinations drawn deterministically from the seed.
-    All returned points share the same exact l1 norm."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    points = [select(simplex)]
-    if len(simplex.active) == 1:
-        return [points[0]] * count
-    rng = random.Random(seed)
-    while len(points) < count:
-        raw = [rng.randint(0, 1024) for _ in simplex.active]
-        total = sum(raw)
-        if total == 0:
-            continue
-        weights = [Q(r, total) for r in raw]
-        points.append(simplex.point(weights))
-    return points
-
-
 def feasible(inst: Instance, x: RationalVector) -> bool:
     """Exact feasibility: compares squared residual against eps^2."""
     if x.n != inst.n:
         raise ValueError(f"candidate has length {x.n}, instance needs {inst.n}")
     residual = inst.A.matvec(x) - inst.y
-    return rat_cmp(l2_norm_sq(residual), inst.eps * inst.eps) <= 0
+    return l2_norm_sq(residual) <= inst.eps * inst.eps
 
 
 # --- embedding of single-row instances into m > 1 ------------------------------
@@ -311,7 +282,6 @@ class SolveReport:
     residual_ub: Q
     iterations: int
     converged: bool
-    op_norm_sq_bounds: tuple[Q, Q]
 
     def to_json(self) -> dict:
         return {
@@ -342,29 +312,6 @@ def _realified(inst: Instance) -> tuple[np.ndarray, np.ndarray, list[list[Q]], l
     K = np.array([[float(v) for v in row] for row in exact], dtype=np.float64)
     yv = np.array([float(v) for v in y_exact], dtype=np.float64)
     return K, yv, exact, y_exact
-
-
-def _rayleigh_lower_bound(inst: Instance) -> Q:
-    """Certified rational lower bound on ||A||^2 via one exact Rayleigh quotient
-    evaluated at a float power-iteration vector."""
-    m, n = inst.m, inst.n
-    A = np.array(
-        [[complex(float(inst.A.entry(i, j).re), float(inst.A.entry(i, j).im)) for j in range(n)] for i in range(m)]
-    )
-    v = np.ones(n, dtype=np.complex128)
-    for _ in range(50):
-        w = A.conj().T @ (A @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            break
-        v = w / norm
-    v_exact = RationalVector.from_items(
-        [ComplexQ(Q(float(c.real)), Q(float(c.imag))) for c in v]
-    )
-    denom = l2_norm_sq(v_exact)
-    if denom == 0:
-        return Q(0)
-    return l2_norm_sq(inst.A.matvec(v_exact)) / denom
 
 
 def _pair_l1_upper(entries: list[Q], n: int) -> Q:
@@ -410,9 +357,7 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     if rank < inst.m:
         raise RankDeficientError(f"row rank {rank} < m={inst.m}")
 
-    norm_sq_ub = operator_norm_sq_upper(inst.A)
-    norm_sq_lb = _rayleigh_lower_bound(inst)
-    L = float(dyadic_sqrt_upper(norm_sq_ub))
+    L = float(dyadic_sqrt_upper(operator_norm_sq_upper(inst.A)))
     step = 1.0 / L if L > 0 else 1.0
 
     K, yv, exact_k, y_exact = _realified(inst)
@@ -462,7 +407,6 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
         residual_ub=residual_ub,
         iterations=iterations,
         converged=converged,
-        op_norm_sq_bounds=(norm_sq_lb, norm_sq_ub),
     )
 
 
@@ -529,7 +473,7 @@ def _exact_particular_solution(inst: Instance) -> RationalVector:
     return RationalVector.from_items(x)
 
 
-def brute_force_min(inst: Instance, grid_exp: int, work_cap: int = 300_000_000) -> BruteForceReport:
+def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
     """Exhaustive search over the dyadic grid of step 2**-grid_exp.
 
     Independent of the closed-form oracle and of the iterative solver: pure
@@ -549,14 +493,14 @@ def brute_force_min(inst: Instance, grid_exp: int, work_cap: int = 300_000_000) 
     sqrt_n_ub = dyadic_sqrt_upper(Q(inst.n), 20)
     relaxation = op_ub * sqrt_n_ub * h / 2
 
-    if rat_cmp(l2_norm_sq(inst.y), inst.eps * inst.eps) <= 0:
+    if l2_norm_sq(inst.y) <= inst.eps * inst.eps:
         radius = Q(0)  # x = 0 is feasible, so it is the optimum
     else:
         radius = l1_norm_real(_exact_particular_solution(inst))
     k = ceil(radius / h)
-    if (2 * k + 1) ** inst.n > work_cap:
+    if (2 * k + 1) ** inst.n > GRID_POINT_CAP:
         raise GridTooLargeError(
-            f"grid has {(2 * k + 1) ** inst.n} points, cap is {work_cap}"
+            f"grid has {(2 * k + 1) ** inst.n} points, cap is {GRID_POINT_CAP}"
         )
 
     # integer form: with D = lcm-denominator * 2**grid_exp, row residuals are

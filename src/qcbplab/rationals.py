@@ -20,47 +20,6 @@ from typing import Iterable, Sequence
 
 Q = Fraction
 
-LT, EQ, GT = -1, 0, 1
-
-_FIELD_OPS = ("add", "sub", "mul", "div")
-
-
-def rational(num: int, den: int = 1) -> Q:
-    """Build a rational in canonical form; ``den == 0`` raises ZeroDivisionError."""
-    return Q(num, den)
-
-
-def field_op(a: Q, b: Q, which: str) -> Q:
-    """Apply one of add/sub/mul/div exactly.
-
-    Division by zero is reported as ZeroDivisionError, never a silent value.
-    """
-    if which == "add":
-        return a + b
-    if which == "sub":
-        return a - b
-    if which == "mul":
-        return a * b
-    if which == "div":
-        if b == 0:
-            raise ZeroDivisionError("exact division by zero")
-        return a / b
-    raise ValueError(f"unknown field op {which!r}; expected one of {_FIELD_OPS}")
-
-
-def rat_cmp(a: Q, b: Q) -> int:
-    """Total order on rationals: returns LT (-1), EQ (0) or GT (1).
-
-    Always decides in finitely many steps; this is the decidable comparison
-    that the semi-decidable computable-real comparison bottoms out in.
-    """
-    if a < b:
-        return LT
-    if a > b:
-        return GT
-    return EQ
-
-
 def fmt_rational(q: Q) -> str:
     """Locale-independent "num/den" text (integers render without "/1")."""
     return str(q)
@@ -118,10 +77,6 @@ class ComplexQ:
     re: Q
     im: Q
 
-    @staticmethod
-    def from_rational(q: Q | int) -> "ComplexQ":
-        return ComplexQ(Q(q), Q(0))
-
     def __add__(self, other: "ComplexQ") -> "ComplexQ":
         return ComplexQ(self.re + other.re, self.im + other.im)
 
@@ -142,12 +97,6 @@ class ComplexQ:
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
-
-    def __neg__(self) -> "ComplexQ":
-        return ComplexQ(-self.re, -self.im)
-
-    def conj(self) -> "ComplexQ":
-        return ComplexQ(self.re, -self.im)
 
     def abs_sq(self) -> Q:
         return self.re * self.re + self.im * self.im
@@ -179,17 +128,9 @@ class RationalVector:
     def from_items(items: Iterable) -> "RationalVector":
         return RationalVector(tuple(_as_complex(e) for e in items))
 
-    @staticmethod
-    def zero(n: int) -> "RationalVector":
-        return RationalVector((CZERO,) * n)
-
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def __add__(self, other: "RationalVector") -> "RationalVector":
-        self._check_dim(other)
-        return RationalVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "RationalVector") -> "RationalVector":
         self._check_dim(other)
@@ -251,9 +192,6 @@ class RationalMatrix:
     @property
     def n(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def row(self, i: int) -> RationalVector:
-        return RationalVector(self.rows[i])
 
     def entry(self, i: int, j: int) -> ComplexQ:
         return self.rows[i][j]

@@ -305,6 +305,63 @@ def test_config_file_unknown_key_exit_2(tmp_path, capsys):
     assert "--bogus" in json.loads(err)["error"]
 
 
+def test_config_equals_form_in_both_positions(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_max = 2\n")
+    _, expected, _ = run(["adversarial", "--config", str(cfg)], capsys)
+    assert len(expected.splitlines()) == 2 + 2  # header lines + n_max rows
+    for argv in (
+        ["--config=" + str(cfg), "adversarial"],
+        ["adversarial", "--config=" + str(cfg)],
+        ["--config", str(cfg), "adversarial"],
+    ):
+        code, out, _ = run(argv, capsys)
+        assert code == 0, argv
+        assert out == expected, argv
+
+
+def test_config_file_sets_on_off_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    _, plain, _ = run(["adversarial", "--n-max", "2"], capsys)
+    _, flagged, _ = run(["adversarial", "--n-max", "2", "--solve"], capsys)
+    assert plain != flagged
+    for value, expected in (("1", flagged), ("true", flagged), ("0", plain), ("false", plain)):
+        cfg.write_text(f"n_max = 2\nsolve = {value}\n")
+        code, out, _ = run(["adversarial", "--config", str(cfg)], capsys)
+        assert code == 0, value
+        assert out == expected, value
+    # an explicit flag wins over the file
+    cfg.write_text("n_max = 2\nsolve = 0\n")
+    code, out, _ = run(["adversarial", "--config", str(cfg), "--solve"], capsys)
+    assert code == 0 and out == flagged
+    cfg.write_text("solve = yes\n")
+    code, _, err = run(["adversarial", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "solve" in json.loads(err)["error"]
+
+
+_ROW = [[{"re": "1", "im": "0"}, {"re": "2", "im": "0"}]]
+_Y = [{"re": "1", "im": "0"}]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"A": _ROW, "y": _Y},  # no "eps"
+        [1, 2, 3],  # a list at the top level
+        {"A": _ROW, "y": _Y, "eps": "1/0"},  # zero denominator
+        {"A": _ROW, "y": _Y, "eps": 0.5},  # a number where "num/den" text belongs
+    ],
+    ids=["missing-key", "list", "zero-denominator", "float-rational"],
+)
+def test_solve_malformed_instance_file_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["solve", "--instance", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert str(path) in json.loads(err)["error"]
+
+
 def test_solve_instance_file(tmp_path, capsys):
     from fractions import Fraction as Q
 

@@ -9,7 +9,10 @@ import math
 import random
 from fractions import Fraction as Q
 
+import hypothesis.configuration
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcbplab import creal as cr
 
@@ -91,15 +94,15 @@ def test_div_needs_witness():
     x = cr.from_rational(1)
     y = cr.from_rational(Q(1, 3))
     with pytest.raises(ValueError, match="lower bound"):
-        cr.arith(x, y, "div")
-    ok = cr.arith(x, y, "div", nonzero_witness=Q(1, 3))
+        cr.div(x, y, 0)
+    ok = cr.div(x, y, Q(1, 3))
     assert abs(ok.approx(20) - 3) <= Q(1, 2**20)
 
 
 def test_scale_and_neg():
     x = cr.from_rational(Q(2, 3))
     assert abs(cr.scale(x, Q(-9, 2)).approx(25) - Q(-3)) <= Q(1, 2**25)
-    assert cr.neg(x).approx(5) == Q(-2, 3)
+    assert cr.scale(x, -1).approx(5) == Q(-2, 3)
 
 
 # --- elementary functions ---------------------------------------------------------
@@ -166,6 +169,55 @@ def test_exp_log_self_consistency():
         assert abs(node.approx(25) - q) <= Q(1, 2**24)
 
 
+# --- against mpmath at 300 digits ----------------------------------------------------
+
+@pytest.fixture(scope="module", autouse=True)
+def _hypothesis_storage(tmp_path_factory):
+    # hypothesis caches the constants it reads from local modules on disk even
+    # with database=None; keep that cache out of the working tree
+    hypothesis.configuration.set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
+    yield
+    hypothesis.configuration.set_hypothesis_home_dir(None)
+
+
+# name -> (arguments, with |x| <= 32 to keep exp's squarings cheap; computable
+# value at a rational; mpmath reference)
+_ELEMENTARY = {
+    "sqrt": (
+        st.fractions(0, 32, max_denominator=1024),
+        lambda q: cr.sqrt_c(cr.from_rational(q)),
+        mpmath.sqrt,
+    ),
+    "exp": (
+        st.fractions(-32, 32, max_denominator=1024),
+        lambda q: cr.exp_c(cr.from_rational(q)),
+        mpmath.exp,
+    ),
+    "log": (
+        st.fractions(Q(1, 1024), 32, max_denominator=1024),
+        lambda q: cr.log_c(cr.from_rational(q), q / 2),
+        mpmath.log,
+    ),
+}
+
+
+@pytest.mark.parametrize("func", sorted(_ELEMENTARY))
+def test_elementary_against_mpmath(func):
+    values, build, reference = _ELEMENTARY[func]
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(values)
+    def check(q):
+        node = build(q)
+        with mpmath.workdps(300):
+            ref = reference(mpmath.mpf(q.numerator) / q.denominator)
+            for k in (40, 200):
+                a = node.approx(k)
+                assert abs(mpmath.mpf(a.numerator) / a.denominator - ref) <= mpmath.mpf(2) ** -k
+
+    check()
+
+
 # --- comparison --------------------------------------------------------------------
 
 def test_compare_examples():
@@ -228,16 +280,3 @@ def test_modulus_normalized_monotone():
     for b in range(6):
         for n in range(1, 6):
             assert vals[n][b] >= vals[n - 1][b]
-
-
-def test_ccomplex_product():
-    z = cr.CComplex.from_rationals(Q(1, 2), Q(1, 3))
-    w = z * z
-    assert abs(w.re.approx(25) - (Q(1, 4) - Q(1, 9))) <= Q(1, 2**25)
-    assert abs(w.im.approx(25) - Q(1, 3)) <= Q(1, 2**25)
-
-
-def test_debug_dump_format():
-    x = cr.from_rational(Q(9, 8), label="probe")
-    assert cr.from_rational(Q(9, 8)).approx(3) == Q(9, 8)
-    assert "probe" in x.debug_dump(3) and "9/8" in x.debug_dump(3)

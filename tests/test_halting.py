@@ -7,7 +7,7 @@ import pytest
 from qcbplab import families as fam
 from qcbplab import halting as ht
 from qcbplab import qcbp
-from qcbplab.rationals import l2_norm_sq, rat_cmp
+from qcbplab.rationals import l2_norm_sq
 
 P = fam.FamilyParams()
 CERT = fam.separation_certificate(P, 30)
@@ -121,7 +121,7 @@ def test_in_distance_exceeds_threshold():
     for n in (0, 2, 4, 10):
         d = ht.decide_membership(EVEN, n, 10**4, 64, P, CERT)
         assert d.status == ht.IN
-        assert rat_cmp(d.distance_sq, d.threshold_sq) == 1
+        assert d.distance_sq > d.threshold_sq
         assert d.mirror_agrees is True
         assert Q(1, 2**d.mirror_precision) < CERT.bound / 6
 
@@ -153,7 +153,7 @@ def test_output_values_cannot_decide_membership():
     threshold = CERT.threshold_sq()
     for n in (2, 3):  # one accepted, one not
         d = ht.decide_membership(EVEN, n, 10**3, 64, P, CERT)
-        assert rat_cmp(d.distance_sq_at_budget, threshold) == 1
+        assert d.distance_sq_at_budget > threshold
     # family 1 selections collapse onto the limit selection
     gap_1 = [
         l2_norm_sq(qcbp.select(qcbp.exact_solution_set(fam.perturbed_instance(1, n, P))) - star)

@@ -1,9 +1,12 @@
 """Oracle, solver and brute-force tests for the QCBP core."""
 
+import itertools
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from qcbplab import qcbp
 from qcbplab.rationals import (
@@ -98,25 +101,12 @@ def test_select_deterministic_pure():
     assert qcbp.select(s) == qcbp.select(s)
 
 
-def test_enumerate_solutions():
-    s = qcbp.exact_solution_set(single([1, 1], eps=Q(1, 2)))
-    pts = qcbp.enumerate_solutions(s, 3, seed=7)
-    assert pts[0] == qcbp.select(s)
-    inst = single([1, 1], eps=Q(1, 2))
-    for p in pts:
-        assert l1_norm_real(p) == Q(1, 2)
-        assert qcbp.feasible(inst, p)
-    assert pts == qcbp.enumerate_solutions(s, 3, seed=7)
-    # single active index: the unique point repeated
-    s1 = qcbp.exact_solution_set(single([2, 1]))
-    assert qcbp.enumerate_solutions(s1, 4, seed=1) == [qcbp.select(s1)] * 4
-    assert qcbp.enumerate_solutions(s, 1, seed=3) == [qcbp.select(s)]
-
-
 def test_enumerated_solutions_saturate_constraint():
     inst = single([1, 1], eps=Q(1, 2))
     s = qcbp.exact_solution_set(inst)
-    for p in qcbp.enumerate_solutions(s, 5, seed=2):
+    v0, v1 = s.vertex(0), s.vertex(1)
+    midpoint = RationalVector.from_items([(a.re + b.re) / 2 for a, b in zip(v0.entries, v1.entries)])
+    for p in (v0, v1, midpoint):
         residual = inst.A.matvec(p) - inst.y
         assert l2_norm_sq(residual) == inst.eps**2  # exactly on the boundary
 
@@ -124,7 +114,7 @@ def test_enumerated_solutions_saturate_constraint():
 def test_feasible_examples():
     inst = single([2, 1])
     assert qcbp.feasible(inst, RationalVector.from_items([Q(1, 2), 0]))
-    assert not qcbp.feasible(inst, RationalVector.zero(2))
+    assert not qcbp.feasible(inst, RationalVector.from_items([0, 0]))
     inst2 = single([1, 1], eps=Q(1, 2))
     assert qcbp.feasible(inst2, RationalVector.from_items([Q(1, 2), 0]))
 
@@ -243,6 +233,46 @@ def test_solver_complex_instance():
     assert rep.converged
     # optimum of min |x|_1 s.t. 2x_1 + i x_2 = 1 is x = (1/2, 0)
     assert abs(rep.objective_ub - Q(1, 2)) <= Q(1, 10**4)
+
+
+def _well_posed(a, b) -> bool:
+    """sigma_min >= sigma_max/4, and b at least |b|/8 from every m-1 column span."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[-1] < sv[0] / 4:
+        return False
+    for cols in itertools.combinations(range(a.shape[1]), a.shape[0] - 1):
+        sub = a[:, cols]
+        fit = sub @ np.linalg.lstsq(sub, b, rcond=None)[0]
+        if np.linalg.norm(b - fit) <= np.linalg.norm(b) / 8:
+            return False
+    return True
+
+
+def test_solver_matches_highs_lp_on_real_instances():
+    """eps = 0 real instances: min ||x||_1 s.t. Ax = y is the LP
+    min 1^T (u + v) s.t. A u - A v = y, u, v >= 0, solved here by HiGHS."""
+    rng = random.Random(21)
+    for m in (2, 3):
+        for n in range(m + 1, m + 4):
+            for _ in range(3):
+                while True:
+                    rows = [
+                        [Q(rng.randint(-24, 24), rng.randint(8, 24)) for _ in range(n)] for _ in range(m)
+                    ]
+                    y = [Q(rng.randint(-8, 8), 16) for _ in range(m)]
+                    a = np.array(rows, dtype=float)
+                    b = np.array(y, dtype=float)
+                    if _well_posed(a, b):
+                        break
+                lp = linprog(
+                    np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=b, bounds=(0, None), method="highs"
+                )
+                assert lp.status == 0, lp.message
+                inst = qcbp.Instance(RationalMatrix.from_rows(rows), RationalVector.from_items(y), Q(0))
+                rep = qcbp.solve_numeric(inst)
+                assert rep.converged, (rows, y)
+                assert float(rep.lower_bound) <= lp.fun + 1e-9 * max(1.0, abs(lp.fun)), (rows, y)
+                assert lp.fun <= float(rep.objective_ub) + 1e-5, (rows, y)
 
 
 # --- brute force -----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from qcbplab.rationals import (
+    CZERO,
     ComplexQ,
     RationalMatrix,
     RationalVector,
@@ -14,7 +15,6 @@ from qcbplab.rationals import (
     complex_to_json,
     dyadic_sqrt_lower,
     dyadic_sqrt_upper,
-    field_op,
     fmt_rational,
     l1_norm_real,
     l2_norm_sq,
@@ -22,12 +22,7 @@ from qcbplab.rationals import (
     matrix_to_json,
     operator_norm_sq_upper,
     parse_rational,
-    rat_cmp,
-    rational,
     row_rank,
-    EQ,
-    GT,
-    LT,
 )
 
 
@@ -35,21 +30,12 @@ def rand_q(rng, lo=-8, hi=8, max_den=16):
     return Q(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
-def test_field_op_examples():
-    assert field_op(Q(1, 3), Q(1, 6), "add") == Q(1, 2)
-    assert field_op(field_op(Q(1), Q(3), "div"), Q(3), "mul") == 1
-    rng = random.Random(1)
-    for _ in range(50):
-        a, b = rand_q(rng), rand_q(rng)
-        if a != 0 and b != 0:
-            assert field_op(a / b, b / a, "mul") == 1
-
-
 def test_division_by_zero_is_reported():
-    with pytest.raises(ZeroDivisionError):
-        field_op(Q(1), Q(0), "div")
-    with pytest.raises(ZeroDivisionError):
-        rational(1, 0)
+    z = ComplexQ(Q(1, 3), Q(-2))
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        z / CZERO
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        z / (z - z)
 
 
 def test_field_axioms_randomized():
@@ -72,22 +58,7 @@ def test_canonical_form_maintained():
 
             assert gcd(abs(r.numerator), r.denominator) == 1
     # canonicalization is idempotent by construction
-    assert rational(2, 6) == rational(1, 3) == Q(rational(2, 6))
-
-
-def test_rat_cmp_examples_and_order():
-    assert rat_cmp(Q(1, 3), Q(2, 6)) == EQ
-    assert rat_cmp(Q(1, 2**10), Q(1, 2**9)) == LT
-    assert rat_cmp(Q(3), Q(2)) == GT
-    rng = random.Random(4)
-    for _ in range(200):
-        a, b, c = rand_q(rng), rand_q(rng), rand_q(rng)
-        # trichotomy
-        assert sum(1 for r in (rat_cmp(a, b), rat_cmp(b, a)) if r == 0) in (0, 2)
-        assert rat_cmp(a, b) == -rat_cmp(b, a)
-        # transitivity
-        if rat_cmp(a, b) <= 0 and rat_cmp(b, c) <= 0:
-            assert rat_cmp(a, c) <= 0
+    assert Q(2, 6) == Q(1, 3) == Q(Q(2, 6))
 
 
 def test_l2_norm_sq_examples():
@@ -110,7 +81,7 @@ def test_l2_norm_zero_iff_zero_vector():
 
 def test_l1_norm_real_examples_and_rejection():
     assert l1_norm_real(RationalVector.from_items([Q(1, 2), 0])) == Q(1, 2)
-    assert l1_norm_real(RationalVector.zero(5)) == 0
+    assert l1_norm_real(RationalVector.from_items([0] * 5)) == 0
     assert l1_norm_real(RationalVector.from_items([Q(1, 4), Q(1, 4)])) == Q(1, 2)
     bad = RationalVector((ComplexQ(Q(1), Q(1)),))
     with pytest.raises(ValueError, match="imaginary"):
@@ -124,8 +95,9 @@ def test_complex_arithmetic_roundtrip():
         w = ComplexQ(rand_q(rng), rand_q(rng))
         if w.abs_sq() != 0:
             assert (z * w) / w == z
-        assert (z * z.conj()).re == z.abs_sq()
-        assert (z * z.conj()).im == 0
+        conj = ComplexQ(z.re, -z.im)
+        assert (z * conj).re == z.abs_sq()
+        assert (z * conj).im == 0
 
 
 def test_row_rank_exact_on_tiny_perturbations():
