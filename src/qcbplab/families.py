@@ -28,6 +28,14 @@ from qcbplab.rationals import (
 )
 
 
+class CertificateError(ArithmeticError):
+    """An exact check of a family formula or certificate failed.
+
+    A numerical failure, not an input error: the command line reports it
+    with exit code 3.
+    """
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """Parameters of the perturbation families: base entry a, slack eps, shape."""
@@ -105,10 +113,10 @@ def input_distance(which: int, n: int, p: FamilyParams) -> Q:
             diff_sq += (inst.A.entry(i, j) - star.A.entry(i, j)).abs_sq()
     y_sq = l2_norm_sq(inst.y - star.y)
     if y_sq != 0:
-        raise AssertionError("measurements of family and limit must agree")
+        raise CertificateError("measurements of family and limit must agree")
     root = Q(1, 2**n)
     if root * root != diff_sq:
-        raise AssertionError("family construction drifted: entry gap is not 2**-n")
+        raise CertificateError("family construction drifted: entry gap is not 2**-n")
     return root
 
 
@@ -184,12 +192,12 @@ def separation_certificate(p: FamilyParams, n_max: int) -> SeparationCertificate
     for n in range(1, n_max + 1):
         for which in (1, 2):
             if input_distance(which, n, p) != Q(1, 2**n):
-                raise AssertionError(f"input convergence broken at family {which}, n={n}")
+                raise CertificateError(f"input convergence broken at family {which}, n={n}")
         d_sq = pair_distance_sq(n, p)
         pair = (perturbed_solution(1, n, p), perturbed_solution(2, n, p))
         check = l2_norm_sq(pair[0] - pair[1])
         if check != d_sq:
-            raise AssertionError(f"pair distance formula mismatch at n={n}")
+            raise CertificateError(f"pair distance formula mismatch at n={n}")
         if min_sq is None or d_sq < min_sq:
             min_sq = d_sq
             witness = (n, pair)
@@ -202,7 +210,7 @@ def separation_certificate(p: FamilyParams, n_max: int) -> SeparationCertificate
         if limit_gap_sq_min is None or gap_sq < limit_gap_sq_min:
             limit_gap_sq_min = gap_sq
     if limit_gap_sq_min < bound * bound:
-        raise AssertionError("limit-gap certificate weaker than pair bound")
+        raise CertificateError("limit-gap certificate weaker than pair bound")
 
     n_w, pair_w = witness
     return SeparationCertificate(
@@ -248,7 +256,7 @@ def discontinuity_report(
         in_dist = input_distance(1, n, p)
         other = input_distance(2, n, p)
         if other != in_dist:
-            raise AssertionError("families must sit at the same input distance")
+            raise CertificateError("families must sit at the same input distance")
         out_sq = pair_distance_sq(n, p)
         solver_dist = None
         if run_solver:

@@ -203,7 +203,7 @@ def decide_membership(
     # stabilized: the encoded instance is exactly the fixed family member
     d_sq = at_budget_sq
     if d_sq <= threshold_sq:
-        raise AssertionError("separation certificate violated at decision time")
+        raise families.CertificateError("separation certificate violated at decision time")
 
     # computable-real mirror: approximate the distance itself to within
     # 2**-M < bound/6 and compare that rational against bound/4

@@ -1,7 +1,9 @@
 """CLI surface: subcommands, exit codes, reproducible outputs."""
 
+import dataclasses
 import json
 import re
+from fractions import Fraction as Q
 
 import pytest
 
@@ -142,6 +144,19 @@ def test_halting_missing_machine_exit_2(capsys):
     code, _, err = run(["halting", "--machine", "/no/such/file.tm"], capsys)
     assert code == 2
     assert "not found" in json.loads(err)["error"]
+
+
+def test_halting_violated_certificate_exit_3(monkeypatch, capsys):
+    real = cli.families.separation_certificate
+    monkeypatch.setattr(
+        cli.families,
+        "separation_certificate",
+        lambda p, n_max: dataclasses.replace(real(p, n_max), bound=Q(4)),
+    )
+    code, out, err = run(["halting", "--machine", "builtin:even", "--n-max", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "separation certificate violated at decision time", "kind": "numerical"}
 
 
 def test_halting_machine_parse_error(tmp_path, capsys):
@@ -363,8 +378,6 @@ def test_solve_malformed_instance_file_exit_2(tmp_path, capsys, doc):
 
 
 def test_solve_instance_file(tmp_path, capsys):
-    from fractions import Fraction as Q
-
     from qcbplab import qcbp
 
     inst = qcbp.Instance.single_row([Q(3, 2), 1], 1, Q(1, 4))

@@ -191,6 +191,35 @@ def test_report_solver_columns_match_exact():
         assert row.solver_dist >= kappa - 2 * per_solve
 
 
+def test_family_solves_certify_in_first_batch():
+    """Every criterion-5 solve, the near-degenerate band n = 14..17 included,
+    certifies after one 250-iteration batch."""
+    for n in range(1, 31):
+        for which in (1, 2):
+            rep = qcbp.solve_numeric(fam.perturbed_instance(which, n, P), Q(1, 10**6))
+            assert rep.converged and rep.iterations == 250, (which, n, rep.iterations)
+
+
+def test_report_solver_columns_hit_exact_where_vertices_separate():
+    """Where the two vertex values differ by more than 2 tol, a tol-optimal
+    point must be the better vertex, and the solver lands on it to rounding."""
+    tol = Q(1, 10**6)
+    rep = fam.discontinuity_report(P, 20, run_solver=True, solver_tol=tol)
+    checked = 0
+    for row in rep.rows:
+        dv = (1 - P.eps) / P.a - (1 - P.eps) / (P.a + Q(1, 2**row.n))
+        if dv > 2 * tol:
+            assert abs(row.solver_dist - float(row.output_dist_sq) ** 0.5) <= 1e-9, row.n
+            checked += 1
+    assert checked == 17
+
+
+def test_certificate_formula_mismatch_is_a_numerical_failure(monkeypatch):
+    monkeypatch.setattr(fam, "pair_distance_sq", lambda n, p: Q(1, 3))
+    with pytest.raises(ArithmeticError, match="pair distance formula mismatch"):
+        fam.separation_certificate(P, 3)
+
+
 def test_entries_follow_integer_formula():
     # a + 2**-n = (2**n c + d) / (d 2**n) for a = c/d: the entries are computable
     # rational sequences given by explicit integer numerator/denominator programs

@@ -1,5 +1,6 @@
 """Step-bounded simulation, encoded instances, and the decision rule."""
 
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
@@ -185,6 +186,13 @@ def test_certificate_params_must_match():
     other = fam.FamilyParams(a=Q(2))
     with pytest.raises(ValueError, match="different family"):
         ht.decide_membership(EVEN, 2, 100, 64, other, CERT)
+
+
+def test_violated_certificate_is_a_numerical_failure():
+    # bound 4 puts the threshold (bound/4)**2 = 1 above every family distance
+    inflated = dataclasses.replace(CERT, bound=Q(4))
+    with pytest.raises(ArithmeticError, match="violated at decision time"):
+        ht.decide_membership(EVEN, 2, 10**4, 64, P, inflated)
 
 
 def test_threshold_machine_ground_truth():

@@ -248,9 +248,19 @@ def _well_posed(a, b) -> bool:
     return True
 
 
+def _lp_l1_optimum(rows, y) -> float:
+    """min ||x||_1 s.t. Ax = y as the LP min 1^T (u + v) s.t. A u - A v = y, u, v >= 0, by HiGHS."""
+    a = np.array(rows, dtype=float)
+    lp = linprog(
+        np.ones(2 * a.shape[1]), A_eq=np.hstack([a, -a]), b_eq=np.array(y, dtype=float),
+        bounds=(0, None), method="highs",
+    )
+    assert lp.status == 0, lp.message
+    return lp.fun
+
+
 def test_solver_matches_highs_lp_on_real_instances():
-    """eps = 0 real instances: min ||x||_1 s.t. Ax = y is the LP
-    min 1^T (u + v) s.t. A u - A v = y, u, v >= 0, solved here by HiGHS."""
+    """eps = 0 real instances against the LP optimum from HiGHS."""
     rng = random.Random(21)
     for m in (2, 3):
         for n in range(m + 1, m + 4):
@@ -260,19 +270,94 @@ def test_solver_matches_highs_lp_on_real_instances():
                         [Q(rng.randint(-24, 24), rng.randint(8, 24)) for _ in range(n)] for _ in range(m)
                     ]
                     y = [Q(rng.randint(-8, 8), 16) for _ in range(m)]
-                    a = np.array(rows, dtype=float)
-                    b = np.array(y, dtype=float)
-                    if _well_posed(a, b):
+                    if _well_posed(np.array(rows, dtype=float), np.array(y, dtype=float)):
                         break
-                lp = linprog(
-                    np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=b, bounds=(0, None), method="highs"
-                )
-                assert lp.status == 0, lp.message
+                lp = _lp_l1_optimum(rows, y)
                 inst = qcbp.Instance(RationalMatrix.from_rows(rows), RationalVector.from_items(y), Q(0))
                 rep = qcbp.solve_numeric(inst)
                 assert rep.converged, (rows, y)
-                assert float(rep.lower_bound) <= lp.fun + 1e-9 * max(1.0, abs(lp.fun)), (rows, y)
-                assert lp.fun <= float(rep.objective_ub) + 1e-5, (rows, y)
+                assert float(rep.lower_bound) <= lp + 1e-9 * max(1.0, abs(lp)), (rows, y)
+                assert lp <= float(rep.objective_ub) + 1e-5, (rows, y)
+
+
+def test_solver_matches_highs_lp_on_ill_posed_instances():
+    """Unfiltered eps = 0 real instances of mixed scale, where y may sit close
+    to the span of fewer than m columns.  The first one has y nearly parallel
+    to column 4; plain Chambolle-Pock iteration runs it past 200,000
+    iterations, and several of the seeded ones take 10^4-10^5."""
+    cases = [
+        (
+            [
+                [3, Q(22, 19), Q(-4, 5), Q(-16, 21), Q(20, 19)],
+                [Q(3, 5), Q(-16, 15), Q(11, 20), Q(-9, 4), Q(-1, 11)],
+                [Q(2, 9), Q(15, 8), Q(-12, 17), Q(-3, 4), Q(22, 17)],
+            ],
+            [Q(1, 16), Q(3, 16), Q(1, 16)],
+        )
+    ]
+    rng = random.Random(22)
+
+    def entry():
+        return Q(rng.randint(-24, 24), rng.randint(1, 24)) * Q(2) ** rng.randint(-4, 4)
+
+    for i in range(21):
+        m = 1 + i % 3
+        n = m + 1 + rng.randint(0, 3)
+        cases.append(([[entry() for _ in range(n)] for _ in range(m)], [entry() for _ in range(m)]))
+    tol = Q(1, 10**6)
+    for rows, y in cases:
+        lp = _lp_l1_optimum(rows, y)
+        inst = qcbp.Instance(RationalMatrix.from_rows(rows), RationalVector.from_items(y), Q(0))
+        rep = qcbp.solve_numeric(inst, tol)
+        assert rep.converged, (rows, y, rep.iterations)
+        assert float(rep.lower_bound) <= lp + 1e-9 * max(1.0, abs(lp)), (rows, y)
+        assert float(rep.objective_ub) - lp <= tol, (rows, y)
+
+
+# --- polishing safety --------------------------------------------------------------------
+
+def _near_degenerate():
+    # the two vertices of the solution segment differ in l1 value by about 1.2e-4,
+    # so plain iteration needs several batches to certify
+    return single([1 + Q(1, 2**12), 1], eps=Q(1, 2))
+
+
+def _returns(value):
+    return lambda *args: value
+
+
+@pytest.mark.parametrize(
+    "primal, dual",
+    [
+        (_returns(np.zeros(4)), None),  # residual 1 > eps
+        (_returns(np.array([0.0, 0.5, 0.0, 0.0])), None),  # feasible, objective 1/2 > optimum
+        (_returns(np.full(4, np.nan)), _returns(np.full(2, np.nan))),
+        (_returns(np.array([0.0, 0.5, 0.0, 0.0])), _returns(np.array([-1e6, 3e6]))),  # |K^T z| ~ 3e6
+    ],
+    ids=["infeasible-x", "worse-x", "nan", "infeasible-z"],
+)
+def test_polishing_cannot_bypass_certification(monkeypatch, primal, dual):
+    monkeypatch.setattr(qcbp, "_polish_primal", primal)
+    if dual is not None:
+        monkeypatch.setattr(qcbp, "_polish_dual", dual)
+    inst = _near_degenerate()
+    tol = Q(1, 10**6)
+    rep = qcbp.solve_numeric(inst, tol)
+    assert rep.converged
+    assert l2_norm_sq(inst.A.matvec(rep.x) - inst.y) <= (inst.eps + tol) ** 2
+    assert rep.objective_ub - rep.lower_bound <= tol
+    assert rep.lower_bound <= qcbp.exact_solution_set(inst).l1_value()
+
+
+def test_polishing_treats_linalg_errors_as_no_candidate(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    K = np.array([[2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0]])
+    assert qcbp._polish_primal(K, np.array([1.0, 0.0]), 0.0, 1e-6, np.array([-0.5, 0.0]), 2) is None
+    assert qcbp._polish_dual(K, np.array([0.5, 0.0, 0.0, 0.0]), np.zeros(2), 2) is None
+    assert qcbp.solve_numeric(_near_degenerate()).converged
 
 
 # --- brute force -----------------------------------------------------------------------
