@@ -226,6 +226,8 @@ def _load_machine(source: str) -> halting.BoundedMachine:
 
 
 def cmd_halting(args: argparse.Namespace) -> int:
+    if args.n_max < 0:
+        raise InputError("n_max must be >= 0")
     machine = _load_machine(args.machine)
     p = _family_params(args)
     cert = families.separation_certificate(p, max(args.n_max, 30))
@@ -256,18 +258,26 @@ def cmd_halting(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_nn(args: argparse.Namespace) -> int:
-    p = _family_params(args)
+def _training_set(args: argparse.Namespace, p: families.FamilyParams) -> mlp.TrainingSet:
     noise = _rat(args.noise, "--noise")
     data = mlp.gen_training_set(p, args.n_lo, args.n_hi, noise_bound=noise, seed=args.seed)
     if data.inputs.size == 0:
         raise InputError("training set came out empty; widen the n range")
-    widths = (
-        (mlp.input_width(p.m_dim, p.n_dim),)
-        + tuple(int(w) for w in args.widths.split(",") if w.strip())
-        + (mlp.output_width(p.n_dim),)
-    )
-    net = mlp.init_mlp(widths, seed=args.seed)
+    return data
+
+
+def cmd_nn(args: argparse.Namespace) -> int:
+    p = _family_params(args)
+    data = _training_set(args, p)
+    try:
+        widths = (
+            (mlp.input_width(p.m_dim, p.n_dim),)
+            + tuple(int(w) for w in args.widths.split(",") if w.strip())
+            + (mlp.output_width(p.n_dim),)
+        )
+        net = mlp.init_mlp(widths, seed=args.seed)
+    except ValueError as exc:
+        raise InputError(f"--widths {args.widths!r}: {exc}") from None
     net, trace = mlp.train(net, data.inputs, data.targets, steps=args.steps, lr=args.lr, seed=args.seed)
     cert = families.separation_certificate(p, max(args.n_max, 30))
     report = mlp.instability_eval(net, p, args.n_max, cert)
@@ -303,9 +313,7 @@ def cmd_nn(args: argparse.Namespace) -> int:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     p = _family_params(args)
-    data = mlp.gen_training_set(
-        p, args.n_lo, args.n_hi, noise_bound=_rat(args.noise, "--noise"), seed=args.seed
-    )
+    data = _training_set(args, p)
     payload = {
         "inputs": [list(row) for row in data.inputs],
         "targets": [list(row) for row in data.targets],

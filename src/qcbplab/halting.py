@@ -87,28 +87,56 @@ class BoundedMachine:
 
 @dataclass(frozen=True)
 class RunOutcome:
+    """Result of a budget-capped run.
+
+    ``steps_executed`` is the number of steps the outcome accounts for: the
+    acceptance step when accepted, else the whole budget, whether those steps
+    were simulated or proved never to accept.
+    """
+
     accepted: bool
     steps_to_accept: int | None
     steps_executed: int
 
 
 def run_bounded(machine: BoundedMachine, n: int, budget: int) -> RunOutcome:
-    """Simulate on unary input n for at most ``budget`` steps.
+    """Run on unary input n for at most ``budget`` steps.
 
     Accepting means entering the accepting state; the step that enters it is
     counted, so the minimal acceptance count q satisfies 1 <= q <= budget.
+    A run that is not accepted accounts for the whole budget.
+
+    The run stops early when it is proved never to accept (a translated
+    cycle): the head stands on a fresh cell -- right of every cell the input
+    or the head has touched, so that cell and all right of it are blank -- in
+    a state it already had at an earlier fresh cell, and the head has not
+    moved left of that earlier cell since.  The steps in between read only
+    cells they wrote themselves or blanks, so from the later cell they repeat
+    forever, shifted right, without entering the accepting state.  The
+    outcome is the one the full simulation would return.
     """
     if n < 0 or budget < 0:
         raise ValueError("input and budget must be nonnegative")
     tape = {i: "1" for i in range(n)}
     head = 0
+    hi = n - 1  # rightmost cell the input or the head has touched
     state = machine.initial
+    fresh_at: dict[str, int] = {}  # state -> position of its live fresh visit
+    fresh_stack: list[tuple[int, str]] = []  # the same records, positions increasing
     for step in range(1, budget + 1):
+        if head > hi:
+            hi = head
+            if state in fresh_at:
+                break
+            fresh_at[state] = head
+            fresh_stack.append((head, state))
         sym = tape.get(head, BLANK)
         state, write, move = machine.transitions[(state, sym)]
         tape[head] = write
         if move == "L":
             head -= 1
+            while fresh_stack and fresh_stack[-1][0] > head:
+                del fresh_at[fresh_stack.pop()[1]]
         elif move == "R":
             head += 1
         if state == machine.accepting:
@@ -277,49 +305,3 @@ def load_machine_file(path: str) -> BoundedMachine:
 def load_builtin(name: str) -> BoundedMachine:
     ref = resources.files("qcbplab").joinpath(f"machines/{name}.tm")
     return parse_machine(ref.read_text(encoding="ascii"), name=f"builtin:{name}")
-
-
-def machine_never() -> BoundedMachine:
-    """Accepts nothing: walks right forever on every input."""
-    t = {("go", sym): ("go", sym, "R") for sym in SYMBOLS}
-    # accepting state present but unreachable
-    return BoundedMachine(transitions=t, initial="go", accepting="yes", name="never")
-
-
-def machine_delay(delay: int) -> BoundedMachine:
-    """Accepts every input after exactly ``delay + 1`` steps.
-
-    Useful for exercising deep acceptance counts: the encoded instances then
-    carry 2**-(q+1) entries with q ~ delay, stressing exact serialization.
-    """
-    if delay < 0:
-        raise ValueError("delay must be >= 0")
-    t = {}
-    for i in range(delay):
-        for sym in SYMBOLS:
-            t[(f"w{i}", sym)] = (f"w{i + 1}", sym, "R")
-    for sym in SYMBOLS:
-        t[(f"w{delay}", sym)] = ("yes", sym, "S")
-    return BoundedMachine(
-        transitions=t, initial="w0", accepting="yes", name=f"delay{delay}"
-    )
-
-
-def machine_threshold(limit: int) -> BoundedMachine:
-    """Accepts n if and only if n <= limit, by a bounded right scan.
-
-    A decidable stand-in for bounded-search machines: acceptance times grow
-    with n up to the cutoff, after which the machine walks forever.
-    """
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    t = {}
-    for i in range(limit + 1):
-        t[(f"c{i}", "1")] = (f"c{i + 1}" if i < limit else "loop", "1", "R")
-        t[(f"c{i}", "0")] = (f"c{i}", "0", "R")
-        t[(f"c{i}", BLANK)] = ("yes", BLANK, "S")
-    for sym in SYMBOLS:
-        t[("loop", sym)] = ("loop", sym, "R")
-    return BoundedMachine(
-        transitions=t, initial="c0", accepting="yes", name=f"threshold{limit}"
-    )

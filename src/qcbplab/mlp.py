@@ -93,6 +93,8 @@ class MLP:
 
 
 def init_mlp(widths: tuple[int, ...], seed: int) -> MLP:
+    if any(w < 1 for w in widths):
+        raise ValueError(f"layer widths must be >= 1, got {list(widths)}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):

@@ -263,6 +263,25 @@ def test_nn_divergence_exit_3(capsys):
     assert "diverged" in captured.err
 
 
+@pytest.mark.parametrize("widths", ["0", "16,0", "-3"])
+def test_nn_nonpositive_width_exit_2(widths, capsys):
+    code, out, err = run(["nn", "--seed", "1", "--widths", widths, "--steps", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert "--widths" in json.loads(err)["error"]
+
+
+def test_halting_negative_n_max_exit_2(capsys):
+    code, out, err = run(["halting", "--machine", "builtin:even", "--n-max", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "n_max must be >= 0"
+
+
+def test_gen_data_empty_range_exit_2(capsys):
+    code, out, err = run(["gen-data", "--n-lo", "5", "--n-hi", "2", "--seed", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "widen the n range" in json.loads(err)["error"]
+
+
 def test_nn_seed_required(capsys):
     code, _, err = run(["nn", "--steps", "10"], capsys)
     assert code == 2
@@ -391,9 +410,9 @@ def test_solve_instance_file(tmp_path, capsys):
 def test_halting_deep_acceptance_csv(tmp_path, capsys):
     """Machines accepting after thousands of steps produce exact rationals
     with multi-thousand-digit denominators; the CSV path must emit them."""
-    from qcbplab import halting as ht
+    from toy_machines import machine_delay
 
-    machine = ht.machine_delay(2400)
+    machine = machine_delay(2400)
     tm = tmp_path / "delay.tm"
     lines = ["init w0", "accept yes"]
     for (s, sym), (t, w, mv) in sorted(machine.transitions.items()):

@@ -1,6 +1,7 @@
 """Step-bounded simulation, encoded instances, and the decision rule."""
 
 import dataclasses
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -9,6 +10,7 @@ from qcbplab import families as fam
 from qcbplab import halting as ht
 from qcbplab import qcbp
 from qcbplab.rationals import l2_norm_sq
+from toy_machines import machine_delay, machine_never, machine_threshold
 
 P = fam.FamilyParams()
 CERT = fam.separation_certificate(P, 30)
@@ -33,13 +35,95 @@ def test_parity_ground_truth():
         assert ht.run_bounded(EVEN, n, 10**4).accepted == (n % 2 == 0)
 
 
+class CountingRules(dict):
+    """A transition table that counts the rule lookups a run makes."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def _counting(machine: ht.BoundedMachine) -> ht.BoundedMachine:
+    rules = CountingRules(machine.transitions)
+    return ht.BoundedMachine(rules, machine.initial, machine.accepting, machine.name)
+
+
+SHIFT = {"L": -1, "R": 1, "S": 0}
+
+
+def _simulate(machine: ht.BoundedMachine, n: int, budget: int) -> ht.RunOutcome:
+    """Reference semantics: every step simulated, nothing proved."""
+    tape = {i: "1" for i in range(n)}
+    head, state = 0, machine.initial
+    for step in range(1, budget + 1):
+        state, tape[head], move = machine.transitions[(state, tape.get(head, ht.BLANK))]
+        head += SHIFT[move]
+        if state == machine.accepting:
+            return ht.RunOutcome(True, step, step)
+    return ht.RunOutcome(False, None, budget)
+
+
+def _random_machine(rng: random.Random) -> ht.BoundedMachine:
+    states = [f"s{i}" for i in range(rng.randint(1, 4))]
+    targets = states + ["yes"]
+    rules = {
+        (s, sym): (rng.choice(targets), rng.choice(ht.SYMBOLS), rng.choice(ht.MOVES))
+        for s in states
+        for sym in ht.SYMBOLS
+    }
+    return ht.BoundedMachine(rules, "s0", "yes")
+
+
+def test_run_bounded_matches_plain_simulation_on_random_machines():
+    rng = random.Random(20250)
+    proved = 0
+    for _ in range(5000):
+        machine = _random_machine(rng)
+        counted = _counting(machine)
+        n, budget = rng.randint(0, 5), rng.randint(0, 3000)
+        out = ht.run_bounded(counted, n, budget)
+        assert out == _simulate(machine, n, budget), (machine.transitions, n, budget)
+        proved += counted.transitions.lookups < out.steps_executed
+    assert proved >= 400  # the proof, not the budget, ends many of these runs
+
+
+def test_left_move_invalidates_fresh_visit_record():
+    # state a is on a fresh cell at steps 1 and 7, but in between the head
+    # moves left of the first one, so no cycle is proved; it accepts at step 10
+    rules = {}
+    for s, blank, one, zero in (
+        ("a", ("b", "1", "R"), ("a", "1", "R"), ("a", "0", "R")),
+        ("b", ("c", "_", "L"), ("b", "1", "R"), ("b", "0", "R")),
+        ("c", ("c", "_", "L"), ("d", "1", "L"), ("c", "0", "L")),
+        ("d", ("e", "0", "R"), ("yes", "1", "S"), ("d", "0", "R")),
+        ("e", ("e", "_", "R"), ("f", "1", "R"), ("e", "0", "R")),
+        ("f", ("a", "1", "R"), ("f", "1", "R"), ("f", "0", "R")),
+    ):
+        rules.update({(s, "_"): blank, (s, "1"): one, (s, "0"): zero})
+    machine = ht.BoundedMachine(rules, "a", "yes")
+    assert _simulate(machine, 0, 100) == ht.RunOutcome(True, 10, 10)
+    assert ht.run_bounded(machine, 0, 100) == ht.RunOutcome(True, 10, 10)
+
+
+@pytest.mark.parametrize(
+    "machine, n",
+    [(EVEN, 7), (EVEN, 1), (machine_threshold(3), 5), (machine_never(), 0), (machine_never(), 4)],
+)
+def test_never_accepting_runs_stop_once_proved(machine, n):
+    counted = _counting(machine)
+    assert ht.run_bounded(counted, n, 10**9) == ht.RunOutcome(False, None, 10**9)
+    assert counted.transitions.lookups <= n + 3
+
+
 def test_capped_steps_examples():
     assert ht.capped_accept_steps(EVEN, 3, 10) == 10
     q2 = ht.run_bounded(EVEN, 2, 10**4).steps_to_accept
     for j in (q2, q2 + 1, q2 + 50, 10**4):
         assert ht.capped_accept_steps(EVEN, 2, j) == q2
     assert ht.capped_accept_steps(EVEN, 9, 0) == 0
-    assert ht.capped_accept_steps(ht.machine_never(), 5, 123) == 123
+    assert ht.capped_accept_steps(machine_never(), 5, 123) == 123
 
 
 def test_capped_steps_grow_before_acceptance():
@@ -196,20 +280,20 @@ def test_violated_certificate_is_a_numerical_failure():
 
 
 def test_threshold_machine_ground_truth():
-    m = ht.machine_threshold(5)
+    m = machine_threshold(5)
     for n in range(9):
         d = ht.decide_membership(m, n, 10**3, 64, P, CERT)
         assert (d.status == ht.IN) == (n <= 5)
 
 
 def test_never_machine():
-    m = ht.machine_never()
+    m = machine_never()
     for n in range(5):
         assert ht.decide_membership(m, n, 200, 64, P, CERT).status == ht.NOT_HALTED_AT_BUDGET
 
 
 def test_delay_machine_deep_acceptance():
-    m = ht.machine_delay(500)
+    m = machine_delay(500)
     out = ht.run_bounded(m, 3, 10**3)
     assert out.accepted and out.steps_to_accept == 501
     d = ht.decide_membership(m, 3, 10**3, 64, P, CERT)

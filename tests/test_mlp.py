@@ -49,6 +49,12 @@ def test_forward_dimension_check():
         mlp.forward(net, np.zeros(5))
 
 
+@pytest.mark.parametrize("widths", [(6, 0, 4), (6, 16, -1), (0, 4)])
+def test_init_rejects_nonpositive_widths(widths):
+    with pytest.raises(ValueError, match="widths must be >= 1"):
+        mlp.init_mlp(widths, seed=0)
+
+
 def test_forward_reproducible():
     net = mlp.init_mlp((6, 16, 4), seed=123)
     x = mlp.realify_instance(fam.perturbed_instance(1, 2, P))
