@@ -267,6 +267,8 @@ def _training_set(args: argparse.Namespace, p: families.FamilyParams) -> mlp.Tra
 
 
 def cmd_nn(args: argparse.Namespace) -> int:
+    if args.n_max < 1:
+        raise InputError(f"--n-max must be >= 1, got {args.n_max}")
     p = _family_params(args)
     data = _training_set(args, p)
     try:

@@ -19,6 +19,7 @@ not claimed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
@@ -70,10 +71,23 @@ def output_width(n: int) -> int:
 
 @dataclass
 class MLP:
-    """Fully connected ReLU network; final layer affine with no activation."""
+    """Fully connected ReLU network; final layer affine with no activation.
+
+    The weights and biases are views into one float64 buffer ``theta`` (each
+    weight matrix followed by its bias, layer by layer), so a training step
+    updates and checks every parameter with one numpy call each.  The
+    constructor copies the given arrays into a fresh buffer.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    theta: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        theta, weights, biases = _layer_buffer(self.weights, self.biases)
+        for dst, src in zip(weights + biases, self.weights + self.biases):
+            dst[...] = src
+        self.theta, self.weights, self.biases = theta, weights, biases
 
     @property
     def depth(self) -> int:
@@ -83,13 +97,18 @@ class MLP:
     def widths(self) -> tuple[int, ...]:
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
-    def check_finite(self) -> bool:
-        return all(np.isfinite(w).all() for w in self.weights) and all(
-            np.isfinite(b).all() for b in self.biases
-        )
 
-    def copy(self) -> "MLP":
-        return MLP([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+def _layer_buffer(weights, biases):
+    """An uninitialised float64 buffer and its per-layer views, shaped like
+    ``weights`` and ``biases``, each weight matrix followed by its bias."""
+    buf = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
+    views_w, views_b, off = [], [], 0
+    for w, b in zip(weights, biases):
+        views_w.append(buf[off : off + w.size].reshape(w.shape))
+        off += w.size
+        views_b.append(buf[off : off + b.size].reshape(b.shape))
+        off += b.size
+    return buf, views_w, views_b
 
 
 def init_mlp(widths: tuple[int, ...], seed: int) -> MLP:
@@ -116,7 +135,8 @@ def _forward_trace(net: MLP, x: np.ndarray):
     pre, act = [], [x]
     a = x
     for ell, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         pre.append(z)
         a = np.maximum(z, 0.0) if ell < net.depth - 1 else z
         act.append(a)
@@ -125,19 +145,25 @@ def _forward_trace(net: MLP, x: np.ndarray):
 
 def loss_and_grads(net: MLP, inputs: np.ndarray, targets: np.ndarray):
     """Mean squared l2 loss over the batch and its exact backprop gradients."""
+    _, grads_w, grads_b = _layer_buffer(net.weights, net.biases)
+    loss = _backprop(net, inputs, targets, grads_w, grads_b)
+    return loss, grads_w, grads_b
+
+
+def _backprop(net: MLP, inputs, targets, grads_w, grads_b) -> float:
+    """Loss of the batch; writes its gradient into the per-layer views
+    ``grads_w`` and ``grads_b``."""
     batch = inputs.shape[0]
     pre, act = _forward_trace(net, inputs)
     diff = act[-1] - targets
     loss = float(np.sum(diff * diff) / batch)
-    grads_w = [None] * net.depth
-    grads_b = [None] * net.depth
     delta = 2.0 * diff / batch
     for ell in range(net.depth - 1, -1, -1):
-        grads_w[ell] = delta.T @ act[ell]
-        grads_b[ell] = delta.sum(axis=0)
+        np.matmul(delta.T, act[ell], out=grads_w[ell])
+        np.sum(delta, axis=0, out=grads_b[ell])
         if ell > 0:
             delta = (delta @ net.weights[ell]) * (pre[ell - 1] > 0)
-    return loss, grads_w, grads_b
+    return loss
 
 
 def train(
@@ -151,68 +177,41 @@ def train(
 ):
     """Gradient descent on the mean l2 loss; full-batch unless batch_size set.
 
-    Deterministic under the seed (mini-batch order comes from it); returns the
-    trained net and the per-step loss trace.  Non-finite loss aborts.
+    Deterministic under the seed (mini-batch order comes from it); returns a
+    trained copy of the net, which is left unchanged, and the per-step loss
+    trace.  A non-finite loss, or a non-finite parameter after an update,
+    aborts with ``TrainingDivergence``; float overflow warnings are silenced
+    because these checks catch it.  The parameters and the gradient each live
+    in one buffer, so a step is one update and one finite check.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    if not 0 < lr < math.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
     if steps > 0 and inputs.shape[0] == 0:
         raise ValueError("cannot train on an empty batch")
-    net = net.copy()
+    net = MLP(net.weights, net.biases)
+    theta = net.theta
+    grad, grads_w, grads_b = _layer_buffer(net.weights, net.biases)
     rng = np.random.default_rng(seed)
     trace: list[float] = []
     last = float("nan")
-    for step in range(steps):
-        if batch_size is None:
-            bx, bt = inputs, targets
-        else:
-            idx = rng.permutation(inputs.shape[0])[:batch_size]
-            bx, bt = inputs[idx], targets[idx]
-        loss, gw, gb = loss_and_grads(net, bx, bt)
-        if not np.isfinite(loss):
-            raise TrainingDivergence(step, last)
-        last = loss
-        trace.append(loss)
-        for ell in range(net.depth):
-            net.weights[ell] -= lr * gw[ell]
-            net.biases[ell] -= lr * gb[ell]
-        if not net.check_finite():
-            raise TrainingDivergence(step, last)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            if batch_size is None:
+                bx, bt = inputs, targets
+            else:
+                idx = rng.permutation(inputs.shape[0])[:batch_size]
+                bx, bt = inputs[idx], targets[idx]
+            loss = _backprop(net, bx, bt, grads_w, grads_b)
+            if not math.isfinite(loss):
+                raise TrainingDivergence(step, last)
+            last = loss
+            trace.append(loss)
+            theta -= lr * grad
+            if not np.isfinite(theta).all():
+                raise TrainingDivergence(step, last)
     return net, trace
-
-
-def numerical_gradients(net: MLP, inputs: np.ndarray, targets: np.ndarray, h: float = 1e-6):
-    """Central finite differences of the loss; the independent gradient oracle."""
-    grads_w = [np.zeros_like(w) for w in net.weights]
-    grads_b = [np.zeros_like(b) for b in net.biases]
-
-    def loss_at() -> float:
-        batch = inputs.shape[0]
-        diff = forward(net, inputs) - targets
-        return float(np.sum(diff * diff) / batch)
-
-    for ell in range(net.depth):
-        w = net.weights[ell]
-        for idx in np.ndindex(w.shape):
-            orig = w[idx]
-            w[idx] = orig + h
-            up = loss_at()
-            w[idx] = orig - h
-            down = loss_at()
-            w[idx] = orig
-            grads_w[ell][idx] = (up - down) / (2 * h)
-        b = net.biases[ell]
-        for idx in np.ndindex(b.shape):
-            orig = b[idx]
-            b[idx] = orig + h
-            up = loss_at()
-            b[idx] = orig - h
-            down = loss_at()
-            b[idx] = orig
-            grads_b[ell][idx] = (up - down) / (2 * h)
-    return grads_w, grads_b
 
 
 def lipschitz_upper_bound(net: MLP, iters: int = 50, inflate: float = 1.1) -> float:
@@ -365,6 +364,8 @@ def instability_eval(
     lip_slack(n) = L * ||input_1 - input_2||; their sum must stay above the
     certified separation bound up to documented float slack, for any net.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     lip = lipschitz_upper_bound(net)
     rows = []
     for n in range(1, n_max + 1):

@@ -16,6 +16,7 @@ from qcbplab import families as fam
 from qcbplab import halting as ht
 from qcbplab import mlp, qcbp
 from qcbplab.rationals import l1_norm_real, l2_norm_sq
+from gradient_oracle import numerical_gradients
 
 P = fam.FamilyParams()  # a=1, eps=1/2, N=2, m=1
 
@@ -195,7 +196,7 @@ def test_criterion_8_gradient_correctness():
         xs = rng.standard_normal((4, widths[0]))
         ts = rng.standard_normal((4, widths[-1]))
         _, gw, gb = mlp.loss_and_grads(net, xs, ts)
-        nw, nb = mlp.numerical_gradients(net, xs, ts)
+        nw, nb = numerical_gradients(net, xs, ts)
         for a, b in zip(gw + gb, nw + nb):
             denom = np.maximum(np.abs(a) + np.abs(b), 1e-6)
             rel = np.abs(a - b) / denom

@@ -263,6 +263,38 @@ def test_nn_divergence_exit_3(capsys):
     assert "diverged" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+def test_nn_divergence_stderr_is_one_json_line(capsys):
+    code, out, err = run(["nn", "--seed", "3", "--steps", "200", "--lr", "1000"], capsys)
+    assert (code, out) == (3, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "training diverged at step 39; last finite loss 2.6979848877547425e+305",
+        "kind": "numerical",
+    }
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_nn_nonfinite_lr_exit_2(lr, capsys):
+    code, out, err = run(["nn", "--seed", "3", "--steps", "20", "--lr", lr], capsys)
+    assert (code, out) == (2, "")
+    assert "learning rate" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_nn_nonpositive_n_max_exit_2_before_training(n_max, tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking --n-max")
+
+    monkeypatch.setattr(cli.mlp, "train", no_training)
+    out_file = tmp_path / "report.csv"
+    code, out, err = run(["nn", "--seed", "3", "--n-max", n_max, "--out", str(out_file)], capsys)
+    assert (code, out) == (2, "")
+    assert "--n-max" in json.loads(err)["error"]
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("widths", ["0", "16,0", "-3"])
 def test_nn_nonpositive_width_exit_2(widths, capsys):
     code, out, err = run(["nn", "--seed", "1", "--widths", widths, "--steps", "2"], capsys)

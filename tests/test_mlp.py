@@ -7,6 +7,7 @@ import pytest
 
 from qcbplab import families as fam
 from qcbplab import mlp, qcbp
+from gradient_oracle import numerical_gradients
 
 P = fam.FamilyParams()
 
@@ -91,7 +92,7 @@ def test_gradient_check_small_nets():
         xs = rng.standard_normal((6, widths[0]))
         ts = rng.standard_normal((6, widths[-1]))
         _, gw, gb = mlp.loss_and_grads(net, xs, ts)
-        nw, nb = mlp.numerical_gradients(net, xs, ts)
+        nw, nb = numerical_gradients(net, xs, ts)
         for a, b in zip(gw + gb, nw + nb):
             denom = np.maximum(np.abs(a) + np.abs(b), 1e-6)
             assert np.max(np.abs(a - b) / denom) < 1e-4
@@ -197,3 +198,105 @@ def test_train_rejects_empty_batch():
     net = mlp.init_mlp((6, 4, 4), seed=1)
     with pytest.raises(ValueError, match="empty"):
         mlp.train(net, np.zeros((0, 6)), np.zeros((0, 4)), steps=5, lr=0.1)
+
+
+# --- flat-buffer training against the per-layer reference ---------------------------
+
+def _reference_train(weights, biases, inputs, targets, steps, lr, seed=0, batch_size=None):
+    """Per-layer gradient descent: separate arrays, a fresh gradient per step,
+    per-layer updates and per-layer finite checks.  ``mlp.train`` must match
+    it bit for bit."""
+    weights = [w.copy() for w in weights]
+    biases = [b.copy() for b in biases]
+    depth = len(weights)
+
+    def loss_and_grads(xs, ts):
+        pre, act = [], [xs]
+        a = xs
+        for ell, (w, b) in enumerate(zip(weights, biases)):
+            z = a @ w.T + b
+            pre.append(z)
+            a = np.maximum(z, 0.0) if ell < depth - 1 else z
+            act.append(a)
+        diff = act[-1] - ts
+        loss = float(np.sum(diff * diff) / xs.shape[0])
+        gw, gb = [None] * depth, [None] * depth
+        delta = 2.0 * diff / xs.shape[0]
+        for ell in range(depth - 1, -1, -1):
+            gw[ell] = delta.T @ act[ell]
+            gb[ell] = delta.sum(axis=0)
+            if ell > 0:
+                delta = (delta @ weights[ell]) * (pre[ell - 1] > 0)
+        return loss, gw, gb
+
+    rng = np.random.default_rng(seed)
+    trace, last = [], float("nan")
+    for step in range(steps):
+        if batch_size is None:
+            bx, bt = inputs, targets
+        else:
+            idx = rng.permutation(inputs.shape[0])[:batch_size]
+            bx, bt = inputs[idx], targets[idx]
+        loss, gw, gb = loss_and_grads(bx, bt)
+        if not np.isfinite(loss):
+            raise mlp.TrainingDivergence(step, last)
+        last = loss
+        trace.append(loss)
+        for ell in range(depth):
+            weights[ell] -= lr * gw[ell]
+            biases[ell] -= lr * gb[ell]
+        if not (all(np.isfinite(w).all() for w in weights) and all(np.isfinite(b).all() for b in biases)):
+            raise mlp.TrainingDivergence(step, last)
+    return weights, biases, trace
+
+
+def _same_bits(xs, ys):
+    return len(xs) == len(ys) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys)
+    )
+
+
+@pytest.mark.parametrize("batch_size", [None, 4])
+@pytest.mark.parametrize("hidden", [16, 32, 64])
+def test_train_matches_per_layer_reference(hidden, batch_size):
+    data = mlp.gen_training_set(P, 1, 8, noise_bound=Q(1, 16), seed=hidden)
+    net = mlp.init_mlp((6, hidden, hidden, 4), seed=hidden)
+    before_w = [w.copy() for w in net.weights]
+    before_b = [b.copy() for b in net.biases]
+    out, trace = mlp.train(net, data.inputs, data.targets, 300, 0.02, seed=11, batch_size=batch_size)
+    ref_w, ref_b, ref_trace = _reference_train(
+        before_w, before_b, data.inputs, data.targets, 300, 0.02, seed=11, batch_size=batch_size
+    )
+    assert trace == ref_trace
+    assert _same_bits(out.weights, ref_w) and _same_bits(out.biases, ref_b)
+    assert _same_bits(net.weights, before_w) and _same_bits(net.biases, before_b)
+    assert not any(
+        np.shares_memory(x, y) for x in out.weights + out.biases for y in net.weights + net.biases
+    )
+
+
+# 1e100 overflows the loss at step 1; 1.7e308 overflows a parameter at step 0
+@pytest.mark.parametrize("lr", [20.0, 1e3, 1e100, 1.7e308])
+def test_train_divergence_matches_per_layer_reference(lr):
+    data = mlp.gen_training_set(P, 1, 5, seed=4)
+    net = mlp.init_mlp((6, 32, 4), seed=7)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(mlp.TrainingDivergence) as ref:
+        _reference_train(net.weights, net.biases, data.inputs, data.targets, 400, lr)
+    with pytest.raises(mlp.TrainingDivergence) as got:
+        mlp.train(net, data.inputs, data.targets, steps=400, lr=lr)
+    assert (got.value.step, got.value.last_loss) == (ref.value.step, ref.value.last_loss)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -0.1])
+def test_train_rejects_nonpositive_or_nonfinite_lr(lr):
+    net = mlp.init_mlp((6, 4, 4), seed=1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        mlp.train(net, np.zeros((2, 6)), np.zeros((2, 4)), steps=5, lr=lr)
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_instability_eval_rejects_empty_range(n_max):
+    cert = fam.separation_certificate(P, 30)
+    net = mlp.init_mlp((6, 8, 4), seed=1)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        mlp.instability_eval(net, P, n_max, cert)
