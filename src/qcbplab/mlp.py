@@ -188,6 +188,10 @@ def train(
         raise ValueError("steps must be >= 0")
     if not 0 < lr < math.inf:
         raise ValueError(f"learning rate must be positive and finite, got {lr}")
+    if batch_size is not None and not (
+        isinstance(batch_size, (int, np.integer)) and batch_size >= 1
+    ):
+        raise ValueError(f"batch_size must be None or an integer >= 1, got {batch_size!r}")
     if steps > 0 and inputs.shape[0] == 0:
         raise ValueError("cannot train on an empty batch")
     net = MLP(net.weights, net.biases)

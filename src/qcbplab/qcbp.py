@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import ceil, lcm
+from operator import mul
 
 import numpy as np
 
@@ -39,7 +40,9 @@ from qcbplab.rationals import (
     matrix_to_json,
     operator_norm_sq_upper,
     parse_rational,
+    realified_rows,
     row_rank,
+    scaled_integers,
     vector_from_json,
     vector_to_json,
 )
@@ -297,45 +300,67 @@ class SolveReport:
         }
 
 
-def _realified(inst: Instance) -> tuple[np.ndarray, np.ndarray, list[list[Q]], list[Q]]:
-    """Real 2m x 2N operator [[Re A, -Im A], [Im A, Re A]] as floats and exact rows."""
-    m, n = inst.m, inst.n
-    exact = [[Q(0)] * (2 * n) for _ in range(2 * m)]
-    for i in range(m):
-        for j in range(n):
-            e = inst.A.entry(i, j)
-            exact[i][j] = e.re
-            exact[i][n + j] = -e.im
-            exact[m + i][j] = e.im
-            exact[m + i][n + j] = e.re
-    y_exact = [e.re for e in inst.y.entries] + [e.im for e in inst.y.entries]
-    K = np.array([[float(v) for v in row] for row in exact], dtype=np.float64)
-    yv = np.array([float(v) for v in y_exact], dtype=np.float64)
-    return K, yv, exact, y_exact
+@dataclass(frozen=True)
+class _ScaledInstance:
+    """The realified instance in integers: K = k / den and y = y / den exactly.
+
+    ``den`` is the lcm of every denominator in A and y; ``k`` holds the rows
+    of [[Re A, -Im A], [Im A, Re A]], ``k_cols`` its columns and ``y`` the
+    stacked (Re y, Im y), all scaled by ``den``.
+    """
+
+    k: list[list[int]]
+    k_cols: list[tuple[int, ...]]
+    y: list[int]
+    den: int
+    n: int
 
 
-def _pair_l1_upper(entries: list[Q], n: int) -> Q:
-    """Exact upper bound on sum_i |(re_i, im_i)|; exact when all im are zero."""
-    total = Q(0)
-    for i in range(n):
-        total += dyadic_sqrt_upper(entries[i] ** 2 + entries[n + i] ** 2)
-    return total
+def _realified(inst: Instance) -> tuple[np.ndarray, np.ndarray, _ScaledInstance]:
+    """Real 2m x 2N operator [[Re A, -Im A], [Im A, Re A]] as floats and integers."""
+    rows = realified_rows(inst.A)
+    y = [e.re for e in inst.y.entries] + [e.im for e in inst.y.entries]
+    k, den = scaled_integers(rows + [y])
+    y_int = k.pop()
+    scaled = _ScaledInstance(k=k, k_cols=list(zip(*k)), y=y_int, den=den, n=inst.n)
+    K = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+    yv = np.array([float(v) for v in y], dtype=np.float64)
+    return K, yv, scaled
 
 
-def _dual_lower_bound(z: np.ndarray, exact_k: list[list[Q]], y_exact: list[Q], eps: Q, n: int) -> Q:
+def _dyadic_ints(v: np.ndarray) -> tuple[list[int], int]:
+    """Integers X and an exponent E with v == X / 2**E exactly, entry by entry.
+
+    Raises ValueError for NaN and OverflowError for an infinite entry.
+    """
+    ratios = [t.as_integer_ratio() for t in v.tolist()]
+    e = max(d.bit_length() for _, d in ratios) - 1
+    return [p << (e + 1 - d.bit_length()) for p, d in ratios], e
+
+
+def _pair_l1_upper(xs: list[int], e: int, n: int) -> Q:
+    """Exact upper bound on sum_i |(re_i, im_i)| of xs / 2**e; exact when all im are zero."""
+    den = 1 << (2 * e)
+    return sum((dyadic_sqrt_upper(Q(xs[i] ** 2 + xs[n + i] ** 2, den)) for i in range(n)), Q(0))
+
+
+def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Q:
     """Weak-duality lower bound from an exactified dual iterate.
 
     Scales z down by a certified bound on the pair-infinity norm of K^T z so
     the scaled vector is dual feasible, then evaluates the dual objective with
-    an upper bound on ||z||, erring downward throughout.
+    an upper bound on ||z||, erring downward throughout.  With z = Z / 2**F,
+    K^T z and <y, z> are integer sums over den * 2**F.
     """
-    zq = [Q(float(v)) for v in z]
-    two_m = len(zq)
-    kt_z = [sum(exact_k[i][j] * zq[i] for i in range(two_m)) for j in range(2 * n)]
+    zs, f = _dyadic_ints(z)
+    n = scaled.n
+    kt_z = [sum(map(mul, col, zs)) for col in scaled.k_cols]
     cmax_sq = max(kt_z[j] ** 2 + kt_z[n + j] ** 2 for j in range(n))
-    c_ub = dyadic_sqrt_upper(cmax_sq) if cmax_sq > 1 else Q(1)
-    ip = sum(y_exact[i] * zq[i] for i in range(two_m))
-    z_norm_ub = dyadic_sqrt_upper(sum(v * v for v in zq))
+    scale = scaled.den << f
+    scale_sq = scale * scale
+    c_ub = dyadic_sqrt_upper(Q(cmax_sq, scale_sq)) if cmax_sq > scale_sq else Q(1)
+    ip = Q(sum(map(mul, scaled.y, zs)), scale)
+    z_norm_ub = dyadic_sqrt_upper(Q(sum(v * v for v in zs), 1 << (2 * f)))
     return (-ip - eps * z_norm_ub) / c_ub
 
 
@@ -382,13 +407,21 @@ def _polish_dual(K: np.ndarray, x: np.ndarray, z: np.ndarray, n: int) -> np.ndar
         return None
 
 
-def _certify_primal(inst: Instance, x: np.ndarray) -> tuple[Q, Q, Q, RationalVector, np.ndarray]:
-    """Exactify a float point: (objective_ub, residual_sq, residual_ub, x_exact, x)."""
-    n = inst.n
-    xq = [Q(float(v)) for v in x]
-    x_exact = RationalVector.from_items([ComplexQ(xq[j], xq[n + j]) for j in range(n)])
-    residual_sq = l2_norm_sq(inst.A.matvec(x_exact) - inst.y)
-    return _pair_l1_upper(xq, n), residual_sq, dyadic_sqrt_upper(residual_sq), x_exact, x.copy()
+def _certify_primal(scaled: _ScaledInstance, x: np.ndarray) -> tuple[Q, Q, Q, np.ndarray]:
+    """Exactify a float point: (objective_ub, residual_sq, residual_ub, x).
+
+    With x = X / 2**E the residual of row i is (k_i . X - y_i 2**E) / (den 2**E).
+    """
+    xs, e = _dyadic_ints(x)
+    sq = sum((sum(map(mul, row, xs)) - (yi << e)) ** 2 for row, yi in zip(scaled.k, scaled.y))
+    residual_sq = Q(sq, (scaled.den << e) ** 2)
+    return _pair_l1_upper(xs, e, scaled.n), residual_sq, dyadic_sqrt_upper(residual_sq), x.copy()
+
+
+def _exact_point(x: np.ndarray, n: int) -> RationalVector:
+    """The complex vector whose entries are the dyadic values of x = (re, im)."""
+    xq = [Q(v) for v in x.tolist()]
+    return RationalVector(tuple(ComplexQ(xq[j], xq[n + j]) for j in range(n)))
 
 
 def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> SolveReport:
@@ -417,7 +450,7 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     L = float(dyadic_sqrt_upper(operator_norm_sq_upper(inst.A)))
     step = 1.0 / L if L > 0 else 1.0
 
-    K, yv, exact_k, y_exact = _realified(inst)
+    K, yv, scaled = _realified(inst)
     n = inst.n
     x = np.zeros(2 * n)
     z = np.zeros(2 * inst.m)
@@ -428,7 +461,7 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     batch = 250
     iterations = 0
     best_lower = Q(0)  # x=0 shows the optimum is >= 0
-    best_feasible: tuple[Q, Q, Q, RationalVector, np.ndarray] | None = None
+    best_feasible: tuple[Q, Q, Q, np.ndarray] | None = None
     converged = False
 
     def offer(candidate):
@@ -444,23 +477,26 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
         x, z, xbar = _kernels.pd_iterate(K, yv, eps_f, step, step, x, z, xbar, todo, n)
         iterations += todo
 
-        best_lower = max(best_lower, _dual_lower_bound(z, exact_k, y_exact, inst.eps, n))
-        last = _certify_primal(inst, x)
+        best_lower = max(best_lower, _dual_lower_bound(z, scaled, inst.eps))
+        last = _certify_primal(scaled, x)
         offer(last)
         if not certified():
-            x_pol = _polish_primal(K, yv, eps_f, float(bound), z, n)
-            if x_pol is not None and np.isfinite(x_pol).all():
-                offer(_certify_primal(inst, x_pol))
-                z_pol = _polish_dual(K, x_pol, z, n)
-                if z_pol is not None and np.isfinite(z_pol).all():
-                    best_lower = max(best_lower, _dual_lower_bound(z_pol, exact_k, y_exact, inst.eps, n))
+            # float overflow needs no warning: the finite checks and the exact
+            # certificates reject whatever it spoils
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_pol = _polish_primal(K, yv, eps_f, float(bound), z, n)
+                if x_pol is not None and np.isfinite(x_pol).all():
+                    offer(_certify_primal(scaled, x_pol))
+                    z_pol = _polish_dual(K, x_pol, z, n)
+                    if z_pol is not None and np.isfinite(z_pol).all():
+                        best_lower = max(best_lower, _dual_lower_bound(z_pol, scaled, inst.eps))
         if certified():
             converged = True
             break
 
-    objective_ub, residual_sq, residual_ub, x_exact, x_float = best_feasible or last
+    objective_ub, residual_sq, residual_ub, x_float = best_feasible or last
     return SolveReport(
-        x=x_exact,
+        x=_exact_point(x_float, n),
         x_float=x_float,
         objective_ub=objective_ub,
         lower_bound=best_lower,

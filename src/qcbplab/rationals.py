@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -210,44 +210,51 @@ class RationalMatrix:
     def is_real(self) -> bool:
         return all(e.im == 0 for row in self.rows for e in row)
 
-    def frobenius_sq(self) -> Q:
-        total = Q(0)
-        for row in self.rows:
-            for e in row:
-                total += e.abs_sq()
-        return total
+
+def realified_rows(mat: RationalMatrix) -> list[list[Q]]:
+    """Rows of the real 2m x 2n matrix [[Re A, -Im A], [Im A, Re A]].
+
+    It maps (Re x, Im x) to (Re Ax, Im Ax), and its real rank is twice the
+    complex rank of A.
+    """
+    rows = [[e.re for e in r] + [-e.im for e in r] for r in mat.rows]
+    return rows + [[e.im for e in r] + [e.re for e in r] for r in mat.rows]
+
+
+def scaled_integers(rows: list[list[Q]]) -> tuple[list[list[int]], int]:
+    """Integer rows k and den with rows == k / den, den the lcm of every denominator."""
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
 def row_rank(mat: RationalMatrix) -> int:
-    """Row rank by exact Gaussian elimination over the complex rationals.
+    """Row rank by exact fraction-free (Bareiss) elimination of the realification.
 
     Float rank tests can misclassify matrices whose rows differ by 2**-n
     perturbations; this one cannot.
     """
-    work = [list(row) for row in mat.rows]
-    m, n = mat.m, mat.n
+    work, _ = scaled_integers(realified_rows(mat))
+    m, n = len(work), 2 * mat.n
     rank = 0
-    col = 0
-    while rank < m and col < n:
-        pivot = None
-        for r in range(rank, m):
-            if work[r][col].abs_sq() != 0:
-                pivot = r
-                break
+    prev = 1  # the previous pivot; Sylvester's identity makes each division exact
+    for col in range(n):
+        pivot = next((r for r in range(rank, m) if work[r][col]), None)
         if pivot is None:
-            col += 1
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        p = work[rank][col]
+        top = work[rank]
+        p = top[col]
         for r in range(rank + 1, m):
-            if work[r][col].abs_sq() == 0:
-                continue
-            factor = work[r][col] / p
-            for c in range(col, n):
-                work[r][c] = work[r][c] - factor * work[rank][c]
+            row = work[r]
+            a = row[col]
+            work[r] = [0] * (col + 1) + [
+                (p * row[c] - a * top[c]) // prev for c in range(col + 1, n)
+            ]
+        prev = p
         rank += 1
-        col += 1
-    return rank
+        if rank == m:
+            break
+    return rank // 2
 
 
 def operator_norm_sq_upper(mat: RationalMatrix) -> Q:
@@ -255,13 +262,24 @@ def operator_norm_sq_upper(mat: RationalMatrix) -> Q:
 
     Uses min(Frobenius bound, max-column-sum x max-row-sum bound), both exact
     up to dyadic square-root overestimates of entry magnitudes.  For a single
-    row the Frobenius bound is the spectral norm itself, exactly.
+    row the Frobenius bound is the spectral norm itself, exactly.  Entries are
+    integers over one denominator; a real entry's magnitude is exact.
     """
-    fro = mat.frobenius_sq()
-    abs_ub = [[dyadic_sqrt_upper(e.abs_sq()) for e in row] for row in mat.rows]
-    row_sums = [sum(r, Q(0)) for r in abs_ub]
-    col_sums = [sum(abs_ub[i][j] for i in range(mat.m)) for j in range(mat.n)]
-    holder = max(row_sums) * max(col_sums)
+    n = mat.n
+    ints, den = scaled_integers([[e.re for e in r] + [e.im for e in r] for r in mat.rows])
+    den_sq = den * den
+    fro = Q(sum(v * v for row in ints for v in row), den_sq)
+    # entry magnitudes times den
+    mags = [
+        [
+            abs(re) if im == 0 else dyadic_sqrt_upper(Q(re * re + im * im, den_sq)) * den
+            for re, im in zip(row[:n], row[n:])
+        ]
+        for row in ints
+    ]
+    row_sums = [sum(r) for r in mags]
+    col_sums = [sum(col) for col in zip(*mags)]
+    holder = Q(max(row_sums) * max(col_sums)) / den_sq
     return min(fro, holder)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -483,3 +484,42 @@ def test_domain_errors_exit_2(capsys):
         err = capsys.readouterr().err
         assert code == 2, argv
         assert "error" in json.loads(err), argv
+
+
+GOLDEN = Path(__file__).parent / "golden"
+HUGE = "1" + "0" * 307
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("solve_two_rows", ["solve", "--A", "1,2,3;0,1,-1", "--y", "1,1/2", "--eps", "1/8"]),
+        ("solve_single_row", ["solve", "--A", "3/2,1", "--eps", "1/4"]),
+        (
+            "solve_ill_posed",  # 750 iterations; certified by polishing
+            [
+                "solve",
+                "--A",
+                "3,22/19,-4/5,-16/21,20/19;3/5,-16/15,11/20,-9/4,-1/11;2/9,15/8,-12/17,-3/4,22/17",
+                "--y",
+                "1/16,3/16,1/16",
+            ],
+        ),
+        ("solve_complex", ["solve", "--instance", str(GOLDEN / "complex_instance.json")]),
+        ("adversarial_solve", ["adversarial", "--n-max", "30", "--solve"]),
+    ],
+)
+def test_golden_output_bytes(name, argv, capsys):
+    """Every certified bound byte stays as recorded in tests/golden."""
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_with_huge_entries_keeps_stderr_clean(capsys):
+    """Float overflow while polishing is not reported: the exact checks reject what it spoils."""
+    argv = ["solve", "--A", f"{HUGE},1,1;1,{HUGE},1", "--y", f"{HUGE},{HUGE}", "--max-iter", "500"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "solve_huge_entries.out").read_text()

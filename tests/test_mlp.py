@@ -294,6 +294,13 @@ def test_train_rejects_nonpositive_or_nonfinite_lr(lr):
         mlp.train(net, np.zeros((2, 6)), np.zeros((2, 4)), steps=5, lr=lr)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1, 2.5])
+def test_train_rejects_batch_size_below_one_or_not_integer(batch_size):
+    net = mlp.init_mlp((6, 4, 4), seed=1)
+    with pytest.raises(ValueError, match="batch_size"):
+        mlp.train(net, np.ones((3, 6)), np.ones((3, 4)), steps=3, lr=0.1, batch_size=batch_size)
+
+
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_instability_eval_rejects_empty_range(n_max):
     cert = fam.separation_certificate(P, 30)
