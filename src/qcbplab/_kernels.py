@@ -4,11 +4,15 @@ Two inner loops dominate runtime: the integer grid scan behind the brute-force
 l1 minimizer and the primal-dual iteration of the generic solver.  Both are
 written in numpy.
 
-Exactness note: the numpy grid scan is pure int64 arithmetic; callers must
-prove in Python big ints that no intermediate can overflow before dispatching
-here, and route to the object-int fallback (``exact_fallback=True``)
-otherwise.  That fallback is also the reference the numpy scan is tested
-against.
+Exactness note: the int64 grid scan is exact when rhs and W = sum_i M_i^2
+are below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that
+in Python big ints before dispatching here and route to the object-int
+fallback (``exact_fallback=True``) otherwise.  W bounds every square sum q(p)
+the scan evaluates, and for K >= 1 also its vertex terms: with c the last
+column, |c_i| <= |c_i| * K <= M_i and every prefix residual |r_i| <= M_i, so
+a = sum_i c_i^2 and |b| = |sum_i c_i r_i| are at most W.  For K = 0 the box
+is the single point 0 and a, which may wrap, is not formed.  The fallback is
+also the reference semantics the int64 scan is tested against.
 """
 
 from __future__ import annotations
@@ -25,14 +29,31 @@ import numpy as np
 # values are traversed in spiral order 0, 1, -1, 2, -2, ... and the first
 # point attaining the minimum objective in that order is reported; the spiral
 # order pins a deterministic tie-break shared by both scan paths.
+#
+# The int64 scan does not visit every point.  It fixes the first N-1
+# coordinates (a prefix, with residuals r_i) and solves the last one, t, in
+# closed form: q(t) = sum_i (r_i + c_i t)^2 is a convex quadratic, so its
+# feasible integers in [-K, K] form one interval.  The reported t is the
+# feasible value nearest 0; the interval cannot hold both t and -t without
+# holding 0, so there is no tie within a prefix, and the value is found with
+# q at 0, q at the two clamped integer neighbours of the vertex -b/a
+# (a = sum c_i^2, b = sum c_i r_i) and, when only the vertex side is
+# feasible, a bisection on |t| of about log2(K) probes.  Prefixes are
+# enumerated in spiral order in blocks of _PREFIX_BLOCK decoded from a flat
+# index, so memory does not grow with the box, and the first prefix of least
+# prefix_obj + |t| wins, which is the point the full spiral sweep reports.
+
+_PREFIX_BLOCK = 1 << 14
+
+
+def _spiral_value(rank):
+    """The axis value at each spiral rank: ranks 0, 1, 2, 3, 4, ... give 0, 1, -1, 2, -2, ..."""
+    mag = (rank + 1) // 2
+    return np.where(rank % 2 == 1, mag, -mag)
+
 
 def spiral_values(k: int) -> np.ndarray:
-    vals = np.empty(2 * k + 1, dtype=np.int64)
-    vals[0] = 0
-    for i in range(1, k + 1):
-        vals[2 * i - 1] = i
-        vals[2 * i] = -i
-    return vals
+    return _spiral_value(np.arange(2 * k + 1, dtype=np.int64))
 
 
 def _scan_py(coeffs, shift, rhs, k):
@@ -73,49 +94,65 @@ def _scan_py(coeffs, shift, rhs, k):
     return best_obj, np.array(best_p, dtype=np.int64)
 
 
-def _scan_numpy(coeffs, shift, rhs, k):
-    m, n = coeffs.shape
-    vals = spiral_values(k)
-    size = vals.shape[0]
+def _row_sums_sq(r, c, t):
+    """sum_i (r[i] + c[i] * t)^2, one entry per column of r."""
+    q = np.zeros(r.shape[1], dtype=np.int64)
+    for i in range(r.shape[0]):
+        s = r[i] + c[i] * t
+        q += s * s
+    return q
+
+
+def _scan_int64(coeffs, shift, rhs, k):
+    n = coeffs.shape[1]
+    size = 2 * k + 1
+    c = coeffs[:, n - 1]
+    # a < 2**62 for k >= 1 (see the module docstring); for k = 0 only t = 0
+    # exists and c * c may wrap, so a is not formed
+    a = int((c * c).sum()) if k > 0 else 0
     best_obj = -1
-    best_key = 0
     best_p = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        grids = np.meshgrid(*([vals] * (n - 1)), indexing="ij")
-        rest = np.stack([g.ravel() for g in grids], axis=0)
-    else:
-        rest = np.zeros((0, 1), dtype=np.int64)
-    rest_obj = np.abs(rest).sum(axis=0) if n > 1 else np.zeros(1, dtype=np.int64)
-    rest_key = np.zeros(rest.shape[1], dtype=np.int64)
-    for j in range(n - 1):
-        rank = 2 * np.abs(rest[j]) - (rest[j] > 0)
-        rest_key = rest_key * size + rank
-    partial_rest = coeffs[:, 1:] @ rest if n > 1 else np.zeros((m, 1), dtype=np.int64)
-    stride0 = np.int64(size ** (n - 1))
-    for idx0 in range(size):
-        v0 = vals[idx0]
-        s = partial_rest + (coeffs[:, 0:1] * v0 - shift[:, None])
-        acc = np.zeros(s.shape[1], dtype=np.int64)
-        for i in range(m):
-            acc += s[i] * s[i]
-        mask = acc <= rhs
-        if not mask.any():
+    total = size ** (n - 1)
+    for start in range(0, total, _PREFIX_BLOCK):
+        flat = np.arange(start, min(start + _PREFIX_BLOCK, total), dtype=np.int64)
+        prefix = np.empty((n - 1, flat.shape[0]), dtype=np.int64)
+        for j in range(n - 2, -1, -1):
+            flat, rank = np.divmod(flat, size)
+            prefix[j] = _spiral_value(rank)
+        r = coeffs[:, : n - 1] @ prefix - shift[:, None]
+        t = np.zeros(r.shape[1], dtype=np.int64)
+        feasible = _row_sums_sq(r, c, t) <= rhs
+        if a > 0 and not feasible.all():
+            # 0 is infeasible on the rest: the feasible interval, if any,
+            # holds q's integer minimizer over [-k, k], one of the clamped
+            # neighbours of the vertex -b/a
+            out = np.flatnonzero(~feasible)
+            ro = r[:, out]
+            v = -(c @ ro) // a
+            lo_v, hi_v = np.clip(v, -k, k), np.clip(v + 1, -k, k)
+            lo_ok = _row_sums_sq(ro, c, lo_v) <= rhs
+            hit = lo_ok | (_row_sums_sq(ro, c, hi_v) <= rhs)
+            out, ro = out[hit], ro[:, hit]
+            vertex = np.where(lo_ok, lo_v, hi_v)[hit]
+            # the interval lies on the vertex's side of 0: bisect |t| with
+            # |t| = lo infeasible and |t| = hi feasible
+            sign = np.sign(vertex)
+            lo, hi = np.zeros_like(vertex), np.abs(vertex)
+            while (hi - lo > 1).any():
+                mid = (lo + hi) // 2
+                ok = _row_sums_sq(ro, c, sign * mid) <= rhs
+                hi = np.where(ok, mid, hi)
+                lo = np.where(ok, lo, mid)
+            t[out] = sign * hi
+            feasible[out] = True
+        if not feasible.any():
             continue
-        obj = rest_obj[mask] + abs(int(v0))
-        key = rest_key[mask] + np.int64(idx0) * stride0
-        o = int(obj.min())
-        kmin = int(key[obj == o].min())
-        if best_obj < 0 or o < best_obj or (o == best_obj and kmin < best_key):
-            best_obj = o
-            best_key = kmin
-            p = np.empty(n, dtype=np.int64)
-            rem = kmin
-            for j in range(n - 1, -1, -1):
-                rank = rem % size
-                rem //= size
-                mag = (rank + 1) // 2
-                p[j] = mag if rank % 2 == 1 else (-mag if rank > 0 else 0)
-            best_p = p
+        obj = np.abs(prefix).sum(axis=0) + np.abs(t)
+        obj[~feasible] = n * k + 1
+        i = int(np.argmin(obj))  # first minimum: the earliest prefix in spiral order
+        if best_obj < 0 or obj[i] < best_obj:
+            best_obj = int(obj[i])
+            best_p = np.append(prefix[:, i], t[i])
     return best_obj, best_p
 
 
@@ -129,8 +166,7 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
         return _scan_py(coeffs, shift, rhs, k)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
     shift = np.ascontiguousarray(shift, dtype=np.int64)
-    obj, p = _scan_numpy(coeffs, shift, np.int64(rhs), int(k))
-    return int(obj), p
+    return _scan_int64(coeffs, shift, np.int64(rhs), int(k))
 
 
 # --- primal-dual iteration ----------------------------------------------------

@@ -60,7 +60,10 @@ class GridTooLargeError(ValueError):
     """brute_force_min rejected the requested grid size."""
 
 
-GRID_POINT_CAP = 300_000_000  # largest (2k+1)**N box brute_force_min will scan
+# largest (2k+1)**N box brute_force_min accepts: a bound on the box, not on
+# the points scanned (the int64 scan examines a few per prefix of the first
+# N-1 axes; the big-int fallback sweeps the box)
+GRID_POINT_CAP = 300_000_000
 
 
 @dataclass(frozen=True)
@@ -575,7 +578,10 @@ def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
 
     Independent of the closed-form oracle and of the iterative solver: pure
     integer feasibility tests over a box sized by the l1 norm of one exact
-    feasible point.  N <= 4, grid_exp <= 8, real instances only.
+    feasible point.  Exhaustive means every grid point is accounted for: each
+    setting of the first N-1 coordinates gets the exact interval of feasible
+    last coordinates (see ``_kernels``), and the big-int fallback sweeps the
+    box.  N <= 4, grid_exp <= 8, real instances only.
     """
     if inst.n > 4:
         raise GridTooLargeError(f"brute force supports N <= 4, got {inst.n}")
@@ -614,6 +620,8 @@ def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
     rhs_q = ((inst.eps + relaxation) * scale) ** 2
     rhs = rhs_q.numerator // rhs_q.denominator
 
+    # max_row[i] bounds |s_i| on the box, so worst_sum bounds every square sum
+    # the int64 scan forms and, for k >= 1, its vertex terms (see _kernels)
     max_row = [
         sum(abs(int(c)) for c in coeffs[i]) * k + abs(int(shift[i])) for i in range(inst.m)
     ]

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -523,3 +526,26 @@ def test_solve_with_huge_entries_keeps_stderr_clean(capsys):
     code, out, err = run(argv, capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / "solve_huge_entries.out").read_text()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """``PYTHONPATH=src python -m qcbplab`` works from a checkout, like ``cli.main``."""
+
+    def module(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcbplab", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    argv = ["oracle", "--A", "2,1", "--eps", "0"]
+    assert module(argv)[:2] == run(argv, capsys)[:2]
+    code, out, err = module(["oracle", "--A", "2,x"])
+    assert (code, out) == (2, "")
+    assert "error" in json.loads(err)

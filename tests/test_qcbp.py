@@ -1,8 +1,10 @@
 """Oracle, solver and brute-force tests for the QCBP core."""
 
 import itertools
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,6 +424,26 @@ def test_brute_force_exact_fallback_path():
     bf = qcbp.brute_force_min(inst, 4)
     oracle_value = qcbp.exact_solution_set(inst).l1_value()
     assert abs(bf.value - oracle_value) <= bf.stated_tol
+
+
+BRUTE_FORCE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "brute_force.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", BRUTE_FORCE_GOLDEN, ids=[f"{','.join(c['row'])};eps={c['eps']};2^-{c['grid_exp']}" for c in BRUTE_FORCE_GOLDEN]
+)
+def test_brute_force_golden(case):
+    """Exact outputs as recorded: the exact-nn seed 1 grids and the instances above."""
+    inst = single([Q(a) for a in case["row"]], eps=Q(case["eps"]))
+    bf = qcbp.brute_force_min(inst, case["grid_exp"])
+    got = {
+        "value": str(bf.value),
+        "argmin": [str(e.re) for e in bf.argmin.entries],
+        "box_radius": bf.box_radius,
+        "relaxation": str(bf.relaxation),
+        "stated_tol": None if bf.stated_tol is None else str(bf.stated_tol),
+    }
+    assert got == {key: case[key] for key in got}
 
 
 def test_solver_input_guards():
