@@ -22,6 +22,8 @@ import sys
 import tempfile
 from fractions import Fraction as Q
 
+import numpy as np
+
 from qcbplab import __version__, families, halting, mlp, qcbp
 from qcbplab.rationals import (
     dyadic_sqrt_lower,
@@ -302,9 +304,10 @@ def cmd_nn(args: argparse.Namespace) -> int:
     _emit_csv(header, rows, args)
     min_lhs = min(r.bound_lhs for r in report.rows)
     ok = report.conflict_holds()
+    slack_text = np.format_float_scientific(report.float_slack, trim="-", exp_digits=1)
     print(
         f"conflict bound: min_n (e1+e2+L*gap) = {min_lhs:.6f} vs "
-        f"kappa - 1e-6 = {kappa_f - 1e-6:.6f} -> {'OK' if ok else 'VIOLATED'} "
+        f"kappa - {slack_text} = {kappa_f - report.float_slack:.6f} -> {'OK' if ok else 'VIOLATED'} "
         f"(L_hat={report.lipschitz_bound:.3f}, final loss={trace[-1] if trace else float('nan'):.6f})",
         file=sys.stderr,
     )

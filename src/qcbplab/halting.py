@@ -169,7 +169,11 @@ def encoded_instance(
     under the smallest-active-index rule, which is what makes the stabilized
     case decidable by one exact comparison.
     """
-    r = capped_accept_steps(machine, n, budget)
+    return _encoded_member(capped_accept_steps(machine, n, budget), p)
+
+
+def _encoded_member(r: int, p: families.FamilyParams) -> Instance:
+    """Family member 2 at index r + 1, for the capped accept step count r."""
     return families.perturbed_instance(2, r + TAIL_OFFSET, p)
 
 
@@ -213,7 +217,7 @@ def decide_membership(
 
     outcome = run_bounded(machine, n, budget)
     r = outcome.steps_to_accept if outcome.accepted else budget
-    inst = families.perturbed_instance(2, r + TAIL_OFFSET, p)
+    inst = _encoded_member(r, p)
     at_budget_sq = l2_norm_sq(select_embedded(inst) - star)
     if not outcome.accepted:
         return Decision(

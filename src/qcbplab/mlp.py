@@ -128,41 +128,67 @@ def forward(net: MLP, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input width {x.shape[-1]} does not match layer width {net.weights[0].shape[1]}"
         )
-    return _forward_trace(net, x)[1][-1]
+    return _forward(net, _activations(net, x))
 
 
-def _forward_trace(net: MLP, x: np.ndarray):
-    pre, act = [], [x]
-    a = x
-    for ell, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T
-        z += b
-        pre.append(z)
-        a = np.maximum(z, 0.0) if ell < net.depth - 1 else z
-        act.append(a)
-    return pre, act
+def _activations(net: MLP, x: np.ndarray) -> list[np.ndarray]:
+    """``[x]`` followed by an uninitialised output buffer for each layer."""
+    return [x] + [np.empty(x.shape[:-1] + (w.shape[0],)) for w in net.weights]
+
+
+def _forward(net: MLP, acts: list[np.ndarray]) -> np.ndarray:
+    """Forward pass of the input ``acts[0]`` into the buffers ``acts[1:]``;
+    hidden layers apply ReLU in place.  Returns the output buffer."""
+    out = acts[-1]
+    for a, w, b, z in zip(acts, net.weights, net.biases, acts[1:]):
+        np.matmul(a, w.T, out=z)
+        np.add(z, b, out=z)
+        if z is not out:
+            np.maximum(z, 0.0, out=z)
+    return out
+
+
+def _backprop_buffers(acts: list[np.ndarray]):
+    """Uninitialised backprop buffers for the activations ``acts``: one ReLU
+    mask per hidden layer, one delta per layer and the squared error."""
+    masks = [np.empty(a.shape, dtype=bool) for a in acts[1:-1]]
+    deltas = [np.empty_like(a) for a in acts[1:]]
+    return masks, deltas, np.empty_like(acts[-1])
 
 
 def loss_and_grads(net: MLP, inputs: np.ndarray, targets: np.ndarray):
     """Mean squared l2 loss over the batch and its exact backprop gradients."""
     _, grads_w, grads_b = _layer_buffer(net.weights, net.biases)
-    loss = _backprop(net, inputs, targets, grads_w, grads_b)
+    acts = _activations(net, inputs)
+    loss = _backprop(net, acts, targets, _backprop_buffers(acts), grads_w, grads_b)
     return loss, grads_w, grads_b
 
 
-def _backprop(net: MLP, inputs, targets, grads_w, grads_b) -> float:
-    """Loss of the batch; writes its gradient into the per-layer views
-    ``grads_w`` and ``grads_b``."""
-    batch = inputs.shape[0]
-    pre, act = _forward_trace(net, inputs)
-    diff = act[-1] - targets
-    loss = float(np.sum(diff * diff) / batch)
-    delta = 2.0 * diff / batch
+def _backprop(net: MLP, acts, targets, buffers, grads_w, grads_b) -> float:
+    """Loss of the batch ``acts[0]``; writes its gradient into the per-layer
+    views ``grads_w`` and ``grads_b``, and every intermediate into ``acts``
+    and the ``_backprop_buffers`` in ``buffers``.
+
+    The ReLU mask comes from the activation: relu(z) > 0 exactly when z > 0,
+    for every float z including NaN and +-inf.
+    """
+    masks, deltas, sq = buffers
+    batch = acts[0].shape[0]
+    diff = deltas[-1]
+    np.subtract(_forward(net, acts), targets, out=diff)
+    np.multiply(diff, diff, out=sq)
+    loss = float(np.add.reduce(sq, axis=None)) / batch
+    np.multiply(2.0, diff, out=diff)
+    np.true_divide(diff, batch, out=diff)
     for ell in range(net.depth - 1, -1, -1):
-        np.matmul(delta.T, act[ell], out=grads_w[ell])
-        np.sum(delta, axis=0, out=grads_b[ell])
+        delta = deltas[ell]
+        np.matmul(delta.T, acts[ell], out=grads_w[ell])
+        np.add.reduce(delta, axis=0, out=grads_b[ell])
         if ell > 0:
-            delta = (delta @ net.weights[ell]) * (pre[ell - 1] > 0)
+            below, mask = deltas[ell - 1], masks[ell - 1]
+            np.matmul(delta, net.weights[ell], out=below)
+            np.greater(acts[ell], 0.0, out=mask)
+            np.multiply(below, mask, out=below)
     return loss
 
 
@@ -182,7 +208,11 @@ def train(
     trace.  A non-finite loss, or a non-finite parameter after an update,
     aborts with ``TrainingDivergence``; float overflow warnings are silenced
     because these checks catch it.  The parameters and the gradient each live
-    in one buffer, so a step is one update and one finite check.
+    in one buffer, so a step is one update and one finite check.  Every
+    buffer a step uses is allocated once per call (the batch shape is fixed:
+    all of ``inputs``, or ``min(batch_size, len(inputs))`` rows), and every
+    numpy call of a step writes in place, so a step allocates no array
+    beyond the mini-batch permutation.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -192,33 +222,50 @@ def train(
         isinstance(batch_size, (int, np.integer)) and batch_size >= 1
     ):
         raise ValueError(f"batch_size must be None or an integer >= 1, got {batch_size!r}")
-    if steps > 0 and inputs.shape[0] == 0:
+    n = inputs.shape[0]
+    if steps > 0 and n == 0:
         raise ValueError("cannot train on an empty batch")
     net = MLP(net.weights, net.biases)
     theta = net.theta
     grad, grads_w, grads_b = _layer_buffer(net.weights, net.biases)
+    scaled = np.empty_like(grad)
+    finite = np.empty(theta.shape, dtype=bool)
+    if batch_size is None:
+        bx, bt = inputs, targets
+    else:
+        rows = min(batch_size, n)
+        bx = np.empty((rows,) + inputs.shape[1:], dtype=inputs.dtype)
+        bt = np.empty((rows,) + targets.shape[1:], dtype=targets.dtype)
+    acts = _activations(net, bx)
+    buffers = _backprop_buffers(acts)
     rng = np.random.default_rng(seed)
     trace: list[float] = []
     last = float("nan")
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            if batch_size is None:
-                bx, bt = inputs, targets
-            else:
-                idx = rng.permutation(inputs.shape[0])[:batch_size]
-                bx, bt = inputs[idx], targets[idx]
-            loss = _backprop(net, bx, bt, grads_w, grads_b)
+            if batch_size is not None:
+                idx = rng.permutation(n)[:batch_size]
+                # indices are in range, so "clip" copies what "raise" would,
+                # without the temporary that "raise" makes when given `out`
+                np.take(inputs, idx, axis=0, out=bx, mode="clip")
+                np.take(targets, idx, axis=0, out=bt, mode="clip")
+            loss = _backprop(net, acts, bt, buffers, grads_w, grads_b)
             if not math.isfinite(loss):
                 raise TrainingDivergence(step, last)
             last = loss
             trace.append(loss)
-            theta -= lr * grad
-            if not np.isfinite(theta).all():
+            np.multiply(lr, grad, out=scaled)
+            np.subtract(theta, scaled, out=theta)
+            if not np.isfinite(theta, out=finite).all():
                 raise TrainingDivergence(step, last)
     return net, trace
 
 
-def lipschitz_upper_bound(net: MLP, iters: int = 50, inflate: float = 1.1) -> float:
+_POWER_ITERS = 50  # power-iteration steps per layer
+_INFLATE = 1.1  # per-layer inflation of the spectral norm estimate
+
+
+def lipschitz_upper_bound(net: MLP) -> float:
     """Product of per-layer spectral norm estimates, inflated by 10%.
 
     Power iteration underestimates defensively small; the documented inflation
@@ -228,7 +275,7 @@ def lipschitz_upper_bound(net: MLP, iters: int = 50, inflate: float = 1.1) -> fl
     total = 1.0
     for w in net.weights:
         v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])
-        for _ in range(iters):
+        for _ in range(_POWER_ITERS):
             u = w @ v
             nu = np.linalg.norm(u)
             if nu == 0:
@@ -239,7 +286,7 @@ def lipschitz_upper_bound(net: MLP, iters: int = 50, inflate: float = 1.1) -> fl
                 break
             v /= nv
         total *= np.linalg.norm(w @ v)
-    return float(total * inflate**len(net.weights))
+    return float(total * _INFLATE**len(net.weights))
 
 
 # --- training data ----------------------------------------------------------------

@@ -519,6 +519,26 @@ def test_golden_output_bytes(name, argv, capsys):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("nn_seed7", ["nn", "--seed", "7", "--steps", "300"]),
+        (
+            "nn_seed3_noise",
+            ["nn", "--seed", "3", "--steps", "300", "--n-hi", "6", "--n-max", "8", "--widths", "16,16", "--noise", "1/8"],
+        ),
+    ],
+)
+def test_nn_golden_bytes(name, argv, tmp_path, capsys):
+    """The trained weights, the conflict table and the summary line stay as recorded."""
+    ckpt = tmp_path / "net.json"
+    code, out, err = run(argv + ["--checkpoint", str(ckpt)], capsys)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text()
+    assert err == (GOLDEN / f"{name}.err").read_text()
+    assert ckpt.read_text() == (GOLDEN / f"{name}.checkpoint.json").read_text()
+
+
 @pytest.mark.filterwarnings("error")
 def test_solve_with_huge_entries_keeps_stderr_clean(capsys):
     """Float overflow while polishing is not reported: the exact checks reject what it spoils."""

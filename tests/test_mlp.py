@@ -202,6 +202,34 @@ def test_train_rejects_empty_batch():
 
 # --- flat-buffer training against the per-layer reference ---------------------------
 
+def _reference_forward(weights, biases, xs):
+    """Pre-activations and activations (``xs`` first), fresh arrays per layer."""
+    pre, act = [], [xs]
+    a = xs
+    for ell, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w.T + b
+        pre.append(z)
+        a = np.maximum(z, 0.0) if ell < len(weights) - 1 else z
+        act.append(a)
+    return pre, act
+
+
+def _reference_loss_and_grads(weights, biases, xs, ts):
+    """Backprop with the ReLU mask taken from the pre-activations."""
+    depth = len(weights)
+    pre, act = _reference_forward(weights, biases, xs)
+    diff = act[-1] - ts
+    loss = float(np.sum(diff * diff) / xs.shape[0])
+    gw, gb = [None] * depth, [None] * depth
+    delta = 2.0 * diff / xs.shape[0]
+    for ell in range(depth - 1, -1, -1):
+        gw[ell] = delta.T @ act[ell]
+        gb[ell] = delta.sum(axis=0)
+        if ell > 0:
+            delta = (delta @ weights[ell]) * (pre[ell - 1] > 0)
+    return loss, gw, gb
+
+
 def _reference_train(weights, biases, inputs, targets, steps, lr, seed=0, batch_size=None):
     """Per-layer gradient descent: separate arrays, a fresh gradient per step,
     per-layer updates and per-layer finite checks.  ``mlp.train`` must match
@@ -209,26 +237,6 @@ def _reference_train(weights, biases, inputs, targets, steps, lr, seed=0, batch_
     weights = [w.copy() for w in weights]
     biases = [b.copy() for b in biases]
     depth = len(weights)
-
-    def loss_and_grads(xs, ts):
-        pre, act = [], [xs]
-        a = xs
-        for ell, (w, b) in enumerate(zip(weights, biases)):
-            z = a @ w.T + b
-            pre.append(z)
-            a = np.maximum(z, 0.0) if ell < depth - 1 else z
-            act.append(a)
-        diff = act[-1] - ts
-        loss = float(np.sum(diff * diff) / xs.shape[0])
-        gw, gb = [None] * depth, [None] * depth
-        delta = 2.0 * diff / xs.shape[0]
-        for ell in range(depth - 1, -1, -1):
-            gw[ell] = delta.T @ act[ell]
-            gb[ell] = delta.sum(axis=0)
-            if ell > 0:
-                delta = (delta @ weights[ell]) * (pre[ell - 1] > 0)
-        return loss, gw, gb
-
     rng = np.random.default_rng(seed)
     trace, last = [], float("nan")
     for step in range(steps):
@@ -237,7 +245,7 @@ def _reference_train(weights, biases, inputs, targets, steps, lr, seed=0, batch_
         else:
             idx = rng.permutation(inputs.shape[0])[:batch_size]
             bx, bt = inputs[idx], targets[idx]
-        loss, gw, gb = loss_and_grads(bx, bt)
+        loss, gw, gb = _reference_loss_and_grads(weights, biases, bx, bt)
         if not np.isfinite(loss):
             raise mlp.TrainingDivergence(step, last)
         last = loss
@@ -256,7 +264,7 @@ def _same_bits(xs, ys):
     )
 
 
-@pytest.mark.parametrize("batch_size", [None, 4])
+@pytest.mark.parametrize("batch_size", [None, 4, 64])  # 64 > the 16 samples
 @pytest.mark.parametrize("hidden", [16, 32, 64])
 def test_train_matches_per_layer_reference(hidden, batch_size):
     data = mlp.gen_training_set(P, 1, 8, noise_bound=Q(1, 16), seed=hidden)
@@ -273,6 +281,29 @@ def test_train_matches_per_layer_reference(hidden, batch_size):
     assert not any(
         np.shares_memory(x, y) for x in out.weights + out.biases for y in net.weights + net.biases
     )
+
+
+@pytest.mark.parametrize("widths", [(6, 4), (6, 16, 4), (6, 32, 32, 4), (5, 9, 7, 3, 2)])
+def test_forward_and_loss_and_grads_match_reference(widths):
+    rng = np.random.default_rng(sum(widths))
+    net = mlp.init_mlp(widths, seed=len(widths))
+    for b in net.biases:
+        b[...] = rng.standard_normal(b.shape)  # some hidden units off, some on
+    xs = rng.standard_normal((10, widths[0]))
+    ts = rng.standard_normal((10, widths[-1]))
+    for x in (xs, xs[3]):
+        assert _same_bits([mlp.forward(net, x)], [_reference_forward(net.weights, net.biases, x)[1][-1]])
+    ref_loss, ref_w, ref_b = _reference_loss_and_grads(net.weights, net.biases, xs, ts)
+    first = mlp.loss_and_grads(net, xs, ts)
+    second = mlp.loss_and_grads(net, xs, ts)
+    for loss, gw, gb in (first, second):
+        assert loss == ref_loss
+        assert _same_bits(gw, ref_w) and _same_bits(gb, ref_b)
+    params = net.weights + net.biases + [net.theta]
+    assert not any(
+        np.shares_memory(g, h) for g in first[1] + first[2] for h in second[1] + second[2] + params
+    )
+    assert not any(np.shares_memory(g, h) for g in second[1] + second[2] for h in params)
 
 
 # 1e100 overflows the loss at step 1; 1.7e308 overflows a parameter at step 0
