@@ -302,6 +302,12 @@ def cmd_nn(args: argparse.Namespace) -> int:
         for r in report.rows
     ]
     _emit_csv(header, rows, args)
+    if data.skipped:
+        print(
+            f"skipped {len(data.skipped)} of {len(data.skipped) + len(data.records)} "
+            f"training members, first: {data.skipped[0]}",
+            file=sys.stderr,
+        )
     min_lhs = min(r.bound_lhs for r in report.rows)
     ok = report.conflict_holds()
     slack_text = np.format_float_scientific(report.float_slack, trim="-", exp_digits=1)

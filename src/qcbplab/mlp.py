@@ -18,6 +18,7 @@ not claimed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -277,16 +278,22 @@ def lipschitz_upper_bound(net: MLP) -> float:
         v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])
         for _ in range(_POWER_ITERS):
             u = w @ v
-            nu = np.linalg.norm(u)
+            nu = _norm(u)
             if nu == 0:
                 break
             v = w.T @ u / nu
-            nv = np.linalg.norm(v)
+            nv = _norm(v)
             if nv == 0:
                 break
             v /= nv
-        total *= np.linalg.norm(w @ v)
+        total *= _norm(w @ v)
     return float(total * _INFLATE**len(net.weights))
+
+
+def _norm(d: np.ndarray) -> float:
+    """l2 norm of the 1-D float array ``d``: the float ``np.linalg.norm``
+    returns for it (``d.dot(d)``, then ``sqrt``) without its Python overhead."""
+    return math.sqrt(d @ d)
 
 
 # --- training data ----------------------------------------------------------------
@@ -414,21 +421,20 @@ def instability_eval(
     err_j(n) is the float l2 error of the network against the exact solution;
     lip_slack(n) = L * ||input_1 - input_2||; their sum must stay above the
     certified separation bound up to documented float slack, for any net.
+    The certificate must be for ``p`` and cover 1 <= n <= n_max.  Each input
+    goes through ``forward`` on its own: a batched matmul rounds differently.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if cert.params != p:
+        raise ValueError(f"certificate is for {cert.params}, not {p}")
+    if cert.n_max < n_max:
+        raise ValueError(f"certificate covers n <= {cert.n_max}, not n_max = {n_max}")
     lip = lipschitz_upper_bound(net)
     rows = []
-    for n in range(1, n_max + 1):
-        u1 = realify_instance(families.perturbed_instance(1, n, p))
-        u2 = realify_instance(families.perturbed_instance(2, n, p))
-        t1 = realify_vector(families.perturbed_solution(1, n, p))
-        t2 = realify_vector(families.perturbed_solution(2, n, p))
-        out1 = forward(net, u1)
-        out2 = forward(net, u2)
-        e1 = float(np.linalg.norm(out1 - t1))
-        e2 = float(np.linalg.norm(out2 - t2))
-        gap = float(np.linalg.norm(u1 - u2))
+    for n, u1, u2, t1, t2, gap in _family_table(p, n_max):
+        e1 = _norm(forward(net, u1) - t1)
+        e2 = _norm(forward(net, u2) - t2)
         slack = lip * gap
         rows.append(
             InstabilityRow(
@@ -436,6 +442,24 @@ def instability_eval(
             )
         )
     return InstabilityReport(params=p, certificate=cert, lipschitz_bound=lip, rows=rows)
+
+
+@functools.lru_cache(maxsize=8)
+def _family_table(p: families.FamilyParams, n_max: int) -> tuple:
+    """``(n, u1, u2, t1, t2, gap)`` for n = 1..n_max: both family members and
+    their exact solutions, flattened to read-only float arrays, and the input
+    gap ||u1 - u2||.  Built once per ``(p, n_max)``; the members are exact, so
+    every call would rebuild the same floats."""
+    table = []
+    for n in range(1, n_max + 1):
+        u1 = realify_instance(families.perturbed_instance(1, n, p))
+        u2 = realify_instance(families.perturbed_instance(2, n, p))
+        t1 = realify_vector(families.perturbed_solution(1, n, p))
+        t2 = realify_vector(families.perturbed_solution(2, n, p))
+        for a in (u1, u2, t1, t2):
+            a.flags.writeable = False
+        table.append((n, u1, u2, t1, t2, _norm(u1 - u2)))
+    return tuple(table)
 
 
 # --- checkpoints -------------------------------------------------------------------

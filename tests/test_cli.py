@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qcbplab import cli
+from qcbplab import cli, families, mlp
 
 
 def run(argv, capsys):
@@ -226,6 +226,18 @@ def test_nn_zero_steps_untrained_still_bound_consistent(tmp_path, capsys):
     rows = [l.split(",") for l in out_file.read_text().splitlines()[2:]]
     kappa = float(rows[0][6])
     assert all(float(r[5]) >= kappa - 1e-6 for r in rows)
+
+
+def test_nn_reports_skipped_training_members(capsys):
+    """Members the noisy oracle skips are named on one stderr line, before the summary."""
+    code, _, err = run(["nn", "--seed", "1", "--steps", "20", "--noise", "2"], capsys)
+    assert code == 0
+    skipped = mlp.gen_training_set(families.FamilyParams(), 1, 10, noise_bound=Q(2), seed=1).skipped
+    assert len(skipped) == 7
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == f"skipped 7 of 20 training members, first: {skipped[0]}"
+    assert lines[1].startswith("conflict bound:")
 
 
 def test_solve_without_inputs_exit_2(capsys):
@@ -526,6 +538,12 @@ def test_golden_output_bytes(name, argv, capsys):
         (
             "nn_seed3_noise",
             ["nn", "--seed", "3", "--steps", "300", "--n-hi", "6", "--n-max", "8", "--widths", "16,16", "--noise", "1/8"],
+        ),
+        (
+            # from n = 57 on the 2**-n bump is lost when 1/3 + 2**-n is
+            # rounded to float, so those rows read gap 0.0
+            "nn_seed5_a13",
+            ["nn", "--seed", "5", "--steps", "50", "--a", "1/3", "--eps", "1/3", "--N", "3", "--n-max", "64"],
         ),
     ],
 )

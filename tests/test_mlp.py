@@ -1,5 +1,6 @@
 """Network, training-data and instability-bound tests."""
 
+import functools
 from fractions import Fraction as Q
 
 import numpy as np
@@ -338,3 +339,129 @@ def test_instability_eval_rejects_empty_range(n_max):
     net = mlp.init_mlp((6, 8, 4), seed=1)
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         mlp.instability_eval(net, P, n_max, cert)
+
+
+@pytest.mark.parametrize(
+    "p, n_max, cert",
+    [
+        (fam.FamilyParams(a=Q(1, 3), eps=Q(1, 3)), 40, (P, 40)),  # another kappa
+        (P, 40, (P, 5)),  # certifies n <= 5 only
+        (fam.FamilyParams(a=Q(1, 3), eps=Q(1, 3)), 40, (P, 5)),
+    ],
+)
+def test_instability_eval_rejects_certificate_that_does_not_cover_it(p, n_max, cert):
+    net = mlp.init_mlp((6, 8, 4), seed=1)
+    with pytest.raises(ValueError, match="certificate"):
+        mlp.instability_eval(net, p, n_max, fam.separation_certificate(*cert))
+
+
+# --- cached family table against the per-call reference -------------------------------
+
+PARAMS = [P, fam.FamilyParams(a=Q(1, 3), eps=Q(1, 3)), fam.FamilyParams(n_dim=3, m_dim=2)]
+
+
+@functools.cache
+def _cert(p):
+    return fam.separation_certificate(p, 64)
+
+
+def _reference_lipschitz_upper_bound(net):
+    """Power iteration with fresh vectors and ``np.linalg.norm``."""
+    total = 1.0
+    for w in net.weights:
+        v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])
+        for _ in range(mlp._POWER_ITERS):
+            u = w @ v
+            nu = np.linalg.norm(u)
+            if nu == 0:
+                break
+            v = w.T @ u / nu
+            nv = np.linalg.norm(v)
+            if nv == 0:
+                break
+            v /= nv
+        total *= np.linalg.norm(w @ v)
+    return float(total * mlp._INFLATE ** len(net.weights))
+
+
+def _reference_instability_rows(net, p, n_max, lip):
+    """The conflict table with every family member rebuilt from the exact
+    families, each input run through ``forward`` on its own."""
+    rows = []
+    for n in range(1, n_max + 1):
+        u1 = mlp.realify_instance(fam.perturbed_instance(1, n, p))
+        u2 = mlp.realify_instance(fam.perturbed_instance(2, n, p))
+        t1 = mlp.realify_vector(fam.perturbed_solution(1, n, p))
+        t2 = mlp.realify_vector(fam.perturbed_solution(2, n, p))
+        e1 = float(np.linalg.norm(mlp.forward(net, u1) - t1))
+        e2 = float(np.linalg.norm(mlp.forward(net, u2) - t2))
+        gap = float(np.linalg.norm(u1 - u2))
+        slack = lip * gap
+        rows.append(
+            mlp.InstabilityRow(
+                n=n, gap=gap, err_1=e1, err_2=e2, lip_slack=slack, bound_lhs=e1 + e2 + slack
+            )
+        )
+    return rows
+
+
+def _net_for(p, hidden, kind):
+    """An untrained net for ``p``'s shape, one trained on its members n = 1..8,
+    or an untrained one whose second layer is all zero (the power iteration
+    stops at its first step there)."""
+    widths = (mlp.input_width(p.m_dim, p.n_dim),) + hidden + (mlp.output_width(p.n_dim),)
+    net = mlp.init_mlp(widths, seed=sum(widths))
+    if kind == "trained":
+        members = [(which, n) for n in range(1, 9) for which in (1, 2)]
+        xs = np.array([mlp.realify_instance(fam.perturbed_instance(w, n, p)) for w, n in members])
+        ts = np.array([mlp.realify_vector(fam.perturbed_solution(w, n, p)) for w, n in members])
+        net, _ = mlp.train(net, xs, ts, 200, 0.02, seed=1)
+    elif kind == "zero layer":
+        net.weights[1][...] = 0.0
+    return net
+
+
+@pytest.mark.parametrize("kind", ["untrained", "trained", "zero layer"])
+@pytest.mark.parametrize("hidden", [(8,), (16, 16), (64, 64), (128, 128)])
+def test_instability_eval_matches_reference(hidden, kind):
+    for p in PARAMS:
+        net = _net_for(p, hidden, kind)
+        lip = _reference_lipschitz_upper_bound(net)
+        assert (lip == 0.0) == (kind == "zero layer")
+        assert repr(mlp.lipschitz_upper_bound(net)) == repr(lip)
+        for n_max in (1, 7, 30, 64):
+            rep = mlp.instability_eval(net, p, n_max, _cert(p))
+            assert repr(rep.lipschitz_bound) == repr(lip)
+            assert repr(rep.rows) == repr(_reference_instability_rows(net, p, n_max, lip))
+
+
+def test_family_table_is_read_only_and_built_once(monkeypatch):
+    mlp._family_table.cache_clear()
+    real = fam.perturbed_instance
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fam, "perturbed_instance", counting)
+    net = _net_for(P, (16, 16), "untrained")
+    first = mlp.instability_eval(net, P, 30, _cert(P))
+    assert len(calls) == 60
+    second = mlp.instability_eval(net, P, 30, _cert(P))
+    assert len(calls) == 60
+    assert repr(second.rows) == repr(first.rows)
+    for row in mlp._family_table(P, 30):
+        for a in row[1:5]:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+
+def test_family_table_interleaved_calls_equal_fresh_results():
+    # 12 distinct (p, n_max) keys, more than the cache holds, so some are evicted and rebuilt
+    keys = [(p, n_max) for n_max in (7, 30, 1, 64) for p in PARAMS] + [(P, 7), (PARAMS[2], 30)]
+    nets = {p: _net_for(p, (16, 16), "untrained") for p in PARAMS}
+    for p, n_max in keys:
+        rep = mlp.instability_eval(nets[p], p, n_max, _cert(p))
+        assert repr(rep.rows) == repr(_reference_instability_rows(nets[p], p, n_max, rep.lipschitz_bound))
