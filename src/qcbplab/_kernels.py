@@ -173,9 +173,10 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 #
 # One batch of Chambolle-Pock iterations for min ||x||_{1,pair} subject to
 # ||Kx - y||_2 <= eps on the realified operator K (2m x 2n); coordinate i
-# pairs with n_pairs + i.  Returns the advanced (x, z, xbar) state.
+# pairs with n_pairs + i.  K, y, x, z and xbar are float64 arrays, the rest
+# Python scalars.  Returns the advanced (x, z, xbar) state.
 
-def _pd_numpy(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
+def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
     Kt = K.T
     for _ in range(iters):
         u = z + sigma * (K @ xbar) - sigma * y
@@ -193,15 +194,3 @@ def _pd_numpy(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
         xbar = 2.0 * x_new - x
         x, z = x_new, z_new
     return x, z, xbar
-
-
-def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
-    return _pd_numpy(
-        np.ascontiguousarray(K, dtype=np.float64),
-        np.ascontiguousarray(y, dtype=np.float64),
-        float(eps), float(tau), float(sigma),
-        np.ascontiguousarray(x, dtype=np.float64),
-        np.ascontiguousarray(z, dtype=np.float64),
-        np.ascontiguousarray(xbar, dtype=np.float64),
-        int(iters), int(n_pairs),
-    )

@@ -232,7 +232,7 @@ def cmd_halting(args: argparse.Namespace) -> int:
         raise InputError("n_max must be >= 0")
     machine = _load_machine(args.machine)
     p = _family_params(args)
-    cert = families.separation_certificate(p, max(args.n_max, 30))
+    cert = families.separation_certificate(p)
     header = [
         "n",
         "q",
@@ -283,7 +283,7 @@ def cmd_nn(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(f"--widths {args.widths!r}: {exc}") from None
     net, trace = mlp.train(net, data.inputs, data.targets, steps=args.steps, lr=args.lr, seed=args.seed)
-    cert = families.separation_certificate(p, max(args.n_max, 30))
+    cert = families.separation_certificate(p)
     report = mlp.instability_eval(net, p, args.n_max, cert)
     if args.checkpoint:
         mlp.save_checkpoint(net, args.checkpoint)

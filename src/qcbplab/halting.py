@@ -154,7 +154,7 @@ def capped_accept_steps(machine: BoundedMachine, n: int, budget: int) -> int:
     return out.steps_to_accept if out.accepted else budget
 
 
-TAIL_OFFSET = 1  # family indices start at 1, where the separation certificate begins
+TAIL_OFFSET = 1  # family indices start at 1
 
 
 def encoded_instance(

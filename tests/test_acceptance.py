@@ -68,7 +68,7 @@ def test_criterion_2_oracle_vs_brute_force():
 
 def test_criterion_3_discontinuity_demonstration():
     start = time.time()
-    cert = fam.separation_certificate(P, 30)
+    cert = fam.separation_certificate(P)
     for n in range(1, 31):
         # inputs collapse at exactly 2**-n
         assert fam.input_distance(1, n, P) == Q(1, 2**n)
@@ -161,7 +161,7 @@ def test_criterion_6_computable_real_layer():
 def test_criterion_7_halting_gadget():
     start = time.time()
     machine = ht.load_builtin("even")
-    cert = fam.separation_certificate(P, 30)
+    cert = fam.separation_certificate(P)
     for n in range(51):
         d = ht.decide_membership(machine, n, 10**4, 64, P, cert)
         assert (d.status == ht.IN) == (n % 2 == 0)  # ground-truth parity
@@ -213,7 +213,7 @@ def test_criterion_8_gradient_correctness():
 
 def test_criterion_9_continuity_conflict_bound():
     start = time.time()
-    cert = fam.separation_certificate(P, 30)
+    cert = fam.separation_certificate(P)
     data = mlp.gen_training_set(P, 1, 10, seed=109)
     net = mlp.init_mlp((6, 64, 64, 4), seed=109)
     net, trace = mlp.train(net, data.inputs, data.targets, steps=4000, lr=0.02, seed=109)

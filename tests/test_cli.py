@@ -155,7 +155,7 @@ def test_halting_violated_certificate_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(
         cli.families,
         "separation_certificate",
-        lambda p, n_max: dataclasses.replace(real(p, n_max), bound=Q(4)),
+        lambda p: dataclasses.replace(real(p), bound=Q(4)),
     )
     code, out, err = run(["halting", "--machine", "builtin:even", "--n-max", "2"], capsys)
     assert code == 3
@@ -488,8 +488,9 @@ def test_halting_deep_acceptance_csv(tmp_path, capsys):
 
 
 def test_domain_errors_exit_2(capsys):
+    assert cli.main(["adversarial", "--n-max", "0"]) == 2
+    assert capsys.readouterr().err == '{"error": "n_max must be >= 1"}\n'
     for argv in (
-        ["adversarial", "--n-max", "0"],
         ["adversarial", "--eps", "0"],
         ["adversarial", "--eps", "1"],
         ["oracle", "--A", "1"],
@@ -503,6 +504,7 @@ def test_domain_errors_exit_2(capsys):
 
 GOLDEN = Path(__file__).parent / "golden"
 HUGE = "1" + "0" * 307
+EMBEDDED = ["--a", "5/3", "--eps", "1/4", "--N", "5", "--m", "3"]
 
 
 @pytest.mark.parametrize(
@@ -522,6 +524,12 @@ HUGE = "1" + "0" * 307
         ),
         ("solve_complex", ["solve", "--instance", str(GOLDEN / "complex_instance.json")]),
         ("adversarial_solve", ["adversarial", "--n-max", "30", "--solve"]),
+        ("adversarial_embedded", ["adversarial", *EMBEDDED, "--n-max", "12"]),
+        ("halting_even", ["halting", "--machine", "builtin:even", "--n-max", "40", "--j-budget", "100000"]),
+        (
+            "halting_embedded",
+            ["halting", "--machine", "builtin:even", *EMBEDDED, "--n-max", "5", "--j-budget", "100"],
+        ),
     ],
 )
 def test_golden_output_bytes(name, argv, capsys):

@@ -9,7 +9,6 @@ import math
 import random
 from fractions import Fraction as Q
 
-import hypothesis.configuration
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,15 +169,6 @@ def test_exp_log_self_consistency():
 
 
 # --- against mpmath at 300 digits ----------------------------------------------------
-
-@pytest.fixture(scope="module", autouse=True)
-def _hypothesis_storage(tmp_path_factory):
-    # hypothesis caches the constants it reads from local modules on disk even
-    # with database=None; keep that cache out of the working tree
-    hypothesis.configuration.set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
-    yield
-    hypothesis.configuration.set_hypothesis_home_dir(None)
-
 
 # name -> (arguments, with |x| <= 32 to keep exp's squarings cheap; computable
 # value at a rational; mpmath reference)

@@ -3,13 +3,30 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcbplab import families as fam
 from qcbplab import qcbp
-from qcbplab.rationals import l2_norm_sq
+from qcbplab.rationals import RationalVector, l2_norm_sq
 
 
 P = fam.FamilyParams()  # a=1, eps=1/2, N=2, m=1
+
+
+def solution_band_contains(x: RationalVector, which: int, p: fam.FamilyParams) -> bool:
+    """Membership in the output band of family ``which``.
+
+    The band is { c * e_which : c = (1-eps) * u, u in [2/(2a+1), 1/a) }, the
+    exact set swept by the family solutions over n >= 1.
+    """
+    j = which - 1
+    for i, e in enumerate(x.entries):
+        if not e.is_real():
+            return False
+        if i != j and e.re != 0:
+            return False
+    u = x.entries[j].re / (1 - p.eps)
+    return Q(2, 2 * p.a + 1) <= u < 1 / p.a
 
 
 def test_param_validation():
@@ -84,8 +101,7 @@ def test_pair_distance_formula():
 
 
 def test_certificate_values():
-    cert = fam.separation_certificate(P, 30)
-    assert cert.witness_n == 1
+    cert = fam.separation_certificate(P)
     assert cert.min_pair_dist_sq == Q(2, 9)
     assert cert.bound >= Q(47, 100)
     assert cert.bound.denominator <= 2**20
@@ -93,15 +109,36 @@ def test_certificate_values():
     # next dyadic up would overshoot: the bound is the largest one below
     step = Q(1, 2**20)
     assert (cert.bound + step) ** 2 >= cert.min_pair_dist_sq
-    assert cert.witness_input_gap_bound == Q(2, 2)
     assert cert.limit_gap_sq_min == Q(13, 36)
     assert cert.limit_gap_sq_min >= cert.bound**2
 
 
 def test_separation_holds_exactly_for_all_n():
-    cert = fam.separation_certificate(P, 30)
+    cert = fam.separation_certificate(P)
     for n in range(1, 31):
         assert fam.pair_distance_sq(n, P) > cert.bound**2
+
+
+def test_certificate_holds_for_every_n():
+    """The closed form, its monotonicity and both certified bounds at any n, exactly."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        a=st.fractions(Q(1, 1000), 8, max_denominator=1000),
+        eps=st.fractions(Q(1, 1000), Q(999, 1000), max_denominator=1000),
+        shape=st.sampled_from([(2, 1), (5, 3)]),
+        n=st.integers(1, 2000),
+    )
+    def check(a, eps, shape, n):
+        p = fam.FamilyParams(a=a, eps=eps, n_dim=shape[0], m_dim=shape[1])
+        cert = fam.separation_certificate(p)
+        d_sq = fam.pair_distance_sq(n, p)
+        assert d_sq == l2_norm_sq(fam.perturbed_solution(1, n, p) - fam.perturbed_solution(2, n, p))
+        assert fam.pair_distance_sq(n + 1, p) > d_sq
+        assert d_sq > cert.bound**2
+        assert l2_norm_sq(fam.perturbed_solution(2, n, p) - fam.limit_solution(p)) >= cert.bound**2
+
+    check()
 
 
 def test_pair_distance_nondecreasing():
@@ -116,8 +153,8 @@ def test_pair_distance_nondecreasing():
 def test_kappa_scales_with_one_minus_eps():
     # the separation is linear in (1 - eps): near eps = 1 it collapses
     tight = fam.FamilyParams(eps=Q(63, 64))
-    cert = fam.separation_certificate(tight, 10)
-    base = fam.separation_certificate(P, 10)
+    cert = fam.separation_certificate(tight)
+    base = fam.separation_certificate(P)
     assert cert.bound < base.bound / 16
     exact_ratio = (1 - tight.eps) / (1 - P.eps)
     assert abs(cert.bound / base.bound - exact_ratio) < Q(1, 1000)
@@ -125,18 +162,18 @@ def test_kappa_scales_with_one_minus_eps():
 
 def test_solution_band_membership():
     for n in range(1, 31):
-        assert fam.solution_band_contains(fam.perturbed_solution(1, n, P), 1, P)
-        assert fam.solution_band_contains(fam.perturbed_solution(2, n, P), 2, P)
-        assert not fam.solution_band_contains(fam.perturbed_solution(1, n, P), 2, P)
+        assert solution_band_contains(fam.perturbed_solution(1, n, P), 1, P)
+        assert solution_band_contains(fam.perturbed_solution(2, n, P), 2, P)
+        assert not solution_band_contains(fam.perturbed_solution(1, n, P), 2, P)
     # the limit solution sits outside both bands (u = 1/a is excluded)
-    assert not fam.solution_band_contains(fam.limit_solution(P), 1, P)
+    assert not solution_band_contains(fam.limit_solution(P), 1, P)
 
 
 def test_general_a_band():
     p = fam.FamilyParams(a=Q(5, 3), eps=Q(1, 4))
     for n in range(1, 12):
-        assert fam.solution_band_contains(fam.perturbed_solution(1, n, p), 1, p)
-    cert = fam.separation_certificate(p, 12)
+        assert solution_band_contains(fam.perturbed_solution(1, n, p), 1, p)
+    cert = fam.separation_certificate(p)
     # witness at n=1: 2*((3/4)/(5/3+1/2))^2
     assert cert.min_pair_dist_sq == 2 * (Q(3, 4) / (Q(5, 3) + Q(1, 2))) ** 2
 

@@ -13,7 +13,7 @@ from qcbplab.rationals import l2_norm_sq
 from toy_machines import machine_delay, machine_never, machine_threshold
 
 P = fam.FamilyParams()
-CERT = fam.separation_certificate(P, 30)
+CERT = fam.separation_certificate(P)
 EVEN = ht.load_builtin("even")
 
 

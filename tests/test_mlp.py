@@ -1,6 +1,5 @@
 """Network, training-data and instability-bound tests."""
 
-import functools
 from fractions import Fraction as Q
 
 import numpy as np
@@ -175,7 +174,7 @@ def test_lipschitz_bound_dominates_samples():
 
 
 def test_instability_bound_untrained_net():
-    cert = fam.separation_certificate(P, 30)
+    cert = fam.separation_certificate(P)
     net = mlp.init_mlp((6, 64, 64, 4), seed=3)
     rep = mlp.instability_eval(net, P, 30, cert)
     assert rep.conflict_holds()
@@ -335,34 +334,26 @@ def test_train_rejects_batch_size_below_one_or_not_integer(batch_size):
 
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_instability_eval_rejects_empty_range(n_max):
-    cert = fam.separation_certificate(P, 30)
+    cert = fam.separation_certificate(P)
     net = mlp.init_mlp((6, 8, 4), seed=1)
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         mlp.instability_eval(net, P, n_max, cert)
 
 
-@pytest.mark.parametrize(
-    "p, n_max, cert",
-    [
-        (fam.FamilyParams(a=Q(1, 3), eps=Q(1, 3)), 40, (P, 40)),  # another kappa
-        (P, 40, (P, 5)),  # certifies n <= 5 only
-        (fam.FamilyParams(a=Q(1, 3), eps=Q(1, 3)), 40, (P, 5)),
-    ],
-)
-def test_instability_eval_rejects_certificate_that_does_not_cover_it(p, n_max, cert):
+A13 = fam.FamilyParams(a=Q(1, 3), eps=Q(1, 3))
+
+
+@pytest.mark.parametrize("p, cert_p", [(A13, P), (P, A13)], ids=["a13-with-default-cert", "default-with-a13-cert"])
+def test_instability_eval_rejects_certificate_for_other_params(p, cert_p):
+    """A certificate for other parameters carries another kappa."""
     net = mlp.init_mlp((6, 8, 4), seed=1)
-    with pytest.raises(ValueError, match="certificate"):
-        mlp.instability_eval(net, p, n_max, fam.separation_certificate(*cert))
+    with pytest.raises(ValueError, match="certificate is for"):
+        mlp.instability_eval(net, p, 40, fam.separation_certificate(cert_p))
 
 
 # --- cached family table against the per-call reference -------------------------------
 
-PARAMS = [P, fam.FamilyParams(a=Q(1, 3), eps=Q(1, 3)), fam.FamilyParams(n_dim=3, m_dim=2)]
-
-
-@functools.cache
-def _cert(p):
-    return fam.separation_certificate(p, 64)
+PARAMS = [P, A13, fam.FamilyParams(n_dim=3, m_dim=2)]
 
 
 def _reference_lipschitz_upper_bound(net):
@@ -430,7 +421,7 @@ def test_instability_eval_matches_reference(hidden, kind):
         assert (lip == 0.0) == (kind == "zero layer")
         assert repr(mlp.lipschitz_upper_bound(net)) == repr(lip)
         for n_max in (1, 7, 30, 64):
-            rep = mlp.instability_eval(net, p, n_max, _cert(p))
+            rep = mlp.instability_eval(net, p, n_max, fam.separation_certificate(p))
             assert repr(rep.lipschitz_bound) == repr(lip)
             assert repr(rep.rows) == repr(_reference_instability_rows(net, p, n_max, lip))
 
@@ -444,11 +435,12 @@ def test_family_table_is_read_only_and_built_once(monkeypatch):
         calls.append(args)
         return real(*args)
 
+    cert = fam.separation_certificate(P)
     monkeypatch.setattr(fam, "perturbed_instance", counting)
     net = _net_for(P, (16, 16), "untrained")
-    first = mlp.instability_eval(net, P, 30, _cert(P))
+    first = mlp.instability_eval(net, P, 30, cert)
     assert len(calls) == 60
-    second = mlp.instability_eval(net, P, 30, _cert(P))
+    second = mlp.instability_eval(net, P, 30, cert)
     assert len(calls) == 60
     assert repr(second.rows) == repr(first.rows)
     for row in mlp._family_table(P, 30):
@@ -463,5 +455,5 @@ def test_family_table_interleaved_calls_equal_fresh_results():
     keys = [(p, n_max) for n_max in (7, 30, 1, 64) for p in PARAMS] + [(P, 7), (PARAMS[2], 30)]
     nets = {p: _net_for(p, (16, 16), "untrained") for p in PARAMS}
     for p, n_max in keys:
-        rep = mlp.instability_eval(nets[p], p, n_max, _cert(p))
+        rep = mlp.instability_eval(nets[p], p, n_max, fam.separation_certificate(p))
         assert repr(rep.rows) == repr(_reference_instability_rows(nets[p], p, n_max, rep.lipschitz_bound))
