@@ -1,8 +1,11 @@
 """Hot numeric kernels: the integer grid scan and the primal-dual iteration.
 
 Two inner loops dominate runtime: the integer grid scan behind the brute-force
-l1 minimizer and the primal-dual iteration of the generic solver.  Both are
-written in numpy.
+l1 minimizer and the primal-dual iteration of the generic solver.  The grid
+scan is written in numpy.  The primal-dual iteration makes three BLAS calls
+per step (two matrix-vector products and one dot product) and runs its
+element-wise steps on Python floats, bit for bit what the all-numpy loop
+computes (see the comment above ``pd_iterate``).
 
 Exactness note: the int64 grid scan is exact when rhs and W = sum_i M_i^2
 are below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that
@@ -174,23 +177,46 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # One batch of Chambolle-Pock iterations for min ||x||_{1,pair} subject to
 # ||Kx - y||_2 <= eps on the realified operator K (2m x 2n); coordinate i
 # pairs with n_pairs + i.  K, y, x, z and xbar are float64 arrays, the rest
-# Python scalars.  Returns the advanced (x, z, xbar) state.
+# Python scalars.  Returns the advanced (x, z, xbar) state as float64 arrays.
+#
+# The three reductions, whose summation order BLAS defines, stay BLAS calls on
+# float64 arrays: the gemv K xbar, the ddot u.u and the gemv K^T z
+# (``a.dot(v)`` makes the BLAS call ``a @ v`` makes, with less overhead).  Every
+# other step is one correctly rounded operation per element, so it runs on
+# Python floats from ``.tolist()`` in the order of the numpy expression it
+# stands for -- u_i = (z_i + sigma (K xbar)_i) - (sigma y)_i,
+# z_i = u_i * factor, w_i = x_i - tau (K^T z)_i, the pair shrink and
+# xbar_i = 2 x_new_i - x_i -- and changes no summation order: the state is bit
+# for bit that of the all-numpy loop in tests/pd_reference.py.  At 2-14
+# coordinates numpy's per-call overhead, not arithmetic, is what a step costs.
+# ``f if f > 0.0 else 0.0`` is max(0.0, f), NaN included.
 
 def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
     Kt = K.T
+    sy = (sigma * y).tolist()
+    se = sigma * eps
+    x = x.tolist()
+    zs = z.tolist()
+    array = np.array
+    sqrt = math.sqrt
     for _ in range(iters):
-        u = z + sigma * (K @ xbar) - sigma * y
-        nrm = math.sqrt(float(np.dot(u, u)))
-        factor = max(0.0, 1.0 - sigma * eps / nrm) if nrm > 0 else 0.0
-        z_new = u * factor
-        w = x - tau * (Kt @ z_new)
-        x_new = w.copy()
-        for i in range(n_pairs):
-            a, b = w[i], w[n_pairs + i]
-            mag = math.sqrt(a * a + b * b)
-            f = max(0.0, 1.0 - tau / mag) if mag > 0 else 0.0
-            x_new[i] = a * f
-            x_new[n_pairs + i] = b * f
-        xbar = 2.0 * x_new - x
-        x, z = x_new, z_new
-    return x, z, xbar
+        u = [(zi + sigma * ki) - si for zi, ki, si in zip(zs, K.dot(xbar).tolist(), sy)]
+        ua = array(u)
+        nrm = sqrt(ua.dot(ua))
+        factor = 1.0 - se / nrm if nrm > 0 else 0.0
+        factor = factor if factor > 0.0 else 0.0
+        zs = [ui * factor for ui in u]
+        z = array(zs)
+        w = [xi - tau * gi for xi, gi in zip(x, Kt.dot(z).tolist())]
+        re = []
+        im = []
+        for a, b in zip(w[:n_pairs], w[n_pairs:]):
+            mag = sqrt(a * a + b * b)
+            f = 1.0 - tau / mag if mag > 0 else 0.0
+            f = f if f > 0.0 else 0.0
+            re.append(a * f)
+            im.append(b * f)
+        x_new = re + im
+        xbar = array([2.0 * a - b for a, b in zip(x_new, x)])
+        x = x_new
+    return array(x), z, xbar

@@ -15,6 +15,7 @@ Exit codes: 0 ok, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -353,7 +354,9 @@ def _add_family_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--m", type=int, default=1, help="row count (block-embeds when > 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing reads the parser and never changes it
     parser = _Parser(
         prog="qcbplab",
         description="exact-arithmetic workbench for quadratically constrained basis pursuit",

@@ -212,6 +212,8 @@ def decide_membership(
     """
     if cert.params != p:
         raise ValueError("certificate was issued for different family parameters")
+    if precision_budget < 0:
+        raise ValueError("precision budget must be nonnegative")
     threshold_sq = cert.threshold_sq()
     star = families.limit_solution(p)
 

@@ -490,11 +490,15 @@ def test_halting_deep_acceptance_csv(tmp_path, capsys):
 def test_domain_errors_exit_2(capsys):
     assert cli.main(["adversarial", "--n-max", "0"]) == 2
     assert capsys.readouterr().err == '{"error": "n_max must be >= 1"}\n'
+    # a negative precision budget is an input error, as a negative j budget is
+    assert cli.main(["halting", "--machine", "builtin:even", "--precision-budget", "-1"]) == 2
+    assert capsys.readouterr().err == '{"error": "precision budget must be nonnegative"}\n'
     for argv in (
         ["adversarial", "--eps", "0"],
         ["adversarial", "--eps", "1"],
         ["oracle", "--A", "1"],
         ["nn", "--seed", "1", "--steps", "5", "--lr", "-1.0"],
+        ["halting", "--machine", "builtin:even", "--j-budget", "-1"],
     ):
         code = cli.main(argv)
         err = capsys.readouterr().err
@@ -577,21 +581,42 @@ def test_solve_with_huge_entries_keeps_stderr_clean(capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def module(argv):
+    """Exit code, stdout and stderr of ``python -m qcbplab`` in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcbplab", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     """``PYTHONPATH=src python -m qcbplab`` works from a checkout, like ``cli.main``."""
-
-    def module(argv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qcbplab", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            timeout=60,
-        )
-        return proc.returncode, proc.stdout, proc.stderr
-
     argv = ["oracle", "--A", "2,1", "--eps", "0"]
     assert module(argv)[:2] == run(argv, capsys)[:2]
     code, out, err = module(["oracle", "--A", "2,x"])
     assert (code, out) == (2, "")
     assert "error" in json.loads(err)
+
+
+def test_main_calls_in_one_process_share_one_parser(tmp_path, capsys):
+    """The parser is built once; each later main() call prints what a fresh process prints."""
+    cfg = tmp_path / "embedded.cfg"
+    cfg.write_text("n_max = 5\nj_budget = 100\n")
+    oracle = ["oracle", "--A", "9/8,1", "--eps", "1/4"]
+    fresh = {
+        "oracle": module(oracle),
+        "usage": module(["oracle", "--eps", "1/4"]),
+    }
+    assert fresh["usage"][0] == 2
+    assert cli.build_parser() is cli.build_parser()
+    assert run(oracle, capsys) == fresh["oracle"]
+    assert run(["oracle", "--eps", "1/4"], capsys) == fresh["usage"]
+    halting_even = ["halting", "--machine", "builtin:even", "--n-max", "40", "--j-budget", "100000"]
+    assert run(halting_even, capsys) == (0, (GOLDEN / "halting_even.out").read_text(), "")
+    config_run = ["halting", "--config", str(cfg), "--machine", "builtin:even", *EMBEDDED]
+    assert run(config_run, capsys) == (0, (GOLDEN / "halting_embedded.out").read_text(), "")
+    assert run(oracle, capsys) == fresh["oracle"]

@@ -1,4 +1,8 @@
-"""Grid-scan parity: the int64 numpy scan must match the object-int reference."""
+"""Kernel parity.
+
+The int64 numpy grid scan must match the object-int reference, and the
+primal-dual kernel must return the bytes of the all-numpy loop it replaced.
+"""
 
 import random
 import tracemalloc
@@ -7,6 +11,10 @@ import numpy as np
 import pytest
 
 from qcbplab import _kernels as kern
+from qcbplab import families, qcbp
+from qcbplab.rationals import dyadic_sqrt_upper, operator_norm_sq_upper
+
+import pd_reference
 
 
 def rand_problem(rng, m, n, k):
@@ -114,3 +122,107 @@ def test_int64_scan_memory_stays_blocked():
         tracemalloc.stop()
     assert (obj, p.tolist()) == (256, [0, 0, 256])
     assert peak <= 8 * 2**20
+
+
+# --- primal-dual kernel -----------------------------------------------------------
+
+
+def _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
+    """Run both loops on one state; x, z and xbar must agree byte for byte."""
+    args = (K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs)
+    with np.errstate(all="ignore"):  # the huge-entry case overflows; only bytes are compared
+        want = pd_reference.pd_iterate(*args)
+        got = kern.pd_iterate(*args)
+    for name, w, g in zip(("x", "z", "xbar"), want, got):
+        assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), (name, w.tolist(), g.tolist())
+
+
+def _realified(a):
+    """[[Re a, -Im a], [Im a, Re a]] as a C-contiguous float64 array."""
+    return np.ascontiguousarray(np.block([[a.real, -a.imag], [a.imag, a.real]]))
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pd_iterate_matches_reference_on_generic_shapes(m, cplx):
+    """Every generic-solve shape (N = m+1..m+4), from zero and from a mid-run state."""
+    rng = np.random.default_rng(100 * m + cplx)
+    for n in range(m + 1, m + 5):
+        for eps in (0.0, 0.125, 0.5):
+            a = rng.uniform(-3, 3, (m, n)) + (1j * rng.uniform(-3, 3, (m, n)) if cplx else 0)
+            b = rng.uniform(-0.5, 0.5, m) + (1j * rng.uniform(-0.5, 0.5, m) if cplx else 0)
+            K = _realified(a)
+            y = np.concatenate([np.real(b), np.imag(b)])
+            step = 1.0 / float(np.linalg.norm(K, 2))
+            for iters in (1, 250):
+                zero = (np.zeros(2 * n), np.zeros(2 * m), np.zeros(2 * n))
+                mid = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
+                for x, z, xbar in (zero, mid):
+                    _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, n)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_pd_iterate_matches_reference_on_families(which):
+    """Both perturbation families at n = 1, 14..17 and 50, as solve_numeric sets them up."""
+    p = families.FamilyParams()
+    for n in (1, 14, 15, 16, 17, 50):
+        inst = families.perturbed_instance(which, n, p)
+        K, y, _ = qcbp._realified(inst)
+        step = 1.0 / float(dyadic_sqrt_upper(operator_norm_sq_upper(inst.A)))
+        eps = float(inst.eps)
+        x, z, xbar = np.zeros(2 * inst.n), np.zeros(2 * inst.m), np.zeros(2 * inst.n)
+        for iters in (1, 250, 250):  # each batch starts where the one before stopped
+            _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, inst.n)
+            x, z, xbar = kern.pd_iterate(K, y, eps, step, step, x, z, xbar, iters, inst.n)
+
+
+K_EDGE = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 1.0, -1.0, 2.0]])
+
+
+@pytest.mark.parametrize(
+    "K, y, eps, tau, x, z, xbar",
+    [
+        pytest.param(
+            K_EDGE, [0.0, -0.0], 0.5, 0.3, [0.0, -0.0, 5e-324, -5e-324], [-0.0, 0.0], [-0.0, 5e-324, 0.0, -0.0],
+            id="signed-zeros-and-subnormals",
+        ),
+        pytest.param(
+            K_EDGE, [1.0, 0.0], 0.5, 0.3, [1e300, -1e300, 1e300, 1e-300], [1e300, -1e300], [1e300, 0.0, -1e300, 1.0],
+            id="huge-entries-overflow-to-inf",
+        ),
+        pytest.param(
+            K_EDGE, [1.0, 0.5], 0.25, 0.3, [np.nan, 1.0, 0.0, 2.0], [0.5, 0.5], [1.0, 1.0, 1.0, 1.0], id="nan-in-x",
+        ),
+        pytest.param(
+            K_EDGE, [1.0, 0.5], 0.25, 0.3, [1.0, 1.0, 0.0, 2.0], [np.nan, 0.5], [1.0, np.nan, 1.0, 1.0],
+            id="nan-in-z-and-xbar",
+        ),
+        pytest.param(
+            K_EDGE, [0.0, 0.0], 0.5, 0.3, [1.0, -2.0, 0.0, 0.5], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+            id="zero-dual-norm",
+        ),
+        pytest.param(
+            K_EDGE, [1.0, -0.5], 0.0, 0.3, [0.2, -0.1, 0.3, 0.0], [0.1, 0.2], [0.2, -0.1, 0.3, 0.0], id="eps-zero",
+        ),
+        pytest.param(
+            # zero dual norm leaves w = x, and |(3, -4)| = 5 = tau shrinks the
+            # pair to (0.0, -0.0) exactly
+            np.zeros((2, 4)), [0.0, 0.0], 0.5, 5.0, [3.0, 1.0, -4.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+            id="pair-shrinks-to-zero",
+        ),
+    ],
+)
+@pytest.mark.parametrize("iters", [1, 250])
+def test_pd_iterate_matches_reference_on_edge_cases(K, y, eps, tau, x, z, xbar, iters):
+    arr = lambda v: np.array(v, dtype=np.float64)
+    _pd_same_bytes(arr(K), arr(y), eps, tau, 0.4, arr(x), arr(z), arr(xbar), iters, 2)
+
+
+def test_pd_iterate_pair_shrink_edge_is_exact():
+    """The pair-shrink case above really lands on signed zeros after one step."""
+    x, _, xbar = kern.pd_iterate(
+        np.zeros((2, 4)), np.zeros(2), 0.5, 5.0, 0.4, np.array([3.0, 1.0, -4.0, 0.0]), np.zeros(2), np.zeros(4), 1, 2
+    )
+    assert x.tobytes() == np.array([0.0, 0.0, -0.0, 0.0]).tobytes()
+    assert xbar.tobytes() == np.array([-3.0, -1.0, 4.0, 0.0]).tobytes()
