@@ -2,20 +2,22 @@
 
 Two inner loops dominate runtime: the integer grid scan behind the brute-force
 l1 minimizer and the primal-dual iteration of the generic solver.  The grid
-scan is written in numpy.  The primal-dual iteration makes three BLAS calls
-per step (two matrix-vector products and one dot product) and runs its
-element-wise steps on Python floats, bit for bit what the all-numpy loop
-computes (see the comment above ``pd_iterate``).
+scan is one numpy algorithm run on one of two dtypes: int64, or Python ints in
+object arrays.  The primal-dual iteration makes three BLAS calls per step (two
+matrix-vector products and one dot product) and runs its element-wise steps on
+Python floats, bit for bit what the all-numpy loop computes (see the comment
+above ``pd_iterate``).
 
-Exactness note: the int64 grid scan is exact when rhs and W = sum_i M_i^2
-are below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that
-in Python big ints before dispatching here and route to the object-int
-fallback (``exact_fallback=True``) otherwise.  W bounds every square sum q(p)
-the scan evaluates, and for K >= 1 also its vertex terms: with c the last
-column, |c_i| <= |c_i| * K <= M_i and every prefix residual |r_i| <= M_i, so
-a = sum_i c_i^2 and |b| = |sum_i c_i r_i| are at most W.  For K = 0 the box
-is the single point 0 and a, which may wrap, is not formed.  The fallback is
-also the reference semantics the int64 scan is tested against.
+Exactness note: the scan is exact on int64 when rhs and W = sum_i M_i^2 are
+below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that in
+Python big ints before dispatching here and ask for Python ints
+(``exact_fallback=True``) otherwise, on which nothing can wrap.  W bounds
+every square sum q(p) the scan evaluates, and for K >= 1 also its vertex
+terms: with c the last column, |c_i| <= |c_i| * K <= M_i and every prefix
+residual |r_i| <= M_i, so a = sum_i c_i^2 and |b| = |sum_i c_i r_i| are at
+most W.  For K = 0 the box is the single point 0 and a, which may wrap, is
+not formed.  The sweep of every box point that the scan is tested against is
+kept in tests/grid_reference.py.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ import numpy as np
 # where s_i(p) = sum_j coeffs[i,j] * p_j - shift[i], all integers.  Axis
 # values are traversed in spiral order 0, 1, -1, 2, -2, ... and the first
 # point attaining the minimum objective in that order is reported; the spiral
-# order pins a deterministic tie-break shared by both scan paths.
+# order pins a deterministic tie-break.
 #
-# The int64 scan does not visit every point.  It fixes the first N-1
+# The scan does not visit every point.  It fixes the first N-1
 # coordinates (a prefix, with residuals r_i) and solves the last one, t, in
 # closed form: q(t) = sum_i (r_i + c_i t)^2 is a convex quadratic, so its
 # feasible integers in [-K, K] form one interval.  The reported t is the
@@ -55,63 +57,21 @@ def _spiral_value(rank):
     return np.where(rank % 2 == 1, mag, -mag)
 
 
-def spiral_values(k: int) -> np.ndarray:
-    return _spiral_value(np.arange(2 * k + 1, dtype=np.int64))
-
-
-def _scan_py(coeffs, shift, rhs, k):
-    """Object-int scan: the overflow-proof fallback (and reference semantics)."""
-    coeffs = [[int(c) for c in row] for row in coeffs]
-    shift = [int(s) for s in shift]
-    rhs = int(rhs)
-    m, n = len(coeffs), len(coeffs[0])
-    vals = [int(v) for v in spiral_values(k)]
-    best_obj = -1
-    best_p: list[int] | None = None
-    p = [0] * n
-
-    def rec(axis: int, prefix_obj: int, partial: list[int]) -> None:
-        nonlocal best_obj, best_p
-        for v in vals:
-            obj = prefix_obj + abs(v)
-            if best_obj >= 0 and obj > best_obj:
-                continue
-            if best_obj >= 0 and obj == best_obj and axis < n - 1:
-                continue  # an equal-objective point already finished earlier
-            p[axis] = v
-            nxt = [partial[i] + coeffs[i][axis] * v for i in range(m)]
-            if axis == n - 1:
-                acc = 0
-                for i in range(m):
-                    s = nxt[i] - shift[i]
-                    acc += s * s
-                if acc <= rhs and (best_obj < 0 or obj < best_obj):
-                    best_obj = obj
-                    best_p = p.copy()
-            else:
-                rec(axis + 1, obj, nxt)
-
-    rec(0, 0, [0] * m)
-    if best_p is None:
-        return -1, np.zeros(n, dtype=np.int64)
-    return best_obj, np.array(best_p, dtype=np.int64)
-
-
 def _row_sums_sq(r, c, t):
-    """sum_i (r[i] + c[i] * t)^2, one entry per column of r."""
-    q = np.zeros(r.shape[1], dtype=np.int64)
+    """sum_i (r[i] + c[i] * t)^2, one entry per column of r, in r's dtype."""
+    q = np.zeros(r.shape[1], dtype=r.dtype)
     for i in range(r.shape[0]):
         s = r[i] + c[i] * t
         q += s * s
     return q
 
 
-def _scan_int64(coeffs, shift, rhs, k):
+def _scan(coeffs, shift, rhs, k):
     n = coeffs.shape[1]
     size = 2 * k + 1
     c = coeffs[:, n - 1]
-    # a < 2**62 for k >= 1 (see the module docstring); for k = 0 only t = 0
-    # exists and c * c may wrap, so a is not formed
+    # on int64, a < 2**62 for k >= 1 (see the module docstring); for k = 0
+    # only t = 0 exists and c * c may wrap, so a is not formed
     a = int((c * c).sum()) if k > 0 else 0
     best_obj = -1
     best_p = np.zeros(n, dtype=np.int64)
@@ -123,7 +83,7 @@ def _scan_int64(coeffs, shift, rhs, k):
             flat, rank = np.divmod(flat, size)
             prefix[j] = _spiral_value(rank)
         r = coeffs[:, : n - 1] @ prefix - shift[:, None]
-        t = np.zeros(r.shape[1], dtype=np.int64)
+        t = np.zeros(r.shape[1], dtype=r.dtype)
         feasible = _row_sums_sq(r, c, t) <= rhs
         if a > 0 and not feasible.all():
             # 0 is infeasible on the rest: the feasible interval, if any,
@@ -160,16 +120,15 @@ def _scan_int64(coeffs, shift, rhs, k):
 
 
 def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fallback: bool):
-    """Dispatch the grid scan; ``exact_fallback`` routes to the big-int path.
+    """Run the grid scan on int64, or on Python ints when ``exact_fallback`` is set.
 
     Returns ``(best_objective, best_point)`` with objective -1 when no grid
     point is feasible.  The objective is in grid units (sum of |p_j|).
     """
-    if exact_fallback:
-        return _scan_py(coeffs, shift, rhs, k)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
-    shift = np.ascontiguousarray(shift, dtype=np.int64)
-    return _scan_int64(coeffs, shift, np.int64(rhs), int(k))
+    dtype = object if exact_fallback else np.int64
+    coeffs = np.ascontiguousarray(coeffs, dtype=dtype)
+    shift = np.ascontiguousarray(shift, dtype=dtype)
+    return _scan(coeffs, shift, int(rhs), int(k))
 
 
 # --- primal-dual iteration ----------------------------------------------------

@@ -120,15 +120,12 @@ def _rat(text: str, what: str) -> Q:
 
 
 def _family_params(args: argparse.Namespace) -> families.FamilyParams:
-    try:
-        return families.FamilyParams(
-            a=_rat(args.a, "--a"),
-            eps=_rat(args.eps, "--eps"),
-            n_dim=args.N,
-            m_dim=args.m,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return families.FamilyParams(
+        a=_rat(args.a, "--a"),
+        eps=_rat(args.eps, "--eps"),
+        n_dim=args.N,
+        m_dim=args.m,
+    )
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -137,11 +134,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     row = _parse_row(args.A)
     if not row:
         raise InputError("--A must list at least two entries")
-    try:
-        inst = qcbp.Instance.single_row(row, _rat(args.y, "--y"), _rat(args.eps, "--eps"))
-        simplex = qcbp.exact_solution_set(inst)
-    except (ValueError, qcbp.OracleDomainError) as exc:
-        raise InputError(str(exc)) from None
+    inst = qcbp.Instance.single_row(row, _rat(args.y, "--y"), _rat(args.eps, "--eps"))
+    simplex = qcbp.exact_solution_set(inst)
     selected = qcbp.select(simplex)
     _emit_json(
         {
@@ -173,22 +167,16 @@ def _load_instance(args: argparse.Namespace) -> qcbp.Instance:
         raise InputError("solve needs --A (with --y/--eps) or --instance")
     rows = [_parse_row(chunk) for chunk in args.A.split(";") if chunk.strip()]
     y = _parse_row(args.y)
-    try:
-        return qcbp.Instance(
-            A=qcbp.RationalMatrix.from_rows(rows),
-            y=qcbp.RationalVector.from_items(y),
-            eps=_rat(args.eps, "--eps"),
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return qcbp.Instance(
+        A=qcbp.RationalMatrix.from_rows(rows),
+        y=qcbp.RationalVector.from_items(y),
+        eps=_rat(args.eps, "--eps"),
+    )
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    try:
-        report = qcbp.solve_numeric(inst, _rat(args.tol, "--tol"), args.max_iter)
-    except (qcbp.RankDeficientError, ValueError) as exc:
-        raise InputError(str(exc)) from None
+    report = qcbp.solve_numeric(inst, _rat(args.tol, "--tol"), args.max_iter)
     _emit_json(report.to_json(), args)
     return EXIT_OK
 
@@ -287,7 +275,7 @@ def cmd_nn(args: argparse.Namespace) -> int:
     cert = families.separation_certificate(p)
     report = mlp.instability_eval(net, p, args.n_max, cert)
     if args.checkpoint:
-        mlp.save_checkpoint(net, args.checkpoint)
+        _atomic_write(args.checkpoint, mlp.checkpoint_json(net))
     header = ["n", "gap", "e1", "e2", "lip_slack", "bound_lhs", "kappa"]
     kappa_f = float(cert.bound)
     rows = [
@@ -489,9 +477,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config(argv, parser)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         # InputError and every domain error (oracle, machine format, grid
-        # size, dimension checks) derive from ValueError
+        # size, dimension checks) derive from ValueError; a path that cannot
+        # be read or written (missing, a directory, no permission) is an
+        # OSError
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_INPUT

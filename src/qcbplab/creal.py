@@ -283,35 +283,25 @@ def compare(x: CReal, y: CReal, budget: int):
 
 
 class Modulus:
-    """A convergence modulus, normalized to be nondecreasing in every argument.
+    """A convergence modulus (n, N) -> index, normalized to be nondecreasing in both arguments.
 
-    Wraps a recursive-style function (n, N) -> index (or N -> index for the
-    single-sequence form) and replaces it with its running maximum, which
-    changes nothing about the convergence statement it witnesses but makes
-    downstream precision requests monotone.
+    Wraps a recursive-style function and replaces it with its running maximum,
+    which changes nothing about the convergence statement it witnesses but
+    makes downstream precision requests monotone.
     """
 
-    def __init__(self, fn: Callable[..., int], arity: int):
-        if arity not in (1, 2):
-            raise ValueError("modulus arity must be 1 or 2")
+    def __init__(self, fn: Callable[[int, int], int]):
         self._fn = fn
-        self.arity = arity
         self._cache: dict[tuple, int] = {}
 
     @staticmethod
-    def from_unary(fn: Callable[[int], int]) -> "Modulus":
-        return Modulus(fn, 1)
-
-    @staticmethod
     def from_binary(fn: Callable[[int, int], int]) -> "Modulus":
-        return Modulus(fn, 2)
+        return Modulus(fn)
 
-    def at(self, *args: int) -> int:
-        if len(args) != self.arity:
-            raise ValueError(f"modulus expects {self.arity} argument(s)")
-        if any(a < 0 for a in args):
+    def at(self, n: int, big_n: int) -> int:
+        if n < 0 or big_n < 0:
             raise ValueError("modulus arguments must be >= 0")
-        return self._monotone(args)
+        return self._monotone((n, big_n))
 
     def _monotone(self, args: tuple) -> int:
         got = self._cache.get(args)
@@ -334,17 +324,8 @@ def effective_limit(xs: Callable[[int, int], Q], modulus: Modulus) -> Callable[[
     at precision M, so each limit x_n is again a computable real with the
     standard 2**-M contract, inherited directly from the hypothesis.
     """
-    if modulus.arity != 2:
-        raise ValueError("sequence form needs a binary modulus e(n, N)")
 
     def limit(n: int) -> CReal:
         return CReal(lambda m: Q(xs(n, modulus.at(n, m))), label=f"lim k x[{n},k]")
 
     return limit
-
-
-def effective_limit_single(xs: Callable[[int], Q], modulus: Modulus) -> CReal:
-    """Single-sequence form: |xs(k) - x| <= 2**-N for k >= modulus(N)."""
-    if modulus.arity != 1:
-        raise ValueError("single-sequence form needs a unary modulus e(N)")
-    return CReal(lambda m: Q(xs(modulus.at(m))), label="lim k x[k]")

@@ -462,14 +462,14 @@ def _family_table(p: families.FamilyParams, n_max: int) -> tuple:
 
 # --- checkpoints -------------------------------------------------------------------
 
-def save_checkpoint(net: MLP, path: str) -> None:
+def checkpoint_json(net: MLP) -> str:
+    """The checkpoint text of ``net``; :func:`load_checkpoint` reads it back from a file."""
     payload = {
         "widths": list(net.widths),
         "weights": [w.ravel().tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    return json.dumps(payload, sort_keys=True)
 
 
 def load_checkpoint(path: str) -> MLP:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import ceil, lcm
+from math import ceil
 from operator import mul
 
 import numpy as np
@@ -33,8 +33,8 @@ from qcbplab.rationals import (
     RationalMatrix,
     RationalVector,
     dyadic_sqrt_upper,
+    echelon,
     fmt_rational,
-    l1_norm_real,
     l2_norm_sq,
     matrix_from_json,
     matrix_to_json,
@@ -61,8 +61,8 @@ class GridTooLargeError(ValueError):
 
 
 # largest (2k+1)**N box brute_force_min accepts: a bound on the box, not on
-# the points scanned (the int64 scan examines a few per prefix of the first
-# N-1 axes; the big-int fallback sweeps the box)
+# the points scanned (the scan examines a few per prefix of the first N-1
+# axes, on int64 and on Python ints alike)
 GRID_POINT_CAP = 300_000_000
 
 
@@ -532,45 +532,27 @@ class BruteForceReport:
     box_radius: int
 
 
-def _exact_particular_solution(inst: Instance) -> RationalVector:
-    """Some exact real solution of Ax = y via Gaussian elimination (free vars 0).
+def _exact_particular_solution(ints: list[list[int]], n: int) -> list[Q]:
+    """Some exact real solution of Ax = y, given the integer rows of [A | y].
 
     For a single row the largest entry gives the smallest search box, so pick
-    it directly.
+    it directly.  Otherwise back-substitute on the echelon form, free vars 0.
     """
-    m, n = inst.m, inst.n
-    if m == 1:
-        best = max(range(n), key=lambda j: abs(inst.A.entry(0, j).re))
-        a = inst.A.entry(0, best).re
-        if a == 0:
+    if len(ints) == 1:
+        row = ints[0]
+        best = max(range(n), key=lambda j: abs(row[j]))
+        if row[best] == 0:
             raise RankDeficientError("zero row cannot meet a nonzero measurement")
         x = [Q(0)] * n
-        x[best] = inst.y.entries[0].re / a
-        return RationalVector.from_items(x)
-    work = [[inst.A.entry(i, j).re for j in range(n)] + [inst.y.entries[i].re] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        work[r] = [v / pv for v in work[r]]
-        for i in range(m):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    if r < m:
+        x[best] = Q(row[n], row[best])
+        return x
+    work, pivots = echelon(ints, n)
+    if len(pivots) < len(ints):
         raise RankDeficientError("Ax = y has no solution path: rank-deficient rows")
     x = [Q(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = work[i][n]
-    return RationalVector.from_items(x)
+    for row, c in reversed(list(zip(work, pivots))):
+        x[c] = (row[n] - sum((row[j] * x[j] for j in range(c + 1, n)), Q(0))) / row[c]
+    return x
 
 
 def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
@@ -580,8 +562,8 @@ def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
     integer feasibility tests over a box sized by the l1 norm of one exact
     feasible point.  Exhaustive means every grid point is accounted for: each
     setting of the first N-1 coordinates gets the exact interval of feasible
-    last coordinates (see ``_kernels``), and the big-int fallback sweeps the
-    box.  N <= 4, grid_exp <= 8, real instances only.
+    last coordinates (see ``_kernels``), on int64 when that is proved exact
+    and on Python ints otherwise.  N <= 4, grid_exp <= 8, real instances only.
     """
     if inst.n > 4:
         raise GridTooLargeError(f"brute force supports N <= 4, got {inst.n}")
@@ -596,35 +578,28 @@ def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
     sqrt_n_ub = dyadic_sqrt_upper(Q(inst.n), 20)
     relaxation = op_ub * sqrt_n_ub * h / 2
 
+    # the rows of [A | y] as integers over D, the lcm of their denominators
+    n = inst.n
+    augmented = [[e.re for e in row] + [b.re] for row, b in zip(inst.A.rows, inst.y.entries)]
+    ints, common = scaled_integers(augmented)
     if l2_norm_sq(inst.y) <= inst.eps * inst.eps:
         radius = Q(0)  # x = 0 is feasible, so it is the optimum
     else:
-        radius = l1_norm_real(_exact_particular_solution(inst))
+        radius = sum(abs(v) for v in _exact_particular_solution(ints, n))
     k = ceil(radius / h)
-    if (2 * k + 1) ** inst.n > GRID_POINT_CAP:
-        raise GridTooLargeError(
-            f"grid has {(2 * k + 1) ** inst.n} points, cap is {GRID_POINT_CAP}"
-        )
+    if (2 * k + 1) ** n > GRID_POINT_CAP:
+        raise GridTooLargeError(f"grid has {(2 * k + 1) ** n} points, cap is {GRID_POINT_CAP}")
 
-    # integer form: with D = lcm-denominator * 2**grid_exp, row residuals are
-    # s_i / D for integers s_i, and feasibility is sum s_i^2 <= floor(((eps+relax)*D)^2)
-    dens = [inst.A.entry(i, j).re.denominator for i in range(inst.m) for j in range(inst.n)]
-    dens += [e.re.denominator for e in inst.y.entries]
-    common = lcm(*dens)
-    coeffs = np.array(
-        [[int(inst.A.entry(i, j).re * common) for j in range(inst.n)] for i in range(inst.m)],
-        dtype=object,
-    )
-    scale = common * 2**grid_exp
-    shift = np.array([int(e.re * scale) for e in inst.y.entries], dtype=object)
-    rhs_q = ((inst.eps + relaxation) * scale) ** 2
+    # integer form: at grid point p * h the row residuals are s_i / (D * 2**grid_exp)
+    # for integers s_i, and feasibility is sum s_i^2 <= floor(((eps+relax)*D*2**grid_exp)^2)
+    coeffs = [row[:n] for row in ints]
+    shift = [row[n] << grid_exp for row in ints]
+    rhs_q = ((inst.eps + relaxation) * common * 2**grid_exp) ** 2
     rhs = rhs_q.numerator // rhs_q.denominator
 
     # max_row[i] bounds |s_i| on the box, so worst_sum bounds every square sum
     # the int64 scan forms and, for k >= 1, its vertex terms (see _kernels)
-    max_row = [
-        sum(abs(int(c)) for c in coeffs[i]) * k + abs(int(shift[i])) for i in range(inst.m)
-    ]
+    max_row = [sum(map(abs, row)) * k + abs(s) for row, s in zip(coeffs, shift)]
     worst_sum = sum(s * s for s in max_row)
     exact_fallback = worst_sum >= 2**62 or rhs >= 2**62
 

@@ -227,17 +227,23 @@ def scaled_integers(rows: list[list[Q]]) -> tuple[list[list[int]], int]:
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
-def row_rank(mat: RationalMatrix) -> int:
-    """Row rank by exact fraction-free (Bareiss) elimination of the realification.
+def echelon(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) row echelon form of integer rows, in integers.
 
-    Float rank tests can misclassify matrices whose rows differ by 2**-n
-    perturbations; this one cannot.
+    Pivots are taken in the first ``width`` columns, the top nonzero entry of
+    each column in turn; columns past ``width`` (a right-hand side) are carried
+    along.  Returns the eliminated rows, with row i's pivot at ``pivots[i]``
+    and zeros below every pivot, and the pivot columns.  The input is not
+    modified.
     """
-    work, _ = scaled_integers(realified_rows(mat))
-    m, n = len(work), 2 * mat.n
-    rank = 0
+    work = list(rows)  # rows are replaced, never changed in place
+    m = len(work)
+    pivots: list[int] = []
     prev = 1  # the previous pivot; Sylvester's identity makes each division exact
-    for col in range(n):
+    for col in range(width):
+        rank = len(pivots)
+        if rank == m:
+            break
         pivot = next((r for r in range(rank, m) if work[r][col]), None)
         if pivot is None:
             continue
@@ -248,13 +254,21 @@ def row_rank(mat: RationalMatrix) -> int:
             row = work[r]
             a = row[col]
             work[r] = [0] * (col + 1) + [
-                (p * row[c] - a * top[c]) // prev for c in range(col + 1, n)
+                (p * row[c] - a * top[c]) // prev for c in range(col + 1, len(top))
             ]
         prev = p
-        rank += 1
-        if rank == m:
-            break
-    return rank // 2
+        pivots.append(col)
+    return work, pivots
+
+
+def row_rank(mat: RationalMatrix) -> int:
+    """Row rank by exact fraction-free elimination of the realification.
+
+    Float rank tests can misclassify matrices whose rows differ by 2**-n
+    perturbations; this one cannot.
+    """
+    ints, _ = scaled_integers(realified_rows(mat))
+    return len(echelon(ints, 2 * mat.n)[1]) // 2
 
 
 def operator_norm_sq_upper(mat: RationalMatrix) -> Q:

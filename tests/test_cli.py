@@ -240,6 +240,45 @@ def test_nn_reports_skipped_training_members(capsys):
     assert lines[1].startswith("conflict bound:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["halting", "--machine", "{dir}"],
+        ["--config", "{dir}", "oracle", "--A", "2,1"],
+        ["oracle", "--A", "2,1", "--out", "{dir}"],
+        ["nn", "--seed", "1", "--steps", "2", "--n-max", "2", "--widths", "4", "--checkpoint", "{dir}"],
+    ],
+    ids=["machine", "config", "out", "checkpoint"],
+)
+def test_directory_path_exit_2(argv, tmp_path, capsys):
+    """A path that names a directory is an input error, not a traceback."""
+    target = tmp_path / "target"
+    target.mkdir()
+    code, out, err = run([a.replace("{dir}", str(target)) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert "Is a directory" in json.loads(err)["error"]
+    assert len(err.splitlines()) == 1
+    # output files are staged next to the target; none is left behind
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
+    assert list(target.iterdir()) == []
+
+
+def test_checkpoint_written_atomically(tmp_path, monkeypatch, capsys):
+    """A checkpoint whose final rename fails leaves the old file and no temporary file."""
+    ckpt = tmp_path / "net.json"
+    ckpt.write_text("previous checkpoint\n")
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    argv = ["nn", "--seed", "1", "--steps", "2", "--n-max", "2", "--widths", "4", "--checkpoint", str(ckpt)]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", '{"error": "rename refused"}\n')
+    assert ckpt.read_text() == "previous checkpoint\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["net.json"]
+
+
 def test_solve_without_inputs_exit_2(capsys):
     code, _, err = run(["solve"], capsys)
     assert code == 2
@@ -493,6 +532,15 @@ def test_domain_errors_exit_2(capsys):
     # a negative precision budget is an input error, as a negative j budget is
     assert cli.main(["halting", "--machine", "builtin:even", "--precision-budget", "-1"]) == 2
     assert capsys.readouterr().err == '{"error": "precision budget must be nonnegative"}\n'
+    # domain errors raised below the subcommands reach main as they are
+    for argv, message in (
+        (["adversarial", "--a", "0"], "a must be positive"),
+        (["oracle", "--A", "1,-1"], "oracle requires positive entries; entry 1 is -1"),
+        (["solve", "--A", "1,2,3", "--y", "1,1"], "measurement length must equal row count"),
+        (["solve", "--A", "1,1,1;2,2,2", "--y", "1,1"], "row rank 1 < m=2"),
+    ):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == json.dumps({"error": message}) + "\n", argv
     for argv in (
         ["adversarial", "--eps", "0"],
         ["adversarial", "--eps", "1"],

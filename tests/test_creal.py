@@ -254,11 +254,6 @@ def test_effective_limit_constant():
     assert limit(4).approx(33) == Q(7, 3)
 
 
-def test_effective_limit_single_form():
-    x = cr.effective_limit_single(lambda k: Q(1, 2) - Q(1, 2**k), cr.Modulus.from_unary(lambda n: n))
-    assert abs(x.approx(12) - Q(1, 2)) <= Q(1, 2**12)
-
-
 def test_modulus_normalized_monotone():
     # deliberately non-monotone raw function
     raw = lambda n, big_n: (17 - n) % 5 + (big_n % 3)

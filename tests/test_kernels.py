@@ -1,7 +1,8 @@
 """Kernel parity.
 
-The int64 numpy grid scan must match the object-int reference, and the
-primal-dual kernel must return the bytes of the all-numpy loop it replaced.
+The grid scan, on int64 and on Python ints, must match the sweep of every box
+point in tests/grid_reference.py, and the primal-dual kernel must return the
+bytes of the all-numpy loop it replaced.
 """
 
 import random
@@ -14,6 +15,7 @@ from qcbplab import _kernels as kern
 from qcbplab import families, qcbp
 from qcbplab.rationals import dyadic_sqrt_upper, operator_norm_sq_upper
 
+import grid_reference
 import pd_reference
 
 
@@ -25,7 +27,8 @@ def rand_problem(rng, m, n, k):
 
 
 def test_spiral_values_order():
-    assert kern.spiral_values(3).tolist() == [0, 1, -1, 2, -2, 3, -3]
+    assert grid_reference.spiral_values(3).tolist() == [0, 1, -1, 2, -2, 3, -3]
+    assert kern._spiral_value(np.arange(7)).tolist() == [0, 1, -1, 2, -2, 3, -3]
 
 
 def test_scan_numpy_matches_py_reference():
@@ -34,7 +37,7 @@ def test_scan_numpy_matches_py_reference():
         m = rng.randint(1, 3)
         n = rng.randint(1, 3)
         coeffs, shift, rhs, k = rand_problem(rng, m, n, rng.randint(1, 12))
-        ref_obj, ref_p = kern._scan_py(coeffs, shift, rhs, k)
+        ref_obj, ref_p = grid_reference._scan_py(coeffs, shift, rhs, k)
         np_obj, np_p = kern.grid_scan(coeffs, shift, rhs, k, exact_fallback=False)
         assert np_obj == ref_obj
         if ref_obj >= 0:
@@ -83,6 +86,10 @@ def _parity_case(rng, kind):
             sign = rng.choice((-1, 1))
             coeffs[:, j] = [sign * c for c in col]
         rhs = rng.randint(0, 60)
+    elif kind == "past_int64":
+        # the same problem scaled so every square sum is far past int64;
+        # scaling keeps the feasible set, so the argmin is compared too
+        coeffs, shift, rhs = coeffs * 10**30, shift * 10**30, rhs * 10**60
     elif kind == "k0_wide_last_column":
         # for k = 0 the last column's sum of squares would wrap in int64
         k = 0
@@ -93,16 +100,22 @@ def _parity_case(rng, kind):
 
 @pytest.mark.parametrize("block", [kern._PREFIX_BLOCK, 5])
 def test_int64_scan_matches_py_reference_randomized(block, monkeypatch):
-    """A small prefix block splits boxes, so ties across blocks are compared too."""
+    """A small prefix block splits boxes, so ties across blocks are compared too.
+
+    The past-int64 kind runs on Python ints, every other kind on int64.
+    """
     monkeypatch.setattr(kern, "_PREFIX_BLOCK", block)
     rng = random.Random(2024)
-    kinds = ("random", "zero_last_column", "infeasible", "rhs_attained", "tied_prefixes", "k0_wide_last_column")
+    kinds = (
+        "random", "zero_last_column", "infeasible", "rhs_attained", "tied_prefixes", "k0_wide_last_column",
+        "past_int64",
+    )
     seen = {kind: 0 for kind in kinds}
-    for case in range(2100):
+    for case in range(2450):  # 350 cases of each kind
         kind = kinds[case % len(kinds)]
         coeffs, shift, rhs, k = _parity_case(rng, kind)
-        ref_obj, ref_p = kern._scan_py(coeffs, shift, rhs, k)
-        obj, p = kern.grid_scan(coeffs, shift, rhs, k, exact_fallback=False)
+        ref_obj, ref_p = grid_reference._scan_py(coeffs, shift, rhs, k)
+        obj, p = kern.grid_scan(coeffs, shift, rhs, k, exact_fallback=kind == "past_int64")
         assert (obj, p.tolist()) == (ref_obj, ref_p.tolist()), (kind, coeffs.tolist(), shift.tolist(), rhs, k)
         seen[kind] += ref_obj >= 0
     # every kind except the infeasible one has feasible cases to compare argmins on

@@ -446,6 +446,35 @@ def test_brute_force_golden(case):
     assert got == {key: case[key] for key in got}
 
 
+BRUTE_FORCE_MULTIROW_GOLDEN = json.loads((Path(__file__).parent / "golden" / "brute_force_multirow.json").read_text())
+
+
+@pytest.mark.parametrize("case", BRUTE_FORCE_MULTIROW_GOLDEN, ids=[c["note"] for c in BRUTE_FORCE_MULTIROW_GOLDEN])
+def test_brute_force_multirow_golden(case):
+    """Exact outputs as recorded on 2- and 3-row instances, whose box comes from the echelon form."""
+    inst = qcbp.Instance(
+        A=RationalMatrix.from_rows([[Q(v) for v in row] for row in case["rows"]]),
+        y=RationalVector.from_items([Q(v) for v in case["y"]]),
+        eps=Q(case["eps"]),
+    )
+    bf = qcbp.brute_force_min(inst, case["grid_exp"])
+    got = {
+        "value": str(bf.value),
+        "argmin": [str(e.re) for e in bf.argmin.entries],
+        "box_radius": bf.box_radius,
+        "relaxation": str(bf.relaxation),
+    }
+    assert got == {key: case[key] for key in got}
+    assert bf.stated_tol is None
+
+
+@pytest.mark.parametrize("rows, y", [([[1, 1, 1], [2, 2, 2]], [1, 2]), ([[1, 2, 0], [0, 0, 0]], [1, 1])])
+def test_brute_force_rank_deficient_rows(rows, y):
+    inst = qcbp.Instance(A=RationalMatrix.from_rows(rows), y=RationalVector.from_items(y), eps=Q(0))
+    with pytest.raises(qcbp.RankDeficientError, match="rank-deficient"):
+        qcbp.brute_force_min(inst, 2)
+
+
 def test_solver_input_guards():
     with pytest.raises(ValueError, match="max_iter"):
         qcbp.solve_numeric(single([2, 1]), Q(1, 100), max_iter=0)
