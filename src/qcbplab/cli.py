@@ -271,7 +271,7 @@ def cmd_nn(args: argparse.Namespace) -> int:
         net = mlp.init_mlp(widths, seed=args.seed)
     except ValueError as exc:
         raise InputError(f"--widths {args.widths!r}: {exc}") from None
-    net, trace = mlp.train(net, data.inputs, data.targets, steps=args.steps, lr=args.lr, seed=args.seed)
+    net, trace = mlp.train(net, data.inputs, data.targets, steps=args.steps, lr=args.lr)
     cert = families.separation_certificate(p)
     report = mlp.instability_eval(net, p, args.n_max, cert)
     if args.checkpoint:

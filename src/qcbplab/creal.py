@@ -282,50 +282,19 @@ def compare(x: CReal, y: CReal, budget: int):
     return UNDECIDED
 
 
-class Modulus:
-    """A convergence modulus (n, N) -> index, normalized to be nondecreasing in both arguments.
-
-    Wraps a recursive-style function and replaces it with its running maximum,
-    which changes nothing about the convergence statement it witnesses but
-    makes downstream precision requests monotone.
-    """
-
-    def __init__(self, fn: Callable[[int, int], int]):
-        self._fn = fn
-        self._cache: dict[tuple, int] = {}
-
-    @staticmethod
-    def from_binary(fn: Callable[[int, int], int]) -> "Modulus":
-        return Modulus(fn)
-
-    def at(self, n: int, big_n: int) -> int:
-        if n < 0 or big_n < 0:
-            raise ValueError("modulus arguments must be >= 0")
-        return self._monotone((n, big_n))
-
-    def _monotone(self, args: tuple) -> int:
-        got = self._cache.get(args)
-        if got is not None:
-            return got
-        value = int(self._fn(*args))
-        for i, a in enumerate(args):
-            if a > 0:
-                prev = args[:i] + (a - 1,) + args[i + 1:]
-                value = max(value, self._monotone(prev))
-        self._cache[args] = value
-        return value
-
-
-def effective_limit(xs: Callable[[int, int], Q], modulus: Modulus) -> Callable[[int], CReal]:
+def effective_limit(
+    xs: Callable[[int, int], Q], modulus: Callable[[int, int], int]
+) -> Callable[[int], CReal]:
     """Closure under effective convergence, as an executable construction.
 
     Hypothesis (a contract on the caller): |xs(n, k) - x_n| <= 2**-N whenever
     k >= modulus(n, N).  The returned family evaluates xs(n, modulus(n, M))
     at precision M, so each limit x_n is again a computable real with the
-    standard 2**-M contract, inherited directly from the hypothesis.
+    standard 2**-M contract, inherited directly from the hypothesis; the
+    modulus need not be monotone.
     """
 
     def limit(n: int) -> CReal:
-        return CReal(lambda m: Q(xs(n, modulus.at(n, m))), label=f"lim k x[{n},k]")
+        return CReal(lambda m: Q(xs(n, modulus(n, m))), label=f"lim k x[{n},k]")
 
     return limit

@@ -180,8 +180,6 @@ def _encoded_member(r: int, p: families.FamilyParams) -> Instance:
 @dataclass
 class Decision:
     status: str
-    n: int
-    budget: int
     steps_to_accept: int | None
     distance_sq: Q | None
     distance_sq_at_budget: Q
@@ -224,8 +222,6 @@ def decide_membership(
     if not outcome.accepted:
         return Decision(
             status=NOT_HALTED_AT_BUDGET,
-            n=n,
-            budget=budget,
             steps_to_accept=None,
             distance_sq=None,
             distance_sq_at_budget=at_budget_sq,
@@ -253,8 +249,6 @@ def decide_membership(
         mirror_agrees = approx > cert.bound / 4
     return Decision(
         status=IN,
-        n=n,
-        budget=budget,
         steps_to_accept=outcome.steps_to_accept,
         distance_sq=d_sq,
         distance_sq_at_budget=at_budget_sq,
@@ -295,12 +289,7 @@ def parse_machine(text: str, name: str = "") -> BoundedMachine:
         raise MachineFormatError(f"line {lineno}: cannot parse {raw!r}")
     if initial is None or accepting is None:
         raise MachineFormatError("machine needs 'init' and 'accept' lines")
-    try:
-        return BoundedMachine(
-            transitions=transitions, initial=initial, accepting=accepting, name=name
-        )
-    except MachineFormatError as exc:
-        raise MachineFormatError(str(exc)) from None
+    return BoundedMachine(transitions=transitions, initial=initial, accepting=accepting, name=name)
 
 
 def load_machine_file(path: str) -> BoundedMachine:

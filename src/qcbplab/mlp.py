@@ -200,57 +200,37 @@ def train(
     steps: int,
     lr: float,
     seed: int = 0,
-    batch_size: int | None = None,
 ):
-    """Gradient descent on the mean l2 loss; full-batch unless batch_size set.
+    """Full-batch gradient descent on the mean l2 loss; uses no RNG.
 
-    Deterministic under the seed (mini-batch order comes from it); returns a
-    trained copy of the net, which is left unchanged, and the per-step loss
-    trace.  A non-finite loss, or a non-finite parameter after an update,
-    aborts with ``TrainingDivergence``; float overflow warnings are silenced
-    because these checks catch it.  The parameters and the gradient each live
-    in one buffer, so a step is one update and one finite check.  Every
-    buffer a step uses is allocated once per call (the batch shape is fixed:
-    all of ``inputs``, or ``min(batch_size, len(inputs))`` rows), and every
-    numpy call of a step writes in place, so a step allocates no array
-    beyond the mini-batch permutation.
+    Returns a trained copy of the net, which is left unchanged, and the
+    per-step loss trace.  ``seed`` is ignored: it stays only because
+    perfbench/workloads.py still passes one.  A non-finite loss, or a
+    non-finite parameter after an update, aborts with ``TrainingDivergence``;
+    float overflow warnings are silenced because these checks catch it.  The
+    parameters and the gradient each live in one buffer, so a step is one
+    update and one finite check.  Every buffer a step uses is allocated once
+    per call, and every numpy call of a step writes in place, so a step
+    allocates no array.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not 0 < lr < math.inf:
         raise ValueError(f"learning rate must be positive and finite, got {lr}")
-    if batch_size is not None and not (
-        isinstance(batch_size, (int, np.integer)) and batch_size >= 1
-    ):
-        raise ValueError(f"batch_size must be None or an integer >= 1, got {batch_size!r}")
-    n = inputs.shape[0]
-    if steps > 0 and n == 0:
+    if steps > 0 and inputs.shape[0] == 0:
         raise ValueError("cannot train on an empty batch")
     net = MLP(net.weights, net.biases)
     theta = net.theta
     grad, grads_w, grads_b = _layer_buffer(net.weights, net.biases)
     scaled = np.empty_like(grad)
     finite = np.empty(theta.shape, dtype=bool)
-    if batch_size is None:
-        bx, bt = inputs, targets
-    else:
-        rows = min(batch_size, n)
-        bx = np.empty((rows,) + inputs.shape[1:], dtype=inputs.dtype)
-        bt = np.empty((rows,) + targets.shape[1:], dtype=targets.dtype)
-    acts = _activations(net, bx)
+    acts = _activations(net, inputs)
     buffers = _backprop_buffers(acts)
-    rng = np.random.default_rng(seed)
     trace: list[float] = []
     last = float("nan")
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            if batch_size is not None:
-                idx = rng.permutation(n)[:batch_size]
-                # indices are in range, so "clip" copies what "raise" would,
-                # without the temporary that "raise" makes when given `out`
-                np.take(inputs, idx, axis=0, out=bx, mode="clip")
-                np.take(targets, idx, axis=0, out=bt, mode="clip")
-            loss = _backprop(net, acts, bt, buffers, grads_w, grads_b)
+            loss = _backprop(net, acts, targets, buffers, grads_w, grads_b)
             if not math.isfinite(loss):
                 raise TrainingDivergence(step, last)
             last = loss

@@ -526,7 +526,6 @@ class BruteForceReport:
 
     value: Q
     argmin: RationalVector
-    grid_step: Q
     relaxation: Q
     stated_tol: Q | None
     box_radius: int
@@ -620,7 +619,6 @@ def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
     return BruteForceReport(
         value=value,
         argmin=argmin,
-        grid_step=h,
         relaxation=relaxation,
         stated_tol=stated_tol,
         box_radius=k,

@@ -36,12 +36,9 @@ def ceil_log2(q: Q) -> int:
         raise ValueError("ceil_log2 requires a positive rational")
     num, den = q.numerator, q.denominator
     t = num.bit_length() - den.bit_length()
-    # bit-length estimate is within 1; fix up exactly
-    while Q(2) ** t < q:
-        t += 1
-    while t - 1 >= -(10**6) and Q(2) ** (t - 1) >= q:
-        t -= 1
-    return t
+    # 2**(t-1) < q < 2**(t+1), so the answer is t, or t + 1 when q > 2**t
+    above = num > den << t if t >= 0 else num << -t > den
+    return t + 1 if above else t
 
 
 def dyadic_sqrt_lower(q: Q, prec: int) -> Q:

@@ -216,7 +216,7 @@ def test_criterion_9_continuity_conflict_bound():
     cert = fam.separation_certificate(P)
     data = mlp.gen_training_set(P, 1, 10, seed=109)
     net = mlp.init_mlp((6, 64, 64, 4), seed=109)
-    net, trace = mlp.train(net, data.inputs, data.targets, steps=4000, lr=0.02, seed=109)
+    net, trace = mlp.train(net, data.inputs, data.targets, steps=4000, lr=0.02)
     report = mlp.instability_eval(net, P, 30, cert)
     kappa = float(cert.bound)
     for row in report.rows:

@@ -243,25 +243,18 @@ def test_effective_limit_closed_form():
     def xs(n, k):
         return Q(1, n) + Q(1, 2**k)
 
-    e = cr.Modulus.from_binary(lambda n, big_n: big_n)
-    limit = cr.effective_limit(xs, e)
+    limit = cr.effective_limit(xs, lambda n, big_n: big_n)
     for n in (1, 2, 9):
         assert abs(limit(n).approx(20) - Q(1, n)) <= Q(1, 2**20)
 
 
 def test_effective_limit_constant():
-    limit = cr.effective_limit(lambda n, k: Q(7, 3), cr.Modulus.from_binary(lambda n, b: 0))
+    limit = cr.effective_limit(lambda n, k: Q(7, 3), lambda n, b: 0)
     assert limit(4).approx(33) == Q(7, 3)
 
 
-def test_modulus_normalized_monotone():
-    # deliberately non-monotone raw function
-    raw = lambda n, big_n: (17 - n) % 5 + (big_n % 3)
-    e = cr.Modulus.from_binary(raw)
-    vals = [[e.at(n, b) for b in range(6)] for n in range(6)]
-    for n in range(6):
-        for b in range(1, 6):
-            assert vals[n][b] >= vals[n][b - 1]
-    for b in range(6):
-        for n in range(1, 6):
-            assert vals[n][b] >= vals[n - 1][b]
+def test_effective_limit_fresh_at_high_precision():
+    # a fresh limit asked for 2000 bits at once evaluates its modulus once,
+    # with no recursion over smaller precisions
+    limit = cr.effective_limit(lambda n, k: Q(1, n + 1) + Q(1, 2**k), lambda n, big_n: big_n)
+    assert abs(limit(1).approx(2000) - Q(1, 2)) <= Q(1, 2**2000)

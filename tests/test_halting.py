@@ -257,7 +257,7 @@ def test_effective_limit_recovers_encoded_entries():
     def xs(n, j):
         return ht.encoded_instance(EVEN, n, j, P).A.entry(0, 1).re
 
-    limit = cr.effective_limit(xs, cr.Modulus.from_binary(lambda n, m: m))
+    limit = cr.effective_limit(xs, lambda n, m: m)
     for n in (2, 4):  # accepted: entry pins at a + 2**-(q+1)
         q = ht.run_bounded(EVEN, n, 10**4).steps_to_accept
         truth = P.a + Q(1, 2 ** (q + ht.TAIL_OFFSET))

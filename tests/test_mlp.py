@@ -101,19 +101,11 @@ def test_gradient_check_small_nets():
 def test_training_bitwise_deterministic():
     data = mlp.gen_training_set(P, 1, 6, seed=2)
     net = mlp.init_mlp((6, 32, 32, 4), seed=5)
-    a, ta = mlp.train(net, data.inputs, data.targets, steps=200, lr=0.02, seed=5)
-    b, tb = mlp.train(net, data.inputs, data.targets, steps=200, lr=0.02, seed=5)
+    a, ta = mlp.train(net, data.inputs, data.targets, steps=200, lr=0.02)
+    b, tb = mlp.train(net, data.inputs, data.targets, steps=200, lr=0.02)
     assert ta == tb
     assert all(np.array_equal(w1, w2) for w1, w2 in zip(a.weights, b.weights))
     assert all(np.array_equal(b1, b2) for b1, b2 in zip(a.biases, b.biases))
-
-
-def test_minibatch_deterministic_under_seed():
-    data = mlp.gen_training_set(P, 1, 8, seed=3)
-    net = mlp.init_mlp((6, 16, 4), seed=6)
-    a, _ = mlp.train(net, data.inputs, data.targets, steps=50, lr=0.02, seed=9, batch_size=4)
-    b, _ = mlp.train(net, data.inputs, data.targets, steps=50, lr=0.02, seed=9, batch_size=4)
-    assert all(np.array_equal(w1, w2) for w1, w2 in zip(a.weights, b.weights))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -230,22 +222,16 @@ def _reference_loss_and_grads(weights, biases, xs, ts):
     return loss, gw, gb
 
 
-def _reference_train(weights, biases, inputs, targets, steps, lr, seed=0, batch_size=None):
+def _reference_train(weights, biases, inputs, targets, steps, lr):
     """Per-layer gradient descent: separate arrays, a fresh gradient per step,
     per-layer updates and per-layer finite checks.  ``mlp.train`` must match
     it bit for bit."""
     weights = [w.copy() for w in weights]
     biases = [b.copy() for b in biases]
     depth = len(weights)
-    rng = np.random.default_rng(seed)
     trace, last = [], float("nan")
     for step in range(steps):
-        if batch_size is None:
-            bx, bt = inputs, targets
-        else:
-            idx = rng.permutation(inputs.shape[0])[:batch_size]
-            bx, bt = inputs[idx], targets[idx]
-        loss, gw, gb = _reference_loss_and_grads(weights, biases, bx, bt)
+        loss, gw, gb = _reference_loss_and_grads(weights, biases, inputs, targets)
         if not np.isfinite(loss):
             raise mlp.TrainingDivergence(step, last)
         last = loss
@@ -264,16 +250,15 @@ def _same_bits(xs, ys):
     )
 
 
-@pytest.mark.parametrize("batch_size", [None, 4, 64])  # 64 > the 16 samples
 @pytest.mark.parametrize("hidden", [16, 32, 64])
-def test_train_matches_per_layer_reference(hidden, batch_size):
+def test_train_matches_per_layer_reference(hidden):
     data = mlp.gen_training_set(P, 1, 8, noise_bound=Q(1, 16), seed=hidden)
     net = mlp.init_mlp((6, hidden, hidden, 4), seed=hidden)
     before_w = [w.copy() for w in net.weights]
     before_b = [b.copy() for b in net.biases]
-    out, trace = mlp.train(net, data.inputs, data.targets, 300, 0.02, seed=11, batch_size=batch_size)
+    out, trace = mlp.train(net, data.inputs, data.targets, 300, 0.02)
     ref_w, ref_b, ref_trace = _reference_train(
-        before_w, before_b, data.inputs, data.targets, 300, 0.02, seed=11, batch_size=batch_size
+        before_w, before_b, data.inputs, data.targets, 300, 0.02
     )
     assert trace == ref_trace
     assert _same_bits(out.weights, ref_w) and _same_bits(out.biases, ref_b)
@@ -323,13 +308,6 @@ def test_train_rejects_nonpositive_or_nonfinite_lr(lr):
     net = mlp.init_mlp((6, 4, 4), seed=1)
     with pytest.raises(ValueError, match="positive and finite"):
         mlp.train(net, np.zeros((2, 6)), np.zeros((2, 4)), steps=5, lr=lr)
-
-
-@pytest.mark.parametrize("batch_size", [0, -1, 2.5])
-def test_train_rejects_batch_size_below_one_or_not_integer(batch_size):
-    net = mlp.init_mlp((6, 4, 4), seed=1)
-    with pytest.raises(ValueError, match="batch_size"):
-        mlp.train(net, np.ones((3, 6)), np.ones((3, 4)), steps=3, lr=0.1, batch_size=batch_size)
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
@@ -406,7 +384,7 @@ def _net_for(p, hidden, kind):
         members = [(which, n) for n in range(1, 9) for which in (1, 2)]
         xs = np.array([mlp.realify_instance(fam.perturbed_instance(w, n, p)) for w, n in members])
         ts = np.array([mlp.realify_vector(fam.perturbed_solution(w, n, p)) for w, n in members])
-        net, _ = mlp.train(net, xs, ts, 200, 0.02, seed=1)
+        net, _ = mlp.train(net, xs, ts, 200, 0.02)
     elif kind == "zero layer":
         net.weights[1][...] = 0.0
     return net

@@ -129,8 +129,12 @@ def test_dyadic_sqrt_enclosure():
 
 def test_ceil_log2():
     rng = random.Random(8)
-    for _ in range(100):
-        q = abs(rand_q(rng))
+    qs = [abs(rand_q(rng)) for _ in range(100)]
+    for e in (-301, -300, -299, -1, 0, 1, 299, 300, 301):
+        p = Q(2) ** e
+        odd = 2 * rng.randrange(1, 2**40) + 1
+        qs += [p, p + Q(1, odd * 2**320), p - Q(1, odd * 2**320), p * Q(odd, odd + 2)]
+    for q in qs:
         if q == 0:
             continue
         t = ceil_log2(q)
