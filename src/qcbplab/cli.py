@@ -53,20 +53,24 @@ class _Parser(argparse.ArgumentParser):
 _NON_EXPERIMENT_KEYS = ("func", "config", "out", "checkpoint", "instance", "machine")
 
 
-def _config_hash(args: argparse.Namespace) -> str:
+def _config_hash(args: argparse.Namespace, source: str | None) -> str:
     # destinations and file locations are not experiment parameters; hashing
     # only the science-bearing flags keeps reruns byte-identical wherever the
-    # outputs land (file contents still pin machines/instances through rows)
+    # files live.  A machine or instance file enters as ``source``, the
+    # canonical text of what was parsed from it, so two different files give
+    # two hashes and one content gives one hash under any path
     items = sorted(
         (k, repr(v)) for k, v in vars(args).items() if k not in _NON_EXPERIMENT_KEYS
     )
+    if source is not None:
+        items.append(("source", source))
     blob = ";".join(f"{k}={v}" for k, v in items).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _meta(args: argparse.Namespace) -> dict:
+def _meta(args: argparse.Namespace, source: str | None) -> dict:
     return {
-        "config_hash": _config_hash(args),
+        "config_hash": _config_hash(args, source),
         "version": __version__,
     }
 
@@ -91,14 +95,16 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(payload: dict, args: argparse.Namespace) -> None:
+def _emit_json(payload: dict, args: argparse.Namespace, source: str | None = None) -> None:
     payload = dict(payload)
-    payload["meta"] = _meta(args)
+    payload["meta"] = _meta(args, source)
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args)
 
 
-def _emit_csv(header: list[str], rows: list[list[str]], args: argparse.Namespace) -> None:
-    meta = _meta(args)
+def _emit_csv(
+    header: list[str], rows: list[list[str]], args: argparse.Namespace, source: str | None = None
+) -> None:
+    meta = _meta(args, source)
     lines = [f"# config_hash={meta['config_hash']} version={meta['version']}"]
     lines.append(",".join(header))
     lines += [",".join(row) for row in rows]
@@ -177,7 +183,8 @@ def _load_instance(args: argparse.Namespace) -> qcbp.Instance:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
     report = qcbp.solve_numeric(inst, _rat(args.tol, "--tol"), args.max_iter)
-    _emit_json(report.to_json(), args)
+    source = json.dumps(inst.to_json(), sort_keys=True) if args.instance else None
+    _emit_json(report.to_json(), args, source)
     return EXIT_OK
 
 
@@ -245,7 +252,8 @@ def cmd_halting(args: argparse.Namespace) -> int:
                 fmt_rational(d.threshold_sq),
             ]
         )
-    _emit_csv(header, rows, args)
+    rules = sorted(machine.transitions.items())
+    _emit_csv(header, rows, args, repr((machine.initial, machine.accepting, rules)))
     return EXIT_OK
 
 

@@ -125,72 +125,124 @@ def init_mlp(widths: tuple[int, ...], seed: int) -> MLP:
 
 
 def forward(net: MLP, x: np.ndarray) -> np.ndarray:
+    """The network's output for one input (1-D ``x``) or a batch of rows (2-D)."""
+    _check_input_width(net, x)
+    return _forward(_forward_plan(net, x.shape[:-1]), x)
+
+
+def _check_input_width(net: MLP, x: np.ndarray) -> None:
     if x.shape[-1] != net.weights[0].shape[1]:
         raise ValueError(
             f"input width {x.shape[-1]} does not match layer width {net.weights[0].shape[1]}"
         )
-    return _forward(net, _activations(net, x))
 
 
-def _activations(net: MLP, x: np.ndarray) -> list[np.ndarray]:
-    """``[x]`` followed by an uninitialised output buffer for each layer."""
-    return [x] + [np.empty(x.shape[:-1] + (w.shape[0],)) for w in net.weights]
+def _forward_plan(net: MLP, lead: tuple[int, ...]):
+    """Per-layer ``(wt, b, z)`` tuples for inputs of leading shape ``lead``:
+    the transposed weight view, the bias and an uninitialised output buffer.
+    Returns the hidden layers' tuples and the output layer's."""
+    layers = tuple(
+        (w.T, b, np.empty(lead + (w.shape[0],))) for w, b in zip(net.weights, net.biases)
+    )
+    return layers[:-1], layers[-1]
 
 
-def _forward(net: MLP, acts: list[np.ndarray]) -> np.ndarray:
-    """Forward pass of the input ``acts[0]`` into the buffers ``acts[1:]``;
-    hidden layers apply ReLU in place.  Returns the output buffer."""
-    out = acts[-1]
-    for a, w, b, z in zip(acts, net.weights, net.biases, acts[1:]):
-        np.matmul(a, w.T, out=z)
-        np.add(z, b, out=z)
-        if z is not out:
-            np.maximum(z, 0.0, out=z)
+def _forward(plan, x: np.ndarray) -> np.ndarray:
+    """Forward pass of ``x`` into the buffers of ``plan``; hidden layers apply
+    ReLU in place.  Returns the output buffer."""
+    hidden, (wt, b, out) = plan
+    for wt_h, b_h, z in hidden:
+        x.dot(wt_h, out=z)
+        z += b_h
+        np.maximum(z, 0.0, out=z)
+        x = z
+    x.dot(wt, out=out)
+    out += b
     return out
 
 
-def _backprop_buffers(acts: list[np.ndarray]):
-    """Uninitialised backprop buffers for the activations ``acts``: one ReLU
-    mask per hidden layer, one delta per layer and the squared error."""
-    masks = [np.empty(a.shape, dtype=bool) for a in acts[1:-1]]
-    deltas = [np.empty_like(a) for a in acts[1:]]
-    return masks, deltas, np.empty_like(acts[-1])
+def _backprop_plan(net: MLP, plan, inputs: np.ndarray, grads_w, grads_b):
+    """Backprop buffers and per-layer tuples for the forward ``plan`` of
+    ``inputs``, writing the gradient into the views ``grads_w``, ``grads_b``.
+
+    Returns ``(diff, sq, upper, first)``: the output delta (the residual
+    first), the squared-error buffer, one ``(delta, delta.T, a, gw, gb, w,
+    below, mask)`` tuple per layer above the first, top down, and the first
+    layer's ``(delta, delta.T, inputs, gw, gb)``.  ``a`` is the layer's input
+    activation and ``below`` the delta of the layer under it.
+    """
+    hidden, last = plan
+    acts = [inputs] + [z for _, _, z in hidden]
+    deltas = [np.empty_like(z) for _, _, z in hidden + (last,)]
+    upper = tuple(
+        (
+            deltas[ell],
+            deltas[ell].T,
+            acts[ell],
+            grads_w[ell],
+            grads_b[ell],
+            net.weights[ell],
+            deltas[ell - 1],
+            np.empty(acts[ell].shape, dtype=bool),
+        )
+        for ell in range(net.depth - 1, 0, -1)
+    )
+    first = (deltas[0], deltas[0].T, inputs, grads_w[0], grads_b[0])
+    return deltas[-1], np.empty_like(deltas[-1]), upper, first
+
+
+def _loss(plan, backprop, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean squared l2 loss of the batch ``inputs``; leaves the residual in
+    the output delta of ``backprop``."""
+    diff, sq, _, _ = backprop
+    np.subtract(_forward(plan, inputs), targets, out=diff)
+    np.multiply(diff, diff, out=sq)
+    return float(np.add.reduce(sq, axis=None)) / inputs.shape[0]
+
+
+def _backprop(backprop, half_batch: float) -> None:
+    """Gradient of the loss whose residual :func:`_loss` left in ``backprop``.
+
+    The output delta is 2 * diff / batch, formed as diff / (batch / 2): the
+    same correctly rounded value, since 2 * diff is exact unless it overflows,
+    which a finite loss rules out.  The ReLU mask comes from the activation: relu(z) > 0 exactly when
+    z > 0, for every float z including NaN and +-inf.
+    """
+    diff, _, upper, first = backprop
+    diff /= half_batch
+    for delta, delta_t, a, gw, gb, w, below, mask in upper:
+        delta_t.dot(a, out=gw)
+        np.add.reduce(delta, axis=0, out=gb)
+        delta.dot(w, out=below)
+        np.greater(a, 0.0, out=mask)
+        below *= mask
+    delta, delta_t, a, gw, gb = first
+    delta_t.dot(a, out=gw)
+    np.add.reduce(delta, axis=0, out=gb)
+
+
+def _check_batch(net: MLP, inputs: np.ndarray, targets: np.ndarray) -> None:
+    widths = net.widths
+    if (
+        inputs.ndim != 2
+        or inputs.shape[1] != widths[0]
+        or targets.shape != (inputs.shape[0], widths[-1])
+    ):
+        raise ValueError(
+            f"inputs {inputs.shape} and targets {targets.shape} do not fit widths "
+            f"{list(widths)}: expected (B, {widths[0]}) and (B, {widths[-1]})"
+        )
 
 
 def loss_and_grads(net: MLP, inputs: np.ndarray, targets: np.ndarray):
     """Mean squared l2 loss over the batch and its exact backprop gradients."""
+    _check_batch(net, inputs, targets)
     _, grads_w, grads_b = _layer_buffer(net.weights, net.biases)
-    acts = _activations(net, inputs)
-    loss = _backprop(net, acts, targets, _backprop_buffers(acts), grads_w, grads_b)
+    plan = _forward_plan(net, inputs.shape[:-1])
+    backprop = _backprop_plan(net, plan, inputs, grads_w, grads_b)
+    loss = _loss(plan, backprop, inputs, targets)
+    _backprop(backprop, inputs.shape[0] / 2)
     return loss, grads_w, grads_b
-
-
-def _backprop(net: MLP, acts, targets, buffers, grads_w, grads_b) -> float:
-    """Loss of the batch ``acts[0]``; writes its gradient into the per-layer
-    views ``grads_w`` and ``grads_b``, and every intermediate into ``acts``
-    and the ``_backprop_buffers`` in ``buffers``.
-
-    The ReLU mask comes from the activation: relu(z) > 0 exactly when z > 0,
-    for every float z including NaN and +-inf.
-    """
-    masks, deltas, sq = buffers
-    batch = acts[0].shape[0]
-    diff = deltas[-1]
-    np.subtract(_forward(net, acts), targets, out=diff)
-    np.multiply(diff, diff, out=sq)
-    loss = float(np.add.reduce(sq, axis=None)) / batch
-    np.multiply(2.0, diff, out=diff)
-    np.true_divide(diff, batch, out=diff)
-    for ell in range(net.depth - 1, -1, -1):
-        delta = deltas[ell]
-        np.matmul(delta.T, acts[ell], out=grads_w[ell])
-        np.add.reduce(delta, axis=0, out=grads_b[ell])
-        if ell > 0:
-            below, mask = deltas[ell - 1], masks[ell - 1]
-            np.matmul(delta, net.weights[ell], out=below)
-            np.greater(acts[ell], 0.0, out=mask)
-            np.multiply(below, mask, out=below)
-    return loss
 
 
 def train(
@@ -205,39 +257,50 @@ def train(
 
     Returns a trained copy of the net, which is left unchanged, and the
     per-step loss trace.  ``seed`` is ignored: it stays only because
-    perfbench/workloads.py still passes one.  A non-finite loss, or a
-    non-finite parameter after an update, aborts with ``TrainingDivergence``;
-    float overflow warnings are silenced because these checks catch it.  The
-    parameters and the gradient each live in one buffer, so a step is one
-    update and one finite check.  Every buffer a step uses is allocated once
-    per call, and every numpy call of a step writes in place, so a step
-    allocates no array.
+    perfbench/workloads.py still passes one.  ``inputs`` must be (B,
+    widths[0]) and ``targets`` (B, widths[-1]).
+
+    A non-finite loss aborts with ``TrainingDivergence`` before the step's
+    gradient is formed; so does a non-finite parameter after an update, found
+    by one ddot of the parameters with zeros (0 * inf and 0 * NaN are NaN, so
+    the dot is NaN exactly when a parameter is not finite).  Float overflow
+    warnings are silenced because these checks catch it.
+
+    The parameters and the gradient each live in one buffer, so a step is one
+    update.  The per-layer argument tuples of the forward pass and backprop
+    (transposed weight and delta views, activation, delta and mask buffers)
+    are built once per call, and every numpy call of a step writes in place,
+    so a step allocates no array: a net of D layers takes 8 * D + 3 numpy
+    calls per step.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not 0 < lr < math.inf:
         raise ValueError(f"learning rate must be positive and finite, got {lr}")
+    _check_batch(net, inputs, targets)
     if steps > 0 and inputs.shape[0] == 0:
         raise ValueError("cannot train on an empty batch")
     net = MLP(net.weights, net.biases)
     theta = net.theta
     grad, grads_w, grads_b = _layer_buffer(net.weights, net.biases)
     scaled = np.empty_like(grad)
-    finite = np.empty(theta.shape, dtype=bool)
-    acts = _activations(net, inputs)
-    buffers = _backprop_buffers(acts)
+    zeros = np.zeros_like(theta)
+    plan = _forward_plan(net, inputs.shape[:-1])
+    backprop = _backprop_plan(net, plan, inputs, grads_w, grads_b)
+    half_batch = inputs.shape[0] / 2
     trace: list[float] = []
     last = float("nan")
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            loss = _backprop(net, acts, targets, buffers, grads_w, grads_b)
+            loss = _loss(plan, backprop, inputs, targets)
             if not math.isfinite(loss):
                 raise TrainingDivergence(step, last)
             last = loss
             trace.append(loss)
+            _backprop(backprop, half_batch)
             np.multiply(lr, grad, out=scaled)
-            np.subtract(theta, scaled, out=theta)
-            if not np.isfinite(theta, out=finite).all():
+            theta -= scaled
+            if not math.isfinite(theta.dot(zeros)):
                 raise TrainingDivergence(step, last)
     return net, trace
 
@@ -255,25 +318,27 @@ def lipschitz_upper_bound(net: MLP) -> float:
     """
     total = 1.0
     for w in net.weights:
+        wt = w.T
         v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])
         for _ in range(_POWER_ITERS):
-            u = w @ v
+            u = w.dot(v)
             nu = _norm(u)
             if nu == 0:
                 break
-            v = w.T @ u / nu
+            v = wt.dot(u)
+            v /= nu
             nv = _norm(v)
             if nv == 0:
                 break
             v /= nv
-        total *= _norm(w @ v)
+        total *= _norm(w.dot(v))
     return float(total * _INFLATE**len(net.weights))
 
 
 def _norm(d: np.ndarray) -> float:
     """l2 norm of the 1-D float array ``d``: the float ``np.linalg.norm``
     returns for it (``d.dot(d)``, then ``sqrt``) without its Python overhead."""
-    return math.sqrt(d @ d)
+    return math.sqrt(d.dot(d))
 
 
 # --- training data ----------------------------------------------------------------
@@ -402,17 +467,22 @@ def instability_eval(
     lip_slack(n) = L * ||input_1 - input_2||; their sum must stay above the
     certified separation bound up to documented float slack, for any net.
     The certificate must be for ``p``; it holds for every n >= 1.  Each input
-    goes through ``forward`` on its own: a batched matmul rounds differently.
+    goes through the forward pass on its own (a batched matmul rounds
+    differently), all of them through one set of 1-D buffers.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if cert.params != p:
         raise ValueError(f"certificate is for {cert.params}, not {p}")
+    table = _family_table(p, n_max)
+    _check_input_width(net, table[0][1])
     lip = lipschitz_upper_bound(net)
+    plan = _forward_plan(net, ())
+    err = np.empty(table[0][3].shape)
     rows = []
-    for n, u1, u2, t1, t2, gap in _family_table(p, n_max):
-        e1 = _norm(forward(net, u1) - t1)
-        e2 = _norm(forward(net, u2) - t2)
+    for n, u1, u2, t1, t2, gap in table:
+        e1 = _norm(np.subtract(_forward(plan, u1), t1, out=err))
+        e2 = _norm(np.subtract(_forward(plan, u2), t2, out=err))
         slack = lip * gap
         rows.append(
             InstabilityRow(

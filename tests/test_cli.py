@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qcbplab import cli, families, mlp
+from qcbplab import cli, families, halting, mlp, qcbp
 
 
 def run(argv, capsys):
@@ -494,23 +494,27 @@ def test_solve_instance_file(tmp_path, capsys):
     assert abs(json.loads(out)["objective_float"] - 0.5) < 1e-4
 
 
+def _write_machine(path, machine):
+    """Write ``machine`` as a machine file, rules sorted; returns the path as text."""
+    lines = [f"init {machine.initial}", f"accept {machine.accepting}"]
+    for (s, sym), (t, w, mv) in sorted(machine.transitions.items()):
+        lines.append(f"{s} {sym} -> {t} {w} {mv}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 def test_halting_deep_acceptance_csv(tmp_path, capsys):
     """Machines accepting after thousands of steps produce exact rationals
     with multi-thousand-digit denominators; the CSV path must emit them."""
     from toy_machines import machine_delay
 
-    machine = machine_delay(2400)
-    tm = tmp_path / "delay.tm"
-    lines = ["init w0", "accept yes"]
-    for (s, sym), (t, w, mv) in sorted(machine.transitions.items()):
-        lines.append(f"{s} {sym} -> {t} {w} {mv}")
-    tm.write_text("\n".join(lines) + "\n")
+    tm = _write_machine(tmp_path / "delay.tm", machine_delay(2400))
     out_file = tmp_path / "halt.csv"
     code, _, _ = run(
         [
             "halting",
             "--machine",
-            str(tm),
+            tm,
             "--n-max",
             "0",
             "--j-budget",
@@ -524,6 +528,49 @@ def test_halting_deep_acceptance_csv(tmp_path, capsys):
     row = out_file.read_text().splitlines()[2].split(",")
     assert row[2] == "IN" and row[1] == "2401"
     assert len(row[3]) > 1400  # the exact squared distance in full
+
+
+def _config_hash(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    if out.startswith("# config_hash="):
+        return out.split()[1].split("=")[1]
+    return json.loads(out)["meta"]["config_hash"]
+
+
+def test_config_hash_identifies_machine_and_instance_by_content(tmp_path, capsys):
+    """Machine and instance files enter the hash through their parsed content:
+    different files give different hashes, one content under two paths (or a
+    reordered, commented file) gives one hash."""
+    from toy_machines import machine_never, machine_threshold
+
+    halting_argv = ["halting", "--n-max", "8", "--j-budget", "100", "--machine"]
+    even = _write_machine(tmp_path / "even.tm", halting.load_builtin("even"))
+    reordered = tmp_path / "reordered.tm"
+    lines = (tmp_path / "even.tm").read_text().splitlines()
+    reordered.write_text("# the even machine, lines reversed\n" + "\n".join(reversed(lines)) + "\n")
+    hashes = {
+        name: _config_hash(halting_argv + [source], capsys)
+        for name, source in [
+            ("builtin", "builtin:even"),
+            ("file", even),
+            ("reordered copy", str(reordered)),
+            ("never", _write_machine(tmp_path / "never.tm", machine_never())),
+            ("threshold6", _write_machine(tmp_path / "threshold6.tm", machine_threshold(6))),
+        ]
+    }
+    assert hashes["builtin"] == hashes["file"] == hashes["reordered copy"]
+    assert len({hashes["builtin"], hashes["never"], hashes["threshold6"]}) == 3
+
+    solve = ["solve", "--instance"]
+    one = qcbp.Instance.single_row([Q(2), Q(1)], Q(1), Q(0))
+    other = qcbp.Instance.single_row([Q(3), Q(1)], Q(1), Q(0))
+    paths = []
+    for name, inst in [("one", one), ("one_again", one), ("other", other)]:
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(inst.to_json(), indent=1))
+    first, again, second = (_config_hash(solve + [str(p)], capsys) for p in paths)
+    assert first == again != second
 
 
 def test_domain_errors_exit_2(capsys):

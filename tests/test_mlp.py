@@ -1,5 +1,8 @@
 """Network, training-data and instability-bound tests."""
 
+import inspect
+import math
+import re
 from fractions import Fraction as Q
 
 import numpy as np
@@ -268,6 +271,77 @@ def test_train_matches_per_layer_reference(hidden):
     )
 
 
+@pytest.mark.parametrize("batch", [1, 3, 13])
+@pytest.mark.parametrize("widths", [(6, 4), (6, 16, 4), (6, 5, 9, 7, 4)])
+def test_train_on_odd_batches_matches_per_layer_reference(widths, batch):
+    """An odd batch B makes the residual divisor B / 2 a non-integer."""
+    data = mlp.gen_training_set(P, 1, 7, noise_bound=Q(1, 16), seed=batch)
+    xs, ts = data.inputs[:batch], data.targets[:batch]
+    assert xs.shape == (batch, 6)
+    net = mlp.init_mlp(widths, seed=batch + len(widths))
+    out, trace = mlp.train(net, xs, ts, 200, 0.02)
+    ref_w, ref_b, ref_trace = _reference_train(net.weights, net.biases, xs, ts, 200, 0.02)
+    assert trace == ref_trace
+    assert _same_bits(out.weights, ref_w) and _same_bits(out.biases, ref_b)
+
+
+def test_ddot_with_zeros_is_nan_exactly_when_an_entry_is_not_finite():
+    """``train``'s finite check: one inf, -inf or NaN at any position of a
+    vector of 1..70 entries (every SIMD tail) makes ``theta.dot(zeros)`` NaN;
+    finite entries, the largest and the subnormal ones included, give 0."""
+    rng = np.random.default_rng(70)
+    for size in range(1, 71):
+        zeros = np.zeros(size)
+        theta = rng.standard_normal(size) * rng.choice([1.0, 1e300, 1e-300], size)
+        theta[::7] = np.finfo(float).max
+        theta[3::11] = -5e-324
+        assert theta.dot(zeros) == 0.0
+        for pos in range(size):
+            for bad in (math.inf, -math.inf, math.nan):
+                spoiled = theta.copy()
+                spoiled[pos] = bad
+                with np.errstate(invalid="ignore"):
+                    assert not math.isfinite(spoiled.dot(zeros))
+
+
+@pytest.mark.parametrize(
+    "in_shape, t_shape",
+    [((3, 6), (1, 4)), ((3, 6), (2, 4)), ((3, 5), (3, 4)), ((3, 6), (3, 5)), ((6,), (4,))],
+)
+def test_train_and_loss_and_grads_reject_shapes_that_do_not_fit(in_shape, t_shape):
+    """A single target row is not broadcast over the batch; every mismatch
+    names both shapes."""
+    net = mlp.init_mlp((6, 8, 4), seed=1)
+    xs, ts = np.ones(in_shape), np.ones(t_shape)
+    message = re.escape(f"inputs {in_shape} and targets {t_shape}")
+    with pytest.raises(ValueError, match=message):
+        mlp.train(net, xs, ts, steps=3, lr=0.1)
+    with pytest.raises(ValueError, match=message):
+        mlp.loss_and_grads(net, xs, ts)
+
+
+def test_train_signature_and_lipschitz_lookup_stay_wrappable(monkeypatch):
+    """The benchmark counts calls by rebinding module attributes: ``train``
+    keeps its name and signature, and ``instability_eval`` looks up
+    ``lipschitz_upper_bound`` through the module global on every call."""
+    assert mlp.train.__name__ == "train"
+    params = inspect.signature(mlp.train).parameters
+    assert list(params) == ["net", "inputs", "targets", "steps", "lr", "seed"]
+    assert params["seed"].default == 0
+    real = mlp.lipschitz_upper_bound
+    calls = []
+
+    def counting(net):
+        calls.append(net)
+        return real(net)
+
+    monkeypatch.setattr(mlp, "lipschitz_upper_bound", counting)
+    net = mlp.init_mlp((6, 8, 4), seed=1)
+    rep = mlp.instability_eval(net, P, 5, fam.separation_certificate(P))
+    assert len(calls) == 1 and calls[0] is net
+    assert rep.lipschitz_bound == real(net)
+
+
 @pytest.mark.parametrize("widths", [(6, 4), (6, 16, 4), (6, 32, 32, 4), (5, 9, 7, 3, 2)])
 def test_forward_and_loss_and_grads_match_reference(widths):
     rng = np.random.default_rng(sum(widths))
@@ -301,6 +375,20 @@ def test_train_divergence_matches_per_layer_reference(lr):
     with pytest.raises(mlp.TrainingDivergence) as got:
         mlp.train(net, data.inputs, data.targets, steps=400, lr=lr)
     assert (got.value.step, got.value.last_loss) == (ref.value.step, ref.value.last_loss)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_train_aborts_when_parameters_overflow_to_one_infinity(sign):
+    """The first weight and the bias overflow to -inf (sign 1) or +inf
+    (sign -1) at step 0 while the second weight stays 1.0."""
+    net = mlp.MLP([np.array([[1.0, 1.0]])], [np.array([0.0])])
+    xs, ts = np.array([[1.0, 0.0]]), np.array([[1.0 - sign]])
+    with pytest.raises(mlp.TrainingDivergence) as got:
+        mlp.train(net, xs, ts, steps=3, lr=1e308)
+    assert (got.value.step, got.value.last_loss) == (0, 1.0)
+    with np.errstate(over="ignore"), pytest.raises(mlp.TrainingDivergence) as ref:
+        _reference_train(net.weights, net.biases, xs, ts, 3, 1e308)
+    assert (ref.value.step, ref.value.last_loss) == (0, 1.0)
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -0.1])
