@@ -10,6 +10,10 @@ config hash and package version, so identical config and seed reproduce
 outputs byte for byte.
 
 Exit codes: 0 ok, 2 input error, 3 numerical failure.
+
+Only ``qcbp`` and ``rationals`` load with this module; each subcommand
+imports the layers it runs (``families``, ``halting``, ``mlp``) itself, so
+``oracle`` and ``solve`` start without the family, machine or network code.
 """
 
 from __future__ import annotations
@@ -22,16 +26,18 @@ import os
 import sys
 import tempfile
 from fractions import Fraction as Q
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from qcbplab import __version__, families, halting, mlp, qcbp
+from qcbplab import __version__, qcbp
 from qcbplab.rationals import (
     dyadic_sqrt_lower,
     fmt_rational,
     parse_rational,
     vector_to_json,
 )
+
+if TYPE_CHECKING:
+    from qcbplab import families, halting, mlp
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -126,6 +132,8 @@ def _rat(text: str, what: str) -> Q:
 
 
 def _family_params(args: argparse.Namespace) -> families.FamilyParams:
+    from qcbplab import families
+
     return families.FamilyParams(
         a=_rat(args.a, "--a"),
         eps=_rat(args.eps, "--eps"),
@@ -189,6 +197,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_adversarial(args: argparse.Namespace) -> int:
+    from qcbplab import families
+
     p = _family_params(args)
     report = families.discontinuity_report(
         p, args.n_max, run_solver=args.solve, solver_tol=_rat(args.tol, "--tol")
@@ -212,6 +222,8 @@ def cmd_adversarial(args: argparse.Namespace) -> int:
 
 
 def _load_machine(source: str) -> halting.BoundedMachine:
+    from qcbplab import halting
+
     if source.startswith("builtin:"):
         name = source.split(":", 1)[1]
         try:
@@ -224,6 +236,8 @@ def _load_machine(source: str) -> halting.BoundedMachine:
 
 
 def cmd_halting(args: argparse.Namespace) -> int:
+    from qcbplab import families, halting
+
     if args.n_max < 0:
         raise InputError("n_max must be >= 0")
     machine = _load_machine(args.machine)
@@ -258,6 +272,8 @@ def cmd_halting(args: argparse.Namespace) -> int:
 
 
 def _training_set(args: argparse.Namespace, p: families.FamilyParams) -> mlp.TrainingSet:
+    from qcbplab import mlp
+
     noise = _rat(args.noise, "--noise")
     data = mlp.gen_training_set(p, args.n_lo, args.n_hi, noise_bound=noise, seed=args.seed)
     if data.inputs.size == 0:
@@ -266,6 +282,10 @@ def _training_set(args: argparse.Namespace, p: families.FamilyParams) -> mlp.Tra
 
 
 def cmd_nn(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from qcbplab import families, mlp
+
     if args.n_max < 1:
         raise InputError(f"--n-max must be >= 1, got {args.n_max}")
     p = _family_params(args)
@@ -493,7 +513,9 @@ def main(argv: list[str] | None = None) -> int:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_INPUT
-    except (mlp.TrainingDivergence, ArithmeticError) as exc:
+    except ArithmeticError as exc:
+        # a diverged training run, a violated certificate and every other
+        # numerical failure derive from ArithmeticError
         json.dump({"error": str(exc), "kind": "numerical"}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_NUMERIC

@@ -30,8 +30,12 @@ from qcbplab import families, qcbp
 from qcbplab.rationals import RationalVector
 
 
-class TrainingDivergence(RuntimeError):
-    """Loss became non-finite; carries the step index and last finite loss."""
+class TrainingDivergence(ArithmeticError):
+    """Loss became non-finite; carries the step index and last finite loss.
+
+    A numerical failure, not an input error: the command line reports it
+    with exit code 3, like ``families.CertificateError``.
+    """
 
     def __init__(self, step: int, last_loss: float):
         super().__init__(f"training diverged at step {step}; last finite loss {last_loss}")
@@ -466,7 +470,8 @@ def instability_eval(
     err_j(n) is the float l2 error of the network against the exact solution;
     lip_slack(n) = L * ||input_1 - input_2||; their sum must stay above the
     certified separation bound up to documented float slack, for any net.
-    The certificate must be for ``p``; it holds for every n >= 1.  Each input
+    The certificate must be for ``p``; it holds for every n >= 1, and the
+    net's input and output widths must be the family's.  Each input
     goes through the forward pass on its own (a batched matmul rounds
     differently), all of them through one set of 1-D buffers.
     """
@@ -476,6 +481,13 @@ def instability_eval(
         raise ValueError(f"certificate is for {cert.params}, not {p}")
     table = _family_table(p, n_max)
     _check_input_width(net, table[0][1])
+    width = output_width(p.n_dim)
+    if net.weights[-1].shape[0] != width:
+        # a one-wide output would broadcast over the targets unnoticed
+        raise ValueError(
+            f"net output width {net.weights[-1].shape[0]} does not match the family's "
+            f"solution width {width} (2 * n_dim)"
+        )
     lip = lipschitz_upper_bound(net)
     plan = _forward_plan(net, ())
     err = np.empty(table[0][3].shape)

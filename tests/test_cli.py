@@ -151,9 +151,9 @@ def test_halting_missing_machine_exit_2(capsys):
 
 
 def test_halting_violated_certificate_exit_3(monkeypatch, capsys):
-    real = cli.families.separation_certificate
+    real = families.separation_certificate
     monkeypatch.setattr(
-        cli.families,
+        families,
         "separation_certificate",
         lambda p: dataclasses.replace(real(p), bound=Q(4)),
     )
@@ -342,7 +342,7 @@ def test_nn_nonpositive_n_max_exit_2_before_training(n_max, tmp_path, monkeypatc
     def no_training(*args, **kwargs):
         raise AssertionError("trained before checking --n-max")
 
-    monkeypatch.setattr(cli.mlp, "train", no_training)
+    monkeypatch.setattr(mlp, "train", no_training)
     out_file = tmp_path / "report.csv"
     code, out, err = run(["nn", "--seed", "3", "--n-max", n_max, "--out", str(out_file)], capsys)
     assert (code, out) == (2, "")
@@ -695,6 +695,48 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, err = module(["oracle", "--A", "2,x"])
     assert (code, out) == (2, "")
     assert "error" in json.loads(err)
+
+
+# runs ``python -m qcbplab`` in-process, then prints the loaded qcbplab modules
+_LOADED_AFTER = """
+import json, runpy, sys
+try:
+    runpy.run_module("qcbplab", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("qcbplab."))]))
+"""
+
+LAYERS = {"qcbplab.families", "qcbplab.halting", "qcbplab.mlp"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent, present",
+    [
+        (["oracle", "--A", "9/8,1", "--eps", "1/4"], LAYERS, {"qcbplab.cli", "qcbplab.qcbp"}),
+        (["solve", "--A", "2,1", "--eps", "1/8"], LAYERS, {"qcbplab.cli", "qcbplab.qcbp"}),
+        (
+            ["halting", "--machine", "builtin:even", "--n-max", "3"],
+            {"qcbplab.mlp"},
+            {"qcbplab.families", "qcbplab.halting"},
+        ),
+        (["adversarial", "--n-max", "3"], {"qcbplab.mlp", "qcbplab.halting"}, {"qcbplab.families"}),
+        (["gen-data", "--seed", "1", "--n-hi", "2"], {"qcbplab.halting"}, {"qcbplab.families", "qcbplab.mlp"}),
+    ],
+    ids=["oracle", "solve", "halting", "adversarial", "gen-data"],
+)
+def test_subcommand_loads_only_the_layers_it_runs(argv, absent, present):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert (code, proc.stderr) == (0, "")
+    assert not absent & set(loaded)
+    assert present <= set(loaded)
 
 
 def test_main_calls_in_one_process_share_one_parser(tmp_path, capsys):

@@ -417,6 +417,19 @@ def test_instability_eval_rejects_certificate_for_other_params(p, cert_p):
         mlp.instability_eval(net, p, 40, fam.separation_certificate(cert_p))
 
 
+@pytest.mark.parametrize("out", [1, 3, 6])
+def test_instability_eval_rejects_output_width_other_than_solution_width(out):
+    """A one-wide output used to broadcast over the 4-wide targets and pass."""
+    net = mlp.init_mlp((6, 8, out), seed=1)
+    with pytest.raises(ValueError, match=f"output width {out} .* solution width 4"):
+        mlp.instability_eval(net, P, 30, fam.separation_certificate(P))
+
+
+def test_training_divergence_is_a_numerical_failure():
+    assert issubclass(mlp.TrainingDivergence, ArithmeticError)
+    assert not issubclass(mlp.TrainingDivergence, ValueError)
+
+
 # --- cached family table against the per-call reference -------------------------------
 
 PARAMS = [P, A13, fam.FamilyParams(n_dim=3, m_dim=2)]
