@@ -243,6 +243,7 @@ def cmd_halting(args: argparse.Namespace) -> int:
     machine = _load_machine(args.machine)
     p = _family_params(args)
     cert = families.separation_certificate(p)
+    halting.at_budget_distance_sq.cache_clear()  # one computation per run, none carried over
     header = [
         "n",
         "q",

@@ -5,6 +5,9 @@ A :class:`CReal` wraps a pure function ``k -> rational`` whose value is within
 here re-derives that contract: it requests its inputs at internally computed
 higher precisions chosen so the output error budget is met, with the budget
 split written next to the code that spends it.  Nothing is heuristic.
+Products and series sums are rounded to dyadics with k+1 fractional bits
+(after Boehm, PLDI 2020), so approximation sizes follow the precision asked
+for rather than the depth of the expression.
 
 Equality of computable reals is undecidable, so comparison is semi-decided
 under an explicit precision budget and UNDECIDED is an ordinary return value,
@@ -78,6 +81,20 @@ def sub(x: CReal, y: CReal) -> CReal:
     return CReal(lambda k: x.approx(k + 2) - y.approx(k + 2))
 
 
+def _round(q: Q, k: int) -> Q:
+    """q kept exact when its denominator is at most 2**(k+1), else rounded
+    down to a multiple of 2**-(k+1); either way the error is below 2**-(k+1).
+
+    Rounding keeps approximations at about k fractional bits; keeping small
+    denominators exact keeps short rationals (a quotient of two exact inputs,
+    say) short for the series that raise them to powers.
+    """
+    den = q.denominator
+    if den <= 1 << (k + 1):
+        return q
+    return Q((q.numerator << (k + 1)) // den, 1 << (k + 1))
+
+
 def _magnitude_bound(x: CReal) -> Q:
     # |x| <= |approx(0)| + 1; padded by 1 more so it also bounds any
     # approximation of x at precision >= 0.
@@ -87,9 +104,10 @@ def _magnitude_bound(x: CReal) -> Q:
 def mul(x: CReal, y: CReal) -> CReal:
     def program(k: int) -> Q:
         bound = _magnitude_bound(x) + _magnitude_bound(y)
-        s = k + max(1, ceil_log2(bound))
-        # |x~y~ - xy| <= |x~||y~-y| + |y||x~-x| <= bound * 2**-s <= 2**-k
-        return x.approx(s) * y.approx(s)
+        s = k + 1 + max(1, ceil_log2(bound))
+        # |x~y~ - xy| <= |x~||y~-y| + |y||x~-x| <= bound * 2**-s <= 2**-(k+1);
+        # rounding adds < 2**-(k+1)
+        return _round(x.approx(s) * y.approx(s), k)
 
     return CReal(program)
 
@@ -150,16 +168,23 @@ def sqrt_c(x: CReal, lower_witness: Q = Q(0)) -> CReal:
     """Square root; the witness asserts x >= lower_witness >= 0.
 
     The approximation at k clamps the input at 0 (sound since x >= 0) and
-    splits the budget: |sqrt u - sqrt v| <= sqrt|u - v| handles the input
-    error, an integer-sqrt evaluation handles the rational root.
+    splits the budget: the input error costs at most 2**-(k+1), and an
+    integer-sqrt evaluation of the rational root adds at most 2**-(k+1).
+    A positive witness w lowers the input precision from 2k+2 to about
+    k + 1 + log2(1/w)/2.
     """
-    if lower_witness < 0:
+    w = Q(lower_witness)
+    if w < 0:
         raise ValueError("sqrt needs a nonnegative rational lower bound witness")
+    # w > 0: |sqrt x~+ - sqrt x| = |x~+ - x| / (sqrt x~+ + sqrt x) <= 2**-s / sqrt w,
+    # which is <= 2**-(k+1) once s >= k + 1 + ceil(ceil_log2(1/w) / 2)
+    half_log = -(-ceil_log2(1 / w) // 2) if w > 0 else None
 
     def program(k: int) -> Q:
-        s = 2 * k + 2
+        s = 2 * k + 2  # |sqrt x~+ - sqrt x| <= sqrt|x~+ - x| <= 2**-(k+1)
+        if half_log is not None:
+            s = max(0, min(s, k + 1 + half_log))
         xa = max(x.approx(s), Q(0))
-        # input error <= sqrt(2**-s) = 2**-(k+1); rational sqrt adds <= 2**-(k+1)
         return dyadic_sqrt_lower(xa, k + 1)
 
     return CReal(program, label=f"sqrt({x.label})")
@@ -183,7 +208,8 @@ def _exp_small(u: CReal) -> CReal:
             # successive term ratio |ua|/(i+1) <= 3/4, so tail <= 3|term|
             if 4 * abs(term) <= target:
                 break
-        return total
+        # input error + tail < 2 * 2**-(k+2); rounding adds < 2**-(k+1)
+        return _round(total, k)
 
     return CReal(program)
 
@@ -217,7 +243,8 @@ def _atanh_small(z: CReal) -> CReal:
             # tail <= |power| * sum(|za|^2j) <= |power| / (1 - (9/16)^2) < 2|power|
             if 2 * abs(power) <= target:
                 break
-        return total
+        # input error 2**-(k+3) + tail 2**-(k+2) < 2**-(k+1); rounding adds < 2**-(k+1)
+        return _round(total, k)
 
     return CReal(program)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from importlib import resources
 
 from qcbplab import creal, families
@@ -177,6 +178,23 @@ def _encoded_member(r: int, p: families.FamilyParams) -> Instance:
     return families.perturbed_instance(2, r + TAIL_OFFSET, p)
 
 
+def _distance_sq(r: int, p: families.FamilyParams) -> Q:
+    """Squared distance of the encoded member for r to the limit's solution."""
+    return l2_norm_sq(select_embedded(_encoded_member(r, p)) - families.limit_solution(p))
+
+
+@lru_cache(maxsize=1)
+def at_budget_distance_sq(budget: int, p: families.FamilyParams) -> Q:
+    """The squared distance every not-halted row at this budget reports.
+
+    Each such row encodes the same member, index budget + 1, whose entries
+    carry about budget bits, so one run over many inputs computes it once.
+    The ``halting`` command clears the cache as it starts, so no run reuses
+    another run's value.
+    """
+    return _distance_sq(budget, p)
+
+
 @dataclass
 class Decision:
     status: str
@@ -213,25 +231,21 @@ def decide_membership(
     if precision_budget < 0:
         raise ValueError("precision budget must be nonnegative")
     threshold_sq = cert.threshold_sq()
-    star = families.limit_solution(p)
 
     outcome = run_bounded(machine, n, budget)
-    r = outcome.steps_to_accept if outcome.accepted else budget
-    inst = _encoded_member(r, p)
-    at_budget_sq = l2_norm_sq(select_embedded(inst) - star)
     if not outcome.accepted:
         return Decision(
             status=NOT_HALTED_AT_BUDGET,
             steps_to_accept=None,
             distance_sq=None,
-            distance_sq_at_budget=at_budget_sq,
+            distance_sq_at_budget=at_budget_distance_sq(budget, p),
             threshold_sq=threshold_sq,
             mirror_precision=None,
             mirror_agrees=None,
         )
 
     # stabilized: the encoded instance is exactly the fixed family member
-    d_sq = at_budget_sq
+    d_sq = _distance_sq(outcome.steps_to_accept, p)
     if d_sq <= threshold_sq:
         raise families.CertificateError("separation certificate violated at decision time")
 
@@ -251,7 +265,7 @@ def decide_membership(
         status=IN,
         steps_to_accept=outcome.steps_to_accept,
         distance_sq=d_sq,
-        distance_sq_at_budget=at_budget_sq,
+        distance_sq_at_budget=d_sq,
         threshold_sq=threshold_sq,
         mirror_precision=mirror_precision,
         mirror_agrees=mirror_agrees,

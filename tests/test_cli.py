@@ -144,6 +144,24 @@ def test_halting_budget_zero_all_not_halted(tmp_path, capsys):
     assert all(r[2] == "NOT_HALTED_AT_BUDGET" for r in rows)
 
 
+def test_halting_builds_the_at_budget_member_once(monkeypatch, capsys):
+    # every not-halted row reports the member at index budget + 1; one run
+    # builds it once, and a second run builds it again rather than reusing it
+    real = families.perturbed_instance
+    built = []
+
+    def counting(which, n, p):
+        built.append((which, n))
+        return real(which, n, p)
+
+    monkeypatch.setattr(families, "perturbed_instance", counting)
+    argv = ["halting", "--machine", "builtin:even", "--n-max", "40", "--j-budget", "1000"]
+    for runs in (1, 2):
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out.count("NOT_HALTED_AT_BUDGET") == 20
+        assert built.count((2, 1001)) == runs
+
+
 def test_halting_missing_machine_exit_2(capsys):
     code, _, err = run(["halting", "--machine", "/no/such/file.tm"], capsys)
     assert code == 2

@@ -127,9 +127,50 @@ def test_sqrt_contract_invariant():
             assert abs(a * a - x) <= Q(1, 2 ** (k - 2)) + Q(1, 4**k)
 
 
+def _recording(q):
+    """The constant q as a CReal that records each precision it is asked for."""
+    asked = []
+
+    def program(k):
+        asked.append(k)
+        return q
+
+    return cr.CReal(program), asked
+
+
+def test_sqrt_witness_lowers_input_precision():
+    x, asked = _recording(Q(1, 3))
+    assert abs(cr.sqrt_c(x, Q(1, 4)).approx(100) ** 2 - Q(1, 3)) <= Q(1, 2**98)
+    assert max(asked) <= 102
+    x, asked = _recording(Q(1, 3))
+    cr.sqrt_c(x).approx(100)
+    assert asked == [202]
+
+
 def test_sqrt_rejects_negative_witness():
     with pytest.raises(ValueError):
         cr.sqrt_c(cr.from_rational(1), lower_witness=Q(-1))
+
+
+def test_approximation_sizes_follow_precision():
+    # about k fractional bits, not the 10**5-bit rationals of exact series sums
+    # and squarings
+    k = 200
+    values = (
+        cr.exp_c(cr.from_rational(Q(193, 3))).approx(k),
+        cr.log_c(cr.from_rational(Q(733749, 34)), Q(733749, 68)).approx(k),
+    )
+    for v in values:
+        assert v.numerator.bit_length() <= k + 100
+        assert v.denominator.bit_length() <= k + 100
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.fractions(max_denominator=2**40), st.fractions(max_denominator=2**40), st.integers(0, 300))
+def test_mul_rounds_within_contract(x, y, k):
+    a = cr.mul(cr.from_rational(x), cr.from_rational(y)).approx(k)
+    assert abs(a - x * y) <= Q(1, 2**k)
+    assert a == x * y or (1 << (k + 1)) % a.denominator == 0
 
 
 def test_exp_examples():
@@ -170,8 +211,7 @@ def test_exp_log_self_consistency():
 
 # --- against mpmath at 300 digits ----------------------------------------------------
 
-# name -> (arguments, with |x| <= 32 to keep exp's squarings cheap; computable
-# value at a rational; mpmath reference)
+# name -> (arguments; computable value at a rational; mpmath reference)
 _ELEMENTARY = {
     "sqrt": (
         st.fractions(0, 32, max_denominator=1024),
@@ -179,7 +219,7 @@ _ELEMENTARY = {
         mpmath.sqrt,
     ),
     "exp": (
-        st.fractions(-32, 32, max_denominator=1024),
+        st.fractions(-64, 64, max_denominator=1024),
         lambda q: cr.exp_c(cr.from_rational(q)),
         mpmath.exp,
     ),
