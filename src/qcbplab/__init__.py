@@ -7,15 +7,3 @@ in exact arithmetic.
 """
 
 __version__ = "0.1.0"
-
-from qcbplab.rationals import Q, ComplexQ, RationalVector, RationalMatrix
-from qcbplab.qcbp import Instance
-
-__all__ = [
-    "__version__",
-    "Q",
-    "ComplexQ",
-    "RationalVector",
-    "RationalMatrix",
-    "Instance",
-]

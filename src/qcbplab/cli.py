@@ -243,7 +243,6 @@ def cmd_halting(args: argparse.Namespace) -> int:
     machine = _load_machine(args.machine)
     p = _family_params(args)
     cert = families.separation_certificate(p)
-    halting.at_budget_distance_sq.cache_clear()  # one computation per run, none carried over
     header = [
         "n",
         "q",
@@ -253,20 +252,20 @@ def cmd_halting(args: argparse.Namespace) -> int:
         "distance_at_budget",
         "threshold_sq",
     ]
+    threshold_sq = fmt_rational(cert.threshold_sq())
+    at_budget = None  # shared by every not-halted row; computed for the first one
     rows = []
     for n in range(args.n_max + 1):
         d = halting.decide_membership(machine, n, args.j_budget, args.precision_budget, p, cert)
-        rows.append(
-            [
-                str(n),
-                str(d.steps_to_accept) if d.steps_to_accept is not None else "-",
-                d.status,
-                fmt_rational(d.distance_sq) if d.distance_sq is not None else "-",
-                repr(float(dyadic_sqrt_lower(d.distance_sq, 30))) if d.distance_sq is not None else "-",
-                repr(float(d.distance_sq_at_budget) ** 0.5),
-                fmt_rational(d.threshold_sq),
-            ]
-        )
+        if d.status == halting.IN:
+            d_sq = d.distance_sq
+            q = str(d.steps_to_accept)
+            exact = [fmt_rational(d_sq), repr(float(dyadic_sqrt_lower(d_sq, 30))), repr(float(d_sq) ** 0.5)]
+        else:
+            if at_budget is None:
+                at_budget = repr(float(halting.at_budget_distance_sq(args.j_budget, p)) ** 0.5)
+            q, exact = "-", ["-", "-", at_budget]
+        rows.append([str(n), q, d.status, *exact, threshold_sq])
     rules = sorted(machine.transitions.items())
     _emit_csv(header, rows, args, repr((machine.initial, machine.accepting, rules)))
     return EXIT_OK
@@ -487,7 +486,8 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
     for key, value in overrides.items():
         flag = "--" + key.replace("_", "-")
         if flag not in switches:
-            injected += [flag, value]
+            # one token, so a value such as -1/2 is not read as a flag
+            injected.append(f"{flag}={value}")
         elif value.lower() in ("1", "true"):
             injected.append(flag)
         elif value.lower() not in ("0", "false"):

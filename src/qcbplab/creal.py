@@ -21,9 +21,10 @@ witness is only semi-decidable, so demanding it keeps every operation total.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import isqrt
 from typing import Callable
 
-from qcbplab.rationals import ceil_log2, dyadic_sqrt_lower
+from qcbplab.rationals import ceil_log2
 
 LT, GT = -1, 1
 UNDECIDED = None
@@ -168,8 +169,9 @@ def sqrt_c(x: CReal, lower_witness: Q = Q(0)) -> CReal:
     """Square root; the witness asserts x >= lower_witness >= 0.
 
     The approximation at k clamps the input at 0 (sound since x >= 0) and
-    splits the budget: the input error costs at most 2**-(k+1), and an
-    integer-sqrt evaluation of the rational root adds at most 2**-(k+1).
+    splits the budget: the input error costs at most 2**-(k+1), and rounding
+    the root of the approximation down to a multiple of 2**-(k+1) adds less
+    than 2**-(k+1).
     A positive witness w lowers the input precision from 2k+2 to about
     k + 1 + log2(1/w)/2.
     """
@@ -185,7 +187,8 @@ def sqrt_c(x: CReal, lower_witness: Q = Q(0)) -> CReal:
         if half_log is not None:
             s = max(0, min(s, k + 1 + half_log))
         xa = max(x.approx(s), Q(0))
-        return dyadic_sqrt_lower(xa, k + 1)
+        # isqrt(floor(y)) = floor(sqrt(y)), so this is floor(sqrt(xa) 2**(k+1)) / 2**(k+1)
+        return Q(isqrt((xa.numerator << (2 * k + 2)) // xa.denominator), 1 << (k + 1))
 
     return CReal(program, label=f"sqrt({x.label})")
 
@@ -273,7 +276,7 @@ def log_c(x: CReal, lower_witness: Q) -> CReal:
     u = scale_pow2(x, -t)
     u_lo = lo * _pow2(-t)  # positive rational lower bound on u; u in [2/3, 8/3]
     z = div(sub(u, from_rational(1)), add(u, from_rational(1)), u_lo + 1)
-    out = add(scale(_atanh_small(z), Q(2)), scale(LOG2, Q(t)) if t else from_rational(0))
+    out = add(scale(_atanh_small(z), Q(2)), scale(LOG2, Q(t)))
     out.label = f"log({x.label})"
     return out
 

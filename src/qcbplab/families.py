@@ -147,19 +147,17 @@ class SeparationCertificate:
         return (self.bound / 4) ** 2
 
 
-def _largest_dyadic_below_sqrt(value_sq: Q, q: int = 20) -> Q:
-    """Largest p/2**q with (p/2**q)**2 < value_sq, by exact integer sqrt."""
+def _largest_dyadic_below_sqrt(value_sq: Q) -> Q:
+    """Largest p/2**20 with (p/2**20)**2 < value_sq, by exact integer sqrt."""
     if value_sq <= 0:
         raise ValueError("need a positive squared value")
-    target = value_sq * 4**q
-    p = isqrt(target.numerator // target.denominator)
-    while Q(p * p) >= target:
+    target = value_sq * 4**20
+    p = isqrt(target.numerator // target.denominator)  # floor(sqrt(target))
+    if p * p == target:  # only an exact square reaches it; the bound is strict
         p -= 1
-    while Q((p + 1) * (p + 1)) < target:
-        p += 1
     if p <= 0:
         raise ValueError("no positive dyadic below the separation at this precision")
-    return Q(p, 2**q)
+    return Q(p, 2**20)
 
 
 def separation_certificate(p: FamilyParams, _n_max=None) -> SeparationCertificate:
@@ -201,7 +199,6 @@ class ReportRow:
 class DiscontinuityReport:
     """Per-n table: inputs collapsing at 2**-n, outputs separated above bound."""
 
-    params: FamilyParams
     certificate: SeparationCertificate
     rows: list[ReportRow]
 
@@ -238,4 +235,4 @@ def discontinuity_report(
                 solver_dist=solver_dist,
             )
         )
-    return DiscontinuityReport(params=p, certificate=cert, rows=rows)
+    return DiscontinuityReport(certificate=cert, rows=rows)

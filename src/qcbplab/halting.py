@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
 from importlib import resources
 
 from qcbplab import creal, families
@@ -62,7 +61,6 @@ class BoundedMachine:
     transitions: dict[tuple[str, str], tuple[str, str, str]]
     initial: str
     accepting: str
-    name: str = ""
 
     def __post_init__(self):
         states = {s for s, _ in self.transitions} | {
@@ -183,25 +181,23 @@ def _distance_sq(r: int, p: families.FamilyParams) -> Q:
     return l2_norm_sq(select_embedded(_encoded_member(r, p)) - families.limit_solution(p))
 
 
-@lru_cache(maxsize=1)
 def at_budget_distance_sq(budget: int, p: families.FamilyParams) -> Q:
-    """The squared distance every not-halted row at this budget reports.
+    """The squared distance of the member every not-halted input encodes.
 
-    Each such row encodes the same member, index budget + 1, whose entries
-    carry about budget bits, so one run over many inputs computes it once.
-    The ``halting`` command clears the cache as it starts, so no run reuses
-    another run's value.
+    All not-halted inputs at one budget encode the same member, index
+    budget + 1, whose entries carry about budget bits; the run that reports
+    them computes this once, for the first such row.
     """
     return _distance_sq(budget, p)
 
 
 @dataclass
 class Decision:
+    """Per-input facts; the run reports the threshold and at-budget distance."""
+
     status: str
     steps_to_accept: int | None
     distance_sq: Q | None
-    distance_sq_at_budget: Q
-    threshold_sq: Q
     mirror_precision: int | None
     mirror_agrees: bool | None
 
@@ -221,32 +217,24 @@ def decide_membership(
     bound/4 threshold away from the limit's solution (compared on squares by
     rational arithmetic, and mirrored through a computable-real square root
     evaluated at the proof-grade precision when it fits the precision
-    budget).  NOT_HALTED_AT_BUDGET is exactly what it says; the reported
-    at-budget distance demonstrates that the solution values alone cannot
-    settle membership, since they stay above threshold whether or not the
-    machine will ever accept.
+    budget).  NOT_HALTED_AT_BUDGET is exactly what it says and carries no
+    distance: the run reports :func:`at_budget_distance_sq` for it, which
+    demonstrates that the solution values alone cannot settle membership,
+    since they stay above threshold whether or not the machine will ever
+    accept.
     """
     if cert.params != p:
         raise ValueError("certificate was issued for different family parameters")
     if precision_budget < 0:
         raise ValueError("precision budget must be nonnegative")
-    threshold_sq = cert.threshold_sq()
 
     outcome = run_bounded(machine, n, budget)
     if not outcome.accepted:
-        return Decision(
-            status=NOT_HALTED_AT_BUDGET,
-            steps_to_accept=None,
-            distance_sq=None,
-            distance_sq_at_budget=at_budget_distance_sq(budget, p),
-            threshold_sq=threshold_sq,
-            mirror_precision=None,
-            mirror_agrees=None,
-        )
+        return Decision(NOT_HALTED_AT_BUDGET, None, None, None, None)
 
     # stabilized: the encoded instance is exactly the fixed family member
     d_sq = _distance_sq(outcome.steps_to_accept, p)
-    if d_sq <= threshold_sq:
+    if d_sq <= cert.threshold_sq():
         raise families.CertificateError("separation certificate violated at decision time")
 
     # computable-real mirror: approximate the distance itself to within
@@ -265,8 +253,6 @@ def decide_membership(
         status=IN,
         steps_to_accept=outcome.steps_to_accept,
         distance_sq=d_sq,
-        distance_sq_at_budget=d_sq,
-        threshold_sq=threshold_sq,
         mirror_precision=mirror_precision,
         mirror_agrees=mirror_agrees,
     )
@@ -279,20 +265,18 @@ def decide_membership(
 #               <state> <symbol> -> <state'> <symbol'> <move>
 # Symbols are 0, 1 or _ (blank); moves are L, R or S.  '#' starts a comment.
 
-def parse_machine(text: str, name: str = "") -> BoundedMachine:
-    initial = None
-    accepting = None
+def parse_machine(text: str) -> BoundedMachine:
+    heads: dict[str, str] = {}  # "init" and "accept" -> state
     transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "init" and len(parts) == 2:
-            initial = parts[1]
-            continue
-        if parts[0] == "accept" and len(parts) == 2:
-            accepting = parts[1]
+        if parts[0] in ("init", "accept") and len(parts) == 2:
+            if parts[0] in heads:
+                raise MachineFormatError(f"line {lineno}: second {parts[0]!r} line")
+            heads[parts[0]] = parts[1]
             continue
         if len(parts) == 6 and parts[2] == "->":
             state, sym, _, nstate, nsym, move = parts
@@ -301,16 +285,16 @@ def parse_machine(text: str, name: str = "") -> BoundedMachine:
             transitions[(state, sym)] = (nstate, nsym, move)
             continue
         raise MachineFormatError(f"line {lineno}: cannot parse {raw!r}")
-    if initial is None or accepting is None:
+    if len(heads) < 2:
         raise MachineFormatError("machine needs 'init' and 'accept' lines")
-    return BoundedMachine(transitions=transitions, initial=initial, accepting=accepting, name=name)
+    return BoundedMachine(transitions=transitions, initial=heads["init"], accepting=heads["accept"])
 
 
 def load_machine_file(path: str) -> BoundedMachine:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_machine(fh.read(), name=path)
+        return parse_machine(fh.read())
 
 
 def load_builtin(name: str) -> BoundedMachine:
     ref = resources.files("qcbplab").joinpath(f"machines/{name}.tm")
-    return parse_machine(ref.read_text(encoding="ascii"), name=f"builtin:{name}")
+    return parse_machine(ref.read_text(encoding="ascii"))

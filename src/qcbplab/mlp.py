@@ -322,21 +322,31 @@ def lipschitz_upper_bound(net: MLP) -> float:
     """
     total = 1.0
     for w in net.weights:
-        wt = w.T
-        v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])
-        for _ in range(_POWER_ITERS):
-            u = w.dot(v)
-            nu = _norm(u)
-            if nu == 0:
-                break
-            v = wt.dot(u)
-            v /= nu
-            nv = _norm(v)
-            if nv == 0:
-                break
-            v /= nv
-        total *= _norm(w.dot(v))
+        total *= _layer_norm_estimate(w)
     return float(total * _INFLATE**len(net.weights))
+
+
+def _layer_norm_estimate(w: np.ndarray) -> float:
+    """Power-iteration estimate of the spectral norm of ``w``.
+
+    An iterate that hits zero (the start vector in the null space, say)
+    says nothing about the norm; the Frobenius norm, which bounds it from
+    above, stands in for it then.
+    """
+    wt = w.T
+    v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])
+    for _ in range(_POWER_ITERS):
+        u = w.dot(v)
+        nu = _norm(u)
+        if nu == 0:
+            return _norm(w.ravel())
+        v = wt.dot(u)
+        v /= nu
+        nv = _norm(v)
+        if nv == 0:
+            return _norm(w.ravel())
+        v /= nv
+    return _norm(w.dot(v))
 
 
 def _norm(d: np.ndarray) -> float:
@@ -451,7 +461,6 @@ class InstabilityRow:
 
 @dataclass
 class InstabilityReport:
-    params: families.FamilyParams
     certificate: families.SeparationCertificate
     lipschitz_bound: float
     rows: list[InstabilityRow]
@@ -501,7 +510,7 @@ def instability_eval(
                 n=n, gap=gap, err_1=e1, err_2=e2, lip_slack=slack, bound_lhs=e1 + e2 + slack
             )
         )
-    return InstabilityReport(params=p, certificate=cert, lipschitz_bound=lip, rows=rows)
+    return InstabilityReport(certificate=cert, lipschitz_bound=lip, rows=rows)
 
 
 @functools.lru_cache(maxsize=8)

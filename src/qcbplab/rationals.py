@@ -42,7 +42,11 @@ def ceil_log2(q: Q) -> int:
 
 
 def dyadic_sqrt_lower(q: Q, prec: int) -> Q:
-    """Dyadic d with d <= sqrt(q) and sqrt(q) - d <= 2**-prec (q >= 0)."""
+    """Rational d with d <= sqrt(q) and sqrt(q) - d <= 2**-prec (q >= 0).
+
+    For q = num/den in lowest terms, d = isqrt(num den 4**prec) / (den 2**prec):
+    it has denominator den * 2**prec, so it is not dyadic in general.
+    """
     if q < 0:
         raise ValueError("square root of a negative rational")
     if q == 0:

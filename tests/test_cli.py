@@ -162,6 +162,22 @@ def test_halting_builds_the_at_budget_member_once(monkeypatch, capsys):
         assert built.count((2, 1001)) == runs
 
 
+def test_halting_all_in_run_builds_no_at_budget_member(monkeypatch, capsys):
+    # input 0 is accepted, so no row needs the member at index budget + 1
+    real = families.perturbed_instance
+    built = []
+
+    def counting(which, n, p):
+        built.append((which, n))
+        return real(which, n, p)
+
+    monkeypatch.setattr(families, "perturbed_instance", counting)
+    argv = ["halting", "--machine", "builtin:even", "--n-max", "0", "--j-budget", "1000"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and "NOT_HALTED_AT_BUDGET" not in out
+    assert (2, 1001) not in built
+
+
 def test_halting_missing_machine_exit_2(capsys):
     code, _, err = run(["halting", "--machine", "/no/such/file.tm"], capsys)
     assert code == 2
@@ -187,6 +203,15 @@ def test_halting_machine_parse_error(tmp_path, capsys):
     code, _, err = run(["halting", "--machine", str(bad)], capsys)
     assert code == 2
     assert "line 3" in json.loads(err)["error"]
+
+
+def test_halting_machine_second_init_line_exit_2(tmp_path, capsys):
+    machine = tmp_path / "m.tm"
+    rules = "".join(f"a {s} -> a {s} R\n" for s in ("0", "1", "_"))
+    machine.write_text(f"init a\naccept z\n{rules}init b\n")
+    code, out, err = run(["halting", "--machine", str(machine)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "line 6: second 'init' line"
 
 
 def test_gen_data_roundtrip(tmp_path, capsys):
@@ -457,6 +482,14 @@ def test_config_equals_form_in_both_positions(tmp_path, capsys):
         code, out, _ = run(argv, capsys)
         assert code == 0, argv
         assert out == expected, argv
+
+
+def test_config_values_may_start_with_a_minus(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("A = -1,2\ny = -1/2\n")
+    expected = run(["solve", "--A=-1,2", "--y=-1/2"], capsys)
+    assert expected[0] == 0
+    assert run(["solve", "--config", str(cfg)], capsys) == expected
 
 
 def test_config_file_sets_on_off_flag(tmp_path, capsys):
@@ -755,6 +788,21 @@ def test_subcommand_loads_only_the_layers_it_runs(argv, absent, present):
     assert (code, proc.stderr) == (0, "")
     assert not absent & set(loaded)
     assert present <= set(loaded)
+
+
+def test_package_and_exact_layers_load_no_solver():
+    probe = (
+        "import sys, qcbplab, qcbplab.rationals, qcbplab.creal\n"
+        "print('numpy' in sys.modules, 'qcbplab.qcbp' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert (proc.stdout, proc.stderr) == ("False False\n", "")
 
 
 def test_main_calls_in_one_process_share_one_parser(tmp_path, capsys):

@@ -147,6 +147,19 @@ def test_sqrt_witness_lowers_input_precision():
     assert asked == [202]
 
 
+@pytest.mark.parametrize(
+    "x",
+    [cr.from_rational(Q(2**200 + 1, 3**120)), cr.exp_c(cr.from_rational(Q(1, 3)))],
+    ids=["long-rational", "exp"],
+)
+def test_sqrt_rounds_to_k_plus_one_fractional_bits(x):
+    # the input approximation's denominator does not reach the root's
+    a = cr.sqrt_c(x).approx(40)
+    den = a.denominator
+    assert den & (den - 1) == 0 and den <= 2**41
+    assert a >= 0 and abs(a * a - x.approx(200)) <= Q(1, 2**38) * (2 * a + 1)
+
+
 def test_sqrt_rejects_negative_witness():
     with pytest.raises(ValueError):
         cr.sqrt_c(cr.from_rational(1), lower_witness=Q(-1))

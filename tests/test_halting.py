@@ -47,7 +47,7 @@ class CountingRules(dict):
 
 def _counting(machine: ht.BoundedMachine) -> ht.BoundedMachine:
     rules = CountingRules(machine.transitions)
-    return ht.BoundedMachine(rules, machine.initial, machine.accepting, machine.name)
+    return ht.BoundedMachine(rules, machine.initial, machine.accepting)
 
 
 SHIFT = {"L": -1, "R": 1, "S": 0}
@@ -206,7 +206,7 @@ def test_in_distance_exceeds_threshold():
     for n in (0, 2, 4, 10):
         d = ht.decide_membership(EVEN, n, 10**4, 64, P, CERT)
         assert d.status == ht.IN
-        assert d.distance_sq > d.threshold_sq
+        assert d.distance_sq > CERT.threshold_sq()
         assert d.mirror_agrees is True
         assert Q(1, 2**d.mirror_precision) < CERT.bound / 6
 
@@ -238,7 +238,8 @@ def test_output_values_cannot_decide_membership():
     threshold = CERT.threshold_sq()
     for n in (2, 3):  # one accepted, one not
         d = ht.decide_membership(EVEN, n, 10**3, 64, P, CERT)
-        assert d.distance_sq_at_budget > threshold
+        at_budget = d.distance_sq if d.status == ht.IN else ht.at_budget_distance_sq(10**3, P)
+        assert at_budget > threshold
     # family 1 selections collapse onto the limit selection
     gap_1 = [
         l2_norm_sq(qcbp.select(qcbp.exact_solution_set(fam.perturbed_instance(1, n, P))) - star)
@@ -310,6 +311,13 @@ def test_parse_errors_carry_line_numbers():
         ht.parse_machine("init a\naccept z\na 1 -> a 1 R\na 1 -> a 0 L\n")
     with pytest.raises(ht.MachineFormatError, match="init"):
         ht.parse_machine("accept z\n")
+
+
+@pytest.mark.parametrize("head", ["init", "accept"])
+def test_parse_rejects_a_second_head_line(head):
+    rules = "".join(f"a {s} -> a {s} R\n" for s in ("0", "1", "_"))
+    with pytest.raises(ht.MachineFormatError, match=f"line 3: second '{head}' line"):
+        ht.parse_machine(f"init a\naccept z\n{head} b\n{rules}")
 
 
 def test_machine_validation():

@@ -168,6 +168,19 @@ def test_lipschitz_bound_dominates_samples():
         assert lhs <= lip * np.linalg.norm(u - v) + 1e-9
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [[[[1.0, -1.0]]], [[[1.0, -1.0], [2.0, -2.0]], [[1.0, 0.0], [0.0, 1.0]]]],
+    ids=["one-layer", "two-layer"],
+)
+def test_lipschitz_bound_when_power_iteration_starts_in_a_null_space(weights):
+    # the all-ones start vector is in the first layer's null space
+    ws = [np.array(w) for w in weights]
+    net = mlp.MLP(ws, [np.zeros(w.shape[0]) for w in ws])
+    spectral = math.prod(np.linalg.norm(w, 2) for w in ws)
+    assert mlp.lipschitz_upper_bound(net) >= spectral
+
+
 def test_instability_bound_untrained_net():
     cert = fam.separation_certificate(P)
     net = mlp.init_mlp((6, 64, 64, 4), seed=3)

@@ -7,7 +7,7 @@ def machine_never() -> BoundedMachine:
     """Accepts nothing: walks right forever on every input."""
     t = {("go", sym): ("go", sym, "R") for sym in SYMBOLS}
     # accepting state present but unreachable
-    return BoundedMachine(transitions=t, initial="go", accepting="yes", name="never")
+    return BoundedMachine(transitions=t, initial="go", accepting="yes")
 
 
 def machine_delay(delay: int) -> BoundedMachine:
@@ -24,9 +24,7 @@ def machine_delay(delay: int) -> BoundedMachine:
             t[(f"w{i}", sym)] = (f"w{i + 1}", sym, "R")
     for sym in SYMBOLS:
         t[(f"w{delay}", sym)] = ("yes", sym, "S")
-    return BoundedMachine(
-        transitions=t, initial="w0", accepting="yes", name=f"delay{delay}"
-    )
+    return BoundedMachine(transitions=t, initial="w0", accepting="yes")
 
 
 def machine_threshold(limit: int) -> BoundedMachine:
@@ -44,6 +42,4 @@ def machine_threshold(limit: int) -> BoundedMachine:
         t[(f"c{i}", BLANK)] = ("yes", BLANK, "S")
     for sym in SYMBOLS:
         t[("loop", sym)] = ("loop", sym, "R")
-    return BoundedMachine(
-        transitions=t, initial="c0", accepting="yes", name=f"threshold{limit}"
-    )
+    return BoundedMachine(transitions=t, initial="c0", accepting="yes")
