@@ -155,7 +155,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         {
             "active": [j + 1 for j in simplex.active],
             "scale": fmt_rational(simplex.scale),
-            "coeff": [fmt_rational(c) for c in simplex.inv_coeff],
+            "coeff": [fmt_rational(simplex.inv_max)] * len(simplex.active),
             "l1": fmt_rational(simplex.l1_value()),
             "x": [fmt_rational(e.re) for e in selected.entries],
         },
@@ -171,9 +171,12 @@ def _load_instance(args: argparse.Namespace) -> qcbp.Instance:
         try:
             with open(args.instance, "r", encoding="ascii") as fh:
                 return qcbp.Instance.from_json(json.load(fh))
-        except (OSError, KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+        except (
+            OSError, KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, RecursionError
+        ) as exc:
             # a file of the wrong shape (missing key, list at top level,
-            # unparsable rational) is an input error, not a crash
+            # unparsable rational, nesting too deep to parse) is an input
+            # error, not a crash
             raise InputError(
                 f"bad instance file {args.instance}: {type(exc).__name__}: {exc}"
             ) from None
@@ -263,7 +266,7 @@ def cmd_halting(args: argparse.Namespace) -> int:
             exact = [fmt_rational(d_sq), repr(float(dyadic_sqrt_lower(d_sq, 30))), repr(float(d_sq) ** 0.5)]
         else:
             if at_budget is None:
-                at_budget = repr(float(halting.at_budget_distance_sq(args.j_budget, p)) ** 0.5)
+                at_budget = repr(float(halting.encoded_distance_sq(args.j_budget, p)) ** 0.5)
             q, exact = "-", ["-", "-", at_budget]
         rows.append([str(n), q, d.status, *exact, threshold_sq])
     rules = sorted(machine.transitions.items())
@@ -382,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="closed-form solution set of a single-row instance")
     sp.add_argument("--A", required=True, help="row entries, e.g. 2,1 or 9/8,1")
-    sp.add_argument("--y", default="1", help="measurement (must be 1 for the oracle)")
-    sp.add_argument("--eps", default="0", help="constraint slack in [0,1)")
+    sp.add_argument("--y", default="1", help="measurement, a positive rational")
+    sp.add_argument("--eps", default="0", help="constraint slack in [0,y)")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_oracle)
 

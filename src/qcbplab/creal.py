@@ -47,11 +47,10 @@ class CReal:
     the identical rational.
     """
 
-    __slots__ = ("_program", "label", "_cache")
+    __slots__ = ("_program", "_cache")
 
-    def __init__(self, program: Callable[[int], Q], label: str = ""):
+    def __init__(self, program: Callable[[int], Q]):
         self._program = program
-        self.label = label
         self._cache: dict[int, Q] = {}
 
     def approx(self, k: int) -> Q:
@@ -64,13 +63,13 @@ class CReal:
         return got
 
     def __repr__(self) -> str:  # repr stays cheap: precision 8 peek only
-        return f"CReal({self.label or self.approx(8)}~)"
+        return f"CReal({self.approx(8)}~)"
 
 
-def from_rational(q: Q | int, label: str = "") -> CReal:
+def from_rational(q: Q | int) -> CReal:
     """The constant program: every rational is computable at every precision."""
     qq = Q(q)
-    return CReal(lambda k: qq, label=label or str(qq))
+    return CReal(lambda k: qq)
 
 
 def add(x: CReal, y: CReal) -> CReal:
@@ -190,7 +189,7 @@ def sqrt_c(x: CReal, lower_witness: Q = Q(0)) -> CReal:
         # isqrt(floor(y)) = floor(sqrt(y)), so this is floor(sqrt(xa) 2**(k+1)) / 2**(k+1)
         return Q(isqrt((xa.numerator << (2 * k + 2)) // xa.denominator), 1 << (k + 1))
 
-    return CReal(program, label=f"sqrt({x.label})")
+    return CReal(program)
 
 
 def _exp_small(u: CReal) -> CReal:
@@ -224,7 +223,6 @@ def exp_c(x: CReal) -> CReal:
     result = _exp_small(scale_pow2(x, -shifts))
     for _ in range(shifts):
         result = mul(result, result)
-    result.label = f"exp({x.label})"
     return result
 
 
@@ -253,7 +251,6 @@ def _atanh_small(z: CReal) -> CReal:
 
 
 LOG2 = scale(_atanh_small(from_rational(Q(1, 3))), Q(2))
-LOG2.label = "log(2)"
 
 
 def log_c(x: CReal, lower_witness: Q) -> CReal:
@@ -276,9 +273,7 @@ def log_c(x: CReal, lower_witness: Q) -> CReal:
     u = scale_pow2(x, -t)
     u_lo = lo * _pow2(-t)  # positive rational lower bound on u; u in [2/3, 8/3]
     z = div(sub(u, from_rational(1)), add(u, from_rational(1)), u_lo + 1)
-    out = add(scale(_atanh_small(z), Q(2)), scale(LOG2, Q(t)))
-    out.label = f"log({x.label})"
-    return out
+    return add(scale(_atanh_small(z), Q(2)), scale(LOG2, Q(t)))
 
 
 def elementary(x: CReal, which: str, domain_witness: Q | None = None) -> CReal:
@@ -325,6 +320,6 @@ def effective_limit(
     """
 
     def limit(n: int) -> CReal:
-        return CReal(lambda m: Q(xs(n, modulus(n, m))), label=f"lim k x[{n},k]")
+        return CReal(lambda m: Q(xs(n, modulus(n, m))))
 
     return limit

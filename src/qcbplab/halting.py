@@ -120,14 +120,14 @@ def run_bounded(machine: BoundedMachine, n: int, budget: int) -> RunOutcome:
     head = 0
     hi = n - 1  # rightmost cell the input or the head has touched
     state = machine.initial
-    fresh_at: dict[str, int] = {}  # state -> position of its live fresh visit
-    fresh_stack: list[tuple[int, str]] = []  # the same records, positions increasing
+    fresh: set[str] = set()  # states of the live fresh visits
+    fresh_stack: list[tuple[int, str]] = []  # their (position, state), positions increasing
     for step in range(1, budget + 1):
         if head > hi:
             hi = head
-            if state in fresh_at:
+            if state in fresh:
                 break
-            fresh_at[state] = head
+            fresh.add(state)
             fresh_stack.append((head, state))
         sym = tape.get(head, BLANK)
         state, write, move = machine.transitions[(state, sym)]
@@ -135,7 +135,7 @@ def run_bounded(machine: BoundedMachine, n: int, budget: int) -> RunOutcome:
         if move == "L":
             head -= 1
             while fresh_stack and fresh_stack[-1][0] > head:
-                del fresh_at[fresh_stack.pop()[1]]
+                fresh.remove(fresh_stack.pop()[1])
         elif move == "R":
             head += 1
         if state == machine.accepting:
@@ -176,19 +176,15 @@ def _encoded_member(r: int, p: families.FamilyParams) -> Instance:
     return families.perturbed_instance(2, r + TAIL_OFFSET, p)
 
 
-def _distance_sq(r: int, p: families.FamilyParams) -> Q:
-    """Squared distance of the encoded member for r to the limit's solution."""
-    return l2_norm_sq(select_embedded(_encoded_member(r, p)) - families.limit_solution(p))
+def encoded_distance_sq(r: int, p: families.FamilyParams) -> Q:
+    """Squared distance of the encoded member for r to the limit's solution.
 
-
-def at_budget_distance_sq(budget: int, p: families.FamilyParams) -> Q:
-    """The squared distance of the member every not-halted input encodes.
-
-    All not-halted inputs at one budget encode the same member, index
-    budget + 1, whose entries carry about budget bits; the run that reports
-    them computes this once, for the first such row.
+    r is the capped accept step count: q_n for an accepted input, the budget
+    for every not-halted one.  All not-halted inputs at one budget encode the
+    same member, index budget + 1, whose entries carry about budget bits; a
+    run that reports them computes its distance once, for the first such row.
     """
-    return _distance_sq(budget, p)
+    return l2_norm_sq(select_embedded(_encoded_member(r, p)) - families.limit_solution(p))
 
 
 @dataclass
@@ -218,10 +214,10 @@ def decide_membership(
     rational arithmetic, and mirrored through a computable-real square root
     evaluated at the proof-grade precision when it fits the precision
     budget).  NOT_HALTED_AT_BUDGET is exactly what it says and carries no
-    distance: the run reports :func:`at_budget_distance_sq` for it, which
-    demonstrates that the solution values alone cannot settle membership,
-    since they stay above threshold whether or not the machine will ever
-    accept.
+    distance: the run reports :func:`encoded_distance_sq` at the budget for
+    it, which demonstrates that the solution values alone cannot settle
+    membership, since they stay above threshold whether or not the machine
+    will ever accept.
     """
     if cert.params != p:
         raise ValueError("certificate was issued for different family parameters")
@@ -233,7 +229,7 @@ def decide_membership(
         return Decision(NOT_HALTED_AT_BUDGET, None, None, None, None)
 
     # stabilized: the encoded instance is exactly the fixed family member
-    d_sq = _distance_sq(outcome.steps_to_accept, p)
+    d_sq = encoded_distance_sq(outcome.steps_to_accept, p)
     if d_sq <= cert.threshold_sq():
         raise families.CertificateError("separation certificate violated at decision time")
 
@@ -296,5 +292,8 @@ def load_machine_file(path: str) -> BoundedMachine:
 
 
 def load_builtin(name: str) -> BoundedMachine:
-    ref = resources.files("qcbplab").joinpath(f"machines/{name}.tm")
-    return parse_machine(ref.read_text(encoding="ascii"))
+    """The bundled machine ``machines/<name>.tm``; no other file is a builtin."""
+    for ref in resources.files("qcbplab").joinpath("machines").iterdir():
+        if ref.name == f"{name}.tm":
+            return parse_machine(ref.read_text(encoding="ascii"))
+    raise FileNotFoundError(f"no bundled machine {name!r}")

@@ -374,22 +374,6 @@ class TrainingSet:
     skipped: list[str] = field(default_factory=list)
 
 
-def _noisy_single_row_solution(inst: qcbp.Instance, noise: Q) -> RationalVector:
-    """Exact selected solution of the single-row instance with y = 1 + noise.
-
-    For scalar y' > 0 the problem rescales exactly: x solves (A, y', eps) iff
-    x / y' solves (A, 1, eps / y'), so the oracle applies after scaling as
-    long as eps < y'.
-    """
-    y_new = 1 + noise
-    if y_new <= 0:
-        raise qcbp.OracleDomainError("noise drove the measurement nonpositive")
-    if inst.eps >= y_new:
-        raise qcbp.OracleDomainError("noise drove eps/y out of [0,1)")
-    scaled = qcbp.Instance(A=inst.A, y=inst.y, eps=inst.eps / y_new)
-    return qcbp.select(qcbp.exact_solution_set(scaled)).scale(y_new)
-
-
 def gen_training_set(
     p: families.FamilyParams,
     n_lo: int,
@@ -417,20 +401,15 @@ def gen_training_set(
             noise = Q(0)
             if noise_bound > 0:
                 noise = noise_bound * Q(rng.randint(-1024, 1024), 1024)
-            try:
-                if noise == 0:
-                    target = qcbp.select(qcbp.exact_solution_set(inst))
-                    noisy_inst = inst
-                else:
-                    target = _noisy_single_row_solution(inst, noise)
-                    noisy_inst = qcbp.Instance(
-                        A=inst.A,
-                        y=RationalVector.from_items([1 + noise]),
-                        eps=inst.eps,
-                    )
-            except qcbp.OracleDomainError as exc:
-                skipped.append(f"family {which}, n={n}: {exc}")
+            y = 1 + noise
+            if y <= 0:
+                skipped.append(f"family {which}, n={n}: noise drove the measurement nonpositive")
                 continue
+            if inst.eps >= y:
+                skipped.append(f"family {which}, n={n}: noise drove eps/y out of [0,1)")
+                continue
+            noisy_inst = qcbp.Instance(A=inst.A, y=RationalVector.from_items([y]), eps=inst.eps)
+            target = qcbp.select(qcbp.exact_solution_set(noisy_inst))
             inputs.append(realify_instance(noisy_inst))
             targets.append(realify_vector(target))
             records.append(

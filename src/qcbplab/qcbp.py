@@ -4,8 +4,8 @@ The problem is min ||x||_1 subject to ||Ax - y||_2 <= eps for A with more
 columns than rows.  Three solution paths live here:
 
 * a closed-form exact solution set for single-row instances with positive real
-  row, unit measurement and eps in [0,1) -- the oracle everything else is
-  checked against;
+  row, positive real measurement y and eps in [0,y) -- the oracle everything
+  else is checked against;
 * a generic float primal-dual solver whose results are re-certified a
   posteriori in exact rational arithmetic (residual bound, duality sandwich);
 * a brute-force dyadic grid search, deliberately independent of both, used to
@@ -124,48 +124,48 @@ class Instance:
 class SolutionSimplex:
     """Closed-form solution set of a single-row instance.
 
-    Every solution is sum_j t_j * scale * inv_coeff_j * e_j over the active
+    Every solution is sum_j t_j * scale * inv_max * e_j over the active
     indices, with barycentric weights t (t_j in [0,1], sum 1).  ``active``
-    holds 0-based indices of the maximal row entries, ``inv_coeff`` their
-    exact reciprocals, ``scale`` equals 1 - eps.
+    holds 0-based indices of the maximal row entries, ``inv_max`` the exact
+    reciprocal of that maximum, ``scale`` equals y - eps.
     """
 
     dimension: int
     scale: Q
     active: tuple[int, ...]
-    inv_coeff: tuple[Q, ...]
+    inv_max: Q
 
     def __post_init__(self):
         if not self.active:
             raise ValueError("active set must be nonempty")
-        if any(c <= 0 for c in self.inv_coeff):
-            raise ValueError("inverse coefficients must be positive")
+        if self.inv_max <= 0:
+            raise ValueError("inverse coefficient must be positive")
 
     def vertex(self, which: int) -> RationalVector:
         """The solution with full weight on active[which]."""
-        j = self.active[which]
         entries = [CZERO] * self.dimension
-        entries[j] = ComplexQ(self.scale * self.inv_coeff[which], Q(0))
+        entries[self.active[which]] = ComplexQ(self.l1_value(), Q(0))
         return RationalVector(tuple(entries))
 
     def l1_value(self) -> Q:
         """Shared exact l1 norm of every point of the simplex."""
-        return self.scale * self.inv_coeff[0]
+        return self.scale * self.inv_max
 
 
 def exact_solution_set(inst: Instance) -> SolutionSimplex:
-    """Closed-form solution set for m=1, y=1, positive real row, eps in [0,1).
+    """Closed-form solution set for m=1, real y > 0, positive real row, eps in [0,y).
 
     Active indices are the maximizers of the row; each contributes the vertex
-    (1-eps)/a_j * e_j, and the set is their convex hull.  Everything is exact.
+    (y-eps)/a_j * e_j, and the set is their convex hull.  Everything is exact.
     """
     if inst.m != 1:
         raise OracleDomainError(f"oracle requires a single row, got m={inst.m}")
     y0 = inst.y.entries[0]
-    if not (y0.re == 1 and y0.im == 0):
-        raise OracleDomainError("oracle requires y = 1")
-    if not (0 <= inst.eps < 1):
-        raise OracleDomainError(f"oracle requires eps in [0,1), got {inst.eps}")
+    if not (y0.im == 0 and y0.re > 0):
+        raise OracleDomainError("oracle requires a real y > 0")
+    y = y0.re
+    if not (0 <= inst.eps < y):
+        raise OracleDomainError(f"oracle requires eps in [0,{y}), got {inst.eps}")
     row = inst.A.rows[0]
     for j, e in enumerate(row):
         if e.im != 0:
@@ -174,8 +174,7 @@ def exact_solution_set(inst: Instance) -> SolutionSimplex:
             raise OracleDomainError(f"oracle requires positive entries; entry {j} is {e.re}")
     amax = max(e.re for e in row)
     active = tuple(j for j, e in enumerate(row) if e.re == amax)
-    inv = tuple(1 / row[j].re for j in active)
-    return SolutionSimplex(dimension=inst.n, scale=1 - inst.eps, active=active, inv_coeff=inv)
+    return SolutionSimplex(dimension=inst.n, scale=y - inst.eps, active=active, inv_max=1 / amax)
 
 
 def select(simplex: SolutionSimplex) -> RationalVector:

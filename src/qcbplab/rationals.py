@@ -137,9 +137,6 @@ class RationalVector:
         self._check_dim(other)
         return RationalVector(tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def scale(self, q: Q) -> "RationalVector":
-        return RationalVector(tuple(e.scale(q) for e in self.entries))
-
     def _check_dim(self, other: "RationalVector") -> None:
         if self.n != other.n:
             raise ValueError(f"vector length mismatch: {self.n} vs {other.n}")

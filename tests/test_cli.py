@@ -38,6 +38,20 @@ def test_oracle_all_max(capsys):
     assert payload["l1"] == "1/2"
 
 
+def test_oracle_takes_any_positive_y(capsys):
+    code, out, _ = run(["oracle", "--A", "2,1", "--y", "2", "--eps", "1/2"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["scale"], payload["l1"], payload["x"]) == ("3/2", "3/4", ["3/4", "0"])
+    code, _, err = run(["oracle", "--A", "2,1", "--y", "1/2", "--eps", "1/2"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "oracle requires eps in [0,1/2), got 1/2"
+    for y in ("0", "-1"):
+        code, _, err = run(["oracle", "--A", "2,1", f"--y={y}"], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "oracle requires a real y > 0"
+
+
 def test_oracle_bad_eps_exit_2(capsys):
     code, _, err = run(["oracle", "--A", "2,1", "--eps", "3/2"], capsys)
     assert code == 2
@@ -182,6 +196,19 @@ def test_halting_missing_machine_exit_2(capsys):
     code, _, err = run(["halting", "--machine", "/no/such/file.tm"], capsys)
     assert code == 2
     assert "not found" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("escape", [False, True], ids=["sibling", "outside-package"])
+def test_halting_builtin_takes_only_a_bundled_name(tmp_path, capsys, escape):
+    # builtin:NAME is a file directly in the bundled machines directory; a
+    # name that walks out of it is no builtin, even when the file exists
+    name = "../machines/even"
+    if escape:
+        (tmp_path / "evil.tm").write_text((Path(halting.__file__).parent / "machines/even.tm").read_text())
+        name = os.path.relpath(tmp_path / "evil", Path(halting.__file__).parent / "machines")
+    code, out, err = run(["halting", "--machine", f"builtin:{name}", "--n-max", "1"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"no builtin machine named {name!r}"
 
 
 def test_halting_violated_certificate_exit_3(monkeypatch, capsys):
@@ -534,6 +561,16 @@ def test_solve_malformed_instance_file_exit_2(tmp_path, capsys, doc):
     assert str(path) in json.loads(err)["error"]
 
 
+def test_solve_deeply_nested_instance_file_exit_2(tmp_path, capsys):
+    # the JSON parser gives up on deep nesting with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10_000 + "]" * 10_000)
+    code, out, err = run(["solve", "--instance", str(path)], capsys)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and str(path) in json.loads(lines[0])["error"]
+
+
 def test_solve_instance_file(tmp_path, capsys):
     from qcbplab import qcbp
 
@@ -679,6 +716,12 @@ EMBEDDED = ["--a", "5/3", "--eps", "1/4", "--N", "5", "--m", "3"]
         (
             "halting_embedded",
             ["halting", "--machine", "builtin:even", *EMBEDDED, "--n-max", "5", "--j-budget", "100"],
+        ),
+        ("oracle_tied", ["oracle", "--A", "2,2,1,2", "--eps", "1/4"]),  # three active indices
+        ("gen_data_noise_free", ["gen-data", "--n-lo", "1", "--n-hi", "3", "--seed", "1"]),
+        (
+            "gen_data_noise2",  # 13 noisy members and both kinds of skipped one
+            ["gen-data", "--n-lo", "1", "--n-hi", "10", "--noise", "2", "--seed", "1"],
         ),
     ],
 )

@@ -238,7 +238,7 @@ def test_output_values_cannot_decide_membership():
     threshold = CERT.threshold_sq()
     for n in (2, 3):  # one accepted, one not
         d = ht.decide_membership(EVEN, n, 10**3, 64, P, CERT)
-        at_budget = d.distance_sq if d.status == ht.IN else ht.at_budget_distance_sq(10**3, P)
+        at_budget = d.distance_sq if d.status == ht.IN else ht.encoded_distance_sq(10**3, P)
         assert at_budget > threshold
     # family 1 selections collapse onto the limit selection
     gap_1 = [

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from qcbplab import qcbp
@@ -73,6 +74,20 @@ def test_oracle_examples():
     assert [e.re for e in qcbp.select(s4).entries] == [0, Q(1, 3)]
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    row=st.lists(st.fractions(Q(1, 16), 4, max_denominator=16), min_size=2, max_size=5),
+    y=st.fractions(Q(1, 1000), 1000, max_denominator=1000),
+    slack=st.fractions(0, Q(999, 1000), max_denominator=1000),
+)
+def test_oracle_scales_with_the_measurement(row, y, slack):
+    """x solves (A, y, eps) iff x / y solves (A, 1, eps / y), for every y > 0."""
+    eps = slack * y
+    got = qcbp.select(qcbp.exact_solution_set(single(row, eps, y)))
+    unit = qcbp.select(qcbp.exact_solution_set(single(row, eps / y)))
+    assert got == RationalVector.from_items([y * e.re for e in unit.entries])
+
+
 def test_oracle_precondition_messages():
     with pytest.raises(qcbp.OracleDomainError, match="single row"):
         qcbp.exact_solution_set(
@@ -82,8 +97,9 @@ def test_oracle_precondition_messages():
                 eps=Q(0),
             )
         )
-    with pytest.raises(qcbp.OracleDomainError, match="y = 1"):
-        qcbp.exact_solution_set(single([2, 1], y=2))
+    for y in (0, -1, ComplexQ(Q(1), Q(1))):
+        with pytest.raises(qcbp.OracleDomainError, match="y > 0"):
+            qcbp.exact_solution_set(single([2, 1], y=y))
     with pytest.raises(qcbp.OracleDomainError, match="eps"):
         qcbp.exact_solution_set(single([2, 1], eps=Q(3, 2)))
     with pytest.raises(qcbp.OracleDomainError, match="positive"):
