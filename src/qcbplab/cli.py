@@ -3,11 +3,11 @@
 Subcommands: oracle, solve, adversarial, halting, nn, gen-data.  Exact
 rational values are passed as "num/den" strings.  A plain key=value config
 file can seed any flag of the subcommand (--config FILE or --config=FILE,
-before or after the subcommand); keys are flag names with "_" for "-", an
-on/off flag such as ``solve`` takes 1/true (set) or 0/false (unset), and
-explicit flags win.  Every output file is written atomically and embeds the
-config hash and package version, so identical config and seed reproduce
-outputs byte for byte.
+given once, before or after the subcommand); keys are flag names with "_"
+for "-", an on/off flag such as ``solve`` takes 1/true (set) or 0/false
+(unset), and explicit flags win.  Every output file is written atomically
+and embeds the config hash and package version, so identical config and seed
+reproduce outputs byte for byte.
 
 Exit codes: 0 ok, 2 input error, 3 numerical failure.
 
@@ -259,7 +259,7 @@ def cmd_halting(args: argparse.Namespace) -> int:
     at_budget = None  # shared by every not-halted row; computed for the first one
     rows = []
     for n in range(args.n_max + 1):
-        d = halting.decide_membership(machine, n, args.j_budget, args.precision_budget, p, cert)
+        d = halting.decide_membership(machine, n, args.j_budget, p, cert)
         if d.status == halting.IN:
             d_sq = d.distance_sq
             q = str(d.steps_to_accept)
@@ -413,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--machine", required=True, help="machine file path or builtin:<name>")
     sp.add_argument("--n-max", type=int, default=20, help="decide inputs 0..n_max")
     sp.add_argument("--j-budget", type=int, default=10_000)
-    sp.add_argument("--precision-budget", type=int, default=64)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_halting)
 
@@ -457,6 +456,8 @@ def _switches(parser: argparse.ArgumentParser, command: str) -> set[str]:
 
 
 def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    if sum(a == "--config" or a.startswith("--config=") for a in argv) > 1:
+        raise InputError("--config given more than once")
     # "--config=FILE" is the one-token spelling of "--config FILE"
     for i, a in enumerate(argv):
         if a.startswith("--config="):

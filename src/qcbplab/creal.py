@@ -113,19 +113,14 @@ def mul(x: CReal, y: CReal) -> CReal:
 
 
 def scale(x: CReal, c: Q) -> CReal:
-    """Multiply by an exact rational constant."""
+    """Multiply by an exact rational constant; |c| < 1 lowers the input precision."""
     c = Q(c)
     if c == 0:
         return from_rational(0)
-    shift = max(0, ceil_log2(abs(c)))
-    return CReal(lambda k: c * x.approx(k + shift))
-
-
-def scale_pow2(x: CReal, e: int) -> CReal:
-    """Multiply by 2**e; for e < 0 the input precision demand drops by |e|."""
-    if e >= 0:
-        return CReal(lambda k: x.approx(k + e) * _pow2(e))
-    return CReal(lambda k: x.approx(max(k + e, 0)) * _pow2(e))
+    # |c| <= 2**shift, so input error 2**-(k+shift) costs at most 2**-k; when
+    # k + shift < 0 the precision-0 error 1 costs |c| <= 2**shift < 2**-k
+    shift = ceil_log2(abs(c))
+    return CReal(lambda k: c * x.approx(max(k + shift, 0)))
 
 
 def recip(y: CReal, nonzero_witness: Q) -> CReal:
@@ -220,7 +215,7 @@ def exp_c(x: CReal) -> CReal:
     """exp(x) via halving to |x/2**s| <= 1/2 then s certified squarings."""
     bound = _magnitude_bound(x)
     shifts = max(0, ceil_log2(bound) + 1)
-    result = _exp_small(scale_pow2(x, -shifts))
+    result = _exp_small(scale(x, _pow2(-shifts)))
     for _ in range(shifts):
         result = mul(result, result)
     return result
@@ -270,7 +265,7 @@ def log_c(x: CReal, lower_witness: Q) -> CReal:
     t = ceil_log2(xa)
     if _pow2(t) > xa:
         t -= 1
-    u = scale_pow2(x, -t)
+    u = scale(x, _pow2(-t))
     u_lo = lo * _pow2(-t)  # positive rational lower bound on u; u in [2/3, 8/3]
     z = div(sub(u, from_rational(1)), add(u, from_rational(1)), u_lo + 1)
     return add(scale(_atanh_small(z), Q(2)), scale(LOG2, Q(t)))

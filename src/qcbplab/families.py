@@ -60,10 +60,7 @@ class FamilyParams:
 
 
 def _assemble(p: FamilyParams, row: list[Q]) -> qcbp.Instance:
-    core = qcbp.Instance.single_row(row, 1, p.eps)
-    if p.m_dim == 1:
-        return core
-    return qcbp.embed(core, p.m_dim, p.n_dim)
+    return qcbp.embed(qcbp.Instance.single_row(row, 1, p.eps), p.m_dim, p.n_dim)
 
 
 def perturbed_instance(which: int, n: int, p: FamilyParams) -> qcbp.Instance:

@@ -12,12 +12,11 @@ into the families' common limit at rate 2**-j.
 The decision routine below extracts membership from the *stabilized* case:
 once the machine has accepted within budget, the instance is pinned exactly,
 its exact solution sits a certified distance above bound/4 from the limit's
-solution, and the comparison is decided by exact rational arithmetic (with a
-computable-real mirror of the same comparison).  Without acceptance within
-budget the routine reports exactly that -- not halted at this budget.  No
-inspection of the approximations' solution values can do better: the family
-members' solutions hold their distance from the limit solution all the way
-down, so the value alone never reveals whether stabilization has happened.
+solution, and one exact rational comparison decides it.  Without acceptance
+within budget the routine reports exactly that -- not halted at this budget.
+No inspection of the approximations' solution values can do better: the
+family members' solutions hold their distance from the limit solution all the
+way down, so the value alone never reveals whether stabilization has happened.
 Removing the budget is precisely what the discontinuity forbids.
 
 Ground truth exists for the bundled machines (parity scanners and friends) by
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from importlib import resources
 
-from qcbplab import creal, families
+from qcbplab import families
 from qcbplab.rationals import l2_norm_sq
 from qcbplab.qcbp import Instance, select_embedded
 
@@ -194,15 +193,12 @@ class Decision:
     status: str
     steps_to_accept: int | None
     distance_sq: Q | None
-    mirror_precision: int | None
-    mirror_agrees: bool | None
 
 
 def decide_membership(
     machine: BoundedMachine,
     n: int,
     budget: int,
-    precision_budget: int,
     p: families.FamilyParams,
     cert: families.SeparationCertificate,
 ) -> Decision:
@@ -210,48 +206,25 @@ def decide_membership(
 
     IN is certified twice over: the machine actually accepted within budget,
     and the exact solution of the stabilized instance sits strictly above the
-    bound/4 threshold away from the limit's solution (compared on squares by
-    rational arithmetic, and mirrored through a computable-real square root
-    evaluated at the proof-grade precision when it fits the precision
-    budget).  NOT_HALTED_AT_BUDGET is exactly what it says and carries no
-    distance: the run reports :func:`encoded_distance_sq` at the budget for
-    it, which demonstrates that the solution values alone cannot settle
-    membership, since they stay above threshold whether or not the machine
-    will ever accept.
+    bound/4 threshold away from the limit's solution, compared on squares by
+    one exact rational comparison.  NOT_HALTED_AT_BUDGET is exactly what it
+    says and carries no distance: the run reports :func:`encoded_distance_sq`
+    at the budget for it, which demonstrates that the solution values alone
+    cannot settle membership, since they stay above threshold whether or not
+    the machine will ever accept.
     """
     if cert.params != p:
         raise ValueError("certificate was issued for different family parameters")
-    if precision_budget < 0:
-        raise ValueError("precision budget must be nonnegative")
 
     outcome = run_bounded(machine, n, budget)
     if not outcome.accepted:
-        return Decision(NOT_HALTED_AT_BUDGET, None, None, None, None)
+        return Decision(NOT_HALTED_AT_BUDGET, None, None)
 
     # stabilized: the encoded instance is exactly the fixed family member
     d_sq = encoded_distance_sq(outcome.steps_to_accept, p)
     if d_sq <= cert.threshold_sq():
         raise families.CertificateError("separation certificate violated at decision time")
-
-    # computable-real mirror: approximate the distance itself to within
-    # 2**-M < bound/6 and compare that rational against bound/4
-    mirror_precision = None
-    mirror_agrees = None
-    m_needed = 1
-    while Q(1, 2**m_needed) >= cert.bound / 6:
-        m_needed += 1
-    if m_needed <= precision_budget:
-        mirror_precision = m_needed
-        dist = creal.sqrt_c(creal.from_rational(d_sq))
-        approx = dist.approx(m_needed)
-        mirror_agrees = approx > cert.bound / 4
-    return Decision(
-        status=IN,
-        steps_to_accept=outcome.steps_to_accept,
-        distance_sq=d_sq,
-        mirror_precision=mirror_precision,
-        mirror_agrees=mirror_agrees,
-    )
+    return Decision(status=IN, steps_to_accept=outcome.steps_to_accept, distance_sq=d_sq)
 
 
 # --- machine text format --------------------------------------------------------

@@ -163,7 +163,7 @@ def test_criterion_7_halting_gadget():
     machine = ht.load_builtin("even")
     cert = fam.separation_certificate(P)
     for n in range(51):
-        d = ht.decide_membership(machine, n, 10**4, 64, P, cert)
+        d = ht.decide_membership(machine, n, 10**4, P, cert)
         assert (d.status == ht.IN) == (n % 2 == 0)  # ground-truth parity
     # r stabilization invariants, exact
     q4 = ht.run_bounded(machine, 4, 10**4).steps_to_accept

@@ -511,6 +511,25 @@ def test_config_equals_form_in_both_positions(tmp_path, capsys):
         assert out == expected, argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "{empty}", "--config", "{b}", "oracle", "--A", "2,1"],
+        ["--config", "{empty}", "oracle", "--A", "2,1", "--config", "{b}"],
+        ["--config={empty}", "--config={b}", "oracle", "--A", "2,1"],
+        ["--config={empty}", "oracle", "--A", "2,1", "--config={b}"],
+    ],
+    ids=["separate-before", "separate-after", "equals-before", "equals-after"],
+)
+def test_config_given_twice_exit_2(argv, tmp_path, capsys):
+    # only one file seeds the flags; a second one is refused, not dropped
+    empty, b = tmp_path / "empty.cfg", tmp_path / "b.cfg"
+    empty.write_text("# nothing here\n")
+    b.write_text("eps = 1/4\n")
+    argv = [a.format(empty=empty, b=b) for a in argv]
+    assert run(argv, capsys) == (2, "", '{"error": "--config given more than once"}\n')
+
+
 def test_config_values_may_start_with_a_minus(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("A = -1,2\ny = -1/2\n")
@@ -661,12 +680,19 @@ def test_config_hash_identifies_machine_and_instance_by_content(tmp_path, capsys
     assert first == again != second
 
 
-def test_domain_errors_exit_2(capsys):
+def test_domain_errors_exit_2(tmp_path, capsys):
     assert cli.main(["adversarial", "--n-max", "0"]) == 2
     assert capsys.readouterr().err == '{"error": "n_max must be >= 1"}\n'
-    # a negative precision budget is an input error, as a negative j budget is
-    assert cli.main(["halting", "--machine", "builtin:even", "--precision-budget", "-1"]) == 2
-    assert capsys.readouterr().err == '{"error": "precision budget must be nonnegative"}\n'
+    # the halting decision has no precision budget, as a flag or as a config key
+    cfg = tmp_path / "precision.cfg"
+    cfg.write_text("precision_budget = 64\n")
+    for argv in (
+        ["halting", "--machine", "builtin:even", "--precision-budget", "64"],
+        ["halting", "--config", str(cfg), "--machine", "builtin:even"],
+    ):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--precision-budget" in json.loads(err)["error"], argv
     # domain errors raised below the subcommands reach main as they are
     for argv, message in (
         (["adversarial", "--a", "0"], "a must be positive"),

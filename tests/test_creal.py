@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcbplab import creal as cr
+from qcbplab.rationals import ceil_log2
 
 
 def test_from_rational_examples():
@@ -176,6 +177,29 @@ def test_approximation_sizes_follow_precision():
     for v in values:
         assert v.numerator.bit_length() <= k + 100
         assert v.denominator.bit_length() <= k + 100
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=-100, max_value=100, max_denominator=2**20),
+    st.fractions(min_value=Q(-1), max_value=Q(1), max_denominator=2**40).filter(lambda c: 0 < abs(c) < 1),
+    st.integers(0, 80),
+)
+def test_scale_below_one_within_contract(x, c, k):
+    # the input errs by the full 2**-k it is allowed at every precision
+    x_loose = cr.CReal(lambda j: x + Q(1, 2**j))
+    assert abs(cr.scale(x_loose, c).approx(k) - c * x) <= Q(1, 2**k)
+    exact, asked = _recording(x)
+    cr.scale(exact, c).approx(k)
+    assert asked == [max(k + ceil_log2(abs(c)), 0)]
+
+
+@pytest.mark.parametrize("e", [1, 5, 40])
+@pytest.mark.parametrize("k", [0, 3, 200])
+def test_scale_by_power_of_two_lowers_input_precision(e, k):
+    x, asked = _recording(Q(7, 3))
+    assert cr.scale(x, Q(1, 2**e)).approx(k) == Q(7, 3) / 2**e
+    assert asked == [max(k - e, 0)]
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
