@@ -5,8 +5,9 @@ l1 minimizer and the primal-dual iteration of the generic solver.  The grid
 scan is one numpy algorithm run on one of two dtypes: int64, or Python ints in
 object arrays.  The primal-dual iteration makes three BLAS calls per step (two
 matrix-vector products and one dot product) and runs its element-wise steps on
-Python floats, bit for bit what the all-numpy loop computes (see the comment
-above ``pd_iterate``).
+Python floats, bit for bit what the all-numpy loop computes, and stops at the
+first iteration that leaves its state unchanged (see the comment above
+``pd_iterate``).
 
 Exactness note: the scan is exact on int64 when rhs and W = sum_i M_i^2 are
 below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that in
@@ -23,6 +24,7 @@ kept in tests/grid_reference.py.
 from __future__ import annotations
 
 import math
+from struct import pack
 
 import numpy as np
 
@@ -136,7 +138,8 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # One batch of Chambolle-Pock iterations for min ||x||_{1,pair} subject to
 # ||Kx - y||_2 <= eps on the realified operator K (2m x 2n); coordinate i
 # pairs with n_pairs + i.  K, y, x, z and xbar are float64 arrays, the rest
-# Python scalars.  Returns the advanced (x, z, xbar) state as float64 arrays.
+# Python scalars.  Returns the state (x, z, xbar) after ``iters`` iterations
+# as float64 arrays.
 #
 # The three reductions, whose summation order BLAS defines, stay BLAS calls on
 # float64 arrays: the gemv K xbar, the ddot u.u and the gemv K^T z
@@ -149,6 +152,19 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # for bit that of the all-numpy loop in tests/pd_reference.py.  At 2-14
 # coordinates numpy's per-call overhead, not arithmetic, is what a step costs.
 # ``f if f > 0.0 else 0.0`` is max(0.0, f), NaN included.
+#
+# Fixed-point exit: one iteration is a deterministic function of the state
+# (x, z, xbar) and of the fixed K, y, eps, tau and sigma, so once an iteration
+# leaves the state unchanged bit for bit, every later one returns the same
+# bytes and the loop stops there.  Float ``==`` alone is not that test: it
+# holds for 0.0 == -0.0, and -0.0 occurs in x (the pair shrink of a < 0 by
+# f = 0.0), so lists that compare equal are confirmed on their packed bytes.
+# A NaN never compares equal, so a state holding one never stops early.
+
+def _bits(v):
+    """The float64 bytes of a list of floats."""
+    return pack(f"{len(v)}d", *v)
+
 
 def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
     Kt = K.T
@@ -156,6 +172,7 @@ def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
     se = sigma * eps
     x = x.tolist()
     zs = z.tolist()
+    xs = xbar.tolist()
     array = np.array
     sqrt = math.sqrt
     for _ in range(iters):
@@ -164,8 +181,8 @@ def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
         nrm = sqrt(ua.dot(ua))
         factor = 1.0 - se / nrm if nrm > 0 else 0.0
         factor = factor if factor > 0.0 else 0.0
-        zs = [ui * factor for ui in u]
-        z = array(zs)
+        zs_new = [ui * factor for ui in u]
+        z = array(zs_new)
         w = [xi - tau * gi for xi, gi in zip(x, Kt.dot(z).tolist())]
         re = []
         im = []
@@ -176,6 +193,9 @@ def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
             re.append(a * f)
             im.append(b * f)
         x_new = re + im
-        xbar = array([2.0 * a - b for a, b in zip(x_new, x)])
-        x = x_new
+        xs_new = [2.0 * a - b for a, b in zip(x_new, x)]
+        xbar = array(xs_new)
+        if zs_new == zs and x_new == x and xs_new == xs and _bits(zs_new + x_new + xs_new) == _bits(zs + x + xs):
+            break  # a fixed point: x already holds x_new's bytes
+        x, zs, xs = x_new, zs_new, xs_new
     return array(x), z, xbar

@@ -291,17 +291,18 @@ def cmd_nn(args: argparse.Namespace) -> int:
 
     if args.n_max < 1:
         raise InputError(f"--n-max must be >= 1, got {args.n_max}")
-    p = _family_params(args)
-    data = _training_set(args, p)
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     try:
-        widths = (
-            (mlp.input_width(p.m_dim, p.n_dim),)
-            + tuple(int(w) for w in args.widths.split(",") if w.strip())
-            + (mlp.output_width(p.n_dim),)
-        )
-        net = mlp.init_mlp(widths, seed=args.seed)
+        hidden = tuple(int(w) for w in args.widths.split(",") if w.strip())
+        if min(hidden, default=1) < 1:
+            raise ValueError("layer widths must be >= 1")
     except ValueError as exc:
         raise InputError(f"--widths {args.widths!r}: {exc}") from None
+    p = _family_params(args)
+    data = _training_set(args, p)
+    widths = (mlp.input_width(p.m_dim, p.n_dim),) + hidden + (mlp.output_width(p.n_dim),)
+    net = mlp.init_mlp(widths, seed=args.seed)
     net, trace = mlp.train(net, data.inputs, data.targets, steps=args.steps, lr=args.lr)
     cert = families.separation_certificate(p)
     report = mlp.instability_eval(net, p, args.n_max, cert)

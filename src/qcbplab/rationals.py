@@ -105,9 +105,6 @@ class ComplexQ:
     def is_real(self) -> bool:
         return self.im == 0
 
-    def scale(self, q: Q) -> "ComplexQ":
-        return ComplexQ(self.re * q, self.im * q)
-
 
 CZERO = ComplexQ(Q(0), Q(0))
 CONE = ComplexQ(Q(1), Q(0))

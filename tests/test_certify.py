@@ -26,6 +26,11 @@ def rand_q(rng):
     return Q(rng.randint(-40, 40), den)
 
 
+def scale(e, q):
+    """The complex rational e times the rational q."""
+    return ComplexQ(e.re * q, e.im * q)
+
+
 def rand_entry(rng, cplx):
     return ComplexQ(rand_q(rng), rand_q(rng) if cplx else Q(0))
 
@@ -155,7 +160,7 @@ def _rank_cases(rng):
                 j = rng.randrange(n)
                 rows[i][j] = rows[i][j] + ComplexQ(Q(1, 2 ** rng.randint(1, 80)), Q(0))
             else:
-                rows[i] = [e.scale(1 + Q(1, 2 ** rng.randint(1, 80))) for e in rows[i]]
+                rows[i] = [scale(e, 1 + Q(1, 2 ** rng.randint(1, 80))) for e in rows[i]]
         yield RationalMatrix(tuple(tuple(r) for r in rows))
 
 

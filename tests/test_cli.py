@@ -427,6 +427,12 @@ def test_nn_nonpositive_width_exit_2(widths, capsys):
     assert "--widths" in json.loads(err)["error"]
 
 
+def test_nn_negative_seed_exit_2_names_seed(capsys):
+    code, out, err = run(["nn", "--seed", "-1", "--steps", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "--seed must be >= 0, got -1"
+
+
 def test_halting_negative_n_max_exit_2(capsys):
     code, out, err = run(["halting", "--machine", "builtin:even", "--n-max", "-1"], capsys)
     assert (code, out) == (2, "")

@@ -2,18 +2,19 @@
 
 The grid scan, on int64 and on Python ints, must match the sweep of every box
 point in tests/grid_reference.py, and the primal-dual kernel must return the
-bytes of the all-numpy loop it replaced.
+bytes of the all-numpy loop it replaced, also where it stops at a fixed point.
 """
 
 import random
 import tracemalloc
+from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
 from qcbplab import _kernels as kern
 from qcbplab import families, qcbp
-from qcbplab.rationals import dyadic_sqrt_upper, operator_norm_sq_upper
+from qcbplab.rationals import RationalMatrix, RationalVector, dyadic_sqrt_upper, operator_norm_sq_upper
 
 import grid_reference
 import pd_reference
@@ -239,3 +240,68 @@ def test_pd_iterate_pair_shrink_edge_is_exact():
     )
     assert x.tobytes() == np.array([0.0, 0.0, -0.0, 0.0]).tobytes()
     assert xbar.tobytes() == np.array([-3.0, -1.0, 4.0, 0.0]).tobytes()
+
+
+# A generic-solve shape (m = 2, N = 4, eps = 1/8) whose iteration from zero
+# reaches a bit-exact fixed point within 1,000 iterations, with -0.0 in x.
+FIXED_A = [[Q(7, 4), Q(7, 9), Q(-20, 17), Q(-2, 17)], [Q(1, 3), Q(-13, 23), Q(6, 13), Q(-21, 16)]]
+FIXED_Y = [Q(-1, 2), Q(3, 16)]
+
+
+@pytest.fixture(scope="module")
+def fixed_point():
+    """``(K, y, eps, step, n)`` as solve_numeric sets them up, and the state the iteration settles at."""
+    inst = qcbp.Instance(A=RationalMatrix.from_rows(FIXED_A), y=RationalVector.from_items(FIXED_Y), eps=Q(1, 8))
+    assert qcbp.solve_numeric(inst).converged
+    K, y, _ = qcbp._realified(inst)
+    step = 1.0 / float(dyadic_sqrt_upper(operator_norm_sq_upper(inst.A)))
+    setup = (K, y, float(inst.eps), step, inst.n)
+    zero = (np.zeros(2 * inst.n), np.zeros(2 * inst.m), np.zeros(2 * inst.n))
+    state = pd_reference.pd_iterate(K, y, float(inst.eps), step, step, *zero, 1000, inst.n)
+    after = pd_reference.pd_iterate(K, y, float(inst.eps), step, step, *state, 1, inst.n)
+    assert [v.tobytes() for v in after] == [v.tobytes() for v in state], "not a fixed point"
+    return setup, zero, state
+
+
+@pytest.mark.parametrize("iters", [0, 1, 250, 10**4])
+@pytest.mark.parametrize("start", ["zero", "fixed"])
+def test_pd_iterate_matches_reference_at_a_fixed_point(fixed_point, start, iters):
+    """From zero the loop reaches the fixed point inside a batch; from the fixed point it stays there."""
+    (K, y, eps, step, n), zero, fixed = fixed_point
+    x, z, xbar = zero if start == "zero" else fixed
+    _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, n)
+
+
+class _CountingK(np.ndarray):
+    """An operator that counts its ``.dot`` calls, those of its transpose included."""
+
+    dots = 0
+
+    def dot(self, v):
+        _CountingK.dots += 1
+        return np.asarray(self).dot(v)
+
+
+def test_pd_iterate_stops_after_one_iteration_at_a_fixed_point(fixed_point):
+    (K, y, eps, step, n), zero, fixed = fixed_point
+    counted = K.view(_CountingK)
+    _CountingK.dots = 0
+    kern.pd_iterate(counted, y, eps, step, step, *zero, 250, n)
+    assert _CountingK.dots == 2 * 250  # the fixed point lies beyond the first batch
+    _CountingK.dots = 0
+    got = kern.pd_iterate(counted, y, eps, step, step, *fixed, 250, n)
+    assert _CountingK.dots == 2  # K xbar and K^T z of the one iteration that changed nothing
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in fixed]
+
+
+@pytest.mark.parametrize("which", ["x", "xbar"])
+@pytest.mark.parametrize("iters", [1, 2, 250])
+def test_pd_iterate_fixed_point_is_bit_exact(fixed_point, which, iters):
+    """A state float-equal to the fixed point but with one zero of the other sign is not the fixed point."""
+    (K, y, eps, step, n), _, (x, z, xbar) = fixed_point
+    v = (x if which == "x" else xbar).copy()
+    i = next(j for j, e in enumerate(v.tolist()) if e == 0.0)
+    v[i] = -v[i]
+    x, xbar = (v, xbar) if which == "x" else (x, v)
+    assert np.array_equal(x, fixed_point[2][0]) and np.array_equal(xbar, fixed_point[2][2])
+    _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, n)
