@@ -5,9 +5,10 @@ l1 minimizer and the primal-dual iteration of the generic solver.  The grid
 scan is one numpy algorithm run on one of two dtypes: int64, or Python ints in
 object arrays.  The primal-dual iteration makes three BLAS calls per step (two
 matrix-vector products and one dot product) and runs its element-wise steps on
-Python floats, bit for bit what the all-numpy loop computes, and stops at the
-first iteration that leaves its state unchanged (see the comment above
-``pd_iterate``).
+Python floats, bit for bit what the all-numpy loop computes, in a loop
+generated once per problem shape as straight-line code with one local
+variable per coordinate; it stops at the first iteration that leaves its
+state unchanged (see the comment above ``pd_iterate``).
 
 Exactness note: the scan is exact on int64 when rhs and W = sum_i M_i^2 are
 below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that in
@@ -23,6 +24,7 @@ kept in tests/grid_reference.py.
 
 from __future__ import annotations
 
+import functools
 import math
 from struct import pack
 
@@ -145,20 +147,29 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # float64 arrays: the gemv K xbar, the ddot u.u and the gemv K^T z
 # (``a.dot(v)`` makes the BLAS call ``a @ v`` makes, with less overhead).  Every
 # other step is one correctly rounded operation per element, so it runs on
-# Python floats from ``.tolist()`` in the order of the numpy expression it
-# stands for -- u_i = (z_i + sigma (K xbar)_i) - (sigma y)_i,
-# z_i = u_i * factor, w_i = x_i - tau (K^T z)_i, the pair shrink and
-# xbar_i = 2 x_new_i - x_i -- and changes no summation order: the state is bit
-# for bit that of the all-numpy loop in tests/pd_reference.py.  At 2-14
-# coordinates numpy's per-call overhead, not arithmetic, is what a step costs.
-# ``f if f > 0.0 else 0.0`` is max(0.0, f), NaN included.
+# Python floats in the order of the numpy expression it stands for --
+# u_i = (z_i + sigma (K xbar)_i) - (sigma y)_i, z_i = u_i * factor,
+# w_i = x_i - tau (K^T z)_i, the pair shrink and xbar_i = 2 x_new_i - x_i --
+# and changes no summation order: the state is bit for bit that of the
+# all-numpy loop in tests/pd_reference.py.  ``f if f > 0.0 else 0.0`` is
+# max(0.0, f), NaN included.
+#
+# At 2-14 coordinates a step's cost is interpreter overhead, not arithmetic
+# or BLAS: a loop over lists spends it on comprehensions, each with its own
+# frame, on zips and on appends.  So the loop is generated once per shape
+# (K's row count and n_pairs) as straight-line source with one local
+# variable per coordinate, compiled and kept (``_pd_loop``); the source is
+# built from the two integers alone.  Building a shape's loop costs what it
+# saves over a list loop in two to ten batches of 250 iterations, from 2 to
+# 1,000 coordinates (measurements in ROADMAP's dead ends): it pays off for
+# a shape that runs more than a few batches in one process.
 #
 # Fixed-point exit: one iteration is a deterministic function of the state
 # (x, z, xbar) and of the fixed K, y, eps, tau and sigma, so once an iteration
 # leaves the state unchanged bit for bit, every later one returns the same
 # bytes and the loop stops there.  Float ``==`` alone is not that test: it
 # holds for 0.0 == -0.0, and -0.0 occurs in x (the pair shrink of a < 0 by
-# f = 0.0), so lists that compare equal are confirmed on their packed bytes.
+# f = 0.0), so states that compare equal are confirmed on their packed bytes.
 # A NaN never compares equal, so a state holding one never stops early.
 
 def _bits(v):
@@ -166,36 +177,76 @@ def _bits(v):
     return pack(f"{len(v)}d", *v)
 
 
+def _pd_source(rows, n_pairs):
+    """The source of ``pd_loop`` for a rows x (2 n_pairs) operator.
+
+    One local per coordinate: x, z and b hold the state (x, z, xbar); k is
+    K xbar, u the dual step before scaling and v the new z; g is K^T z, w the
+    primal step before the shrink, p the new x and c the new xbar.
+    """
+    cols = 2 * n_pairs
+
+    def names(prefix, count):
+        return [f"{prefix}{i}" for i in range(count)]
+
+    def unpack(names):
+        return ", ".join(names) + ","
+
+    def listed(names):
+        return "[" + ", ".join(names) + "]"
+
+    x, b, g, w, p, c = (names(s, cols) for s in "xbgwpc")
+    z, sy, k, u, v = (names(s, rows) for s in ("z", "sy", "k", "u", "v"))
+    new, old = v + p + c, z + x + b
+    same = " and ".join(f"{a} == {o}" for a, o in zip(new, old))
+    body = [f"{unpack(k)} = K.dot(xbar).tolist()"]
+    body += [f"{u[i]} = ({z[i]} + sigma * {k[i]}) - {sy[i]}" for i in range(rows)]
+    body += [
+        f"ua = array({listed(u)})",
+        "nrm = sqrt(ua.dot(ua))",
+        "factor = 1.0 - se / nrm if nrm > 0 else 0.0",
+        "factor = factor if factor > 0.0 else 0.0",
+    ]
+    body += [f"{v[i]} = {u[i]} * factor" for i in range(rows)]
+    body += [f"z = array({listed(v)})", f"{unpack(g)} = Kt.dot(z).tolist()"]
+    body += [f"{w[i]} = {x[i]} - tau * {g[i]}" for i in range(cols)]
+    for re, im in zip(range(n_pairs), range(n_pairs, cols)):
+        body += [
+            f"mag = sqrt({w[re]} * {w[re]} + {w[im]} * {w[im]})",
+            "f = 1.0 - tau / mag if mag > 0 else 0.0",
+            "f = f if f > 0.0 else 0.0",
+            f"{p[re]} = {w[re]} * f",
+            f"{p[im]} = {w[im]} * f",
+        ]
+    body += [f"{c[i]} = 2.0 * {p[i]} - {x[i]}" for i in range(cols)]
+    body += [
+        f"xbar = array({listed(c)})",
+        f"if {same} and _bits({listed(new)}) == _bits({listed(old)}):",
+        "    break  # a fixed point: x already holds the new x's bytes",
+    ]
+    body += [f"{o} = {a}" for a, o in zip(new, old)]
+    lines = [
+        "def pd_loop(K, y, eps, tau, sigma, x, z, xbar, iters):",
+        "    Kt = K.T",
+        f"    {unpack(sy)} = (sigma * y).tolist()",
+        "    se = sigma * eps",
+        f"    {unpack(x)} = x.tolist()",
+        f"    {unpack(z)} = z.tolist()",
+        f"    {unpack(b)} = xbar.tolist()",
+        "    for _ in range(iters):",
+        *("        " + line for line in body),
+        f"    return array({listed(x)}), z, xbar",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _pd_loop(rows, n_pairs):
+    """``pd_iterate`` for one shape, minus ``n_pairs``: compiled once and kept."""
+    namespace = {"array": np.array, "sqrt": math.sqrt, "_bits": _bits}
+    exec(compile(_pd_source(rows, n_pairs), f"<pd_loop {rows}x{2 * n_pairs}>", "exec"), namespace)
+    return namespace["pd_loop"]
+
+
 def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
-    Kt = K.T
-    sy = (sigma * y).tolist()
-    se = sigma * eps
-    x = x.tolist()
-    zs = z.tolist()
-    xs = xbar.tolist()
-    array = np.array
-    sqrt = math.sqrt
-    for _ in range(iters):
-        u = [(zi + sigma * ki) - si for zi, ki, si in zip(zs, K.dot(xbar).tolist(), sy)]
-        ua = array(u)
-        nrm = sqrt(ua.dot(ua))
-        factor = 1.0 - se / nrm if nrm > 0 else 0.0
-        factor = factor if factor > 0.0 else 0.0
-        zs_new = [ui * factor for ui in u]
-        z = array(zs_new)
-        w = [xi - tau * gi for xi, gi in zip(x, Kt.dot(z).tolist())]
-        re = []
-        im = []
-        for a, b in zip(w[:n_pairs], w[n_pairs:]):
-            mag = sqrt(a * a + b * b)
-            f = 1.0 - tau / mag if mag > 0 else 0.0
-            f = f if f > 0.0 else 0.0
-            re.append(a * f)
-            im.append(b * f)
-        x_new = re + im
-        xs_new = [2.0 * a - b for a, b in zip(x_new, x)]
-        xbar = array(xs_new)
-        if zs_new == zs and x_new == x and xs_new == xs and _bits(zs_new + x_new + xs_new) == _bits(zs + x + xs):
-            break  # a fixed point: x already holds x_new's bytes
-        x, zs, xs = x_new, zs_new, xs_new
-    return array(x), z, xbar
+    return _pd_loop(K.shape[0], n_pairs)(K, y, eps, tau, sigma, x, z, xbar, iters)

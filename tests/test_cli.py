@@ -721,6 +721,32 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         assert "error" in json.loads(err), argv
 
 
+PAST_FLOAT64 = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--A", "1,2", "--y", "1", "--eps", PAST_FLOAT64], "eps"),
+        (["--A", f"1,2,3;4,5,-{PAST_FLOAT64}", "--y", "1,1"], "A[1,2]"),
+        (["--A", "1,2", "--y", PAST_FLOAT64], "y[0]"),
+    ],
+)
+def test_solve_entry_past_float64_exit_2(argv, field, capsys):
+    """An entry the float solver cannot hold is an input error that names it, not a numerical failure."""
+    code, out, err = run(["solve", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": f"{field} does not fit a float64"}) + "\n"
+
+
+def test_solve_accepts_entries_that_round_to_zero(capsys):
+    """Entries below float64's range round to 0.0; the exact certificate still holds."""
+    tiny = f"1/{PAST_FLOAT64}"
+    code, out, err = run(["solve", "--A", f"1,{tiny}", "--y", tiny, "--eps", tiny], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["converged"]
+
+
 GOLDEN = Path(__file__).parent / "golden"
 HUGE = "1" + "0" * 307
 EMBEDDED = ["--a", "5/3", "--eps", "1/4", "--N", "5", "--m", "3"]

@@ -158,11 +158,13 @@ def _realified(a):
 
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_pd_iterate_matches_reference_on_generic_shapes(m, cplx):
-    """Every generic-solve shape (N = m+1..m+4), from zero and from a mid-run state."""
+@pytest.mark.parametrize(
+    "m, ns", [pytest.param(m, range(m + 1, m + 5), id=str(m)) for m in (1, 2, 3)] + [pytest.param(10, [50], id="10")]
+)
+def test_pd_iterate_matches_reference_on_generic_shapes(m, ns, cplx):
+    """Every generic-solve shape (N = m+1..m+4) and one larger one, from zero and from a mid-run state."""
     rng = np.random.default_rng(100 * m + cplx)
-    for n in range(m + 1, m + 5):
+    for n in ns:
         for eps in (0.0, 0.125, 0.5):
             a = rng.uniform(-3, 3, (m, n)) + (1j * rng.uniform(-3, 3, (m, n)) if cplx else 0)
             b = rng.uniform(-0.5, 0.5, m) + (1j * rng.uniform(-0.5, 0.5, m) if cplx else 0)
@@ -174,6 +176,20 @@ def test_pd_iterate_matches_reference_on_generic_shapes(m, cplx):
                 mid = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
                 for x, z, xbar in (zero, mid):
                     _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, n)
+
+
+def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
+    """Calls on one shape, whatever their values, run the loop generated for the first."""
+    built = []
+    source = kern._pd_source
+    monkeypatch.setattr(kern, "_pd_source", lambda *shape: built.append(shape) or source(*shape))
+    kern._pd_loop.cache_clear()
+    rng = np.random.default_rng(7)
+    for m, n in ((2, 5), (2, 5), (1, 5)):
+        K = _realified(rng.uniform(-3, 3, (m, n)))
+        state = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
+        kern.pd_iterate(K, rng.normal(size=2 * m), 0.25, 0.1, 0.1, *state, 3, n)
+    assert built == [(4, 5), (2, 5)]
 
 
 @pytest.mark.parametrize("which", [1, 2])
