@@ -2,10 +2,11 @@
 
 Subcommands: oracle, solve, adversarial, halting, nn, gen-data.  Exact
 rational values are passed as "num/den" strings.  A plain key=value config
-file can seed any flag of the subcommand (--config FILE or --config=FILE,
-given once, before or after the subcommand); keys are flag names with "_"
-for "-", an on/off flag such as ``solve`` takes 1/true (set) or 0/false
-(unset), and explicit flags win.  Every output file is written atomically
+file sets flag defaults of the subcommand (--config FILE or --config=FILE,
+spelled in full and given once, before or after the subcommand); a key is
+the flag's full name with "_" for "-" (an abbreviation exits 2), an on/off
+flag such as ``solve`` takes 1/true (set) or 0/false (unset), and explicit
+flags win.  Every output file is written atomically
 and embeds the config hash and package version, so identical config and seed
 reproduce outputs byte for byte.
 
@@ -49,14 +50,14 @@ class InputError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors (unknown flag or config key, missing required flag, bad
-    # int) follow the exit-code contract instead of argparse's own exit;
-    # subparsers are built with this class too, so they inherit it
+    # usage errors on the command line or in a config file (unknown flag,
+    # missing required flag, bad int) follow the exit-code contract instead of
+    # argparse's own exit; subparsers are built with this class too
     def error(self, message: str):
         raise InputError(message)
 
 
-_NON_EXPERIMENT_KEYS = ("func", "config", "out", "checkpoint", "instance", "machine")
+_NON_EXPERIMENT_KEYS = ("func", "out", "checkpoint", "instance", "machine")
 
 
 def _config_hash(args: argparse.Namespace, source: str | None) -> str:
@@ -145,10 +146,7 @@ def _family_params(args: argparse.Namespace) -> families.FamilyParams:
 # --- subcommands ------------------------------------------------------------------
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    row = _parse_row(args.A)
-    if not row:
-        raise InputError("--A must list at least two entries")
-    inst = qcbp.Instance.single_row(row, _rat(args.y, "--y"), _rat(args.eps, "--eps"))
+    inst = qcbp.Instance.single_row(_parse_row(args.A), _rat(args.y, "--y"), _rat(args.eps, "--eps"))
     simplex = qcbp.exact_solution_set(inst)
     selected = qcbp.select(simplex)
     _emit_json(
@@ -380,8 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qcbplab",
         description="exact-arithmetic workbench for quadratically constrained basis pursuit",
+        epilog="--config FILE (or --config=FILE, once, before or after the subcommand) "
+        "seeds the subcommand's flag defaults from key = value lines; explicit flags win",
     )
-    parser.add_argument("--config", help="key=value file seeding flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("oracle", help="closed-form solution set of a single-row instance")
@@ -443,36 +442,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _switches(parser: argparse.ArgumentParser, command: str) -> set[str]:
-    """Option strings of ``command``'s on/off (store_true) flags."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction) and command in action.choices:
-            return {
-                opt
-                for a in action.choices[command]._actions
-                if isinstance(a, argparse._StoreTrueAction)
-                for opt in a.option_strings
-            }
-    return set()
-
-
-def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    if sum(a == "--config" or a.startswith("--config=") for a in argv) > 1:
+def _parser_for(argv: list[str]) -> tuple[argparse.ArgumentParser, list[str]]:
+    """The parser for ``argv``, and ``argv`` without its ``--config``: the shared
+    parser, or for a config file a fresh one whose subcommand takes its flag
+    defaults from the file, so explicit flags win, argparse applies each flag's
+    type and the shared parser never sees the file."""
+    at = [i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")]
+    if not at:
+        return build_parser(), argv
+    if len(at) > 1:
         raise InputError("--config given more than once")
-    # "--config=FILE" is the one-token spelling of "--config FILE"
-    for i, a in enumerate(argv):
-        if a.startswith("--config="):
-            argv = argv[:i] + ["--config", a.split("=", 1)[1]] + argv[i + 1:]
-            break
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    i = at[0]
+    if argv[i] != "--config":
+        path, argv = argv[i].split("=", 1)[1], argv[:i] + argv[i + 1:]
+    elif i + 1 < len(argv):
+        path, argv = argv[i + 1], argv[:i] + argv[i + 2:]
+    else:
         raise InputError("--config needs a file path")
-    path = argv[idx + 1]
     if not os.path.exists(path):
         raise InputError(f"config file not found: {path}")
-    overrides: dict[str, str] = {}
+    parser = build_parser.__wrapped__()
+    sub = parser._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    if sub is None:
+        return parser, argv  # no subcommand: the parser reports it
+    # a key is a destination of the subcommand, in full: no abbreviation
+    flags = {a.dest: a for a in sub._actions if not isinstance(a, argparse._HelpAction)}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -481,23 +475,15 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
             if "=" not in line:
                 raise InputError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            overrides[key] = value
-    # config entries become argv entries placed before explicit flags, so
-    # explicit flags win on conflict (argparse keeps the last occurrence)
-    injected: list[str] = []
-    rest = [a for i, a in enumerate(argv) if i not in (idx, idx + 1)]
-    command = rest[0] if rest else ""
-    switches = _switches(parser, command)
-    for key, value in overrides.items():
-        flag = "--" + key.replace("_", "-")
-        if flag not in switches:
-            # one token, so a value such as -1/2 is not read as a flag
-            injected.append(f"{flag}={value}")
-        elif value.lower() in ("1", "true"):
-            injected.append(flag)
-        elif value.lower() not in ("0", "false"):
-            raise InputError(f"{path}: {key} is an on/off flag; expected 1/true or 0/false, got {value!r}")
-    return [command] + injected + rest[1:]
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
+                raise InputError(f"{path}:{lineno}: {argv[0]} has no flag --{key.replace('_', '-')}")
+            if isinstance(action, argparse._StoreTrueAction):
+                if value.lower() not in ("1", "true", "0", "false"):
+                    raise InputError(f"{path}: {key} is an on/off flag; expected 1/true or 0/false, got {value!r}")
+                value = value.lower() in ("1", "true")
+            action.default, action.required = value, False
+    return parser, argv
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -506,9 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     # lift the conversion guard so "num/den" emission never truncates
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_000_000))
-    parser = build_parser()
     try:
-        argv = _apply_config(argv, parser)
+        parser, argv = _parser_for(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -457,7 +457,8 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     point or lower bound; the iteration itself continues unchanged.  Never
     trusts a float: all reported bounds are recomputed over the rationals.
     An entry of A or y, or eps, past float64's range raises ValueError
-    naming it; entries that round to 0.0 are accepted.
+    naming it, and so does an operator norm bound past that range; entries
+    that round to 0.0 are accepted.
     """
     tol = Q(tol)
     if tol <= 0:
@@ -473,7 +474,10 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
         eps_f = float(inst.eps)
     except OverflowError:
         raise ValueError(f"{_past_float64(inst)} does not fit a float64") from None
-    L = float(dyadic_sqrt_upper(operator_norm_sq_upper(inst.A)))
+    try:
+        L = float(dyadic_sqrt_upper(operator_norm_sq_upper(inst.A)))
+    except OverflowError:
+        raise ValueError("the operator norm bound of A is past float64's range") from None
     step = 1.0 / L if L > 0 else 1.0
 
     n = inst.n

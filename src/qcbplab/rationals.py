@@ -90,15 +90,6 @@ class ComplexQ:
             self.re * other.im + self.im * other.re,
         )
 
-    def __truediv__(self, other: "ComplexQ") -> "ComplexQ":
-        d = other.abs_sq()
-        if d == 0:
-            raise ZeroDivisionError("exact complex division by zero")
-        return ComplexQ(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
     def abs_sq(self) -> Q:
         return self.re * self.re + self.im * self.im
 

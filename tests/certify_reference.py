@@ -61,7 +61,7 @@ def certify_primal(inst, x: np.ndarray) -> tuple[Q, Q, Q, RationalVector]:
 
 
 def row_rank(mat: RationalMatrix) -> int:
-    """Gaussian elimination over the complex rationals."""
+    """Fraction-free Gaussian elimination over the complex rationals."""
     work = [list(row) for row in mat.rows]
     m, n = mat.m, mat.n
     rank = 0
@@ -80,9 +80,11 @@ def row_rank(mat: RationalMatrix) -> int:
         for r in range(rank + 1, m):
             if work[r][col].abs_sq() == 0:
                 continue
-            factor = work[r][col] / p
+            # p * row r - f * pivot row: the nonzero pivot p scales row r,
+            # which keeps the row space, so no division is needed
+            f = work[r][col]
             for c in range(col, n):
-                work[r][c] = work[r][c] - factor * work[rank][c]
+                work[r][c] = p * work[r][c] - f * work[rank][c]
         rank += 1
         col += 1
     return rank

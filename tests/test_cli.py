@@ -564,6 +564,57 @@ def test_config_file_sets_on_off_flag(tmp_path, capsys):
     assert "solve" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "key, flag",
+    [("n_ma", "--n-ma"), ("n", "--n"), ("help", "--help"), ("func", "--func")],
+    ids=["prefix", "case-variant", "help", "func"],
+)
+def test_config_near_miss_keys_exit_2(key, flag, tmp_path, capsys):
+    # a key names a flag of the subcommand in full: "n" abbreviates --n-max
+    # and is --N in lower case, and "func" is a parser default, not a flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 3\n")
+    code, out, err = run(["adversarial", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": f"{cfg}:1: adversarial has no flag {flag}"}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--conf", "{cfg}", "adversarial"], ["adversarial", "--conf", "{cfg}"], ["--conf={cfg}", "adversarial"]],
+    ids=["before", "after", "equals"],
+)
+def test_config_flag_must_be_spelled_in_full(argv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_max = 2\n")
+    code, out, err = run([a.format(cfg=cfg) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    # the file is never read: "--conf" is an unknown flag, or its FILE an unknown subcommand
+    assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+
+
+def test_config_without_subcommand_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_max = 2\n")
+    code, out, err = run(["--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "the following arguments are required: command"}) + "\n"
+
+
+def test_config_never_reaches_the_shared_parser(tmp_path, capsys):
+    """A required flag the file supplies stays required for the next run in the process.
+
+    The file spells one key with "-" for "_", which names the same flag.
+    """
+    cfg = tmp_path / "nn.cfg"
+    cfg.write_text("seed = 3\nsteps = 2\nwidths = 4\nn-max = 2\n")
+    assert cli.main(["nn", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    code, out, err = run(["nn", "--steps", "2", "--widths", "4", "--n-max", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "the following arguments are required: --seed"}) + "\n"
+
+
 _ROW = [[{"re": "1", "im": "0"}, {"re": "2", "im": "0"}]]
 _Y = [{"re": "1", "im": "0"}]
 
@@ -703,6 +754,8 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     for argv, message in (
         (["adversarial", "--a", "0"], "a must be positive"),
         (["oracle", "--A", "1,-1"], "oracle requires positive entries; entry 1 is -1"),
+        (["oracle", "--A", ","], "need at least two columns"),
+        (["oracle", "--A", "2"], "need at least two columns"),
         (["solve", "--A", "1,2,3", "--y", "1,1"], "measurement length must equal row count"),
         (["solve", "--A", "1,1,1;2,2,2", "--y", "1,1"], "row rank 1 < m=2"),
     ):
@@ -737,6 +790,14 @@ def test_solve_entry_past_float64_exit_2(argv, field, capsys):
     code, out, err = run(["solve", *argv], capsys)
     assert (code, out) == (2, "")
     assert err == json.dumps({"error": f"{field} does not fit a float64"}) + "\n"
+
+
+def test_solve_operator_norm_past_float64_exit_2(capsys):
+    """Every entry fits a float64 but the operator norm bound does not: an input error."""
+    x = "15" + "0" * 307
+    code, out, err = run(["solve", "--A", f"{x},{x},{x}", "--y", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "the operator norm bound of A is past float64's range"}) + "\n"
 
 
 def test_solve_accepts_entries_that_round_to_zero(capsys):
@@ -847,6 +908,13 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, err = module(["oracle", "--A", "2,x"])
     assert (code, out) == (2, "")
     assert "error" in json.loads(err)
+
+
+def test_top_level_help_names_config():
+    """--config is taken out of argv before argparse runs; the help text still names it."""
+    code, out, err = module(["--help"])
+    assert (code, err) == (0, "")
+    assert "--config FILE" in out
 
 
 # runs ``python -m qcbplab`` in-process, then prints the loaded qcbplab modules
