@@ -257,7 +257,7 @@ def cmd_halting(args: argparse.Namespace) -> int:
     at_budget = None  # shared by every not-halted row; computed for the first one
     rows = []
     for n in range(args.n_max + 1):
-        d = halting.decide_membership(machine, n, args.j_budget, p, cert)
+        d = halting.decide_membership(machine, n, args.j_budget, cert)
         if d.status == halting.IN:
             d_sq = d.distance_sq
             q = str(d.steps_to_accept)
@@ -465,8 +465,9 @@ def _parser_for(argv: list[str]) -> tuple[argparse.ArgumentParser, list[str]]:
     sub = parser._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
     if sub is None:
         return parser, argv  # no subcommand: the parser reports it
-    # a key is a destination of the subcommand, in full: no abbreviation
+    # a key is a destination of the subcommand in full, with '-' for '_', set once
     flags = {a.dest: a for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+    seen: dict[str, int] = {}  # destination -> line that set it
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -475,9 +476,13 @@ def _parser_for(argv: list[str]) -> tuple[argparse.ArgumentParser, list[str]]:
             if "=" not in line:
                 raise InputError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            action = flags.get(key.replace("-", "_"))
+            dest = key.replace("-", "_")
+            action = flags.get(dest)
             if action is None:
                 raise InputError(f"{path}:{lineno}: {argv[0]} has no flag --{key.replace('_', '-')}")
+            if dest in seen:
+                raise InputError(f"{path}:{lineno}: --{key.replace('_', '-')} was already set on line {seen[dest]}")
+            seen[dest] = lineno
             if isinstance(action, argparse._StoreTrueAction):
                 if value.lower() not in ("1", "true", "0", "false"):
                     raise InputError(f"{path}: {key} is an on/off flag; expected 1/true or 0/false, got {value!r}")

@@ -10,6 +10,9 @@ exact squared-norm comparisons, which is the executable content of the
 discontinuity: no map both Lipschitz at the limit and correct on the families
 can exist.
 
+For m > 1 rows each member is its :func:`perturbed_core` block-embedded by
+:func:`qcbplab.qcbp.embed`, so its solutions are the core's, zero-padded.
+
 All constructions are exact; floats appear only in the optional solver
 columns of the report.
 """
@@ -55,28 +58,29 @@ class FamilyParams:
 
     @property
     def reduced_width(self) -> int:
-        # width of the single-row core before block-embedding
+        # width of the single-row core; qcbp.embed adds the m - 1 identity columns
         return self.n_dim + 1 - self.m_dim
 
 
-def _assemble(p: FamilyParams, row: list[Q]) -> qcbp.Instance:
-    return qcbp.embed(qcbp.Instance.single_row(row, 1, p.eps), p.m_dim, p.n_dim)
-
-
-def perturbed_instance(which: int, n: int, p: FamilyParams) -> qcbp.Instance:
-    """Family member: constant row a with entry ``which`` bumped by 2**-n."""
+def perturbed_core(which: int, n: int, p: FamilyParams) -> qcbp.Instance:
+    """Single-row core of a family member: constant row a, entry ``which`` bumped by 2**-n."""
     if which not in (1, 2):
         raise ValueError("family index must be 1 or 2")
     if n < 0:
         raise ValueError("n must be >= 0")
     row = [p.a] * p.reduced_width
     row[which - 1] = p.a + Q(1, 2**n)
-    return _assemble(p, row)
+    return qcbp.Instance.single_row(row, 1, p.eps)
+
+
+def perturbed_instance(which: int, n: int, p: FamilyParams) -> qcbp.Instance:
+    """Family member: the core of :func:`perturbed_core` embedded into m rows."""
+    return qcbp.embed(perturbed_core(which, n, p), p.m_dim)
 
 
 def limit_instance(p: FamilyParams) -> qcbp.Instance:
-    """The shared limit of both families: constant row a."""
-    return _assemble(p, [p.a] * p.reduced_width)
+    """The shared limit of both families: constant row a, embedded into m rows."""
+    return qcbp.embed(qcbp.Instance.single_row([p.a] * p.reduced_width, 1, p.eps), p.m_dim)
 
 
 def perturbed_solution(which: int, n: int, p: FamilyParams) -> RationalVector:

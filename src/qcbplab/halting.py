@@ -167,11 +167,7 @@ def encoded_instance(
     under the smallest-active-index rule, which is what makes the stabilized
     case decidable by one exact comparison.
     """
-    return _encoded_member(capped_accept_steps(machine, n, budget), p)
-
-
-def _encoded_member(r: int, p: families.FamilyParams) -> Instance:
-    """Family member 2 at index r + 1, for the capped accept step count r."""
+    r = capped_accept_steps(machine, n, budget)
     return families.perturbed_instance(2, r + TAIL_OFFSET, p)
 
 
@@ -182,8 +178,10 @@ def encoded_distance_sq(r: int, p: families.FamilyParams) -> Q:
     for every not-halted one.  All not-halted inputs at one budget encode the
     same member, index budget + 1, whose entries carry about budget bits; a
     run that reports them computes its distance once, for the first such row.
+    The solution comes from the member's single-row core, zero-padded.
     """
-    return l2_norm_sq(select_embedded(_encoded_member(r, p)) - families.limit_solution(p))
+    core = families.perturbed_core(2, r + TAIL_OFFSET, p)
+    return l2_norm_sq(select_embedded(core, p.m_dim) - families.limit_solution(p))
 
 
 @dataclass
@@ -199,10 +197,9 @@ def decide_membership(
     machine: BoundedMachine,
     n: int,
     budget: int,
-    p: families.FamilyParams,
     cert: families.SeparationCertificate,
 ) -> Decision:
-    """Budget-bounded membership decision via the encoded instances.
+    """Budget-bounded membership decision for the families of ``cert.params``.
 
     IN is certified twice over: the machine actually accepted within budget,
     and the exact solution of the stabilized instance sits strictly above the
@@ -213,15 +210,12 @@ def decide_membership(
     cannot settle membership, since they stay above threshold whether or not
     the machine will ever accept.
     """
-    if cert.params != p:
-        raise ValueError("certificate was issued for different family parameters")
-
     outcome = run_bounded(machine, n, budget)
     if not outcome.accepted:
         return Decision(NOT_HALTED_AT_BUDGET, None, None)
 
     # stabilized: the encoded instance is exactly the fixed family member
-    d_sq = encoded_distance_sq(outcome.steps_to_accept, p)
+    d_sq = encoded_distance_sq(outcome.steps_to_accept, cert.params)
     if d_sq <= cert.threshold_sq():
         raise families.CertificateError("separation certificate violated at decision time")
     return Decision(status=IN, steps_to_accept=outcome.steps_to_accept, distance_sq=d_sq)

@@ -13,7 +13,8 @@ columns than rows.  Three solution paths live here:
 
 The single-valued selection rule is fixed once and for all: weight 1 on the
 smallest active index.  Every downstream experiment inherits its determinism
-from this choice.
+from this choice.  :func:`select_embedded` solves an m-row :func:`embed`
+of a single-row core from the core itself.
 """
 
 from __future__ import annotations
@@ -192,78 +193,36 @@ def feasible(inst: Instance, x: RationalVector) -> bool:
 
 # --- embedding of single-row instances into m > 1 ------------------------------
 
-def embed(inst1: Instance, target_m: int, target_n: int) -> Instance:
-    """Block-embed an m=1 instance: A' = [[A, 0], [0, I]], y' = (y, 0, ..., 0).
+def embed(core: Instance, m: int) -> Instance:
+    """Block-embed a single-row core into m rows: A = [[core.A, 0], [0, I]], y = (y, 0, ..., 0).
 
-    The reduced width must satisfy N' = target_n + 1 - target_m, and solutions
-    correspond exactly via zero-padding of the trailing target_m - 1 slots.
+    The width is N = core.n + m - 1, and solutions correspond exactly via
+    zero-padding of the trailing m - 1 slots.
     """
-    if inst1.m != 1:
+    if core.m != 1:
         raise ValueError("embedding starts from a single-row instance")
-    if target_m >= target_n:
-        raise ValueError("embedding needs target_m < target_n")
-    n_reduced = target_n + 1 - target_m
-    if n_reduced != inst1.n:
-        raise ValueError(
-            f"dimension mismatch: embedding to ({target_m},{target_n}) needs a "
-            f"width-{n_reduced} instance, got {inst1.n}"
-        )
-    if target_m == 1:
-        return inst1
-    rows = [tuple(inst1.A.rows[0]) + (CZERO,) * (target_m - 1)]
-    for i in range(target_m - 1):
-        row = [CZERO] * target_n
-        row[n_reduced + i] = CONE
+    if m < 1:
+        raise ValueError(f"embedding needs m >= 1, got {m}")
+    if m == 1:
+        return core
+    rows = [tuple(core.A.rows[0]) + (CZERO,) * (m - 1)]
+    for i in range(m - 1):
+        row = [CZERO] * (core.n + m - 1)
+        row[core.n + i] = CONE
         rows.append(tuple(row))
-    y = (inst1.y.entries[0],) + (CZERO,) * (target_m - 1)
-    return Instance(A=RationalMatrix(tuple(rows)), y=RationalVector(y), eps=inst1.eps)
+    y = (core.y.entries[0],) + (CZERO,) * (m - 1)
+    return Instance(A=RationalMatrix(tuple(rows)), y=RationalVector(y), eps=core.eps)
 
 
-def split_embedded(inst: Instance) -> Instance:
-    """Recover the reduced single-row instance from an embedded one.
-
-    Verifies the exact block structure (identity tail rows, zero-padded
-    measurement) before peeling; anything else is rejected.
-    """
-    if inst.m == 1:
-        return inst
-    n_reduced = inst.n + 1 - inst.m
-    for j in range(n_reduced, inst.n):
-        if inst.A.entry(0, j) != CZERO:
-            raise ValueError("row 0 is not zero on the identity block columns")
-    for i in range(1, inst.m):
-        for j in range(inst.n):
-            expected = CONE if j == n_reduced + i - 1 else CZERO
-            if inst.A.entry(i, j) != expected:
-                raise ValueError(f"row {i} is not an identity-block row")
-        if inst.y.entries[i] != CZERO:
-            raise ValueError("embedded measurement tail must be zero")
-    return Instance(
-        A=RationalMatrix((inst.A.rows[0][:n_reduced],)),
-        y=RationalVector((inst.y.entries[0],)),
-        eps=inst.eps,
-    )
-
-
-def restrict(x: RationalVector, target_m: int) -> RationalVector:
-    """Drop the trailing target_m - 1 padding coordinates."""
-    if target_m == 1:
-        return x
-    return RationalVector(x.entries[: x.n + 1 - target_m])
-
-
-def select_embedded(inst: Instance) -> RationalVector:
-    """Exact selected solution of an embedded instance, zero-padded.
+def select_embedded(core: Instance, m: int) -> RationalVector:
+    """Exact selected solution of ``embed(core, m)``: the core's, zero-padded.
 
     The tail coordinates enter the residual additively as x_i^2, so any
     minimum-l1 solution zeroes them and the problem reduces exactly to the
-    single-row block; the oracle then applies to the reduced instance.
+    single-row core, to which the oracle applies.
     """
-    reduced = split_embedded(inst)
-    x = select(exact_solution_set(reduced))
-    if inst.m == 1:
-        return x
-    return RationalVector(x.entries + (CZERO,) * (inst.m - 1))
+    x = select(exact_solution_set(core))
+    return RationalVector(x.entries + (CZERO,) * (m - 1))
 
 
 # --- generic numerical solver ---------------------------------------------------

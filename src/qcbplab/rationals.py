@@ -27,6 +27,8 @@ def fmt_rational(q: Q) -> str:
 
 def parse_rational(text: str) -> Q:
     """Parse "num/den" or integer text produced by :func:`fmt_rational`."""
+    if not isinstance(text, str):
+        raise ValueError(f'expected a rational as a "num/den" string, got {text!r}')
     return Q(text.strip())
 
 

@@ -161,14 +161,14 @@ def test_halting_budget_zero_all_not_halted(tmp_path, capsys):
 def test_halting_builds_the_at_budget_member_once(monkeypatch, capsys):
     # every not-halted row reports the member at index budget + 1; one run
     # builds it once, and a second run builds it again rather than reusing it
-    real = families.perturbed_instance
+    real = families.perturbed_core
     built = []
 
     def counting(which, n, p):
         built.append((which, n))
         return real(which, n, p)
 
-    monkeypatch.setattr(families, "perturbed_instance", counting)
+    monkeypatch.setattr(families, "perturbed_core", counting)
     argv = ["halting", "--machine", "builtin:even", "--n-max", "40", "--j-budget", "1000"]
     for runs in (1, 2):
         code, out, _ = run(argv, capsys)
@@ -178,14 +178,14 @@ def test_halting_builds_the_at_budget_member_once(monkeypatch, capsys):
 
 def test_halting_all_in_run_builds_no_at_budget_member(monkeypatch, capsys):
     # input 0 is accepted, so no row needs the member at index budget + 1
-    real = families.perturbed_instance
+    real = families.perturbed_core
     built = []
 
     def counting(which, n, p):
         built.append((which, n))
         return real(which, n, p)
 
-    monkeypatch.setattr(families, "perturbed_instance", counting)
+    monkeypatch.setattr(families, "perturbed_core", counting)
     argv = ["halting", "--machine", "builtin:even", "--n-max", "0", "--j-budget", "1000"]
     code, out, _ = run(argv, capsys)
     assert code == 0 and "NOT_HALTED_AT_BUDGET" not in out
@@ -579,6 +579,16 @@ def test_config_near_miss_keys_exit_2(key, flag, tmp_path, capsys):
     assert err == json.dumps({"error": f"{cfg}:1: adversarial has no flag {flag}"}) + "\n"
 
 
+@pytest.mark.parametrize("second", ["n_max", "n-max"], ids=["same-spelling", "dash-spelling"])
+def test_config_key_given_twice_exit_2(second, tmp_path, capsys):
+    # '-' and '_' spell one key; a second setting is refused, not applied
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n_max = 2\n# comment\n{second} = 4\n")
+    code, out, err = run(["adversarial", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": f"{cfg}:3: --n-max was already set on line 1"}) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--conf", "{cfg}", "adversarial"], ["adversarial", "--conf", "{cfg}"], ["--conf={cfg}", "adversarial"]],
@@ -619,22 +629,27 @@ _ROW = [[{"re": "1", "im": "0"}, {"re": "2", "im": "0"}]]
 _Y = [{"re": "1", "im": "0"}]
 
 
+_NOT_TEXT = 'ValueError: expected a rational as a "num/den" string, got '
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc, detail",
     [
-        {"A": _ROW, "y": _Y},  # no "eps"
-        [1, 2, 3],  # a list at the top level
-        {"A": _ROW, "y": _Y, "eps": "1/0"},  # zero denominator
-        {"A": _ROW, "y": _Y, "eps": 0.5},  # a number where "num/den" text belongs
+        ({"A": _ROW, "y": _Y}, ""),  # no "eps"
+        ([1, 2, 3], ""),  # a list at the top level
+        ({"A": _ROW, "y": _Y, "eps": "1/0"}, ""),  # zero denominator
+        ({"A": _ROW, "y": _Y, "eps": 0.5}, _NOT_TEXT + "0.5"),  # a number where "num/den" text belongs
+        ({"A": _ROW, "y": [{"re": 1, "im": "0"}], "eps": "0"}, _NOT_TEXT + "1"),  # the same, in an entry
     ],
-    ids=["missing-key", "list", "zero-denominator", "float-rational"],
+    ids=["missing-key", "list", "zero-denominator", "float-rational", "int-rational"],
 )
-def test_solve_malformed_instance_file_exit_2(tmp_path, capsys, doc):
+def test_solve_malformed_instance_file_exit_2(tmp_path, capsys, doc, detail):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(["solve", "--instance", str(path)], capsys)
     assert code == 2 and out == ""
-    assert str(path) in json.loads(err)["error"]
+    error = json.loads(err)["error"]
+    assert str(path) in error and error.endswith(detail)
 
 
 def test_solve_deeply_nested_instance_file_exit_2(tmp_path, capsys):

@@ -183,7 +183,7 @@ def test_embedded_families():
     inst = fam.perturbed_instance(2, 4, p)
     assert inst.m == 3 and inst.n == 5
     sol = fam.perturbed_solution(2, 4, p)
-    assert sol == qcbp.select_embedded(inst)
+    assert sol == qcbp.select_embedded(fam.perturbed_core(2, 4, p), 3)
     assert qcbp.feasible(inst, sol)
     assert fam.input_distance(2, 4, p) == Q(1, 16)
 

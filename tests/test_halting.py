@@ -176,7 +176,7 @@ def test_encoding_convergence_invariant():
 
 def test_decide_membership_parity():
     for n in range(12):
-        d = ht.decide_membership(EVEN, n, 10**4, P, CERT)
+        d = ht.decide_membership(EVEN, n, 10**4, CERT)
         if n % 2 == 0:
             assert d.status == ht.IN
             assert d.steps_to_accept == ht.run_bounded(EVEN, n, 10**4).steps_to_accept
@@ -187,24 +187,24 @@ def test_decide_membership_parity():
 
 def test_decide_membership_budget_semantics():
     q8 = ht.run_bounded(EVEN, 8, 10**4).steps_to_accept
-    short = ht.decide_membership(EVEN, 8, q8 - 1, P, CERT)
+    short = ht.decide_membership(EVEN, 8, q8 - 1, CERT)
     assert short.status == ht.NOT_HALTED_AT_BUDGET  # in the set, but not at this budget
-    exact = ht.decide_membership(EVEN, 8, q8, P, CERT)
+    exact = ht.decide_membership(EVEN, 8, q8, CERT)
     assert exact.status == ht.IN
-    zero = ht.decide_membership(EVEN, 0, 0, P, CERT)
+    zero = ht.decide_membership(EVEN, 0, 0, CERT)
     assert zero.status == ht.NOT_HALTED_AT_BUDGET
 
 
 def test_decision_soundness_cross_checked():
     for n in range(10):
-        d = ht.decide_membership(EVEN, n, 10**4, P, CERT)
+        d = ht.decide_membership(EVEN, n, 10**4, CERT)
         accepted = ht.run_bounded(EVEN, n, 10**4).accepted
         assert (d.status == ht.IN) == accepted
 
 
 def test_in_distance_exceeds_threshold():
     for n in (0, 2, 4, 10):
-        d = ht.decide_membership(EVEN, n, 10**4, P, CERT)
+        d = ht.decide_membership(EVEN, n, 10**4, CERT)
         assert d.status == ht.IN
         assert d.distance_sq > CERT.threshold_sq()
 
@@ -230,7 +230,7 @@ def test_output_values_cannot_decide_membership():
     star = fam.limit_solution(P)
     threshold = CERT.threshold_sq()
     for n in (2, 3):  # one accepted, one not
-        d = ht.decide_membership(EVEN, n, 10**3, P, CERT)
+        d = ht.decide_membership(EVEN, n, 10**3, CERT)
         at_budget = d.distance_sq if d.status == ht.IN else ht.encoded_distance_sq(10**3, P)
         assert at_budget > threshold
     # family 1 selections collapse onto the limit selection
@@ -260,37 +260,31 @@ def test_effective_limit_recovers_encoded_entries():
         assert abs(limit(n).approx(30) - P.a) <= Q(1, 2**30)
 
 
-def test_certificate_params_must_match():
-    other = fam.FamilyParams(a=Q(2))
-    with pytest.raises(ValueError, match="different family"):
-        ht.decide_membership(EVEN, 2, 100, other, CERT)
-
-
 def test_violated_certificate_is_a_numerical_failure():
     # bound 4 puts the threshold (bound/4)**2 = 1 above every family distance
     inflated = dataclasses.replace(CERT, bound=Q(4))
     with pytest.raises(ArithmeticError, match="violated at decision time"):
-        ht.decide_membership(EVEN, 2, 10**4, P, inflated)
+        ht.decide_membership(EVEN, 2, 10**4, inflated)
 
 
 def test_threshold_machine_ground_truth():
     m = machine_threshold(5)
     for n in range(9):
-        d = ht.decide_membership(m, n, 10**3, P, CERT)
+        d = ht.decide_membership(m, n, 10**3, CERT)
         assert (d.status == ht.IN) == (n <= 5)
 
 
 def test_never_machine():
     m = machine_never()
     for n in range(5):
-        assert ht.decide_membership(m, n, 200, P, CERT).status == ht.NOT_HALTED_AT_BUDGET
+        assert ht.decide_membership(m, n, 200, CERT).status == ht.NOT_HALTED_AT_BUDGET
 
 
 def test_delay_machine_deep_acceptance():
     m = machine_delay(500)
     out = ht.run_bounded(m, 3, 10**3)
     assert out.accepted and out.steps_to_accept == 501
-    d = ht.decide_membership(m, 3, 10**3, P, CERT)
+    d = ht.decide_membership(m, 3, 10**3, CERT)
     assert d.status == ht.IN and d.steps_to_accept == 501
     assert d.distance_sq.denominator > 2**500  # deep exact rationals survive
 

@@ -153,38 +153,29 @@ def test_oracle_randomized_value_formula():
 
 def test_embed_example():
     inst = single([2, 1])
-    emb = qcbp.embed(inst, 2, 3)
+    emb = qcbp.embed(inst, 2)
     assert [[e.re for e in row] for row in emb.A.rows] == [[2, 1, 0], [0, 0, 1]]
     assert [e.re for e in emb.y.entries] == [1, 0]
-    assert qcbp.embed(inst, 1, 2) is inst
+    assert qcbp.embed(inst, 1) is inst
+    assert (qcbp.embed(inst, 3).m, qcbp.embed(inst, 3).n) == (3, 4)
 
 
 def test_embed_dimension_check():
-    with pytest.raises(ValueError, match="mismatch"):
-        qcbp.embed(single([2, 1]), 3, 5)
-    with pytest.raises(ValueError, match="target_m < target_n"):
-        qcbp.embed(single([2, 1]), 3, 2)
+    with pytest.raises(ValueError, match="m >= 1"):
+        qcbp.embed(single([2, 1]), 0)
+    two_rows = qcbp.embed(single([2, 1]), 2)
+    with pytest.raises(ValueError, match="single-row"):
+        qcbp.embed(two_rows, 2)
 
 
 def test_embedded_selection_matches_original():
     rng = random.Random(32)
     for _ in range(25):
         inst = rand_instance(rng, 2, Q(1, 4))
-        emb = qcbp.embed(inst, 2, 3)
-        padded = qcbp.select_embedded(emb)
-        assert qcbp.restrict(padded, 2) == qcbp.select(qcbp.exact_solution_set(inst))
+        padded = qcbp.select_embedded(inst, 2)
+        assert padded.entries[:2] == qcbp.select(qcbp.exact_solution_set(inst)).entries
         assert all(e.re == 0 for e in padded.entries[2:])
-        assert qcbp.feasible(emb, padded)
-
-
-def test_split_embedded_rejects_non_block():
-    bad = qcbp.Instance(
-        A=RationalMatrix.from_rows([[2, 1, 0], [0, 1, 1]]),
-        y=RationalVector.from_items([1, 0]),
-        eps=Q(0),
-    )
-    with pytest.raises(ValueError, match="identity"):
-        qcbp.split_embedded(bad)
+        assert qcbp.feasible(qcbp.embed(inst, 2), padded)
 
 
 def test_instance_json_roundtrip():
@@ -212,7 +203,7 @@ def test_solver_example_slack():
 
 def test_solver_embedded_same_objective():
     rep1 = qcbp.solve_numeric(single([2, 1]), Q(1, 10**6))
-    rep2 = qcbp.solve_numeric(qcbp.embed(single([2, 1]), 2, 3), Q(1, 10**6))
+    rep2 = qcbp.solve_numeric(qcbp.embed(single([2, 1]), 2), Q(1, 10**6))
     assert abs(rep1.objective_ub - rep2.objective_ub) <= Q(2, 10**5)
 
 
