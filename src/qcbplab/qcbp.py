@@ -19,6 +19,7 @@ of a single-row core from the core itself.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import ceil
@@ -41,7 +42,6 @@ from qcbplab.rationals import (
     matrix_to_json,
     operator_norm_sq_upper,
     parse_rational,
-    realified_rows,
     row_rank,
     scaled_integers,
     vector_from_json,
@@ -279,17 +279,26 @@ class _ScaledInstance:
     den: int
     n: int
 
+    def floats(self) -> tuple[np.ndarray, np.ndarray]:
+        """K and y in float64; an integer true division rounds correctly, as float(Fraction) does."""
+        den = self.den
+        return np.array([[v / den for v in row] for row in self.k]), np.array([v / den for v in self.y])
 
-def _realified(inst: Instance) -> tuple[np.ndarray, np.ndarray, _ScaledInstance]:
-    """Real 2m x 2N operator [[Re A, -Im A], [Im A, Re A]] as floats and integers."""
-    rows = realified_rows(inst.A)
-    y = [e.re for e in inst.y.entries] + [e.im for e in inst.y.entries]
-    k, den = scaled_integers(rows + [y])
-    y_int = k.pop()
-    scaled = _ScaledInstance(k=k, k_cols=list(zip(*k)), y=y_int, den=den, n=inst.n)
-    K = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
-    yv = np.array([float(v) for v in y], dtype=np.float64)
-    return K, yv, scaled
+
+def _realified(A: RationalMatrix, y: RationalVector) -> tuple[_ScaledInstance, int, Q]:
+    """A and y scaled to integers once, with A's row rank and squared operator norm bound.
+
+    The realification's real rank is twice the complex rank of A.
+    """
+    n = A.n
+    ints, den = scaled_integers(
+        [[e.re for e in r] + [e.im for e in r] for r in A.rows]
+        + [[e.re for e in y.entries] + [e.im for e in y.entries]]
+    )
+    y_int = ints.pop()
+    k = [r[:n] + [-v for v in r[n:]] for r in ints] + [r[n:] + r[:n] for r in ints]
+    scaled = _ScaledInstance(k=k, k_cols=list(zip(*k)), y=y_int, den=den, n=n)
+    return scaled, row_rank(k) // 2, operator_norm_sq_upper(ints, den)
 
 
 def _past_float64(inst: Instance) -> str:
@@ -317,9 +326,13 @@ def _dyadic_ints(v: np.ndarray) -> tuple[list[int], int]:
 
 
 def _pair_l1_upper(xs: list[int], e: int, n: int) -> Q:
-    """Exact upper bound on sum_i |(re_i, im_i)| of xs / 2**e; exact when all im are zero."""
+    """Exact upper bound on sum_i |(re_i, im_i)| of xs / 2**e; exact when all im are zero.
+
+    Real pairs add up as one integer over 2**e; only complex pairs take a root.
+    """
     den = 1 << (2 * e)
-    return sum((dyadic_sqrt_upper(Q(xs[i] ** 2 + xs[n + i] ** 2, den)) for i in range(n)), Q(0))
+    real = Q(sum(abs(xs[i]) for i in range(n) if not xs[n + i]), 1 << e)
+    return sum((dyadic_sqrt_upper(Q(xs[i] ** 2 + xs[n + i] ** 2, den)) for i in range(n) if xs[n + i]), real)
 
 
 def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Q:
@@ -416,27 +429,29 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     point or lower bound; the iteration itself continues unchanged.  Never
     trusts a float: all reported bounds are recomputed over the rationals.
     An entry of A or y, or eps, past float64's range raises ValueError
-    naming it, and so does an operator norm bound past that range; entries
-    that round to 0.0 are accepted.
+    naming it, and so does an operator norm bound past that range or below
+    its normal range; entries that round to 0.0 are accepted.
     """
     tol = Q(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    rank = row_rank(inst.A)
+    scaled, rank, norm_sq = _realified(inst.A, inst.y)
     if rank < inst.m:
         raise RankDeficientError(f"row rank {rank} < m={inst.m}")
 
     try:
-        K, yv, scaled = _realified(inst)
+        K, yv = scaled.floats()
         eps_f = float(inst.eps)
     except OverflowError:
         raise ValueError(f"{_past_float64(inst)} does not fit a float64") from None
     try:
-        L = float(dyadic_sqrt_upper(operator_norm_sq_upper(inst.A)))
+        L = float(dyadic_sqrt_upper(norm_sq))
     except OverflowError:
         raise ValueError("the operator norm bound of A is past float64's range") from None
+    if 0 < L < sys.float_info.min:
+        raise ValueError("the operator norm bound of A is below float64's normal range")
     step = 1.0 / L if L > 0 else 1.0
 
     n = inst.n
@@ -459,27 +474,27 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     def certified() -> bool:
         return best_feasible is not None and best_feasible[0] - best_lower <= tol
 
-    while iterations < max_iter:
-        todo = min(batch, max_iter - iterations)
-        x, z, xbar = _kernels.pd_iterate(K, yv, eps_f, step, step, x, z, xbar, todo, n)
-        iterations += todo
+    # float overflow needs no warning: the finite checks and the exact
+    # certificates reject whatever it spoils
+    with np.errstate(over="ignore", invalid="ignore"):
+        while iterations < max_iter:
+            todo = min(batch, max_iter - iterations)
+            x, z, xbar = _kernels.pd_iterate(K, yv, eps_f, step, step, x, z, xbar, todo, n)
+            iterations += todo
 
-        best_lower = max(best_lower, _dual_lower_bound(z, scaled, inst.eps))
-        last = _certify_primal(scaled, x)
-        offer(last)
-        if not certified():
-            # float overflow needs no warning: the finite checks and the exact
-            # certificates reject whatever it spoils
-            with np.errstate(over="ignore", invalid="ignore"):
+            best_lower = max(best_lower, _dual_lower_bound(z, scaled, inst.eps))
+            last = _certify_primal(scaled, x)
+            offer(last)
+            if not certified():
                 x_pol = _polish_primal(K, yv, eps_f, float(bound), z, n)
                 if x_pol is not None and np.isfinite(x_pol).all():
                     offer(_certify_primal(scaled, x_pol))
                     z_pol = _polish_dual(K, x_pol, z, n)
                     if z_pol is not None and np.isfinite(z_pol).all():
                         best_lower = max(best_lower, _dual_lower_bound(z_pol, scaled, inst.eps))
-        if certified():
-            converged = True
-            break
+            if certified():
+                converged = True
+                break
 
     objective_ub, residual_sq, residual_ub, x_float = best_feasible or last
     return SolveReport(
@@ -555,16 +570,17 @@ def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
     if not (inst.A.is_real() and inst.y.is_real()):
         raise ValueError("brute force handles real instances only")
 
-    h = Q(1, 2**grid_exp)
-    norm_sq_ub = operator_norm_sq_upper(inst.A)
-    op_ub = dyadic_sqrt_upper(norm_sq_ub, 20)
-    sqrt_n_ub = dyadic_sqrt_upper(Q(inst.n), 20)
-    relaxation = op_ub * sqrt_n_ub * h / 2
-
     # the rows of [A | y] as integers over D, the lcm of their denominators
     n = inst.n
     augmented = [[e.re for e in row] + [b.re] for row, b in zip(inst.A.rows, inst.y.entries)]
     ints, common = scaled_integers(augmented)
+
+    h = Q(1, 2**grid_exp)
+    norm_sq_ub = operator_norm_sq_upper([row[:n] + [0] * n for row in ints], common)
+    op_ub = dyadic_sqrt_upper(norm_sq_ub, 20)
+    sqrt_n_ub = dyadic_sqrt_upper(Q(inst.n), 20)
+    relaxation = op_ub * sqrt_n_ub * h / 2
+
     if l2_norm_sq(inst.y) <= inst.eps * inst.eps:
         radius = Q(0)  # x = 0 is feasible, so it is the optimum
     else:

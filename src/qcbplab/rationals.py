@@ -199,16 +199,6 @@ class RationalMatrix:
         return all(e.im == 0 for row in self.rows for e in row)
 
 
-def realified_rows(mat: RationalMatrix) -> list[list[Q]]:
-    """Rows of the real 2m x 2n matrix [[Re A, -Im A], [Im A, Re A]].
-
-    It maps (Re x, Im x) to (Re Ax, Im Ax), and its real rank is twice the
-    complex rank of A.
-    """
-    rows = [[e.re for e in r] + [-e.im for e in r] for r in mat.rows]
-    return rows + [[e.im for e in r] + [e.re for e in r] for r in mat.rows]
-
-
 def scaled_integers(rows: list[list[Q]]) -> tuple[list[list[int]], int]:
     """Integer rows k and den with rows == k / den, den the lcm of every denominator."""
     den = lcm(*(v.denominator for row in rows for v in row))
@@ -249,35 +239,35 @@ def echelon(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[in
     return work, pivots
 
 
-def row_rank(mat: RationalMatrix) -> int:
-    """Row rank by exact fraction-free elimination of the realification.
+def row_rank(rows: list[list[int]]) -> int:
+    """Row rank of integer rows by exact fraction-free elimination.
 
     Float rank tests can misclassify matrices whose rows differ by 2**-n
     perturbations; this one cannot.
     """
-    ints, _ = scaled_integers(realified_rows(mat))
-    return len(echelon(ints, 2 * mat.n)[1]) // 2
+    return len(echelon(rows, len(rows[0]))[1])
 
 
-def operator_norm_sq_upper(mat: RationalMatrix) -> Q:
-    """Certified rational upper bound on the squared spectral norm.
+def operator_norm_sq_upper(rows: list[list[int]], den: int) -> Q:
+    """Certified rational upper bound on the squared spectral norm of A.
 
-    Uses min(Frobenius bound, max-column-sum x max-row-sum bound), both exact
-    up to dyadic square-root overestimates of entry magnitudes.  For a single
-    row the Frobenius bound is the spectral norm itself, exactly.  Entries are
-    integers over one denominator; a real entry's magnitude is exact.
+    ``rows[i]`` holds (Re A_i, Im A_i) times ``den``; the sign of the
+    imaginary half does not matter.  Uses min(Frobenius bound,
+    max-column-sum x max-row-sum bound), both exact up to dyadic square-root
+    overestimates of entry magnitudes, and both the same rational whatever
+    the common ``den``.  For a single row the Frobenius bound is the
+    spectral norm itself, exactly.  A real entry's magnitude is exact.
     """
-    n = mat.n
-    ints, den = scaled_integers([[e.re for e in r] + [e.im for e in r] for r in mat.rows])
+    n = len(rows[0]) // 2
     den_sq = den * den
-    fro = Q(sum(v * v for row in ints for v in row), den_sq)
+    fro = Q(sum(v * v for row in rows for v in row), den_sq)
     # entry magnitudes times den
     mags = [
         [
             abs(re) if im == 0 else dyadic_sqrt_upper(Q(re * re + im * im, den_sq)) * den
             for re, im in zip(row[:n], row[n:])
         ]
-        for row in ints
+        for row in rows
     ]
     row_sums = [sum(r) for r in mags]
     col_sums = [sum(col) for col in zip(*mags)]

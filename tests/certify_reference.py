@@ -18,18 +18,18 @@ from qcbplab.rationals import (
 )
 
 
-def realified_exact(inst) -> tuple[list[list[Q]], list[Q]]:
+def realified_exact(A: RationalMatrix, y: RationalVector) -> tuple[list[list[Q]], list[Q]]:
     """Rows of [[Re A, -Im A], [Im A, Re A]] and the stacked (Re y, Im y)."""
-    m, n = inst.m, inst.n
+    m, n = A.m, A.n
     exact = [[Q(0)] * (2 * n) for _ in range(2 * m)]
     for i in range(m):
         for j in range(n):
-            e = inst.A.entry(i, j)
+            e = A.entry(i, j)
             exact[i][j] = e.re
             exact[i][n + j] = -e.im
             exact[m + i][j] = e.im
             exact[m + i][n + j] = e.re
-    y_exact = [e.re for e in inst.y.entries] + [e.im for e in inst.y.entries]
+    y_exact = [e.re for e in y.entries] + [e.im for e in y.entries]
     return exact, y_exact
 
 

@@ -7,14 +7,8 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from qcbplab import qcbp
-from qcbplab.rationals import (
-    ComplexQ,
-    RationalMatrix,
-    RationalVector,
-    operator_norm_sq_upper,
-    row_rank,
-)
+from qcbplab import qcbp, rationals
+from qcbplab.rationals import ComplexQ, RationalMatrix, RationalVector
 import certify_reference as ref
 
 PRIMES = (65519, 65521, 65537)
@@ -65,8 +59,8 @@ def test_certificates_equal_fraction_reference():
     for _ in range(250):
         inst = rand_instance(rng)
         n = inst.n
-        scaled = qcbp._realified(inst)[2]
-        exact_k, y_exact = ref.realified_exact(inst)
+        scaled = qcbp._realified(inst.A, inst.y)[0]
+        exact_k, y_exact = ref.realified_exact(inst.A, inst.y)
         x = rand_floats(rng, 2 * n)
         z = rand_floats(rng, 2 * inst.m)
 
@@ -100,11 +94,11 @@ def test_certificates_on_solver_iterates_equal_fraction_reference(monkeypatch):
     rng = random.Random(5)
     for _ in range(12):
         inst = rand_instance(rng)
-        if row_rank(inst.A) < inst.m:
+        if ref.row_rank(inst.A) < inst.m:
             continue
         calls.clear()
         rep = qcbp.solve_numeric(inst, Q(1, 10**6), max_iter=1000)
-        exact_k, y_exact = ref.realified_exact(inst)
+        exact_k, y_exact = ref.realified_exact(inst.A, inst.y)
         for kind, v, out in calls:
             if kind == "primal":
                 assert out[:3] == ref.certify_primal(inst, v)[:3]
@@ -121,8 +115,8 @@ def test_certificates_on_solver_iterates_equal_fraction_reference(monkeypatch):
 def test_nonfinite_iterates_raise_as_the_reference(bad):
     inst = rand_instance(random.Random(3))
     n, m = inst.n, inst.m
-    scaled = qcbp._realified(inst)[2]
-    exact_k, y_exact = ref.realified_exact(inst)
+    scaled = qcbp._realified(inst.A, inst.y)[0]
+    exact_k, y_exact = ref.realified_exact(inst.A, inst.y)
     x = np.array((bad + [0.5] * (2 * n))[: 2 * n])
     z = np.array((bad + [0.5] * (2 * m))[: 2 * m])
     cases = [
@@ -164,11 +158,86 @@ def _rank_cases(rng):
         yield RationalMatrix(tuple(tuple(r) for r in rows))
 
 
+def _as_float_bytes(rows):
+    return np.array([[float(v) for v in row] for row in rows]).tobytes()
+
+
 def test_row_rank_and_norm_bound_equal_fraction_reference():
+    """Rank, norm bound and realification as the solve sets them up, over y's denominators too."""
     ranks = set()
+    y_rng = random.Random(18)
     for mat in _rank_cases(random.Random(17)):
-        rank = row_rank(mat)
+        y_den = y_rng.choice((11, 13 * 2**70, 10**30 + 57))  # no entry of A has one of these
+        y = RationalVector(tuple(ComplexQ(Q(y_rng.choice((1, -3, 5)), y_den), rand_q(y_rng)) for _ in range(mat.m)))
+        scaled, rank, norm_sq = qcbp._realified(mat, y)
+        assert scaled.den % y_den == 0
         assert rank == ref.row_rank(mat), mat
-        assert operator_norm_sq_upper(mat) == ref.operator_norm_sq_upper(mat), mat
+        assert norm_sq == ref.operator_norm_sq_upper(mat), mat
+        exact_k, y_exact = ref.realified_exact(mat, y)
+        assert [[Q(v, scaled.den) for v in row] for row in scaled.k] == exact_k
+        assert [Q(v, scaled.den) for v in scaled.y] == y_exact
+        assert scaled.k_cols == list(zip(*scaled.k))
+        K, yv = scaled.floats()
+        assert K.tobytes() == _as_float_bytes(exact_k) and yv.tobytes() == _as_float_bytes([y_exact])
         ranks.add((rank, mat.m))
     assert any(rank < m for rank, m in ranks) and any(rank == m for rank, m in ranks)
+
+
+MAX = 2**1024 - 2**971  # the largest float64
+EDGE = (
+    Q(MAX),
+    Q(-(MAX + 2**970 - 1)),  # just below the halfway point, so it rounds to -MAX
+    Q(2**1023 + 1, 3),
+    Q(1, 2**1074),  # the least subnormal
+    Q(-3, 2**1076),  # rounds up to the least subnormal
+    Q(1, 3 * 2**1030),  # a subnormal result of a non-dyadic entry
+    Q(1, 2**1075),  # halfway to the least subnormal: rounds to 0.0
+    Q(-1, 10**400),  # rounds to -0.0
+    Q(7, 10**300 + 1),
+)
+
+
+def test_float_set_up_equals_float_of_each_fraction():
+    """K and y from integer divisions equal float(Fraction) bit for bit, entry by entry."""
+    rng = random.Random(23)
+    for _ in range(50):
+        m = rng.randint(1, 2)
+        n = rng.randint(m + 1, 4)
+
+        def entry():
+            return ComplexQ(rng.choice(EDGE), rng.choice(EDGE + (Q(0),)))
+
+        mat = RationalMatrix(tuple(tuple(entry() for _ in range(n)) for _ in range(m)))
+        y = RationalVector(tuple(entry() for _ in range(m)))
+        K, yv = qcbp._realified(mat, y)[0].floats()
+        exact_k, y_exact = ref.realified_exact(mat, y)
+        for got, want in zip(K.ravel().tolist() + yv.tolist(), [v for row in exact_k for v in row] + y_exact):
+            assert got.hex() == float(want).hex(), want
+    past = RationalMatrix.from_rows([[Q(MAX + 2**970), 1]])  # the halfway point rounds to 2**1024
+    with pytest.raises(OverflowError):
+        qcbp._realified(past, RationalVector.from_items([1]))[0].floats()
+
+
+def test_solve_scales_to_integers_and_eliminates_once(monkeypatch):
+    """A solve that polishes and runs several batches scales A and y and eliminates once."""
+    counts = {"scaled_integers": 0, "echelon": 0}
+    for name in counts:
+        original = getattr(rationals, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(rationals, name, counting)
+        monkeypatch.setattr(qcbp, name, counting)
+    polished = []
+    polish = qcbp._polish_primal
+    monkeypatch.setattr(qcbp, "_polish_primal", lambda *args: polished.append(1) or polish(*args))
+    inst = qcbp.Instance(
+        A=RationalMatrix.from_rows([[1, 2, Q(1, 3)], [Q(-1, 5), 1, 1]]),
+        y=RationalVector.from_items([Q(1, 7), ComplexQ(Q(1, 11), Q(1, 2))]),
+        eps=Q(0),
+    )
+    rep = qcbp.solve_numeric(inst, Q(1, 10**12), max_iter=2000)
+    assert rep.iterations > 250 and polished
+    assert counts == {"scaled_integers": 1, "echelon": 1}

@@ -815,10 +815,22 @@ def test_solve_operator_norm_past_float64_exit_2(capsys):
     assert err == json.dumps({"error": "the operator norm bound of A is past float64's range"}) + "\n"
 
 
+def test_solve_subnormal_operator_norm_exit_2(capsys):
+    """A norm bound in float64's subnormal range would make the step infinite: an input error, no warning."""
+    d = str(10**310)
+    code, out, err = run(["solve", "--A", f"1/{d},2/{d}", "--y", f"1/{d}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "the operator norm bound of A is below float64's normal range"}) + "\n"
+
+
 def test_solve_accepts_entries_that_round_to_zero(capsys):
     """Entries below float64's range round to 0.0; the exact certificate still holds."""
     tiny = f"1/{PAST_FLOAT64}"
     code, out, err = run(["solve", "--A", f"1,{tiny}", "--y", tiny, "--eps", tiny], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["converged"]
+    # every entry and the norm bound round to 0.0, so the step is 1.0
+    code, out, err = run(["solve", "--A", f"{tiny},{tiny}", "--y", tiny, "--eps", tiny], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["converged"]
 

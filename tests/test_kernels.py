@@ -14,7 +14,7 @@ import pytest
 
 from qcbplab import _kernels as kern
 from qcbplab import families, qcbp
-from qcbplab.rationals import RationalMatrix, RationalVector, dyadic_sqrt_upper, operator_norm_sq_upper
+from qcbplab.rationals import RationalMatrix, RationalVector, dyadic_sqrt_upper
 
 import grid_reference
 import pd_reference
@@ -192,14 +192,19 @@ def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
     assert built == [(4, 5), (2, 5)]
 
 
+def _solver_setup(inst):
+    """K, y and the step, as solve_numeric sets them up."""
+    scaled, _, norm_sq = qcbp._realified(inst.A, inst.y)
+    return *scaled.floats(), 1.0 / float(dyadic_sqrt_upper(norm_sq))
+
+
 @pytest.mark.parametrize("which", [1, 2])
 def test_pd_iterate_matches_reference_on_families(which):
     """Both perturbation families at n = 1, 14..17 and 50, as solve_numeric sets them up."""
     p = families.FamilyParams()
     for n in (1, 14, 15, 16, 17, 50):
         inst = families.perturbed_instance(which, n, p)
-        K, y, _ = qcbp._realified(inst)
-        step = 1.0 / float(dyadic_sqrt_upper(operator_norm_sq_upper(inst.A)))
+        K, y, step = _solver_setup(inst)
         eps = float(inst.eps)
         x, z, xbar = np.zeros(2 * inst.n), np.zeros(2 * inst.m), np.zeros(2 * inst.n)
         for iters in (1, 250, 250):  # each batch starts where the one before stopped
@@ -269,8 +274,7 @@ def fixed_point():
     """``(K, y, eps, step, n)`` as solve_numeric sets them up, and the state the iteration settles at."""
     inst = qcbp.Instance(A=RationalMatrix.from_rows(FIXED_A), y=RationalVector.from_items(FIXED_Y), eps=Q(1, 8))
     assert qcbp.solve_numeric(inst).converged
-    K, y, _ = qcbp._realified(inst)
-    step = 1.0 / float(dyadic_sqrt_upper(operator_norm_sq_upper(inst.A)))
+    K, y, step = _solver_setup(inst)
     setup = (K, y, float(inst.eps), step, inst.n)
     zero = (np.zeros(2 * inst.n), np.zeros(2 * inst.m), np.zeros(2 * inst.n))
     state = pd_reference.pd_iterate(K, y, float(inst.eps), step, step, *zero, 1000, inst.n)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import warnings
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -229,6 +230,15 @@ def test_solver_rejects_rank_deficient():
     )
     with pytest.raises(qcbp.RankDeficientError):
         qcbp.solve_numeric(bad, Q(1, 1000))
+
+
+def test_solver_overflow_warns_nothing():
+    """An iteration that overflows is left to the exact certificates, without a numpy warning."""
+    inst = single([1, 2], y=10**307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = qcbp.solve_numeric(inst, Q(1, 10**6), max_iter=5000)
+    assert (rep.iterations, rep.converged) == (5000, False)
 
 
 def test_solver_complex_instance():

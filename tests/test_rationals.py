@@ -91,18 +91,16 @@ def test_complex_arithmetic_roundtrip():
 
 
 def test_row_rank_exact_on_tiny_perturbations():
-    tiny = Q(1, 2**50)
-    m = RationalMatrix.from_rows([[1, 1], [1, 1 + tiny]])
-    assert row_rank(m) == 2
-    assert row_rank(RationalMatrix.from_rows([[1, 1], [2, 2]])) == 1
-    assert row_rank(RationalMatrix.from_rows([[2, 1, 0], [0, 0, 1]])) == 2
+    big = 2**50  # the rows [1, 1] and [1, 1 + 2**-50], scaled by 2**50
+    assert row_rank([[big, big], [big, big + 1]]) == 2
+    assert row_rank([[1, 1], [2, 2]]) == 1
+    assert row_rank([[2, 1, 0], [0, 0, 1]]) == 2
 
 
 def test_operator_norm_upper_bound_single_row_exact():
-    m = RationalMatrix.from_rows([[2, 1]])
-    assert operator_norm_sq_upper(m) == 5  # frobenius is the operator norm for one row
-    m2 = RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
-    assert operator_norm_sq_upper(m2) >= 1
+    assert operator_norm_sq_upper([[2, 1, 0, 0]], 1) == 5  # frobenius is the operator norm for one row
+    assert operator_norm_sq_upper([[6, 3, 0, 0]], 3) == 5  # the same rational over any common denominator
+    assert operator_norm_sq_upper([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]], 1) >= 1
 
 
 def test_dyadic_sqrt_enclosure():
