@@ -84,14 +84,18 @@ def _meta(args: argparse.Namespace, source: str | None) -> dict:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qcbplab-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qcbplab-")
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.strerror:
+            # name the user's path, not the temporary file staged beside it
+            raise OSError(f"cannot write {path}: {exc.strerror}") from None
         raise
 
 
@@ -201,23 +205,25 @@ def cmd_adversarial(args: argparse.Namespace) -> int:
     from qcbplab import families
 
     p = _family_params(args)
-    report = families.discontinuity_report(
-        p, args.n_max, run_solver=args.solve, solver_tol=_rat(args.tol, "--tol")
-    )
-    kappa = report.certificate.bound
+    tol = _rat(args.tol, "--tol")
+    if args.n_max < 1:
+        raise InputError("n_max must be >= 1")
+    kappa = repr(float(families.separation_certificate(p).bound))
     header = ["n", "input_dist", "output_dist_sq", "output_dist_lower", "solver_dist", "kappa"]
     rows = []
-    for r in report.rows:
-        rows.append(
-            [
-                str(r.n),
-                fmt_rational(r.input_dist),
-                fmt_rational(r.output_dist_sq),
-                repr(float(r.output_dist_lower)),
-                repr(r.solver_dist) if r.solver_dist is not None else "-",
-                repr(float(kappa)),
-            ]
-        )
+    for n in range(1, args.n_max + 1):
+        in_dist = families.input_distance(1, n, p)
+        if families.input_distance(2, n, p) != in_dist:
+            raise families.CertificateError("families must sit at the same input distance")
+        out_sq = families.pair_distance_sq(n, p)
+        solver_dist = "-"
+        if args.solve:
+            r1 = qcbp.solve_numeric(families.perturbed_instance(1, n, p), tol)
+            r2 = qcbp.solve_numeric(families.perturbed_instance(2, n, p), tol)
+            diff = r1.x_float - r2.x_float
+            solver_dist = repr(float((diff @ diff) ** 0.5))
+        lower = repr(float(dyadic_sqrt_lower(out_sq, 30)))
+        rows.append([str(n), fmt_rational(in_dist), fmt_rational(out_sq), lower, solver_dist, kappa])
     _emit_csv(header, rows, args)
     return EXIT_OK
 

@@ -13,8 +13,7 @@ can exist.
 For m > 1 rows each member is its :func:`perturbed_core` block-embedded by
 :func:`qcbplab.qcbp.embed`, so its solutions are the core's, zero-padded.
 
-All constructions are exact; floats appear only in the optional solver
-columns of the report.
+All constructions are exact.
 """
 
 from __future__ import annotations
@@ -24,11 +23,7 @@ from fractions import Fraction as Q
 from math import isqrt
 
 from qcbplab import qcbp
-from qcbplab.rationals import (
-    RationalVector,
-    dyadic_sqrt_lower,
-    l2_norm_sq,
-)
+from qcbplab.rationals import RationalVector, l2_norm_sq
 
 
 class CertificateError(ArithmeticError):
@@ -185,55 +180,3 @@ def separation_certificate(p: FamilyParams, _n_max=None) -> SeparationCertificat
     return SeparationCertificate(
         params=p, bound=bound, min_pair_dist_sq=min_sq, limit_gap_sq_min=limit_gap_sq_min
     )
-
-
-@dataclass
-class ReportRow:
-    n: int
-    input_dist: Q
-    output_dist_sq: Q
-    output_dist_lower: Q
-    solver_dist: float | None
-
-
-@dataclass
-class DiscontinuityReport:
-    """Per-n table: inputs collapsing at 2**-n, outputs separated above bound."""
-
-    certificate: SeparationCertificate
-    rows: list[ReportRow]
-
-
-def discontinuity_report(
-    p: FamilyParams,
-    n_max: int,
-    run_solver: bool = False,
-    solver_tol: Q = Q(1, 10**6),
-) -> DiscontinuityReport:
-    """Build the per-n table; exact columns always, float solver columns on demand."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    cert = separation_certificate(p)
-    rows = []
-    for n in range(1, n_max + 1):
-        in_dist = input_distance(1, n, p)
-        other = input_distance(2, n, p)
-        if other != in_dist:
-            raise CertificateError("families must sit at the same input distance")
-        out_sq = pair_distance_sq(n, p)
-        solver_dist = None
-        if run_solver:
-            r1 = qcbp.solve_numeric(perturbed_instance(1, n, p), solver_tol)
-            r2 = qcbp.solve_numeric(perturbed_instance(2, n, p), solver_tol)
-            diff = r1.x_float - r2.x_float
-            solver_dist = float((diff @ diff) ** 0.5)
-        rows.append(
-            ReportRow(
-                n=n,
-                input_dist=in_dist,
-                output_dist_sq=out_sq,
-                output_dist_lower=dyadic_sqrt_lower(out_sq, 30),
-                solver_dist=solver_dist,
-            )
-        )
-    return DiscontinuityReport(certificate=cert, rows=rows)

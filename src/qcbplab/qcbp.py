@@ -114,11 +114,16 @@ class Instance:
 
     @staticmethod
     def from_json(obj: dict) -> "Instance":
-        return Instance(
+        inst = Instance(
             A=matrix_from_json(obj["A"]),
             y=vector_from_json(obj["y"]),
             eps=parse_rational(obj["eps"]),
         )
+        # "m" and "N" are optional, but when present they must describe A
+        for key, size in (("m", inst.m), ("N", inst.n)):
+            if key in obj and obj[key] != size:
+                raise ValueError(f'"{key}" is {obj[key]!r}, but A is {inst.m}x{inst.n}')
+        return inst
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from qcbplab import cli, families, halting, mlp, qcbp
+from qcbplab.rationals import dyadic_sqrt_lower
 
 
 def run(argv, capsys):
@@ -103,6 +104,71 @@ def test_adversarial_solve_flag_populates_column(tmp_path, capsys):
     rows = [l.split(",") for l in out_file.read_text().splitlines()[2:]]
     assert all(r[4] != "-" for r in rows)
     assert float(rows[0][4]) == pytest.approx((2 / 9) ** 0.5, abs=1e-4)
+
+
+def test_adversarial_exact_columns(capsys):
+    code, out, err = run(["adversarial", "--n-max", "12"], capsys)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert len(rows) == 12
+    p = families.FamilyParams()
+    for n_text, in_dist, out_sq, lower, solver_dist, kappa in rows:
+        n, sq = int(n_text), Q(out_sq)
+        assert Q(in_dist) == Q(1, 2**n)
+        assert sq == families.pair_distance_sq(n, p)
+        exact_lower = dyadic_sqrt_lower(sq, 30)
+        assert lower == repr(float(exact_lower))
+        assert exact_lower**2 <= sq
+        assert solver_dist == "-"
+        assert Q(float(kappa)) >= Q(47, 100)
+
+
+SOLVER_TOL = Q(1, 10**6)
+
+
+@pytest.fixture(scope="module")
+def solver_rows(tmp_path_factory):
+    """The rows of one ``adversarial --n-max 20 --solve`` table; ``repr`` round-trips each float."""
+    out = tmp_path_factory.mktemp("adversarial") / "solve.csv"
+    argv = ["adversarial", "--n-max", "20", "--solve", "--tol", str(SOLVER_TOL), "--out", str(out)]
+    assert cli.main(argv) == 0
+    return [line.split(",") for line in out.read_text().splitlines()[2:]]
+
+
+def test_adversarial_solver_column_matches_exact(solver_rows):
+    """Solver distances agree with the exact columns within the location
+    tolerance the duality certificate implies.  A tol-optimal point can sit
+    anywhere the objective is within tol of optimal, and along the solution
+    segment the objective varies by only dv = (1-eps)(1/a - 1/(a+2**-n)) over
+    its whole length, so the certified location error grows like tol/dv as n
+    grows; the exact columns, not the float ones, carry the theorem."""
+    p = families.FamilyParams()
+    assert len(solver_rows) == 20
+    for row in solver_rows:
+        n, solver_dist, kappa = int(row[0]), float(row[4]), float(row[5])
+        exact = float(Q(row[2])) ** 0.5
+        dv = (1 - p.eps) / p.a - (1 - p.eps) / (p.a + Q(1, 2**n))
+        near = (1 - p.eps) / (p.a + Q(1, 2**n))
+        far = (1 - p.eps) / p.a
+        seg_len = float(near**2 + far**2) ** 0.5
+        per_solve = 2 * float(SOLVER_TOL) * (seg_len / float(dv) + 1)
+        assert solver_dist == pytest.approx(exact, abs=2 * per_solve + 1e-9)
+        # even with location fuzz, the float column still shows the separation
+        assert solver_dist >= kappa - 2 * per_solve
+
+
+def test_adversarial_solver_column_hits_exact_where_vertices_separate(solver_rows):
+    """Where the two vertex values differ by more than 2 tol, a tol-optimal
+    point must be the better vertex, and the solver lands on it to rounding."""
+    p = families.FamilyParams()
+    checked = 0
+    for row in solver_rows:
+        n = int(row[0])
+        dv = (1 - p.eps) / p.a - (1 - p.eps) / (p.a + Q(1, 2**n))
+        if dv > 2 * SOLVER_TOL:
+            assert abs(float(row[4]) - float(Q(row[2])) ** 0.5) <= 1e-9, n
+            checked += 1
+    assert checked == 17
 
 
 def test_byte_identical_reruns(tmp_path, capsys):
@@ -224,6 +290,25 @@ def test_halting_violated_certificate_exit_3(monkeypatch, capsys):
     assert json.loads(err) == {"error": "separation certificate violated at decision time", "kind": "numerical"}
 
 
+def test_nn_violated_conflict_bound_exit_3(monkeypatch, capsys):
+    """A failed conflict bound still prints the table, then the summary line, not JSON."""
+    real = families.separation_certificate
+    monkeypatch.setattr(
+        families,
+        "separation_certificate",
+        lambda p: dataclasses.replace(real(p), bound=Q(4)),
+    )
+    code, out, err = run(["nn", "--seed", "1", "--steps", "2", "--n-max", "2", "--widths", "4"], capsys)
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[1] == "n,gap,e1,e2,lip_slack,bound_lhs,kappa"
+    assert [row.split(",")[0] for row in lines[2:]] == ["1", "2"]
+    assert all(row.endswith(",4.0") for row in lines[2:])
+    (summary,) = err.splitlines()
+    assert summary.startswith("conflict bound: min_n (e1+e2+L*gap) = ")
+    assert "-> VIOLATED (L_hat=" in summary
+
+
 def test_halting_machine_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.tm"
     bad.write_text("init a\naccept z\ngarbage line here\n")
@@ -331,6 +416,23 @@ def test_directory_path_exit_2(argv, tmp_path, capsys):
     # output files are staged next to the target; none is left behind
     assert [p.name for p in tmp_path.iterdir()] == ["target"]
     assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--A", "2,1", "--out", "{path}"],
+        ["nn", "--seed", "1", "--steps", "2", "--n-max", "2", "--widths", "4", "--checkpoint", "{path}"],
+    ],
+    ids=["out", "checkpoint"],
+)
+def test_missing_directory_names_the_output_path(argv, tmp_path, capsys):
+    """A write into a missing directory names the path given, not the temporary file."""
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run([a.replace("{path}", str(path)) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": f"cannot write {path}: No such file or directory"}) + "\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_written_atomically(tmp_path, monkeypatch, capsys):
@@ -492,6 +594,9 @@ def test_config_file_missing_exit_2(capsys):
     code, _, err = run(["adversarial", "--config", "/no/such.cfg"], capsys)
     assert code == 2
     assert "config" in json.loads(err)["error"]
+    code, out, err = run(["adversarial", "--config"], capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "--config needs a file path"}) + "\n"
 
 
 def test_config_file_unknown_key_exit_2(tmp_path, capsys):
@@ -500,6 +605,10 @@ def test_config_file_unknown_key_exit_2(tmp_path, capsys):
     code, _, err = run(["adversarial", "--config", str(cfg)], capsys)
     assert code == 2
     assert "--bogus" in json.loads(err)["error"]
+    cfg.write_text("n_max = 2\nsolve\n")
+    code, out, err = run(["adversarial", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == f"{cfg}:2: expected key=value, got 'solve\\n'"
 
 
 def test_config_equals_form_in_both_positions(tmp_path, capsys):
@@ -640,8 +749,10 @@ _NOT_TEXT = 'ValueError: expected a rational as a "num/den" string, got '
         ({"A": _ROW, "y": _Y, "eps": "1/0"}, ""),  # zero denominator
         ({"A": _ROW, "y": _Y, "eps": 0.5}, _NOT_TEXT + "0.5"),  # a number where "num/den" text belongs
         ({"A": _ROW, "y": [{"re": 1, "im": "0"}], "eps": "0"}, _NOT_TEXT + "1"),  # the same, in an entry
+        ({"m": 7, "N": 9, "A": _ROW, "y": _Y, "eps": "0"}, 'ValueError: "m" is 7, but A is 1x2'),
+        ({"m": 1, "N": 3, "A": _ROW, "y": _Y, "eps": "0"}, 'ValueError: "N" is 3, but A is 1x2'),
     ],
-    ids=["missing-key", "list", "zero-denominator", "float-rational", "int-rational"],
+    ids=["missing-key", "list", "zero-denominator", "float-rational", "int-rational", "wrong-m", "wrong-N"],
 )
 def test_solve_malformed_instance_file_exit_2(tmp_path, capsys, doc, detail):
     path = tmp_path / "inst.json"

@@ -194,40 +194,6 @@ def test_instances_serialize_roundtrip():
         assert qcbp.Instance.from_json(inst.to_json()) == inst
 
 
-def test_report_exact_columns():
-    rep = fam.discontinuity_report(P, 12)
-    assert len(rep.rows) == 12
-    for row in rep.rows:
-        assert row.input_dist == Q(1, 2**row.n)
-        assert row.output_dist_sq == fam.pair_distance_sq(row.n, P)
-        assert row.output_dist_lower**2 <= row.output_dist_sq
-        assert row.solver_dist is None
-    assert rep.certificate.bound >= Q(47, 100)
-
-
-def test_report_solver_columns_match_exact():
-    """Solver distances agree with the exact columns within the location
-    tolerance the duality certificate implies.  A tol-optimal point can sit
-    anywhere the objective is within tol of optimal, and along the solution
-    segment the objective varies by only dv = (1-eps)(1/a - 1/(a+2**-n)) over
-    its whole length, so the certified location error grows like tol/dv as n
-    grows; the exact columns, not the float ones, carry the theorem."""
-    tol = Q(1, 10**6)
-    rep = fam.discontinuity_report(P, 20, run_solver=True, solver_tol=tol)
-    kappa = float(rep.certificate.bound)
-    for row in rep.rows:
-        n = row.n
-        exact = float(row.output_dist_sq) ** 0.5
-        dv = (1 - P.eps) / P.a - (1 - P.eps) / (P.a + Q(1, 2**n))
-        near = (1 - P.eps) / (P.a + Q(1, 2**n))
-        far = (1 - P.eps) / P.a
-        seg_len = float(near**2 + far**2) ** 0.5
-        per_solve = 2 * float(tol) * (seg_len / float(dv) + 1)
-        assert row.solver_dist == pytest.approx(exact, abs=2 * per_solve + 1e-9)
-        # even with location fuzz, the float column still shows the separation
-        assert row.solver_dist >= kappa - 2 * per_solve
-
-
 def test_family_solves_certify_in_first_batch():
     """Every criterion-5 solve, the near-degenerate band n = 14..17 included,
     certifies after one 250-iteration batch."""
@@ -237,24 +203,10 @@ def test_family_solves_certify_in_first_batch():
             assert rep.converged and rep.iterations == 250, (which, n, rep.iterations)
 
 
-def test_report_solver_columns_hit_exact_where_vertices_separate():
-    """Where the two vertex values differ by more than 2 tol, a tol-optimal
-    point must be the better vertex, and the solver lands on it to rounding."""
-    tol = Q(1, 10**6)
-    rep = fam.discontinuity_report(P, 20, run_solver=True, solver_tol=tol)
-    checked = 0
-    for row in rep.rows:
-        dv = (1 - P.eps) / P.a - (1 - P.eps) / (P.a + Q(1, 2**row.n))
-        if dv > 2 * tol:
-            assert abs(row.solver_dist - float(row.output_dist_sq) ** 0.5) <= 1e-9, row.n
-            checked += 1
-    assert checked == 17
-
-
 def test_certificate_formula_mismatch_is_a_numerical_failure(monkeypatch):
     monkeypatch.setattr(fam, "pair_distance_sq", lambda n, p: Q(1, 3))
     with pytest.raises(ArithmeticError, match="pair distance formula mismatch"):
-        fam.separation_certificate(P, 3)
+        fam.separation_certificate(P)
 
 
 def test_entries_follow_integer_formula():
