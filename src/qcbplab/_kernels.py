@@ -4,11 +4,13 @@ Two inner loops dominate runtime: the integer grid scan behind the brute-force
 l1 minimizer and the primal-dual iteration of the generic solver.  The grid
 scan is one numpy algorithm run on one of two dtypes: int64, or Python ints in
 object arrays.  The primal-dual iteration makes three BLAS calls per step (two
-matrix-vector products and one dot product) and runs its element-wise steps on
-Python floats, bit for bit what the all-numpy loop computes, in a loop
-generated once per problem shape as straight-line code with one local
-variable per coordinate; it stops at the first iteration that leaves its
-state unchanged (see the comment above ``pd_iterate``).
+matrix-vector products and one dot product), reads their results with two
+``.tolist()`` and feeds them with three ``pack_into`` writes into float64
+buffers allocated once per call.  It runs its element-wise steps on Python
+floats, bit for bit what the all-numpy loop computes, in a loop generated once
+per problem shape as straight-line code with one local variable per
+coordinate; it stops at the first iteration that leaves its state unchanged
+(see the comment above ``pd_iterate``).
 
 Exactness note: the scan is exact on int64 when rhs and W = sum_i M_i^2 are
 below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that in
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from struct import pack
+from struct import Struct, pack
 
 import numpy as np
 
@@ -159,7 +161,13 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # frame, on zips and on appends.  So the loop is generated once per shape
 # (K's row count and n_pairs) as straight-line source with one local
 # variable per coordinate, compiled and kept (``_pd_loop``); the source is
-# built from the two integers alone.  Building a shape's loop costs what it
+# built from the two integers alone.  A step is its three BLAS calls, the two
+# ``.tolist()`` that read the gemv results and three ``Struct.pack_into``
+# writes of u, the new z and the new xbar into float64 buffers, which store
+# the doubles ``np.array`` would (signed zeros, subnormals, inf and NaN
+# payloads included) without building an array.  The buffers are allocated
+# once per call, so the z and xbar a call returns are its own: a later call
+# never writes into them.  Building a shape's loop costs what it
 # saves over a list loop in two to ten batches of 250 iterations, from 2 to
 # 1,000 coordinates (measurements in ROADMAP's dead ends): it pays off for
 # a shape that runs more than a few batches in one process.
@@ -182,7 +190,9 @@ def _pd_source(rows, n_pairs):
 
     One local per coordinate: x, z and b hold the state (x, z, xbar); k is
     K xbar, u the dual step before scaling and v the new z; g is K^T z, w the
-    primal step before the shrink, p the new x and c the new xbar.
+    primal step before the shrink, p the new x and c the new xbar.  ``ua``,
+    ``zb`` and ``xb`` are the float64 buffers the BLAS calls read, filled by
+    ``pack_rows`` and ``pack_cols`` (rows and 2 n_pairs doubles).
     """
     cols = 2 * n_pairs
 
@@ -199,16 +209,16 @@ def _pd_source(rows, n_pairs):
     z, sy, k, u, v = (names(s, rows) for s in ("z", "sy", "k", "u", "v"))
     new, old = v + p + c, z + x + b
     same = " and ".join(f"{a} == {o}" for a, o in zip(new, old))
-    body = [f"{unpack(k)} = K.dot(xbar).tolist()"]
+    body = [f"{unpack(k)} = K.dot(xb).tolist()"]
     body += [f"{u[i]} = ({z[i]} + sigma * {k[i]}) - {sy[i]}" for i in range(rows)]
     body += [
-        f"ua = array({listed(u)})",
+        f"pack_rows(ua, 0, {unpack(u)})",
         "nrm = sqrt(ua.dot(ua))",
         "factor = 1.0 - se / nrm if nrm > 0 else 0.0",
         "factor = factor if factor > 0.0 else 0.0",
     ]
     body += [f"{v[i]} = {u[i]} * factor" for i in range(rows)]
-    body += [f"z = array({listed(v)})", f"{unpack(g)} = Kt.dot(z).tolist()"]
+    body += [f"pack_rows(zb, 0, {unpack(v)})", f"{unpack(g)} = Kt.dot(zb).tolist()"]
     body += [f"{w[i]} = {x[i]} - tau * {g[i]}" for i in range(cols)]
     for re, im in zip(range(n_pairs), range(n_pairs, cols)):
         body += [
@@ -220,7 +230,7 @@ def _pd_source(rows, n_pairs):
         ]
     body += [f"{c[i]} = 2.0 * {p[i]} - {x[i]}" for i in range(cols)]
     body += [
-        f"xbar = array({listed(c)})",
+        f"pack_cols(xb, 0, {unpack(c)})",
         f"if {same} and _bits({listed(new)}) == _bits({listed(old)}):",
         "    break  # a fixed point: x already holds the new x's bytes",
     ]
@@ -230,12 +240,15 @@ def _pd_source(rows, n_pairs):
         "    Kt = K.T",
         f"    {unpack(sy)} = (sigma * y).tolist()",
         "    se = sigma * eps",
+        f"    ua, zb, xb = empty({rows}), empty({rows}), empty({cols})",
         f"    {unpack(x)} = x.tolist()",
         f"    {unpack(z)} = z.tolist()",
         f"    {unpack(b)} = xbar.tolist()",
+        f"    pack_rows(zb, 0, {unpack(z)})",
+        f"    pack_cols(xb, 0, {unpack(b)})",
         "    for _ in range(iters):",
         *("        " + line for line in body),
-        f"    return array({listed(x)}), z, xbar",
+        f"    return array({listed(x)}), zb, xb",
     ]
     return "\n".join(lines) + "\n"
 
@@ -243,7 +256,14 @@ def _pd_source(rows, n_pairs):
 @functools.cache
 def _pd_loop(rows, n_pairs):
     """``pd_iterate`` for one shape, minus ``n_pairs``: compiled once and kept."""
-    namespace = {"array": np.array, "sqrt": math.sqrt, "_bits": _bits}
+    namespace = {
+        "array": np.array,
+        "empty": np.empty,
+        "sqrt": math.sqrt,
+        "_bits": _bits,
+        "pack_rows": Struct(f"{rows}d").pack_into,
+        "pack_cols": Struct(f"{2 * n_pairs}d").pack_into,
+    }
     exec(compile(_pd_source(rows, n_pairs), f"<pd_loop {rows}x{2 * n_pairs}>", "exec"), namespace)
     return namespace["pd_loop"]
 

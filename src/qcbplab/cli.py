@@ -23,6 +23,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -147,6 +148,13 @@ def _family_params(args: argparse.Namespace) -> families.FamilyParams:
     )
 
 
+def _root_lower(sq: Q) -> str:
+    """The largest float that does not exceed ``dyadic_sqrt_lower(sq, 30)``, as ``repr``."""
+    lower = dyadic_sqrt_lower(sq, 30)
+    f = float(lower)  # correctly rounded, so at most one float above lower
+    return repr(math.nextafter(f, 0.0) if Q(f) > lower else f)
+
+
 # --- subcommands ------------------------------------------------------------------
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -222,8 +230,7 @@ def cmd_adversarial(args: argparse.Namespace) -> int:
             r2 = qcbp.solve_numeric(families.perturbed_instance(2, n, p), tol)
             diff = r1.x_float - r2.x_float
             solver_dist = repr(float((diff @ diff) ** 0.5))
-        lower = repr(float(dyadic_sqrt_lower(out_sq, 30)))
-        rows.append([str(n), fmt_rational(in_dist), fmt_rational(out_sq), lower, solver_dist, kappa])
+        rows.append([str(n), fmt_rational(in_dist), fmt_rational(out_sq), _root_lower(out_sq), solver_dist, kappa])
     _emit_csv(header, rows, args)
     return EXIT_OK
 
@@ -267,7 +274,7 @@ def cmd_halting(args: argparse.Namespace) -> int:
         if d.status == halting.IN:
             d_sq = d.distance_sq
             q = str(d.steps_to_accept)
-            exact = [fmt_rational(d_sq), repr(float(dyadic_sqrt_lower(d_sq, 30))), repr(float(d_sq) ** 0.5)]
+            exact = [fmt_rational(d_sq), _root_lower(d_sq), repr(float(d_sq) ** 0.5)]
         else:
             if at_budget is None:
                 at_budget = repr(float(halting.encoded_distance_sq(args.j_budget, p)) ** 0.5)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -106,6 +107,14 @@ def test_adversarial_solve_flag_populates_column(tmp_path, capsys):
     assert float(rows[0][4]) == pytest.approx((2 / 9) ** 0.5, abs=1e-4)
 
 
+def _assert_rounds_down(lower, sq):
+    """``lower`` prints the largest float not above the lower root of ``sq``, so it is below sqrt(sq)."""
+    exact_lower, f = dyadic_sqrt_lower(sq, 30), float(lower)
+    assert lower == repr(f)
+    assert Q(f) <= exact_lower < Q(math.nextafter(f, math.inf))
+    assert Q(f) ** 2 <= sq and exact_lower**2 <= sq
+
+
 def test_adversarial_exact_columns(capsys):
     code, out, err = run(["adversarial", "--n-max", "12"], capsys)
     assert (code, err) == (0, "")
@@ -116,11 +125,19 @@ def test_adversarial_exact_columns(capsys):
         n, sq = int(n_text), Q(out_sq)
         assert Q(in_dist) == Q(1, 2**n)
         assert sq == families.pair_distance_sq(n, p)
-        exact_lower = dyadic_sqrt_lower(sq, 30)
-        assert lower == repr(float(exact_lower))
-        assert exact_lower**2 <= sq
+        _assert_rounds_down(lower, sq)
         assert solver_dist == "-"
         assert Q(float(kappa)) >= Q(47, 100)
+
+
+def test_halting_distance_lower_rounds_down(capsys):
+    code, out, err = run(["halting", "--machine", "builtin:even", "--n-max", "40", "--j-budget", "100000"], capsys)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    decided = [(r[3], r[4]) for r in rows if r[2] == "IN"]
+    assert len(decided) == 21
+    for sq, lower in decided:
+        _assert_rounds_down(lower, Q(sq))
 
 
 SOLVER_TOL = Q(1, 10**6)

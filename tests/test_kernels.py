@@ -192,6 +192,32 @@ def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
     assert built == [(4, 5), (2, 5)]
 
 
+def test_pd_iterate_returns_arrays_no_later_call_writes():
+    """The z and xbar of one call keep their bytes through a later call on the same shape."""
+    rng = np.random.default_rng(11)
+    K = _realified(rng.uniform(-3, 3, (2, 5)))
+    y = rng.normal(size=4)
+    first = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, rng.normal(size=10), rng.normal(size=4), rng.normal(size=10), 5, 5)
+    kept = [v.tobytes() for v in first]
+    second = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, rng.normal(size=10), rng.normal(size=4), rng.normal(size=10), 5, 5)
+    assert [v.tobytes() for v in second] != kept
+    assert [v.tobytes() for v in first] == kept
+
+
+def test_pd_iterate_builds_no_array_per_step(monkeypatch):
+    """A batch builds one array, the returned x: the steps write into per-call buffers."""
+    rng = np.random.default_rng(5)
+    K, y = _realified(rng.uniform(-3, 3, (2, 4))), rng.normal(size=4)
+    state = (rng.normal(size=8), rng.normal(size=4), rng.normal(size=8))
+    built = []
+    array = np.array
+    monkeypatch.setattr(np, "array", lambda *a, **k: built.append(a) or array(*a, **k))
+    kern._pd_loop.cache_clear()
+    x, _, _ = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, *state, 250, 4)
+    kern._pd_loop.cache_clear()
+    assert len(built) == 1 and array(built[0][0]).tobytes() == x.tobytes()
+
+
 def _solver_setup(inst):
     """K, y and the step, as solve_numeric sets them up."""
     scaled, _, norm_sq = qcbp._realified(inst.A, inst.y)
