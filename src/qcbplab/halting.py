@@ -152,7 +152,7 @@ def capped_accept_steps(machine: BoundedMachine, n: int, budget: int) -> int:
     return out.steps_to_accept if out.accepted else budget
 
 
-TAIL_OFFSET = 1  # family indices start at 1
+TAIL_OFFSET = 1  # r(n, j) can be 0, and the separation certificate covers n >= 1
 
 
 def encoded_instance(

@@ -71,8 +71,7 @@ def test_criterion_3_discontinuity_demonstration():
     cert = fam.separation_certificate(P)
     for n in range(1, 31):
         # inputs collapse at exactly 2**-n
-        assert fam.input_distance(1, n, P) == Q(1, 2**n)
-        assert fam.input_distance(2, n, P) == Q(1, 2**n)
+        assert fam.input_distance(n, P) == Q(1, 2**n)  # checks family 1, then family 2
         # output pair distance is exactly sqrt(2)*(1/2)/(1+2**-n): asserted on squares
         expected_sq = 2 * (Q(1, 2) / (1 + Q(1, 2**n))) ** 2
         direct = l2_norm_sq(fam.perturbed_solution(1, n, P) - fam.perturbed_solution(2, n, P))

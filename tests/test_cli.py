@@ -307,6 +307,45 @@ def test_halting_violated_certificate_exit_3(monkeypatch, capsys):
     assert json.loads(err) == {"error": "separation certificate violated at decision time", "kind": "numerical"}
 
 
+@pytest.mark.parametrize(
+    "bump, y, message",
+    [
+        (lambda n: Q(1, 2 ** (n + 1)), 1, "family construction drifted: entry gap is not 2**-n"),
+        (lambda n: Q(1, 2**n), 2, "measurements of family and limit must agree"),
+    ],
+    ids=["entry-gap", "measurement"],
+)
+def test_adversarial_broken_family_exit_3(bump, y, message, monkeypatch, capsys):
+    """input_distance checks each member against the limit: a broken family is a numerical failure."""
+
+    def core(which, n, p):
+        row = [p.a] * p.reduced_width
+        row[which - 1] = p.a + bump(n)
+        return qcbp.Instance.single_row(row, y, p.eps)
+
+    monkeypatch.setattr(families, "perturbed_core", core)
+    code, out, err = run(["adversarial", "--n-max", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": message, "kind": "numerical"}
+
+
+@pytest.mark.parametrize(
+    "argv, last_column",
+    [
+        (["adversarial", "--n-max", "3"], repr(2.0**-21)),  # kappa
+        (["halting", "--machine", "builtin:even", "--n-max", "3"], str(Q(1, 2**23) ** 2)),  # (kappa/4)**2
+    ],
+    ids=["adversarial", "halting"],
+)
+def test_small_separation_refines_the_kappa_grid(argv, last_column, capsys):
+    """A separation below 2**-20 takes kappa from the first finer grid that holds a dyadic below it."""
+    code, out, err = run([*argv, "--eps", "999999/1000000"], capsys)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[2:]
+    assert rows and all(row.split(",")[-1] == last_column for row in rows)
+
+
 def test_nn_violated_conflict_bound_exit_3(monkeypatch, capsys):
     """A failed conflict bound still prints the table, then the summary line, not JSON."""
     real = families.separation_certificate
@@ -768,8 +807,20 @@ _NOT_TEXT = 'ValueError: expected a rational as a "num/den" string, got '
         ({"A": _ROW, "y": [{"re": 1, "im": "0"}], "eps": "0"}, _NOT_TEXT + "1"),  # the same, in an entry
         ({"m": 7, "N": 9, "A": _ROW, "y": _Y, "eps": "0"}, 'ValueError: "m" is 7, but A is 1x2'),
         ({"m": 1, "N": 3, "A": _ROW, "y": _Y, "eps": "0"}, 'ValueError: "N" is 3, but A is 1x2'),
+        ({"A": [_ROW[0], _ROW[0][:1]], "y": _Y * 2, "eps": "0"}, "ValueError: ragged matrix rows"),
+        ({"A": [], "y": _Y, "eps": "0"}, "ValueError: need at least one row"),
     ],
-    ids=["missing-key", "list", "zero-denominator", "float-rational", "int-rational", "wrong-m", "wrong-N"],
+    ids=[
+        "missing-key",
+        "list",
+        "zero-denominator",
+        "float-rational",
+        "int-rational",
+        "wrong-m",
+        "wrong-N",
+        "ragged-A",
+        "empty-A",
+    ],
 )
 def test_solve_malformed_instance_file_exit_2(tmp_path, capsys, doc, detail):
     path = tmp_path / "inst.json"
@@ -894,7 +945,15 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--precision-budget" in json.loads(err)["error"], argv
     # domain errors raised below the subcommands reach main as they are
+    unknown_symbol = tmp_path / "unknown-symbol.tm"
+    unknown_symbol.write_text("init a\naccept z\na 1 -> a 2 R\n")
     for argv, message in (
+        (["halting", "--machine", str(unknown_symbol)], "unknown symbol in rule (a,1)"),
+        (["nn", "--seed", "1", "--m", "2", "--N", "3"], "training data generation uses single-row families"),
+        (["gen-data", "--seed", "1", "--m", "2", "--N", "3"], "training data generation uses single-row families"),
+        (["gen-data", "--seed", "1", "--noise=-1/8"], "noise bound must be >= 0"),
+        (["nn", "--seed", "1", "--steps", "-1"], "steps must be >= 0"),
+        (["adversarial", "--tol", "x"], "cannot parse --tol 'x': Invalid literal for Fraction: 'x'"),
         (["adversarial", "--a", "0"], "a must be positive"),
         (["oracle", "--A", "1,-1"], "oracle requires positive entries; entry 1 is -1"),
         (["oracle", "--A", ","], "need at least two columns"),

@@ -166,6 +166,17 @@ def test_sqrt_rejects_negative_witness():
         cr.sqrt_c(cr.from_rational(1), lower_witness=Q(-1))
 
 
+def test_negative_precision_index_rejected():
+    with pytest.raises(ValueError, match="precision index must be >= 0"):
+        cr.from_rational(1).approx(-1)
+
+
+def test_recip_reports_a_violated_witness():
+    # the witness claims |y| >= 1, but y is 0: the approximation exposes it
+    with pytest.raises(ArithmeticError, match="separation witness violated"):
+        cr.recip(cr.from_rational(0), 1).approx(3)
+
+
 def test_approximation_sizes_follow_precision():
     # about k fractional bits, not the 10**5-bit rationals of exact series sums
     # and squarings

@@ -55,6 +55,15 @@ def test_family_member_examples():
     assert diff == [Q(1, 8), 0]
 
 
+def test_member_constructors_reject_bad_arguments():
+    with pytest.raises(ValueError, match="family index must be 1 or 2"):
+        fam.perturbed_core(3, 1, P)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        fam.perturbed_core(1, -1, P)
+    with pytest.raises(ValueError, match="family index must be 1 or 2"):
+        fam.perturbed_solution(0, 1, P)
+
+
 def test_limit_oracle_all_active():
     s = qcbp.exact_solution_set(fam.limit_instance(P))
     assert s.active == (0, 1)
@@ -88,8 +97,7 @@ def test_solution_l1_monotone_toward_limit():
 
 def test_input_distance_exact():
     for n in (1, 7, 29):
-        assert fam.input_distance(1, n, P) == Q(1, 2**n)
-        assert fam.input_distance(2, n, P) == Q(1, 2**n)
+        assert fam.input_distance(n, P) == Q(1, 2**n)  # checks family 1, then family 2
 
 
 def test_pair_distance_formula():
@@ -111,6 +119,25 @@ def test_certificate_values():
     assert (cert.bound + step) ** 2 >= cert.min_pair_dist_sq
     assert cert.limit_gap_sq_min == Q(13, 36)
     assert cert.limit_gap_sq_min >= cert.bound**2
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (fam.FamilyParams(), 20),
+        (fam.FamilyParams(eps=Q(999999, 1000000)), 21),
+        (fam.FamilyParams(a=Q(10**8)), 28),
+    ],
+    ids=["default", "eps-near-1", "large-a"],
+)
+def test_certificate_grid_refines_only_when_2_pow_20_is_too_coarse(p, q):
+    bound = fam.separation_certificate(p).bound
+    min_sq = fam.pair_distance_sq(1, p)
+    assert bound > 0 and bound.denominator <= 2**q and bound**2 < min_sq
+    assert (bound + Q(1, 2**q)) ** 2 >= min_sq  # largest on its grid
+    if q > 20:
+        assert bound == Q(1, 2**q)  # the grid one step coarser has nothing below
+        assert Q(1, 2 ** (q - 1)) ** 2 >= min_sq
 
 
 def test_separation_holds_exactly_for_all_n():
@@ -185,7 +212,7 @@ def test_embedded_families():
     sol = fam.perturbed_solution(2, 4, p)
     assert sol == qcbp.select_embedded(fam.perturbed_core(2, 4, p), 3)
     assert qcbp.feasible(inst, sol)
-    assert fam.input_distance(2, 4, p) == Q(1, 16)
+    assert fam.input_distance(4, p) == Q(1, 16)  # both embedded members
 
 
 def test_instances_serialize_roundtrip():

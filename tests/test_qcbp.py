@@ -433,6 +433,11 @@ def test_brute_force_rejections():
             ),
             4,
         )
+    # N and grid_exp in range, but the (2*256+1)**4 box is past the cap
+    with pytest.raises(qcbp.GridTooLargeError, match="grid has 69257922561 points"):
+        qcbp.brute_force_min(single([1, 1, 1, 1]), 8)
+    with pytest.raises(qcbp.RankDeficientError, match="zero row"):
+        qcbp.brute_force_min(single([0, 0]), 4)
 
 
 def test_brute_force_exact_fallback_path():

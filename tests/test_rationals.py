@@ -128,6 +128,8 @@ def test_ceil_log2():
         t = ceil_log2(q)
         assert Q(2) ** t >= q
         assert Q(2) ** (t - 1) < q
+    with pytest.raises(ValueError, match="positive rational"):
+        ceil_log2(Q(0))
 
 
 def test_serialization_roundtrip():
