@@ -127,18 +127,14 @@ class SeparationCertificate:
     """Exactly checked lower bound on the output separation of the families.
 
     Holds for every n >= 1.  ``bound`` is the largest dyadic p/2**q > 0 whose
-    square is strictly below ``min_pair_dist_sq``, the minimum squared pair
-    distance over n >= 1, with q = 20 or, if no such p exists at 20, the least
-    q above 20 at which one does.  ``limit_gap_sq_min`` additionally
-    certifies that family 2's solutions stay at least ``bound`` away from the
-    selected limit solution, which is what the budget-bounded membership
-    decision consumes.
+    square is strictly below the minimum squared pair distance over n >= 1,
+    with q = 20 or, if no such p exists at 20, the least q above 20 at which
+    one does.  Family 2's solutions are also checked to stay at least
+    ``bound`` away from the selected limit solution.
     """
 
     params: FamilyParams
     bound: Q
-    min_pair_dist_sq: Q
-    limit_gap_sq_min: Q
 
     def threshold_sq(self) -> Q:
         """Squared decision threshold (bound/4)**2 used by the halting gadget."""
@@ -177,9 +173,6 @@ def separation_certificate(p: FamilyParams, _n_max=None) -> SeparationCertificat
     if l2_norm_sq(perturbed_solution(1, 1, p) - perturbed_solution(2, 1, p)) != min_sq:
         raise CertificateError("pair distance formula mismatch at n=1")
     bound = _largest_dyadic_below_sqrt(min_sq)
-    limit_gap_sq_min = l2_norm_sq(perturbed_solution(2, 1, p) - limit_solution(p))
-    if limit_gap_sq_min < bound * bound:
+    if l2_norm_sq(perturbed_solution(2, 1, p) - limit_solution(p)) < bound * bound:
         raise CertificateError("limit-gap certificate weaker than pair bound")
-    return SeparationCertificate(
-        params=p, bound=bound, min_pair_dist_sq=min_sq, limit_gap_sq_min=limit_gap_sq_min
-    )
+    return SeparationCertificate(params=p, bound=bound)

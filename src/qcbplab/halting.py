@@ -33,7 +33,7 @@ from importlib import resources
 
 from qcbplab import families
 from qcbplab.rationals import l2_norm_sq
-from qcbplab.qcbp import Instance, select_embedded
+from qcbplab.qcbp import Instance, embed, select_embedded
 
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
@@ -87,9 +87,9 @@ class BoundedMachine:
 class RunOutcome:
     """Result of a budget-capped run.
 
-    ``steps_executed`` is the number of steps the outcome accounts for: the
-    acceptance step when accepted, else the whole budget, whether those steps
-    were simulated or proved never to accept.
+    ``steps_executed`` is the capped acceptance count r(n, j) of the module
+    docstring: the acceptance step when accepted, else the whole budget,
+    whether those steps were simulated or proved never to accept.
     """
 
     accepted: bool
@@ -142,17 +142,17 @@ def run_bounded(machine: BoundedMachine, n: int, budget: int) -> RunOutcome:
     return RunOutcome(accepted=False, steps_to_accept=None, steps_executed=budget)
 
 
-def capped_accept_steps(machine: BoundedMachine, n: int, budget: int) -> int:
-    """q_n when the machine accepts n within the budget, else the budget itself.
-
-    Total and computable for every (n, budget); stabilizes at q_n once the
-    budget passes it, and equals the budget forever when n is never accepted.
-    """
-    out = run_bounded(machine, n, budget)
-    return out.steps_to_accept if out.accepted else budget
-
-
 TAIL_OFFSET = 1  # r(n, j) can be 0, and the separation certificate covers n >= 1
+
+
+def _encoded_core(r: int, p: families.FamilyParams) -> Instance:
+    """Single-row core of the member encoding capped acceptance count r.
+
+    Family 2 is the one whose solutions stay separated from the *selected*
+    limit solution under the smallest-active-index rule, which is what makes
+    the stabilized case decidable by one exact comparison.
+    """
+    return families.perturbed_core(2, r + TAIL_OFFSET, p)
 
 
 def encoded_instance(
@@ -162,26 +162,22 @@ def encoded_instance(
 
     Returns family member 2 at index r(n, j) + 1: constant once the machine
     has accepted (the limit object is then that fixed member), and converging
-    to the families' common limit at rate 2**-j otherwise.  Family 2 is the
-    one whose solutions stay separated from the *selected* limit solution
-    under the smallest-active-index rule, which is what makes the stabilized
-    case decidable by one exact comparison.
+    to the families' common limit at rate 2**-j otherwise.
     """
-    r = capped_accept_steps(machine, n, budget)
-    return families.perturbed_instance(2, r + TAIL_OFFSET, p)
+    r = run_bounded(machine, n, budget).steps_executed
+    return embed(_encoded_core(r, p), p.m_dim)
 
 
 def encoded_distance_sq(r: int, p: families.FamilyParams) -> Q:
     """Squared distance of the encoded member for r to the limit's solution.
 
-    r is the capped accept step count: q_n for an accepted input, the budget
+    r is the capped acceptance count r(n, j): q_n for an accepted input, the budget
     for every not-halted one.  All not-halted inputs at one budget encode the
     same member, index budget + 1, whose entries carry about budget bits; a
     run that reports them computes its distance once, for the first such row.
     The solution comes from the member's single-row core, zero-padded.
     """
-    core = families.perturbed_core(2, r + TAIL_OFFSET, p)
-    return l2_norm_sq(select_embedded(core, p.m_dim) - families.limit_solution(p))
+    return l2_norm_sq(select_embedded(_encoded_core(r, p), p.m_dim) - families.limit_solution(p))
 
 
 @dataclass

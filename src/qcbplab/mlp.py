@@ -331,22 +331,27 @@ def _layer_norm_estimate(w: np.ndarray) -> float:
 
     An iterate that hits zero (the start vector in the null space, say)
     says nothing about the norm; the Frobenius norm, which bounds it from
-    above, stands in for it then.
+    above, stands in for it then.  The iteration runs on ``w`` scaled by
+    2**-e, e the binary exponent of its largest entry, so tiny or huge
+    weights neither underflow nor overflow; scaling by a power of two is
+    exact, and a zero or non-finite largest entry gives e = 0.
     """
+    e = math.frexp(float(np.abs(w).max()))[1]
+    w = np.ldexp(w, -e)
     wt = w.T
     v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])
     for _ in range(_POWER_ITERS):
         u = w.dot(v)
         nu = _norm(u)
         if nu == 0:
-            return _norm(w.ravel())
+            return math.ldexp(_norm(w.ravel()), e)
         v = wt.dot(u)
         v /= nu
         nv = _norm(v)
         if nv == 0:
-            return _norm(w.ravel())
+            return math.ldexp(_norm(w.ravel()), e)
         v /= nv
-    return _norm(w.dot(v))
+    return math.ldexp(_norm(w.dot(v)), e)
 
 
 def _norm(d: np.ndarray) -> float:

@@ -78,7 +78,7 @@ def test_criterion_3_discontinuity_demonstration():
         assert direct == expected_sq  # zero tolerance, exact squared comparison
         assert direct > cert.bound**2  # separated above the certified dyadic
     assert cert.bound >= Q(47, 100)
-    assert cert.min_pair_dist_sq == Q(2, 9)  # attained at n=1, sqrt = 0.4714...
+    assert fam.pair_distance_sq(1, P) == Q(2, 9)  # attained at n=1, sqrt = 0.4714...
     elapsed = time.time() - start
     assert elapsed < 1
     print(f"ACCEPTANCE 3 (discontinuity, n=1..30, kappa={float(cert.bound):.4f}): PASS [{elapsed:.2f}s]")
@@ -175,9 +175,9 @@ def test_criterion_7_halting_gadget():
     # r stabilization invariants, exact
     q4 = ht.run_bounded(machine, 4, 10**4).steps_to_accept
     for j in range(q4, q4 + 30):
-        assert ht.capped_accept_steps(machine, 4, j) == q4
+        assert ht.run_bounded(machine, 4, j).steps_executed == q4
     for j in range(0, 40):
-        assert ht.capped_accept_steps(machine, 5, j) == j
+        assert ht.run_bounded(machine, 5, j).steps_executed == j
     # encoded-instance convergence, exact
     limit = ht.encoded_instance(machine, 4, q4, P)
     for j in range(0, q4 + 5):

@@ -307,6 +307,15 @@ def test_halting_violated_certificate_exit_3(monkeypatch, capsys):
     assert json.loads(err) == {"error": "separation certificate violated at decision time", "kind": "numerical"}
 
 
+def test_adversarial_weak_limit_gap_exit_3(monkeypatch, capsys):
+    # a limit solution on family 2's member 1 leaves no gap to certify
+    monkeypatch.setattr(families, "limit_solution", lambda p: families.perturbed_solution(2, 1, p))
+    code, out, err = run(["adversarial", "--n-max", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "limit-gap certificate weaker than pair bound", "kind": "numerical"}
+
+
 @pytest.mark.parametrize(
     "bump, y, message",
     [

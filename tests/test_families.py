@@ -110,15 +110,17 @@ def test_pair_distance_formula():
 
 def test_certificate_values():
     cert = fam.separation_certificate(P)
-    assert cert.min_pair_dist_sq == Q(2, 9)
+    min_pair_sq = fam.pair_distance_sq(1, P)
+    assert min_pair_sq == Q(2, 9)
     assert cert.bound >= Q(47, 100)
     assert cert.bound.denominator <= 2**20
-    assert cert.bound**2 < cert.min_pair_dist_sq
+    assert cert.bound**2 < min_pair_sq
     # next dyadic up would overshoot: the bound is the largest one below
     step = Q(1, 2**20)
-    assert (cert.bound + step) ** 2 >= cert.min_pair_dist_sq
-    assert cert.limit_gap_sq_min == Q(13, 36)
-    assert cert.limit_gap_sq_min >= cert.bound**2
+    assert (cert.bound + step) ** 2 >= min_pair_sq
+    limit_gap_sq = l2_norm_sq(fam.perturbed_solution(2, 1, P) - fam.limit_solution(P))
+    assert limit_gap_sq == Q(13, 36)
+    assert limit_gap_sq >= cert.bound**2
 
 
 @pytest.mark.parametrize(
@@ -200,9 +202,9 @@ def test_general_a_band():
     p = fam.FamilyParams(a=Q(5, 3), eps=Q(1, 4))
     for n in range(1, 12):
         assert solution_band_contains(fam.perturbed_solution(1, n, p), 1, p)
-    cert = fam.separation_certificate(p)
+    fam.separation_certificate(p)
     # witness at n=1: 2*((3/4)/(5/3+1/2))^2
-    assert cert.min_pair_dist_sq == 2 * (Q(3, 4) / (Q(5, 3) + Q(1, 2))) ** 2
+    assert fam.pair_distance_sq(1, p) == 2 * (Q(3, 4) / (Q(5, 3) + Q(1, 2))) ** 2
 
 
 def test_embedded_families():

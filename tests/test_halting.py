@@ -118,18 +118,18 @@ def test_never_accepting_runs_stop_once_proved(machine, n):
 
 
 def test_capped_steps_examples():
-    assert ht.capped_accept_steps(EVEN, 3, 10) == 10
+    assert ht.run_bounded(EVEN, 3, 10).steps_executed == 10
     q2 = ht.run_bounded(EVEN, 2, 10**4).steps_to_accept
     for j in (q2, q2 + 1, q2 + 50, 10**4):
-        assert ht.capped_accept_steps(EVEN, 2, j) == q2
-    assert ht.capped_accept_steps(EVEN, 9, 0) == 0
-    assert ht.capped_accept_steps(machine_never(), 5, 123) == 123
+        assert ht.run_bounded(EVEN, 2, j).steps_executed == q2
+    assert ht.run_bounded(EVEN, 9, 0).steps_executed == 0
+    assert ht.run_bounded(machine_never(), 5, 123).steps_executed == 123
 
 
 def test_capped_steps_grow_before_acceptance():
     q4 = ht.run_bounded(EVEN, 4, 10**4).steps_to_accept
     for j in range(q4):
-        assert ht.capped_accept_steps(EVEN, 4, j) == j
+        assert ht.run_bounded(EVEN, 4, j).steps_executed == j
 
 
 def test_encoded_instance_stabilizes_when_accepted():

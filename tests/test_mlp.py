@@ -181,6 +181,21 @@ def test_lipschitz_bound_when_power_iteration_starts_in_a_null_space(weights):
     assert mlp.lipschitz_upper_bound(net) >= spectral
 
 
+@pytest.mark.parametrize(
+    "weights, norm",
+    [
+        ([[1e-200]], 1e-200),
+        ([[1e200]], 1e200),
+        ([[1e155, 1e155]], 1.4142135623730952e155),
+        ([[1e-160, 0.0], [0.0, 3e-170]], 1e-160),
+    ],
+    ids=["tiny", "huge", "huge-row", "tiny-diagonal"],
+)
+def test_layer_norm_estimate_of_tiny_or_huge_weights(weights, norm):
+    # the power iteration neither underflows to 0 nor overflows to nan
+    assert mlp._layer_norm_estimate(np.array(weights)) == norm
+
+
 def test_instability_bound_untrained_net():
     cert = fam.separation_certificate(P)
     net = mlp.init_mlp((6, 64, 64, 4), seed=3)

@@ -502,3 +502,12 @@ def test_solver_input_guards():
         qcbp.solve_numeric(single([2, 1]), Q(1, 100), max_iter=0)
     with pytest.raises(ValueError, match="tol"):
         qcbp.solve_numeric(single([2, 1]), Q(0))
+
+
+def test_feasible_and_solution_simplex_reject_bad_arguments():
+    with pytest.raises(ValueError, match="candidate has length"):
+        qcbp.feasible(single([1, 2]), RationalVector.from_items([1, 2, 3]))
+    with pytest.raises(ValueError, match="active set must be nonempty"):
+        qcbp.SolutionSimplex(2, Q(1), (), Q(1))
+    with pytest.raises(ValueError, match="inverse coefficient must be positive"):
+        qcbp.SolutionSimplex(2, Q(1), (0,), Q(0))

@@ -149,3 +149,13 @@ def test_matvec_exact():
     out = m.matvec(v)
     assert out.entries[0].re == Q(4, 3)
     assert out.entries[1].re == Q(1, 3)
+
+
+def test_negative_roots_and_shape_mismatches_raise():
+    for root in (lambda q: dyadic_sqrt_lower(q, 4), dyadic_sqrt_upper):
+        with pytest.raises(ValueError, match="square root of a negative rational"):
+            root(Q(-1))
+    with pytest.raises(ValueError, match="vector length mismatch: 2 vs 3"):
+        RationalVector.from_items([1, 2]) - RationalVector.from_items([1, 2, 3])
+    with pytest.raises(ValueError, match="matvec dimension mismatch"):
+        RationalMatrix.from_rows([[1, 2]]).matvec(RationalVector.from_items([1, 2, 3]))
