@@ -141,7 +141,7 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 #
 # One batch of Chambolle-Pock iterations for min ||x||_{1,pair} subject to
 # ||Kx - y||_2 <= eps on the realified operator K (2m x 2n); coordinate i
-# pairs with n_pairs + i.  K, y, x, z and xbar are float64 arrays, the rest
+# pairs with n + i.  K, y, x, z and xbar are float64 arrays, the rest
 # Python scalars.  Returns the state (x, z, xbar) after ``iters`` iterations
 # as float64 arrays.
 #
@@ -158,19 +158,19 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 #
 # At 2-14 coordinates a step's cost is interpreter overhead, not arithmetic
 # or BLAS: a loop over lists spends it on comprehensions, each with its own
-# frame, on zips and on appends.  So the loop is generated once per shape
-# (K's row count and n_pairs) as straight-line source with one local
-# variable per coordinate, compiled and kept (``_pd_loop``); the source is
-# built from the two integers alone.  A step is its three BLAS calls, the two
-# ``.tolist()`` that read the gemv results and three ``Struct.pack_into``
-# writes of u, the new z and the new xbar into float64 buffers, which store
-# the doubles ``np.array`` would (signed zeros, subnormals, inf and NaN
-# payloads included) without building an array.  The buffers are allocated
-# once per call, so the z and xbar a call returns are its own: a later call
-# never writes into them.  Building a shape's loop costs what it
-# saves over a list loop in two to ten batches of 250 iterations, from 2 to
-# 1,000 coordinates (measurements in ROADMAP's dead ends): it pays off for
-# a shape that runs more than a few batches in one process.
+# frame, on zips and on appends.  So the loop is generated once per shape of
+# K as straight-line source with one local variable per coordinate, compiled
+# and kept (``_pd_loop``); the source is built from the two integers alone.
+# A step is its three BLAS calls, the two ``.tolist()`` that read the gemv
+# results and three ``Struct.pack_into`` writes of u, the new z and the new
+# xbar into float64 buffers, which store the doubles ``np.array`` would
+# (signed zeros, subnormals, inf and NaN payloads included) without building
+# an array.  The buffers are allocated once per call, so the z and xbar a
+# call returns are its own: a later call never writes into them.  Building a
+# shape's loop costs what it saves over a list loop in two to ten batches of
+# 250 iterations, from 2 to 1,000 coordinates (measurements in ROADMAP's dead
+# ends): it pays off for a shape that runs more than a few batches in one
+# process.
 #
 # Fixed-point exit: one iteration is a deterministic function of the state
 # (x, z, xbar) and of the fixed K, y, eps, tau and sigma, so once an iteration
@@ -185,16 +185,15 @@ def _bits(v):
     return pack(f"{len(v)}d", *v)
 
 
-def _pd_source(rows, n_pairs):
-    """The source of ``pd_loop`` for a rows x (2 n_pairs) operator.
+def _pd_source(rows, cols):
+    """The source of ``pd_loop`` for a rows x cols operator.
 
     One local per coordinate: x, z and b hold the state (x, z, xbar); k is
     K xbar, u the dual step before scaling and v the new z; g is K^T z, w the
     primal step before the shrink, p the new x and c the new xbar.  ``ua``,
     ``zb`` and ``xb`` are the float64 buffers the BLAS calls read, filled by
-    ``pack_rows`` and ``pack_cols`` (rows and 2 n_pairs doubles).
+    ``pack_rows`` and ``pack_cols`` (rows and cols doubles).
     """
-    cols = 2 * n_pairs
 
     def names(prefix, count):
         return [f"{prefix}{i}" for i in range(count)]
@@ -220,7 +219,8 @@ def _pd_source(rows, n_pairs):
     body += [f"{v[i]} = {u[i]} * factor" for i in range(rows)]
     body += [f"pack_rows(zb, 0, {unpack(v)})", f"{unpack(g)} = Kt.dot(zb).tolist()"]
     body += [f"{w[i]} = {x[i]} - tau * {g[i]}" for i in range(cols)]
-    for re, im in zip(range(n_pairs), range(n_pairs, cols)):
+    n = cols // 2
+    for re, im in zip(range(n), range(n, cols)):
         body += [
             f"mag = sqrt({w[re]} * {w[re]} + {w[im]} * {w[im]})",
             "f = 1.0 - tau / mag if mag > 0 else 0.0",
@@ -254,19 +254,19 @@ def _pd_source(rows, n_pairs):
 
 
 @functools.cache
-def _pd_loop(rows, n_pairs):
-    """``pd_iterate`` for one shape, minus ``n_pairs``: compiled once and kept."""
+def _pd_loop(rows, cols):
+    """``pd_iterate`` for one shape of K: compiled once and kept."""
     namespace = {
         "array": np.array,
         "empty": np.empty,
         "sqrt": math.sqrt,
         "_bits": _bits,
         "pack_rows": Struct(f"{rows}d").pack_into,
-        "pack_cols": Struct(f"{2 * n_pairs}d").pack_into,
+        "pack_cols": Struct(f"{cols}d").pack_into,
     }
-    exec(compile(_pd_source(rows, n_pairs), f"<pd_loop {rows}x{2 * n_pairs}>", "exec"), namespace)
+    exec(compile(_pd_source(rows, cols), f"<pd_loop {rows}x{cols}>", "exec"), namespace)
     return namespace["pd_loop"]
 
 
-def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
-    return _pd_loop(K.shape[0], n_pairs)(K, y, eps, tau, sigma, x, z, xbar, iters)
+def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters):
+    return _pd_loop(*K.shape)(K, y, eps, tau, sigma, x, z, xbar, iters)

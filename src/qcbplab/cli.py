@@ -310,7 +310,7 @@ def cmd_nn(args: argparse.Namespace) -> int:
         raise InputError(f"--widths {args.widths!r}: {exc}") from None
     p = _family_params(args)
     data = _training_set(args, p)
-    widths = (mlp.input_width(p.m_dim, p.n_dim),) + hidden + (mlp.output_width(p.n_dim),)
+    widths = (data.inputs.shape[1],) + hidden + (data.targets.shape[1],)
     net = mlp.init_mlp(widths, seed=args.seed)
     net, trace = mlp.train(net, data.inputs, data.targets, steps=args.steps, lr=args.lr)
     cert = families.separation_certificate(p)

@@ -64,14 +64,6 @@ def realify_vector(x: RationalVector) -> np.ndarray:
     )
 
 
-def input_width(m: int, n: int) -> int:
-    return 2 * (m * n + m)
-
-
-def output_width(n: int) -> int:
-    return 2 * n
-
-
 # --- the network ------------------------------------------------------------------
 
 @dataclass
@@ -204,7 +196,7 @@ def _loss(plan, backprop, inputs: np.ndarray, targets: np.ndarray) -> float:
     return float(np.add.reduce(sq, axis=None)) / inputs.shape[0]
 
 
-def _backprop(backprop, half_batch: float) -> None:
+def _backprop(backprop) -> None:
     """Gradient of the loss whose residual :func:`_loss` left in ``backprop``.
 
     The output delta is 2 * diff / batch, formed as diff / (batch / 2): the
@@ -213,7 +205,7 @@ def _backprop(backprop, half_batch: float) -> None:
     z > 0, for every float z including NaN and +-inf.
     """
     diff, _, upper, first = backprop
-    diff /= half_batch
+    diff /= diff.shape[0] / 2
     for delta, delta_t, a, gw, gb, w, below, mask in upper:
         delta_t.dot(a, out=gw)
         np.add.reduce(delta, axis=0, out=gb)
@@ -245,7 +237,7 @@ def loss_and_grads(net: MLP, inputs: np.ndarray, targets: np.ndarray):
     plan = _forward_plan(net, inputs.shape[:-1])
     backprop = _backprop_plan(net, plan, inputs, grads_w, grads_b)
     loss = _loss(plan, backprop, inputs, targets)
-    _backprop(backprop, inputs.shape[0] / 2)
+    _backprop(backprop)
     return loss, grads_w, grads_b
 
 
@@ -291,7 +283,6 @@ def train(
     zeros = np.zeros_like(theta)
     plan = _forward_plan(net, inputs.shape[:-1])
     backprop = _backprop_plan(net, plan, inputs, grads_w, grads_b)
-    half_batch = inputs.shape[0] / 2
     trace: list[float] = []
     last = float("nan")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -301,7 +292,7 @@ def train(
                 raise TrainingDivergence(step, last)
             last = loss
             trace.append(loss)
-            _backprop(backprop, half_batch)
+            _backprop(backprop)
             np.multiply(lr, grad, out=scaled)
             theta -= scaled
             if not math.isfinite(theta.dot(zeros)):
@@ -318,23 +309,35 @@ def lipschitz_upper_bound(net: MLP) -> float:
 
     Power iteration underestimates defensively small; the documented inflation
     errs the product upward, which is the direction the conflict bound needs.
-    ReLU is 1-Lipschitz, so the layer product bounds the network.
+    ReLU is 1-Lipschitz, so the layer product bounds the network.  The
+    product runs on frexp mantissas with the exponents summed apart, so it
+    cannot leave float range partway: inside that range it rounds as the
+    plain float product does, a bound past it is inf and a positive bound
+    below it is the least positive float.  A zero layer gives 0.0.
     """
-    total = 1.0
+    total, exp = 1.0, 0
     for w in net.weights:
-        total *= _layer_norm_estimate(w)
-    return float(total * _INFLATE**len(net.weights))
+        s, e = _layer_norm_estimate(w)
+        total, t = math.frexp(total * s)
+        exp += e + t
+    total *= _INFLATE**len(net.weights)
+    try:
+        bound = math.ldexp(total, exp)
+    except OverflowError:
+        return math.inf
+    return math.ulp(0.0) if bound == 0.0 and total > 0 else bound
 
 
-def _layer_norm_estimate(w: np.ndarray) -> float:
-    """Power-iteration estimate of the spectral norm of ``w``.
+def _layer_norm_estimate(w: np.ndarray) -> tuple[float, int]:
+    """Power-iteration estimate ``(s, e)`` of the spectral norm of ``w``: s * 2**e.
 
     An iterate that hits zero (the start vector in the null space, say)
     says nothing about the norm; the Frobenius norm, which bounds it from
     above, stands in for it then.  The iteration runs on ``w`` scaled by
     2**-e, e the binary exponent of its largest entry, so tiny or huge
     weights neither underflow nor overflow; scaling by a power of two is
-    exact, and a zero or non-finite largest entry gives e = 0.
+    exact, and a zero or non-finite largest entry gives e = 0.  The estimate
+    is returned unscaled, since s * 2**e may lie outside float range.
     """
     e = math.frexp(float(np.abs(w).max()))[1]
     w = np.ldexp(w, -e)
@@ -344,14 +347,14 @@ def _layer_norm_estimate(w: np.ndarray) -> float:
         u = w.dot(v)
         nu = _norm(u)
         if nu == 0:
-            return math.ldexp(_norm(w.ravel()), e)
+            return _norm(w.ravel()), e
         v = wt.dot(u)
         v /= nu
         nv = _norm(v)
         if nv == 0:
-            return math.ldexp(_norm(w.ravel()), e)
+            return _norm(w.ravel()), e
         v /= nv
-    return math.ldexp(_norm(w.dot(v)), e)
+    return _norm(w.dot(v)), e
 
 
 def _norm(d: np.ndarray) -> float:
@@ -461,8 +464,9 @@ def instability_eval(
     """Evaluate the network on both families and assemble the conflict table.
 
     err_j(n) is the float l2 error of the network against the exact solution;
-    lip_slack(n) = L * ||input_1 - input_2||; their sum must stay above the
-    certified separation bound up to documented float slack, for any net.
+    lip_slack(n) = L * ||input_1 - input_2||, or 0 where the two inputs are
+    equal, even for an infinite L; their sum must stay above the certified
+    separation bound up to documented float slack, for any net.
     The certificate must be for ``p``; it holds for every n >= 1, and the
     net's input and output widths must be the family's.  Each input
     goes through the forward pass on its own (a batched matmul rounds
@@ -474,7 +478,7 @@ def instability_eval(
         raise ValueError(f"certificate is for {cert.params}, not {p}")
     table = _family_table(p, n_max)
     _check_input_width(net, table[0][1])
-    width = output_width(p.n_dim)
+    width = table[0][3].size
     if net.weights[-1].shape[0] != width:
         # a one-wide output would broadcast over the targets unnoticed
         raise ValueError(
@@ -483,12 +487,12 @@ def instability_eval(
         )
     lip = lipschitz_upper_bound(net)
     plan = _forward_plan(net, ())
-    err = np.empty(table[0][3].shape)
+    err = np.empty(width)
     rows = []
     for n, u1, u2, t1, t2, gap in table:
         e1 = _norm(np.subtract(_forward(plan, u1), t1, out=err))
         e2 = _norm(np.subtract(_forward(plan, u2), t2, out=err))
-        slack = lip * gap
+        slack = lip * gap if gap else 0.0
         rows.append(
             InstabilityRow(
                 n=n, gap=gap, err_1=e1, err_2=e2, lip_slack=slack, bound_lhs=e1 + e2 + slack

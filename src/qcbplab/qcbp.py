@@ -282,7 +282,6 @@ class _ScaledInstance:
     k_cols: list[tuple[int, ...]]
     y: list[int]
     den: int
-    n: int
 
     def floats(self) -> tuple[np.ndarray, np.ndarray]:
         """K and y in float64; an integer true division rounds correctly, as float(Fraction) does."""
@@ -302,7 +301,7 @@ def _realified(A: RationalMatrix, y: RationalVector) -> tuple[_ScaledInstance, i
     )
     y_int = ints.pop()
     k = [r[:n] + [-v for v in r[n:]] for r in ints] + [r[n:] + r[:n] for r in ints]
-    scaled = _ScaledInstance(k=k, k_cols=list(zip(*k)), y=y_int, den=den, n=n)
+    scaled = _ScaledInstance(k=k, k_cols=list(zip(*k)), y=y_int, den=den)
     return scaled, row_rank(k) // 2, operator_norm_sq_upper(ints, den)
 
 
@@ -330,11 +329,12 @@ def _dyadic_ints(v: np.ndarray) -> tuple[list[int], int]:
     return [p << (e + 1 - d.bit_length()) for p, d in ratios], e
 
 
-def _pair_l1_upper(xs: list[int], e: int, n: int) -> Q:
+def _pair_l1_upper(xs: list[int], e: int) -> Q:
     """Exact upper bound on sum_i |(re_i, im_i)| of xs / 2**e; exact when all im are zero.
 
     Real pairs add up as one integer over 2**e; only complex pairs take a root.
     """
+    n = len(xs) // 2
     den = 1 << (2 * e)
     real = Q(sum(abs(xs[i]) for i in range(n) if not xs[n + i]), 1 << e)
     return sum((dyadic_sqrt_upper(Q(xs[i] ** 2 + xs[n + i] ** 2, den)) for i in range(n) if xs[n + i]), real)
@@ -349,8 +349,8 @@ def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Q:
     K^T z and <y, z> are integer sums over den * 2**F.
     """
     zs, f = _dyadic_ints(z)
-    n = scaled.n
     kt_z = [sum(map(mul, col, zs)) for col in scaled.k_cols]
+    n = len(kt_z) // 2
     cmax_sq = max(kt_z[j] ** 2 + kt_z[n + j] ** 2 for j in range(n))
     scale = scaled.den << f
     scale_sq = scale * scale
@@ -360,9 +360,7 @@ def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Q:
     return (-ip - eps * z_norm_ub) / c_ub
 
 
-def _polish_primal(
-    K: np.ndarray, yv: np.ndarray, eps: float, bound: float, z: np.ndarray, n: int
-) -> np.ndarray | None:
+def _polish_primal(K: np.ndarray, yv: np.ndarray, eps: float, bound: float, z: np.ndarray) -> np.ndarray | None:
     """Least-squares primal candidate on the support the dual iterate points at.
 
     Ranks the column pairs by the pair norm of K^T z and, for k = 1..m, solves
@@ -370,6 +368,7 @@ def _polish_primal(
     Kx - y = eps z/||z|| on a guessed support.  Returns the candidate of least
     float pair l1 norm whose float residual is within ``bound``, or None.
     """
+    n = K.shape[1] // 2
     kt_z = K.T @ z
     order = np.argsort(-np.hypot(kt_z[:n], kt_z[n:]), kind="stable")
     z_norm = np.linalg.norm(z)
@@ -388,8 +387,9 @@ def _polish_primal(
     return best
 
 
-def _polish_dual(K: np.ndarray, x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray | None:
+def _polish_dual(K: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     """Nearest point to z with (K^T z)_j = -x_j/|x_j| on the support of x, or None."""
+    n = x.shape[0] // 2
     mag = np.hypot(x[:n], x[n:])
     support = np.flatnonzero(mag > 0)
     if support.size == 0:
@@ -411,12 +411,13 @@ def _certify_primal(scaled: _ScaledInstance, x: np.ndarray) -> tuple[Q, Q, Q, np
     xs, e = _dyadic_ints(x)
     sq = sum((sum(map(mul, row, xs)) - (yi << e)) ** 2 for row, yi in zip(scaled.k, scaled.y))
     residual_sq = Q(sq, (scaled.den << e) ** 2)
-    return _pair_l1_upper(xs, e, scaled.n), residual_sq, dyadic_sqrt_upper(residual_sq), x.copy()
+    return _pair_l1_upper(xs, e), residual_sq, dyadic_sqrt_upper(residual_sq), x.copy()
 
 
-def _exact_point(x: np.ndarray, n: int) -> RationalVector:
+def _exact_point(x: np.ndarray) -> RationalVector:
     """The complex vector whose entries are the dyadic values of x = (re, im)."""
     xq = [Q(v) for v in x.tolist()]
+    n = len(xq) // 2
     return RationalVector(tuple(ComplexQ(xq[j], xq[n + j]) for j in range(n)))
 
 
@@ -459,9 +460,7 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
         raise ValueError("the operator norm bound of A is below float64's normal range")
     step = 1.0 / L if L > 0 else 1.0
 
-    n = inst.n
-    x = np.zeros(2 * n)
-    z = np.zeros(2 * inst.m)
+    z, x = np.zeros(K.shape[0]), np.zeros(K.shape[1])
     xbar = x.copy()
     bound = inst.eps + tol
 
@@ -484,17 +483,17 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     with np.errstate(over="ignore", invalid="ignore"):
         while iterations < max_iter:
             todo = min(batch, max_iter - iterations)
-            x, z, xbar = _kernels.pd_iterate(K, yv, eps_f, step, step, x, z, xbar, todo, n)
+            x, z, xbar = _kernels.pd_iterate(K, yv, eps_f, step, step, x, z, xbar, todo)
             iterations += todo
 
             best_lower = max(best_lower, _dual_lower_bound(z, scaled, inst.eps))
             last = _certify_primal(scaled, x)
             offer(last)
             if not certified():
-                x_pol = _polish_primal(K, yv, eps_f, float(bound), z, n)
+                x_pol = _polish_primal(K, yv, eps_f, float(bound), z)
                 if x_pol is not None and np.isfinite(x_pol).all():
                     offer(_certify_primal(scaled, x_pol))
-                    z_pol = _polish_dual(K, x_pol, z, n)
+                    z_pol = _polish_dual(K, x_pol, z)
                     if z_pol is not None and np.isfinite(z_pol).all():
                         best_lower = max(best_lower, _dual_lower_bound(z_pol, scaled, inst.eps))
             if certified():
@@ -503,7 +502,7 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
 
     objective_ub, residual_sq, residual_ub, x_float = best_feasible or last
     return SolveReport(
-        x=_exact_point(x_float, n),
+        x=_exact_point(x_float),
         x_float=x_float,
         objective_ub=objective_ub,
         lower_bound=best_lower,
@@ -535,12 +534,13 @@ class BruteForceReport:
     box_radius: int
 
 
-def _exact_particular_solution(ints: list[list[int]], n: int) -> list[Q]:
+def _exact_particular_solution(ints: list[list[int]]) -> list[Q]:
     """Some exact real solution of Ax = y, given the integer rows of [A | y].
 
     For a single row the largest entry gives the smallest search box, so pick
     it directly.  Otherwise back-substitute on the echelon form, free vars 0.
     """
+    n = len(ints[0]) - 1
     if len(ints) == 1:
         row = ints[0]
         best = max(range(n), key=lambda j: abs(row[j]))
@@ -589,7 +589,7 @@ def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
     if l2_norm_sq(inst.y) <= inst.eps * inst.eps:
         radius = Q(0)  # x = 0 is feasible, so it is the optimum
     else:
-        radius = sum(abs(v) for v in _exact_particular_solution(ints, n))
+        radius = sum(abs(v) for v in _exact_particular_solution(ints))
     k = ceil(radius / h)
     if (2 * k + 1) ** n > GRID_POINT_CAP:
         raise GridTooLargeError(f"grid has {(2 * k + 1) ** n} points, cap is {GRID_POINT_CAP}")

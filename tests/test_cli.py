@@ -612,6 +612,14 @@ def test_gen_data_empty_range_exit_2(capsys):
     assert "widen the n range" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("command", ["nn", "gen-data"])
+def test_empty_training_set_exit_2_before_any_width_is_read(command, capsys):
+    """``nn`` takes its first and last layer widths from the training set, so it must not be empty."""
+    code, out, err = run([command, "--seed", "1", "--n-lo", "5", "--n-hi", "4"], capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "training set came out empty; widen the n range"}) + "\n"
+
+
 def test_nn_seed_required(capsys):
     code, _, err = run(["nn", "--steps", "10"], capsys)
     assert code == 2

@@ -5,6 +5,7 @@ point in tests/grid_reference.py, and the primal-dual kernel must return the
 bytes of the all-numpy loop it replaced, also where it stops at a fixed point.
 """
 
+import inspect
 import random
 import tracemalloc
 from fractions import Fraction as Q
@@ -142,10 +143,10 @@ def test_int64_scan_memory_stays_blocked():
 
 
 def _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
-    """Run both loops on one state; x, z and xbar must agree byte for byte."""
-    args = (K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs)
+    """Run both loops on one state; x, z and xbar must agree byte for byte.  The kernel reads n_pairs from K."""
+    args = (K, y, eps, tau, sigma, x, z, xbar, iters)
     with np.errstate(all="ignore"):  # the huge-entry case overflows; only bytes are compared
-        want = pd_reference.pd_iterate(*args)
+        want = pd_reference.pd_iterate(*args, n_pairs)
         got = kern.pd_iterate(*args)
     for name, w, g in zip(("x", "z", "xbar"), want, got):
         assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == w.shape, name
@@ -178,6 +179,15 @@ def test_pd_iterate_matches_reference_on_generic_shapes(m, ns, cplx):
                     _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, n)
 
 
+def test_kernel_signatures_keep_the_positions_the_benchmark_reads():
+    """perfbench's tracer reads ``pd_iterate``'s ``args[8]`` (iters) and
+    ``grid_scan``'s ``args[0]``, ``[3]`` and ``[4]`` (coeffs, k, exact_fallback)."""
+    assert list(inspect.signature(kern.pd_iterate).parameters) == [
+        "K", "y", "eps", "tau", "sigma", "x", "z", "xbar", "iters"
+    ]
+    assert list(inspect.signature(kern.grid_scan).parameters) == ["coeffs", "shift", "rhs", "k", "exact_fallback"]
+
+
 def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
     """Calls on one shape, whatever their values, run the loop generated for the first."""
     built = []
@@ -188,8 +198,8 @@ def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
     for m, n in ((2, 5), (2, 5), (1, 5)):
         K = _realified(rng.uniform(-3, 3, (m, n)))
         state = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
-        kern.pd_iterate(K, rng.normal(size=2 * m), 0.25, 0.1, 0.1, *state, 3, n)
-    assert built == [(4, 5), (2, 5)]
+        kern.pd_iterate(K, rng.normal(size=2 * m), 0.25, 0.1, 0.1, *state, 3)
+    assert built == [(4, 10), (2, 10)]
 
 
 def test_pd_iterate_returns_arrays_no_later_call_writes():
@@ -197,9 +207,9 @@ def test_pd_iterate_returns_arrays_no_later_call_writes():
     rng = np.random.default_rng(11)
     K = _realified(rng.uniform(-3, 3, (2, 5)))
     y = rng.normal(size=4)
-    first = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, rng.normal(size=10), rng.normal(size=4), rng.normal(size=10), 5, 5)
+    first = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, rng.normal(size=10), rng.normal(size=4), rng.normal(size=10), 5)
     kept = [v.tobytes() for v in first]
-    second = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, rng.normal(size=10), rng.normal(size=4), rng.normal(size=10), 5, 5)
+    second = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, rng.normal(size=10), rng.normal(size=4), rng.normal(size=10), 5)
     assert [v.tobytes() for v in second] != kept
     assert [v.tobytes() for v in first] == kept
 
@@ -213,7 +223,7 @@ def test_pd_iterate_builds_no_array_per_step(monkeypatch):
     array = np.array
     monkeypatch.setattr(np, "array", lambda *a, **k: built.append(a) or array(*a, **k))
     kern._pd_loop.cache_clear()
-    x, _, _ = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, *state, 250, 4)
+    x, _, _ = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, *state, 250)
     kern._pd_loop.cache_clear()
     assert len(built) == 1 and array(built[0][0]).tobytes() == x.tobytes()
 
@@ -235,7 +245,7 @@ def test_pd_iterate_matches_reference_on_families(which):
         x, z, xbar = np.zeros(2 * inst.n), np.zeros(2 * inst.m), np.zeros(2 * inst.n)
         for iters in (1, 250, 250):  # each batch starts where the one before stopped
             _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, inst.n)
-            x, z, xbar = kern.pd_iterate(K, y, eps, step, step, x, z, xbar, iters, inst.n)
+            x, z, xbar = kern.pd_iterate(K, y, eps, step, step, x, z, xbar, iters)
 
 
 K_EDGE = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 1.0, -1.0, 2.0]])
@@ -283,7 +293,7 @@ def test_pd_iterate_matches_reference_on_edge_cases(K, y, eps, tau, x, z, xbar, 
 def test_pd_iterate_pair_shrink_edge_is_exact():
     """The pair-shrink case above really lands on signed zeros after one step."""
     x, _, xbar = kern.pd_iterate(
-        np.zeros((2, 4)), np.zeros(2), 0.5, 5.0, 0.4, np.array([3.0, 1.0, -4.0, 0.0]), np.zeros(2), np.zeros(4), 1, 2
+        np.zeros((2, 4)), np.zeros(2), 0.5, 5.0, 0.4, np.array([3.0, 1.0, -4.0, 0.0]), np.zeros(2), np.zeros(4), 1
     )
     assert x.tobytes() == np.array([0.0, 0.0, -0.0, 0.0]).tobytes()
     assert xbar.tobytes() == np.array([-3.0, -1.0, 4.0, 0.0]).tobytes()
@@ -329,13 +339,13 @@ class _CountingK(np.ndarray):
 
 
 def test_pd_iterate_stops_after_one_iteration_at_a_fixed_point(fixed_point):
-    (K, y, eps, step, n), zero, fixed = fixed_point
+    (K, y, eps, step, _), zero, fixed = fixed_point
     counted = K.view(_CountingK)
     _CountingK.dots = 0
-    kern.pd_iterate(counted, y, eps, step, step, *zero, 250, n)
+    kern.pd_iterate(counted, y, eps, step, step, *zero, 250)
     assert _CountingK.dots == 2 * 250  # the fixed point lies beyond the first batch
     _CountingK.dots = 0
-    got = kern.pd_iterate(counted, y, eps, step, step, *fixed, 250, n)
+    got = kern.pd_iterate(counted, y, eps, step, step, *fixed, 250)
     assert _CountingK.dots == 2  # K xbar and K^T z of the one iteration that changed nothing
     assert [v.tobytes() for v in got] == [v.tobytes() for v in fixed]
 

@@ -18,8 +18,6 @@ P = fam.FamilyParams()
 def test_realify_layout_example():
     v = mlp.realify_instance(fam.limit_instance(P))
     assert v.tolist() == [1.0, 1.0, 0.0, 0.0, 1.0, 0.0]
-    assert mlp.input_width(1, 2) == 6
-    assert mlp.output_width(2) == 4
 
 
 def test_realify_dyadic_entries_exact():
@@ -193,7 +191,33 @@ def test_lipschitz_bound_when_power_iteration_starts_in_a_null_space(weights):
 )
 def test_layer_norm_estimate_of_tiny_or_huge_weights(weights, norm):
     # the power iteration neither underflows to 0 nor overflows to nan
-    assert mlp._layer_norm_estimate(np.array(weights)) == norm
+    assert math.ldexp(*mlp._layer_norm_estimate(np.array(weights))) == norm
+
+
+def _net_of(*weights):
+    return mlp.MLP(list(weights), [np.zeros(w.shape[0]) for w in weights])
+
+
+def test_lipschitz_bound_of_a_product_below_float_range_stays_positive():
+    """Three layers of norm 2e-150 multiply to about 8e-450: 0.0 would not bound it."""
+    net = _net_of(*[np.full((2, 2), 1e-150)] * 3)
+    assert mlp.lipschitz_upper_bound(net) == math.ulp(0.0)
+
+
+def test_lipschitz_bound_of_a_layer_past_float_range_is_inf():
+    """The layer's norm 2e308 is past float64's range."""
+    assert mlp.lipschitz_upper_bound(_net_of(np.full((2, 2), 1e308))) == math.inf
+
+
+def test_conflict_holds_for_an_infinite_lipschitz_bound():
+    """Column 2 reads Im A, 0 on every member, so the outputs stay finite while
+    L is inf; from n = 53 the float inputs are equal and their slack is 0, not inf * 0."""
+    w1 = np.zeros((4, 6))
+    w1[:, 2] = 1e200
+    rep = mlp.instability_eval(_net_of(w1, np.eye(4) * 1e200), P, 60, fam.separation_certificate(P))
+    assert rep.lipschitz_bound == math.inf
+    assert [r.lip_slack for r in rep.rows if r.gap == 0.0] == [0.0] * 8
+    assert rep.conflict_holds()
 
 
 def test_instability_bound_untrained_net():
@@ -507,7 +531,8 @@ def _net_for(p, hidden, kind):
     """An untrained net for ``p``'s shape, one trained on its members n = 1..8,
     or an untrained one whose second layer is all zero (the power iteration
     stops at its first step there)."""
-    widths = (mlp.input_width(p.m_dim, p.n_dim),) + hidden + (mlp.output_width(p.n_dim),)
+    u, t = mlp.realify_instance(fam.limit_instance(p)), mlp.realify_vector(fam.limit_solution(p))
+    widths = (u.size,) + hidden + (t.size,)
     net = mlp.init_mlp(widths, seed=sum(widths))
     if kind == "trained":
         members = [(which, n) for n in range(1, 9) for which in (1, 2)]

@@ -374,8 +374,8 @@ def test_polishing_treats_linalg_errors_as_no_candidate(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", fail)
     K = np.array([[2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0]])
-    assert qcbp._polish_primal(K, np.array([1.0, 0.0]), 0.0, 1e-6, np.array([-0.5, 0.0]), 2) is None
-    assert qcbp._polish_dual(K, np.array([0.5, 0.0, 0.0, 0.0]), np.zeros(2), 2) is None
+    assert qcbp._polish_primal(K, np.array([1.0, 0.0]), 0.0, 1e-6, np.array([-0.5, 0.0])) is None
+    assert qcbp._polish_dual(K, np.array([0.5, 0.0, 0.0, 0.0]), np.zeros(2)) is None
     assert qcbp.solve_numeric(_near_degenerate()).converged
 
 
