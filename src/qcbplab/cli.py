@@ -20,6 +20,7 @@ imports the layers it runs (``families``, ``halting``, ``mlp``) itself, so
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -148,6 +149,16 @@ def _family_params(args: argparse.Namespace) -> families.FamilyParams:
     )
 
 
+@contextlib.contextmanager
+def _fits_float64(what: str):
+    """Report a float conversion past float64's range inside the block as an
+    input error whose message begins with ``what``: the flag, then the quantity."""
+    try:
+        yield
+    except OverflowError:
+        raise InputError(f"{what} does not fit a float64") from None
+
+
 def _root_lower(sq: Q) -> str:
     """The largest float that does not exceed ``dyadic_sqrt_lower(sq, 30)``, as ``repr``."""
     lower = dyadic_sqrt_lower(sq, 30)
@@ -228,7 +239,9 @@ def cmd_adversarial(args: argparse.Namespace) -> int:
             r2 = qcbp.solve_numeric(families.perturbed_instance(2, n, p), tol)
             diff = r1.x_float - r2.x_float
             solver_dist = repr(float((diff @ diff) ** 0.5))
-        rows.append([str(n), fmt_rational(in_dist), fmt_rational(out_sq), _root_lower(out_sq), solver_dist, kappa])
+        with _fits_float64(f"--a: the output distance of n={n}"):
+            out_lower = _root_lower(out_sq)
+        rows.append([str(n), fmt_rational(in_dist), fmt_rational(out_sq), out_lower, solver_dist, kappa])
     _emit_csv(header, rows, args)
     return EXIT_OK
 
@@ -269,14 +282,15 @@ def cmd_halting(args: argparse.Namespace) -> int:
     rows = []
     for n in range(args.n_max + 1):
         d = halting.decide_membership(machine, n, args.j_budget, cert)
-        if d.status == halting.IN:
-            d_sq = d.distance_sq
-            q = str(d.steps_to_accept)
-            exact = [fmt_rational(d_sq), _root_lower(d_sq), repr(float(d_sq) ** 0.5)]
-        else:
-            if at_budget is None:
-                at_budget = repr(float(halting.encoded_distance_sq(args.j_budget, p)) ** 0.5)
-            q, exact = "-", ["-", "-", at_budget]
+        with _fits_float64(f"--a: the distance of n={n}"):
+            if d.status == halting.IN:
+                d_sq = d.distance_sq
+                q = str(d.steps_to_accept)
+                exact = [fmt_rational(d_sq), _root_lower(d_sq), repr(float(d_sq) ** 0.5)]
+            else:
+                if at_budget is None:
+                    at_budget = repr(float(halting.encoded_distance_sq(args.j_budget, p)) ** 0.5)
+                q, exact = "-", ["-", "-", at_budget]
         rows.append([str(n), q, d.status, *exact, threshold_sq])
     rules = sorted(machine.transitions.items())
     _emit_csv(header, rows, args, repr((machine.initial, machine.accepting, rules)))
@@ -287,7 +301,12 @@ def _training_set(args: argparse.Namespace, p: families.FamilyParams) -> mlp.Tra
     from qcbplab import mlp
 
     noise = _rat(args.noise, "--noise")
-    data = mlp.gen_training_set(p, args.n_lo, args.n_hi, noise_bound=noise, seed=args.seed)
+    try:
+        data = mlp.gen_training_set(p, args.n_lo, args.n_hi, noise_bound=noise, seed=args.seed)
+    except qcbp.FloatRangeError as exc:
+        # A is built from --a, y from --noise, the solution x from both
+        flags = {"A": "--a", "y": "--noise"}.get(exc.field[0], "--a or --noise")
+        raise InputError(f"{flags}: {exc.field} of a training member does not fit a float64") from None
     if data.inputs.size == 0:
         raise InputError("training set came out empty; widen the n range")
     return data
@@ -314,7 +333,10 @@ def cmd_nn(args: argparse.Namespace) -> int:
     net = mlp.init_mlp(widths, seed=args.seed)
     net, trace = mlp.train(net, data.inputs, data.targets, steps=args.steps, lr=args.lr)
     cert = families.separation_certificate(p)
-    report = mlp.instability_eval(net, p, args.n_max, cert)
+    try:
+        report = mlp.instability_eval(net, p, args.n_max, cert)
+    except qcbp.FloatRangeError as exc:
+        raise InputError(f"--a: {exc.field} of an evaluation member does not fit a float64") from None
     if args.checkpoint:
         _atomic_write(args.checkpoint, mlp.checkpoint_json(net))
     header = ["n", "gap", "e1", "e2", "lip_slack", "bound_lhs", "kappa"]

@@ -27,6 +27,7 @@ from fractions import Fraction as Q
 import numpy as np
 
 from qcbplab import families, qcbp
+from qcbplab.qcbp import float_norm
 from qcbplab.rationals import RationalVector
 
 
@@ -47,21 +48,29 @@ class TrainingDivergence(ArithmeticError):
 
 def realify_instance(inst: qcbp.Instance) -> np.ndarray:
     """Deterministic flattening: A real parts row-major, A imaginary parts
-    row-major, y real parts, y imaginary parts.  Dyadic entries are exact."""
+    row-major, y real parts, y imaginary parts.  Dyadic entries are exact.
+    An entry past float64's range raises qcbp.FloatRangeError naming it."""
     parts: list[float] = []
-    parts += [float(inst.A.entry(i, j).re) for i in range(inst.m) for j in range(inst.n)]
-    parts += [float(inst.A.entry(i, j).im) for i in range(inst.m) for j in range(inst.n)]
-    parts += [float(e.re) for e in inst.y.entries]
-    parts += [float(e.im) for e in inst.y.entries]
+    try:
+        parts += [float(inst.A.entry(i, j).re) for i in range(inst.m) for j in range(inst.n)]
+        parts += [float(inst.A.entry(i, j).im) for i in range(inst.m) for j in range(inst.n)]
+        parts += [float(e.re) for e in inst.y.entries]
+        parts += [float(e.im) for e in inst.y.entries]
+    except OverflowError:
+        raise qcbp.float_range_error(qcbp.named_entries(inst)) from None
     return np.array(parts, dtype=np.float64)
 
 
 def realify_vector(x: RationalVector) -> np.ndarray:
-    """Flatten a solution vector: real parts then imaginary parts."""
-    return np.array(
-        [float(e.re) for e in x.entries] + [float(e.im) for e in x.entries],
-        dtype=np.float64,
-    )
+    """Flatten a solution vector: real parts then imaginary parts.  An entry
+    past float64's range raises qcbp.FloatRangeError naming it as x[j]."""
+    try:
+        return np.array(
+            [float(e.re) for e in x.entries] + [float(e.im) for e in x.entries],
+            dtype=np.float64,
+        )
+    except OverflowError:
+        raise qcbp.float_range_error((f"x[{j}]", v) for j, e in enumerate(x.entries) for v in (e.re, e.im)) from None
 
 
 # --- the network ------------------------------------------------------------------
@@ -345,22 +354,16 @@ def _layer_norm_estimate(w: np.ndarray) -> tuple[float, int]:
     v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])
     for _ in range(_POWER_ITERS):
         u = w.dot(v)
-        nu = _norm(u)
+        nu = float_norm(u)
         if nu == 0:
-            return _norm(w.ravel()), e
+            return float_norm(w.ravel()), e
         v = wt.dot(u)
         v /= nu
-        nv = _norm(v)
+        nv = float_norm(v)
         if nv == 0:
-            return _norm(w.ravel()), e
+            return float_norm(w.ravel()), e
         v /= nv
-    return _norm(w.dot(v)), e
-
-
-def _norm(d: np.ndarray) -> float:
-    """l2 norm of the 1-D float array ``d``: the float ``np.linalg.norm``
-    returns for it (``d.dot(d)``, then ``sqrt``) without its Python overhead."""
-    return math.sqrt(d.dot(d))
+    return float_norm(w.dot(v)), e
 
 
 # --- training data ----------------------------------------------------------------
@@ -490,8 +493,8 @@ def instability_eval(
     err = np.empty(width)
     rows = []
     for n, u1, u2, t1, t2, gap in table:
-        e1 = _norm(np.subtract(_forward(plan, u1), t1, out=err))
-        e2 = _norm(np.subtract(_forward(plan, u2), t2, out=err))
+        e1 = float_norm(np.subtract(_forward(plan, u1), t1, out=err))
+        e2 = float_norm(np.subtract(_forward(plan, u2), t2, out=err))
         slack = lip * gap if gap else 0.0
         rows.append(
             InstabilityRow(
@@ -515,7 +518,7 @@ def _family_table(p: families.FamilyParams, n_max: int) -> tuple:
         t2 = realify_vector(families.perturbed_solution(2, n, p))
         for a in (u1, u2, t1, t2):
             a.flags.writeable = False
-        table.append((n, u1, u2, t1, t2, _norm(u1 - u2)))
+        table.append((n, u1, u2, t1, t2, float_norm(u1 - u2)))
     return tuple(table)
 
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import ceil
+from math import ceil, sqrt
 from operator import mul
+from typing import Iterable
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from qcbplab.rationals import (
     parse_rational,
     row_rank,
     scaled_integers,
+    sqrt_upper_ints,
     vector_from_json,
     vector_to_json,
 )
@@ -55,6 +57,14 @@ class OracleDomainError(ValueError):
 
 class RankDeficientError(ValueError):
     """solve_numeric requires full row rank so the constraint set is nonempty."""
+
+
+class FloatRangeError(ValueError):
+    """An exact value lies past float64's range; ``field`` names it (A[i,j], y[i], eps or x[j])."""
+
+    def __init__(self, field: str):
+        super().__init__(f"{field} does not fit a float64")
+        self.field = field
 
 
 class GridTooLargeError(ValueError):
@@ -292,7 +302,8 @@ class _ScaledInstance:
 def _realified(A: RationalMatrix, y: RationalVector) -> tuple[_ScaledInstance, int, Q]:
     """A and y scaled to integers once, with A's row rank and squared operator norm bound.
 
-    The realification's real rank is twice the complex rank of A.
+    The realification's real rank is twice the complex rank of A.  For a real
+    A it is block diagonal, so A's rank is that of its real part alone.
     """
     n = A.n
     ints, den = scaled_integers(
@@ -302,21 +313,27 @@ def _realified(A: RationalMatrix, y: RationalVector) -> tuple[_ScaledInstance, i
     y_int = ints.pop()
     k = [r[:n] + [-v for v in r[n:]] for r in ints] + [r[n:] + r[:n] for r in ints]
     scaled = _ScaledInstance(k=k, k_cols=list(zip(*k)), y=y_int, den=den)
-    return scaled, row_rank(k) // 2, operator_norm_sq_upper(ints, den)
+    real = not any(v for r in ints for v in r[n:])
+    rank = row_rank([r[:n] for r in ints]) if real else row_rank(k) // 2
+    return scaled, rank, operator_norm_sq_upper(ints, den)
 
 
-def _past_float64(inst: Instance) -> str:
-    """The name of the first entry of A, then y, then eps (indices from 0) past float64's range."""
-    fields = [(f"A[{i},{j}]", (e.re, e.im)) for i, row in enumerate(inst.A.rows) for j, e in enumerate(row)]
-    fields += [(f"y[{i}]", (e.re, e.im)) for i, e in enumerate(inst.y.entries)]
-    fields.append(("eps", (inst.eps,)))
-    for name, values in fields:
-        for v in values:
-            try:
-                float(v)
-            except OverflowError:
-                return name
-    raise AssertionError("every field fits a float64")
+def float_range_error(named: Iterable[tuple[str, Q]]) -> FloatRangeError:
+    """The error naming the first (name, value) pair whose value is past float64's range."""
+    for name, v in named:
+        try:
+            float(v)
+        except OverflowError:
+            return FloatRangeError(name)
+    raise AssertionError("every value fits a float64")
+
+
+def named_entries(inst: Instance) -> list[tuple[str, Q]]:
+    """Each part of A, then of y, then eps, named as A[i,j], y[i] and eps (indices from 0)."""
+    named = [(f"A[{i},{j}]", v) for i, row in enumerate(inst.A.rows) for j, e in enumerate(row) for v in (e.re, e.im)]
+    named += [(f"y[{i}]", v) for i, e in enumerate(inst.y.entries) for v in (e.re, e.im)]
+    named.append(("eps", inst.eps))
+    return named
 
 
 def _dyadic_ints(v: np.ndarray) -> tuple[list[int], int]:
@@ -333,11 +350,20 @@ def _pair_l1_upper(xs: list[int], e: int) -> Q:
     """Exact upper bound on sum_i |(re_i, im_i)| of xs / 2**e; exact when all im are zero.
 
     Real pairs add up as one integer over 2**e; only complex pairs take a root.
+    Each root's denominator is a power of two, as its radicand's 4**e is, so
+    the sum is one integer over the largest of them.
     """
     n = len(xs) // 2
     den = 1 << (2 * e)
-    real = Q(sum(abs(xs[i]) for i in range(n) if not xs[n + i]), 1 << e)
-    return sum((dyadic_sqrt_upper(Q(xs[i] ** 2 + xs[n + i] ** 2, den)) for i in range(n) if xs[n + i]), real)
+    total, k = sum(abs(xs[i]) for i in range(n) if not xs[n + i]), e  # total / 2**k
+    for i in range(n):
+        if xs[n + i]:
+            p, q = sqrt_upper_ints(xs[i] ** 2 + xs[n + i] ** 2, den)
+            j = q.bit_length() - 1
+            if j > k:
+                total, k = total << (j - k), j
+            total += p << (k - j)
+    return Q(total, 1 << k)
 
 
 def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Q:
@@ -346,7 +372,8 @@ def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Q:
     Scales z down by a certified bound on the pair-infinity norm of K^T z so
     the scaled vector is dual feasible, then evaluates the dual objective with
     an upper bound on ||z||, erring downward throughout.  With z = Z / 2**F,
-    K^T z and <y, z> are integer sums over den * 2**F.
+    K^T z and <y, z> are integer sums over den * 2**F, and the bound is one
+    quotient of integers.
     """
     zs, f = _dyadic_ints(z)
     kt_z = [sum(map(mul, col, zs)) for col in scaled.k_cols]
@@ -354,10 +381,18 @@ def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Q:
     cmax_sq = max(kt_z[j] ** 2 + kt_z[n + j] ** 2 for j in range(n))
     scale = scaled.den << f
     scale_sq = scale * scale
-    c_ub = dyadic_sqrt_upper(Q(cmax_sq, scale_sq)) if cmax_sq > scale_sq else Q(1)
-    ip = Q(sum(map(mul, scaled.y, zs)), scale)
-    z_norm_ub = dyadic_sqrt_upper(Q(sum(v * v for v in zs), 1 << (2 * f)))
-    return (-ip - eps * z_norm_ub) / c_ub
+    cp, cq = sqrt_upper_ints(cmax_sq, scale_sq) if cmax_sq > scale_sq else (1, 1)  # c_ub
+    ip = sum(map(mul, scaled.y, zs))  # <y, z> = ip / scale
+    zp, zq = sqrt_upper_ints(sum(v * v for v in zs), 1 << (2 * f))  # ||z|| <= zp / zq
+    en, ed = eps.numerator, eps.denominator
+    # (-<y, z> - eps zp / zq) / (cp / cq)
+    return Q((-ip * ed * zq - scale * en * zp) * cq, scale * ed * zq * cp)
+
+
+def float_norm(d: np.ndarray) -> float:
+    """l2 norm of the 1-D float array ``d``: the float ``np.linalg.norm``
+    returns for it (``d.dot(d)``, then ``sqrt``) without its Python overhead."""
+    return sqrt(d.dot(d))
 
 
 def _polish_primal(K: np.ndarray, yv: np.ndarray, eps: float, bound: float, z: np.ndarray) -> np.ndarray | None:
@@ -371,7 +406,7 @@ def _polish_primal(K: np.ndarray, yv: np.ndarray, eps: float, bound: float, z: n
     n = K.shape[1] // 2
     kt_z = K.T @ z
     order = np.argsort(-np.hypot(kt_z[:n], kt_z[n:]), kind="stable")
-    z_norm = np.linalg.norm(z)
+    z_norm = float_norm(z)
     target = yv + eps * z / z_norm if z_norm > 0 else yv
     best, best_l1 = None, np.inf
     for k in range(1, K.shape[0] // 2 + 1):
@@ -382,7 +417,7 @@ def _polish_primal(K: np.ndarray, yv: np.ndarray, eps: float, bound: float, z: n
         except np.linalg.LinAlgError:
             continue
         l1 = np.hypot(x[:n], x[n:]).sum()
-        if np.linalg.norm(K @ x - yv) <= bound and l1 < best_l1:
+        if float_norm(K @ x - yv) <= bound and l1 < best_l1:
             best, best_l1 = x, l1
     return best
 
@@ -411,12 +446,13 @@ def _certify_primal(scaled: _ScaledInstance, x: np.ndarray) -> tuple[Q, Q, Q, np
     xs, e = _dyadic_ints(x)
     sq = sum((sum(map(mul, row, xs)) - (yi << e)) ** 2 for row, yi in zip(scaled.k, scaled.y))
     residual_sq = Q(sq, (scaled.den << e) ** 2)
-    return _pair_l1_upper(xs, e), residual_sq, dyadic_sqrt_upper(residual_sq), x.copy()
+    residual_ub = Q(*sqrt_upper_ints(residual_sq.numerator, residual_sq.denominator))
+    return _pair_l1_upper(xs, e), residual_sq, residual_ub, x.copy()
 
 
 def _exact_point(x: np.ndarray) -> RationalVector:
     """The complex vector whose entries are the dyadic values of x = (re, im)."""
-    xq = [Q(v) for v in x.tolist()]
+    xq = [Q(*v.as_integer_ratio()) for v in x.tolist()]
     n = len(xq) // 2
     return RationalVector(tuple(ComplexQ(xq[j], xq[n + j]) for j in range(n)))
 
@@ -434,9 +470,10 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     exact certificates as the iterate and can only improve the best certified
     point or lower bound; the iteration itself continues unchanged.  Never
     trusts a float: all reported bounds are recomputed over the rationals.
-    An entry of A or y, or eps, past float64's range raises ValueError
-    naming it, and so does an operator norm bound past that range or below
-    its normal range; entries that round to 0.0 are accepted.
+    An entry of A or y, or eps, past float64's range raises FloatRangeError
+    naming it, and an operator norm bound past that range or below its
+    normal range raises ValueError naming the bound; entries that round to
+    0.0 are accepted.
     """
     tol = Q(tol)
     if tol <= 0:
@@ -451,9 +488,10 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
         K, yv = scaled.floats()
         eps_f = float(inst.eps)
     except OverflowError:
-        raise ValueError(f"{_past_float64(inst)} does not fit a float64") from None
+        raise float_range_error(named_entries(inst)) from None
     try:
-        L = float(dyadic_sqrt_upper(norm_sq))
+        p, q = sqrt_upper_ints(norm_sq.numerator, norm_sq.denominator)
+        L = p / q  # correctly rounded, as float() of the Fraction is
     except OverflowError:
         raise ValueError("the operator norm bound of A is past float64's range") from None
     if 0 < L < sys.float_info.min:

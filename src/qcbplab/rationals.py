@@ -9,13 +9,20 @@ Norm logic is kept squared throughout: ``sqrt`` leaves the rationals, but
 comparisons of nonnegative norms reduce to comparisons of their squares.
 Where a scalar root is genuinely needed downstream, :func:`dyadic_sqrt_lower`
 and :func:`dyadic_sqrt_upper` return certified dyadic enclosures.
+
+The integer layer works on Python ints and builds Fractions only for what it
+returns: :func:`sqrt_upper_ints` is the upper root on a numerator and a
+denominator, returning an integer pair (``dyadic_sqrt_upper`` is that pair as
+a Fraction), and :func:`operator_norm_sq_upper` sums entry magnitudes over
+one integer denominator and returns one Fraction.  The solver's certificates
+in ``qcbp`` call :func:`sqrt_upper_ints` the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -59,18 +66,30 @@ def dyadic_sqrt_lower(q: Q, prec: int) -> Q:
     return Q(isqrt(num * den * t * t), den * t)
 
 
-def dyadic_sqrt_upper(q: Q, prec: int = 40) -> Q:
-    """Rational u with u >= sqrt(q), tight to 2**-prec; exact on perfect squares."""
-    if q < 0:
+def sqrt_upper_ints(num: int, den: int, prec: int = 40) -> tuple[int, int]:
+    """Integers (p, q), q > 0, with p/q >= sqrt(num/den), tight to 2**-prec (num >= 0, den > 0).
+
+    The bound depends on the reduced denominator, so num/den is reduced
+    first; then p/q = isqrt(num den 4**prec) + 1 over den 2**prec, or the
+    exact root when num and den are both perfect squares.  p/q is not
+    reduced: the caller builds one Fraction for whatever it reports.
+    """
+    if num < 0:
         raise ValueError("square root of a negative rational")
-    if q == 0:
-        return Q(0)
-    num, den = q.numerator, q.denominator
+    if num == 0:
+        return 0, 1
+    g = gcd(num, den)
+    num, den = num // g, den // g
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
-        return Q(rn, rd)
+        return rn, rd
     t = 1 << prec
-    return Q(isqrt(num * den * t * t) + 1, den * t)
+    return isqrt(num * den * t * t) + 1, den * t
+
+
+def dyadic_sqrt_upper(q: Q, prec: int = 40) -> Q:
+    """Rational u with u >= sqrt(q), tight to 2**-prec; exact on perfect squares."""
+    return Q(*sqrt_upper_ints(q.numerator, q.denominator, prec))
 
 
 @dataclass(frozen=True)
@@ -260,19 +279,23 @@ def operator_norm_sq_upper(rows: list[list[int]], den: int) -> Q:
     """
     n = len(rows[0]) // 2
     den_sq = den * den
-    fro = Q(sum(v * v for row in rows for v in row), den_sq)
-    # entry magnitudes times den
-    mags = [
-        [
-            abs(re) if im == 0 else dyadic_sqrt_upper(Q(re * re + im * im, den_sq)) * den
-            for re, im in zip(row[:n], row[n:])
-        ]
-        for row in rows
-    ]
-    row_sums = [sum(r) for r in mags]
-    col_sums = [sum(col) for col in zip(*mags)]
-    holder = Q(max(row_sums) * max(col_sums)) / den_sq
-    return min(fro, holder)
+    fro = sum(v * v for row in rows for v in row)  # over den_sq
+    # entry magnitudes as integers over w = den**2 2**prec, which every
+    # root's denominator divides; a real entry's |re| / den is |re| den 2**prec / w
+    prec = 40
+    w = den_sq << prec
+    real = den << prec
+
+    def mag(re: int, im: int) -> int:
+        if im == 0:
+            return abs(re) * real
+        p, q = sqrt_upper_ints(re * re + im * im, den_sq, prec)
+        return p * (w // q)
+
+    mags = [[mag(re, im) for re, im in zip(row[:n], row[n:])] for row in rows]
+    holder = max(map(sum, mags)) * max(map(sum, zip(*mags)))  # over w**2
+    # fro / den_sq <= holder / w**2 exactly when fro den_sq 4**prec <= holder
+    return Q(fro, den_sq) if (fro * den_sq) << (2 * prec) <= holder else Q(holder, w * w)
 
 
 # --- serialization -----------------------------------------------------------

@@ -1027,6 +1027,34 @@ def test_solve_subnormal_operator_norm_exit_2(capsys):
     assert err == json.dumps({"error": "the operator norm bound of A is below float64's normal range"}) + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nn", "--seed", "1", "--steps", "3", "--n-hi", "2", "--a", "1e400"], "--a: A[0,0] of a training member"),
+        (["gen-data", "--seed", "1", "--n-hi", "2", "--a", "1e400"], "--a: A[0,0] of a training member"),
+        (["nn", "--seed", "1", "--steps", "3", "--n-hi", "2", "--noise", "1e400"], "--noise: y[0] of a training member"),
+        (["gen-data", "--seed", "1", "--n-hi", "2", "--noise", "1e400"], "--noise: y[0] of a training member"),
+        # 2**-1030 + 1e-400 in the row puts the solution near 2**1029
+        (
+            ["gen-data", "--seed", "1", "--n-lo", "1030", "--n-hi", "1030", "--a", "1e-400"],
+            "--a or --noise: x[0] of a training member",
+        ),
+        (
+            ["nn", "--seed", "1", "--steps", "3", "--n-hi", "2", "--n-max", "1040", "--a", "1e-400"],
+            "--a: x[0] of an evaluation member",
+        ),
+        (["halting", "--machine", "builtin:even", "--n-max", "3", "--eps", "1/3", "--a", "1e-320"], "--a: the distance of n=0"),
+        (["adversarial", "--a", "1e-400", "--n-max", "1040"], "--a: the output distance of n=1025"),
+    ],
+    ids=["nn-a", "gen-data-a", "nn-noise", "gen-data-noise", "gen-data-solution", "nn-eval", "halting", "adversarial"],
+)
+def test_family_flag_past_float64_exit_2(argv, message, capsys):
+    """A family or noise flag that puts a float column or a network input past float64 is an input error naming the flag."""
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": f"{message} does not fit a float64"}) + "\n"
+
+
 def test_solve_accepts_entries_that_round_to_zero(capsys):
     """Entries below float64's range round to 0.0; the exact certificate still holds."""
     tiny = f"1/{PAST_FLOAT64}"

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction as Q
+from math import isqrt
 
 import pytest
 
+import certify_reference as ref
 from qcbplab.rationals import (
     ComplexQ,
     RationalMatrix,
@@ -22,6 +24,8 @@ from qcbplab.rationals import (
     operator_norm_sq_upper,
     parse_rational,
     row_rank,
+    scaled_integers,
+    sqrt_upper_ints,
 )
 
 
@@ -113,6 +117,73 @@ def test_dyadic_sqrt_enclosure():
         assert hi - lo <= Q(2, 2**30)
     assert dyadic_sqrt_upper(Q(9, 4)) == Q(3, 2)  # perfect square stays exact
     assert dyadic_sqrt_lower(Q(0), 10) == 0
+
+
+def _assert_tight_upper_root(u, q, prec):
+    """u >= sqrt(q) and u - 2**-prec <= sqrt(q), by squares."""
+    assert u * u >= q
+    below = u - Q(1, 2**prec)
+    assert below <= 0 or below * below <= q
+
+
+def test_sqrt_upper_ints_reduces_first():
+    """Unreduced (g num, g den) give dyadic_sqrt_upper's value for num/den: the bound reads the reduced denominator."""
+    rng = random.Random(12)
+    cases = [(0, 1), (0, 7), (1, 1), (9, 4), (25, 49), (2**1000, 1), (1, 2**1000), (9 * 2**1000, 4)]
+    cases += [(rng.randrange(1, 10**6), rng.randrange(1, 10**6)) for _ in range(100)]
+    cases += [(rng.randrange(1, 2**1001), rng.randrange(1, 2**1001)) for _ in range(20)]
+    cases += [(r * r, s * s) for r, s in ((rng.randrange(1, 10**9), rng.randrange(1, 10**9)) for _ in range(20))]
+    for num, den in cases:
+        q = Q(num, den)
+        for g in (1, 2, 3, 2**1000, rng.randrange(2, 10**12)):
+            for prec in (0, 10, 40):
+                p, d = sqrt_upper_ints(g * num, g * den, prec)
+                assert d > 0
+                assert Q(p, d) == dyadic_sqrt_upper(q, prec), (num, den, g, prec)
+                _assert_tight_upper_root(Q(p, d), q, prec)
+        rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+        if rn * rn == q.numerator and rd * rd == q.denominator:
+            assert Q(*sqrt_upper_ints(7 * num, 7 * den)) == Q(rn, rd)  # exact on perfect squares
+    assert sqrt_upper_ints(0, 5) == (0, 1)
+    with pytest.raises(ValueError, match="square root of a negative rational"):
+        sqrt_upper_ints(-4, 2)
+
+
+def _norm_case(rng, m, n):
+    """Complex rows, some with perfect-square magnitudes; a diagonal shape for the Holder side."""
+    square = [ComplexQ(Q(3), Q(4)), ComplexQ(Q(5, 13), Q(-12, 13)), ComplexQ(Q(-8, 17), Q(15, 17))]
+
+    def entry():
+        kind = rng.randrange(4)
+        scale = Q(rng.randint(1, 9), rng.choice((1, 2, 3, 7, 2**40)))
+        if kind == 0:
+            e = rng.choice(square)
+            return ComplexQ(e.re * scale, e.im * scale)
+        if kind == 1:
+            return ComplexQ(Q(rng.randint(-9, 9)) * scale, Q(0))
+        if kind == 2:
+            return ComplexQ(Q(0), Q(0))
+        return ComplexQ(Q(rng.randint(-9, 9), rng.randint(1, 9)), Q(rng.randint(1, 9), rng.randint(1, 9)))
+
+    if rng.random() < 0.4:
+        return [[entry() if i == j else ComplexQ(Q(0), Q(0)) for j in range(n)] for i in range(m)]
+    return [[entry() for _ in range(n)] for _ in range(m)]
+
+
+def test_norm_bound_equals_fraction_reference_on_both_sides_of_the_min():
+    """The integer norm bound equals the Fraction one whether Frobenius or Holder is smaller."""
+    rng = random.Random(29)
+    sides = set()
+    for _ in range(400):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = _norm_case(rng, m, n)
+        mat = RationalMatrix(tuple(tuple(r) for r in rows))
+        ints, den = scaled_integers([[e.re for e in r] + [e.im for e in r] for r in rows])
+        got = operator_norm_sq_upper(ints, den)
+        assert got == ref.operator_norm_sq_upper(mat), mat
+        fro = sum((e.abs_sq() for r in rows for e in r), Q(0))
+        sides.add(got == fro)
+    assert sides == {True, False}
 
 
 def test_ceil_log2():
