@@ -166,6 +166,25 @@ def _root_lower(sq: Q) -> str:
     return repr(math.nextafter(f, 0.0) if Q(f) > lower else f)
 
 
+def _float_root(num: int, den: int) -> float:
+    """sqrt(num/den) to within an ulp, for integers num >= 0 and den > 0.
+
+    A square in float64's normal range takes the root of the correctly
+    rounded ``num / den``.  Any other is divided by 4**k first and its root
+    multiplied by 2**k after, so a root that fits a float64 is printed even
+    where its square does not; a root past float64 raises OverflowError.
+    """
+    try:
+        sq = num / den
+    except OverflowError:
+        sq = math.inf
+    if sys.float_info.min <= sq < math.inf:
+        return sq**0.5
+    k = (num.bit_length() - den.bit_length()) // 2  # num / (den 4**k) lies in [1/4, 4)
+    scaled = num / (den << 2 * k) if k > 0 else (num << -2 * k) / den
+    return math.ldexp(math.sqrt(scaled), k)
+
+
 # --- subcommands ------------------------------------------------------------------
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -286,10 +305,12 @@ def cmd_halting(args: argparse.Namespace) -> int:
             if d.status == halting.IN:
                 d_sq = d.distance_sq
                 q = str(d.steps_to_accept)
-                exact = [fmt_rational(d_sq), _root_lower(d_sq), repr(float(d_sq) ** 0.5)]
+                root = _float_root(d_sq.numerator, d_sq.denominator)
+                exact = [fmt_rational(d_sq), _root_lower(d_sq), repr(root)]
             else:
                 if at_budget is None:
-                    at_budget = repr(float(halting.encoded_distance_sq(args.j_budget, p)) ** 0.5)
+                    gap = families.limit_gap_sq_ints(args.j_budget + halting.TAIL_OFFSET, p)
+                    at_budget = repr(_float_root(*gap))
                 q, exact = "-", ["-", "-", at_budget]
         rows.append([str(n), q, d.status, *exact, threshold_sq])
     rules = sorted(machine.transitions.items())

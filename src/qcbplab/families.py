@@ -122,6 +122,26 @@ def pair_distance_sq(n: int, p: FamilyParams) -> Q:
     return 2 * ((1 - p.eps) / (p.a + Q(1, 2**n))) ** 2
 
 
+def limit_gap_sq_ints(n: int, p: FamilyParams) -> tuple[int, int]:
+    """Family 2's squared gap to the limit solution at n, as integers (num, den), den > 0.
+
+    The gap is s(n)**2 + ((1-eps)/a)**2 with s(n) = (1-eps)/(a+2**-n).  With
+    a = an/ad, 1-eps = en/ed and t = an 2**n + ad, it is
+    (en ad)**2 (an**2 4**n + t**2) / ((ed an)**2 t**2).  The pair is not
+    reduced: t**2 is the one product of two n-bit numbers, and no gcd is taken.
+    """
+    an, ad = p.a.numerator, p.a.denominator
+    en, ed = (1 - p.eps).numerator, (1 - p.eps).denominator
+    t = (an << n) + ad
+    t_sq = t * t
+    return (en * ad) ** 2 * ((an * an << 2 * n) + t_sq), (ed * an) ** 2 * t_sq
+
+
+def limit_gap_sq(n: int, p: FamilyParams) -> Q:
+    """Family 2's squared gap to the limit solution at n: :func:`limit_gap_sq_ints`, reduced."""
+    return Q(*limit_gap_sq_ints(n, p))
+
+
 @dataclass(frozen=True)
 class SeparationCertificate:
     """Exactly checked lower bound on the output separation of the families.
@@ -164,15 +184,18 @@ def separation_certificate(p: FamilyParams, _n_max=None) -> SeparationCertificat
     family 2's squared gap to the limit solution is s(n)**2 + ((1-eps)/a)**2.
     Since a > 0, a + 2**-n strictly decreases in n, so s(n) > 0 strictly
     increases and both minima over n >= 1 sit at n = 1.  Checking n = 1 (the
-    input distance, the pair formula against the exact norm, the limit gap
-    against bound**2) therefore certifies every n.
+    input distance, the pair formula and the limit gap formula against the exact
+    norms, the limit gap against bound**2) therefore certifies every n.
     """
     # _n_max is ignored: kept only because perfbench/workloads.py still passes one
     input_distance(1, p)
     min_sq = pair_distance_sq(1, p)
     if l2_norm_sq(perturbed_solution(1, 1, p) - perturbed_solution(2, 1, p)) != min_sq:
         raise CertificateError("pair distance formula mismatch at n=1")
+    gap_sq = l2_norm_sq(perturbed_solution(2, 1, p) - limit_solution(p))
+    if gap_sq != limit_gap_sq(1, p):
+        raise CertificateError("limit gap formula mismatch at n=1")
     bound = _largest_dyadic_below_sqrt(min_sq)
-    if l2_norm_sq(perturbed_solution(2, 1, p) - limit_solution(p)) < bound * bound:
+    if gap_sq < bound * bound:
         raise CertificateError("limit-gap certificate weaker than pair bound")
     return SeparationCertificate(params=p, bound=bound)

@@ -32,8 +32,7 @@ from fractions import Fraction as Q
 from importlib import resources
 
 from qcbplab import families
-from qcbplab.rationals import l2_norm_sq
-from qcbplab.qcbp import Instance, embed, select_embedded
+from qcbplab.qcbp import Instance, embed
 
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
@@ -172,12 +171,13 @@ def encoded_distance_sq(r: int, p: families.FamilyParams) -> Q:
     """Squared distance of the encoded member for r to the limit's solution.
 
     r is the capped acceptance count r(n, j): q_n for an accepted input, the budget
-    for every not-halted one.  All not-halted inputs at one budget encode the
-    same member, index budget + 1, whose entries carry about budget bits; a
-    run that reports them computes its distance once, for the first such row.
-    The solution comes from the member's single-row core, zero-padded.
+    for every not-halted one.  The member is family 2's at index r + 1, so the
+    distance is :func:`qcbplab.families.limit_gap_sq` there, read from its
+    closed form: no instance is built and no oracle runs.  At the budget its
+    integers carry about 2 budget bits, and a run that reports that row reads
+    :func:`qcbplab.families.limit_gap_sq_ints` instead, with no gcd.
     """
-    return l2_norm_sq(select_embedded(_encoded_core(r, p), p.m_dim) - families.limit_solution(p))
+    return families.limit_gap_sq(r + TAIL_OFFSET, p)
 
 
 @dataclass

@@ -140,6 +140,34 @@ def test_halting_distance_lower_rounds_down(capsys):
         _assert_rounds_down(lower, Q(sq))
 
 
+def _halting_rows(a, capsys):
+    code, out, err = run(["halting", "--machine", "builtin:even", "--n-max", "3", "--eps", "1/3", "--a", a], capsys)
+    assert (code, err) == (0, "")
+    return [line.split(",") for line in out.splitlines()[2:]]
+
+
+def test_halting_distance_in_float_range_keeps_its_bytes(capsys):
+    # the square fits a float64, so each root is that of the rounded square
+    rows = _halting_rows("1e-150", capsys)
+    assert [(r[2], r[5]) for r in rows] == [
+        ("IN", "6.666666666666667e+149"),
+        ("NOT_HALTED_AT_BUDGET", "9.428090415820634e+149"),
+    ] * 2
+
+
+@pytest.mark.parametrize("a", ["1e-170", "1e200"], ids=["above", "below"])
+def test_halting_distance_whose_square_is_past_float64(a, capsys):
+    # distances near 1e169 and 1e-200: the roots fit a float64, their squares do not
+    p = families.FamilyParams(a=Q(a), eps=Q(1, 3))
+    rows = _halting_rows(a, capsys)
+    assert [r[2] for r in rows] == ["IN", "NOT_HALTED_AT_BUDGET"] * 2
+    for r in rows:
+        sq = Q(r[3]) if r[2] == "IN" else families.limit_gap_sq(10_000 + halting.TAIL_OFFSET, p)
+        x = float(r[5])
+        ulp = math.ulp(x)
+        assert Q(x - ulp) ** 2 <= sq <= Q(x + ulp) ** 2, r[0]
+
+
 SOLVER_TOL = Q(1, 10**6)
 
 
@@ -243,36 +271,36 @@ def test_halting_budget_zero_all_not_halted(tmp_path, capsys):
 
 def test_halting_builds_the_at_budget_member_once(monkeypatch, capsys):
     # every not-halted row reports the member at index budget + 1; one run
-    # builds it once, and a second run builds it again rather than reusing it
-    real = families.perturbed_core
+    # reads its gap once, and a second run reads it again rather than reusing it
+    real = families.limit_gap_sq_ints
     built = []
 
-    def counting(which, n, p):
-        built.append((which, n))
-        return real(which, n, p)
+    def counting(n, p):
+        built.append(n)
+        return real(n, p)
 
-    monkeypatch.setattr(families, "perturbed_core", counting)
+    monkeypatch.setattr(families, "limit_gap_sq_ints", counting)
     argv = ["halting", "--machine", "builtin:even", "--n-max", "40", "--j-budget", "1000"]
     for runs in (1, 2):
         code, out, _ = run(argv, capsys)
         assert code == 0 and out.count("NOT_HALTED_AT_BUDGET") == 20
-        assert built.count((2, 1001)) == runs
+        assert built.count(1001) == runs
 
 
 def test_halting_all_in_run_builds_no_at_budget_member(monkeypatch, capsys):
     # input 0 is accepted, so no row needs the member at index budget + 1
-    real = families.perturbed_core
+    real = families.limit_gap_sq_ints
     built = []
 
-    def counting(which, n, p):
-        built.append((which, n))
-        return real(which, n, p)
+    def counting(n, p):
+        built.append(n)
+        return real(n, p)
 
-    monkeypatch.setattr(families, "perturbed_core", counting)
+    monkeypatch.setattr(families, "limit_gap_sq_ints", counting)
     argv = ["halting", "--machine", "builtin:even", "--n-max", "0", "--j-budget", "1000"]
     code, out, _ = run(argv, capsys)
     assert code == 0 and "NOT_HALTED_AT_BUDGET" not in out
-    assert (2, 1001) not in built
+    assert 1001 not in built
 
 
 def test_halting_missing_machine_exit_2(capsys):
@@ -308,12 +336,28 @@ def test_halting_violated_certificate_exit_3(monkeypatch, capsys):
 
 
 def test_adversarial_weak_limit_gap_exit_3(monkeypatch, capsys):
-    # a limit solution on family 2's member 1 leaves no gap to certify
+    # a limit solution on family 2's member 1 leaves no gap to certify; the
+    # gap formula is patched to agree, so the formula check passes
     monkeypatch.setattr(families, "limit_solution", lambda p: families.perturbed_solution(2, 1, p))
+    monkeypatch.setattr(families, "limit_gap_sq_ints", lambda n, p: (0, 1))
     code, out, err = run(["adversarial", "--n-max", "2"], capsys)
     assert code == 3
     assert out == ""
     assert json.loads(err) == {"error": "limit-gap certificate weaker than pair bound", "kind": "numerical"}
+
+
+def test_halting_limit_gap_formula_mismatch_exit_3(monkeypatch, capsys):
+    real = families.limit_gap_sq_ints
+
+    def off_by_one(n, p):
+        num, den = real(n, p)
+        return num + 1, den
+
+    monkeypatch.setattr(families, "limit_gap_sq_ints", off_by_one)
+    code, out, err = run(["halting", "--machine", "builtin:even", "--n-max", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "limit gap formula mismatch at n=1", "kind": "numerical"}
 
 
 @pytest.mark.parametrize(

@@ -238,6 +238,42 @@ def test_certificate_formula_mismatch_is_a_numerical_failure(monkeypatch):
         fam.separation_certificate(P)
 
 
+def test_limit_gap_formula_equals_the_oracle_path():
+    """Family 2's closed-form gap equals the gap of the oracle's selected solution, exactly."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        a=st.fractions(Q(1, 1000), 1000, max_denominator=1000),
+        eps=st.fractions(0, 1, max_denominator=1000).filter(lambda q: 0 < q < 1),
+        shape=st.integers(2, 5).flatmap(lambda n_dim: st.tuples(st.just(n_dim), st.integers(1, n_dim - 1))),
+        n=st.integers(0, 80),
+    )
+    def check(a, eps, shape, n):
+        p = fam.FamilyParams(a=a, eps=eps, n_dim=shape[0], m_dim=shape[1])
+        selected = qcbp.select_embedded(fam.perturbed_core(2, n, p), p.m_dim)
+        assert fam.limit_gap_sq(n, p) == l2_norm_sq(selected - fam.limit_solution(p))
+
+    check()
+
+
+@pytest.mark.parametrize("a", [Q(1), Q(1, 3), Q(7, 2)], ids=["1", "1/3", "7/2"])
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+def test_limit_gap_at_budget_size_indices(a, n):
+    # the at-budget column divides the unreduced pair as integers; that
+    # quotient must round as the reduced Fraction does
+    p = fam.FamilyParams(a=a, eps=Q(1, 3))
+    num, den = fam.limit_gap_sq_ints(n, p)
+    assert num / den == float(Q(num, den))
+    selected = qcbp.select_embedded(fam.perturbed_core(2, n, p), p.m_dim)
+    assert Q(num, den) == l2_norm_sq(selected - fam.limit_solution(p))
+
+
+def test_limit_gap_formula_mismatch_is_a_numerical_failure(monkeypatch):
+    monkeypatch.setattr(fam, "limit_gap_sq_ints", lambda n, p: (1, 3))
+    with pytest.raises(ArithmeticError, match="limit gap formula mismatch at n=1"):
+        fam.separation_certificate(P)
+
+
 def test_entries_follow_integer_formula():
     # a + 2**-n = (2**n c + d) / (d 2**n) for a = c/d: the entries are computable
     # rational sequences given by explicit integer numerator/denominator programs

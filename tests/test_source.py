@@ -5,6 +5,8 @@ from pathlib import Path
 
 import qcbplab
 
+SOURCES = sorted(Path(qcbplab.__file__).parent.glob("*.py"))
+
 # Both are ignored and stay only while perfbench/workloads.py passes them;
 # ROADMAP item 1b, which changes the benchmark, removes them from this list.
 UNUSED_ALLOWED = {
@@ -31,6 +33,30 @@ def _unused_parameters(path: Path) -> set[str]:
 
 def test_every_parameter_is_used():
     found = set()
-    for path in sorted(Path(qcbplab.__file__).parent.glob("*.py")):
+    for path in SOURCES:
         found |= _unused_parameters(path)
     assert found == UNUSED_ALLOWED
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names bound by imports outside any def or class that the module never names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack += ast.iter_child_nodes(node)
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return {f"{path.stem}.{name}" for name in bound - named}
+
+
+def test_every_import_is_used():
+    found = set()
+    for path in SOURCES:
+        found |= _unused_imports(path)
+    assert found == set()
