@@ -296,7 +296,7 @@ def cmd_halting(args: argparse.Namespace) -> int:
         "distance_at_budget",
         "threshold_sq",
     ]
-    threshold_sq = fmt_rational(cert.threshold_sq())
+    threshold_sq = fmt_rational(cert.threshold_sq)
     at_budget = None  # shared by every not-halted row; computed for the first one
     rows = []
     for n in range(args.n_max + 1):
@@ -309,8 +309,7 @@ def cmd_halting(args: argparse.Namespace) -> int:
                 exact = [fmt_rational(d_sq), _root_lower(d_sq), repr(root)]
             else:
                 if at_budget is None:
-                    gap = families.limit_gap_sq_ints(args.j_budget + halting.TAIL_OFFSET, p)
-                    at_budget = repr(_float_root(*gap))
+                    at_budget = repr(_float_root(*halting.encoded_distance_sq_ints(args.j_budget, p)))
                 q, exact = "-", ["-", "-", at_budget]
         rows.append([str(n), q, d.status, *exact, threshold_sq])
     rules = sorted(machine.transitions.items())

@@ -19,6 +19,7 @@ All constructions are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction as Q
 from math import isqrt
 
@@ -137,11 +138,6 @@ def limit_gap_sq_ints(n: int, p: FamilyParams) -> tuple[int, int]:
     return (en * ad) ** 2 * ((an * an << 2 * n) + t_sq), (ed * an) ** 2 * t_sq
 
 
-def limit_gap_sq(n: int, p: FamilyParams) -> Q:
-    """Family 2's squared gap to the limit solution at n: :func:`limit_gap_sq_ints`, reduced."""
-    return Q(*limit_gap_sq_ints(n, p))
-
-
 @dataclass(frozen=True)
 class SeparationCertificate:
     """Exactly checked lower bound on the output separation of the families.
@@ -150,12 +146,15 @@ class SeparationCertificate:
     square is strictly below the minimum squared pair distance over n >= 1,
     with q = 20 or, if no such p exists at 20, the least q above 20 at which
     one does.  Family 2's solutions are also checked to stay at least
-    ``bound`` away from the selected limit solution.
+    ``bound`` away from the selected limit solution.  ``threshold_sq`` is
+    built on first read and kept, so a run builds it once; a certificate
+    made by :func:`dataclasses.replace` builds its own.
     """
 
     params: FamilyParams
     bound: Q
 
+    @cached_property
     def threshold_sq(self) -> Q:
         """Squared decision threshold (bound/4)**2 used by the halting gadget."""
         return (self.bound / 4) ** 2
@@ -193,7 +192,7 @@ def separation_certificate(p: FamilyParams, _n_max=None) -> SeparationCertificat
     if l2_norm_sq(perturbed_solution(1, 1, p) - perturbed_solution(2, 1, p)) != min_sq:
         raise CertificateError("pair distance formula mismatch at n=1")
     gap_sq = l2_norm_sq(perturbed_solution(2, 1, p) - limit_solution(p))
-    if gap_sq != limit_gap_sq(1, p):
+    if gap_sq != Q(*limit_gap_sq_ints(1, p)):
         raise CertificateError("limit gap formula mismatch at n=1")
     bound = _largest_dyadic_below_sqrt(min_sq)
     if gap_sq < bound * bound:

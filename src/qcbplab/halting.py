@@ -144,16 +144,6 @@ def run_bounded(machine: BoundedMachine, n: int, budget: int) -> RunOutcome:
 TAIL_OFFSET = 1  # r(n, j) can be 0, and the separation certificate covers n >= 1
 
 
-def _encoded_core(r: int, p: families.FamilyParams) -> Instance:
-    """Single-row core of the member encoding capped acceptance count r.
-
-    Family 2 is the one whose solutions stay separated from the *selected*
-    limit solution under the smallest-active-index rule, which is what makes
-    the stabilized case decidable by one exact comparison.
-    """
-    return families.perturbed_core(2, r + TAIL_OFFSET, p)
-
-
 def encoded_instance(
     machine: BoundedMachine, n: int, budget: int, p: families.FamilyParams
 ) -> Instance:
@@ -161,23 +151,26 @@ def encoded_instance(
 
     Returns family member 2 at index r(n, j) + 1: constant once the machine
     has accepted (the limit object is then that fixed member), and converging
-    to the families' common limit at rate 2**-j otherwise.
+    to the families' common limit at rate 2**-j otherwise.  Family 2 is the
+    one whose solutions stay separated from the *selected* limit solution
+    under the smallest-active-index rule, which is what makes the stabilized
+    case decidable by one exact comparison.
     """
     r = run_bounded(machine, n, budget).steps_executed
-    return embed(_encoded_core(r, p), p.m_dim)
+    return embed(families.perturbed_core(2, r + TAIL_OFFSET, p), p.m_dim)
 
 
-def encoded_distance_sq(r: int, p: families.FamilyParams) -> Q:
-    """Squared distance of the encoded member for r to the limit's solution.
+def encoded_distance_sq_ints(r: int, p: families.FamilyParams) -> tuple[int, int]:
+    """Squared distance of the encoded member for r to the limit's solution, as (num, den).
 
-    r is the capped acceptance count r(n, j): q_n for an accepted input, the budget
-    for every not-halted one.  The member is family 2's at index r + 1, so the
-    distance is :func:`qcbplab.families.limit_gap_sq` there, read from its
-    closed form: no instance is built and no oracle runs.  At the budget its
-    integers carry about 2 budget bits, and a run that reports that row reads
-    :func:`qcbplab.families.limit_gap_sq_ints` instead, with no gcd.
+    r is the capped acceptance count r(n, j): q_n for an accepted input, the
+    budget for every not-halted one.  The member is the one
+    :func:`encoded_instance` builds, family 2's at index r + 1, so the pair is
+    :func:`qcbplab.families.limit_gap_sq_ints` there, read from its closed
+    form: no instance is built, no oracle runs and no gcd is taken.  At the
+    budget its integers carry about 2 budget bits.
     """
-    return families.limit_gap_sq(r + TAIL_OFFSET, p)
+    return families.limit_gap_sq_ints(r + TAIL_OFFSET, p)
 
 
 @dataclass
@@ -200,19 +193,20 @@ def decide_membership(
     IN is certified twice over: the machine actually accepted within budget,
     and the exact solution of the stabilized instance sits strictly above the
     bound/4 threshold away from the limit's solution, compared on squares by
-    one exact rational comparison.  NOT_HALTED_AT_BUDGET is exactly what it
-    says and carries no distance: the run reports :func:`encoded_distance_sq`
-    at the budget for it, which demonstrates that the solution values alone
-    cannot settle membership, since they stay above threshold whether or not
-    the machine will ever accept.
+    one exact rational comparison; only this row reduces the
+    :func:`encoded_distance_sq_ints` pair.  NOT_HALTED_AT_BUDGET is exactly
+    what it says and carries no distance: the run reports
+    :func:`encoded_distance_sq_ints` at the budget for it, which demonstrates
+    that the solution values alone cannot settle membership, since they stay
+    above threshold whether or not the machine will ever accept.
     """
     outcome = run_bounded(machine, n, budget)
     if not outcome.accepted:
         return Decision(NOT_HALTED_AT_BUDGET, None, None)
 
     # stabilized: the encoded instance is exactly the fixed family member
-    d_sq = encoded_distance_sq(outcome.steps_to_accept, cert.params)
-    if d_sq <= cert.threshold_sq():
+    d_sq = Q(*encoded_distance_sq_ints(outcome.steps_to_accept, cert.params))
+    if d_sq <= cert.threshold_sq:
         raise families.CertificateError("separation certificate violated at decision time")
     return Decision(status=IN, steps_to_accept=outcome.steps_to_accept, distance_sq=d_sq)
 

@@ -162,7 +162,7 @@ def test_halting_distance_whose_square_is_past_float64(a, capsys):
     rows = _halting_rows(a, capsys)
     assert [r[2] for r in rows] == ["IN", "NOT_HALTED_AT_BUDGET"] * 2
     for r in rows:
-        sq = Q(r[3]) if r[2] == "IN" else families.limit_gap_sq(10_000 + halting.TAIL_OFFSET, p)
+        sq = Q(r[3]) if r[2] == "IN" else Q(*halting.encoded_distance_sq_ints(10_000, p))
         x = float(r[5])
         ulp = math.ulp(x)
         assert Q(x - ulp) ** 2 <= sq <= Q(x + ulp) ** 2, r[0]
@@ -301,6 +301,27 @@ def test_halting_all_in_run_builds_no_at_budget_member(monkeypatch, capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0 and "NOT_HALTED_AT_BUDGET" not in out
     assert 1001 not in built
+
+
+def test_halting_builds_the_threshold_once(monkeypatch, capsys):
+    # the certificate fixes (bound/4)**2: a run divides its bound once, not once per IN row
+    divisors = []
+
+    class CountingBound(Q):
+        def __truediv__(self, other):
+            divisors.append(other)
+            return super().__truediv__(other)
+
+    real = families.separation_certificate
+
+    def counted(p):
+        cert = real(p)
+        return dataclasses.replace(cert, bound=CountingBound(cert.bound))
+
+    monkeypatch.setattr(families, "separation_certificate", counted)
+    code, out, _ = run(["halting", "--machine", "builtin:even", "--n-max", "40"], capsys)
+    assert code == 0 and out.count(",IN,") == 21
+    assert divisors == [4]
 
 
 def test_halting_missing_machine_exit_2(capsys):

@@ -251,7 +251,7 @@ def test_limit_gap_formula_equals_the_oracle_path():
     def check(a, eps, shape, n):
         p = fam.FamilyParams(a=a, eps=eps, n_dim=shape[0], m_dim=shape[1])
         selected = qcbp.select_embedded(fam.perturbed_core(2, n, p), p.m_dim)
-        assert fam.limit_gap_sq(n, p) == l2_norm_sq(selected - fam.limit_solution(p))
+        assert Q(*fam.limit_gap_sq_ints(n, p)) == l2_norm_sq(selected - fam.limit_solution(p))
 
     check()
 

@@ -149,6 +149,18 @@ def test_encoded_instance_drifts_to_limit_otherwise():
     assert ht.encoded_instance(EVEN, 3, 0, P) == fam.perturbed_instance(2, ht.TAIL_OFFSET, P)
 
 
+@pytest.mark.parametrize(
+    "p", [P, fam.FamilyParams(a=Q(1, 3), eps=Q(1, 8))], ids=["default", "a=1/3,eps=1/8"]
+)
+@pytest.mark.parametrize("r", [0, 1, 7, 60])
+def test_encoded_instance_and_distance_state_one_rule(r, p):
+    # the never machine runs out every budget, so r(n, j) = j; the closed-form
+    # distance is that of the oracle's selected solution of the encoded instance
+    inst = ht.encoded_instance(machine_never(), 3, r, p)
+    selected = qcbp.select(qcbp.exact_solution_set(inst))
+    assert Q(*ht.encoded_distance_sq_ints(r, p)) == l2_norm_sq(selected - fam.limit_solution(p))
+
+
 def _instance_gap(a: qcbp.Instance, b: qcbp.Instance) -> Q:
     total = Q(0)
     for i in range(a.m):
@@ -206,13 +218,13 @@ def test_in_distance_exceeds_threshold():
     for n in (0, 2, 4, 10):
         d = ht.decide_membership(EVEN, n, 10**4, CERT)
         assert d.status == ht.IN
-        assert d.distance_sq > CERT.threshold_sq()
+        assert d.distance_sq > CERT.threshold_sq
 
 
 def test_input_space_collapse_below_any_threshold():
     # the non-accepted branch's instances approach the limit input below any bound
     star = fam.limit_instance(P)
-    threshold = CERT.threshold_sq()
+    threshold = CERT.threshold_sq
     gaps = [
         _instance_gap(ht.encoded_instance(EVEN, 3, j, P), star) for j in (1, 5, 12, 30)
     ]
@@ -228,10 +240,10 @@ def test_output_values_cannot_decide_membership():
     selection, so it cannot witness acceptance either.  Both facts together
     are why the budget cannot be removed."""
     star = fam.limit_solution(P)
-    threshold = CERT.threshold_sq()
+    threshold = CERT.threshold_sq
     for n in (2, 3):  # one accepted, one not
         d = ht.decide_membership(EVEN, n, 10**3, CERT)
-        at_budget = d.distance_sq if d.status == ht.IN else ht.encoded_distance_sq(10**3, P)
+        at_budget = d.distance_sq if d.status == ht.IN else Q(*ht.encoded_distance_sq_ints(10**3, P))
         assert at_budget > threshold
     # family 1 selections collapse onto the limit selection
     gap_1 = [

@@ -38,6 +38,35 @@ def test_every_parameter_is_used():
     assert found == UNUSED_ALLOWED
 
 
+# Names only their owner modules may use: the encoded member r(n, j) + TAIL_OFFSET
+# of family 2 is stated in halting alone, and only halting reads its gap.
+NAME_OWNERS = {
+    "TAIL_OFFSET": {"halting"},
+    "limit_gap_sq_ints": {"families", "halting"},
+}
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier the module names, defines, imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_the_encoded_member_is_named_by_its_owners_only():
+    names = {path.stem: _names(path) for path in SOURCES}
+    found = {name: {stem for stem, named in names.items() if name in named} for name in NAME_OWNERS}
+    assert found == NAME_OWNERS
+
+
 def _unused_imports(path: Path) -> set[str]:
     """Names bound by imports outside any def or class that the module never names."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
