@@ -145,10 +145,11 @@ class SeparationCertificate:
     Holds for every n >= 1.  ``bound`` is the largest dyadic p/2**q > 0 whose
     square is strictly below the minimum squared pair distance over n >= 1,
     with q = 20 or, if no such p exists at 20, the least q above 20 at which
-    one does.  Family 2's solutions are also checked to stay at least
-    ``bound`` away from the selected limit solution.  ``threshold_sq`` is
-    built on first read and kept, so a run builds it once; a certificate
-    made by :func:`dataclasses.replace` builds its own.
+    one does.  Family 2's gap to the selected limit solution exceeds it: with
+    s(n) = (1-eps)/(a+2**-n) < c = (1-eps)/a, gap(n)**2 = s(n)**2 + c**2 >
+    2 s(n)**2 >= 2 s(1)**2 > bound**2, the gap formula checked exactly at
+    n = 1.  ``threshold_sq`` is built on first read and kept, so a run builds
+    it once; a certificate made by :func:`dataclasses.replace` builds its own.
     """
 
     params: FamilyParams
@@ -183,18 +184,15 @@ def separation_certificate(p: FamilyParams, _n_max=None) -> SeparationCertificat
     family 2's squared gap to the limit solution is s(n)**2 + ((1-eps)/a)**2.
     Since a > 0, a + 2**-n strictly decreases in n, so s(n) > 0 strictly
     increases and both minima over n >= 1 sit at n = 1.  Checking n = 1 (the
-    input distance, the pair formula and the limit gap formula against the exact
-    norms, the limit gap against bound**2) therefore certifies every n.
+    input distance, the pair and gap formulas against the exact norms) certifies
+    every n: as (1-eps)/a > s(n), gap(n)**2 > 2 s(n)**2 >= 2 s(1)**2 > bound**2.
     """
     # _n_max is ignored: kept only because perfbench/workloads.py still passes one
     input_distance(1, p)
     min_sq = pair_distance_sq(1, p)
-    if l2_norm_sq(perturbed_solution(1, 1, p) - perturbed_solution(2, 1, p)) != min_sq:
+    second = perturbed_solution(2, 1, p)
+    if l2_norm_sq(perturbed_solution(1, 1, p) - second) != min_sq:
         raise CertificateError("pair distance formula mismatch at n=1")
-    gap_sq = l2_norm_sq(perturbed_solution(2, 1, p) - limit_solution(p))
-    if gap_sq != Q(*limit_gap_sq_ints(1, p)):
+    if l2_norm_sq(second - limit_solution(p)) != Q(*limit_gap_sq_ints(1, p)):
         raise CertificateError("limit gap formula mismatch at n=1")
-    bound = _largest_dyadic_below_sqrt(min_sq)
-    if gap_sq < bound * bound:
-        raise CertificateError("limit-gap certificate weaker than pair bound")
-    return SeparationCertificate(params=p, bound=bound)
+    return SeparationCertificate(params=p, bound=_largest_dyadic_below_sqrt(min_sq))

@@ -409,10 +409,8 @@ def gen_training_set(
     for n in range(n_lo, n_hi + 1):
         for which in (1, 2):
             inst = families.perturbed_instance(which, n, p)
-            noise = Q(0)
-            if noise_bound > 0:
-                noise = noise_bound * Q(rng.randint(-1024, 1024), 1024)
-            y = 1 + noise
+            noise = noise_bound * Q(rng.randint(-1024, 1024), 1024)
+            y = inst.y.entries[0].re + noise
             if y <= 0:
                 skipped.append(f"family {which}, n={n}: noise drove the measurement nonpositive")
                 continue

@@ -439,7 +439,7 @@ def _polish_dual(K: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray | No
 
 
 def _certify_primal(scaled: _ScaledInstance, x: np.ndarray) -> tuple[Q, Q, Q, np.ndarray]:
-    """Exactify a float point: (objective_ub, residual_sq, residual_ub, x).
+    """Exactify a float point: (objective_ub, residual_sq, residual_ub, x), x itself.
 
     With x = X / 2**E the residual of row i is (k_i . X - y_i 2**E) / (den 2**E).
     """
@@ -447,7 +447,7 @@ def _certify_primal(scaled: _ScaledInstance, x: np.ndarray) -> tuple[Q, Q, Q, np
     sq = sum((sum(map(mul, row, xs)) - (yi << e)) ** 2 for row, yi in zip(scaled.k, scaled.y))
     residual_sq = Q(sq, (scaled.den << e) ** 2)
     residual_ub = Q(*sqrt_upper_ints(residual_sq.numerator, residual_sq.denominator))
-    return _pair_l1_upper(xs, e), residual_sq, residual_ub, x.copy()
+    return _pair_l1_upper(xs, e), residual_sq, residual_ub, x
 
 
 def _exact_point(x: np.ndarray) -> RationalVector:
@@ -473,7 +473,8 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     An entry of A or y, or eps, past float64's range raises FloatRangeError
     naming it, and an operator norm bound past that range or below its
     normal range raises ValueError naming the bound; entries that round to
-    0.0 are accepted.
+    0.0 are accepted.  An iterate that is no longer finite raises
+    FloatingPointError.
     """
     tol = Q(tol)
     if tol <= 0:
@@ -524,8 +525,11 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
             x, z, xbar = _kernels.pd_iterate(K, yv, eps_f, step, step, x, z, xbar, todo)
             iterations += todo
 
-            best_lower = max(best_lower, _dual_lower_bound(z, scaled, inst.eps))
-            last = _certify_primal(scaled, x)
+            try:  # _dyadic_ints rejects a NaN or infinite entry
+                best_lower = max(best_lower, _dual_lower_bound(z, scaled, inst.eps))
+                last = _certify_primal(scaled, x)
+            except (ValueError, OverflowError):
+                raise FloatingPointError(f"the primal-dual iterate is not finite after {iterations} iterations") from None
             offer(last)
             if not certified():
                 x_pol = _polish_primal(K, yv, eps_f, float(bound), z)

@@ -356,17 +356,6 @@ def test_halting_violated_certificate_exit_3(monkeypatch, capsys):
     assert json.loads(err) == {"error": "separation certificate violated at decision time", "kind": "numerical"}
 
 
-def test_adversarial_weak_limit_gap_exit_3(monkeypatch, capsys):
-    # a limit solution on family 2's member 1 leaves no gap to certify; the
-    # gap formula is patched to agree, so the formula check passes
-    monkeypatch.setattr(families, "limit_solution", lambda p: families.perturbed_solution(2, 1, p))
-    monkeypatch.setattr(families, "limit_gap_sq_ints", lambda n, p: (0, 1))
-    code, out, err = run(["adversarial", "--n-max", "2"], capsys)
-    assert code == 3
-    assert out == ""
-    assert json.loads(err) == {"error": "limit-gap certificate weaker than pair bound", "kind": "numerical"}
-
-
 def test_halting_limit_gap_formula_mismatch_exit_3(monkeypatch, capsys):
     real = families.limit_gap_sq_ints
 
@@ -1082,6 +1071,22 @@ def test_solve_operator_norm_past_float64_exit_2(capsys):
     code, out, err = run(["solve", "--A", f"{x},{x},{x}", "--y", "1"], capsys)
     assert (code, out) == (2, "")
     assert err == json.dumps({"error": "the operator norm bound of A is past float64's range"}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--A", "1,2", "--y", str(10**308)],
+        ["--A", f"1/{10**300},1/{10**300}", "--y", str(10**300)],
+    ],
+    ids=["huge-y", "tiny-A"],
+)
+def test_solve_non_finite_iterate_exit_3(argv, capsys):
+    """Every entry fits a float64 but the first batch's iterate is NaN: a numerical failure."""
+    code, out, err = run(["solve", *argv, "--max-iter", "500"], capsys)
+    assert (code, out) == (3, "")
+    error = "the primal-dual iterate is not finite after 250 iterations"
+    assert err == json.dumps({"error": error, "kind": "numerical"}) + "\n"
 
 
 def test_solve_subnormal_operator_norm_exit_2(capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from qcbplab import qcbp
@@ -239,6 +239,37 @@ def test_solver_overflow_warns_nothing():
         warnings.simplefilter("error")
         rep = qcbp.solve_numeric(inst, Q(1, 10**6), max_iter=5000)
     assert (rep.iterations, rep.converged) == (5000, False)
+
+
+@st.composite
+def binary_scaled_instances(draw):
+    """Real instances with m in {1, 2}, N in {m+1, m+2}, entries (p/q) 2**j and eps in {0, |y_0|/4}."""
+    exponent = st.one_of(st.just(0), st.integers(-1100, 1100))
+
+    def entry():
+        return Q(draw(st.integers(-9, 9)), draw(st.integers(1, 9))) * Q(2) ** draw(exponent)
+
+    m = draw(st.sampled_from([1, 2]))
+    n = m + draw(st.sampled_from([1, 2]))
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    y = [entry() for _ in range(m)]
+    eps = draw(st.sampled_from([Q(0), abs(y[0]) / 4]))
+    return qcbp.Instance(RationalMatrix.from_rows(rows), RationalVector.from_items(y), eps)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(inst=binary_scaled_instances())
+# every entry fits a float64, but the first batch's iterate is NaN
+@example(inst=single([1, 2], y=10**308))
+@example(inst=single([Q(1, 10**300), Q(1, 10**300)], y=10**300))
+def test_solver_exit_contract_at_extreme_binary_scales(inst):
+    """A solve returns or raises an input error naming a value or the norm bound, or a numerical failure."""
+    try:
+        qcbp.solve_numeric(inst, max_iter=500)
+    except (qcbp.FloatRangeError, qcbp.RankDeficientError, ArithmeticError):
+        pass
+    except ValueError as exc:
+        assert str(exc).startswith("the operator norm bound of A is "), exc
 
 
 def test_solver_complex_instance():
