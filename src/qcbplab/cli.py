@@ -1,14 +1,15 @@
 """Command-line harness tying the modules into reproducible experiments.
 
 Subcommands: oracle, solve, adversarial, halting, nn, gen-data.  Exact
-rational values are passed as "num/den" strings.  A plain key=value config
-file sets flag defaults of the subcommand (--config FILE or --config=FILE,
-spelled in full and given once, before or after the subcommand); a key is
-the flag's full name with "_" for "-" (an abbreviation exits 2), an on/off
-flag such as ``solve`` takes 1/true (set) or 0/false (unset), and explicit
-flags win.  Every output file is written atomically
-and embeds the config hash and package version, so identical config and seed
-reproduce outputs byte for byte.
+rational values are passed as "num/den" strings.  The lines of a plain
+key=value config file are read as flags of the subcommand (--config FILE or
+--config=FILE, spelled in full and given once, before or after the
+subcommand); a key is the flag's full name with "_" for "-" (an
+abbreviation exits 2), an on/off flag such as ``solve`` takes 1/true (set)
+or 0/false (unset), explicit flags win, and a malformed file value exits 2
+even where a flag overrides it.  Every output file is written atomically
+and embeds the config hash and package version, so identical config and
+seed reproduce outputs byte for byte.
 
 Exit codes: 0 ok, 2 input error, 3 numerical failure.
 
@@ -495,14 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parser_for(argv: list[str]) -> tuple[argparse.ArgumentParser, list[str]]:
-    """The parser for ``argv``, and ``argv`` without its ``--config``: the shared
-    parser, or for a config file a fresh one whose subcommand takes its flag
-    defaults from the file, so explicit flags win, argparse applies each flag's
-    type and the shared parser never sees the file."""
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with its ``--config`` replaced by the file's lines as flags, right
+    after the subcommand: argparse keeps a flag's last occurrence, so explicit
+    flags win, and it applies each flag's type to every file value."""
     at = [i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")]
     if not at:
-        return build_parser(), argv
+        return argv
     if len(at) > 1:
         raise InputError("--config given more than once")
     i = at[0]
@@ -514,13 +514,13 @@ def _parser_for(argv: list[str]) -> tuple[argparse.ArgumentParser, list[str]]:
         raise InputError("--config needs a file path")
     if not os.path.exists(path):
         raise InputError(f"config file not found: {path}")
-    parser = build_parser.__wrapped__()
-    sub = parser._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    sub = build_parser()._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
     if sub is None:
-        return parser, argv  # no subcommand: the parser reports it
+        return argv  # no subcommand: the parser reports it
     # a key is a destination of the subcommand in full, with '-' for '_', set once
     flags = {a.dest: a for a in sub._actions if not isinstance(a, argparse._HelpAction)}
     seen: dict[str, int] = {}  # destination -> line that set it
+    tokens = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -536,12 +536,13 @@ def _parser_for(argv: list[str]) -> tuple[argparse.ArgumentParser, list[str]]:
             if dest in seen:
                 raise InputError(f"{path}:{lineno}: --{key.replace('_', '-')} was already set on line {seen[dest]}")
             seen[dest] = lineno
-            if isinstance(action, argparse._StoreTrueAction):
-                if value.lower() not in ("1", "true", "0", "false"):
-                    raise InputError(f"{path}: {key} is an on/off flag; expected 1/true or 0/false, got {value!r}")
-                value = value.lower() in ("1", "true")
-            action.default, action.required = value, False
-    return parser, argv
+            if not isinstance(action, argparse._StoreTrueAction):
+                tokens.append(f"{action.option_strings[0]}={value}")
+            elif value.lower() in ("1", "true"):
+                tokens.append(action.option_strings[0])
+            elif value.lower() not in ("0", "false"):
+                raise InputError(f"{path}: {key} is an on/off flag; expected 1/true or 0/false, got {value!r}")
+    return argv[:1] + tokens + argv[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -551,8 +552,7 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_000_000))
     try:
-        parser, argv = _parser_for(argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_with_config(argv))
         return args.func(args)
     except (ValueError, OSError) as exc:
         # InputError and every domain error (oracle, machine format, grid

@@ -32,7 +32,7 @@ from fractions import Fraction as Q
 from importlib import resources
 
 from qcbplab import families
-from qcbplab.qcbp import Instance, embed
+from qcbplab.qcbp import Instance
 
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
@@ -157,7 +157,7 @@ def encoded_instance(
     case decidable by one exact comparison.
     """
     r = run_bounded(machine, n, budget).steps_executed
-    return embed(families.perturbed_core(2, r + TAIL_OFFSET, p), p.m_dim)
+    return families.perturbed_instance(2, r + TAIL_OFFSET, p)
 
 
 def encoded_distance_sq_ints(r: int, p: families.FamilyParams) -> tuple[int, int]:

@@ -129,9 +129,9 @@ class Instance:
             y=vector_from_json(obj["y"]),
             eps=parse_rational(obj["eps"]),
         )
-        # "m" and "N" are optional, but when present they must describe A
+        # "m" and "N" are optional; when present they are JSON integers giving A's size
         for key, size in (("m", inst.m), ("N", inst.n)):
-            if key in obj and obj[key] != size:
+            if key in obj and (type(obj[key]) is not int or obj[key] != size):
                 raise ValueError(f'"{key}" is {obj[key]!r}, but A is {inst.m}x{inst.n}')
         return inst
 

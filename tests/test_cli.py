@@ -861,6 +861,33 @@ def test_config_never_reaches_the_shared_parser(tmp_path, capsys):
     assert err == json.dumps({"error": "the following arguments are required: --seed"}) + "\n"
 
 
+def test_config_run_builds_no_parser(tmp_path, capsys, monkeypatch):
+    """A config run parses with the shared parser; the file never builds one."""
+    cfg = tmp_path / "adv.cfg"
+    cfg.write_text("n_max = 2\nsolve = 1\n")
+    cli.build_parser()
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    code, out, err = run(["adversarial", "--config", str(cfg)], capsys)
+    assert (code, err, len(out.splitlines())) == (0, "", 2 + 2)
+    assert built == []
+
+
+def test_config_malformed_value_exits_2_under_an_explicit_flag(tmp_path, capsys):
+    """argparse checks each file value with its flag's type, even where a flag overrides it."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n_max = abc\n")
+    code, out, err = run(["adversarial", "--config", str(cfg), "--n-max", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "argument --n-max: invalid int value: 'abc'"}) + "\n"
+
+
 _ROW = [[{"re": "1", "im": "0"}, {"re": "2", "im": "0"}]]
 _Y = [{"re": "1", "im": "0"}]
 
@@ -878,6 +905,8 @@ _NOT_TEXT = 'ValueError: expected a rational as a "num/den" string, got '
         ({"A": _ROW, "y": [{"re": 1, "im": "0"}], "eps": "0"}, _NOT_TEXT + "1"),  # the same, in an entry
         ({"m": 7, "N": 9, "A": _ROW, "y": _Y, "eps": "0"}, 'ValueError: "m" is 7, but A is 1x2'),
         ({"m": 1, "N": 3, "A": _ROW, "y": _Y, "eps": "0"}, 'ValueError: "N" is 3, but A is 1x2'),
+        ({"m": True, "N": 2, "A": _ROW, "y": _Y, "eps": "0"}, 'ValueError: "m" is True, but A is 1x2'),
+        ({"m": 1, "N": 2.0, "A": _ROW, "y": _Y, "eps": "0"}, 'ValueError: "N" is 2.0, but A is 1x2'),
         ({"A": [_ROW[0], _ROW[0][:1]], "y": _Y * 2, "eps": "0"}, "ValueError: ragged matrix rows"),
         ({"A": [], "y": _Y, "eps": "0"}, "ValueError: need at least one row"),
     ],
@@ -889,6 +918,8 @@ _NOT_TEXT = 'ValueError: expected a rational as a "num/den" string, got '
         "int-rational",
         "wrong-m",
         "wrong-N",
+        "bool-m",
+        "float-N",
         "ragged-A",
         "empty-A",
     ],

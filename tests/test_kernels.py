@@ -5,6 +5,7 @@ point in tests/grid_reference.py, and the primal-dual kernel must return the
 bytes of the all-numpy loop it replaced, also where it stops at a fixed point.
 """
 
+import functools
 import inspect
 import random
 import tracemalloc
@@ -100,6 +101,28 @@ def _parity_case(rng, kind):
     return coeffs, shift, rhs, k
 
 
+_PARITY_KINDS = (
+    "random", "zero_last_column", "infeasible", "rhs_attained", "tied_prefixes", "k0_wide_last_column",
+    "past_int64",
+)
+
+
+@functools.cache
+def _parity_cases():
+    """2,450 scan problems, 350 of each kind, each with the pure-Python reference's result.
+
+    Built once, so both block sizes compare against one reference sweep.
+    """
+    rng = random.Random(2024)
+    cases = []
+    for case in range(2450):
+        kind = _PARITY_KINDS[case % len(_PARITY_KINDS)]
+        coeffs, shift, rhs, k = _parity_case(rng, kind)
+        ref_obj, ref_p = grid_reference._scan_py(coeffs, shift, rhs, k)
+        cases.append((kind, coeffs, shift, rhs, k, ref_obj, ref_p.tolist()))
+    return cases
+
+
 @pytest.mark.parametrize("block", [kern._PREFIX_BLOCK, 5])
 def test_int64_scan_matches_py_reference_randomized(block, monkeypatch):
     """A small prefix block splits boxes, so ties across blocks are compared too.
@@ -107,22 +130,14 @@ def test_int64_scan_matches_py_reference_randomized(block, monkeypatch):
     The past-int64 kind runs on Python ints, every other kind on int64.
     """
     monkeypatch.setattr(kern, "_PREFIX_BLOCK", block)
-    rng = random.Random(2024)
-    kinds = (
-        "random", "zero_last_column", "infeasible", "rhs_attained", "tied_prefixes", "k0_wide_last_column",
-        "past_int64",
-    )
-    seen = {kind: 0 for kind in kinds}
-    for case in range(2450):  # 350 cases of each kind
-        kind = kinds[case % len(kinds)]
-        coeffs, shift, rhs, k = _parity_case(rng, kind)
-        ref_obj, ref_p = grid_reference._scan_py(coeffs, shift, rhs, k)
+    seen = {kind: 0 for kind in _PARITY_KINDS}
+    for kind, coeffs, shift, rhs, k, ref_obj, ref_p in _parity_cases():
         obj, p = kern.grid_scan(coeffs, shift, rhs, k, exact_fallback=kind == "past_int64")
-        assert (obj, p.tolist()) == (ref_obj, ref_p.tolist()), (kind, coeffs.tolist(), shift.tolist(), rhs, k)
+        assert (obj, p.tolist()) == (ref_obj, ref_p), (kind, coeffs.tolist(), shift.tolist(), rhs, k)
         seen[kind] += ref_obj >= 0
     # every kind except the infeasible one has feasible cases to compare argmins on
     assert seen["infeasible"] == 0
-    assert all(seen[kind] > 50 for kind in kinds if kind != "infeasible")
+    assert all(seen[kind] > 50 for kind in _PARITY_KINDS if kind != "infeasible")
 
 
 def test_int64_scan_memory_stays_blocked():

@@ -43,6 +43,7 @@ def test_every_parameter_is_used():
 NAME_OWNERS = {
     "TAIL_OFFSET": {"halting"},
     "limit_gap_sq_ints": {"families", "halting"},
+    "embed": {"qcbp", "families"},
 }
 
 
