@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING
 
 from qcbplab import __version__, qcbp
 from qcbplab.rationals import (
-    dyadic_sqrt_lower,
     fmt_rational,
     parse_rational,
     vector_to_json,
@@ -161,10 +160,16 @@ def _fits_float64(what: str):
 
 
 def _root_lower(sq: Q) -> str:
-    """The largest float that does not exceed ``dyadic_sqrt_lower(sq, 30)``, as ``repr``."""
-    lower = dyadic_sqrt_lower(sq, 30)
-    f = float(lower)  # correctly rounded, so at most one float above lower
-    return repr(math.nextafter(f, 0.0) if Q(f) > lower else f)
+    """The largest float F whose square does not exceed ``sq``, as ``repr``."""
+    num, den = sq.numerator, sq.denominator
+    # _float_root is never below F: it rounds the root of a float at least the
+    # rounded F*F, and a float's rounded square has the rounded root F itself
+    f = _float_root(num, den)
+    while True:
+        a, b = f.as_integer_ratio()
+        if a * a * den <= num * b * b:  # f**2 <= sq, in integers
+            return repr(f)
+        f = math.nextafter(f, 0.0)
 
 
 def _float_root(num: int, den: int) -> float:
@@ -432,8 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qcbplab",
         description="exact-arithmetic workbench for quadratically constrained basis pursuit",
-        epilog="--config FILE (or --config=FILE, once, before or after the subcommand) "
-        "seeds the subcommand's flag defaults from key = value lines; explicit flags win",
+        epilog="--config FILE (or --config=FILE, once, before or after the subcommand): its "
+        "key = value lines are read as flags of the subcommand; explicit flags win, and a "
+        "malformed file value exits 2 even where a flag overrides it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

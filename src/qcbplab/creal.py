@@ -21,10 +21,9 @@ witness is only semi-decidable, so demanding it keeps every operation total.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import isqrt
 from typing import Callable
 
-from qcbplab.rationals import ceil_log2
+from qcbplab.rationals import ceil_log2, dyadic_sqrt_lower
 
 LT, GT = -1, 1
 UNDECIDED = None
@@ -180,9 +179,7 @@ def sqrt_c(x: CReal, lower_witness: Q = Q(0)) -> CReal:
         s = 2 * k + 2  # |sqrt x~+ - sqrt x| <= sqrt|x~+ - x| <= 2**-(k+1)
         if half_log is not None:
             s = max(0, min(s, k + 1 + half_log))
-        xa = max(x.approx(s), Q(0))
-        # isqrt(floor(y)) = floor(sqrt(y)), so this is floor(sqrt(xa) 2**(k+1)) / 2**(k+1)
-        return Q(isqrt((xa.numerator << (2 * k + 2)) // xa.denominator), 1 << (k + 1))
+        return dyadic_sqrt_lower(max(x.approx(s), Q(0)), k + 1)
 
     return CReal(program)
 

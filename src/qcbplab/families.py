@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction as Q
-from math import isqrt
 
 from qcbplab import qcbp
-from qcbplab.rationals import RationalVector, l2_norm_sq
+from qcbplab.rationals import RationalVector, dyadic_sqrt_lower, l2_norm_sq
 
 
 class CertificateError(ArithmeticError):
@@ -162,18 +161,17 @@ class SeparationCertificate:
 
 
 def _largest_dyadic_below_sqrt(value_sq: Q) -> Q:
-    """Largest p/2**q > 0 with (p/2**q)**2 < value_sq, by exact integer sqrt;
-    q is 20, or the least q above 20 at which such a p exists."""
+    """Largest p/2**q > 0 with (p/2**q)**2 < value_sq, from the dyadic floor
+    of the root; q is 20, or the least q above 20 at which such a p exists."""
     if value_sq <= 0:  # also keeps the loop finite
         raise ValueError("need a positive squared value")
     q = 20
     while True:
-        target = value_sq * 4**q
-        p = isqrt(target.numerator // target.denominator)  # floor(sqrt(target))
-        if p * p == target:  # only an exact square reaches it; the bound is strict
-            p -= 1
-        if p > 0:
-            return Q(p, 2**q)
+        d = dyadic_sqrt_lower(value_sq, q)
+        if d * d == value_sq:  # only an exact root reaches it; the bound is strict
+            d -= Q(1, 1 << q)
+        if d > 0:
+            return d
         q += 1
 
 

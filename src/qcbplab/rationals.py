@@ -8,7 +8,8 @@ multiplication.  Nothing in this module ever rounds.
 Norm logic is kept squared throughout: ``sqrt`` leaves the rationals, but
 comparisons of nonnegative norms reduce to comparisons of their squares.
 Where a scalar root is genuinely needed downstream, :func:`dyadic_sqrt_lower`
-and :func:`dyadic_sqrt_upper` return certified dyadic enclosures.
+and :func:`dyadic_sqrt_upper` return certified enclosures: the dyadic floor of
+the root, and an upper root on the grid 1/(den 2**prec), den the reduced one.
 
 The integer layer works on Python ints and builds Fractions only for what it
 returns: :func:`sqrt_upper_ints` is the upper root on a numerator and a
@@ -51,19 +52,14 @@ def ceil_log2(q: Q) -> int:
 
 
 def dyadic_sqrt_lower(q: Q, prec: int) -> Q:
-    """Rational d with d <= sqrt(q) and sqrt(q) - d <= 2**-prec (q >= 0).
+    """The dyadic floor d = floor(sqrt(q) 2**prec) / 2**prec of sqrt(q), q >= 0.
 
-    For q = num/den in lowest terms, d = isqrt(num den 4**prec) / (den 2**prec):
-    it has denominator den * 2**prec, so it is not dyadic in general.
+    So d <= sqrt(q) < d + 2**-prec.
     """
     if q < 0:
         raise ValueError("square root of a negative rational")
-    if q == 0:
-        return Q(0)
-    num, den = q.numerator, q.denominator
-    t = 1 << prec
-    # floor(sqrt(num*den) * t) / (den*t) <= sqrt(q), error < 1/(den*t) <= 2**-prec
-    return Q(isqrt(num * den * t * t), den * t)
+    # isqrt(floor(y)) = floor(sqrt(y)) for y = q 4**prec
+    return Q(isqrt((q.numerator << 2 * prec) // q.denominator), 1 << prec)
 
 
 def sqrt_upper_ints(num: int, den: int, prec: int = 40) -> tuple[int, int]:

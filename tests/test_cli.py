@@ -11,9 +11,9 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcbplab import cli, families, halting, mlp, qcbp
-from qcbplab.rationals import dyadic_sqrt_lower
 
 
 def run(argv, capsys):
@@ -108,11 +108,10 @@ def test_adversarial_solve_flag_populates_column(tmp_path, capsys):
 
 
 def _assert_rounds_down(lower, sq):
-    """``lower`` prints the largest float not above the lower root of ``sq``, so it is below sqrt(sq)."""
-    exact_lower, f = dyadic_sqrt_lower(sq, 30), float(lower)
+    """``lower`` prints the largest float whose square is at most ``sq``: the float floor of sqrt(sq)."""
+    f, up = float(lower), math.nextafter(float(lower), math.inf)
     assert lower == repr(f)
-    assert Q(f) <= exact_lower < Q(math.nextafter(f, math.inf))
-    assert Q(f) ** 2 <= sq and exact_lower**2 <= sq
+    assert Q(f) ** 2 <= sq and (up == math.inf or sq < Q(up) ** 2)
 
 
 def test_adversarial_exact_columns(capsys):
@@ -138,6 +137,17 @@ def test_halting_distance_lower_rounds_down(capsys):
     assert len(decided) == 21
     for sq, lower in decided:
         _assert_rounds_down(lower, Q(sq))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(q=st.fractions(Q(1, 10**12), 10**12, max_denominator=10**12), shift=st.integers(-2150, 2000))
+@example(q=Q(0), shift=0)
+@example(q=Q(1), shift=-1022)  # the least normal float64
+@example(q=Q((2**53 - 1) ** 2), shift=1942)  # the square of the largest float64
+def test_root_lower_is_the_float_floor_of_the_root(q, shift):
+    """Over float64's whole range, subnormal roots and 0.0 included."""
+    sq = q * Q(2) ** shift
+    _assert_rounds_down(cli._root_lower(sq), sq)
 
 
 def _halting_rows(a, capsys):
@@ -1275,6 +1285,8 @@ def test_top_level_help_names_config():
     code, out, err = module(["--help"])
     assert (code, err) == (0, "")
     assert "--config FILE" in out
+    # argparse wraps the epilog to the terminal width
+    assert "read as flags" in " ".join(out.split())
 
 
 # runs ``python -m qcbplab`` in-process, then prints the loaded qcbplab modules

@@ -8,6 +8,7 @@ self-evaluation where it is not.
 import math
 import random
 from fractions import Fraction as Q
+from math import isqrt
 
 import mpmath
 import pytest
@@ -126,6 +127,36 @@ def test_sqrt_contract_invariant():
         for k in (6, 17):
             a = s.approx(k)
             assert abs(a * a - x) <= Q(1, 2 ** (k - 2)) + Q(1, 4**k)
+
+
+def _sqrt_program_reference(x, w):
+    """sqrt_c's program with its root written out, as it was before it called
+    rationals.dyadic_sqrt_lower."""
+    half_log = -(-ceil_log2(1 / w) // 2) if w > 0 else None
+
+    def program(k):
+        s = 2 * k + 2
+        if half_log is not None:
+            s = max(0, min(s, k + 1 + half_log))
+        xa = max(x.approx(s), Q(0))
+        return Q(isqrt((xa.numerator << (2 * k + 2)) // xa.denominator), 1 << (k + 1))
+
+    return program
+
+
+def test_sqrt_matches_its_written_out_root():
+    """Every approximation keeps its value, with and without a witness, and
+    where an approximation of x dips below 0."""
+    rng = random.Random(36)
+    for _ in range(150):
+        q = Q(rng.randint(0, 2**rng.randint(0, 80)), rng.randint(1, 2**rng.randint(0, 80)))
+        wobble = Q(rng.choice((-1, 0, 1)))
+        x = cr.CReal(lambda k, q=q, wobble=wobble: q + wobble / 2 ** (k + 1))
+        w = rng.choice((Q(0), q / rng.randint(1, 9)))
+        ref = _sqrt_program_reference(x, w)
+        root = cr.sqrt_c(x, w)
+        for k in (0, 1, 7, rng.randint(0, 300), 300):
+            assert root.approx(k) == ref(k)
 
 
 def _recording(q):

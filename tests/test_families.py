@@ -1,9 +1,10 @@
 """Exactness tests for the perturbation families and their certificates."""
 
 from fractions import Fraction as Q
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcbplab import families as fam
 from qcbplab import qcbp
@@ -140,6 +141,48 @@ def test_certificate_grid_refines_only_when_2_pow_20_is_too_coarse(p, q):
     if q > 20:
         assert bound == Q(1, 2**q)  # the grid one step coarser has nothing below
         assert Q(1, 2 ** (q - 1)) ** 2 >= min_sq
+
+
+def _largest_dyadic_below_sqrt_reference(value_sq):
+    """The bound's loop with its root written out, as it was before it read
+    rationals.dyadic_sqrt_lower."""
+    q = 20
+    while True:
+        target = value_sq * 4**q
+        p = isqrt(target.numerator // target.denominator)
+        if p * p == target:
+            p -= 1
+        if p > 0:
+            return Q(p, 2**q)
+        q += 1
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    a=st.fractions(Q(1, 10**6), 10**9, max_denominator=10**6),
+    eps=st.fractions(Q(1, 10**7), Q(10**7 - 1, 10**7), max_denominator=10**7),
+)
+@example(a=Q(1), eps=Q(999999, 1000000))
+@example(a=Q(10**8), eps=Q(1, 2))
+def test_certificate_bound_matches_its_written_out_loop(a, eps):
+    p = fam.FamilyParams(a=a, eps=eps)
+    expected = _largest_dyadic_below_sqrt_reference(fam.pair_distance_sq(1, p))
+    assert fam.separation_certificate(p).bound == expected
+
+
+@pytest.mark.parametrize("value_sq", [Q(1, 4), Q(9, 4**30), Q(2, 9), Q(1, 10**30)])
+def test_largest_dyadic_below_sqrt_is_strict(value_sq):
+    """An exact root steps down one grid point; a root below 2**-20 refines the grid."""
+    bound = fam._largest_dyadic_below_sqrt(value_sq)
+    assert bound == _largest_dyadic_below_sqrt_reference(value_sq)
+    assert 0 < bound and bound**2 < value_sq
+
+
+@pytest.mark.parametrize("value_sq", [Q(0), Q(-1, 3)])
+def test_largest_dyadic_below_sqrt_rejects_a_nonpositive_square(value_sq):
+    # at 0 no dyadic lies strictly between 0 and the root, so the grid would refine forever
+    with pytest.raises(ValueError, match="need a positive squared value"):
+        fam._largest_dyadic_below_sqrt(value_sq)
 
 
 def test_separation_holds_exactly_for_all_n():

@@ -425,6 +425,13 @@ def test_brute_force_examples():
     assert all(e.re == 0 for e in bf3.argmin.entries)
 
 
+def test_brute_force_reports_a_scan_with_no_feasible_point(monkeypatch):
+    """The relaxed grid always holds a feasible point, so a scan that finds none is a bug."""
+    monkeypatch.setattr(qcbp._kernels, "grid_scan", lambda *args: (-1, []))
+    with pytest.raises(RuntimeError, match="relaxation bug"):
+        qcbp.brute_force_min(single([2, 1]), 4)
+
+
 def test_brute_force_argmin_relaxed_feasible():
     inst = single([Q(5, 3), Q(4, 3)], eps=Q(1, 4))
     bf = qcbp.brute_force_min(inst, 6)

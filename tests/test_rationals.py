@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import certify_reference as ref
 from qcbplab.rationals import (
@@ -117,6 +118,21 @@ def test_dyadic_sqrt_enclosure():
         assert hi - lo <= Q(2, 2**30)
     assert dyadic_sqrt_upper(Q(9, 4)) == Q(3, 2)  # perfect square stays exact
     assert dyadic_sqrt_lower(Q(0), 10) == 0
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    q=st.fractions(0, 10**6, max_denominator=10**6),
+    shift=st.integers(-200, 200),
+    prec=st.integers(0, 120),
+)
+def test_dyadic_sqrt_lower_is_the_dyadic_floor(q, shift, prec):
+    """d is on the 2**-prec grid, and the root lies in [d, d + 2**-prec)."""
+    q *= Q(2) ** shift
+    d = dyadic_sqrt_lower(q, prec)
+    step = Q(1, 2**prec)
+    assert (d / step).denominator == 1
+    assert d * d <= q < (d + step) ** 2
 
 
 def _assert_tight_upper_root(u, q, prec):

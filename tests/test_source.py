@@ -44,6 +44,7 @@ NAME_OWNERS = {
     "TAIL_OFFSET": {"halting"},
     "limit_gap_sq_ints": {"families", "halting"},
     "embed": {"qcbp", "families"},
+    "isqrt": {"rationals"},  # every root in src/ is one of rationals' own
 }
 
 
