@@ -25,7 +25,6 @@ import contextlib
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -34,6 +33,7 @@ from typing import TYPE_CHECKING
 
 from qcbplab import __version__, qcbp
 from qcbplab.rationals import (
+    float_sqrt_ints,
     fmt_rational,
     parse_rational,
     vector_to_json,
@@ -159,38 +159,6 @@ def _fits_float64(what: str):
         raise InputError(f"{what} does not fit a float64") from None
 
 
-def _root_lower(sq: Q) -> str:
-    """The largest float F whose square does not exceed ``sq``, as ``repr``."""
-    num, den = sq.numerator, sq.denominator
-    # _float_root is never below F: it rounds the root of a float at least the
-    # rounded F*F, and a float's rounded square has the rounded root F itself
-    f = _float_root(num, den)
-    while True:
-        a, b = f.as_integer_ratio()
-        if a * a * den <= num * b * b:  # f**2 <= sq, in integers
-            return repr(f)
-        f = math.nextafter(f, 0.0)
-
-
-def _float_root(num: int, den: int) -> float:
-    """sqrt(num/den) to within an ulp, for integers num >= 0 and den > 0.
-
-    A square in float64's normal range takes the root of the correctly
-    rounded ``num / den``.  Any other is divided by 4**k first and its root
-    multiplied by 2**k after, so a root that fits a float64 is printed even
-    where its square does not; a root past float64 raises OverflowError.
-    """
-    try:
-        sq = num / den
-    except OverflowError:
-        sq = math.inf
-    if sys.float_info.min <= sq < math.inf:
-        return sq**0.5
-    k = (num.bit_length() - den.bit_length()) // 2  # num / (den 4**k) lies in [1/4, 4)
-    scaled = num / (den << 2 * k) if k > 0 else (num << -2 * k) / den
-    return math.ldexp(math.sqrt(scaled), k)
-
-
 # --- subcommands ------------------------------------------------------------------
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -262,10 +230,9 @@ def cmd_adversarial(args: argparse.Namespace) -> int:
         if args.solve:
             r1 = qcbp.solve_numeric(families.perturbed_instance(1, n, p), tol)
             r2 = qcbp.solve_numeric(families.perturbed_instance(2, n, p), tol)
-            diff = r1.x_float - r2.x_float
-            solver_dist = repr(float((diff @ diff) ** 0.5))
+            solver_dist = repr(qcbp.float_norm(r1.x_float - r2.x_float))
         with _fits_float64(f"--a: the output distance of n={n}"):
-            out_lower = _root_lower(out_sq)
+            out_lower = repr(float_sqrt_ints(out_sq.numerator, out_sq.denominator)[0])
         rows.append([str(n), fmt_rational(in_dist), fmt_rational(out_sq), out_lower, solver_dist, kappa])
     _emit_csv(header, rows, args)
     return EXIT_OK
@@ -311,11 +278,11 @@ def cmd_halting(args: argparse.Namespace) -> int:
             if d.status == halting.IN:
                 d_sq = d.distance_sq
                 q = str(d.steps_to_accept)
-                root = _float_root(d_sq.numerator, d_sq.denominator)
-                exact = [fmt_rational(d_sq), _root_lower(d_sq), repr(root)]
+                lower, nearest = float_sqrt_ints(d_sq.numerator, d_sq.denominator)
+                exact = [fmt_rational(d_sq), repr(lower), repr(nearest)]
             else:
                 if at_budget is None:
-                    at_budget = repr(_float_root(*halting.encoded_distance_sq_ints(args.j_budget, p)))
+                    at_budget = repr(float_sqrt_ints(*halting.encoded_distance_sq_ints(args.j_budget, p))[1])
                 q, exact = "-", ["-", "-", at_budget]
         rows.append([str(n), q, d.status, *exact, threshold_sq])
     rules = sorted(machine.transitions.items())

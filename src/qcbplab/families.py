@@ -128,13 +128,14 @@ def limit_gap_sq_ints(n: int, p: FamilyParams) -> tuple[int, int]:
     The gap is s(n)**2 + ((1-eps)/a)**2 with s(n) = (1-eps)/(a+2**-n).  With
     a = an/ad, 1-eps = en/ed and t = an 2**n + ad, it is
     (en ad)**2 (an**2 4**n + t**2) / ((ed an)**2 t**2).  The pair is not
-    reduced: t**2 is the one product of two n-bit numbers, and no gcd is taken.
+    reduced, and t**2 is expanded to an**2 4**n + an ad 2**(n+1) + ad**2, so
+    no product of two n-bit numbers is formed and no gcd is taken.
     """
     an, ad = p.a.numerator, p.a.denominator
     en, ed = (1 - p.eps).numerator, (1 - p.eps).denominator
-    t = (an << n) + ad
-    t_sq = t * t
-    return (en * ad) ** 2 * ((an * an << 2 * n) + t_sq), (ed * an) ** 2 * t_sq
+    lead = an * an << 2 * n
+    t_sq = lead + (an * ad << n + 1) + ad * ad
+    return (en * ad) ** 2 * (lead + t_sq), (ed * an) ** 2 * t_sq
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@
 The scalar type is ``fractions.Fraction`` (aliased ``Q``): arbitrary-precision
 integers, denominator always positive, gcd-reduced after every operation, so
 canonical form is maintained eagerly and comparison is a plain cross
-multiplication.  Nothing in this module ever rounds.
+multiplication.  Only :func:`float_sqrt_ints` rounds, deciding in integers.
 
 Norm logic is kept squared throughout: ``sqrt`` leaves the rationals, but
 comparisons of nonnegative norms reduce to comparisons of their squares.
 Where a scalar root is genuinely needed downstream, :func:`dyadic_sqrt_lower`
 and :func:`dyadic_sqrt_upper` return certified enclosures: the dyadic floor of
-the root, and an upper root on the grid 1/(den 2**prec), den the reduced one.
+the root, and an upper root on the grid 1/(den 2**prec), den the reduced one;
+:func:`float_sqrt_ints` gives a printed root's float floor and nearest float.
 
 The integer layer works on Python ints and builds Fractions only for what it
 returns: :func:`sqrt_upper_ints` is the upper root on a numerator and a
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, ldexp
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -51,6 +52,12 @@ def ceil_log2(q: Q) -> int:
     return t + 1 if above else t
 
 
+def _scaled_divmod(num: int, den: int, s: int) -> tuple[int, int]:
+    """(y, r): y = floor(num/den 4**s) for integers num >= 0, den > 0 and any
+    s, and r >= 0 its remainder, 0 exactly when y is num/den 4**s itself."""
+    return divmod(num << 2 * s, den) if s >= 0 else divmod(num, den << -2 * s)
+
+
 def dyadic_sqrt_lower(q: Q, prec: int) -> Q:
     """The dyadic floor d = floor(sqrt(q) 2**prec) / 2**prec of sqrt(q), q >= 0.
 
@@ -59,7 +66,30 @@ def dyadic_sqrt_lower(q: Q, prec: int) -> Q:
     if q < 0:
         raise ValueError("square root of a negative rational")
     # isqrt(floor(y)) = floor(sqrt(y)) for y = q 4**prec
-    return Q(isqrt((q.numerator << 2 * prec) // q.denominator), 1 << prec)
+    return Q(isqrt(_scaled_divmod(q.numerator, q.denominator, prec)[0]), 1 << prec)
+
+
+def float_sqrt_ints(num: int, den: int) -> tuple[float, float]:
+    """The float floor F and the nearest float R of sqrt(num/den), num >= 0, den > 0.
+
+    F is the largest float with F**2 <= num/den, and R is F or its successor by
+    one integer comparison of num/den with their squared midpoint, ties to
+    even.  A root that rounds past float64 raises OverflowError.
+    """
+    if num < 0:
+        raise ValueError("square root of a negative rational")
+    if num == 0:
+        return 0.0, 0.0
+    s = 55 - (num.bit_length() - den.bit_length()) // 2
+    y, r = _scaled_divmod(num, den, s)
+    m = isqrt(y)  # floor(sqrt(num/den) 2**s), in [2**54.5, 2**56)
+    # the float spacing 2**g at the root, whose exponent is bit_length(m) - 1 - s
+    g = max(m.bit_length() - 53 - s, -1074)
+    k = m >> (g + s)  # F = k 2**g <= root < (k + 1) 2**g, as g + s >= 2
+    mid = (2 * k + 1) << (g + s - 1)  # the midpoint times 2**s, an integer
+    # num/den 4**s is y plus a fraction in [0, 1), 0 exactly when r is
+    up = y > mid * mid or (y == mid * mid and (r > 0 or k % 2 == 1))
+    return ldexp(k, g), ldexp(k + up, g)
 
 
 def sqrt_upper_ints(num: int, den: int, prec: int = 40) -> tuple[int, int]:

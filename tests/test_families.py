@@ -302,13 +302,29 @@ def test_limit_gap_formula_equals_the_oracle_path():
 @pytest.mark.parametrize("a", [Q(1), Q(1, 3), Q(7, 2)], ids=["1", "1/3", "7/2"])
 @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
 def test_limit_gap_at_budget_size_indices(a, n):
-    # the at-budget column divides the unreduced pair as integers; that
-    # quotient must round as the reduced Fraction does
+    # the at-budget column reads the unreduced pair at such n: it must be the
+    # exact gap, and its quotient must round as the reduced Fraction does
     p = fam.FamilyParams(a=a, eps=Q(1, 3))
     num, den = fam.limit_gap_sq_ints(n, p)
     assert num / den == float(Q(num, den))
     selected = qcbp.select_embedded(fam.perturbed_core(2, n, p), p.m_dim)
     assert Q(num, den) == l2_norm_sq(selected - fam.limit_solution(p))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    a=st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
+    e=st.integers(1, 999),
+    n=st.one_of(st.integers(0, 64), st.sampled_from([10**4, 10**5])),
+)
+def test_limit_gap_ints_equal_the_written_out_square(a, e, n):
+    """The expanded t**2 gives the integers of the product t * t, t = an 2**n + ad."""
+    a, eps = Q(*a), Q(e, 1000)
+    p = fam.FamilyParams(a=a, eps=eps)
+    an, ad = a.numerator, a.denominator
+    en, ed = (1 - eps).numerator, (1 - eps).denominator
+    t = (an << n) + ad
+    assert fam.limit_gap_sq_ints(n, p) == ((en * ad) ** 2 * ((an * an << 2 * n) + t * t), (ed * an) ** 2 * t * t)
 
 
 def test_limit_gap_formula_mismatch_is_a_numerical_failure(monkeypatch):

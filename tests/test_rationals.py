@@ -1,11 +1,14 @@
 """Exactness and ordering tests for the rational substrate."""
 
+import math
 import random
+import struct
+import sys
 from fractions import Fraction as Q
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import certify_reference as ref
 from qcbplab.rationals import (
@@ -17,6 +20,7 @@ from qcbplab.rationals import (
     complex_to_json,
     dyadic_sqrt_lower,
     dyadic_sqrt_upper,
+    float_sqrt_ints,
     fmt_rational,
     l1_norm_real,
     l2_norm_sq,
@@ -135,6 +139,68 @@ def test_dyadic_sqrt_lower_is_the_dyadic_floor(q, shift, prec):
     assert d * d <= q < (d + step) ** 2
 
 
+def _float_roots(sq):
+    return float_sqrt_ints(sq.numerator, sq.denominator)
+
+
+def _even(f):
+    """Whether the float's significand ends in a 0 bit: the float ties go to."""
+    return struct.unpack("<q", struct.pack("<d", f))[0] % 2 == 0
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(q=st.fractions(Q(1, 10**12), 10**12, max_denominator=10**12), shift=st.integers(-2150, 2000))
+@example(q=Q(0), shift=0)
+@example(q=Q(1), shift=-1022)  # the least normal float64
+@example(q=Q((2**53 - 1) ** 2), shift=1942)  # the square of the largest float64
+def test_float_sqrt_ints_floor_is_the_float_floor_of_the_root(q, shift):
+    """Over float64's whole range, subnormal roots and 0.0 included: the floor
+    is the largest float whose square is at most sq, and the nearest float is
+    the floor or its successor, by the squared midpoint."""
+    sq = q * Q(2) ** shift
+    floor, nearest = _float_roots(sq)
+    up = math.nextafter(floor, math.inf)
+    assert Q(floor) ** 2 <= sq and (up == math.inf or sq < Q(up) ** 2)
+    if up == math.inf:
+        assert nearest == floor
+    else:
+        mid_sq = ((Q(floor) + Q(up)) / 2) ** 2
+        assert nearest == (floor if sq < mid_sq or (sq == mid_sq and _even(floor)) else up)
+
+
+def test_float_sqrt_ints_nearest_at_squares_and_midpoints():
+    assert float_sqrt_ints(0, 1) == float_sqrt_ints(0, 7) == (0.0, 0.0)
+    tiny = 5e-324
+    floats = [1.0, math.nextafter(1.0, 2), 0.75, 1.5e300, 6.666666666666666e149, tiny, 3 * tiny]
+    floats += [sys.float_info.min, math.nextafter(sys.float_info.min, 0), sys.float_info.max]
+    for f in floats:  # an exact float square has its own root as both floats
+        assert _float_roots(Q(f) ** 2) == (f, f), f
+    for f in floats[:-1] + [0.0]:
+        up = math.nextafter(f, math.inf)
+        mid_sq = ((Q(f) + Q(up)) / 2) ** 2
+        # the second step is far below the scaled quotient's resolution
+        for step in (mid_sq / 2**80, mid_sq / 2**400):
+            assert _float_roots(mid_sq - step) == (f, f), f
+            assert _float_roots(mid_sq + step) == (f, up), f
+        assert _float_roots(mid_sq) == (f, f if _even(f) else up), f  # ties to even
+    # the two sides of a tie: 1 + 2**-53 rounds down to 1, 1 + 3 2**-53 up to 1 + 2**-51
+    assert _float_roots((1 + Q(1, 2**53)) ** 2) == (1.0, 1.0)
+    assert _float_roots((1 + Q(3, 2**53)) ** 2) == (1 + 2**-52, 1 + 2**-51)
+    # below the least subnormal the floor is 0.0; the tie at 2**-1075 goes to 0.0
+    assert _float_roots(Q(1, 2**2150)) == (0.0, 0.0)
+    assert _float_roots(Q(1, 2**2149)) == (0.0, tiny)
+
+
+def test_float_sqrt_ints_overflows_exactly_past_the_largest_float():
+    big = sys.float_info.max  # (2**53 - 1) 2**971, odd, so its upper tie goes to 2**1024
+    mid_sq = (Q(big) + Q(2) ** 1023 / 2**53) ** 2
+    assert mid_sq.denominator == 1
+    assert _float_roots(mid_sq - 1) == (big, big)
+    for sq in (mid_sq, mid_sq + 1, Q(4) ** 1024, Q(10) ** 700):
+        with pytest.raises(OverflowError):
+            _float_roots(sq)
+
+
 def _assert_tight_upper_root(u, q, prec):
     """u >= sqrt(q) and u - 2**-prec <= sqrt(q), by squares."""
     assert u * u >= q
@@ -239,7 +305,7 @@ def test_matvec_exact():
 
 
 def test_negative_roots_and_shape_mismatches_raise():
-    for root in (lambda q: dyadic_sqrt_lower(q, 4), dyadic_sqrt_upper):
+    for root in (lambda q: dyadic_sqrt_lower(q, 4), dyadic_sqrt_upper, _float_roots):
         with pytest.raises(ValueError, match="square root of a negative rational"):
             root(Q(-1))
     with pytest.raises(ValueError, match="vector length mismatch: 2 vs 3"):

@@ -91,3 +91,27 @@ def test_every_import_is_used():
     for path in SOURCES:
         found |= _unused_imports(path)
     assert found == set()
+
+
+def _half_powers(path: Path) -> set[str]:
+    """Lines that raise to the constant power 0.5, by ``**`` or ``pow``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exponent = node.right
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow" and len(node.args) >= 2:
+            exponent = node.args[1]
+        else:
+            continue
+        if isinstance(exponent, ast.Constant) and exponent.value == 0.5:
+            found.add(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_root_is_a_half_power():
+    """A float ``x ** 0.5`` is C ``pow``, which need not round as ``sqrt`` does;
+    a printed root of an exact value comes from ``rationals.float_sqrt_ints``."""
+    found = set()
+    for path in SOURCES:
+        found |= _half_powers(path)
+    assert found == set()
