@@ -35,6 +35,7 @@ from qcbplab.rationals import (
     ComplexQ,
     RationalMatrix,
     RationalVector,
+    abs_upper_ints,
     dyadic_sqrt_upper,
     echelon,
     fmt_rational,
@@ -346,26 +347,6 @@ def _dyadic_ints(v: np.ndarray) -> tuple[list[int], int]:
     return [p << (e + 1 - d.bit_length()) for p, d in ratios], e
 
 
-def _pair_l1_upper(xs: list[int], e: int) -> Q:
-    """Exact upper bound on sum_i |(re_i, im_i)| of xs / 2**e; exact when all im are zero.
-
-    Real pairs add up as one integer over 2**e; only complex pairs take a root.
-    Each root's denominator is a power of two, as its radicand's 4**e is, so
-    the sum is one integer over the largest of them.
-    """
-    n = len(xs) // 2
-    den = 1 << (2 * e)
-    total, k = sum(abs(xs[i]) for i in range(n) if not xs[n + i]), e  # total / 2**k
-    for i in range(n):
-        if xs[n + i]:
-            p, q = sqrt_upper_ints(xs[i] ** 2 + xs[n + i] ** 2, den)
-            j = q.bit_length() - 1
-            if j > k:
-                total, k = total << (j - k), j
-            total += p << (k - j)
-    return Q(total, 1 << k)
-
-
 def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Q:
     """Weak-duality lower bound from an exactified dual iterate.
 
@@ -441,13 +422,14 @@ def _polish_dual(K: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray | No
 def _certify_primal(scaled: _ScaledInstance, x: np.ndarray) -> tuple[Q, Q, Q, np.ndarray]:
     """Exactify a float point: (objective_ub, residual_sq, residual_ub, x), x itself.
 
-    With x = X / 2**E the residual of row i is (k_i . X - y_i 2**E) / (den 2**E).
+    With x = X / 2**E the residual of row i is (k_i . X - y_i 2**E) / (den 2**E),
+    and objective_ub sums ``abs_upper_ints`` of X over 2**E: exact when x is real.
     """
     xs, e = _dyadic_ints(x)
     sq = sum((sum(map(mul, row, xs)) - (yi << e)) ** 2 for row, yi in zip(scaled.k, scaled.y))
     residual_sq = Q(sq, (scaled.den << e) ** 2)
-    residual_ub = Q(*sqrt_upper_ints(residual_sq.numerator, residual_sq.denominator))
-    return _pair_l1_upper(xs, e), residual_sq, residual_ub, x
+    mags, w = abs_upper_ints(xs, 1 << e)
+    return Q(sum(mags), w), residual_sq, dyadic_sqrt_upper(residual_sq), x
 
 
 def _exact_point(x: np.ndarray) -> RationalVector:
@@ -491,8 +473,7 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     except OverflowError:
         raise float_range_error(named_entries(inst)) from None
     try:
-        p, q = sqrt_upper_ints(norm_sq.numerator, norm_sq.denominator)
-        L = p / q  # correctly rounded, as float() of the Fraction is
+        L = float(dyadic_sqrt_upper(norm_sq))
     except OverflowError:
         raise ValueError("the operator norm bound of A is past float64's range") from None
     if 0 < L < sys.float_info.min:
@@ -507,7 +488,6 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     iterations = 0
     best_lower = Q(0)  # x=0 shows the optimum is >= 0
     best_feasible: tuple[Q, Q, Q, np.ndarray] | None = None
-    converged = False
 
     def offer(candidate):
         nonlocal best_feasible
@@ -539,7 +519,6 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
                     if z_pol is not None and np.isfinite(z_pol).all():
                         best_lower = max(best_lower, _dual_lower_bound(z_pol, scaled, inst.eps))
             if certified():
-                converged = True
                 break
 
     objective_ub, residual_sq, residual_ub, x_float = best_feasible or last
@@ -551,7 +530,7 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
         residual_sq=residual_sq,
         residual_ub=residual_ub,
         iterations=iterations,
-        converged=converged,
+        converged=certified(),
     )
 
 

@@ -15,9 +15,10 @@ the root, and an upper root on the grid 1/(den 2**prec), den the reduced one;
 The integer layer works on Python ints and builds Fractions only for what it
 returns: :func:`sqrt_upper_ints` is the upper root on a numerator and a
 denominator, returning an integer pair (``dyadic_sqrt_upper`` is that pair as
-a Fraction), and :func:`operator_norm_sq_upper` sums entry magnitudes over
-one integer denominator and returns one Fraction.  The solver's certificates
-in ``qcbp`` call :func:`sqrt_upper_ints` the same way.
+a Fraction).  :func:`abs_upper_ints` is the one upper bound on a complex
+entry's magnitude, integers over one denominator, exact on a real entry:
+:func:`operator_norm_sq_upper` sums its magnitudes into one Fraction, and
+the solver's l1 certificate in ``qcbp`` reads it too.
 """
 
 from __future__ import annotations
@@ -116,6 +117,27 @@ def sqrt_upper_ints(num: int, den: int, prec: int = 40) -> tuple[int, int]:
 def dyadic_sqrt_upper(q: Q, prec: int = 40) -> Q:
     """Rational u with u >= sqrt(q), tight to 2**-prec; exact on perfect squares."""
     return Q(*sqrt_upper_ints(q.numerator, q.denominator, prec))
+
+
+def abs_upper_ints(v: Sequence[int], den: int) -> tuple[list[int], int]:
+    """Integers M and w with M[j]/w >= |v[j] + i v[n+j]| / den, tight to 2**-40.
+
+    ``v`` is (re_1..re_n, im_1..im_n) over ``den`` > 0, and every M[j] is over
+    the one w = den**2 2**40, which each root's denominator divides.  A real
+    entry's magnitude is exact, |re| den 2**40 / w, and takes no root.
+    """
+    n = len(v) // 2
+    den_sq = den * den
+    w = den_sq << 40
+    real = den << 40
+
+    def mag(re: int, im: int) -> int:
+        if im == 0:
+            return abs(re) * real
+        p, q = sqrt_upper_ints(re * re + im * im, den_sq)
+        return p * (w // q)
+
+    return [mag(re, im) for re, im in zip(v[:n], v[n:])], w
 
 
 @dataclass(frozen=True)
@@ -298,30 +320,16 @@ def operator_norm_sq_upper(rows: list[list[int]], den: int) -> Q:
 
     ``rows[i]`` holds (Re A_i, Im A_i) times ``den``; the sign of the
     imaginary half does not matter.  Uses min(Frobenius bound,
-    max-column-sum x max-row-sum bound), both exact up to dyadic square-root
-    overestimates of entry magnitudes, and both the same rational whatever
-    the common ``den``.  For a single row the Frobenius bound is the
-    spectral norm itself, exactly.  A real entry's magnitude is exact.
+    max-column-sum x max-row-sum bound over the entry magnitudes of
+    :func:`abs_upper_ints`), both the same rational whatever the common
+    ``den``.  For a single row the Frobenius bound is the spectral norm itself.
     """
-    n = len(rows[0]) // 2
     den_sq = den * den
     fro = sum(v * v for row in rows for v in row)  # over den_sq
-    # entry magnitudes as integers over w = den**2 2**prec, which every
-    # root's denominator divides; a real entry's |re| / den is |re| den 2**prec / w
-    prec = 40
-    w = den_sq << prec
-    real = den << prec
-
-    def mag(re: int, im: int) -> int:
-        if im == 0:
-            return abs(re) * real
-        p, q = sqrt_upper_ints(re * re + im * im, den_sq, prec)
-        return p * (w // q)
-
-    mags = [[mag(re, im) for re, im in zip(row[:n], row[n:])] for row in rows]
-    holder = max(map(sum, mags)) * max(map(sum, zip(*mags)))  # over w**2
-    # fro / den_sq <= holder / w**2 exactly when fro den_sq 4**prec <= holder
-    return Q(fro, den_sq) if (fro * den_sq) << (2 * prec) <= holder else Q(holder, w * w)
+    bounds = [abs_upper_ints(row, den) for row in rows]
+    mags, w_sq = [m for m, _ in bounds], bounds[0][1] ** 2  # every row's w is the same
+    holder = max(map(sum, mags)) * max(map(sum, zip(*mags)))  # over w_sq
+    return Q(fro, den_sq) if fro * w_sq <= holder * den_sq else Q(holder, w_sq)
 
 
 # --- serialization -----------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcbplab import families as fam
 from qcbplab import qcbp
-from qcbplab.rationals import RationalVector, l2_norm_sq
+from qcbplab.rationals import RationalVector, float_sqrt_ints, l2_norm_sq
 
 
 P = fam.FamilyParams()  # a=1, eps=1/2, N=2, m=1
@@ -302,13 +302,14 @@ def test_limit_gap_formula_equals_the_oracle_path():
 @pytest.mark.parametrize("a", [Q(1), Q(1, 3), Q(7, 2)], ids=["1", "1/3", "7/2"])
 @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
 def test_limit_gap_at_budget_size_indices(a, n):
-    # the at-budget column reads the unreduced pair at such n: it must be the
-    # exact gap, and its quotient must round as the reduced Fraction does
+    # the at-budget column takes the root of the unreduced pair at such n: it
+    # must be the exact gap, and its root must be the reduced Fraction's
     p = fam.FamilyParams(a=a, eps=Q(1, 3))
     num, den = fam.limit_gap_sq_ints(n, p)
-    assert num / den == float(Q(num, den))
+    q = Q(num, den)
+    assert float_sqrt_ints(num, den) == float_sqrt_ints(q.numerator, q.denominator)
     selected = qcbp.select_embedded(fam.perturbed_core(2, n, p), p.m_dim)
-    assert Q(num, den) == l2_norm_sq(selected - fam.limit_solution(p))
+    assert q == l2_norm_sq(selected - fam.limit_solution(p))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

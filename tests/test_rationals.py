@@ -15,6 +15,7 @@ from qcbplab.rationals import (
     ComplexQ,
     RationalMatrix,
     RationalVector,
+    abs_upper_ints,
     ceil_log2,
     complex_from_json,
     complex_to_json,
@@ -229,6 +230,32 @@ def test_sqrt_upper_ints_reduces_first():
     assert sqrt_upper_ints(0, 5) == (0, 1)
     with pytest.raises(ValueError, match="square root of a negative rational"):
         sqrt_upper_ints(-4, 2)
+
+
+_PART = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**200), 2**200))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    entries=st.lists(st.tuples(_PART, st.one_of(st.just(0), _PART)), min_size=1, max_size=5),
+    den=st.one_of(
+        st.just(1),
+        st.integers(1, 80).map(lambda k: 1 << k),
+        st.integers(0, 10**6).map(lambda k: 2 * k + 1),
+        st.just((2**61 - 1) * (2**89 - 1)),
+    ),
+)
+def test_abs_upper_ints_is_a_tight_upper_bound_exact_on_real_entries(entries, den):
+    """M[j]/w >= |re + i im|/den, equal when im = 0, and within 2**-40 otherwise, by squares."""
+    v = [re for re, _ in entries] + [im for _, im in entries]
+    mags, w = abs_upper_ints(v, den)
+    assert w == den * den << 40 and len(mags) == len(entries)
+    for big, (re, im) in zip(mags, entries):
+        assert (big * den) ** 2 >= (re * re + im * im) * w * w
+        if im == 0:
+            assert big * den == abs(re) * w
+        below = Q(big, w) - Q(1, 2**40)
+        assert below <= 0 or below * below <= Q(re * re + im * im, den * den)
 
 
 def _norm_case(rng, m, n):

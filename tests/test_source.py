@@ -45,6 +45,7 @@ NAME_OWNERS = {
     "limit_gap_sq_ints": {"families", "halting"},
     "embed": {"qcbp", "families"},
     "isqrt": {"rationals"},  # every root in src/ is one of rationals' own
+    "sqrt_upper_ints": {"rationals", "qcbp"},  # qcbp takes it only for the dual bound
 }
 
 
