@@ -228,9 +228,12 @@ def cmd_adversarial(args: argparse.Namespace) -> int:
         out_sq = families.pair_distance_sq(n, p)
         solver_dist = "-"
         if args.solve:
+            import numpy as np
+
             r1 = qcbp.solve_numeric(families.perturbed_instance(1, n, p), tol)
             r2 = qcbp.solve_numeric(families.perturbed_instance(2, n, p), tol)
-            solver_dist = repr(qcbp.float_norm(r1.x_float - r2.x_float))
+            with np.errstate(over="ignore"):  # float_norm scales a square past float64's range
+                solver_dist = repr(qcbp.float_norm(r1.x_float - r2.x_float))
         with _fits_float64(f"--a: the output distance of n={n}"):
             out_lower = repr(float_sqrt_ints(out_sq.numerator, out_sq.denominator)[0])
         rows.append([str(n), fmt_rational(in_dist), fmt_rational(out_sq), out_lower, solver_dist, kappa])

@@ -490,15 +490,16 @@ def instability_eval(
     plan = _forward_plan(net, ())
     err = np.empty(width)
     rows = []
-    for n, u1, u2, t1, t2, gap in table:
-        e1 = float_norm(np.subtract(_forward(plan, u1), t1, out=err))
-        e2 = float_norm(np.subtract(_forward(plan, u2), t2, out=err))
-        slack = lip * gap if gap else 0.0
-        rows.append(
-            InstabilityRow(
-                n=n, gap=gap, err_1=e1, err_2=e2, lip_slack=slack, bound_lhs=e1 + e2 + slack
+    with np.errstate(over="ignore"):  # float_norm scales a square past float64's range
+        for n, u1, u2, t1, t2, gap in table:
+            e1 = float_norm(np.subtract(_forward(plan, u1), t1, out=err))
+            e2 = float_norm(np.subtract(_forward(plan, u2), t2, out=err))
+            slack = lip * gap if gap else 0.0
+            rows.append(
+                InstabilityRow(
+                    n=n, gap=gap, err_1=e1, err_2=e2, lip_slack=slack, bound_lhs=e1 + e2 + slack
+                )
             )
-        )
     return InstabilityReport(certificate=cert, lipschitz_bound=lip, rows=rows)
 
 

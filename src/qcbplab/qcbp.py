@@ -8,13 +8,12 @@ columns than rows.  Three solution paths live here:
   else is checked against;
 * a generic float primal-dual solver whose results are re-certified a
   posteriori in exact rational arithmetic (residual bound, duality sandwich);
-* a brute-force dyadic grid search, deliberately independent of both, used to
-  cross-validate the oracle on tiny instances.
+* a brute-force dyadic grid search that cross-validates the oracle on tiny
+  instances: its search is independent of both, its exact set-up the solver's.
 
 The single-valued selection rule is fixed once and for all: weight 1 on the
 smallest active index.  Every downstream experiment inherits its determinism
-from this choice.  :func:`select_embedded` solves an m-row :func:`embed`
-of a single-row core from the core itself.
+from this choice.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import ceil, sqrt
+from math import ceil, floor, frexp, sqrt
 from operator import mul
 from typing import Iterable
 
@@ -57,7 +56,7 @@ class OracleDomainError(ValueError):
 
 
 class RankDeficientError(ValueError):
-    """solve_numeric requires full row rank so the constraint set is nonempty."""
+    """solve_numeric, and brute_force_min when x = 0 is infeasible, need A of full row rank."""
 
 
 class FloatRangeError(ValueError):
@@ -230,17 +229,6 @@ def embed(core: Instance, m: int) -> Instance:
     return Instance(A=RationalMatrix(tuple(rows)), y=RationalVector(y), eps=core.eps)
 
 
-def select_embedded(core: Instance, m: int) -> RationalVector:
-    """Exact selected solution of ``embed(core, m)``: the core's, zero-padded.
-
-    The tail coordinates enter the residual additively as x_i^2, so any
-    minimum-l1 solution zeroes them and the problem reduces exactly to the
-    single-row core, to which the oracle applies.
-    """
-    x = select(exact_solution_set(core))
-    return RationalVector(x.entries + (CZERO,) * (m - 1))
-
-
 # --- generic numerical solver ---------------------------------------------------
 
 @dataclass
@@ -371,9 +359,19 @@ def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Q:
 
 
 def float_norm(d: np.ndarray) -> float:
-    """l2 norm of the 1-D float array ``d``: the float ``np.linalg.norm``
-    returns for it (``d.dot(d)``, then ``sqrt``) without its Python overhead."""
-    return sqrt(d.dot(d))
+    """l2 norm of the 1-D float array ``d``: ``sqrt(d.dot(d))``, as
+    ``np.linalg.norm`` gives it, where that square is a normal float.
+    Otherwise the norm of d * 2**-e, e the binary exponent of max|d|, scaled
+    back by 2**e: exact scalings, so a norm past 1.3e154 or below 1.5e-154
+    keeps its bits.  A zero d, or one holding inf or NaN, gives sqrt(d.dot(d))."""
+    s = d.dot(d)
+    if sys.float_info.min <= s <= sys.float_info.max:
+        return sqrt(s)
+    top = float(np.abs(d).max(initial=0.0))
+    if not 0 < top <= sys.float_info.max:  # zero, inf or NaN
+        return sqrt(s)
+    e = frexp(top)[1]
+    return float(np.ldexp(float_norm(np.ldexp(d, -e)), e))
 
 
 def _polish_primal(K: np.ndarray, yv: np.ndarray, eps: float, bound: float, z: np.ndarray) -> np.ndarray | None:
@@ -555,24 +553,21 @@ class BruteForceReport:
     box_radius: int
 
 
-def _exact_particular_solution(ints: list[list[int]]) -> list[Q]:
-    """Some exact real solution of Ax = y, given the integer rows of [A | y].
+def _exact_particular_solution(coeffs: list[list[int]], ys: list[int]) -> list[Q]:
+    """Some exact real solution of Ax = y, given A and y as integers over one D.
 
-    For a single row the largest entry gives the smallest search box, so pick
-    it directly.  Otherwise back-substitute on the echelon form, free vars 0.
+    A has full row rank (the caller has checked it).  For a single row the
+    largest entry gives the smallest search box, so pick it directly.
+    Otherwise back-substitute on the echelon form of [A | y], free vars 0.
     """
-    n = len(ints[0]) - 1
-    if len(ints) == 1:
-        row = ints[0]
+    n = len(coeffs[0])
+    if len(coeffs) == 1:
+        row = coeffs[0]
         best = max(range(n), key=lambda j: abs(row[j]))
-        if row[best] == 0:
-            raise RankDeficientError("zero row cannot meet a nonzero measurement")
         x = [Q(0)] * n
-        x[best] = Q(row[n], row[best])
+        x[best] = Q(ys[0], row[best])
         return x
-    work, pivots = echelon(ints, n)
-    if len(pivots) < len(ints):
-        raise RankDeficientError("Ax = y has no solution path: rank-deficient rows")
+    work, pivots = echelon([row + [b] for row, b in zip(coeffs, ys)], n)
     x = [Q(0)] * n
     for row, c in reversed(list(zip(work, pivots))):
         x[c] = (row[n] - sum((row[j] * x[j] for j in range(c + 1, n)), Q(0))) / row[c]
@@ -582,12 +577,13 @@ def _exact_particular_solution(ints: list[list[int]]) -> list[Q]:
 def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
     """Exhaustive search over the dyadic grid of step 2**-grid_exp.
 
-    Independent of the closed-form oracle and of the iterative solver: pure
-    integer feasibility tests over a box sized by the l1 norm of one exact
-    feasible point.  Exhaustive means every grid point is accounted for: each
-    setting of the first N-1 coordinates gets the exact interval of feasible
-    last coordinates (see ``_kernels``), on int64 when that is proved exact
-    and on Python ints otherwise.  N <= 4, grid_exp <= 8, real instances only.
+    From the solver's exact set-up, a search independent of the closed-form
+    oracle and of the iterative solver: pure integer feasibility tests over a
+    box sized by the l1 norm of one exact feasible point.  Exhaustive means
+    every grid point is accounted for: each setting of the first N-1
+    coordinates gets the exact interval of feasible last coordinates (see
+    ``_kernels``), on int64 when that is proved exact and on Python ints
+    otherwise.  N <= 4, grid_exp <= 8, real instances only.
     """
     if inst.n > 4:
         raise GridTooLargeError(f"brute force supports N <= 4, got {inst.n}")
@@ -596,31 +592,31 @@ def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
     if not (inst.A.is_real() and inst.y.is_real()):
         raise ValueError("brute force handles real instances only")
 
-    # the rows of [A | y] as integers over D, the lcm of their denominators
-    n = inst.n
-    augmented = [[e.re for e in row] + [b.re] for row, b in zip(inst.A.rows, inst.y.entries)]
-    ints, common = scaled_integers(augmented)
+    # the solver's set-up: for a real instance the first m rows of scaled.k,
+    # cut to N columns, and scaled.y[:m] are A and y as integers over D
+    n, m = inst.n, inst.m
+    scaled, rank, norm_sq_ub = _realified(inst.A, inst.y)
+    coeffs, ys = [row[:n] for row in scaled.k[:m]], scaled.y[:m]
 
     h = Q(1, 2**grid_exp)
-    norm_sq_ub = operator_norm_sq_upper([row[:n] + [0] * n for row in ints], common)
     op_ub = dyadic_sqrt_upper(norm_sq_ub, 20)
-    sqrt_n_ub = dyadic_sqrt_upper(Q(inst.n), 20)
+    sqrt_n_ub = dyadic_sqrt_upper(Q(n), 20)
     relaxation = op_ub * sqrt_n_ub * h / 2
 
     if l2_norm_sq(inst.y) <= inst.eps * inst.eps:
         radius = Q(0)  # x = 0 is feasible, so it is the optimum
+    elif rank < m:
+        raise RankDeficientError(f"row rank {rank} < m={m}")
     else:
-        radius = sum(abs(v) for v in _exact_particular_solution(ints))
+        radius = sum(abs(v) for v in _exact_particular_solution(coeffs, ys))
     k = ceil(radius / h)
     if (2 * k + 1) ** n > GRID_POINT_CAP:
         raise GridTooLargeError(f"grid has {(2 * k + 1) ** n} points, cap is {GRID_POINT_CAP}")
 
     # integer form: at grid point p * h the row residuals are s_i / (D * 2**grid_exp)
     # for integers s_i, and feasibility is sum s_i^2 <= floor(((eps+relax)*D*2**grid_exp)^2)
-    coeffs = [row[:n] for row in ints]
-    shift = [row[n] << grid_exp for row in ints]
-    rhs_q = ((inst.eps + relaxation) * common * 2**grid_exp) ** 2
-    rhs = rhs_q.numerator // rhs_q.denominator
+    shift = [b << grid_exp for b in ys]
+    rhs = floor(((inst.eps + relaxation) * scaled.den * 2**grid_exp) ** 2)
 
     # max_row[i] bounds |s_i| on the box, so worst_sum bounds every square sum
     # the int64 scan forms and, for k >= 1, its vertex terms (see _kernels)
@@ -636,12 +632,11 @@ def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
     argmin = RationalVector.from_items([Q(int(v)) * h for v in p])
 
     stated_tol = None
-    if inst.m == 1:
+    if m == rank == 1:
+        # two-sided: grid rounding costs <= N*h/2 in l1; relaxing eps by
+        # delta moves the single-row optimum max(0,|y|-eps)/amax by <= delta/amax
         amax = max(abs(e.re) for e in inst.A.rows[0])
-        if amax > 0:
-            # two-sided: grid rounding costs <= N*h/2 in l1; relaxing eps by
-            # delta moves the single-row optimum max(0,|y|-eps)/amax by <= delta/amax
-            stated_tol = Q(inst.n) * h / 2 + relaxation / amax
+        stated_tol = Q(n) * h / 2 + relaxation / amax
     return BruteForceReport(
         value=value,
         argmin=argmin,

@@ -16,6 +16,7 @@ from qcbplab import families as fam
 from qcbplab import halting as ht
 from qcbplab import mlp, qcbp
 from qcbplab.rationals import l1_norm_real, l2_norm_sq
+from embedding_reference import select_embedded
 from gradient_oracle import numerical_gradients
 
 P = fam.FamilyParams()  # a=1, eps=1/2, N=2, m=1
@@ -97,7 +98,7 @@ def test_criterion_4_embedding_equivalence():
         inst = _rand_single_row(rng, width, eps)
         emb = qcbp.embed(inst, m)
         assert (emb.m, emb.n) == (m, width + m - 1)
-        padded = qcbp.select_embedded(inst, m)
+        padded = select_embedded(inst, m)
         assert qcbp.feasible(emb, padded)  # exact, zero tolerance
         l1 = l1_norm_real(padded)
         assert l1 == qcbp.exact_solution_set(inst).l1_value()  # exact, zero tolerance

@@ -489,6 +489,20 @@ def test_nn_small_run(tmp_path, capsys):
     assert all(float(r[5]) >= kappa - 1e-6 for r in rows)
 
 
+def test_nn_errors_whose_squares_are_past_float64_stay_finite(capsys):
+    """At a = 1e-400 each error is about 2**(n-1): past n = 512 its square overflows, its norm does not."""
+    argv = ["nn", "--seed", "1", "--steps", "3", "--n-hi", "2", "--a", "1e-400", "--n-max", "520"]
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert len(rows) == 520
+    assert not any("inf" in cell for row in rows for cell in row)
+    for row in rows[512:]:
+        n, e1, e2 = int(row[0]), float(row[2]), float(row[3])
+        assert math.isclose(e1, 2.0 ** (n - 1), rel_tol=1e-9) and math.isclose(e2, e1, rel_tol=1e-9)
+    assert len(err.splitlines()) == 1 and err.startswith("conflict bound:")
+
+
 def test_nn_zero_steps_untrained_still_bound_consistent(tmp_path, capsys):
     out_file = tmp_path / "report.csv"
     code = cli.main(

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from qcbplab import families as fam
 from qcbplab import qcbp
 from qcbplab.rationals import RationalVector, float_sqrt_ints, l2_norm_sq
+from embedding_reference import select_embedded
 
 
 P = fam.FamilyParams()  # a=1, eps=1/2, N=2, m=1
@@ -255,7 +256,7 @@ def test_embedded_families():
     inst = fam.perturbed_instance(2, 4, p)
     assert inst.m == 3 and inst.n == 5
     sol = fam.perturbed_solution(2, 4, p)
-    assert sol == qcbp.select_embedded(fam.perturbed_core(2, 4, p), 3)
+    assert sol == select_embedded(fam.perturbed_core(2, 4, p), 3)
     assert qcbp.feasible(inst, sol)
     assert fam.input_distance(4, p) == Q(1, 16)  # both embedded members
 
@@ -293,7 +294,7 @@ def test_limit_gap_formula_equals_the_oracle_path():
     )
     def check(a, eps, shape, n):
         p = fam.FamilyParams(a=a, eps=eps, n_dim=shape[0], m_dim=shape[1])
-        selected = qcbp.select_embedded(fam.perturbed_core(2, n, p), p.m_dim)
+        selected = select_embedded(fam.perturbed_core(2, n, p), p.m_dim)
         assert Q(*fam.limit_gap_sq_ints(n, p)) == l2_norm_sq(selected - fam.limit_solution(p))
 
     check()
@@ -308,7 +309,7 @@ def test_limit_gap_at_budget_size_indices(a, n):
     num, den = fam.limit_gap_sq_ints(n, p)
     q = Q(num, den)
     assert float_sqrt_ints(num, den) == float_sqrt_ints(q.numerator, q.denominator)
-    selected = qcbp.select_embedded(fam.perturbed_core(2, n, p), p.m_dim)
+    selected = select_embedded(fam.perturbed_core(2, n, p), p.m_dim)
     assert q == l2_norm_sq(selected - fam.limit_solution(p))
 
 

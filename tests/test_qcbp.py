@@ -2,14 +2,16 @@
 
 import itertools
 import json
+import math
 import random
+import sys
 import warnings
 from fractions import Fraction as Q
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from qcbplab import qcbp
@@ -20,6 +22,7 @@ from qcbplab.rationals import (
     l1_norm_real,
     l2_norm_sq,
 )
+from embedding_reference import select_embedded
 
 
 def single(row, eps=Q(0), y=1):
@@ -173,7 +176,7 @@ def test_embedded_selection_matches_original():
     rng = random.Random(32)
     for _ in range(25):
         inst = rand_instance(rng, 2, Q(1, 4))
-        padded = qcbp.select_embedded(inst, 2)
+        padded = select_embedded(inst, 2)
         assert padded.entries[:2] == qcbp.select(qcbp.exact_solution_set(inst)).entries
         assert all(e.re == 0 for e in padded.entries[2:])
         assert qcbp.feasible(qcbp.embed(inst, 2), padded)
@@ -364,6 +367,52 @@ def test_solver_matches_highs_lp_on_ill_posed_instances():
         assert float(rep.objective_ub) - lp <= tol, (rows, y)
 
 
+# --- float norm ------------------------------------------------------------------------
+
+# entries k * 2**-30 for |k| < 2**53: every square and sum is a normal float
+_MODERATE = st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=6).map(
+    lambda ks: np.ldexp(np.array(ks, dtype=float), -30)
+)
+
+
+def _normal(v: float) -> bool:
+    return sys.float_info.min <= v <= sys.float_info.max
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6).map(np.array))
+def test_float_norm_is_the_plain_root_where_the_square_is_normal(d):
+    with np.errstate(over="ignore"):
+        square = d.dot(d)
+    assume(_normal(square))
+    assert qcbp.float_norm(d) == math.sqrt(square)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MODERATE, st.integers(520, 1000), st.sampled_from([1, -1]))
+def test_float_norm_commutes_with_power_of_two_scaling(d, k, sign):
+    """Past the root of float64's range the square over- or underflows, but the norm scales exactly."""
+    k *= sign
+    scaled = np.ldexp(d, k)
+    assume(all(v == 0 or _normal(abs(v)) for v in scaled.tolist()))
+    with np.errstate(over="ignore"):
+        assert qcbp.float_norm(scaled) == math.ldexp(qcbp.float_norm(d), k)
+
+
+def test_float_norm_of_zero_inf_nan_and_past_the_range():
+    assert qcbp.float_norm(np.zeros(3)) == 0.0
+    assert qcbp.float_norm(np.array([])) == 0.0
+    assert qcbp.float_norm(np.array([3 * 2.0**-600, 4 * 2.0**-600])) == 5 * 2.0**-600
+    with np.errstate(over="ignore"):
+        assert qcbp.float_norm(np.array([3 * 2.0**600, -4 * 2.0**600])) == 5 * 2.0**600
+        assert qcbp.float_norm(np.array([np.inf, 1.0])) == math.inf
+        assert qcbp.float_norm(np.array([-np.inf, 1e300])) == math.inf
+        assert qcbp.float_norm(np.array([2.0**1023, 2.0**1023])) == math.ldexp(math.sqrt(2.0), 1023)
+        assert qcbp.float_norm(np.array([1.7e308, 1.7e308])) == math.inf  # the norm itself is past the range
+        assert math.isnan(qcbp.float_norm(np.array([np.nan, 1.0])))
+        assert math.isnan(qcbp.float_norm(np.array([np.inf, np.nan])))
+
+
 # --- polishing safety --------------------------------------------------------------------
 
 def _near_degenerate():
@@ -474,8 +523,10 @@ def test_brute_force_rejections():
     # N and grid_exp in range, but the (2*256+1)**4 box is past the cap
     with pytest.raises(qcbp.GridTooLargeError, match="grid has 69257922561 points"):
         qcbp.brute_force_min(single([1, 1, 1, 1]), 8)
-    with pytest.raises(qcbp.RankDeficientError, match="zero row"):
-        qcbp.brute_force_min(single([0, 0]), 4)
+    # the solver's rank test and text, on the same instance
+    for solve in (lambda inst: qcbp.brute_force_min(inst, 4), qcbp.solve_numeric):
+        with pytest.raises(qcbp.RankDeficientError, match="^row rank 0 < m=1$"):
+            solve(single([0, 0]))
 
 
 def test_brute_force_exact_fallback_path():
@@ -531,8 +582,41 @@ def test_brute_force_multirow_golden(case):
 @pytest.mark.parametrize("rows, y", [([[1, 1, 1], [2, 2, 2]], [1, 2]), ([[1, 2, 0], [0, 0, 0]], [1, 1])])
 def test_brute_force_rank_deficient_rows(rows, y):
     inst = qcbp.Instance(A=RationalMatrix.from_rows(rows), y=RationalVector.from_items(y), eps=Q(0))
-    with pytest.raises(qcbp.RankDeficientError, match="rank-deficient"):
+    with pytest.raises(qcbp.RankDeficientError, match="^row rank 1 < m=2$"):
         qcbp.brute_force_min(inst, 2)
+    with pytest.raises(qcbp.RankDeficientError, match="^row rank 1 < m=2$"):
+        qcbp.solve_numeric(inst)
+
+
+def test_brute_force_rank_deficient_rows_with_zero_feasible():
+    """x = 0 meets the constraint, so no particular solution is sought and the rank does not matter."""
+    inst = qcbp.Instance(
+        A=RationalMatrix.from_rows([[1, 1, 1], [2, 2, 2]]),
+        y=RationalVector.from_items([Q(1, 4), 0]),
+        eps=Q(1, 2),
+    )
+    bf = qcbp.brute_force_min(inst, 2)
+    assert bf.value == 0
+    assert bf.box_radius == 0
+
+
+def test_brute_force_scales_the_instance_once(monkeypatch):
+    """Brute force reads the solver's integer set-up: one ``_realified`` call, no scaling of its own."""
+    calls = []
+    realified = qcbp._realified
+
+    def counted(A, y):
+        calls.append((A, y))
+        return realified(A, y)
+
+    monkeypatch.setattr(qcbp, "_realified", counted)
+    inst = qcbp.Instance(
+        A=RationalMatrix.from_rows([[Q(1, 3), 2, 0], [0, Q(5, 7), 1]]),
+        y=RationalVector.from_items([1, Q(1, 2)]),
+        eps=Q(1, 8),
+    )
+    qcbp.brute_force_min(inst, 2)
+    assert calls == [(inst.A, inst.y)]
 
 
 def test_solver_input_guards():

@@ -46,6 +46,7 @@ NAME_OWNERS = {
     "embed": {"qcbp", "families"},
     "isqrt": {"rationals"},  # every root in src/ is one of rationals' own
     "sqrt_upper_ints": {"rationals", "qcbp"},  # qcbp takes it only for the dual bound
+    "scaled_integers": {"rationals", "qcbp"},  # qcbp scales an instance in _realified only
 }
 
 
