@@ -346,7 +346,9 @@ def _layer_norm_estimate(w: np.ndarray) -> tuple[float, int]:
     2**-e, e the binary exponent of its largest entry, so tiny or huge
     weights neither underflow nor overflow; scaling by a power of two is
     exact, and a zero or non-finite largest entry gives e = 0.  The estimate
-    is returned unscaled, since s * 2**e may lie outside float range.
+    is returned unscaled, since s * 2**e may lie outside float range.  The
+    loop normalises its own data, so it takes the plain root, not
+    ``qcbp.float_norm``: no square it forms exceeds rows * cols.
     """
     e = math.frexp(float(np.abs(w).max()))[1]
     w = np.ldexp(w, -e)
@@ -354,16 +356,17 @@ def _layer_norm_estimate(w: np.ndarray) -> tuple[float, int]:
     v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])
     for _ in range(_POWER_ITERS):
         u = w.dot(v)
-        nu = float_norm(u)
+        nu = math.sqrt(u.dot(u))
         if nu == 0:
-            return float_norm(w.ravel()), e
+            return math.sqrt(np.vdot(w, w)), e
         v = wt.dot(u)
         v /= nu
-        nv = float_norm(v)
+        nv = math.sqrt(v.dot(v))
         if nv == 0:
-            return float_norm(w.ravel()), e
+            return math.sqrt(np.vdot(w, w)), e
         v /= nv
-    return float_norm(w.dot(v)), e
+    u = w.dot(v)
+    return math.sqrt(u.dot(u)), e
 
 
 # --- training data ----------------------------------------------------------------
@@ -490,16 +493,13 @@ def instability_eval(
     plan = _forward_plan(net, ())
     err = np.empty(width)
     rows = []
-    with np.errstate(over="ignore"):  # float_norm scales a square past float64's range
-        for n, u1, u2, t1, t2, gap in table:
-            e1 = float_norm(np.subtract(_forward(plan, u1), t1, out=err))
-            e2 = float_norm(np.subtract(_forward(plan, u2), t2, out=err))
-            slack = lip * gap if gap else 0.0
-            rows.append(
-                InstabilityRow(
-                    n=n, gap=gap, err_1=e1, err_2=e2, lip_slack=slack, bound_lhs=e1 + e2 + slack
-                )
-            )
+    for n, u1, u2, t1, t2, gap in table:
+        e1 = float_norm(np.subtract(_forward(plan, u1), t1, out=err))
+        e2 = float_norm(np.subtract(_forward(plan, u2), t2, out=err))
+        slack = lip * gap if gap else 0.0
+        rows.append(
+            InstabilityRow(n=n, gap=gap, err_1=e1, err_2=e2, lip_slack=slack, bound_lhs=e1 + e2 + slack)
+        )
     return InstabilityReport(certificate=cert, lipschitz_bound=lip, rows=rows)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import ceil, floor, frexp, sqrt
+from math import ceil, floor, frexp, inf, isfinite, ldexp, sqrt
 from operator import mul
 from typing import Iterable
 
@@ -359,19 +359,21 @@ def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Q:
 
 
 def float_norm(d: np.ndarray) -> float:
-    """l2 norm of the 1-D float array ``d``: ``sqrt(d.dot(d))``, as
-    ``np.linalg.norm`` gives it, where that square is a normal float.
-    Otherwise the norm of d * 2**-e, e the binary exponent of max|d|, scaled
-    back by 2**e: exact scalings, so a norm past 1.3e154 or below 1.5e-154
-    keeps its bits.  A zero d, or one holding inf or NaN, gives sqrt(d.dot(d))."""
-    s = d.dot(d)
-    if sys.float_info.min <= s <= sys.float_info.max:
-        return sqrt(s)
+    """l2 norm of the 1-D float array ``d``, one path for every finite d:
+    ``sqrt(s.dot(s)) * 2**e`` for s = d * 2**-e, e the binary exponent of
+    max|d|.  No |s_i| reaches 1, so no square overflows and numpy never warns,
+    and the norm of d * 2**k is 2**k times d's, bit for bit, wherever that
+    scaling loses no bits.  Past float64's range, or with an inf entry, the
+    norm is inf; with a NaN entry, NaN."""
     top = float(np.abs(d).max(initial=0.0))
-    if not 0 < top <= sys.float_info.max:  # zero, inf or NaN
-        return sqrt(s)
+    if not isfinite(top):
+        return top
     e = frexp(top)[1]
-    return float(np.ldexp(float_norm(np.ldexp(d, -e)), e))
+    s = np.ldexp(d, -e)
+    try:
+        return ldexp(sqrt(s.dot(s)), e)
+    except OverflowError:
+        return inf
 
 
 def _polish_primal(K: np.ndarray, yv: np.ndarray, eps: float, bound: float, z: np.ndarray) -> np.ndarray | None:

@@ -106,6 +106,25 @@ def test_adversarial_solve_flag_populates_column(tmp_path, capsys):
     assert float(rows[0][4]) == pytest.approx((2 / 9) ** 0.5, abs=1e-4)
 
 
+def test_adversarial_solve_marks_uncertified_rows(tmp_path, monkeypatch, capsys):
+    """A row where either solve did not certify prints ``-`` in solver_dist, and stderr counts such rows."""
+    solve = qcbp.solve_numeric
+    calls = []
+
+    def first_member_of_n2_uncertified(inst, tol, *args):
+        calls.append(inst)
+        report = solve(inst, tol, *args)
+        return dataclasses.replace(report, converged=False) if len(calls) == 3 else report
+
+    monkeypatch.setattr(qcbp, "solve_numeric", first_member_of_n2_uncertified)
+    out_file = tmp_path / "adv.csv"
+    code, _, err = run(["adversarial", "--n-max", "3", "--solve", "--out", str(out_file)], capsys)
+    assert code == 0
+    rows = [l.split(",") for l in out_file.read_text().splitlines()[2:]]
+    assert [r[4] == "-" for r in rows] == [False, True, False]
+    assert err == "solver_dist is - in 1 of 3 rows: a solve did not certify\n"
+
+
 def _assert_rounds_down(lower, sq):
     """``lower`` prints the largest float whose square is at most ``sq``: the float floor of sqrt(sq)."""
     f, up = float(lower), math.nextafter(float(lower), math.inf)
