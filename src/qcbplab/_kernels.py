@@ -9,8 +9,12 @@ matrix-vector products and one dot product), reads their results with two
 buffers allocated once per call.  It runs its element-wise steps on Python
 floats, bit for bit what the all-numpy loop computes, in a loop generated once
 per problem shape as straight-line code with one local variable per
-coordinate; it stops at the first iteration that leaves its state unchanged
-(see the comment above ``pd_iterate``).
+coordinate; it stops at the first iteration that leaves its state unchanged.
+A one-row real instance runs a loop of its own whose step is one BLAS call,
+K xbar: there, u.u and each column of K^T z that the state reads have at most
+one term that is not an exact zero, so Python forms them with BLAS's bytes
+(the entry conditions and the argument are in the comment above
+``pd_iterate``).
 
 Exactness note: the scan is exact on int64 when rhs and W = sum_i M_i^2 are
 below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that in
@@ -179,10 +183,49 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # holds for 0.0 == -0.0, and -0.0 occurs in x (the pair shrink of a < 0 by
 # f = 0.0), so states that compare equal are confirmed on their packed bytes.
 # A NaN never compares equal, so a state holding one never stops early.
+#
+# One-row real instances (m = 1, A and y real: the perturbation families) run
+# a second loop, generated per width the same way (``_pd_row_loop``), with the
+# same bytes.  It runs when, at entry, K has two rows and is finite; K[0, n:],
+# K[1, :n], y[1], x[n:], z[1] and xbar[n:] are +0.0, sign bit included (all
+# eight bytes zero); and 0 <= tau < inf.  ``solve_numeric`` sets every real
+# one-row instance up so.  Then u.u and every output of K^T z that the state
+# reads have at most one term that is not an exact zero, so their bytes depend
+# neither on BLAS's summation order nor on whether it fuses a multiply-add
+# (FMA), and Python forms them exactly:
+# - u1 = (+0.0 + sigma k1) - sigma * (+0.0) is +0.0 whenever the new z0 is
+#   finite (k1 is a zero of some sign), so u.u is u0 * u0 and the new z1 is
+#   +0.0 again;
+# - with a = K[0, :n], the real column j of K^T z is a_j z0 + (+0.0)(+0.0),
+#   formed as ``a_j * z0 + 0.0``;
+# - an imaginary column is (+0.0) z0 + a_j (+0.0), a zero of either sign, and
+#   x_j - tau * (that zero) is +0.0 for a finite tau, so it is never formed;
+#   with tau >= 0 the pair shrink's factor lies in [0, 1], so the new x and
+#   xbar keep +0.0 in their imaginary halves and a pair norm is sqrt(w_j w_j).
+# A step is then the gemv K xbar, one ``.tolist()`` and one ``pack_into`` of
+# xbar's real half.  A step hands the rest of its batch, from the state it
+# started with, to the general loop when the new z0 is not finite (this
+# covers u1: it is NaN only when sigma or an entry of xbar's real half is not
+# finite, and then u0 and z0 are not finite either), or when a nonzero a_j
+# times a nonzero z0 rounds to zero, since an FMA inside BLAS gives that zero
+# the sign of the exact product.  Like the ddot it stands for, u0 * u0
+# overflows to inf once |u0| passes about 2**511 (ROADMAP item 13).
 
 def _bits(v):
     """The float64 bytes of a list of floats."""
     return pack(f"{len(v)}d", *v)
+
+
+def _names(prefix, count):
+    return [f"{prefix}{i}" for i in range(count)]
+
+
+def _unpack(names):
+    return ", ".join(names) + ","
+
+
+def _listed(names):
+    return "[" + ", ".join(names) + "]"
 
 
 def _pd_source(rows, cols):
@@ -194,30 +237,20 @@ def _pd_source(rows, cols):
     ``zb`` and ``xb`` are the float64 buffers the BLAS calls read, filled by
     ``pack_rows`` and ``pack_cols`` (rows and cols doubles).
     """
-
-    def names(prefix, count):
-        return [f"{prefix}{i}" for i in range(count)]
-
-    def unpack(names):
-        return ", ".join(names) + ","
-
-    def listed(names):
-        return "[" + ", ".join(names) + "]"
-
-    x, b, g, w, p, c = (names(s, cols) for s in "xbgwpc")
-    z, sy, k, u, v = (names(s, rows) for s in ("z", "sy", "k", "u", "v"))
+    x, b, g, w, p, c = (_names(s, cols) for s in "xbgwpc")
+    z, sy, k, u, v = (_names(s, rows) for s in ("z", "sy", "k", "u", "v"))
     new, old = v + p + c, z + x + b
     same = " and ".join(f"{a} == {o}" for a, o in zip(new, old))
-    body = [f"{unpack(k)} = K.dot(xb).tolist()"]
+    body = [f"{_unpack(k)} = K.dot(xb).tolist()"]
     body += [f"{u[i]} = ({z[i]} + sigma * {k[i]}) - {sy[i]}" for i in range(rows)]
     body += [
-        f"pack_rows(ua, 0, {unpack(u)})",
+        f"pack_rows(ua, 0, {_unpack(u)})",
         "nrm = sqrt(ua.dot(ua))",
         "factor = 1.0 - se / nrm if nrm > 0 else 0.0",
         "factor = factor if factor > 0.0 else 0.0",
     ]
     body += [f"{v[i]} = {u[i]} * factor" for i in range(rows)]
-    body += [f"pack_rows(zb, 0, {unpack(v)})", f"{unpack(g)} = Kt.dot(zb).tolist()"]
+    body += [f"pack_rows(zb, 0, {_unpack(v)})", f"{_unpack(g)} = Kt.dot(zb).tolist()"]
     body += [f"{w[i]} = {x[i]} - tau * {g[i]}" for i in range(cols)]
     n = cols // 2
     for re, im in zip(range(n), range(n, cols)):
@@ -230,25 +263,83 @@ def _pd_source(rows, cols):
         ]
     body += [f"{c[i]} = 2.0 * {p[i]} - {x[i]}" for i in range(cols)]
     body += [
-        f"pack_cols(xb, 0, {unpack(c)})",
-        f"if {same} and _bits({listed(new)}) == _bits({listed(old)}):",
+        f"pack_cols(xb, 0, {_unpack(c)})",
+        f"if {same} and _bits({_listed(new)}) == _bits({_listed(old)}):",
         "    break  # a fixed point: x already holds the new x's bytes",
     ]
     body += [f"{o} = {a}" for a, o in zip(new, old)]
     lines = [
         "def pd_loop(K, y, eps, tau, sigma, x, z, xbar, iters):",
         "    Kt = K.T",
-        f"    {unpack(sy)} = (sigma * y).tolist()",
+        f"    {_unpack(sy)} = (sigma * y).tolist()",
         "    se = sigma * eps",
         f"    ua, zb, xb = empty({rows}), empty({rows}), empty({cols})",
-        f"    {unpack(x)} = x.tolist()",
-        f"    {unpack(z)} = z.tolist()",
-        f"    {unpack(b)} = xbar.tolist()",
-        f"    pack_rows(zb, 0, {unpack(z)})",
-        f"    pack_cols(xb, 0, {unpack(b)})",
+        f"    {_unpack(x)} = x.tolist()",
+        f"    {_unpack(z)} = z.tolist()",
+        f"    {_unpack(b)} = xbar.tolist()",
+        f"    pack_rows(zb, 0, {_unpack(z)})",
+        f"    pack_cols(xb, 0, {_unpack(b)})",
         "    for _ in range(iters):",
         *("        " + line for line in body),
-        f"    return array({listed(x)}), zb, xb",
+        f"    return array({_listed(x)}), zb, xb",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _pd_row_source(cols):
+    """The source of ``pd_row_loop`` for a one-row real operator of cols columns.
+
+    ``_pd_source``'s names, over the real half alone: a holds K[0, :n], z0 and
+    v0 are z's first entry before and after a step, and amin is the least
+    nonzero |a_j| (inf if there is none).  ``xb`` holds xbar; its imaginary
+    half stays +0.0 and ``pack_re`` writes the real half.  The loop returns
+    the state and the count of iterations it leaves to the general loop: 0,
+    or the rest of the batch from the start of the step it could not take.
+    """
+    n = cols // 2
+    a, x, b, w, p, c = (_names(s, n) for s in "axbwpc")
+    new, old = ["v0"] + p + c, ["z0"] + x + b
+    same = " and ".join(f"{v} == {o}" for v, o in zip(new, old))
+    state = f"array({_listed(x + ['0.0'] * n)}), array([z0, 0.0]), xb"
+    body = [
+        "k0, _ = K.dot(xb).tolist()",
+        "u0 = (z0 + sigma * k0) - sy0",
+        "nrm = sqrt(u0 * u0)",
+        "factor = 1.0 - se / nrm if nrm > 0 else 0.0",
+        "factor = factor if factor > 0.0 else 0.0",
+        "v0 = u0 * factor",
+        "if not -inf < v0 < inf or (v0 != 0.0 and amin * v0 == 0.0):",
+        f"    return {state}, iters - i",
+    ]
+    body += [f"{w[j]} = {x[j]} - tau * ({a[j]} * v0 + 0.0)" for j in range(n)]
+    for j in range(n):
+        body += [
+            f"mag = sqrt({w[j]} * {w[j]})",
+            "f = 1.0 - tau / mag if mag > 0 else 0.0",
+            "f = f if f > 0.0 else 0.0",
+            f"{p[j]} = {w[j]} * f",
+        ]
+    body += [f"{c[j]} = 2.0 * {p[j]} - {x[j]}" for j in range(n)]
+    body += [
+        f"pack_re(xb, 0, {_unpack(c)})",
+        f"if {same} and _bits({_listed(new)}) == _bits({_listed(old)}):",
+        "    break  # a fixed point: x already holds the new x's bytes",
+    ]
+    body += [f"{o} = {v}" for v, o in zip(new, old)]
+    lines = [
+        "def pd_row_loop(K, y, eps, tau, sigma, x, z, xbar, iters):",
+        f"    {_unpack(a)} = K[0, :{n}].tolist()",
+        f"    amin = min([abs(v) for v in {_listed(a)} if v], default=inf)",
+        "    sy0 = sigma * y[0].item()",
+        "    se = sigma * eps",
+        f"    {_unpack(x)} = x[:{n}].tolist()",
+        "    z0 = z[0].item()",
+        f"    {_unpack(b)} = xbar[:{n}].tolist()",
+        f"    xb = zeros({cols})",
+        f"    pack_re(xb, 0, {_unpack(b)})",
+        "    for i in range(iters):",
+        *("        " + line for line in body),
+        f"    return {state}, 0",
     ]
     return "\n".join(lines) + "\n"
 
@@ -268,5 +359,35 @@ def _pd_loop(rows, cols):
     return namespace["pd_loop"]
 
 
+@functools.cache
+def _pd_row_loop(cols):
+    """``pd_row_loop`` for one width of a one-row real K: compiled once and kept."""
+    namespace = {
+        "array": np.array,
+        "zeros": np.zeros,
+        "sqrt": math.sqrt,
+        "inf": math.inf,
+        "_bits": _bits,
+        "pack_re": Struct(f"{cols // 2}d").pack_into,
+    }
+    exec(compile(_pd_row_source(cols), f"<pd_row_loop 2x{cols}>", "exec"), namespace)
+    return namespace["pd_row_loop"]
+
+
+def _one_row_real(K, y, tau, x, z, xbar):
+    """Whether ``pd_row_loop`` may run: K is finite and one real row, the
+    imaginary state is +0.0 (all eight bytes zero) and 0 <= tau < inf."""
+    rows, cols = K.shape
+    if rows != 2 or not 0.0 <= tau < math.inf:
+        return False
+    n = cols // 2
+    zero = (K[0, n:], K[1, :n], y[1:], x[n:], z[1:], xbar[n:])
+    return not any(b"".join(v.tobytes() for v in zero)) and np.isfinite(K).all()
+
+
 def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters):
+    if _one_row_real(K, y, tau, x, z, xbar):
+        x, z, xbar, iters = _pd_row_loop(K.shape[1])(K, y, eps, tau, sigma, x, z, xbar, iters)
+        if not iters:
+            return x, z, xbar
     return _pd_loop(*K.shape)(K, y, eps, tau, sigma, x, z, xbar, iters)

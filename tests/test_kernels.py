@@ -1,8 +1,9 @@
 """Kernel parity.
 
 The grid scan, on int64 and on Python ints, must match the sweep of every box
-point in tests/grid_reference.py, and the primal-dual kernel must return the
-bytes of the all-numpy loop it replaced, also where it stops at a fixed point.
+point in tests/grid_reference.py, and the primal-dual kernel, in its general
+loop and in its one-row real loop, must return the bytes of the all-numpy loop
+it replaced, also where it stops at a fixed point or hands a batch over.
 """
 
 import functools
@@ -204,17 +205,23 @@ def test_kernel_signatures_keep_the_positions_the_benchmark_reads():
 
 
 def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
-    """Calls on one shape, whatever their values, run the loop generated for the first."""
-    built = []
-    source = kern._pd_source
+    """Calls on one shape, whatever their values, run the loop generated for the first;
+    one-row real batches from zero build the one-row loop of their width and no general loop."""
+    built, rows_built = [], []
+    source, row_source = kern._pd_source, kern._pd_row_source
     monkeypatch.setattr(kern, "_pd_source", lambda *shape: built.append(shape) or source(*shape))
+    monkeypatch.setattr(kern, "_pd_row_source", lambda cols: rows_built.append(cols) or row_source(cols))
     kern._pd_loop.cache_clear()
+    kern._pd_row_loop.cache_clear()
     rng = np.random.default_rng(7)
     for m, n in ((2, 5), (2, 5), (1, 5)):
         K = _realified(rng.uniform(-3, 3, (m, n)))
         state = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
         kern.pd_iterate(K, rng.normal(size=2 * m), 0.25, 0.1, 0.1, *state, 3)
-    assert built == [(4, 10), (2, 10)]
+    state = (np.zeros(8), np.zeros(2), np.zeros(8))
+    for _ in range(2):
+        state = kern.pd_iterate(_one_row([1.5, -2.0, 0.5, 3.0]), np.array([1.0, 0.0]), 0.25, 0.1, 0.1, *state, 3)
+    assert built == [(4, 10), (2, 10)] and rows_built == [8]
 
 
 def test_pd_iterate_returns_arrays_no_later_call_writes():
@@ -376,3 +383,132 @@ def test_pd_iterate_fixed_point_is_bit_exact(fixed_point, which, iters):
     x, xbar = (v, xbar) if which == "x" else (x, v)
     assert np.array_equal(x, fixed_point[2][0]) and np.array_equal(xbar, fixed_point[2][2])
     _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, n)
+
+
+# --- the one-row real loop --------------------------------------------------------
+
+
+def _one_row(row):
+    """The realified K of a real one-row A, as solve_numeric sets it up: its zero blocks hold +0.0."""
+    n = len(row)
+    K = np.zeros((2, 2 * n))
+    K[0, :n] = K[1, n:] = row
+    return K
+
+
+def test_pd_iterate_matches_reference_on_one_row_real_edge_values(monkeypatch):
+    """200 one-row real batches of widths 2-5 whose K, state and scalars mix normal and edge values.
+
+    Every batch enters the one-row loop; some hand off to the general loop
+    (a NaN, inf or an underflow on the way) and some run to their end.
+    """
+    handed = []
+    loop = kern._pd_loop
+    monkeypatch.setattr(kern, "_pd_loop", lambda *shape: handed.append(shape) or loop(*shape))
+    rng = random.Random(4242)
+
+    def state_entry():
+        return rng.choice((0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan)) if rng.random() < 0.25 else rng.uniform(-3, 3)
+
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        row = [rng.choice((-1, 1)) * rng.choice((0.0, 2.0**-1070, 2.0**600, rng.uniform(0.1, 3))) for _ in range(n)]
+        y = np.array([state_entry(), 0.0])
+        tau = rng.choice((0.0, 1e-300, rng.uniform(0.05, 1), 1e300))
+        sigma = rng.choice((-rng.uniform(0.05, 1), 0.0, np.inf, rng.uniform(0.05, 1)))
+        eps = rng.choice((0.0, np.inf, np.nan, rng.uniform(0, 1)))
+        iters = rng.choice((1, 2, 60, 250))
+        x, z, xbar = np.zeros(2 * n), np.zeros(2), np.zeros(2 * n)  # imaginary halves +0.0
+        x[:n], z[0], xbar[:n] = [state_entry() for _ in range(n)], state_entry(), [state_entry() for _ in range(n)]
+        _pd_same_bytes(_one_row(row), y, eps, tau, sigma, x, z, xbar, iters, n)
+    assert 20 < len(handed) < 180
+
+
+_ROW_BASE = dict(
+    K=_one_row([1.0, -2.0, 0.5]), y=np.array([1.0, 0.0]), tau=0.3,
+    x=np.array([0.3, -0.1, 0.2, 0.0, 0.0, 0.0]), z=np.array([0.1, 0.0]), xbar=np.array([0.3, -0.1, 0.2, 0.0, 0.0, 0.0]),
+)
+
+
+def _broken(name, index, value):
+    """The base one-row state with one entry of one part replaced."""
+    v = _ROW_BASE[name].copy()
+    v[index] = value
+    return {name: v}
+
+
+@pytest.mark.parametrize(
+    "change, dots_per_step",
+    [
+        pytest.param({}, 1, id="one-row-real"),
+        pytest.param(_broken("K", (0, 4), -0.0), 2, id="minus-zero-in-K-top-right"),
+        pytest.param(_broken("K", (1, 0), -0.0), 2, id="minus-zero-in-K-bottom-left"),
+        pytest.param(_broken("K", (0, 1), np.inf), 2, id="K-not-finite"),
+        pytest.param(_broken("y", 1, -0.0), 2, id="minus-zero-in-y1"),
+        pytest.param(_broken("x", 3, 1e-300), 2, id="nonzero-imaginary-x"),
+        pytest.param(_broken("x", 5, -0.0), 2, id="minus-zero-imaginary-x"),
+        pytest.param(_broken("z", 1, -0.0), 2, id="minus-zero-z1"),
+        pytest.param(_broken("z", 1, 0.5), 2, id="nonzero-z1"),
+        pytest.param(_broken("xbar", 4, -0.0), 2, id="minus-zero-imaginary-xbar"),
+        pytest.param({"tau": -0.3}, 2, id="negative-tau"),
+        pytest.param({"tau": np.inf}, 2, id="infinite-tau"),
+        pytest.param({"tau": np.nan}, 2, id="nan-tau"),
+    ],
+)
+@pytest.mark.parametrize("iters", [1, 3])
+def test_pd_iterate_one_row_entry_conditions(change, dots_per_step, iters):
+    """Each entry condition broken on its own sends the batch to the general loop,
+    two BLAS products a step; with all of them held, the batch makes one."""
+    case = {**_ROW_BASE, **change}
+    K = case["K"]
+    _CountingK.dots = 0
+    with np.errstate(all="ignore"):
+        kern.pd_iterate(K.view(_CountingK), case["y"], 0.25, case["tau"], 0.4, case["x"], case["z"], case["xbar"], iters)
+    assert _CountingK.dots == dots_per_step * iters
+    _pd_same_bytes(K, case["y"], 0.25, case["tau"], 0.4, case["x"], case["z"], case["xbar"], iters, 3)
+
+
+def test_pd_iterate_one_row_real_solve_makes_one_blas_call_per_step():
+    """A family solve's first batch, from zero as solve_numeric sets it up, makes one gemv a step and no other BLAS call."""
+    inst = families.perturbed_instance(1, 14, families.FamilyParams())
+    K, y, step = _solver_setup(inst)
+    zero = (np.zeros(2 * inst.n), np.zeros(2), np.zeros(2 * inst.n))
+    _CountingK.dots = 0
+    got = kern.pd_iterate(K.view(_CountingK), y, float(inst.eps), step, step, *zero, 250)
+    assert _CountingK.dots == 250
+    want = pd_reference.pd_iterate(K, y, float(inst.eps), step, step, *zero, 250, inst.n)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_one_row_real_solves_never_run_the_general_loop(monkeypatch):
+    """solve_numeric sets every real one-row instance up for the one-row loop."""
+    monkeypatch.setattr(kern, "_pd_loop", lambda *shape: pytest.fail(f"general loop for {shape}"))
+    p = families.FamilyParams()
+    one_row = qcbp.Instance(
+        A=RationalMatrix.from_rows([[Q(7, 4), Q(-2, 3), Q(5, 9)]]), y=RationalVector.from_items([Q(-1, 2)]), eps=Q(1, 8)
+    )
+    for inst in (families.perturbed_instance(1, 3, p), families.perturbed_instance(2, 3, p), one_row):
+        assert qcbp.solve_numeric(inst).converged
+
+
+@pytest.mark.parametrize(
+    "row, y0, tau, z0, step, iters",
+    [
+        # z falls by 1/2 a step; at 0.25, its product with 5e-324 rounds to zero
+        pytest.param([0.5, 5e-324], 0.5, 1.0, 1.75, 2, 60, id="underflowing-product"),
+        # z grows by 1e306 a step until it overflows
+        pytest.param([1.0, 0.5], -1e306, 1e-300, 0.0, 179, 181, id="overflowing-dual"),
+    ],
+)
+def test_pd_iterate_one_row_hands_off_mid_batch(row, y0, tau, z0, step, iters):
+    """A step that the one-row loop cannot take byte for byte hands the rest of the batch,
+    from the state it started with, to the general loop."""
+    n = len(row)
+    K, y, x = _one_row(row), np.array([y0, 0.0]), np.zeros(2 * n)
+    z = np.array([z0, 0.0])
+    _CountingK.dots = 0
+    with np.errstate(all="ignore"):
+        kern.pd_iterate(K.view(_CountingK), y, 0.0, tau, 1.0, x, z, x, iters)
+    # one gemv for each step before ``step`` and for the one it abandons, two for each after
+    assert _CountingK.dots == step + 1 + 2 * (iters - step)
+    _pd_same_bytes(K, y, 0.0, tau, 1.0, x, z, x, iters, n)
