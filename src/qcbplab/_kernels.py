@@ -3,18 +3,10 @@
 Two inner loops dominate runtime: the integer grid scan behind the brute-force
 l1 minimizer and the primal-dual iteration of the generic solver.  The grid
 scan is one numpy algorithm run on one of two dtypes: int64, or Python ints in
-object arrays.  The primal-dual iteration makes three BLAS calls per step (two
-matrix-vector products and one dot product), reads their results with two
-``.tolist()`` and feeds them with three ``pack_into`` writes into float64
-buffers allocated once per call.  It runs its element-wise steps on Python
-floats, bit for bit what the all-numpy loop computes, in a loop generated once
-per problem shape as straight-line code with one local variable per
-coordinate; it stops at the first iteration that leaves its state unchanged.
-A one-row real instance runs a loop of its own whose step is one BLAS call,
-K xbar: there, u.u and each column of K^T z that the state reads have at most
-one term that is not an exact zero, so Python forms them with BLAS's bytes
-(the entry conditions and the argument are in the comment above
-``pd_iterate``).
+object arrays.  The primal-dual iteration keeps its reductions in BLAS and
+runs its other steps on Python floats, bit for bit what the all-numpy loop
+computes, in straight-line loops generated per problem shape (the design and
+its argument are in the comment above ``pd_iterate``).
 
 Exactness note: the scan is exact on int64 when rhs and W = sum_i M_i^2 are
 below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that in
@@ -76,7 +68,16 @@ def _row_sums_sq(r, c, t):
     return q
 
 
-def _scan(coeffs, shift, rhs, k):
+def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fallback: bool):
+    """Run the grid scan on int64, or on Python ints when ``exact_fallback`` is set.
+
+    Returns ``(best_objective, best_point)`` with objective -1 when no grid
+    point is feasible.  The objective is in grid units (sum of |p_j|).
+    """
+    dtype = object if exact_fallback else np.int64
+    coeffs = np.ascontiguousarray(coeffs, dtype=dtype)
+    shift = np.ascontiguousarray(shift, dtype=dtype)
+    rhs, k = int(rhs), int(k)
     n = coeffs.shape[1]
     size = 2 * k + 1
     c = coeffs[:, n - 1]
@@ -127,18 +128,6 @@ def _scan(coeffs, shift, rhs, k):
             best_obj = int(obj[i])
             best_p = np.append(prefix[:, i], t[i])
     return best_obj, best_p
-
-
-def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fallback: bool):
-    """Run the grid scan on int64, or on Python ints when ``exact_fallback`` is set.
-
-    Returns ``(best_objective, best_point)`` with objective -1 when no grid
-    point is feasible.  The objective is in grid units (sum of |p_j|).
-    """
-    dtype = object if exact_fallback else np.int64
-    coeffs = np.ascontiguousarray(coeffs, dtype=dtype)
-    shift = np.ascontiguousarray(shift, dtype=dtype)
-    return _scan(coeffs, shift, int(rhs), int(k))
 
 
 # --- primal-dual iteration ----------------------------------------------------
@@ -210,6 +199,13 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # times a nonzero z0 rounds to zero, since an FMA inside BLAS gives that zero
 # the sign of the exact product.  Like the ddot it stands for, u0 * u0
 # overflows to inf once |u0| passes about 2**511 (ROADMAP item 13).
+#
+# Both loops emit each float step they share with one function, so the two
+# cannot disagree on it: ``_scaled`` the dual scaling, ``_shrunk`` the shrink
+# of one pair, ``_step_end`` xbar, its ``pack_into``, the fixed-point exit and
+# the state update, ``_loop`` the ``def`` and its ``for``, and ``_compiled``
+# the compile step.  Each loop keeps its own step head: its BLAS calls and,
+# in the one-row loop, the hand-off test and the ``a_j * v0 + 0.0`` columns.
 
 def _bits(v):
     """The float64 bytes of a list of floats."""
@@ -228,6 +224,50 @@ def _listed(names):
     return "[" + ", ".join(names) + "]"
 
 
+def _scaled(u, v):
+    """The dual scaling v = u * factor, nrm = ||u|| given."""
+    return [
+        "factor = 1.0 - se / nrm if nrm > 0 else 0.0",
+        "factor = factor if factor > 0.0 else 0.0",
+        *(f"{a} = {b} * factor" for a, b in zip(v, u)),
+    ]
+
+
+def _shrunk(w, p):
+    """The shrink of one pair into p, given its one or two w names."""
+    return [
+        f"mag = sqrt({' + '.join(f'{a} * {a}' for a in w)})",
+        "f = 1.0 - tau / mag if mag > 0 else 0.0",
+        "f = f if f > 0.0 else 0.0",
+        *(f"{a} = {b} * f" for a, b in zip(p, w)),
+    ]
+
+
+def _step_end(pack, z, v, x, b, p, c):
+    """xbar = 2p - x written by ``pack``, the fixed-point exit and the state update."""
+    new, old = v + p + c, z + x + b
+    same = " and ".join(f"{a} == {o}" for a, o in zip(new, old))
+    return [
+        *(f"{ci} = 2.0 * {pi} - {xi}" for ci, pi, xi in zip(c, p, x)),
+        f"{pack}(xb, 0, {_unpack(c)})",
+        f"if {same} and _bits({_listed(new)}) == _bits({_listed(old)}):",
+        "    break  # a fixed point: x already holds the new x's bytes",
+        *(f"{o} = {a}" for a, o in zip(new, old)),
+    ]
+
+
+def _loop(name, head, i, body, returned):
+    """The source of ``def name``: head, then ``iters`` runs of body."""
+    lines = [
+        f"def {name}(K, y, eps, tau, sigma, x, z, xbar, iters):",
+        *("    " + line for line in head),
+        f"    for {i} in range(iters):",
+        *("        " + line for line in body),
+        f"    return {returned}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _pd_source(rows, cols):
     """The source of ``pd_loop`` for a rows x cols operator.
 
@@ -239,51 +279,26 @@ def _pd_source(rows, cols):
     """
     x, b, g, w, p, c = (_names(s, cols) for s in "xbgwpc")
     z, sy, k, u, v = (_names(s, rows) for s in ("z", "sy", "k", "u", "v"))
-    new, old = v + p + c, z + x + b
-    same = " and ".join(f"{a} == {o}" for a, o in zip(new, old))
+    n = cols // 2
     body = [f"{_unpack(k)} = K.dot(xb).tolist()"]
     body += [f"{u[i]} = ({z[i]} + sigma * {k[i]}) - {sy[i]}" for i in range(rows)]
-    body += [
-        f"pack_rows(ua, 0, {_unpack(u)})",
-        "nrm = sqrt(ua.dot(ua))",
-        "factor = 1.0 - se / nrm if nrm > 0 else 0.0",
-        "factor = factor if factor > 0.0 else 0.0",
-    ]
-    body += [f"{v[i]} = {u[i]} * factor" for i in range(rows)]
+    body += [f"pack_rows(ua, 0, {_unpack(u)})", "nrm = sqrt(ua.dot(ua))", *_scaled(u, v)]
     body += [f"pack_rows(zb, 0, {_unpack(v)})", f"{_unpack(g)} = Kt.dot(zb).tolist()"]
     body += [f"{w[i]} = {x[i]} - tau * {g[i]}" for i in range(cols)]
-    n = cols // 2
-    for re, im in zip(range(n), range(n, cols)):
-        body += [
-            f"mag = sqrt({w[re]} * {w[re]} + {w[im]} * {w[im]})",
-            "f = 1.0 - tau / mag if mag > 0 else 0.0",
-            "f = f if f > 0.0 else 0.0",
-            f"{p[re]} = {w[re]} * f",
-            f"{p[im]} = {w[im]} * f",
-        ]
-    body += [f"{c[i]} = 2.0 * {p[i]} - {x[i]}" for i in range(cols)]
-    body += [
-        f"pack_cols(xb, 0, {_unpack(c)})",
-        f"if {same} and _bits({_listed(new)}) == _bits({_listed(old)}):",
-        "    break  # a fixed point: x already holds the new x's bytes",
+    body += [line for j in range(n) for line in _shrunk(w[j::n], p[j::n])]
+    body += _step_end("pack_cols", z, v, x, b, p, c)
+    head = [
+        "Kt = K.T",
+        f"{_unpack(sy)} = (sigma * y).tolist()",
+        "se = sigma * eps",
+        f"ua, zb, xb = empty({rows}), empty({rows}), empty({cols})",
+        f"{_unpack(x)} = x.tolist()",
+        f"{_unpack(z)} = z.tolist()",
+        f"{_unpack(b)} = xbar.tolist()",
+        f"pack_rows(zb, 0, {_unpack(z)})",
+        f"pack_cols(xb, 0, {_unpack(b)})",
     ]
-    body += [f"{o} = {a}" for a, o in zip(new, old)]
-    lines = [
-        "def pd_loop(K, y, eps, tau, sigma, x, z, xbar, iters):",
-        "    Kt = K.T",
-        f"    {_unpack(sy)} = (sigma * y).tolist()",
-        "    se = sigma * eps",
-        f"    ua, zb, xb = empty({rows}), empty({rows}), empty({cols})",
-        f"    {_unpack(x)} = x.tolist()",
-        f"    {_unpack(z)} = z.tolist()",
-        f"    {_unpack(b)} = xbar.tolist()",
-        f"    pack_rows(zb, 0, {_unpack(z)})",
-        f"    pack_cols(xb, 0, {_unpack(b)})",
-        "    for _ in range(iters):",
-        *("        " + line for line in body),
-        f"    return array({_listed(x)}), zb, xb",
-    ]
-    return "\n".join(lines) + "\n"
+    return _loop("pd_loop", head, "_", body, f"array({_listed(x)}), zb, xb")
 
 
 def _pd_row_source(cols):
@@ -298,80 +313,50 @@ def _pd_row_source(cols):
     """
     n = cols // 2
     a, x, b, w, p, c = (_names(s, n) for s in "axbwpc")
-    new, old = ["v0"] + p + c, ["z0"] + x + b
-    same = " and ".join(f"{v} == {o}" for v, o in zip(new, old))
     state = f"array({_listed(x + ['0.0'] * n)}), array([z0, 0.0]), xb"
     body = [
         "k0, _ = K.dot(xb).tolist()",
         "u0 = (z0 + sigma * k0) - sy0",
         "nrm = sqrt(u0 * u0)",
-        "factor = 1.0 - se / nrm if nrm > 0 else 0.0",
-        "factor = factor if factor > 0.0 else 0.0",
-        "v0 = u0 * factor",
+        *_scaled(["u0"], ["v0"]),
         "if not -inf < v0 < inf or (v0 != 0.0 and amin * v0 == 0.0):",
         f"    return {state}, iters - i",
     ]
     body += [f"{w[j]} = {x[j]} - tau * ({a[j]} * v0 + 0.0)" for j in range(n)]
-    for j in range(n):
-        body += [
-            f"mag = sqrt({w[j]} * {w[j]})",
-            "f = 1.0 - tau / mag if mag > 0 else 0.0",
-            "f = f if f > 0.0 else 0.0",
-            f"{p[j]} = {w[j]} * f",
-        ]
-    body += [f"{c[j]} = 2.0 * {p[j]} - {x[j]}" for j in range(n)]
-    body += [
-        f"pack_re(xb, 0, {_unpack(c)})",
-        f"if {same} and _bits({_listed(new)}) == _bits({_listed(old)}):",
-        "    break  # a fixed point: x already holds the new x's bytes",
+    body += [line for j in range(n) for line in _shrunk([w[j]], [p[j]])]
+    body += _step_end("pack_re", ["z0"], ["v0"], x, b, p, c)
+    head = [
+        f"{_unpack(a)} = K[0, :{n}].tolist()",
+        f"amin = min([abs(v) for v in {_listed(a)} if v], default=inf)",
+        "sy0 = sigma * y[0].item()",
+        "se = sigma * eps",
+        f"{_unpack(x)} = x[:{n}].tolist()",
+        "z0 = z[0].item()",
+        f"{_unpack(b)} = xbar[:{n}].tolist()",
+        f"xb = zeros({cols})",
+        f"pack_re(xb, 0, {_unpack(b)})",
     ]
-    body += [f"{o} = {v}" for v, o in zip(new, old)]
-    lines = [
-        "def pd_row_loop(K, y, eps, tau, sigma, x, z, xbar, iters):",
-        f"    {_unpack(a)} = K[0, :{n}].tolist()",
-        f"    amin = min([abs(v) for v in {_listed(a)} if v], default=inf)",
-        "    sy0 = sigma * y[0].item()",
-        "    se = sigma * eps",
-        f"    {_unpack(x)} = x[:{n}].tolist()",
-        "    z0 = z[0].item()",
-        f"    {_unpack(b)} = xbar[:{n}].tolist()",
-        f"    xb = zeros({cols})",
-        f"    pack_re(xb, 0, {_unpack(b)})",
-        "    for i in range(iters):",
-        *("        " + line for line in body),
-        f"    return {state}, 0",
-    ]
-    return "\n".join(lines) + "\n"
+    return _loop("pd_row_loop", head, "i", body, f"{state}, 0")
+
+
+def _compiled(source, name, label, **packers):
+    """The function ``name`` that ``source`` defines; each packer writes its count of doubles."""
+    namespace = dict(array=np.array, empty=np.empty, zeros=np.zeros, sqrt=math.sqrt, inf=math.inf, _bits=_bits)
+    namespace.update((packer, Struct(f"{count}d").pack_into) for packer, count in packers.items())
+    exec(compile(source, f"<{name} {label}>", "exec"), namespace)
+    return namespace[name]
 
 
 @functools.cache
 def _pd_loop(rows, cols):
     """``pd_iterate`` for one shape of K: compiled once and kept."""
-    namespace = {
-        "array": np.array,
-        "empty": np.empty,
-        "sqrt": math.sqrt,
-        "_bits": _bits,
-        "pack_rows": Struct(f"{rows}d").pack_into,
-        "pack_cols": Struct(f"{cols}d").pack_into,
-    }
-    exec(compile(_pd_source(rows, cols), f"<pd_loop {rows}x{cols}>", "exec"), namespace)
-    return namespace["pd_loop"]
+    return _compiled(_pd_source(rows, cols), "pd_loop", f"{rows}x{cols}", pack_rows=rows, pack_cols=cols)
 
 
 @functools.cache
 def _pd_row_loop(cols):
     """``pd_row_loop`` for one width of a one-row real K: compiled once and kept."""
-    namespace = {
-        "array": np.array,
-        "zeros": np.zeros,
-        "sqrt": math.sqrt,
-        "inf": math.inf,
-        "_bits": _bits,
-        "pack_re": Struct(f"{cols // 2}d").pack_into,
-    }
-    exec(compile(_pd_row_source(cols), f"<pd_row_loop 2x{cols}>", "exec"), namespace)
-    return namespace["pd_row_loop"]
+    return _compiled(_pd_row_source(cols), "pd_row_loop", f"2x{cols}", pack_re=cols // 2)
 
 
 def _one_row_real(K, y, tau, x, z, xbar):

@@ -86,9 +86,14 @@ def _meta(args: argparse.Namespace, source: str | None) -> dict:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qcbplab-")
+        # mkstemp makes the file 0600 and os.replace keeps it; give it the
+        # mode open(path, "w") gives a new file
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
         os.replace(tmp, path)

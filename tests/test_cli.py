@@ -586,6 +586,20 @@ def test_missing_directory_names_the_output_path(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_output_files_get_the_mode_open_gives(umask, tmp_path, capsys):
+    """--out and --checkpoint files get 0o666 & ~umask, as a plain open(path, "w") would."""
+    out, ckpt = tmp_path / "o.json", tmp_path / "net.json"
+    old = os.umask(umask)
+    try:
+        assert run(["oracle", "--A", "2,1", "--out", str(out)], capsys)[0] == 0
+        argv = ["nn", "--seed", "1", "--steps", "2", "--n-max", "2", "--widths", "4", "--checkpoint", str(ckpt)]
+        assert run(argv, capsys)[0] == 0
+    finally:
+        os.umask(old)
+    assert [p.stat().st_mode & 0o777 for p in (out, ckpt)] == [0o666 & ~umask] * 2
+
+
 def test_checkpoint_written_atomically(tmp_path, monkeypatch, capsys):
     """A checkpoint whose final rename fails leaves the old file and no temporary file."""
     ckpt = tmp_path / "net.json"

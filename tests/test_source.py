@@ -119,3 +119,27 @@ def test_no_root_is_a_half_power():
     for path in SOURCES:
         found |= _half_powers(path)
     assert found == set()
+
+
+def _calls(path: Path, names: set[str]) -> list[str]:
+    """``module.def:name`` for each call of a bare name in ``names``, by its enclosing def."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{path.stem}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) in names:
+                found.append(f"{owner}:{child.func.id}")
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_generated_source_is_compiled_in_one_place():
+    """Both generated primal-dual loops go through ``_kernels._compiled``: one
+    ``compile`` and one ``exec`` in the package."""
+    found = sorted(call for path in SOURCES for call in _calls(path, {"exec", "compile"}))
+    assert found == ["_kernels._compiled:compile", "_kernels._compiled:exec"]
