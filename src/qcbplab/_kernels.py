@@ -5,8 +5,10 @@ l1 minimizer and the primal-dual iteration of the generic solver.  The grid
 scan is one numpy algorithm run on one of two dtypes: int64, or Python ints in
 object arrays.  The primal-dual iteration keeps its reductions in BLAS and
 runs its other steps on Python floats, bit for bit what the all-numpy loop
-computes, in straight-line loops generated per problem shape (the design and
-its argument are in the comment above ``pd_iterate``).
+computes, in straight-line loops generated per problem shape: a general loop,
+and for real instances a loop over the real halves of the state alone, with
+one BLAS call a step for one row and the general loop's three for more (the
+design and its argument are in the comment above ``pd_iterate``).
 
 Exactness note: the scan is exact on int64 when rhs and W = sum_i M_i^2 are
 below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that in
@@ -200,12 +202,43 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # the sign of the exact product.  Like the ddot it stands for, u0 * u0
 # overflows to inf once |u0| passes about 2**511 (ROADMAP item 13).
 #
-# Both loops emit each float step they share with one function, so the two
+# Real instances of two or more rows (m >= 2, A and y real) run a third loop,
+# generated per shape (``_pd_real_loop``), with the same bytes.  One entry
+# test, ``_real``, admits a batch to either real loop: K is finite; its
+# off-diagonal blocks K[:m, n:] and K[m:, :n], y[m:], x[n:], z[m:] and
+# xbar[n:] are +0.0, sign bit included; and 0 <= tau < inf.  ``pd_iterate``
+# keeps two-row operators on the one-row loop.  The real loop makes the
+# general loop's three BLAS calls on the same full K and full-length buffers,
+# so every real entry it reads has BLAS's bytes, but packs, unpacks and steps
+# only the real halves of u, z, w, x and xbar; the imaginary halves of its
+# buffers stay +0.0.  That is what the general loop computes, because while K
+# and the real state it multiplies are finite, every imaginary output is a
+# sum of zero products, a zero of some sign, and:
+# - u_im = (+0.0 + sigma * (+-0.0)) - sigma * (+0.0) is +0.0 for any finite
+#   sigma (rounding to nearest, +0.0 + -0.0, +0.0 - +0.0 and +0.0 - -0.0
+#   are +0.0), so the ddot u.u reads the bytes it reads in the general loop,
+#   and the new z_im = +0.0 * factor is +0.0 while factor is finite;
+# - w_im = +0.0 - tau * (+-0.0) is +0.0 for a finite tau, so a pair norm is
+#   sqrt(w_j w_j), and with tau >= 0 the shrink factor lies in [0, 1], so the
+#   new x and xbar keep +0.0 in their imaginary halves.
+# A step hands the rest of its batch, from the state it started with, to the
+# general loop when an entry of the new z is not finite.  That covers each
+# way an imaginary entry can leave +0.0.  A non-finite real entry of xbar, or
+# sigma = +-inf or NaN, makes every u_re non-finite (a sum with a non-finite
+# term is not finite, and sigma * 0.0 is NaN), and then some new z entry is
+# not finite.  factor is infinite only when sigma * eps / nrm is -inf with nrm
+# finite, say sigma < 0 and eps = inf; then some u_re is nonzero (nrm > 0), and
+# its new z entry is +-inf.  So the test must not look at nrm alone: there
+# nrm is finite and the new z_im = +0.0 * inf is NaN.  K^T z stays a BLAS
+# call, so the one-row loop's test for an underflowing product is not needed.
+#
+# The loops emit each float step they share with one function, so they
 # cannot disagree on it: ``_scaled`` the dual scaling, ``_shrunk`` the shrink
 # of one pair, ``_step_end`` xbar, its ``pack_into``, the fixed-point exit and
 # the state update, ``_loop`` the ``def`` and its ``for``, and ``_compiled``
 # the compile step.  Each loop keeps its own step head: its BLAS calls and,
-# in the one-row loop, the hand-off test and the ``a_j * v0 + 0.0`` columns.
+# in the real loops, the hand-off test and, for one row, the
+# ``a_j * v0 + 0.0`` columns.
 
 def _bits(v):
     """The float64 bytes of a list of floats."""
@@ -339,6 +372,43 @@ def _pd_row_source(cols):
     return _loop("pd_row_loop", head, "i", body, f"{state}, 0")
 
 
+def _pd_real_source(rows, cols):
+    """The source of ``pd_real_loop`` for a real rows x cols operator, rows >= 4.
+
+    ``_pd_source``'s names, over the real halves alone: m = rows // 2 duals
+    and n = cols // 2 pairs.  The three BLAS calls read the full buffers
+    ``ua``, ``zb`` and ``xb``, whose imaginary halves stay +0.0;
+    ``pack_re_rows`` writes the real half of u or z and ``pack_re`` that of
+    xbar.  Like ``pd_row_loop``, the loop returns the state and the count of
+    iterations it leaves to the general loop.
+    """
+    m, n = rows // 2, cols // 2
+    x, b, g, w, p, c = (_names(s, n) for s in "xbgwpc")
+    z, sy, k, u, v = (_names(s, m) for s in ("z", "sy", "k", "u", "v"))
+    finite = " and ".join(f"-inf < {a} < inf" for a in v)
+    state = f"array({_listed(x + ['0.0'] * n)}), zb, xb"
+    body = [f"{_unpack(k + ['_'] * m)} = K.dot(xb).tolist()"]
+    body += [f"{u[i]} = ({z[i]} + sigma * {k[i]}) - {sy[i]}" for i in range(m)]
+    body += [f"pack_re_rows(ua, 0, {_unpack(u)})", "nrm = sqrt(ua.dot(ua))", *_scaled(u, v)]
+    body += [f"if not ({finite}):", f"    return {state}, iters - i"]
+    body += [f"pack_re_rows(zb, 0, {_unpack(v)})", f"{_unpack(g + ['_'] * n)} = Kt.dot(zb).tolist()"]
+    body += [f"{w[j]} = {x[j]} - tau * {g[j]}" for j in range(n)]
+    body += [line for j in range(n) for line in _shrunk([w[j]], [p[j]])]
+    body += _step_end("pack_re", z, v, x, b, p, c)
+    head = [
+        "Kt = K.T",
+        f"{_unpack(sy + ['_'] * m)} = (sigma * y).tolist()",
+        "se = sigma * eps",
+        f"ua, zb, xb = zeros({rows}), zeros({rows}), zeros({cols})",
+        f"{_unpack(x)} = x[:{n}].tolist()",
+        f"{_unpack(z)} = z[:{m}].tolist()",
+        f"{_unpack(b)} = xbar[:{n}].tolist()",
+        f"pack_re_rows(zb, 0, {_unpack(z)})",
+        f"pack_re(xb, 0, {_unpack(b)})",
+    ]
+    return _loop("pd_real_loop", head, "i", body, f"{state}, 0")
+
+
 def _compiled(source, name, label, **packers):
     """The function ``name`` that ``source`` defines; each packer writes its count of doubles."""
     namespace = dict(array=np.array, empty=np.empty, zeros=np.zeros, sqrt=math.sqrt, inf=math.inf, _bits=_bits)
@@ -359,20 +429,29 @@ def _pd_row_loop(cols):
     return _compiled(_pd_row_source(cols), "pd_row_loop", f"2x{cols}", pack_re=cols // 2)
 
 
-def _one_row_real(K, y, tau, x, z, xbar):
-    """Whether ``pd_row_loop`` may run: K is finite and one real row, the
-    imaginary state is +0.0 (all eight bytes zero) and 0 <= tau < inf."""
-    rows, cols = K.shape
-    if rows != 2 or not 0.0 <= tau < math.inf:
+@functools.cache
+def _pd_real_loop(rows, cols):
+    """``pd_real_loop`` for one shape of a real K of two or more rows: compiled once and kept."""
+    return _compiled(
+        _pd_real_source(rows, cols), "pd_real_loop", f"{rows}x{cols}", pack_re_rows=rows // 2, pack_re=cols // 2
+    )
+
+
+def _real(K, y, tau, x, z, xbar):
+    """Whether a real loop may run: K is finite, its off-diagonal blocks and the
+    imaginary state are +0.0 (all eight bytes zero) and 0 <= tau < inf."""
+    if not 0.0 <= tau < math.inf:
         return False
-    n = cols // 2
-    zero = (K[0, n:], K[1, :n], y[1:], x[n:], z[1:], xbar[n:])
+    m, n = K.shape[0] // 2, K.shape[1] // 2
+    zero = (K[:m, n:], K[m:, :n], y[m:], x[n:], z[m:], xbar[n:])
     return not any(b"".join(v.tobytes() for v in zero)) and np.isfinite(K).all()
 
 
 def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters):
-    if _one_row_real(K, y, tau, x, z, xbar):
-        x, z, xbar, iters = _pd_row_loop(K.shape[1])(K, y, eps, tau, sigma, x, z, xbar, iters)
+    rows, cols = K.shape
+    if _real(K, y, tau, x, z, xbar):
+        loop = _pd_row_loop(cols) if rows == 2 else _pd_real_loop(rows, cols)
+        x, z, xbar, iters = loop(K, y, eps, tau, sigma, x, z, xbar, iters)
         if not iters:
             return x, z, xbar
-    return _pd_loop(*K.shape)(K, y, eps, tau, sigma, x, z, xbar, iters)
+    return _pd_loop(rows, cols)(K, y, eps, tau, sigma, x, z, xbar, iters)

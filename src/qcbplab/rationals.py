@@ -210,21 +210,6 @@ def l2_norm_sq(v: RationalVector) -> Q:
     return total
 
 
-def l1_norm_real(v: RationalVector) -> Q:
-    """Exact l1 norm for vectors with purely real entries.
-
-    Complex magnitudes are irrational in general; callers with genuinely
-    complex vectors must go through dyadic enclosures instead, so nonzero
-    imaginary parts are rejected here.
-    """
-    total = Q(0)
-    for i, e in enumerate(v.entries):
-        if e.im != 0:
-            raise ValueError(f"entry {i} has nonzero imaginary part {e.im}")
-        total += abs(e.re)
-    return total
-
-
 @dataclass(frozen=True)
 class RationalMatrix:
     """Dense m-by-n matrix of exact complex rationals, stored row-major."""

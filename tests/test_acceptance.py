@@ -15,9 +15,10 @@ from qcbplab import creal as cr
 from qcbplab import families as fam
 from qcbplab import halting as ht
 from qcbplab import mlp, qcbp
-from qcbplab.rationals import l1_norm_real, l2_norm_sq
+from qcbplab.rationals import l2_norm_sq
 from embedding_reference import select_embedded
 from gradient_oracle import numerical_gradients
+from l1_reference import l1_norm_real
 
 P = fam.FamilyParams()  # a=1, eps=1/2, N=2, m=1
 

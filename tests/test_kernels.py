@@ -2,8 +2,9 @@
 
 The grid scan, on int64 and on Python ints, must match the sweep of every box
 point in tests/grid_reference.py, and the primal-dual kernel, in its general
-loop and in its one-row real loop, must return the bytes of the all-numpy loop
-it replaced, also where it stops at a fixed point or hands a batch over.
+loop, its one-row real loop and its real loop of two or more rows, must return
+the bytes of the all-numpy loop it replaced, also where it stops at a fixed
+point or hands a batch over.
 """
 
 import functools
@@ -206,22 +207,27 @@ def test_kernel_signatures_keep_the_positions_the_benchmark_reads():
 
 def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
     """Calls on one shape, whatever their values, run the loop generated for the first;
-    one-row real batches from zero build the one-row loop of their width and no general loop."""
-    built, rows_built = [], []
-    source, row_source = kern._pd_source, kern._pd_row_source
+    real batches from zero build the real loop of their shape and no general loop."""
+    built, rows_built, real_built = [], [], []
+    source, row_source, real_source = kern._pd_source, kern._pd_row_source, kern._pd_real_source
     monkeypatch.setattr(kern, "_pd_source", lambda *shape: built.append(shape) or source(*shape))
     monkeypatch.setattr(kern, "_pd_row_source", lambda cols: rows_built.append(cols) or row_source(cols))
+    monkeypatch.setattr(kern, "_pd_real_source", lambda *shape: real_built.append(shape) or real_source(*shape))
     kern._pd_loop.cache_clear()
     kern._pd_row_loop.cache_clear()
+    kern._pd_real_loop.cache_clear()
     rng = np.random.default_rng(7)
     for m, n in ((2, 5), (2, 5), (1, 5)):
         K = _realified(rng.uniform(-3, 3, (m, n)))
         state = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
         kern.pd_iterate(K, rng.normal(size=2 * m), 0.25, 0.1, 0.1, *state, 3)
-    state = (np.zeros(8), np.zeros(2), np.zeros(8))
-    for _ in range(2):
-        state = kern.pd_iterate(_one_row([1.5, -2.0, 0.5, 3.0]), np.array([1.0, 0.0]), 0.25, 0.1, 0.1, *state, 3)
-    assert built == [(4, 10), (2, 10)] and rows_built == [8]
+    for K in (_one_row([1.5, -2.0, 0.5, 3.0]), _real_op(rng.uniform(-3, 3, (2, 5)))):
+        state = (np.zeros(K.shape[1]), np.zeros(K.shape[0]), np.zeros(K.shape[1]))
+        y = np.zeros(K.shape[0])
+        y[0] = 1.0
+        for _ in range(2):
+            state = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, *state, 3)
+    assert built == [(4, 10), (2, 10)] and rows_built == [8] and real_built == [(4, 10)]
 
 
 def test_pd_iterate_returns_arrays_no_later_call_writes():
@@ -388,12 +394,18 @@ def test_pd_iterate_fixed_point_is_bit_exact(fixed_point, which, iters):
 # --- the one-row real loop --------------------------------------------------------
 
 
-def _one_row(row):
-    """The realified K of a real one-row A, as solve_numeric sets it up: its zero blocks hold +0.0."""
-    n = len(row)
-    K = np.zeros((2, 2 * n))
-    K[0, :n] = K[1, n:] = row
+def _real_op(a):
+    """The realified K of a real A, as solve_numeric sets it up: its zero blocks hold +0.0."""
+    a = np.asarray(a, dtype=np.float64)
+    m, n = a.shape
+    K = np.zeros((2 * m, 2 * n))
+    K[:m, :n] = K[m:, n:] = a
     return K
+
+
+def _one_row(row):
+    """The realified K of a real one-row A, as solve_numeric sets it up."""
+    return _real_op([row])
 
 
 def test_pd_iterate_matches_reference_on_one_row_real_edge_values(monkeypatch):
@@ -480,17 +492,6 @@ def test_pd_iterate_one_row_real_solve_makes_one_blas_call_per_step():
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
-def test_one_row_real_solves_never_run_the_general_loop(monkeypatch):
-    """solve_numeric sets every real one-row instance up for the one-row loop."""
-    monkeypatch.setattr(kern, "_pd_loop", lambda *shape: pytest.fail(f"general loop for {shape}"))
-    p = families.FamilyParams()
-    one_row = qcbp.Instance(
-        A=RationalMatrix.from_rows([[Q(7, 4), Q(-2, 3), Q(5, 9)]]), y=RationalVector.from_items([Q(-1, 2)]), eps=Q(1, 8)
-    )
-    for inst in (families.perturbed_instance(1, 3, p), families.perturbed_instance(2, 3, p), one_row):
-        assert qcbp.solve_numeric(inst).converged
-
-
 @pytest.mark.parametrize(
     "row, y0, tau, z0, step, iters",
     [
@@ -512,3 +513,149 @@ def test_pd_iterate_one_row_hands_off_mid_batch(row, y0, tau, z0, step, iters):
     # one gemv for each step before ``step`` and for the one it abandons, two for each after
     assert _CountingK.dots == step + 1 + 2 * (iters - step)
     _pd_same_bytes(K, y, 0.0, tau, 1.0, x, z, x, iters, n)
+
+
+# --- the real loop of two or more rows ------------------------------------------
+
+
+def _spy(monkeypatch, name):
+    """Replace the loop builder ``kern.<name>`` by one whose loops log each run:
+    the shape, the iterations given and the last item returned (for a real
+    loop, the iterations it hands on)."""
+    runs, build = [], getattr(kern, name)
+
+    def spied(*shape):
+        loop = build(*shape)
+
+        def run(*args):
+            out = loop(*args)
+            runs.append((shape, args[-1], out[-1]))
+            return out
+
+        return run
+
+    monkeypatch.setattr(kern, name, spied)
+    return runs
+
+
+def test_pd_iterate_matches_reference_on_real_edge_values(monkeypatch):
+    """200 real batches of 2-4 rows whose K, state and scalars mix normal and edge values.
+
+    Every batch enters the real loop; some hand the rest of their batch to the
+    general loop (a NaN or an inf on the way) and some run to their end.  The
+    NaN put in is the one an invalid operation such as inf * 0 makes, so every
+    NaN of a batch has the same bytes: where NaNs of both signs meet in a BLAS
+    sum, the sign of the result depends on BLAS's order of operations, which
+    varies between calls, and no loop, the reference included, fixes it.
+    """
+    real, general = _spy(monkeypatch, "_pd_real_loop"), _spy(monkeypatch, "_pd_loop")
+    rng = random.Random(4343)
+    nan = np.inf * 0.0
+    edges = (0.0, -0.0, 5e-324, np.inf, -np.inf, nan, 2.0**600, -(2.0**-600))
+
+    def entry(edge):
+        return rng.choice(edge) if rng.random() < 0.2 else rng.uniform(-3, 3)
+
+    for _ in range(200):
+        m, n = rng.randint(2, 4), rng.randint(2, 5)
+        K = _real_op([[entry(edges[:3] + edges[6:]) for _ in range(n)] for _ in range(m)])  # finite
+        y, x, z, xbar = np.zeros(2 * m), np.zeros(2 * n), np.zeros(2 * m), np.zeros(2 * n)  # imaginary halves +0.0
+        y[:m], z[:m] = [entry(edges) for _ in range(m)], [entry(edges) for _ in range(m)]
+        x[:n], xbar[:n] = [entry(edges) for _ in range(n)], [entry(edges) for _ in range(n)]
+        tau = rng.choice((0.0, 1e-300, rng.uniform(0.05, 1), 1e300))
+        sigma = rng.choice((-rng.uniform(0.05, 1), 0.0, np.inf, rng.uniform(0.05, 1)))
+        eps = rng.choice((0.0, np.inf, nan, rng.uniform(0, 1)))
+        iters = rng.choice((1, 2, 40))
+        _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, iters, n)
+    handed = [run for run in real if run[2]]
+    assert len(real) == 200 and 20 < len(handed) < 180
+    assert [(run[0], run[2]) for run in handed] == [(run[0], run[1]) for run in general]
+
+
+_REAL_BASE = dict(
+    K=_real_op([[1.0, -2.0, 0.5], [0.25, 1.5, -1.0]]), y=np.array([1.0, -0.5, 0.0, 0.0]), tau=0.3,
+    x=np.array([0.3, -0.1, 0.2, 0.0, 0.0, 0.0]), z=np.array([0.1, 0.2, 0.0, 0.0]),
+    xbar=np.array([0.3, -0.1, 0.2, 0.0, 0.0, 0.0]),
+)
+
+
+def _real_broken(name, index, value):
+    """The base two-row real state with one entry of one part replaced."""
+    v = _REAL_BASE[name].copy()
+    v[index] = value
+    return {name: v}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({}, id="real"),
+        *(
+            pytest.param(_real_broken("K", (i, j), value), id=f"{label}-in-K{i}{j}")
+            for i, j in ((0, 3), (1, 5), (2, 0), (3, 2))  # both off-diagonal blocks
+            for label, value in (("minus-zero", -0.0), ("nonzero", 0.5))
+        ),
+        pytest.param(_real_broken("K", (0, 1), np.inf), id="K-infinite"),
+        pytest.param(_real_broken("K", (3, 4), np.nan), id="K-nan"),
+        *(
+            pytest.param(_real_broken(name, index, value), id=f"{label}-in-{name}{index}")
+            for name, index in (("y", 3), ("x", 4), ("z", 2), ("xbar", 5))  # imaginary halves
+            for label, value in (("minus-zero", -0.0), ("nonzero", 1e-300))
+        ),
+        pytest.param({"tau": -0.3}, id="negative-tau"),
+        pytest.param({"tau": np.inf}, id="infinite-tau"),
+        pytest.param({"tau": np.nan}, id="nan-tau"),
+    ],
+)
+def test_pd_iterate_real_entry_conditions(monkeypatch, change):
+    """Each entry condition broken on its own sends a two-row batch to the general loop;
+    with all of them held, the batch runs to its end in the real loop."""
+    real, general = _spy(monkeypatch, "_pd_real_loop"), _spy(monkeypatch, "_pd_loop")
+    case = {**_REAL_BASE, **change}
+    args = (case["K"], case["y"], 0.25, case["tau"], 0.4, case["x"], case["z"], case["xbar"], 3)
+    with np.errstate(all="ignore"):
+        kern.pd_iterate(*args)
+    if change:
+        assert real == [] and [run[:2] for run in general] == [((4, 6), 3)]
+    else:
+        assert real == [((4, 6), 3, 0)] and general == []
+    _pd_same_bytes(*args, 3)
+
+
+def test_real_solves_never_run_the_general_loop(monkeypatch):
+    """solve_numeric sets every real instance up for a real loop: one-row
+    instances run the one-row loop, those of two and three rows the real loop."""
+    monkeypatch.setattr(kern, "_pd_loop", lambda *shape: pytest.fail(f"general loop for {shape}"))
+    real = _spy(monkeypatch, "_pd_real_loop")
+
+    def inst(rows, y):
+        return qcbp.Instance(A=RationalMatrix.from_rows(rows), y=RationalVector.from_items(y), eps=Q(1, 8))
+
+    p = families.FamilyParams()
+    three_rows = [
+        [Q(3, 2), Q(-1, 3), Q(2, 7), Q(0), Q(5, 4)],
+        [Q(-2, 5), Q(7, 8), Q(1, 9), Q(-3, 2), Q(1, 6)],
+        [Q(1, 4), Q(2, 3), Q(-5, 6), Q(3, 7), Q(-1, 2)],
+    ]
+    for case in (
+        families.perturbed_instance(1, 3, p),
+        families.perturbed_instance(2, 3, p),
+        inst([[Q(7, 4), Q(-2, 3), Q(5, 9)]], [Q(-1, 2)]),
+        inst(FIXED_A, FIXED_Y),
+        inst(three_rows, [Q(1, 3), Q(-1, 4), Q(2, 5)]),
+    ):
+        assert qcbp.solve_numeric(case).converged
+    assert {run[0] for run in real} == {(4, 8), (6, 10)}
+
+
+def test_pd_iterate_real_hands_off_mid_batch(monkeypatch):
+    """A step whose new z is not finite hands the rest of the batch, from the
+    state it started with, to the general loop.  Here z0 grows by 1e306 a
+    step (eps = 0 keeps the factor at 1) and overflows at step 179."""
+    real, general = _spy(monkeypatch, "_pd_real_loop"), _spy(monkeypatch, "_pd_loop")
+    K, y = _real_op([[1.0, 0.5], [0.5, 1.0]]), np.array([-1e306, 0.0, 0.0, 0.0])
+    state = (np.zeros(4), np.zeros(4), np.zeros(4))
+    with np.errstate(all="ignore"):
+        kern.pd_iterate(K, y, 0.0, 1e-300, 1.0, *state, 181)
+    assert real == [((4, 4), 181, 181 - 179)] and [run[:2] for run in general] == [((4, 4), 2)]
+    _pd_same_bytes(K, y, 0.0, 1e-300, 1.0, *state, 181, 2)

@@ -19,10 +19,10 @@ from qcbplab.rationals import (
     ComplexQ,
     RationalMatrix,
     RationalVector,
-    l1_norm_real,
     l2_norm_sq,
 )
 from embedding_reference import select_embedded
+from l1_reference import l1_norm_real
 
 
 def single(row, eps=Q(0), y=1):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import certify_reference as ref
+from l1_reference import l1_norm_real
 from qcbplab.rationals import (
     ComplexQ,
     RationalMatrix,
@@ -23,7 +24,6 @@ from qcbplab.rationals import (
     dyadic_sqrt_upper,
     float_sqrt_ints,
     fmt_rational,
-    l1_norm_real,
     l2_norm_sq,
     matrix_from_json,
     matrix_to_json,
