@@ -7,8 +7,11 @@ object arrays.  The primal-dual iteration keeps its reductions in BLAS and
 runs its other steps on Python floats, bit for bit what the all-numpy loop
 computes, in straight-line loops generated per problem shape: a general loop,
 and for real instances a loop over the real halves of the state alone, with
-one BLAS call a step for one row and the general loop's three for more (the
-design and its argument are in the comment above ``pd_iterate``).
+one BLAS call a step for one row and the general loop's three for more.  Each
+loop has a shift variant for batches with sigma * eps = +-0.0 (eps = 0, basis
+pursuit), whose dual step is v = u: no norm of u, and one BLAS call fewer a
+step for two rows or more (the design and its argument are in the comment
+above ``pd_iterate``).
 
 Exactness note: the scan is exact on int64 when rhs and W = sum_i M_i^2 are
 below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that in
@@ -155,7 +158,8 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # or BLAS: a loop over lists spends it on comprehensions, each with its own
 # frame, on zips and on appends.  So the loop is generated once per shape of
 # K as straight-line source with one local variable per coordinate, compiled
-# and kept (``_pd_loop``); the source is built from the two integers alone.
+# and kept (``_pd_loop``); the source is built from the two integers and
+# the variant (see shift variants below) alone.
 # A step is its three BLAS calls, the two ``.tolist()`` that read the gemv
 # results and three ``Struct.pack_into`` writes of u, the new z and the new
 # xbar into float64 buffers, which store the doubles ``np.array`` would
@@ -232,10 +236,36 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # nrm is finite and the new z_im = +0.0 * inf is NaN.  K^T z stays a BLAS
 # call, so the one-row loop's test for an underflowing product is not needed.
 #
+# Shift variants.  When sigma * eps is +-0.0 (eps = 0, or sigma = 0 with eps
+# finite), the dual step factor = 1.0 - se / nrm is 1.0 for every nrm > 0,
+# inf included: se / nrm is a zero, and 1.0 minus a zero is 1.0.  Then
+# u * factor = u * 1.0 = u bit for bit, signed zeros included, so each loop
+# has a variant, generated the same way, that takes the dual step as v = u
+# and forms neither u.u nor its root: no ``ua`` pack and, for two rows or
+# more, no ddot.  Its step hands the rest of its batch, from the state it
+# started with, to the full variant of the same loop when nrm might not be
+# > 0, which is when
+# - no |u_i| reaches 2**-511 (``_SHIFT_MIN``): with one that does, u.u is at
+#   least that entry's square, a normal number, whatever BLAS's summation
+#   order or use of FMA, since every other term is >= 0; without one, u.u
+#   can round to 0 and the factor is then 0;
+# - or some u_i is NaN: nrm is then NaN and the factor 0.
+# Overflow needs no test: an infinite u_i makes u.u and nrm inf, and the
+# factor is still 1.0.  A shift step keeps its loop's own hand-off test.
+# ``pd_iterate`` picks the shift variants when ``sigma * eps == 0.0`` at entry
+# (NaN is not) and runs its loops as one chain, each from the state and with
+# the iterations the one before handed on: a real loop's shift variant, its
+# full variant, then the general loop's shift and full variants, skipping
+# those that do not apply.  The full general loop never hands on, so every
+# batch ends there or before, and a loop is generated only when a batch
+# reaches it.  A full real loop given a batch by its shift variant skips the
+# entry test: the state it starts from keeps its imaginary halves at +0.0.
+#
 # The loops emit each float step they share with one function, so they
-# cannot disagree on it: ``_scaled`` the dual scaling, ``_shrunk`` the shrink
-# of one pair, ``_step_end`` xbar, its ``pack_into``, the fixed-point exit and
-# the state update, ``_loop`` the ``def`` and its ``for``, and ``_compiled``
+# cannot disagree on it: ``_scaled`` the dual scaling, ``_shifted`` its shift
+# form and hand-off test, ``_shrunk`` the shrink of one pair, ``_step_end``
+# xbar, its ``pack_into``, the fixed-point exit and the state update,
+# ``_loop`` the ``def``, its ``for`` and its last ``return``, and ``_compiled``
 # the compile step.  Each loop keeps its own step head: its BLAS calls and,
 # in the real loops, the hand-off test and, for one row, the
 # ``a_j * v0 + 0.0`` columns.
@@ -266,6 +296,22 @@ def _scaled(u, v):
     ]
 
 
+# the least |u_i| whose square is normal: one such entry makes u.u > 0
+_SHIFT_MIN = 2.0**-511
+
+
+def _shifted(u, v, state):
+    """The dual scaling of a shift loop, sigma * eps = +-0.0: v = u, after the test
+    that hands the rest of the batch on, returning ``state``, unless nrm > 0."""
+    some_normal = " or ".join(f"abs({a}) >= {_SHIFT_MIN!r}" for a in u)
+    nan = " or ".join(f"{a} != {a}" for a in u)
+    return [
+        f"if not ({some_normal}) or {nan}:",
+        f"    return {state}, iters - i",
+        *(f"{a} = {b}" for a, b in zip(v, u)),
+    ]
+
+
 def _shrunk(w, p):
     """The shrink of one pair into p, given its one or two w names."""
     return [
@@ -289,33 +335,41 @@ def _step_end(pack, z, v, x, b, p, c):
     ]
 
 
-def _loop(name, head, i, body, returned):
-    """The source of ``def name``: head, then ``iters`` runs of body."""
+def _loop(name, head, body, state):
+    """The source of ``def name``: head, then ``iters`` runs of body, then ``state``
+    and the count of iterations left to the next loop, 0."""
     lines = [
         f"def {name}(K, y, eps, tau, sigma, x, z, xbar, iters):",
         *("    " + line for line in head),
-        f"    for {i} in range(iters):",
+        "    for i in range(iters):",
         *("        " + line for line in body),
-        f"    return {returned}",
+        f"    return {state}, 0",
     ]
     return "\n".join(lines) + "\n"
 
 
-def _pd_source(rows, cols):
-    """The source of ``pd_loop`` for a rows x cols operator.
+def _pd_source(rows, cols, shift):
+    """The source of ``pd_loop`` for a rows x cols operator, its shift variant if ``shift``.
 
     One local per coordinate: x, z and b hold the state (x, z, xbar); k is
     K xbar, u the dual step before scaling and v the new z; g is K^T z, w the
     primal step before the shrink, p the new x and c the new xbar.  ``ua``,
     ``zb`` and ``xb`` are the float64 buffers the BLAS calls read, filled by
-    ``pack_rows`` and ``pack_cols`` (rows and cols doubles).
+    ``pack_rows`` and ``pack_cols`` (rows and cols doubles).  The loop returns
+    the state and the count of iterations it leaves to the next loop: 0, or
+    for the shift variant the rest of the batch from the start of the step it
+    could not take.
     """
     x, b, g, w, p, c = (_names(s, cols) for s in "xbgwpc")
     z, sy, k, u, v = (_names(s, rows) for s in ("z", "sy", "k", "u", "v"))
     n = cols // 2
+    state = f"array({_listed(x)}), zb, xb"
     body = [f"{_unpack(k)} = K.dot(xb).tolist()"]
     body += [f"{u[i]} = ({z[i]} + sigma * {k[i]}) - {sy[i]}" for i in range(rows)]
-    body += [f"pack_rows(ua, 0, {_unpack(u)})", "nrm = sqrt(ua.dot(ua))", *_scaled(u, v)]
+    if shift:
+        body += _shifted(u, v, state)
+    else:
+        body += [f"pack_rows(ua, 0, {_unpack(u)})", "nrm = sqrt(ua.dot(ua))", *_scaled(u, v)]
     body += [f"pack_rows(zb, 0, {_unpack(v)})", f"{_unpack(g)} = Kt.dot(zb).tolist()"]
     body += [f"{w[i]} = {x[i]} - tau * {g[i]}" for i in range(cols)]
     body += [line for j in range(n) for line in _shrunk(w[j::n], p[j::n])]
@@ -331,27 +385,29 @@ def _pd_source(rows, cols):
         f"pack_rows(zb, 0, {_unpack(z)})",
         f"pack_cols(xb, 0, {_unpack(b)})",
     ]
-    return _loop("pd_loop", head, "_", body, f"array({_listed(x)}), zb, xb")
+    return _loop("pd_loop", head, body, state)
 
 
-def _pd_row_source(cols):
-    """The source of ``pd_row_loop`` for a one-row real operator of cols columns.
+def _pd_row_source(cols, shift):
+    """The source of ``pd_row_loop`` for a one-row real operator of cols columns,
+    its shift variant if ``shift``.
 
     ``_pd_source``'s names, over the real half alone: a holds K[0, :n], z0 and
     v0 are z's first entry before and after a step, and amin is the least
     nonzero |a_j| (inf if there is none).  ``xb`` holds xbar; its imaginary
     half stays +0.0 and ``pack_re`` writes the real half.  The loop returns
-    the state and the count of iterations it leaves to the general loop: 0,
-    or the rest of the batch from the start of the step it could not take.
+    the state and the count of iterations it leaves to the next loop: 0, or
+    the rest of the batch from the start of the step it could not take.
     """
     n = cols // 2
     a, x, b, w, p, c = (_names(s, n) for s in "axbwpc")
     state = f"array({_listed(x + ['0.0'] * n)}), array([z0, 0.0]), xb"
-    body = [
-        "k0, _ = K.dot(xb).tolist()",
-        "u0 = (z0 + sigma * k0) - sy0",
-        "nrm = sqrt(u0 * u0)",
-        *_scaled(["u0"], ["v0"]),
+    body = ["k0, _ = K.dot(xb).tolist()", "u0 = (z0 + sigma * k0) - sy0"]
+    if shift:
+        body += _shifted(["u0"], ["v0"], state)
+    else:
+        body += ["nrm = sqrt(u0 * u0)", *_scaled(["u0"], ["v0"])]
+    body += [
         "if not -inf < v0 < inf or (v0 != 0.0 and amin * v0 == 0.0):",
         f"    return {state}, iters - i",
     ]
@@ -369,18 +425,19 @@ def _pd_row_source(cols):
         f"xb = zeros({cols})",
         f"pack_re(xb, 0, {_unpack(b)})",
     ]
-    return _loop("pd_row_loop", head, "i", body, f"{state}, 0")
+    return _loop("pd_row_loop", head, body, state)
 
 
-def _pd_real_source(rows, cols):
-    """The source of ``pd_real_loop`` for a real rows x cols operator, rows >= 4.
+def _pd_real_source(rows, cols, shift):
+    """The source of ``pd_real_loop`` for a real rows x cols operator, rows >= 4,
+    its shift variant if ``shift``.
 
     ``_pd_source``'s names, over the real halves alone: m = rows // 2 duals
     and n = cols // 2 pairs.  The three BLAS calls read the full buffers
     ``ua``, ``zb`` and ``xb``, whose imaginary halves stay +0.0;
     ``pack_re_rows`` writes the real half of u or z and ``pack_re`` that of
     xbar.  Like ``pd_row_loop``, the loop returns the state and the count of
-    iterations it leaves to the general loop.
+    iterations it leaves to the next loop.
     """
     m, n = rows // 2, cols // 2
     x, b, g, w, p, c = (_names(s, n) for s in "xbgwpc")
@@ -389,7 +446,10 @@ def _pd_real_source(rows, cols):
     state = f"array({_listed(x + ['0.0'] * n)}), zb, xb"
     body = [f"{_unpack(k + ['_'] * m)} = K.dot(xb).tolist()"]
     body += [f"{u[i]} = ({z[i]} + sigma * {k[i]}) - {sy[i]}" for i in range(m)]
-    body += [f"pack_re_rows(ua, 0, {_unpack(u)})", "nrm = sqrt(ua.dot(ua))", *_scaled(u, v)]
+    if shift:
+        body += _shifted(u, v, state)
+    else:
+        body += [f"pack_re_rows(ua, 0, {_unpack(u)})", "nrm = sqrt(ua.dot(ua))", *_scaled(u, v)]
     body += [f"if not ({finite}):", f"    return {state}, iters - i"]
     body += [f"pack_re_rows(zb, 0, {_unpack(v)})", f"{_unpack(g + ['_'] * n)} = Kt.dot(zb).tolist()"]
     body += [f"{w[j]} = {x[j]} - tau * {g[j]}" for j in range(n)]
@@ -406,7 +466,7 @@ def _pd_real_source(rows, cols):
         f"pack_re_rows(zb, 0, {_unpack(z)})",
         f"pack_re(xb, 0, {_unpack(b)})",
     ]
-    return _loop("pd_real_loop", head, "i", body, f"{state}, 0")
+    return _loop("pd_real_loop", head, body, state)
 
 
 def _compiled(source, name, label, **packers):
@@ -417,23 +477,31 @@ def _compiled(source, name, label, **packers):
     return namespace[name]
 
 
-@functools.cache
-def _pd_loop(rows, cols):
-    """``pd_iterate`` for one shape of K: compiled once and kept."""
-    return _compiled(_pd_source(rows, cols), "pd_loop", f"{rows}x{cols}", pack_rows=rows, pack_cols=cols)
+def _label(shape, shift):
+    """The name a loop's source file gets in tracebacks."""
+    return "x".join(map(str, shape)) + (" shift" if shift else "")
 
 
 @functools.cache
-def _pd_row_loop(cols):
-    """``pd_row_loop`` for one width of a one-row real K: compiled once and kept."""
-    return _compiled(_pd_row_source(cols), "pd_row_loop", f"2x{cols}", pack_re=cols // 2)
-
-
-@functools.cache
-def _pd_real_loop(rows, cols):
-    """``pd_real_loop`` for one shape of a real K of two or more rows: compiled once and kept."""
+def _pd_loop(rows, cols, shift):
+    """``pd_loop`` for one shape of K and variant: compiled once and kept."""
     return _compiled(
-        _pd_real_source(rows, cols), "pd_real_loop", f"{rows}x{cols}", pack_re_rows=rows // 2, pack_re=cols // 2
+        _pd_source(rows, cols, shift), "pd_loop", _label((rows, cols), shift), pack_rows=rows, pack_cols=cols
+    )
+
+
+@functools.cache
+def _pd_row_loop(cols, shift):
+    """``pd_row_loop`` for one width of a one-row real K and variant: compiled once and kept."""
+    return _compiled(_pd_row_source(cols, shift), "pd_row_loop", _label((2, cols), shift), pack_re=cols // 2)
+
+
+@functools.cache
+def _pd_real_loop(rows, cols, shift):
+    """``pd_real_loop`` for one shape of a real K of two or more rows and variant: compiled once and kept."""
+    return _compiled(
+        _pd_real_source(rows, cols, shift), "pd_real_loop", _label((rows, cols), shift),
+        pack_re_rows=rows // 2, pack_re=cols // 2,
     )
 
 
@@ -447,11 +515,19 @@ def _real(K, y, tau, x, z, xbar):
     return not any(b"".join(v.tobytes() for v in zero)) and np.isfinite(K).all()
 
 
+def _loops(rows, cols, real, shift):
+    """The loops a batch may run, in turn, each built when it is reached: the
+    shift variant before the full one, a real loop before the general one."""
+    variants = (True, False) if shift else (False,)
+    if real:
+        for s in variants:
+            yield _pd_row_loop(cols, s) if rows == 2 else _pd_real_loop(rows, cols, s)
+    for s in variants:
+        yield _pd_loop(rows, cols, s)
+
+
 def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters):
-    rows, cols = K.shape
-    if _real(K, y, tau, x, z, xbar):
-        loop = _pd_row_loop(cols) if rows == 2 else _pd_real_loop(rows, cols)
+    for loop in _loops(*K.shape, _real(K, y, tau, x, z, xbar), sigma * eps == 0.0):
         x, z, xbar, iters = loop(K, y, eps, tau, sigma, x, z, xbar, iters)
         if not iters:
             return x, z, xbar
-    return _pd_loop(rows, cols)(K, y, eps, tau, sigma, x, z, xbar, iters)

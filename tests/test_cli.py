@@ -1248,6 +1248,9 @@ EMBEDDED = ["--a", "5/3", "--eps", "1/4", "--N", "5", "--m", "3"]
             "gen_data_noise2",  # 13 noisy members and both kinds of skipped one
             ["gen-data", "--n-lo", "1", "--n-hi", "10", "--noise", "2", "--seed", "1"],
         ),
+        # eps = 0 (the default): the one-row and the general loop's shift variants
+        ("solve_single_row_eps0", ["solve", "--A", "3/2,1"]),
+        ("solve_complex_eps0", ["solve", "--instance", str(GOLDEN / "complex_instance_eps0.json")]),
     ],
 )
 def test_golden_output_bytes(name, argv, capsys):

@@ -2,9 +2,9 @@
 
 The grid scan, on int64 and on Python ints, must match the sweep of every box
 point in tests/grid_reference.py, and the primal-dual kernel, in its general
-loop, its one-row real loop and its real loop of two or more rows, must return
-the bytes of the all-numpy loop it replaced, also where it stops at a fixed
-point or hands a batch over.
+loop, its one-row real loop and its real loop of two or more rows, each in its
+full and its shift variant, must return the bytes of the all-numpy loop it
+replaced, also where it stops at a fixed point or hands a batch over.
 """
 
 import functools
@@ -171,16 +171,93 @@ def _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
 
 
 def _realified(a):
-    """[[Re a, -Im a], [Im a, Re a]] as a C-contiguous float64 array."""
-    return np.ascontiguousarray(np.block([[a.real, -a.imag], [a.imag, a.real]]))
+    """[[Re a, -Im a], [Im a, Re a]] as a C-contiguous float64 array; -Im a is
+    formed as 0.0 - Im a, so a real a gets +0.0 blocks, as qcbp._realified builds them."""
+    return np.ascontiguousarray(np.block([[a.real, 0.0 - a.imag], [a.imag, a.real]]))
+
+
+def _real_half(v):
+    """v with its imaginary half replaced by +0.0."""
+    return np.concatenate([v[: len(v) // 2], np.zeros(len(v) // 2)])
+
+
+LOOPS = ("_pd_row_loop", "_pd_real_loop", "_pd_loop")
+
+
+def _spy(monkeypatch, names=LOOPS):
+    """Replace each loop builder ``kern.<name>`` by one whose loops log each run
+    in one list: the builder's name, its arguments (the shape and the shift
+    flag), the iterations given and the iterations handed on to the next loop."""
+    runs = []
+
+    def spy(name, build):
+        def spied(*key):
+            loop = build(*key)
+
+            def run(*args):
+                out = loop(*args)
+                runs.append((name, key, args[-1], out[-1]))
+                return out
+
+            return run
+
+        monkeypatch.setattr(kern, name, spied)
+
+    for name in names:
+        spy(name, getattr(kern, name))
+    return runs
+
+
+def _batches(runs):
+    """The run log cut into batches, each a list of (builder, shift, given, handed on),
+    after checking that each loop of a batch was given what the one before handed on."""
+    batches, batch = [], []
+    for name, key, given, left in runs:
+        assert not batch or given == batch[-1][3]
+        batch.append((name, key[-1], given, left))
+        if not left:
+            batches.append(batch)
+            batch = []
+    assert not batch, "a batch that ends with a hand-off"
+    return batches
+
+
+def _chain(first, shift):
+    """The loops, as (builder, shift), that a batch entering ``first`` may run, in order."""
+    names = dict.fromkeys((first, "_pd_loop"))
+    return [(name, s) for name in names for s in ((True, False) if shift else (False,))]
+
+
+def _assert_chains(batches, first, shifts):
+    """Each batch ran a prefix of its chain of loops, from ``first``; 20-180 of
+    them reached the general loop, and 20-180 entered a shift variant."""
+    assert len(batches) == len(shifts)
+    for batch, shift in zip(batches, shifts):
+        assert [run[:2] for run in batch] == _chain(first, shift)[: len(batch)]
+    assert 20 < sum(batch[-1][0] == "_pd_loop" for batch in batches) < 180
+    assert 20 < sum(shifts) < 180
+
+
+def _assert_hands_off(batch, first, shift, left):
+    """The batch entered ``first``, its shift variant if ``shift``, which handed on
+    ``left`` iterations; any real loop after it abandoned the same step at once,
+    and the general loops ran the rest."""
+    assert [run[:2] for run in batch] == _chain(first, shift)[: len(batch)]
+    general = [run[0] for run in batch].index("_pd_loop")
+    assert batch[0][3] == left and all(run[2] == left for run in batch[1 : general + 1])
 
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize(
     "m, ns", [pytest.param(m, range(m + 1, m + 5), id=str(m)) for m in (1, 2, 3)] + [pytest.param(10, [50], id="10")]
 )
-def test_pd_iterate_matches_reference_on_generic_shapes(m, ns, cplx):
-    """Every generic-solve shape (N = m+1..m+4) and one larger one, from zero and from a mid-run state."""
+def test_pd_iterate_matches_reference_on_generic_shapes(monkeypatch, m, ns, cplx):
+    """Every generic-solve shape (N = m+1..m+4) and one larger one, from zero and
+    from a mid-run state, and for a real A also from a mid-run state whose
+    imaginary halves are +0.0.  A real batch runs a real loop from both of those
+    starts; at eps = 0 every batch enters a shift variant."""
+    runs = _spy(monkeypatch)
+    first = "_pd_loop" if cplx else "_pd_row_loop" if m == 1 else "_pd_real_loop"
     rng = np.random.default_rng(100 * m + cplx)
     for n in ns:
         for eps in (0.0, 0.125, 0.5):
@@ -192,8 +269,13 @@ def test_pd_iterate_matches_reference_on_generic_shapes(m, ns, cplx):
             for iters in (1, 250):
                 zero = (np.zeros(2 * n), np.zeros(2 * m), np.zeros(2 * n))
                 mid = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
-                for x, z, xbar in (zero, mid):
+                starts = [zero, mid] if cplx else [zero, mid, tuple(map(_real_half, mid))]
+                # the mid state's nonzero imaginary halves send a real A to the general loop
+                for (x, z, xbar), entry in zip(starts, (first, "_pd_loop", first)):
+                    runs.clear()
                     _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, n)
+                    (batch,) = _batches(runs)
+                    assert batch[0][:2] == (entry, eps == 0.0), (n, eps, iters)
 
 
 def test_kernel_signatures_keep_the_positions_the_benchmark_reads():
@@ -206,28 +288,31 @@ def test_kernel_signatures_keep_the_positions_the_benchmark_reads():
 
 
 def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
-    """Calls on one shape, whatever their values, run the loop generated for the first;
-    real batches from zero build the real loop of their shape and no general loop."""
+    """Calls on one shape and variant, whatever their values, run the loop generated
+    for the first; real batches from zero build the real loop of their shape and
+    no general loop.  eps = 0 builds the shift variants, each once."""
     built, rows_built, real_built = [], [], []
     source, row_source, real_source = kern._pd_source, kern._pd_row_source, kern._pd_real_source
-    monkeypatch.setattr(kern, "_pd_source", lambda *shape: built.append(shape) or source(*shape))
-    monkeypatch.setattr(kern, "_pd_row_source", lambda cols: rows_built.append(cols) or row_source(cols))
-    monkeypatch.setattr(kern, "_pd_real_source", lambda *shape: real_built.append(shape) or real_source(*shape))
+    monkeypatch.setattr(kern, "_pd_source", lambda *key: built.append(key) or source(*key))
+    monkeypatch.setattr(kern, "_pd_row_source", lambda *key: rows_built.append(key) or row_source(*key))
+    monkeypatch.setattr(kern, "_pd_real_source", lambda *key: real_built.append(key) or real_source(*key))
     kern._pd_loop.cache_clear()
     kern._pd_row_loop.cache_clear()
     kern._pd_real_loop.cache_clear()
     rng = np.random.default_rng(7)
-    for m, n in ((2, 5), (2, 5), (1, 5)):
-        K = _realified(rng.uniform(-3, 3, (m, n)))
-        state = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
-        kern.pd_iterate(K, rng.normal(size=2 * m), 0.25, 0.1, 0.1, *state, 3)
-    for K in (_one_row([1.5, -2.0, 0.5, 3.0]), _real_op(rng.uniform(-3, 3, (2, 5)))):
-        state = (np.zeros(K.shape[1]), np.zeros(K.shape[0]), np.zeros(K.shape[1]))
-        y = np.zeros(K.shape[0])
-        y[0] = 1.0
-        for _ in range(2):
-            state = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, *state, 3)
-    assert built == [(4, 10), (2, 10)] and rows_built == [8] and real_built == [(4, 10)]
+    for eps in (0.25, 0.0):
+        for m, n in ((2, 5), (2, 5), (1, 5)):
+            K = _realified(rng.uniform(-3, 3, (m, n)))
+            state = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
+            kern.pd_iterate(K, rng.normal(size=2 * m), eps, 0.1, 0.1, *state, 3)
+        for K in (_one_row([1.5, -2.0, 0.5, 3.0]), _real_op(rng.uniform(-3, 3, (2, 5)))):
+            state = (np.zeros(K.shape[1]), np.zeros(K.shape[0]), np.zeros(K.shape[1]))
+            y = np.zeros(K.shape[0])
+            y[0] = 1.0
+            for _ in range(2):
+                state = kern.pd_iterate(K, y, eps, 0.1, 0.1, *state, 3)
+    assert built == [(4, 10, False), (2, 10, False), (4, 10, True), (2, 10, True)]
+    assert rows_built == [(8, False), (8, True)] and real_built == [(4, 10, False), (4, 10, True)]
 
 
 def test_pd_iterate_returns_arrays_no_later_call_writes():
@@ -411,12 +496,11 @@ def _one_row(row):
 def test_pd_iterate_matches_reference_on_one_row_real_edge_values(monkeypatch):
     """200 one-row real batches of widths 2-5 whose K, state and scalars mix normal and edge values.
 
-    Every batch enters the one-row loop; some hand off to the general loop
-    (a NaN, inf or an underflow on the way) and some run to their end.
+    Every batch enters the one-row loop, its shift variant when sigma * eps is
+    +-0.0; some hand off to the general loop (a NaN, inf or an underflow on the
+    way) and some run to their end.
     """
-    handed = []
-    loop = kern._pd_loop
-    monkeypatch.setattr(kern, "_pd_loop", lambda *shape: handed.append(shape) or loop(*shape))
+    runs, shifts = _spy(monkeypatch), []
     rng = random.Random(4242)
 
     def state_entry():
@@ -433,7 +517,9 @@ def test_pd_iterate_matches_reference_on_one_row_real_edge_values(monkeypatch):
         x, z, xbar = np.zeros(2 * n), np.zeros(2), np.zeros(2 * n)  # imaginary halves +0.0
         x[:n], z[0], xbar[:n] = [state_entry() for _ in range(n)], state_entry(), [state_entry() for _ in range(n)]
         _pd_same_bytes(_one_row(row), y, eps, tau, sigma, x, z, xbar, iters, n)
-    assert 20 < len(handed) < 180
+        shifts.append(sigma * eps == 0.0)
+    _assert_chains(_batches(runs), "_pd_row_loop", shifts)
+
 
 
 _ROW_BASE = dict(
@@ -501,54 +587,45 @@ def test_pd_iterate_one_row_real_solve_makes_one_blas_call_per_step():
         pytest.param([1.0, 0.5], -1e306, 1e-300, 0.0, 179, 181, id="overflowing-dual"),
     ],
 )
-def test_pd_iterate_one_row_hands_off_mid_batch(row, y0, tau, z0, step, iters):
+def test_pd_iterate_one_row_hands_off_mid_batch(monkeypatch, row, y0, tau, z0, step, iters):
     """A step that the one-row loop cannot take byte for byte hands the rest of the batch,
-    from the state it started with, to the general loop."""
+    from the state it started with, to the general loop.  eps = 5e-324 keeps the
+    factor at 1.0, as eps = 0 does, but runs the full variant; from the shift
+    variant the full one-row loop is tried first and abandons the same step."""
+    runs = _spy(monkeypatch)
     n = len(row)
     K, y, x = _one_row(row), np.array([y0, 0.0]), np.zeros(2 * n)
     z = np.array([z0, 0.0])
-    _CountingK.dots = 0
-    with np.errstate(all="ignore"):
-        kern.pd_iterate(K.view(_CountingK), y, 0.0, tau, 1.0, x, z, x, iters)
-    # one gemv for each step before ``step`` and for the one it abandons, two for each after
-    assert _CountingK.dots == step + 1 + 2 * (iters - step)
-    _pd_same_bytes(K, y, 0.0, tau, 1.0, x, z, x, iters, n)
+    for eps in (0.0, 5e-324):
+        runs.clear()
+        _CountingK.dots = 0
+        with np.errstate(all="ignore"):
+            kern.pd_iterate(K.view(_CountingK), y, eps, tau, 1.0, x, z, x, iters)
+        (batch,) = _batches(runs)
+        _assert_hands_off(batch, "_pd_row_loop", eps == 0.0, iters - step)
+        # a one-row step makes one gemv and a general step two; a loop that abandons a step has made one gemv of it
+        assert _CountingK.dots == sum(
+            (1 if name == "_pd_row_loop" else 2) * (given - left) + (left > 0) for name, _, given, left in batch
+        )
+        _pd_same_bytes(K, y, eps, tau, 1.0, x, z, x, iters, n)
+
 
 
 # --- the real loop of two or more rows ------------------------------------------
 
 
-def _spy(monkeypatch, name):
-    """Replace the loop builder ``kern.<name>`` by one whose loops log each run:
-    the shape, the iterations given and the last item returned (for a real
-    loop, the iterations it hands on)."""
-    runs, build = [], getattr(kern, name)
-
-    def spied(*shape):
-        loop = build(*shape)
-
-        def run(*args):
-            out = loop(*args)
-            runs.append((shape, args[-1], out[-1]))
-            return out
-
-        return run
-
-    monkeypatch.setattr(kern, name, spied)
-    return runs
-
-
 def test_pd_iterate_matches_reference_on_real_edge_values(monkeypatch):
     """200 real batches of 2-4 rows whose K, state and scalars mix normal and edge values.
 
-    Every batch enters the real loop; some hand the rest of their batch to the
-    general loop (a NaN or an inf on the way) and some run to their end.  The
+    Every batch enters the real loop, its shift variant when sigma * eps is
+    +-0.0; some hand the rest of their batch to the general loop (a NaN or an
+    inf on the way) and some run to their end.  The
     NaN put in is the one an invalid operation such as inf * 0 makes, so every
     NaN of a batch has the same bytes: where NaNs of both signs meet in a BLAS
     sum, the sign of the result depends on BLAS's order of operations, which
     varies between calls, and no loop, the reference included, fixes it.
     """
-    real, general = _spy(monkeypatch, "_pd_real_loop"), _spy(monkeypatch, "_pd_loop")
+    runs, shifts = _spy(monkeypatch), []
     rng = random.Random(4343)
     nan = np.inf * 0.0
     edges = (0.0, -0.0, 5e-324, np.inf, -np.inf, nan, 2.0**600, -(2.0**-600))
@@ -567,9 +644,8 @@ def test_pd_iterate_matches_reference_on_real_edge_values(monkeypatch):
         eps = rng.choice((0.0, np.inf, nan, rng.uniform(0, 1)))
         iters = rng.choice((1, 2, 40))
         _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, iters, n)
-    handed = [run for run in real if run[2]]
-    assert len(real) == 200 and 20 < len(handed) < 180
-    assert [(run[0], run[2]) for run in handed] == [(run[0], run[1]) for run in general]
+        shifts.append(sigma * eps == 0.0)
+    _assert_chains(_batches(runs), "_pd_real_loop", shifts)
 
 
 _REAL_BASE = dict(
@@ -609,27 +685,33 @@ def _real_broken(name, index, value):
 )
 def test_pd_iterate_real_entry_conditions(monkeypatch, change):
     """Each entry condition broken on its own sends a two-row batch to the general loop;
-    with all of them held, the batch runs to its end in the real loop."""
-    real, general = _spy(monkeypatch, "_pd_real_loop"), _spy(monkeypatch, "_pd_loop")
+    with all of them held, the batch runs to its end in the real loop.  The same
+    holds for the shift variants, which eps = 0 selects."""
+    runs = _spy(monkeypatch)
     case = {**_REAL_BASE, **change}
-    args = (case["K"], case["y"], 0.25, case["tau"], 0.4, case["x"], case["z"], case["xbar"], 3)
-    with np.errstate(all="ignore"):
-        kern.pd_iterate(*args)
-    if change:
-        assert real == [] and [run[:2] for run in general] == [((4, 6), 3)]
-    else:
-        assert real == [((4, 6), 3, 0)] and general == []
-    _pd_same_bytes(*args, 3)
+    for eps in (0.25, 0.0):
+        runs.clear()
+        args = (case["K"], case["y"], eps, case["tau"], 0.4, case["x"], case["z"], case["xbar"], 3)
+        with np.errstate(all="ignore"):
+            kern.pd_iterate(*args)
+        (batch,) = _batches(runs)
+        assert {run[1][:2] for run in runs} == {(4, 6)}
+        if change:  # a NaN on the way may send the general shift variant's batch on to the full one
+            assert [run[:2] for run in batch] == _chain("_pd_loop", eps == 0.0)[: len(batch)]
+        else:
+            assert batch == [("_pd_real_loop", eps == 0.0, 3, 0)]
+        _pd_same_bytes(*args, 3)
 
 
 def test_real_solves_never_run_the_general_loop(monkeypatch):
     """solve_numeric sets every real instance up for a real loop: one-row
-    instances run the one-row loop, those of two and three rows the real loop."""
-    monkeypatch.setattr(kern, "_pd_loop", lambda *shape: pytest.fail(f"general loop for {shape}"))
-    real = _spy(monkeypatch, "_pd_real_loop")
+    instances run the one-row loop, those of two and three rows the real loop,
+    its shift variant at eps = 0."""
+    monkeypatch.setattr(kern, "_pd_loop", lambda *key: pytest.fail(f"general loop for {key}"))
+    real = _spy(monkeypatch, ["_pd_real_loop"])
 
-    def inst(rows, y):
-        return qcbp.Instance(A=RationalMatrix.from_rows(rows), y=RationalVector.from_items(y), eps=Q(1, 8))
+    def inst(rows, y, eps=Q(1, 8)):
+        return qcbp.Instance(A=RationalMatrix.from_rows(rows), y=RationalVector.from_items(y), eps=eps)
 
     p = families.FamilyParams()
     three_rows = [
@@ -643,19 +725,98 @@ def test_real_solves_never_run_the_general_loop(monkeypatch):
         inst([[Q(7, 4), Q(-2, 3), Q(5, 9)]], [Q(-1, 2)]),
         inst(FIXED_A, FIXED_Y),
         inst(three_rows, [Q(1, 3), Q(-1, 4), Q(2, 5)]),
+        inst([[Q(7, 4), Q(-2, 3), Q(5, 9)]], [Q(-1, 2)], Q(0)),
+        inst(FIXED_A, FIXED_Y, Q(0)),
+        inst(three_rows, [Q(1, 3), Q(-1, 4), Q(2, 5)], Q(0)),
     ):
         assert qcbp.solve_numeric(case).converged
-    assert {run[0] for run in real} == {(4, 8), (6, 10)}
+    assert {run[1] for run in real} == {(4, 8, False), (6, 10, False), (4, 8, True), (6, 10, True)}
 
 
 def test_pd_iterate_real_hands_off_mid_batch(monkeypatch):
     """A step whose new z is not finite hands the rest of the batch, from the
     state it started with, to the general loop.  Here z0 grows by 1e306 a
-    step (eps = 0 keeps the factor at 1) and overflows at step 179."""
-    real, general = _spy(monkeypatch, "_pd_real_loop"), _spy(monkeypatch, "_pd_loop")
+    step (eps = 0 and eps = 5e-324 keep the factor at 1) and overflows at step
+    179.  From the shift variant the full real loop is tried first and abandons
+    the same step."""
+    runs = _spy(monkeypatch)
     K, y = _real_op([[1.0, 0.5], [0.5, 1.0]]), np.array([-1e306, 0.0, 0.0, 0.0])
     state = (np.zeros(4), np.zeros(4), np.zeros(4))
+    for eps in (0.0, 5e-324):
+        runs.clear()
+        with np.errstate(all="ignore"):
+            kern.pd_iterate(K, y, eps, 1e-300, 1.0, *state, 181)
+        (batch,) = _batches(runs)
+        _assert_hands_off(batch, "_pd_real_loop", eps == 0.0, 181 - 179)
+        _pd_same_bytes(K, y, eps, 1e-300, 1.0, *state, 181, 2)
+
+
+# --- the shift variants -------------------------------------------------------------
+
+
+# Each loop kind's first loop, K and state (y, x, z); the real kinds keep +0.0 imaginary halves.
+_SHIFT_KINDS = {
+    "one-row": ("_pd_row_loop", _one_row([1.0, -2.0, 0.5]), [1.0, 0.0], _ROW_BASE["x"], [0.1, 0.0]),
+    "real": ("_pd_real_loop", _REAL_BASE["K"], _REAL_BASE["y"], _REAL_BASE["x"], _REAL_BASE["z"]),
+    "general": (
+        "_pd_loop",
+        _realified(np.array([[1 + 0.5j, -2.0, 0.5j], [0.25 - 1j, 1.5, -1 + 0.25j]])),
+        [1.0, -0.5, 0.25, 0.5],
+        [0.3, -0.1, 0.2, 0.1, 0.0, -0.2],
+        [0.1, 0.2, -0.3, 0.05],
+    ),
+}
+
+
+def _tiny_dual(y, x, z):
+    """y = 0, x = xbar = 0 and every nonzero z_i scaled below 2**-537: u = z, whose
+    squares round to 0, so nrm = 0 and the full loop scales z to signed zeros."""
+    return 0.0 * y, 0.0 * x, z * 2.0**-540
+
+
+def _nan_dual(y, x, z):
+    z = z.copy()
+    z[0] = np.inf * 0.0  # the NaN an invalid operation makes, as in the edge-value tests
+    return y, x, z
+
+
+@pytest.mark.parametrize("iters", [1, 40])
+@pytest.mark.parametrize(
+    "kind, state, eps, sigma, loops",
+    [
+        *(
+            # no |u_i| reaches 2**-511: the shift variant hands the whole batch to the full one
+            pytest.param(kind, _tiny_dual, 0.0, 0.4, "shift, full", id=f"tiny-dual-{kind}")
+            for kind in _SHIFT_KINDS
+        ),
+        # a NaN in u makes nrm NaN and the factor 0: handed on, as above
+        pytest.param("general", _nan_dual, 0.0, 0.4, "shift, full", id="nan-dual-general"),
+        *(
+            pytest.param(kind, None, eps, sigma, loops, id=f"{label}-{kind}")
+            for kind in _SHIFT_KINDS
+            for label, eps, sigma, loops in (
+                ("zero-sigma", 0.5, 0.0, "shift"),  # sigma * eps = +0.0
+                ("negative-sigma", 0.0, -0.4, "shift"),  # sigma * eps = -0.0
+                ("infinite-sigma", 0.0, np.inf, "full"),  # sigma * eps = NaN
+            )
+        ),
+    ],
+)
+def test_pd_iterate_shift_variant_guards(monkeypatch, kind, state, eps, sigma, loops, iters):
+    """sigma * eps = +-0.0 selects the shift variant, which takes each step as v = u
+    unless that step's nrm might be 0 or NaN; then it hands the rest of the batch
+    to the full variant.  Both return the bytes of the reference."""
+    runs = _spy(monkeypatch)
+    first, K, y, x, z = _SHIFT_KINDS[kind]
+    y, x, z = (np.array(v, dtype=np.float64) for v in (y, x, z))
+    if state:
+        y, x, z = state(y, x, z)
     with np.errstate(all="ignore"):
-        kern.pd_iterate(K, y, 0.0, 1e-300, 1.0, *state, 181)
-    assert real == [((4, 4), 181, 181 - 179)] and [run[:2] for run in general] == [((4, 4), 2)]
-    _pd_same_bytes(K, y, 0.0, 1e-300, 1.0, *state, 181, 2)
+        _pd_same_bytes(K, y, eps, 0.3, sigma, x, z, x, iters, K.shape[1] // 2)
+    (batch,) = _batches(runs)
+    if loops == "shift":  # the whole batch in the shift variant
+        assert batch == [(first, True, iters, 0)]
+    elif loops == "shift, full":  # handed on at the first step
+        assert batch == [(first, True, iters, iters), (first, False, iters, 0)]
+    else:  # no shift variant: the full loop, and for infinite sigma the general one after a real loop
+        assert [run[:2] for run in batch] == _chain(first, False) and batch[0][2] == iters
