@@ -5,13 +5,13 @@ l1 minimizer and the primal-dual iteration of the generic solver.  The grid
 scan is one numpy algorithm run on one of two dtypes: int64, or Python ints in
 object arrays.  The primal-dual iteration keeps its reductions in BLAS and
 runs its other steps on Python floats, bit for bit what the all-numpy loop
-computes, in straight-line loops generated per problem shape: a general loop,
-and for real instances a loop over the real halves of the state alone, with
-one BLAS call a step for one row and the general loop's three for more.  Each
-loop has a shift variant for batches with sigma * eps = +-0.0 (eps = 0, basis
-pursuit), whose dual step is v = u: no norm of u, and one BLAS call fewer a
-step for two rows or more (the design and its argument are in the comment
-above ``pd_iterate``).
+computes, in straight-line loops that one generator emits per problem shape
+and variant: the general loop; for real instances a real variant that steps
+the real halves of the state alone, with one BLAS call a step for one row
+and the general loop's three for more; and a shift variant of each for
+batches with sigma * eps = +-0.0 (eps = 0, basis pursuit), whose dual step is
+v = u: no norm of u, and one BLAS call fewer a step for two rows or more (the
+design and its argument are in the comment above ``pd_iterate``).
 
 Exactness note: the scan is exact on int64 when rhs and W = sum_i M_i^2 are
 below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that in
@@ -156,20 +156,21 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 #
 # At 2-14 coordinates a step's cost is interpreter overhead, not arithmetic
 # or BLAS: a loop over lists spends it on comprehensions, each with its own
-# frame, on zips and on appends.  So the loop is generated once per shape of
-# K as straight-line source with one local variable per coordinate, compiled
-# and kept (``_pd_loop``); the source is built from the two integers and
-# the variant (see shift variants below) alone.
-# A step is its three BLAS calls, the two ``.tolist()`` that read the gemv
-# results and three ``Struct.pack_into`` writes of u, the new z and the new
-# xbar into float64 buffers, which store the doubles ``np.array`` would
-# (signed zeros, subnormals, inf and NaN payloads included) without building
-# an array.  The buffers are allocated once per call, so the z and xbar a
-# call returns are its own: a later call never writes into them.  Building a
-# shape's loop costs what it saves over a list loop in two to ten batches of
-# 250 iterations, from 2 to 1,000 coordinates (measurements in ROADMAP's dead
-# ends): it pays off for a shape that runs more than a few batches in one
-# process.
+# frame, on zips and on appends.  So the loop is generated as straight-line
+# source with one local variable per coordinate, compiled and kept
+# (``_pd_loop``) once per shape of K and variant; ``_pd_source`` builds the
+# source from the two integers and two flags alone, ``real`` (the real
+# variants below) and ``shift`` (the shift variants below).
+# A step of the general loop is its three BLAS calls, the two ``.tolist()``
+# that read the gemv results and three ``Struct.pack_into`` writes of u, the
+# new z and the new xbar into float64 buffers, which store the doubles
+# ``np.array`` would (signed zeros, subnormals, inf and NaN payloads
+# included) without building an array.  The buffers are allocated once per
+# call, so the z and xbar a call returns are its own: a later call never
+# writes into them.  Building a shape's loop costs what it saves over a list
+# loop in two to ten batches of 250 iterations, from 2 to 1,000 coordinates
+# (measurements in ROADMAP's dead ends): it pays off for a shape that runs
+# more than a few batches in one process.
 #
 # Fixed-point exit: one iteration is a deterministic function of the state
 # (x, z, xbar) and of the fixed K, y, eps, tau and sigma, so once an iteration
@@ -179,15 +180,41 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # f = 0.0), so states that compare equal are confirmed on their packed bytes.
 # A NaN never compares equal, so a state holding one never stops early.
 #
-# One-row real instances (m = 1, A and y real: the perturbation families) run
-# a second loop, generated per width the same way (``_pd_row_loop``), with the
-# same bytes.  It runs when, at entry, K has two rows and is finite; K[0, n:],
-# K[1, :n], y[1], x[n:], z[1] and xbar[n:] are +0.0, sign bit included (all
-# eight bytes zero); and 0 <= tau < inf.  ``solve_numeric`` sets every real
-# one-row instance up so.  Then u.u and every output of K^T z that the state
-# reads have at most one term that is not an exact zero, so their bytes depend
-# neither on BLAS's summation order nor on whether it fuses a multiply-add
-# (FMA), and Python forms them exactly:
+# Real variants (A and y real), with the general loop's bytes.  One entry
+# test, ``_real``, admits a batch to them: K is finite; its off-diagonal
+# blocks K[:m, n:] and K[m:, :n], y[m:], x[n:], z[m:] and xbar[n:] are +0.0,
+# sign bit included (all eight bytes zero); and 0 <= tau < inf.
+# ``solve_numeric`` sets every real instance up so.  A real variant packs,
+# unpacks and steps only the real halves of u, z, w, x and xbar; the
+# imaginary halves of its buffers and of the x it returns are +0.0.  It
+# hands the rest of its batch, from the state it started with, to the
+# general loop when an entry of the new z is not finite.
+#
+# Two or more rows (m >= 2): the step makes the general loop's three BLAS
+# calls on the same full K and full-length buffers, so every real entry it
+# reads has BLAS's bytes.  That is what the general loop computes, because
+# while K and the real state it multiplies are finite, every imaginary output
+# is a sum of zero products, a zero of some sign, and:
+# - u_im = (+0.0 + sigma * (+-0.0)) - sigma * (+0.0) is +0.0 for any finite
+#   sigma (rounding to nearest, +0.0 + -0.0, +0.0 - +0.0 and +0.0 - -0.0
+#   are +0.0), so the ddot u.u reads the bytes it reads in the general loop,
+#   and the new z_im = +0.0 * factor is +0.0 while factor is finite;
+# - w_im = +0.0 - tau * (+-0.0) is +0.0 for a finite tau, so a pair norm is
+#   sqrt(w_j w_j), and with tau >= 0 the shrink factor lies in [0, 1], so the
+#   new x and xbar keep +0.0 in their imaginary halves.
+# The hand-off test covers each way an imaginary entry can leave +0.0.  A
+# non-finite real entry of xbar, or sigma = +-inf or NaN, makes every u_re
+# non-finite (a sum with a non-finite term is not finite, and sigma * 0.0 is
+# NaN), and then some new z entry is not finite.  factor is infinite only
+# when sigma * eps / nrm is -inf with nrm finite, say sigma < 0 and eps =
+# inf; then some u_re is nonzero (nrm > 0), and its new z entry is +-inf.  So
+# the test must not look at nrm alone: there nrm is finite and the new z_im =
+# +0.0 * inf is NaN.
+#
+# One row (m = 1, the perturbation families; K has two rows): u.u and every
+# output of K^T z that the state reads have at most one term that is not an
+# exact zero, so their bytes depend neither on BLAS's summation order nor on
+# whether it fuses a multiply-add (FMA), and Python forms them exactly:
 # - u1 = (+0.0 + sigma k1) - sigma * (+0.0) is +0.0 whenever the new z0 is
 #   finite (k1 is a zero of some sign), so u.u is u0 * u0 and the new z1 is
 #   +0.0 again;
@@ -198,53 +225,22 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 #   with tau >= 0 the pair shrink's factor lies in [0, 1], so the new x and
 #   xbar keep +0.0 in their imaginary halves and a pair norm is sqrt(w_j w_j).
 # A step is then the gemv K xbar, one ``.tolist()`` and one ``pack_into`` of
-# xbar's real half.  A step hands the rest of its batch, from the state it
-# started with, to the general loop when the new z0 is not finite (this
-# covers u1: it is NaN only when sigma or an entry of xbar's real half is not
-# finite, and then u0 and z0 are not finite either), or when a nonzero a_j
-# times a nonzero z0 rounds to zero, since an FMA inside BLAS gives that zero
-# the sign of the exact product.  Like the ddot it stands for, u0 * u0
-# overflows to inf once |u0| passes about 2**511 (ROADMAP item 13).
-#
-# Real instances of two or more rows (m >= 2, A and y real) run a third loop,
-# generated per shape (``_pd_real_loop``), with the same bytes.  One entry
-# test, ``_real``, admits a batch to either real loop: K is finite; its
-# off-diagonal blocks K[:m, n:] and K[m:, :n], y[m:], x[n:], z[m:] and
-# xbar[n:] are +0.0, sign bit included; and 0 <= tau < inf.  ``pd_iterate``
-# keeps two-row operators on the one-row loop.  The real loop makes the
-# general loop's three BLAS calls on the same full K and full-length buffers,
-# so every real entry it reads has BLAS's bytes, but packs, unpacks and steps
-# only the real halves of u, z, w, x and xbar; the imaginary halves of its
-# buffers stay +0.0.  That is what the general loop computes, because while K
-# and the real state it multiplies are finite, every imaginary output is a
-# sum of zero products, a zero of some sign, and:
-# - u_im = (+0.0 + sigma * (+-0.0)) - sigma * (+0.0) is +0.0 for any finite
-#   sigma (rounding to nearest, +0.0 + -0.0, +0.0 - +0.0 and +0.0 - -0.0
-#   are +0.0), so the ddot u.u reads the bytes it reads in the general loop,
-#   and the new z_im = +0.0 * factor is +0.0 while factor is finite;
-# - w_im = +0.0 - tau * (+-0.0) is +0.0 for a finite tau, so a pair norm is
-#   sqrt(w_j w_j), and with tau >= 0 the shrink factor lies in [0, 1], so the
-#   new x and xbar keep +0.0 in their imaginary halves.
-# A step hands the rest of its batch, from the state it started with, to the
-# general loop when an entry of the new z is not finite.  That covers each
-# way an imaginary entry can leave +0.0.  A non-finite real entry of xbar, or
-# sigma = +-inf or NaN, makes every u_re non-finite (a sum with a non-finite
-# term is not finite, and sigma * 0.0 is NaN), and then some new z entry is
-# not finite.  factor is infinite only when sigma * eps / nrm is -inf with nrm
-# finite, say sigma < 0 and eps = inf; then some u_re is nonzero (nrm > 0), and
-# its new z entry is +-inf.  So the test must not look at nrm alone: there
-# nrm is finite and the new z_im = +0.0 * inf is NaN.  K^T z stays a BLAS
-# call, so the one-row loop's test for an underflowing product is not needed.
+# xbar's real half.  Its test that the new z0 is finite also covers u1: u1 is
+# NaN only when sigma or an entry of xbar's real half is not finite, and then
+# u0 and z0 are not finite either.  It also hands on when a nonzero a_j times
+# a nonzero z0 rounds to zero, since an FMA inside BLAS gives that zero the
+# sign of the exact product; with m >= 2, K^T z stays a BLAS call and needs no
+# such test.  Like the ddot it stands for, u0 * u0 overflows to inf once |u0|
+# passes about 2**511 (ROADMAP item 13).
 #
 # Shift variants.  When sigma * eps is +-0.0 (eps = 0, or sigma = 0 with eps
 # finite), the dual step factor = 1.0 - se / nrm is 1.0 for every nrm > 0,
 # inf included: se / nrm is a zero, and 1.0 minus a zero is 1.0.  Then
-# u * factor = u * 1.0 = u bit for bit, signed zeros included, so each loop
-# has a variant, generated the same way, that takes the dual step as v = u
-# and forms neither u.u nor its root: no ``ua`` pack and, for two rows or
-# more, no ddot.  Its step hands the rest of its batch, from the state it
-# started with, to the full variant of the same loop when nrm might not be
-# > 0, which is when
+# u * factor = u * 1.0 = u bit for bit, signed zeros included, so the shift
+# variant of each loop takes the dual step as v = u and forms neither u.u
+# nor its root: no ``ua`` pack and, for two rows or more, no ddot.  Its step
+# hands the rest of its batch, from the state it started with, to the full
+# variant of the same loop when nrm might not be > 0, which is when
 # - no |u_i| reaches 2**-511 (``_SHIFT_MIN``): with one that does, u.u is at
 #   least that entry's square, a normal number, whatever BLAS's summation
 #   order or use of FMA, since every other term is >= 0; without one, u.u
@@ -254,21 +250,16 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # factor is still 1.0.  A shift step keeps its loop's own hand-off test.
 # ``pd_iterate`` picks the shift variants when ``sigma * eps == 0.0`` at entry
 # (NaN is not) and runs its loops as one chain, each from the state and with
-# the iterations the one before handed on: a real loop's shift variant, its
-# full variant, then the general loop's shift and full variants, skipping
-# those that do not apply.  The full general loop never hands on, so every
-# batch ends there or before, and a loop is generated only when a batch
-# reaches it.  A full real loop given a batch by its shift variant skips the
-# entry test: the state it starts from keeps its imaginary halves at +0.0.
+# the iterations the one before handed on: the real variant's shift and full
+# loops, then the general loop's shift and full loops, skipping those that do
+# not apply.  The full general loop never hands on, so every batch ends there
+# or before, and a loop is generated only when a batch reaches it.  A full
+# real loop given a batch by its shift variant skips the entry test: the
+# state it starts from keeps its imaginary halves at +0.0.
 #
-# The loops emit each float step they share with one function, so they
-# cannot disagree on it: ``_scaled`` the dual scaling, ``_shifted`` its shift
-# form and hand-off test, ``_shrunk`` the shrink of one pair, ``_step_end``
-# xbar, its ``pack_into``, the fixed-point exit and the state update,
-# ``_loop`` the ``def``, its ``for`` and its last ``return``, and ``_compiled``
-# the compile step.  Each loop keeps its own step head: its BLAS calls and,
-# in the real loops, the hand-off test and, for one row, the
-# ``a_j * v0 + 0.0`` columns.
+# ``_pd_source`` emits every variant from the same lines and varies only what
+# the argument above allows: the halves stepped, how u.u (a ddot or u0 * u0)
+# and K^T z (a gemv or ``a_j * v0 + 0.0``) are formed, and the hand-off test.
 
 def _bits(v):
     """The float64 bytes of a list of floats."""
@@ -322,24 +313,24 @@ def _shrunk(w, p):
     ]
 
 
-def _step_end(pack, z, v, x, b, p, c):
-    """xbar = 2p - x written by ``pack``, the fixed-point exit and the state update."""
+def _step_end(z, v, x, b, p, c):
+    """xbar = 2p - x written into ``xb``, the fixed-point exit and the state update."""
     new, old = v + p + c, z + x + b
     same = " and ".join(f"{a} == {o}" for a, o in zip(new, old))
     return [
         *(f"{ci} = 2.0 * {pi} - {xi}" for ci, pi, xi in zip(c, p, x)),
-        f"{pack}(xb, 0, {_unpack(c)})",
+        f"pack_x(xb, 0, {_unpack(c)})",
         f"if {same} and _bits({_listed(new)}) == _bits({_listed(old)}):",
         "    break  # a fixed point: x already holds the new x's bytes",
         *(f"{o} = {a}" for a, o in zip(new, old)),
     ]
 
 
-def _loop(name, head, body, state):
-    """The source of ``def name``: head, then ``iters`` runs of body, then ``state``
+def _loop(head, body, state):
+    """The source of ``def pd_loop``: head, then ``iters`` runs of body, then ``state``
     and the count of iterations left to the next loop, 0."""
     lines = [
-        f"def {name}(K, y, eps, tau, sigma, x, z, xbar, iters):",
+        "def pd_loop(K, y, eps, tau, sigma, x, z, xbar, iters):",
         *("    " + line for line in head),
         "    for i in range(iters):",
         *("        " + line for line in body),
@@ -348,166 +339,94 @@ def _loop(name, head, body, state):
     return "\n".join(lines) + "\n"
 
 
-def _pd_source(rows, cols, shift):
-    """The source of ``pd_loop`` for a rows x cols operator, its shift variant if ``shift``.
+def _halves(rows, cols, real):
+    """The counts of dual and primal coordinates a loop steps: all, or the real halves."""
+    return (rows // 2, cols // 2) if real else (rows, cols)
 
-    One local per coordinate: x, z and b hold the state (x, z, xbar); k is
+
+def _pd_source(rows, cols, real, shift):
+    """The source of ``pd_loop`` for a rows x cols operator: the general loop, or the
+    real variant if ``real`` (the one-row step if rows is 2); its shift variant if ``shift``.
+
+    One local per stepped coordinate: x, z and b hold the state (x, z, xbar); k is
     K xbar, u the dual step before scaling and v the new z; g is K^T z, w the
-    primal step before the shrink, p the new x and c the new xbar.  ``ua``,
-    ``zb`` and ``xb`` are the float64 buffers the BLAS calls read, filled by
-    ``pack_rows`` and ``pack_cols`` (rows and cols doubles).  The loop returns
-    the state and the count of iterations it leaves to the next loop: 0, or
-    for the shift variant the rest of the batch from the start of the step it
-    could not take.
+    primal step before the shrink, p the new x and c the new xbar.  A real
+    variant names the real halves alone and unpacks the imaginary ones into
+    ``_``.  ``ua``, ``zb`` and ``xb`` are the float64 buffers the BLAS calls
+    read, filled by ``pack_u`` and ``pack_x``; the one-row step keeps ``xb``
+    alone and reads a = K[0, :n] and amin, the least nonzero |a_j| (inf if
+    there is none).  The loop returns the state and the count of iterations
+    it leaves to the next loop: 0, or the rest of the batch from the start of
+    the step it could not take.
     """
-    x, b, g, w, p, c = (_names(s, cols) for s in "xbgwpc")
-    z, sy, k, u, v = (_names(s, rows) for s in ("z", "sy", "k", "u", "v"))
     n = cols // 2
-    state = f"array({_listed(x)}), zb, xb"
-    body = [f"{_unpack(k)} = K.dot(xb).tolist()"]
-    body += [f"{u[i]} = ({z[i]} + sigma * {k[i]}) - {sy[i]}" for i in range(rows)]
+    dual, primal = _halves(rows, cols, real)
+    row = real and rows == 2
+    x, b, g, w, p, c = (_names(s, primal) for s in "xbgwpc")
+    z, sy, k, u, v = (_names(s, dual) for s in ("z", "sy", "k", "u", "v"))
+    im_rows, im_cols = ["_"] * (rows - dual), ["_"] * (cols - primal)
+    half_x, half_z = (f"[:{n}]", f"[:{dual}]") if real else ("", "")
+    z_out = f"array({_listed(z + ['0.0'] * dual)})" if row else "zb"
+    state = f"array({_listed(x + ['0.0'] * (cols - primal))}), {z_out}, xb"
+    if row:
+        a = _names("a", n)
+        head = [f"{_unpack(a)} = K[0, :{n}].tolist()", f"amin = min([abs(v) for v in {_listed(a)} if v], default=inf)"]
+        buffers = f"xb = zeros({cols})"
+    else:
+        alloc = "zeros" if real else "empty"
+        head = ["Kt = K.T"]
+        buffers = f"ua, zb, xb = {alloc}({rows}), {alloc}({rows}), {alloc}({cols})"
+    head += [
+        f"{_unpack(sy + im_rows)} = (sigma * y).tolist()",
+        "se = sigma * eps",
+        buffers,
+        f"{_unpack(x)} = x{half_x}.tolist()",
+        f"{_unpack(z)} = z{half_z}.tolist()",
+        f"{_unpack(b)} = xbar{half_x}.tolist()",
+        *([] if row else [f"pack_u(zb, 0, {_unpack(z)})"]),
+        f"pack_x(xb, 0, {_unpack(b)})",
+    ]
+    body = [f"{_unpack(k + im_rows)} = K.dot(xb).tolist()"]
+    body += [f"{ui} = ({zi} + sigma * {ki}) - {syi}" for ui, zi, ki, syi in zip(u, z, k, sy)]
     if shift:
         body += _shifted(u, v, state)
+    elif row:
+        body += ["nrm = sqrt(u0 * u0)", *_scaled(u, v)]
     else:
-        body += [f"pack_rows(ua, 0, {_unpack(u)})", "nrm = sqrt(ua.dot(ua))", *_scaled(u, v)]
-    body += [f"pack_rows(zb, 0, {_unpack(v)})", f"{_unpack(g)} = Kt.dot(zb).tolist()"]
-    body += [f"{w[i]} = {x[i]} - tau * {g[i]}" for i in range(cols)]
+        body += [f"pack_u(ua, 0, {_unpack(u)})", "nrm = sqrt(ua.dot(ua))", *_scaled(u, v)]
+    if real:
+        finite = " and ".join(f"-inf < {vi} < inf" for vi in v)
+        underflow = " or (v0 != 0.0 and amin * v0 == 0.0)" if row else ""
+        body += [f"if not ({finite}){underflow}:", f"    return {state}, iters - i"]
+    if row:
+        g = [f"({aj} * v0 + 0.0)" for aj in a]
+    else:
+        body += [f"pack_u(zb, 0, {_unpack(v)})", f"{_unpack(g + im_cols)} = Kt.dot(zb).tolist()"]
+    body += [f"{wj} = {xj} - tau * {gj}" for wj, xj, gj in zip(w, x, g)]
     body += [line for j in range(n) for line in _shrunk(w[j::n], p[j::n])]
-    body += _step_end("pack_cols", z, v, x, b, p, c)
-    head = [
-        "Kt = K.T",
-        f"{_unpack(sy)} = (sigma * y).tolist()",
-        "se = sigma * eps",
-        f"ua, zb, xb = empty({rows}), empty({rows}), empty({cols})",
-        f"{_unpack(x)} = x.tolist()",
-        f"{_unpack(z)} = z.tolist()",
-        f"{_unpack(b)} = xbar.tolist()",
-        f"pack_rows(zb, 0, {_unpack(z)})",
-        f"pack_cols(xb, 0, {_unpack(b)})",
-    ]
-    return _loop("pd_loop", head, body, state)
+    body += _step_end(z, v, x, b, p, c)
+    return _loop(head, body, state)
 
 
-def _pd_row_source(cols, shift):
-    """The source of ``pd_row_loop`` for a one-row real operator of cols columns,
-    its shift variant if ``shift``.
-
-    ``_pd_source``'s names, over the real half alone: a holds K[0, :n], z0 and
-    v0 are z's first entry before and after a step, and amin is the least
-    nonzero |a_j| (inf if there is none).  ``xb`` holds xbar; its imaginary
-    half stays +0.0 and ``pack_re`` writes the real half.  The loop returns
-    the state and the count of iterations it leaves to the next loop: 0, or
-    the rest of the batch from the start of the step it could not take.
-    """
-    n = cols // 2
-    a, x, b, w, p, c = (_names(s, n) for s in "axbwpc")
-    state = f"array({_listed(x + ['0.0'] * n)}), array([z0, 0.0]), xb"
-    body = ["k0, _ = K.dot(xb).tolist()", "u0 = (z0 + sigma * k0) - sy0"]
-    if shift:
-        body += _shifted(["u0"], ["v0"], state)
-    else:
-        body += ["nrm = sqrt(u0 * u0)", *_scaled(["u0"], ["v0"])]
-    body += [
-        "if not -inf < v0 < inf or (v0 != 0.0 and amin * v0 == 0.0):",
-        f"    return {state}, iters - i",
-    ]
-    body += [f"{w[j]} = {x[j]} - tau * ({a[j]} * v0 + 0.0)" for j in range(n)]
-    body += [line for j in range(n) for line in _shrunk([w[j]], [p[j]])]
-    body += _step_end("pack_re", ["z0"], ["v0"], x, b, p, c)
-    head = [
-        f"{_unpack(a)} = K[0, :{n}].tolist()",
-        f"amin = min([abs(v) for v in {_listed(a)} if v], default=inf)",
-        "sy0 = sigma * y[0].item()",
-        "se = sigma * eps",
-        f"{_unpack(x)} = x[:{n}].tolist()",
-        "z0 = z[0].item()",
-        f"{_unpack(b)} = xbar[:{n}].tolist()",
-        f"xb = zeros({cols})",
-        f"pack_re(xb, 0, {_unpack(b)})",
-    ]
-    return _loop("pd_row_loop", head, body, state)
-
-
-def _pd_real_source(rows, cols, shift):
-    """The source of ``pd_real_loop`` for a real rows x cols operator, rows >= 4,
-    its shift variant if ``shift``.
-
-    ``_pd_source``'s names, over the real halves alone: m = rows // 2 duals
-    and n = cols // 2 pairs.  The three BLAS calls read the full buffers
-    ``ua``, ``zb`` and ``xb``, whose imaginary halves stay +0.0;
-    ``pack_re_rows`` writes the real half of u or z and ``pack_re`` that of
-    xbar.  Like ``pd_row_loop``, the loop returns the state and the count of
-    iterations it leaves to the next loop.
-    """
-    m, n = rows // 2, cols // 2
-    x, b, g, w, p, c = (_names(s, n) for s in "xbgwpc")
-    z, sy, k, u, v = (_names(s, m) for s in ("z", "sy", "k", "u", "v"))
-    finite = " and ".join(f"-inf < {a} < inf" for a in v)
-    state = f"array({_listed(x + ['0.0'] * n)}), zb, xb"
-    body = [f"{_unpack(k + ['_'] * m)} = K.dot(xb).tolist()"]
-    body += [f"{u[i]} = ({z[i]} + sigma * {k[i]}) - {sy[i]}" for i in range(m)]
-    if shift:
-        body += _shifted(u, v, state)
-    else:
-        body += [f"pack_re_rows(ua, 0, {_unpack(u)})", "nrm = sqrt(ua.dot(ua))", *_scaled(u, v)]
-    body += [f"if not ({finite}):", f"    return {state}, iters - i"]
-    body += [f"pack_re_rows(zb, 0, {_unpack(v)})", f"{_unpack(g + ['_'] * n)} = Kt.dot(zb).tolist()"]
-    body += [f"{w[j]} = {x[j]} - tau * {g[j]}" for j in range(n)]
-    body += [line for j in range(n) for line in _shrunk([w[j]], [p[j]])]
-    body += _step_end("pack_re", z, v, x, b, p, c)
-    head = [
-        "Kt = K.T",
-        f"{_unpack(sy + ['_'] * m)} = (sigma * y).tolist()",
-        "se = sigma * eps",
-        f"ua, zb, xb = zeros({rows}), zeros({rows}), zeros({cols})",
-        f"{_unpack(x)} = x[:{n}].tolist()",
-        f"{_unpack(z)} = z[:{m}].tolist()",
-        f"{_unpack(b)} = xbar[:{n}].tolist()",
-        f"pack_re_rows(zb, 0, {_unpack(z)})",
-        f"pack_re(xb, 0, {_unpack(b)})",
-    ]
-    return _loop("pd_real_loop", head, body, state)
-
-
-def _compiled(source, name, label, **packers):
-    """The function ``name`` that ``source`` defines; each packer writes its count of doubles."""
+def _compiled(source, label, **packers):
+    """The ``pd_loop`` that ``source`` defines; each packer writes its count of doubles."""
     namespace = dict(array=np.array, empty=np.empty, zeros=np.zeros, sqrt=math.sqrt, inf=math.inf, _bits=_bits)
     namespace.update((packer, Struct(f"{count}d").pack_into) for packer, count in packers.items())
-    exec(compile(source, f"<{name} {label}>", "exec"), namespace)
-    return namespace[name]
-
-
-def _label(shape, shift):
-    """The name a loop's source file gets in tracebacks."""
-    return "x".join(map(str, shape)) + (" shift" if shift else "")
+    exec(compile(source, f"<pd_loop {label}>", "exec"), namespace)
+    return namespace["pd_loop"]
 
 
 @functools.cache
-def _pd_loop(rows, cols, shift):
+def _pd_loop(rows, cols, real, shift):
     """``pd_loop`` for one shape of K and variant: compiled once and kept."""
-    return _compiled(
-        _pd_source(rows, cols, shift), "pd_loop", _label((rows, cols), shift), pack_rows=rows, pack_cols=cols
-    )
-
-
-@functools.cache
-def _pd_row_loop(cols, shift):
-    """``pd_row_loop`` for one width of a one-row real K and variant: compiled once and kept."""
-    return _compiled(_pd_row_source(cols, shift), "pd_row_loop", _label((2, cols), shift), pack_re=cols // 2)
-
-
-@functools.cache
-def _pd_real_loop(rows, cols, shift):
-    """``pd_real_loop`` for one shape of a real K of two or more rows and variant: compiled once and kept."""
-    return _compiled(
-        _pd_real_source(rows, cols, shift), "pd_real_loop", _label((rows, cols), shift),
-        pack_re_rows=rows // 2, pack_re=cols // 2,
-    )
+    dual, primal = _halves(rows, cols, real)
+    label = f"{rows}x{cols}" + (" real" if real else "") + (" shift" if shift else "")
+    return _compiled(_pd_source(rows, cols, real, shift), label, pack_u=dual, pack_x=primal)
 
 
 def _real(K, y, tau, x, z, xbar):
-    """Whether a real loop may run: K is finite, its off-diagonal blocks and the
-    imaginary state are +0.0 (all eight bytes zero) and 0 <= tau < inf."""
+    """Whether the real variants may run: K is finite, its off-diagonal blocks and
+    the imaginary state are +0.0 (all eight bytes zero) and 0 <= tau < inf."""
     if not 0.0 <= tau < math.inf:
         return False
     m, n = K.shape[0] // 2, K.shape[1] // 2
@@ -517,13 +436,11 @@ def _real(K, y, tau, x, z, xbar):
 
 def _loops(rows, cols, real, shift):
     """The loops a batch may run, in turn, each built when it is reached: the
-    shift variant before the full one, a real loop before the general one."""
+    shift variant before the full one, the real variant before the general loop."""
     variants = (True, False) if shift else (False,)
-    if real:
+    for r in (True, False) if real else (False,):
         for s in variants:
-            yield _pd_row_loop(cols, s) if rows == 2 else _pd_real_loop(rows, cols, s)
-    for s in variants:
-        yield _pd_loop(rows, cols, s)
+            yield _pd_loop(rows, cols, r, s)
 
 
 def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters):

@@ -181,40 +181,40 @@ def _real_half(v):
     return np.concatenate([v[: len(v) // 2], np.zeros(len(v) // 2)])
 
 
-LOOPS = ("_pd_row_loop", "_pd_real_loop", "_pd_loop")
+def _kind(key):
+    """The loop a ``_pd_loop`` key (rows, cols, real, shift) builds: ``row``, ``real`` or ``general``."""
+    rows, _, real, _ = key
+    return ("row" if rows == 2 else "real") if real else "general"
 
 
-def _spy(monkeypatch, names=LOOPS):
-    """Replace each loop builder ``kern.<name>`` by one whose loops log each run
-    in one list: the builder's name, its arguments (the shape and the shift
-    flag), the iterations given and the iterations handed on to the next loop."""
+def _spy(monkeypatch):
+    """Replace the loop builder ``kern._pd_loop`` by one whose loops log each run
+    in one list: the loop's kind, its key (the shape and the real and shift
+    flags), the iterations given and the iterations handed on to the next loop."""
     runs = []
+    build = kern._pd_loop
 
-    def spy(name, build):
-        def spied(*key):
-            loop = build(*key)
+    def spied(*key):
+        loop = build(*key)
 
-            def run(*args):
-                out = loop(*args)
-                runs.append((name, key, args[-1], out[-1]))
-                return out
+        def run(*args):
+            out = loop(*args)
+            runs.append((_kind(key), key, args[-1], out[-1]))
+            return out
 
-            return run
+        return run
 
-        monkeypatch.setattr(kern, name, spied)
-
-    for name in names:
-        spy(name, getattr(kern, name))
+    monkeypatch.setattr(kern, "_pd_loop", spied)
     return runs
 
 
 def _batches(runs):
-    """The run log cut into batches, each a list of (builder, shift, given, handed on),
+    """The run log cut into batches, each a list of (kind, shift, given, handed on),
     after checking that each loop of a batch was given what the one before handed on."""
     batches, batch = [], []
-    for name, key, given, left in runs:
+    for kind, key, given, left in runs:
         assert not batch or given == batch[-1][3]
-        batch.append((name, key[-1], given, left))
+        batch.append((kind, key[-1], given, left))
         if not left:
             batches.append(batch)
             batch = []
@@ -223,9 +223,9 @@ def _batches(runs):
 
 
 def _chain(first, shift):
-    """The loops, as (builder, shift), that a batch entering ``first`` may run, in order."""
-    names = dict.fromkeys((first, "_pd_loop"))
-    return [(name, s) for name in names for s in ((True, False) if shift else (False,))]
+    """The loops, as (kind, shift), that a batch entering ``first`` may run, in order."""
+    kinds = dict.fromkeys((first, "general"))
+    return [(kind, s) for kind in kinds for s in ((True, False) if shift else (False,))]
 
 
 def _assert_chains(batches, first, shifts):
@@ -234,7 +234,7 @@ def _assert_chains(batches, first, shifts):
     assert len(batches) == len(shifts)
     for batch, shift in zip(batches, shifts):
         assert [run[:2] for run in batch] == _chain(first, shift)[: len(batch)]
-    assert 20 < sum(batch[-1][0] == "_pd_loop" for batch in batches) < 180
+    assert 20 < sum(batch[-1][0] == "general" for batch in batches) < 180
     assert 20 < sum(shifts) < 180
 
 
@@ -243,7 +243,7 @@ def _assert_hands_off(batch, first, shift, left):
     ``left`` iterations; any real loop after it abandoned the same step at once,
     and the general loops ran the rest."""
     assert [run[:2] for run in batch] == _chain(first, shift)[: len(batch)]
-    general = [run[0] for run in batch].index("_pd_loop")
+    general = [run[0] for run in batch].index("general")
     assert batch[0][3] == left and all(run[2] == left for run in batch[1 : general + 1])
 
 
@@ -257,7 +257,7 @@ def test_pd_iterate_matches_reference_on_generic_shapes(monkeypatch, m, ns, cplx
     imaginary halves are +0.0.  A real batch runs a real loop from both of those
     starts; at eps = 0 every batch enters a shift variant."""
     runs = _spy(monkeypatch)
-    first = "_pd_loop" if cplx else "_pd_row_loop" if m == 1 else "_pd_real_loop"
+    first = "general" if cplx else "row" if m == 1 else "real"
     rng = np.random.default_rng(100 * m + cplx)
     for n in ns:
         for eps in (0.0, 0.125, 0.5):
@@ -271,7 +271,7 @@ def test_pd_iterate_matches_reference_on_generic_shapes(monkeypatch, m, ns, cplx
                 mid = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
                 starts = [zero, mid] if cplx else [zero, mid, tuple(map(_real_half, mid))]
                 # the mid state's nonzero imaginary halves send a real A to the general loop
-                for (x, z, xbar), entry in zip(starts, (first, "_pd_loop", first)):
+                for (x, z, xbar), entry in zip(starts, (first, "general", first)):
                     runs.clear()
                     _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, n)
                     (batch,) = _batches(runs)
@@ -291,14 +291,10 @@ def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
     """Calls on one shape and variant, whatever their values, run the loop generated
     for the first; real batches from zero build the real loop of their shape and
     no general loop.  eps = 0 builds the shift variants, each once."""
-    built, rows_built, real_built = [], [], []
-    source, row_source, real_source = kern._pd_source, kern._pd_row_source, kern._pd_real_source
+    built = []
+    source = kern._pd_source
     monkeypatch.setattr(kern, "_pd_source", lambda *key: built.append(key) or source(*key))
-    monkeypatch.setattr(kern, "_pd_row_source", lambda *key: rows_built.append(key) or row_source(*key))
-    monkeypatch.setattr(kern, "_pd_real_source", lambda *key: real_built.append(key) or real_source(*key))
     kern._pd_loop.cache_clear()
-    kern._pd_row_loop.cache_clear()
-    kern._pd_real_loop.cache_clear()
     rng = np.random.default_rng(7)
     for eps in (0.25, 0.0):
         for m, n in ((2, 5), (2, 5), (1, 5)):
@@ -311,8 +307,10 @@ def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
             y[0] = 1.0
             for _ in range(2):
                 state = kern.pd_iterate(K, y, eps, 0.1, 0.1, *state, 3)
-    assert built == [(4, 10, False), (2, 10, False), (4, 10, True), (2, 10, True)]
-    assert rows_built == [(8, False), (8, True)] and real_built == [(4, 10, False), (4, 10, True)]
+    assert built == [
+        (4, 10, False, False), (2, 10, False, False), (2, 8, True, False), (4, 10, True, False),
+        (4, 10, False, True), (2, 10, False, True), (2, 8, True, True), (4, 10, True, True),
+    ]
 
 
 def test_pd_iterate_returns_arrays_no_later_call_writes():
@@ -518,7 +516,7 @@ def test_pd_iterate_matches_reference_on_one_row_real_edge_values(monkeypatch):
         x[:n], z[0], xbar[:n] = [state_entry() for _ in range(n)], state_entry(), [state_entry() for _ in range(n)]
         _pd_same_bytes(_one_row(row), y, eps, tau, sigma, x, z, xbar, iters, n)
         shifts.append(sigma * eps == 0.0)
-    _assert_chains(_batches(runs), "_pd_row_loop", shifts)
+    _assert_chains(_batches(runs), "row", shifts)
 
 
 
@@ -602,10 +600,10 @@ def test_pd_iterate_one_row_hands_off_mid_batch(monkeypatch, row, y0, tau, z0, s
         with np.errstate(all="ignore"):
             kern.pd_iterate(K.view(_CountingK), y, eps, tau, 1.0, x, z, x, iters)
         (batch,) = _batches(runs)
-        _assert_hands_off(batch, "_pd_row_loop", eps == 0.0, iters - step)
+        _assert_hands_off(batch, "row", eps == 0.0, iters - step)
         # a one-row step makes one gemv and a general step two; a loop that abandons a step has made one gemv of it
         assert _CountingK.dots == sum(
-            (1 if name == "_pd_row_loop" else 2) * (given - left) + (left > 0) for name, _, given, left in batch
+            (1 if kind == "row" else 2) * (given - left) + (left > 0) for kind, _, given, left in batch
         )
         _pd_same_bytes(K, y, eps, tau, 1.0, x, z, x, iters, n)
 
@@ -645,7 +643,7 @@ def test_pd_iterate_matches_reference_on_real_edge_values(monkeypatch):
         iters = rng.choice((1, 2, 40))
         _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, iters, n)
         shifts.append(sigma * eps == 0.0)
-    _assert_chains(_batches(runs), "_pd_real_loop", shifts)
+    _assert_chains(_batches(runs), "real", shifts)
 
 
 _REAL_BASE = dict(
@@ -697,9 +695,9 @@ def test_pd_iterate_real_entry_conditions(monkeypatch, change):
         (batch,) = _batches(runs)
         assert {run[1][:2] for run in runs} == {(4, 6)}
         if change:  # a NaN on the way may send the general shift variant's batch on to the full one
-            assert [run[:2] for run in batch] == _chain("_pd_loop", eps == 0.0)[: len(batch)]
+            assert [run[:2] for run in batch] == _chain("general", eps == 0.0)[: len(batch)]
         else:
-            assert batch == [("_pd_real_loop", eps == 0.0, 3, 0)]
+            assert batch == [("real", eps == 0.0, 3, 0)]
         _pd_same_bytes(*args, 3)
 
 
@@ -707,8 +705,13 @@ def test_real_solves_never_run_the_general_loop(monkeypatch):
     """solve_numeric sets every real instance up for a real loop: one-row
     instances run the one-row loop, those of two and three rows the real loop,
     its shift variant at eps = 0."""
-    monkeypatch.setattr(kern, "_pd_loop", lambda *key: pytest.fail(f"general loop for {key}"))
-    real = _spy(monkeypatch, ["_pd_real_loop"])
+    runs = _spy(monkeypatch)
+    spied = kern._pd_loop
+
+    def real_only(*key):
+        return spied(*key) if key[2] else pytest.fail(f"general loop for {key}")
+
+    monkeypatch.setattr(kern, "_pd_loop", real_only)
 
     def inst(rows, y, eps=Q(1, 8)):
         return qcbp.Instance(A=RationalMatrix.from_rows(rows), y=RationalVector.from_items(y), eps=eps)
@@ -730,7 +733,8 @@ def test_real_solves_never_run_the_general_loop(monkeypatch):
         inst(three_rows, [Q(1, 3), Q(-1, 4), Q(2, 5)], Q(0)),
     ):
         assert qcbp.solve_numeric(case).converged
-    assert {run[1] for run in real} == {(4, 8, False), (6, 10, False), (4, 8, True), (6, 10, True)}
+    real = {key for kind, key, _, _ in runs if kind == "real"}
+    assert real == {(4, 8, True, False), (6, 10, True, False), (4, 8, True, True), (6, 10, True, True)}
 
 
 def test_pd_iterate_real_hands_off_mid_batch(monkeypatch):
@@ -747,7 +751,7 @@ def test_pd_iterate_real_hands_off_mid_batch(monkeypatch):
         with np.errstate(all="ignore"):
             kern.pd_iterate(K, y, eps, 1e-300, 1.0, *state, 181)
         (batch,) = _batches(runs)
-        _assert_hands_off(batch, "_pd_real_loop", eps == 0.0, 181 - 179)
+        _assert_hands_off(batch, "real", eps == 0.0, 181 - 179)
         _pd_same_bytes(K, y, eps, 1e-300, 1.0, *state, 181, 2)
 
 
@@ -756,10 +760,10 @@ def test_pd_iterate_real_hands_off_mid_batch(monkeypatch):
 
 # Each loop kind's first loop, K and state (y, x, z); the real kinds keep +0.0 imaginary halves.
 _SHIFT_KINDS = {
-    "one-row": ("_pd_row_loop", _one_row([1.0, -2.0, 0.5]), [1.0, 0.0], _ROW_BASE["x"], [0.1, 0.0]),
-    "real": ("_pd_real_loop", _REAL_BASE["K"], _REAL_BASE["y"], _REAL_BASE["x"], _REAL_BASE["z"]),
+    "one-row": ("row", _one_row([1.0, -2.0, 0.5]), [1.0, 0.0], _ROW_BASE["x"], [0.1, 0.0]),
+    "real": ("real", _REAL_BASE["K"], _REAL_BASE["y"], _REAL_BASE["x"], _REAL_BASE["z"]),
     "general": (
-        "_pd_loop",
+        "general",
         _realified(np.array([[1 + 0.5j, -2.0, 0.5j], [0.25 - 1j, 1.5, -1 + 0.25j]])),
         [1.0, -0.5, 0.25, 0.5],
         [0.3, -0.1, 0.2, 0.1, 0.0, -0.2],
@@ -820,3 +824,32 @@ def test_pd_iterate_shift_variant_guards(monkeypatch, kind, state, eps, sigma, l
         assert batch == [(first, True, iters, iters), (first, False, iters, 0)]
     else:  # no shift variant: the full loop, and for infinite sigma the general one after a real loop
         assert [run[:2] for run in batch] == _chain(first, False) and batch[0][2] == iters
+
+
+@pytest.mark.parametrize(
+    "kind, shift, dots_per_step",
+    [
+        pytest.param(kind, shift, dots, id=f"{kind}-{'shift' if shift else 'full'}")
+        for kind, full, shifted in (("general", 3, 2), ("real", 3, 2), ("one-row", 1, 1))
+        for shift, dots in ((False, full), (True, shifted))
+    ],
+)
+def test_pd_iterate_blas_calls_per_step(monkeypatch, kind, shift, dots_per_step):
+    """Each of the six loops makes its count of BLAS calls a step, the ddot u.u
+    included: K xbar, u.u and K^T z in the general and real loops, all but u.u in
+    their shift variants, and K xbar alone in the one-row loop."""
+    first, K, y, x, z = _SHIFT_KINDS[kind]
+    y, x, z = (np.array(v, dtype=np.float64) for v in (y, x, z))
+    for name in ("empty", "zeros"):  # the loops' buffers, so that ua.dot(ua) counts too
+        alloc = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, alloc=alloc, **k: alloc(*a, **k).view(_CountingK))
+    build = kern._pd_loop
+    build.cache_clear()
+    runs = _spy(monkeypatch)
+    _CountingK.dots = 0
+    try:
+        kern.pd_iterate(K.view(_CountingK), y, 0.0 if shift else 0.25, 0.3, 0.4, x, z, x, 5)
+    finally:
+        build.cache_clear()
+    assert _batches(runs) == [[(first, shift, 5, 0)]]
+    assert _CountingK.dots == dots_per_step * 5

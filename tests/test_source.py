@@ -139,7 +139,9 @@ def _calls(path: Path, names: set[str]) -> list[str]:
 
 
 def test_generated_source_is_compiled_in_one_place():
-    """Both generated primal-dual loops go through ``_kernels._compiled``: one
-    ``compile`` and one ``exec`` in the package."""
+    """Every generated primal-dual loop goes through ``_kernels._compiled``, whose
+    one caller is the one loop builder ``_kernels._pd_loop``: one ``compile`` and
+    one ``exec`` in the package."""
     found = sorted(call for path in SOURCES for call in _calls(path, {"exec", "compile"}))
     assert found == ["_kernels._compiled:compile", "_kernels._compiled:exec"]
+    assert [call for path in SOURCES for call in _calls(path, {"_compiled"})] == ["_kernels._pd_loop:_compiled"]
