@@ -8,10 +8,11 @@ runs its other steps on Python floats, bit for bit what the all-numpy loop
 computes, in straight-line loops that one generator emits per problem shape
 and variant: the general loop; for real instances a real variant that steps
 the real halves of the state alone, with one BLAS call a step for one row
-and the general loop's three for more; and a shift variant of each for
-batches with sigma * eps = +-0.0 (eps = 0, basis pursuit), whose dual step is
-v = u: no norm of u, and one BLAS call fewer a step for two rows or more (the
-design and its argument are in the comment above ``pd_iterate``).
+(none for one row of two columns, the perturbation families) and the general
+loop's three for more; and a shift variant of each for batches with sigma *
+eps = +-0.0 (eps = 0, basis pursuit), whose dual step is v = u: no norm of u,
+and one BLAS call fewer a step for two rows or more (the design and its
+argument are in the comment above ``pd_iterate``).
 
 Exactness note: the scan is exact on int64 when rhs and W = sum_i M_i^2 are
 below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that in
@@ -225,13 +226,33 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 #   with tau >= 0 the pair shrink's factor lies in [0, 1], so the new x and
 #   xbar keep +0.0 in their imaginary halves and a pair norm is sqrt(w_j w_j).
 # A step is then the gemv K xbar, one ``.tolist()`` and one ``pack_into`` of
-# xbar's real half.  Its test that the new z0 is finite also covers u1: u1 is
-# NaN only when sigma or an entry of xbar's real half is not finite, and then
-# u0 and z0 are not finite either.  It also hands on when a nonzero a_j times
-# a nonzero z0 rounds to zero, since an FMA inside BLAS gives that zero the
-# sign of the exact product; with m >= 2, K^T z stays a BLAS call and needs no
-# such test.  Like the ddot it stands for, u0 * u0 overflows to inf once |u0|
-# passes about 2**511 (ROADMAP item 13).
+# xbar's real half, or none of these at two columns (below).  Its test that
+# the new z0 is finite also covers u1: u1 is NaN only when sigma or an entry
+# of xbar's real half is not finite, and then u0 and z0 are not finite
+# either.  It also hands on when a nonzero a_j times a nonzero z0 rounds to
+# zero, since an FMA inside BLAS gives that zero the sign of the exact
+# product; with m >= 2, K^T z stays a BLAS call and needs no such test.  Like
+# the ddot it stands for, u0 * u0 overflows to inf once |u0| passes about
+# 2**511 (ROADMAP item 13).
+#
+# Two columns (n = 2, the perturbation families): the step forms (K xbar)_0
+# as ``(a0 * b0 + a1 * b1) + 0.0`` and makes no BLAS call, so it keeps no xbar
+# buffer and returns xbar as an array of b0, b1 and two +0.0.  This rests on a
+# measured property of the installed BLAS, not on an identity.  The gemv sum
+# has two products that may be nonzero and two +0.0 * +0.0 terms; with two
+# products every summation order rounds to fl(fl(p0) + fl(p1)), and adding
+# +0.0 turns a -0.0 sum into the +0.0 the zero terms give it, so the one
+# freedom left to BLAS is to fuse a product into the sum (FMA).  On OpenBLAS
+# 0.3.31 (scipy-openblas, DYNAMIC_ARCH, on an AVX-512 Xeon) the 2 x 4 gemv
+# gave those bytes in 200,000 of 200,000 seeded cases, once on random normal
+# values and once with 40% edge values (signed zeros, subnormals, 2**+-520,
+# 1e+-300, the largest float, +-inf in xbar).  The reductions that stay BLAS
+# calls fuse: on the random normal cases a two-term ddot differed from the
+# Python sum in 2,092 of 20,000, the two-row K^T z (gemv_n) in 2,123 and a
+# one-row gemv of three columns from the left-to-right sum in 1,951.  A test
+# (tests/test_kernels.py::test_two_column_gemv_is_unfused) pins the property
+# on the installed BLAS, and a byte replay of the two-column solves pins their
+# trajectories.  Every other shape keeps its gemv K xbar.
 #
 # Shift variants.  When sigma * eps is +-0.0 (eps = 0, or sigma = 0 with eps
 # finite), the dual step factor = 1.0 - se / nrm is 1.0 for every nrm > 0,
@@ -313,13 +334,13 @@ def _shrunk(w, p):
     ]
 
 
-def _step_end(z, v, x, b, p, c):
-    """xbar = 2p - x written into ``xb``, the fixed-point exit and the state update."""
+def _step_end(z, v, x, b, p, c, packed):
+    """xbar = 2p - x, written into ``xb`` if ``packed``, the fixed-point exit and the state update."""
     new, old = v + p + c, z + x + b
     same = " and ".join(f"{a} == {o}" for a, o in zip(new, old))
     return [
         *(f"{ci} = 2.0 * {pi} - {xi}" for ci, pi, xi in zip(c, p, x)),
-        f"pack_x(xb, 0, {_unpack(c)})",
+        *([f"pack_x(xb, 0, {_unpack(c)})"] if packed else []),
         f"if {same} and _bits({_listed(new)}) == _bits({_listed(old)}):",
         "    break  # a fixed point: x already holds the new x's bytes",
         *(f"{o} = {a}" for a, o in zip(new, old)),
@@ -354,39 +375,41 @@ def _pd_source(rows, cols, real, shift):
     variant names the real halves alone and unpacks the imaginary ones into
     ``_``.  ``ua``, ``zb`` and ``xb`` are the float64 buffers the BLAS calls
     read, filled by ``pack_u`` and ``pack_x``; the one-row step keeps ``xb``
-    alone and reads a = K[0, :n] and amin, the least nonzero |a_j| (inf if
-    there is none).  The loop returns the state and the count of iterations
-    it leaves to the next loop: 0, or the rest of the batch from the start of
-    the step it could not take.
+    alone, or no buffer at two columns, and reads a = K[0, :n] and amin, the
+    least nonzero |a_j| (inf if there is none).  The loop returns the state and
+    the count of iterations it leaves to the next loop: 0, or the rest of the
+    batch from the start of the step it could not take.
     """
     n = cols // 2
     dual, primal = _halves(rows, cols, real)
     row = real and rows == 2
+    pair = row and n == 2  # K xbar formed in Python: no xbar buffer
     x, b, g, w, p, c = (_names(s, primal) for s in "xbgwpc")
     z, sy, k, u, v = (_names(s, dual) for s in ("z", "sy", "k", "u", "v"))
     im_rows, im_cols = ["_"] * (rows - dual), ["_"] * (cols - primal)
     half_x, half_z = (f"[:{n}]", f"[:{dual}]") if real else ("", "")
     z_out = f"array({_listed(z + ['0.0'] * dual)})" if row else "zb"
-    state = f"array({_listed(x + ['0.0'] * (cols - primal))}), {z_out}, xb"
+    xb_out = f"array({_listed(b + ['0.0'] * primal)})" if pair else "xb"
+    state = f"array({_listed(x + ['0.0'] * (cols - primal))}), {z_out}, {xb_out}"
     if row:
         a = _names("a", n)
         head = [f"{_unpack(a)} = K[0, :{n}].tolist()", f"amin = min([abs(v) for v in {_listed(a)} if v], default=inf)"]
-        buffers = f"xb = zeros({cols})"
+        buffers = [] if pair else [f"xb = zeros({cols})"]
     else:
         alloc = "zeros" if real else "empty"
         head = ["Kt = K.T"]
-        buffers = f"ua, zb, xb = {alloc}({rows}), {alloc}({rows}), {alloc}({cols})"
+        buffers = [f"ua, zb, xb = {alloc}({rows}), {alloc}({rows}), {alloc}({cols})"]
     head += [
         f"{_unpack(sy + im_rows)} = (sigma * y).tolist()",
         "se = sigma * eps",
-        buffers,
+        *buffers,
         f"{_unpack(x)} = x{half_x}.tolist()",
         f"{_unpack(z)} = z{half_z}.tolist()",
         f"{_unpack(b)} = xbar{half_x}.tolist()",
         *([] if row else [f"pack_u(zb, 0, {_unpack(z)})"]),
-        f"pack_x(xb, 0, {_unpack(b)})",
+        *([] if pair else [f"pack_x(xb, 0, {_unpack(b)})"]),
     ]
-    body = [f"{_unpack(k + im_rows)} = K.dot(xb).tolist()"]
+    body = ["k0 = (a0 * b0 + a1 * b1) + 0.0"] if pair else [f"{_unpack(k + im_rows)} = K.dot(xb).tolist()"]
     body += [f"{ui} = ({zi} + sigma * {ki}) - {syi}" for ui, zi, ki, syi in zip(u, z, k, sy)]
     if shift:
         body += _shifted(u, v, state)
@@ -404,7 +427,7 @@ def _pd_source(rows, cols, real, shift):
         body += [f"pack_u(zb, 0, {_unpack(v)})", f"{_unpack(g + im_cols)} = Kt.dot(zb).tolist()"]
     body += [f"{wj} = {xj} - tau * {gj}" for wj, xj, gj in zip(w, x, g)]
     body += [line for j in range(n) for line in _shrunk(w[j::n], p[j::n])]
-    body += _step_end(z, v, x, b, p, c)
+    body += _step_end(z, v, x, b, p, c, not pair)
     return _loop(head, body, state)
 
 

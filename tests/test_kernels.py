@@ -4,14 +4,22 @@ The grid scan, on int64 and on Python ints, must match the sweep of every box
 point in tests/grid_reference.py, and the primal-dual kernel, in its general
 loop, its one-row real loop and its real loop of two or more rows, each in its
 full and its shift variant, must return the bytes of the all-numpy loop it
-replaced, also where it stops at a fixed point or hands a batch over.
+replaced, also where it stops at a fixed point or hands a batch over.  The
+one-row step of two columns, which forms K xbar in Python, also has a byte
+replay of its solves against a recorded digest and a test of the BLAS
+property it rests on.
 """
 
 import functools
+import hashlib
 import inspect
+import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction as Q
+from pathlib import Path
+from struct import pack
 
 import numpy as np
 import pytest
@@ -393,6 +401,14 @@ K_EDGE = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 1.0, -1.0, 2.0]])
             np.zeros((2, 4)), [0.0, 0.0], 0.5, 5.0, [3.0, 1.0, -4.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
             id="pair-shrinks-to-zero",
         ),
+        pytest.param(
+            # a one-row real K of two columns whose K xbar sums two -0.0
+            # products: the zero terms BLAS adds make it +0.0, and so must the
+            # two-column step, or the first step's z0 keeps the sign of -0.0
+            [[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]], [0.0, 0.0], 0.25, 0.3,
+            [-0.0, -0.0, 0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0, 0.0, 0.0],
+            id="two-column-minus-zero-sum",
+        ),
     ],
 )
 @pytest.mark.parametrize("iters", [1, 250])
@@ -565,15 +581,18 @@ def test_pd_iterate_one_row_entry_conditions(change, dots_per_step, iters):
 
 
 def test_pd_iterate_one_row_real_solve_makes_one_blas_call_per_step():
-    """A family solve's first batch, from zero as solve_numeric sets it up, makes one gemv a step and no other BLAS call."""
-    inst = families.perturbed_instance(1, 14, families.FamilyParams())
-    K, y, step = _solver_setup(inst)
-    zero = (np.zeros(2 * inst.n), np.zeros(2), np.zeros(2 * inst.n))
-    _CountingK.dots = 0
-    got = kern.pd_iterate(K.view(_CountingK), y, float(inst.eps), step, step, *zero, 250)
-    assert _CountingK.dots == 250
-    want = pd_reference.pd_iterate(K, y, float(inst.eps), step, step, *zero, 250, inst.n)
-    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    """A family solve's first batch, from zero as solve_numeric sets it up, makes
+    no BLAS call at two columns, where K xbar is formed in Python, and one gemv
+    a step and no other BLAS call at three."""
+    for n_dim, dots in ((2, 0), (3, 250)):
+        inst = families.perturbed_instance(1, 14, families.FamilyParams(n_dim=n_dim))
+        K, y, step = _solver_setup(inst)
+        zero = (np.zeros(2 * inst.n), np.zeros(2), np.zeros(2 * inst.n))
+        _CountingK.dots = 0
+        got = kern.pd_iterate(K.view(_CountingK), y, float(inst.eps), step, step, *zero, 250)
+        assert _CountingK.dots == dots, n_dim
+        want = pd_reference.pd_iterate(K, y, float(inst.eps), step, step, *zero, 250, inst.n)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 @pytest.mark.parametrize(
@@ -587,25 +606,28 @@ def test_pd_iterate_one_row_real_solve_makes_one_blas_call_per_step():
 )
 def test_pd_iterate_one_row_hands_off_mid_batch(monkeypatch, row, y0, tau, z0, step, iters):
     """A step that the one-row loop cannot take byte for byte hands the rest of the batch,
-    from the state it started with, to the general loop.  eps = 5e-324 keeps the
+    from the state it started with, to the general loop, at two columns and with
+    a third, zero column, which takes the same steps.  eps = 5e-324 keeps the
     factor at 1.0, as eps = 0 does, but runs the full variant; from the shift
     variant the full one-row loop is tried first and abandons the same step."""
     runs = _spy(monkeypatch)
-    n = len(row)
-    K, y, x = _one_row(row), np.array([y0, 0.0]), np.zeros(2 * n)
-    z = np.array([z0, 0.0])
-    for eps in (0.0, 5e-324):
-        runs.clear()
-        _CountingK.dots = 0
-        with np.errstate(all="ignore"):
-            kern.pd_iterate(K.view(_CountingK), y, eps, tau, 1.0, x, z, x, iters)
-        (batch,) = _batches(runs)
-        _assert_hands_off(batch, "row", eps == 0.0, iters - step)
-        # a one-row step makes one gemv and a general step two; a loop that abandons a step has made one gemv of it
-        assert _CountingK.dots == sum(
-            (1 if kind == "row" else 2) * (given - left) + (left > 0) for kind, _, given, left in batch
-        )
-        _pd_same_bytes(K, y, eps, tau, 1.0, x, z, x, iters, n)
+    for n in (2, 3):
+        K, y, x = _one_row(row + [0.0] * (n - 2)), np.array([y0, 0.0]), np.zeros(2 * n)
+        z = np.array([z0, 0.0])
+        # the gemvs of a step and of an abandoned one, which makes K xbar alone: a
+        # general step makes two, a one-row step one at three columns, none at two
+        gemvs = {"row": (n - 2, n - 2), "general": (2, 1)}
+        for eps in (0.0, 5e-324):
+            runs.clear()
+            _CountingK.dots = 0
+            with np.errstate(all="ignore"):
+                kern.pd_iterate(K.view(_CountingK), y, eps, tau, 1.0, x, z, x, iters)
+            (batch,) = _batches(runs)
+            _assert_hands_off(batch, "row", eps == 0.0, iters - step)
+            assert _CountingK.dots == sum(
+                gemvs[kind][0] * (given - left) + gemvs[kind][1] * (left > 0) for kind, _, given, left in batch
+            )
+            _pd_same_bytes(K, y, eps, tau, 1.0, x, z, x, iters, n)
 
 
 
@@ -761,6 +783,7 @@ def test_pd_iterate_real_hands_off_mid_batch(monkeypatch):
 # Each loop kind's first loop, K and state (y, x, z); the real kinds keep +0.0 imaginary halves.
 _SHIFT_KINDS = {
     "one-row": ("row", _one_row([1.0, -2.0, 0.5]), [1.0, 0.0], _ROW_BASE["x"], [0.1, 0.0]),
+    "two-column": ("row", _one_row([1.0, -2.0]), [1.0, 0.0], [0.3, -0.1, 0.0, 0.0], [0.1, 0.0]),
     "real": ("real", _REAL_BASE["K"], _REAL_BASE["y"], _REAL_BASE["x"], _REAL_BASE["z"]),
     "general": (
         "general",
@@ -830,14 +853,14 @@ def test_pd_iterate_shift_variant_guards(monkeypatch, kind, state, eps, sigma, l
     "kind, shift, dots_per_step",
     [
         pytest.param(kind, shift, dots, id=f"{kind}-{'shift' if shift else 'full'}")
-        for kind, full, shifted in (("general", 3, 2), ("real", 3, 2), ("one-row", 1, 1))
+        for kind, full, shifted in (("general", 3, 2), ("real", 3, 2), ("one-row", 1, 1), ("two-column", 0, 0))
         for shift, dots in ((False, full), (True, shifted))
     ],
 )
 def test_pd_iterate_blas_calls_per_step(monkeypatch, kind, shift, dots_per_step):
-    """Each of the six loops makes its count of BLAS calls a step, the ddot u.u
-    included: K xbar, u.u and K^T z in the general and real loops, all but u.u in
-    their shift variants, and K xbar alone in the one-row loop."""
+    """Each loop makes its count of BLAS calls a step, the ddot u.u included: K
+    xbar, u.u and K^T z in the general and real loops, all but u.u in their shift
+    variants, K xbar alone in the one-row loops and none at two columns."""
     first, K, y, x, z = _SHIFT_KINDS[kind]
     y, x, z = (np.array(v, dtype=np.float64) for v in (y, x, z))
     for name in ("empty", "zeros"):  # the loops' buffers, so that ua.dot(ua) counts too
@@ -853,3 +876,87 @@ def test_pd_iterate_blas_calls_per_step(monkeypatch, kind, shift, dots_per_step)
         build.cache_clear()
     assert _batches(runs) == [[(first, shift, 5, 0)]]
     assert _CountingK.dots == dots_per_step * 5
+
+
+# --- byte replay of the one-row two-column solves --------------------------------
+
+PD_REPLAY = Path(__file__).parent / "golden" / "pd_replay_two_column.json"
+
+
+def _blas():
+    """numpy's BLAS: its name and version."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
+def _two_column_instances():
+    """Both perturbation families at n = 1..50, then 42 seeded real 1 x 2 instances at eps = 0, 1/8 and 1/2."""
+    p = families.FamilyParams()
+    cases = [families.perturbed_instance(which, n, p) for n in range(1, 51) for which in (1, 2)]
+    rng = random.Random(1201)
+    for i in range(42):
+        row = [Q(rng.randint(-24, 24), rng.randint(8, 24)) for _ in range(2)]
+        while abs(row[0]) == abs(row[1]):  # no tie: each solve certifies in its first batch
+            row = [Q(rng.randint(-24, 24), rng.randint(8, 24)) for _ in range(2)]
+        y = RationalVector.from_items([Q(rng.randint(-8, 8), 16)])
+        cases.append(qcbp.Instance(A=RationalMatrix.from_rows([row]), y=y, eps=(Q(0), Q(1, 8), Q(1, 2))[i % 3]))
+    return cases
+
+
+def _pd_replay(monkeypatch):
+    """Solve every two-column instance at tol 1e-6 and return the count of
+    ``pd_iterate`` calls and the sha256, in call order, of each call's input and
+    output bytes and of each ``SolveReport.to_json()``."""
+    digest, calls = hashlib.sha256(), []
+    run = kern.pd_iterate
+
+    def recorded(K, y, eps, tau, sigma, x, z, xbar, iters):
+        digest.update(pack("<3q3d", *K.shape, iters, eps, tau, sigma))
+        digest.update(b"".join(v.tobytes() for v in (K, y, x, z, xbar)))
+        out = run(K, y, eps, tau, sigma, x, z, xbar, iters)
+        digest.update(b"".join(v.tobytes() for v in out))
+        calls.append(K.shape)
+        return out
+
+    monkeypatch.setattr(kern, "pd_iterate", recorded)
+    for inst in _two_column_instances():
+        report = qcbp.solve_numeric(inst, Q(1, 10**6))
+        digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+    assert set(calls) == {(2, 4)}
+    return len(calls), digest.hexdigest()
+
+
+def test_pd_replay_of_two_column_solves_keeps_its_bytes(monkeypatch):
+    """Every primal-dual batch of the family solves and of 42 other one-row
+    two-column solves, eps = 0 among them, and every report they give, keep the
+    bytes recorded in tests/golden.  A change that moves a byte on purpose
+    records the file again from ``_pd_replay`` and names the calls that moved."""
+    want = json.loads(PD_REPLAY.read_text())
+    got = _pd_replay(monkeypatch)
+    assert got == (want["calls"], want["sha256"]), f"recorded on {want['blas']}; this is {_blas()}"
+
+
+def test_two_column_gemv_is_unfused():
+    """The installed BLAS's gemv of a one-row real 2 x 4 K gives (K xbar)_0 as
+    (a0 * b0 + a1 * b1) + 0.0, byte for byte, on 20,000 seeded cases of normal
+    and edge values (NaN compared as NaN), one gemv call a case.  The sum is
+    formed by numpy's elementwise operations, each rounded as a Python float's."""
+    rng = np.random.default_rng(2002)
+    finite = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1070, 2.0**520, -(2.0**-520), 1e300, -1e-300, 1.7976931348623157e308]
+
+    def draw(edges):
+        normal = rng.uniform(-3, 3, (20_000, 2)) * 2.0 ** rng.integers(-40, 41, (20_000, 2))
+        return np.where(rng.random((20_000, 2)) < 0.4, rng.choice(edges, (20_000, 2)), normal)
+
+    a, b = draw(finite), draw(finite + [math.inf, -math.inf])
+    K, xb = np.zeros((20_000, 2, 4)), np.zeros((20_000, 4))
+    K[:, 0, :2] = K[:, 1, 2:] = a
+    xb[:, :2] = b
+    with np.errstate(all="ignore"):  # inf and NaN are among the compared values
+        got = np.array([Ki.dot(xi)[0] for Ki, xi in zip(K, xb)])
+        want = (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + 0.0
+    moved = np.count_nonzero((got.view(np.int64) != want.view(np.int64)) & ~(np.isnan(got) & np.isnan(want)))
+    assert not moved, (
+        f"{moved} of 20,000 gemv results differ from (a0 * b0 + a1 * b1) + 0.0: the two-column "
+        f"one-row step of _kernels.pd_iterate assumes an unfused gemv, and this BLAS ({_blas()}) fuses"
+    )
