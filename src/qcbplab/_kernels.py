@@ -9,10 +9,11 @@ computes, in straight-line loops that one generator emits per problem shape
 and variant: the general loop; for real instances a real variant that steps
 the real halves of the state alone, with one BLAS call a step for one row
 (none for one row of two columns, the perturbation families) and the general
-loop's three for more; and a shift variant of each for batches with sigma *
-eps = +-0.0 (eps = 0, basis pursuit), whose dual step is v = u: no norm of u,
-and one BLAS call fewer a step for two rows or more (the design and its
-argument are in the comment above ``pd_iterate``).
+loop's three for more, each reading a real entry's magnitude from its sign
+where the general loop takes the root of its square; and a shift variant of
+each for batches with sigma * eps = +-0.0 (eps = 0, basis pursuit), whose
+dual step is v = u: no norm of u, and one BLAS call fewer a step for two rows
+or more (the design and its argument are in the comment above ``pd_iterate``).
 
 Exactness note: the scan is exact on int64 when rhs and W = sum_i M_i^2 are
 below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that in
@@ -184,12 +185,17 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # Real variants (A and y real), with the general loop's bytes.  One entry
 # test, ``_real``, admits a batch to them: K is finite; its off-diagonal
 # blocks K[:m, n:] and K[m:, :n], y[m:], x[n:], z[m:] and xbar[n:] are +0.0,
-# sign bit included (all eight bytes zero); and 0 <= tau < inf.
-# ``solve_numeric`` sets every real instance up so.  A real variant packs,
-# unpacks and steps only the real halves of u, z, w, x and xbar; the
-# imaginary halves of its buffers and of the x it returns are +0.0.  It
-# hands the rest of its batch, from the state it started with, to the
-# general loop when an entry of the new z is not finite.
+# sign bit included (all eight bytes zero); tau lies in [2**-510, 2**450]; and
+# for one row, sigma * eps is +-0.0 or lies in that range too (real pairs,
+# below).  ``solve_numeric`` sets every real instance up so, except the
+# range: it sets tau = sigma = 1/L for L a bound on A's norm, so a real A
+# whose entries are about 2**-450 or less (family members at ``--a 1e-400``
+# from n = 451) runs the general loop, until A is scaled by a power of two
+# (ROADMAP item 13).  A real variant packs, unpacks and steps only the real
+# halves of u, z, w, x and xbar; the imaginary halves of its buffers and of
+# the x it returns are +0.0.  It hands the rest of its batch, from the state
+# it started with, to the general loop when an entry of the new z is not
+# finite.
 #
 # Two or more rows (m >= 2): the step makes the general loop's three BLAS
 # calls on the same full K and full-length buffers, so every real entry it
@@ -201,8 +207,9 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 #   are +0.0), so the ddot u.u reads the bytes it reads in the general loop,
 #   and the new z_im = +0.0 * factor is +0.0 while factor is finite;
 # - w_im = +0.0 - tau * (+-0.0) is +0.0 for a finite tau, so a pair norm is
-#   sqrt(w_j w_j), and with tau >= 0 the shrink factor lies in [0, 1], so the
-#   new x and xbar keep +0.0 in their imaginary halves.
+#   sqrt(w_j w_j), which the step reads as |w_j| (real pairs, below), and
+#   with tau > 0 the shrink factor lies in [0, 1], so the new x and xbar keep
+#   +0.0 in their imaginary halves.
 # The hand-off test covers each way an imaginary entry can leave +0.0.  A
 # non-finite real entry of xbar, or sigma = +-inf or NaN, makes every u_re
 # non-finite (a sum with a non-finite term is not finite, and sigma * 0.0 is
@@ -217,13 +224,13 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # exact zero, so their bytes depend neither on BLAS's summation order nor on
 # whether it fuses a multiply-add (FMA), and Python forms them exactly:
 # - u1 = (+0.0 + sigma k1) - sigma * (+0.0) is +0.0 whenever the new z0 is
-#   finite (k1 is a zero of some sign), so u.u is u0 * u0 and the new z1 is
-#   +0.0 again;
+#   finite (k1 is a zero of some sign), so u.u is u0 * u0, whose root the
+#   step reads as |u0| (real pairs, below), and the new z1 is +0.0 again;
 # - with a = K[0, :n], the real column j of K^T z is a_j z0 + (+0.0)(+0.0),
 #   formed as ``a_j * z0 + 0.0``;
 # - an imaginary column is (+0.0) z0 + a_j (+0.0), a zero of either sign, and
 #   x_j - tau * (that zero) is +0.0 for a finite tau, so it is never formed;
-#   with tau >= 0 the pair shrink's factor lies in [0, 1], so the new x and
+#   with tau > 0 the pair shrink's factor lies in [0, 1], so the new x and
 #   xbar keep +0.0 in their imaginary halves and a pair norm is sqrt(w_j w_j).
 # A step is then the gemv K xbar, one ``.tolist()`` and one ``pack_into`` of
 # xbar's real half, or none of these at two columns (below).  Its test that
@@ -231,9 +238,11 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # of xbar's real half is not finite, and then u0 and z0 are not finite
 # either.  It also hands on when a nonzero a_j times a nonzero z0 rounds to
 # zero, since an FMA inside BLAS gives that zero the sign of the exact
-# product; with m >= 2, K^T z stays a BLAS call and needs no such test.  Like
-# the ddot it stands for, u0 * u0 overflows to inf once |u0| passes about
-# 2**511 (ROADMAP item 13).
+# product; with m >= 2, K^T z stays a BLAS call and needs no such test.  The
+# step forms no u0 * u0, but its dual factor keeps the bytes of the one the
+# ddot gives, also past |u0| of about 2**511, where u0 * u0 overflows to inf
+# and the factor is 1.0 (ROADMAP item 13); the ddot of two rows or more
+# still overflows there.
 #
 # Two columns (n = 2, the perturbation families): the step forms (K xbar)_0
 # as ``(a0 * b0 + a1 * b1) + 0.0`` and makes no BLAS call, so it keeps no xbar
@@ -254,6 +263,29 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # on the installed BLAS, and a byte replay of the two-column solves pins their
 # trajectories.  Every other shape keeps its gemv K xbar.
 #
+# Real pairs.  A real pair's norm sqrt(w * w), and the one-row dual norm
+# sqrt(u0 * u0), enter the step only through the factor max(0, 1 - t / nrm),
+# 0 unless nrm > 0 (t = tau, or sigma * eps), so the real loops form it as
+# ``1.0 - t / w if w > 0.0 else 1.0 + t / w if w < 0.0 else 0.0`` (then the
+# max), with the bytes of the root for t in [2**-510, 2**450]:
+# - in binary floating point, RN(sqrt(RN(w * w))) = |w| wherever w * w is
+#   normal and finite: scaled by 4**k to |w| in [1, 2), RN(w * w) is
+#   w * w (1 + d) with |d| <= 2**-53, and its root differs from |w| by less
+#   than |w| 2**-54 (1 + 2**-53) < 2**-53, half an ulp of |w|;
+# - for w < 0, 1.0 + t / w is 1.0 - t / |w| exactly: division and negation
+#   are sign-symmetric;
+# - 0 < |w| < 2**-511: both norms are at most 2**-511 (or the root is 0),
+#   so t / nrm >= 2 and both factors clamp to +0.0;
+# - w * w overflows: |w| > 2**511, so t / |w| < 2**-61, and 1.0 - t / |w|
+#   rounds to the 1.0 an infinite norm gives;
+# - +-0.0 and NaN give 0.0 either way, +-inf 1.0.
+# Outside the range the forms differ (t = 2**-600 with w = 2**-560, or t =
+# 2**500 with w = 2**520), and so does t = sigma * eps = +-0.0: where u0 * u0
+# rounds to 0 (0 < |u0| < 2**-537.5) the root's factor is 0.0 but the signed
+# one 1.0.  A one-row batch of that kind runs the shift variant (below), whose
+# hand-off skips the full one-row loop.  Complex pairs, and u.u for two rows
+# or more, keep their roots.
+#
 # Shift variants.  When sigma * eps is +-0.0 (eps = 0, or sigma = 0 with eps
 # finite), the dual step factor = 1.0 - se / nrm is 1.0 for every nrm > 0,
 # inf included: se / nrm is a zero, and 1.0 minus a zero is 1.0.  Then
@@ -273,14 +305,17 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # (NaN is not) and runs its loops as one chain, each from the state and with
 # the iterations the one before handed on: the real variant's shift and full
 # loops, then the general loop's shift and full loops, skipping those that do
-# not apply.  The full general loop never hands on, so every batch ends there
-# or before, and a loop is generated only when a batch reaches it.  A full
-# real loop given a batch by its shift variant skips the entry test: the
+# not apply and, for one row, the full real loop after the shift one (real
+# pairs, above).  The full general loop never hands on, so every batch ends
+# there or before, and a loop is generated only when a batch reaches it.  A
+# full real loop given a batch by its shift variant skips the entry test: the
 # state it starts from keeps its imaginary halves at +0.0.
 #
 # ``_pd_source`` emits every variant from the same lines and varies only what
-# the argument above allows: the halves stepped, how u.u (a ddot or u0 * u0)
-# and K^T z (a gemv or ``a_j * v0 + 0.0``) are formed, and the hand-off test.
+# the argument above allows: the halves stepped, how each factor's norm (a
+# root of a ddot or of a sum of squares, or one real entry's sign, all emitted
+# by ``_factor``) and K^T z (a gemv or ``a_j * v0 + 0.0``) are formed, and
+# the hand-off test.
 
 def _bits(v):
     """The float64 bytes of a list of floats."""
@@ -299,13 +334,22 @@ def _listed(names):
     return "[" + ", ".join(names) + "]"
 
 
+def _factor(name, t, w, norm):
+    """``name`` = max(0.0, 1.0 - t / ||w||), and 0.0 unless ||w|| > 0.  ``norm`` is
+    ||w||'s expression; for one real entry w, |w| is read from w's sign instead
+    (real pairs, above ``pd_iterate``)."""
+    if len(w) == 1:
+        a = w[0]
+        lines = [f"{name} = 1.0 - {t} / {a} if {a} > 0.0 else 1.0 + {t} / {a} if {a} < 0.0 else 0.0"]
+    else:
+        lines = [f"mag = {norm}", f"{name} = 1.0 - {t} / mag if mag > 0 else 0.0"]
+    return [*lines, f"{name} = {name} if {name} > 0.0 else 0.0"]
+
+
 def _scaled(u, v):
-    """The dual scaling v = u * factor, nrm = ||u|| given."""
-    return [
-        "factor = 1.0 - se / nrm if nrm > 0 else 0.0",
-        "factor = factor if factor > 0.0 else 0.0",
-        *(f"{a} = {b} * factor" for a, b in zip(v, u)),
-    ]
+    """The dual scaling v = u * factor, with ||u|| a ddot of the packed u unless u is one real entry."""
+    pack = [] if len(u) == 1 else [f"pack_u(ua, 0, {_unpack(u)})"]
+    return [*pack, *_factor("factor", "se", u, "sqrt(ua.dot(ua))"), *(f"{a} = {b} * factor" for a, b in zip(v, u))]
 
 
 # the least |u_i| whose square is normal: one such entry makes u.u > 0
@@ -326,12 +370,8 @@ def _shifted(u, v, state):
 
 def _shrunk(w, p):
     """The shrink of one pair into p, given its one or two w names."""
-    return [
-        f"mag = sqrt({' + '.join(f'{a} * {a}' for a in w)})",
-        "f = 1.0 - tau / mag if mag > 0 else 0.0",
-        "f = f if f > 0.0 else 0.0",
-        *(f"{a} = {b} * f" for a, b in zip(p, w)),
-    ]
+    norm = f"sqrt({' + '.join(f'{a} * {a}' for a in w)})"
+    return [*_factor("f", "tau", w, norm), *(f"{a} = {b} * f" for a, b in zip(p, w))]
 
 
 def _step_end(z, v, x, b, p, c, packed):
@@ -411,12 +451,7 @@ def _pd_source(rows, cols, real, shift):
     ]
     body = ["k0 = (a0 * b0 + a1 * b1) + 0.0"] if pair else [f"{_unpack(k + im_rows)} = K.dot(xb).tolist()"]
     body += [f"{ui} = ({zi} + sigma * {ki}) - {syi}" for ui, zi, ki, syi in zip(u, z, k, sy)]
-    if shift:
-        body += _shifted(u, v, state)
-    elif row:
-        body += ["nrm = sqrt(u0 * u0)", *_scaled(u, v)]
-    else:
-        body += [f"pack_u(ua, 0, {_unpack(u)})", "nrm = sqrt(ua.dot(ua))", *_scaled(u, v)]
+    body += _shifted(u, v, state) if shift else _scaled(u, v)
     if real:
         finite = " and ".join(f"-inf < {vi} < inf" for vi in v)
         underflow = " or (v0 != 0.0 and amin * v0 == 0.0)" if row else ""
@@ -447,10 +482,17 @@ def _pd_loop(rows, cols, real, shift):
     return _compiled(_pd_source(rows, cols, real, shift), label, pack_u=dual, pack_x=primal)
 
 
-def _real(K, y, tau, x, z, xbar):
+# the range of tau, and of a nonzero sigma * eps for one row, in which a real
+# step's factors read |w| from w's sign
+_FACTOR_MIN, _FACTOR_MAX = 2.0**-510, 2.0**450
+
+
+def _real(K, y, tau, se, x, z, xbar):
     """Whether the real variants may run: K is finite, its off-diagonal blocks and
-    the imaginary state are +0.0 (all eight bytes zero) and 0 <= tau < inf."""
-    if not 0.0 <= tau < math.inf:
+    the imaginary state are +0.0 (all eight bytes zero), tau lies in
+    [2**-510, 2**450] and, for one row, se = sigma * eps is +-0.0 or lies there too."""
+    in_range = lambda t: _FACTOR_MIN <= t <= _FACTOR_MAX
+    if not (in_range(tau) and (K.shape[0] > 2 or se == 0.0 or in_range(se))):
         return False
     m, n = K.shape[0] // 2, K.shape[1] // 2
     zero = (K[:m, n:], K[m:, :n], y[m:], x[n:], z[m:], xbar[n:])
@@ -459,15 +501,18 @@ def _real(K, y, tau, x, z, xbar):
 
 def _loops(rows, cols, real, shift):
     """The loops a batch may run, in turn, each built when it is reached: the
-    shift variant before the full one, the real variant before the general loop."""
+    shift variant before the full one, the real variant before the general
+    loop, and no full one-row loop after a shift one."""
     variants = (True, False) if shift else (False,)
     for r in (True, False) if real else (False,):
         for s in variants:
-            yield _pd_loop(rows, cols, r, s)
+            if s or not (r and shift and rows == 2):
+                yield _pd_loop(rows, cols, r, s)
 
 
 def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters):
-    for loop in _loops(*K.shape, _real(K, y, tau, x, z, xbar), sigma * eps == 0.0):
+    se = sigma * eps
+    for loop in _loops(*K.shape, _real(K, y, tau, se, x, z, xbar), se == 0.0):
         x, z, xbar, iters = loop(K, y, eps, tau, sigma, x, z, xbar, iters)
         if not iters:
             return x, z, xbar

@@ -5,9 +5,10 @@ point in tests/grid_reference.py, and the primal-dual kernel, in its general
 loop, its one-row real loop and its real loop of two or more rows, each in its
 full and its shift variant, must return the bytes of the all-numpy loop it
 replaced, also where it stops at a fixed point or hands a batch over.  The
-one-row step of two columns, which forms K xbar in Python, also has a byte
-replay of its solves against a recorded digest and a test of the BLAS
-property it rests on.
+solves of each real loop have a byte replay against a recorded digest; the
+one-row step of two columns, which forms K xbar in Python, also has a test
+of the BLAS property it rests on, and the real loops' signed factor a test
+of the identity it rests on.
 """
 
 import functools
@@ -19,10 +20,11 @@ import random
 import tracemalloc
 from fractions import Fraction as Q
 from pathlib import Path
-from struct import pack
+from struct import pack, unpack
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcbplab import _kernels as kern
 from qcbplab import families, qcbp
@@ -231,19 +233,29 @@ def _batches(runs):
 
 
 def _chain(first, shift):
-    """The loops, as (kind, shift), that a batch entering ``first`` may run, in order."""
+    """The loops, as (kind, shift), that a batch entering ``first`` may run, in
+    order; a one-row shift batch skips the full one-row loop."""
     kinds = dict.fromkeys((first, "general"))
-    return [(kind, s) for kind in kinds for s in ((True, False) if shift else (False,))]
+    variants = (True, False) if shift else (False,)
+    return [(kind, s) for kind in kinds for s in variants if s or not (kind == "row" and shift)]
 
 
-def _assert_chains(batches, first, shifts):
-    """Each batch ran a prefix of its chain of loops, from ``first``; 20-180 of
-    them reached the general loop, and 20-180 entered a shift variant."""
-    assert len(batches) == len(shifts)
-    for batch, shift in zip(batches, shifts):
+def _in_range(t):
+    """Whether t lies in the range the real loops admit for tau, and for one row for a nonzero sigma * eps."""
+    return 2.0**-510 <= t <= 2.0**450
+
+
+def _assert_chains(batches, firsts, shifts):
+    """Each batch ran a prefix of its chain of loops, from its first; of those
+    that entered a real loop, more than 20 ran to their end there and more than
+    20 reached the general loop; more than 20 of all entered a shift variant,
+    and more than 20 did not."""
+    assert len(batches) == len(firsts) == len(shifts)
+    for batch, first, shift in zip(batches, firsts, shifts):
         assert [run[:2] for run in batch] == _chain(first, shift)[: len(batch)]
-    assert 20 < sum(batch[-1][0] == "general" for batch in batches) < 180
-    assert 20 < sum(shifts) < 180
+    real = [batch for batch, first in zip(batches, firsts) if first != "general"]
+    assert 20 < sum(batch[-1][0] == "general" for batch in real) < len(real) - 20
+    assert 20 < sum(shifts) < len(shifts) - 20
 
 
 def _assert_hands_off(batch, first, shift, left):
@@ -508,31 +520,43 @@ def _one_row(row):
 
 
 def test_pd_iterate_matches_reference_on_one_row_real_edge_values(monkeypatch):
-    """200 one-row real batches of widths 2-5 whose K, state and scalars mix normal and edge values.
+    """400 one-row real batches of widths 2-5 whose K, state and scalars mix normal and edge values.
 
-    Every batch enters the one-row loop, its shift variant when sigma * eps is
-    +-0.0; some hand off to the general loop (a NaN, inf or an underflow on the
-    way) and some run to their end.
+    The first 200 draw tau and sigma * eps with edge values too; the other 200
+    draw tau at or between the bounds of its range and sigma * eps in it or
+    +-0.0.  A batch whose tau or nonzero sigma * eps lies outside that range
+    runs the general loop; every other one enters the one-row loop, its shift
+    variant when sigma * eps is +-0.0.  Some of those hand off to the general
+    loop (a NaN, inf or an underflow on the way) and some run to their end.
     """
-    runs, shifts = _spy(monkeypatch), []
+    runs, firsts, shifts = _spy(monkeypatch), [], []
     rng = random.Random(4242)
 
     def state_entry():
         return rng.choice((0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan)) if rng.random() < 0.25 else rng.uniform(-3, 3)
 
-    for _ in range(200):
+    for bounded in [False] * 200 + [True] * 200:
         n = rng.randint(2, 5)
         row = [rng.choice((-1, 1)) * rng.choice((0.0, 2.0**-1070, 2.0**600, rng.uniform(0.1, 3))) for _ in range(n)]
         y = np.array([state_entry(), 0.0])
-        tau = rng.choice((0.0, 1e-300, rng.uniform(0.05, 1), 1e300))
-        sigma = rng.choice((-rng.uniform(0.05, 1), 0.0, np.inf, rng.uniform(0.05, 1)))
-        eps = rng.choice((0.0, np.inf, np.nan, rng.uniform(0, 1)))
+        if bounded:
+            tau = rng.choice((2.0**-510, rng.uniform(0.05, 1), 2.0**450))
+            sigma = rng.choice((-rng.uniform(0.05, 1), 0.0, rng.uniform(0.05, 1)))
+            eps = rng.choice((0.0, rng.uniform(0, 1)))
+            sigma = abs(sigma) if eps else sigma  # sigma * eps in range, or +-0.0
+        else:
+            tau = rng.choice((0.0, 1e-300, rng.uniform(0.05, 1), 1e300))
+            sigma = rng.choice((-rng.uniform(0.05, 1), 0.0, np.inf, rng.uniform(0.05, 1)))
+            eps = rng.choice((0.0, np.inf, np.nan, rng.uniform(0, 1)))
         iters = rng.choice((1, 2, 60, 250))
         x, z, xbar = np.zeros(2 * n), np.zeros(2), np.zeros(2 * n)  # imaginary halves +0.0
         x[:n], z[0], xbar[:n] = [state_entry() for _ in range(n)], state_entry(), [state_entry() for _ in range(n)]
         _pd_same_bytes(_one_row(row), y, eps, tau, sigma, x, z, xbar, iters, n)
-        shifts.append(sigma * eps == 0.0)
-    _assert_chains(_batches(runs), "row", shifts)
+        se = sigma * eps
+        firsts.append("row" if _in_range(tau) and (se == 0.0 or _in_range(se)) else "general")
+        shifts.append(se == 0.0)
+    assert firsts[200:] == ["row"] * 200
+    _assert_chains(_batches(runs), firsts, shifts)
 
 
 
@@ -601,15 +625,16 @@ def test_pd_iterate_one_row_real_solve_makes_one_blas_call_per_step():
         # z falls by 1/2 a step; at 0.25, its product with 5e-324 rounds to zero
         pytest.param([0.5, 5e-324], 0.5, 1.0, 1.75, 2, 60, id="underflowing-product"),
         # z grows by 1e306 a step until it overflows
-        pytest.param([1.0, 0.5], -1e306, 1e-300, 0.0, 179, 181, id="overflowing-dual"),
+        pytest.param([1.0, 0.5], -1e306, 2.0**-510, 0.0, 179, 181, id="overflowing-dual"),
     ],
 )
 def test_pd_iterate_one_row_hands_off_mid_batch(monkeypatch, row, y0, tau, z0, step, iters):
     """A step that the one-row loop cannot take byte for byte hands the rest of the batch,
     from the state it started with, to the general loop, at two columns and with
-    a third, zero column, which takes the same steps.  eps = 5e-324 keeps the
-    factor at 1.0, as eps = 0 does, but runs the full variant; from the shift
-    variant the full one-row loop is tried first and abandons the same step."""
+    a third, zero column, which takes the same steps.  eps = 2**-510, the least
+    sigma * eps the full one-row loop takes, keeps the factor at 1.0, as eps = 0
+    does, but runs the full variant; the shift variant hands on to the general
+    loop's."""
     runs = _spy(monkeypatch)
     for n in (2, 3):
         K, y, x = _one_row(row + [0.0] * (n - 2)), np.array([y0, 0.0]), np.zeros(2 * n)
@@ -617,7 +642,7 @@ def test_pd_iterate_one_row_hands_off_mid_batch(monkeypatch, row, y0, tau, z0, s
         # the gemvs of a step and of an abandoned one, which makes K xbar alone: a
         # general step makes two, a one-row step one at three columns, none at two
         gemvs = {"row": (n - 2, n - 2), "general": (2, 1)}
-        for eps in (0.0, 5e-324):
+        for eps in (0.0, 2.0**-510):
             runs.clear()
             _CountingK.dots = 0
             with np.errstate(all="ignore"):
@@ -635,17 +660,19 @@ def test_pd_iterate_one_row_hands_off_mid_batch(monkeypatch, row, y0, tau, z0, s
 
 
 def test_pd_iterate_matches_reference_on_real_edge_values(monkeypatch):
-    """200 real batches of 2-4 rows whose K, state and scalars mix normal and edge values.
+    """400 real batches of 2-4 rows whose K, state and scalars mix normal and edge values.
 
-    Every batch enters the real loop, its shift variant when sigma * eps is
-    +-0.0; some hand the rest of their batch to the general loop (a NaN or an
-    inf on the way) and some run to their end.  The
+    The first 200 draw tau with edge values too, the other 200 at or between
+    the bounds of its range.  A batch whose tau lies outside that range runs
+    the general loop; every other one enters the real loop, its shift variant
+    when sigma * eps is +-0.0.  Some of those hand the rest of their batch to
+    the general loop (a NaN or an inf on the way) and some run to their end.  The
     NaN put in is the one an invalid operation such as inf * 0 makes, so every
     NaN of a batch has the same bytes: where NaNs of both signs meet in a BLAS
     sum, the sign of the result depends on BLAS's order of operations, which
     varies between calls, and no loop, the reference included, fixes it.
     """
-    runs, shifts = _spy(monkeypatch), []
+    runs, firsts, shifts = _spy(monkeypatch), [], []
     rng = random.Random(4343)
     nan = np.inf * 0.0
     edges = (0.0, -0.0, 5e-324, np.inf, -np.inf, nan, 2.0**600, -(2.0**-600))
@@ -653,19 +680,24 @@ def test_pd_iterate_matches_reference_on_real_edge_values(monkeypatch):
     def entry(edge):
         return rng.choice(edge) if rng.random() < 0.2 else rng.uniform(-3, 3)
 
-    for _ in range(200):
+    for bounded in [False] * 200 + [True] * 200:
         m, n = rng.randint(2, 4), rng.randint(2, 5)
         K = _real_op([[entry(edges[:3] + edges[6:]) for _ in range(n)] for _ in range(m)])  # finite
         y, x, z, xbar = np.zeros(2 * m), np.zeros(2 * n), np.zeros(2 * m), np.zeros(2 * n)  # imaginary halves +0.0
         y[:m], z[:m] = [entry(edges) for _ in range(m)], [entry(edges) for _ in range(m)]
         x[:n], xbar[:n] = [entry(edges) for _ in range(n)], [entry(edges) for _ in range(n)]
-        tau = rng.choice((0.0, 1e-300, rng.uniform(0.05, 1), 1e300))
+        if bounded:
+            tau = rng.choice((2.0**-510, rng.uniform(0.05, 1), 2.0**450))
+        else:
+            tau = rng.choice((0.0, 1e-300, rng.uniform(0.05, 1), 1e300))
         sigma = rng.choice((-rng.uniform(0.05, 1), 0.0, np.inf, rng.uniform(0.05, 1)))
         eps = rng.choice((0.0, np.inf, nan, rng.uniform(0, 1)))
         iters = rng.choice((1, 2, 40))
         _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, iters, n)
+        firsts.append("real" if _in_range(tau) else "general")
         shifts.append(sigma * eps == 0.0)
-    _assert_chains(_batches(runs), "real", shifts)
+    assert firsts[200:] == ["real"] * 200
+    _assert_chains(_batches(runs), firsts, shifts)
 
 
 _REAL_BASE = dict(
@@ -762,19 +794,100 @@ def test_real_solves_never_run_the_general_loop(monkeypatch):
 def test_pd_iterate_real_hands_off_mid_batch(monkeypatch):
     """A step whose new z is not finite hands the rest of the batch, from the
     state it started with, to the general loop.  Here z0 grows by 1e306 a
-    step (eps = 0 and eps = 5e-324 keep the factor at 1) and overflows at step
-    179.  From the shift variant the full real loop is tried first and abandons
-    the same step."""
+    step (eps = 0 and eps = 5e-324 keep the factor at 1; tau = 2**-510, the
+    least the real loops take, keeps x small) and overflows at step 179.  From
+    the shift variant the full real loop is tried first and abandons the same
+    step."""
     runs = _spy(monkeypatch)
     K, y = _real_op([[1.0, 0.5], [0.5, 1.0]]), np.array([-1e306, 0.0, 0.0, 0.0])
     state = (np.zeros(4), np.zeros(4), np.zeros(4))
     for eps in (0.0, 5e-324):
         runs.clear()
         with np.errstate(all="ignore"):
-            kern.pd_iterate(K, y, eps, 1e-300, 1.0, *state, 181)
+            kern.pd_iterate(K, y, eps, 2.0**-510, 1.0, *state, 181)
         (batch,) = _batches(runs)
         _assert_hands_off(batch, "real", eps == 0.0, 181 - 179)
-        _pd_same_bytes(K, y, eps, 1e-300, 1.0, *state, 181, 2)
+        _pd_same_bytes(K, y, eps, 2.0**-510, 1.0, *state, 181, 2)
+
+
+# --- the signed factor of the real loops ---------------------------------------------
+
+
+def _root_factor(t, w):
+    """max(0.0, 1.0 - t / sqrt(w * w)), 0.0 unless sqrt(w * w) > 0: a real pair's
+    shrink factor, or the one-row dual factor, formed from the root of the square."""
+    mag = math.sqrt(w * w)
+    f = 1.0 - t / mag if mag > 0 else 0.0
+    return f if f > 0.0 else 0.0
+
+
+@functools.cache
+def _signed_factor():
+    """The same factor from the lines ``_kernels._factor`` emits for one real entry w."""
+    namespace = {}
+    source = "".join(f"    {line}\n" for line in kern._factor("f", "t", ["w"], None))
+    exec(f"def factor(t, w):\n{source}    return f\n", namespace)
+    return namespace["factor"]
+
+
+def _same_factor(factor, t, w):
+    for v in (w, -w):
+        want, got = _root_factor(t, v), factor(t, v)
+        assert pack("d", got) == pack("d", want), (t, v, want, got)
+
+
+# tau, or a nonzero sigma * eps for one row: the bounds of the range the real loops take and values between
+_RANGE_T = [2.0**-510, math.nextafter(2.0**-510, 1.0), 1e-100, 0.3, 1.0, 7.5, 1e100, math.nextafter(2.0**450, 0.0), 2.0**450]
+
+
+def test_signed_factor_is_the_root_of_the_square():
+    """For t in [2**-510, 2**450] the factor read from w's sign has the bytes of the
+    one from sqrt(w * w), at edge values of w, across the band where w * w stops
+    being normal or finite and on 20,000 seeded bit patterns.  Outside the range
+    the two differ: w * w underflows to 0 where t / |w| < 1, or overflows where
+    t / |w| rounds 1 - t / |w| below 1; and t = 0, one row's sigma * eps = +-0.0,
+    differs where w * w underflows, which is why that batch skips the full
+    one-row loop."""
+    factor = _signed_factor()
+    edges = [0.0, 5e-324, 2.0**-1022, 2.0**-600, 1e-300, 0.5, 1.0, 3.0, 1e300, 1.7976931348623157e308, math.inf, math.nan]
+    band = [
+        v * 2.0**e
+        for e in (-538, -537, -512, -511, -510, 510, 511, 512)
+        for v in (1.0, math.nextafter(1.0, 2.0), math.nextafter(2.0, 1.0), math.sqrt(2.0), math.nextafter(math.sqrt(2.0), 2.0))
+    ]
+    rng = random.Random(5050)
+    patterns = [unpack("d", pack("Q", rng.getrandbits(64)))[0] for _ in range(20_000)]
+    for t in _RANGE_T:
+        for w in edges + band + patterns[:: 1 if t in (2.0**-510, 2.0**450) else 10]:
+            _same_factor(factor, t, w)
+    assert (_root_factor(2.0**-600, 2.0**-560), factor(2.0**-600, 2.0**-560)) == (0.0, 1.0 - 2.0**-40)
+    assert (_root_factor(2.0**500, 2.0**520), factor(2.0**500, 2.0**520)) == (1.0, 1.0 - 2.0**-20)
+    assert (_root_factor(0.0, 2.0**-540), factor(0.0, 2.0**-540)) == (0.0, 1.0)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.floats(min_value=2.0**-510, max_value=2.0**450), st.floats())
+def test_signed_factor_is_the_root_of_the_square_on_any_float(t, w):
+    _same_factor(_signed_factor(), t, w)
+
+
+@pytest.mark.parametrize("kind", ["one-row", "two-column", "real"])
+@pytest.mark.parametrize("name", ["tau", "sigma-eps"])
+def test_pd_iterate_real_range_bounds(monkeypatch, kind, name):
+    """tau, and for one row a nonzero sigma * eps, at either bound of [2**-510,
+    2**450] enter the real loop, and their float neighbours outside send the
+    batch to the general loop.  sigma * eps is not bounded for two rows or more."""
+    runs = _spy(monkeypatch)
+    first, K, y, x, z = _SHIFT_KINDS[kind]
+    y, x, z = (np.array(v, dtype=np.float64) for v in (y, x, z))
+    for bound, outward in ((2.0**-510, 0.0), (2.0**450, math.inf)):
+        for value, inside in ((bound, True), (math.nextafter(bound, outward), False)):
+            tau, eps = (value, 0.25) if name == "tau" else (0.3, value)  # sigma = 1: sigma * eps = eps
+            runs.clear()
+            _pd_same_bytes(K, y, eps, tau, 1.0, x, z, x, 3, K.shape[1] // 2)
+            (batch,) = _batches(runs)
+            entered = first if inside or (name == "sigma-eps" and first == "real") else "general"
+            assert batch[0][:2] == (entered, False), value
 
 
 # --- the shift variants -------------------------------------------------------------
@@ -812,7 +925,8 @@ def _nan_dual(y, x, z):
     "kind, state, eps, sigma, loops",
     [
         *(
-            # no |u_i| reaches 2**-511: the shift variant hands the whole batch to the full one
+            # no |u_i| reaches 2**-511: the shift variant hands the whole batch to the full
+            # one, a one-row shift variant to the general loop's shift variant and so on
             pytest.param(kind, _tiny_dual, 0.0, 0.4, "shift, full", id=f"tiny-dual-{kind}")
             for kind in _SHIFT_KINDS
         ),
@@ -832,7 +946,8 @@ def _nan_dual(y, x, z):
 def test_pd_iterate_shift_variant_guards(monkeypatch, kind, state, eps, sigma, loops, iters):
     """sigma * eps = +-0.0 selects the shift variant, which takes each step as v = u
     unless that step's nrm might be 0 or NaN; then it hands the rest of the batch
-    to the full variant.  Both return the bytes of the reference."""
+    to the full variant, or from one row to the general loop's shift variant.
+    All return the bytes of the reference."""
     runs = _spy(monkeypatch)
     first, K, y, x, z = _SHIFT_KINDS[kind]
     y, x, z = (np.array(v, dtype=np.float64) for v in (y, x, z))
@@ -843,9 +958,12 @@ def test_pd_iterate_shift_variant_guards(monkeypatch, kind, state, eps, sigma, l
     (batch,) = _batches(runs)
     if loops == "shift":  # the whole batch in the shift variant
         assert batch == [(first, True, iters, 0)]
-    elif loops == "shift, full":  # handed on at the first step
-        assert batch == [(first, True, iters, iters), (first, False, iters, 0)]
-    else:  # no shift variant: the full loop, and for infinite sigma the general one after a real loop
+    elif loops == "shift, full":  # handed on at the first step, by each loop up to the chain's first full one
+        chain = _chain(first, True)
+        full = [s for _, s in chain].index(False)
+        assert batch == [(*run, iters, iters) for run in chain[:full]] + [(*chain[full], iters, 0)]
+    else:  # sigma * eps = NaN: no shift variant; a real loop of two rows or more, then the general one
+        first = "general" if first == "row" else first  # NaN is out of the one-row loop's range
         assert [run[:2] for run in batch] == _chain(first, False) and batch[0][2] == iters
 
 
@@ -878,9 +996,9 @@ def test_pd_iterate_blas_calls_per_step(monkeypatch, kind, shift, dots_per_step)
     assert _CountingK.dots == dots_per_step * 5
 
 
-# --- byte replay of the one-row two-column solves --------------------------------
+# --- byte replays of the real solves ------------------------------------------------
 
-PD_REPLAY = Path(__file__).parent / "golden" / "pd_replay_two_column.json"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _blas():
@@ -903,10 +1021,28 @@ def _two_column_instances():
     return cases
 
 
-def _pd_replay(monkeypatch):
-    """Solve every two-column instance at tol 1e-6 and return the count of
-    ``pd_iterate`` calls and the sha256, in call order, of each call's input and
-    output bytes and of each ``SolveReport.to_json()``."""
+# the real shapes of generic-solve that are not two columns: m = 1 with N = 3..5, m = 2, 3 with N = m+1..m+4
+_REAL_SHAPES = [(1, n) for n in range(3, 6)] + [(m, n) for m in (2, 3) for n in range(m + 1, m + 5)]
+
+
+def _real_instances():
+    """48 seeded real instances with entries up to 3 in A and 1/2 in y, as generic-solve
+    draws them; instance i has shape i mod 11 and eps (0, 1/8, 1/2)[i mod 3], so
+    each shape is solved at each eps."""
+    rng = random.Random(1301)
+    cases = []
+    for i in range(48):
+        m, n = _REAL_SHAPES[i % 11]
+        rows = [[Q(rng.randint(-24, 24), rng.randint(8, 24)) for _ in range(n)] for _ in range(m)]
+        y = RationalVector.from_items([Q(rng.randint(-8, 8), 16) for _ in range(m)])
+        cases.append(qcbp.Instance(A=RationalMatrix.from_rows(rows), y=y, eps=(Q(0), Q(1, 8), Q(1, 2))[i % 3]))
+    return cases
+
+
+def _pd_replay(monkeypatch, instances):
+    """Solve every instance at tol 1e-6 and return the set of K's shapes, the count
+    of ``pd_iterate`` calls and the sha256, in call order, of each call's input
+    and output bytes and of each ``SolveReport.to_json()``."""
     digest, calls = hashlib.sha256(), []
     run = kern.pd_iterate
 
@@ -919,11 +1055,18 @@ def _pd_replay(monkeypatch):
         return out
 
     monkeypatch.setattr(kern, "pd_iterate", recorded)
-    for inst in _two_column_instances():
+    for inst in instances:
         report = qcbp.solve_numeric(inst, Q(1, 10**6))
         digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
-    assert set(calls) == {(2, 4)}
-    return len(calls), digest.hexdigest()
+    return set(calls), len(calls), digest.hexdigest()
+
+
+def _assert_replay(monkeypatch, name, instances, shapes):
+    """The replay of ``instances`` runs K of ``shapes`` and gives the calls and digest of golden ``name``."""
+    want = json.loads((GOLDEN / name).read_text())
+    got = _pd_replay(monkeypatch, instances)
+    assert got[0] == shapes
+    assert got[1:] == (want["calls"], want["sha256"]), f"recorded on {want['blas']}; this is {_blas()}"
 
 
 def test_pd_replay_of_two_column_solves_keeps_its_bytes(monkeypatch):
@@ -931,9 +1074,14 @@ def test_pd_replay_of_two_column_solves_keeps_its_bytes(monkeypatch):
     two-column solves, eps = 0 among them, and every report they give, keep the
     bytes recorded in tests/golden.  A change that moves a byte on purpose
     records the file again from ``_pd_replay`` and names the calls that moved."""
-    want = json.loads(PD_REPLAY.read_text())
-    got = _pd_replay(monkeypatch)
-    assert got == (want["calls"], want["sha256"]), f"recorded on {want['blas']}; this is {_blas()}"
+    _assert_replay(monkeypatch, "pd_replay_two_column.json", _two_column_instances(), {(2, 4)})
+
+
+def test_pd_replay_of_real_solves_keeps_its_bytes(monkeypatch):
+    """The same for 48 real solves of the other real loops: one row of three to
+    five columns, and two and three rows, each shape at eps = 0, 1/8 and 1/2."""
+    shapes = {(2 * m, 2 * n) for m, n in _REAL_SHAPES}
+    _assert_replay(monkeypatch, "pd_replay_real.json", _real_instances(), shapes)
 
 
 def test_two_column_gemv_is_unfused():

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import qcbplab
+from qcbplab import _kernels
 
 SOURCES = sorted(Path(qcbplab.__file__).parent.glob("*.py"))
 
@@ -145,3 +146,16 @@ def test_generated_source_is_compiled_in_one_place():
     found = sorted(call for path in SOURCES for call in _calls(path, {"exec", "compile"}))
     assert found == ["_kernels._compiled:compile", "_kernels._compiled:exec"]
     assert [call for path in SOURCES for call in _calls(path, {"_compiled"})] == ["_kernels._pd_loop:_compiled"]
+
+
+def test_real_loops_take_no_root_of_a_square():
+    """The real loops read |w| from w's sign: a one-row loop's source holds no
+    ``sqrt(``, a full loop of two rows or more one, its dual norm
+    ``sqrt(ua.dot(ua))``, and that loop's shift variant none."""
+    for n in range(2, 6):
+        for shift in (False, True):
+            assert _kernels._pd_source(2, 2 * n, True, shift).count("sqrt(") == 0
+            for m in (2, 3):
+                source = _kernels._pd_source(2 * m, 2 * n, True, shift)
+                assert source.count("sqrt(") == (0 if shift else 1)
+                assert shift or "sqrt(ua.dot(ua))" in source
