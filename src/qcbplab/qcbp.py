@@ -242,7 +242,7 @@ class SolveReport:
     objective_ub - lower_bound brackets the suboptimality.  ``iterations``
     counts the iterations accounted for, batch by batch; those after
     a bit-exact fixed point are not simulated (on the generic-solve
-    benchmark workload, seed 1, 108,376 of 154,500 were).
+    benchmark workload, seed 1, 108,256 of 154,500 were).
     """
 
     x: RationalVector

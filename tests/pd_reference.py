@@ -1,7 +1,9 @@
-"""The all-numpy primal-dual loop, kept verbatim as the kernel's parity reference.
+"""The primal-dual iteration as a plain Python loop: the spec of the kernel's arithmetic.
 
-``qcbplab._kernels.pd_iterate`` runs the element-wise steps of this loop on
-Python floats; the tests assert that both return the same bytes.
+``qcbplab._kernels.pd_iterate`` runs the same steps in generated straight-line
+loops; the tests assert that both return the same bytes.  Every operation is
+one Python float operation, each rounded on its own, and every sum runs left
+to right, so the bytes depend on nothing but the inputs.
 """
 
 import math
@@ -9,21 +11,59 @@ import math
 import numpy as np
 
 
-def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
-    Kt = K.T
+def _sum(terms):
+    """terms[0] + terms[1] + ..., left to right."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def _factor(t, norm):
+    """max(0.0, 1.0 - t / norm), and 0.0 unless norm > 0."""
+    f = 1.0 - t / norm if norm > 0 else 0.0
+    return max(0.0, f)
+
+
+def _norm(v):
+    """||v||: |v_0| for one entry, else the root of the sum of squares."""
+    return abs(v[0]) if len(v) == 1 else math.sqrt(_sum([a * a for a in v]))
+
+
+def is_real(K, y, x, z, xbar):
+    """Whether K's off-diagonal blocks and the imaginary halves of y, x, z and xbar are all +0.0."""
+    m, n = K.shape[0] // 2, K.shape[1] // 2
+    parts = (K[:m, n:].ravel(), K[m:, :n].ravel(), y[m:], x[n:], z[m:], xbar[n:])
+    return all(v == 0.0 and math.copysign(1.0, v) > 0 for part in parts for v in part.tolist())
+
+
+def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters):
+    """``iters`` steps from (x, z, xbar); a real batch steps the real halves alone,
+    with ``+ 0.0`` after each sum of products.  Every NaN returned is ``math.nan``."""
+    real = is_real(K, y, x, z, xbar)
+    m, n = K.shape[0] // 2, K.shape[1] // 2
+    if real:
+        K, y, x, z, xbar = K[:m, :n], y[:m], x[:n], z[:m], xbar[:n]
+    K, y, x, z, xbar = (v.tolist() for v in (K, y, x, z, xbar))
+    zero = [0.0] if real else []
+    cols = list(zip(*K))
+    pairs = [[j] for j in range(n)] if real else [[j, n + j] for j in range(n)]
+    se = sigma * eps
     for _ in range(iters):
-        u = z + sigma * (K @ xbar) - sigma * y
-        nrm = math.sqrt(float(np.dot(u, u)))
-        factor = max(0.0, 1.0 - sigma * eps / nrm) if nrm > 0 else 0.0
-        z_new = u * factor
-        w = x - tau * (Kt @ z_new)
-        x_new = w.copy()
-        for i in range(n_pairs):
-            a, b = w[i], w[n_pairs + i]
-            mag = math.sqrt(a * a + b * b)
-            f = max(0.0, 1.0 - tau / mag) if mag > 0 else 0.0
-            x_new[i] = a * f
-            x_new[n_pairs + i] = b * f
-        xbar = 2.0 * x_new - x
+        kx = [_sum([a * b for a, b in zip(row, xbar)] + zero) for row in K]
+        u = [(zi + sigma * ki) - sigma * yi for zi, ki, yi in zip(z, kx, y)]
+        if se == 0.0:
+            z_new = u
+        else:
+            factor = _factor(se, _norm(u))
+            z_new = [a * factor for a in u]
+        w = [xj - tau * _sum([a * b for a, b in zip(col, z_new)] + zero) for xj, col in zip(x, cols)]
+        x_new = list(w)
+        for pair in pairs:
+            f = _factor(tau, _norm([w[j] for j in pair]))
+            for j in pair:
+                x_new[j] = w[j] * f
+        xbar = [2.0 * a - b for a, b in zip(x_new, x)]
         x, z = x_new, z_new
-    return x, z, xbar
+    pad = (lambda v: v + [0.0] * len(v)) if real else (lambda v: v)
+    return tuple(np.array([t if t == t else math.nan for t in pad(v)], dtype=np.float64) for v in (x, z, xbar))

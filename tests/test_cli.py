@@ -1248,7 +1248,7 @@ EMBEDDED = ["--a", "5/3", "--eps", "1/4", "--N", "5", "--m", "3"]
             "gen_data_noise2",  # 13 noisy members and both kinds of skipped one
             ["gen-data", "--n-lo", "1", "--n-hi", "10", "--noise", "2", "--seed", "1"],
         ),
-        # eps = 0 (the default): the one-row and the general loop's shift variants
+        # eps = 0 (the default): the one-row and the general loop take v = u
         ("solve_single_row_eps0", ["solve", "--A", "3/2,1"]),
         ("solve_complex_eps0", ["solve", "--instance", str(GOLDEN / "complex_instance_eps0.json")]),
     ],
@@ -1296,6 +1296,26 @@ def test_solve_with_huge_entries_keeps_stderr_clean(capsys):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_solve_bytes_hold_on_the_baseline_blas_kernels():
+    """The goldens of ``solve`` and ``adversarial --solve`` but solve_ill_posed,
+    and the three primal-dual byte replays, keep their bytes in a process whose
+    OpenBLAS runs its x86-64 baseline kernels (``OPENBLAS_CORETYPE=Prescott``):
+    the primal-dual kernel makes no BLAS call.  solve_ill_posed certifies a
+    polished point, which np.linalg.lstsq computes with the CPU's kernels
+    (ROADMAP item 29b)."""
+    select = "(test_golden_output_bytes and solve and not ill_posed) or huge_entries_keeps or pd_replay"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "addopts=", "-k", select,
+         "tests/test_cli.py", "tests/test_kernels.py"],
+        capture_output=True,
+        text=True,
+        cwd=SRC.parent,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_CORETYPE": "Prescott"},
+        timeout=120,
+    )
+    assert proc.returncode == 0 and "\n10 passed," in proc.stdout, proc.stdout[-3000:]
 
 
 def module(argv):

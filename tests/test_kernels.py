@@ -2,13 +2,10 @@
 
 The grid scan, on int64 and on Python ints, must match the sweep of every box
 point in tests/grid_reference.py, and the primal-dual kernel, in its general
-loop, its one-row real loop and its real loop of two or more rows, each in its
-full and its shift variant, must return the bytes of the all-numpy loop it
-replaced, also where it stops at a fixed point or hands a batch over.  The
-solves of each real loop have a byte replay against a recorded digest; the
-one-row step of two columns, which forms K xbar in Python, also has a test
-of the BLAS property it rests on, and the real loops' signed factor a test
-of the identity it rests on.
+loop and its real loops of one row and of two or more, must return the bytes
+of the plain-Python spec in tests/pd_reference.py, also where it stops at a
+fixed point.  The kernel makes no BLAS call, and the solves of each loop have
+a byte replay against a recorded digest.
 """
 
 import functools
@@ -21,6 +18,7 @@ import tracemalloc
 from fractions import Fraction as Q
 from pathlib import Path
 from struct import pack, unpack
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcbplab import _kernels as kern
 from qcbplab import families, qcbp
-from qcbplab.rationals import RationalMatrix, RationalVector, dyadic_sqrt_upper
+from qcbplab.rationals import ComplexQ, RationalMatrix, RationalVector, dyadic_sqrt_upper
 
 import grid_reference
 import pd_reference
@@ -169,12 +167,11 @@ def test_int64_scan_memory_stays_blocked():
 # --- primal-dual kernel -----------------------------------------------------------
 
 
-def _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, iters, n_pairs):
-    """Run both loops on one state; x, z and xbar must agree byte for byte.  The kernel reads n_pairs from K."""
+def _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, iters):
+    """Run the kernel and the spec on one state; x, z and xbar must agree byte for byte."""
     args = (K, y, eps, tau, sigma, x, z, xbar, iters)
-    with np.errstate(all="ignore"):  # the huge-entry case overflows; only bytes are compared
-        want = pd_reference.pd_iterate(*args, n_pairs)
-        got = kern.pd_iterate(*args)
+    want = pd_reference.pd_iterate(*args)
+    got = kern.pd_iterate(*args)
     for name, w, g in zip(("x", "z", "xbar"), want, got):
         assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == w.shape, name
         assert g.tobytes() == w.tobytes(), (name, w.tolist(), g.tolist())
@@ -191,80 +188,18 @@ def _real_half(v):
     return np.concatenate([v[: len(v) // 2], np.zeros(len(v) // 2)])
 
 
-def _kind(key):
-    """The loop a ``_pd_loop`` key (rows, cols, real, shift) builds: ``row``, ``real`` or ``general``."""
-    rows, _, real, _ = key
-    return ("row" if rows == 2 else "real") if real else "general"
-
-
 def _spy(monkeypatch):
-    """Replace the loop builder ``kern._pd_loop`` by one whose loops log each run
-    in one list: the loop's kind, its key (the shape and the real and shift
-    flags), the iterations given and the iterations handed on to the next loop."""
+    """Replace the loop builder ``kern._pd_loop`` by one that logs the kind of loop
+    each batch runs: ``row`` (real, one row), ``real`` or ``general``."""
     runs = []
     build = kern._pd_loop
 
-    def spied(*key):
-        loop = build(*key)
-
-        def run(*args):
-            out = loop(*args)
-            runs.append((_kind(key), key, args[-1], out[-1]))
-            return out
-
-        return run
+    def spied(rows, cols, real):
+        runs.append(("row" if rows == 2 else "real") if real else "general")
+        return build(rows, cols, real)
 
     monkeypatch.setattr(kern, "_pd_loop", spied)
     return runs
-
-
-def _batches(runs):
-    """The run log cut into batches, each a list of (kind, shift, given, handed on),
-    after checking that each loop of a batch was given what the one before handed on."""
-    batches, batch = [], []
-    for kind, key, given, left in runs:
-        assert not batch or given == batch[-1][3]
-        batch.append((kind, key[-1], given, left))
-        if not left:
-            batches.append(batch)
-            batch = []
-    assert not batch, "a batch that ends with a hand-off"
-    return batches
-
-
-def _chain(first, shift):
-    """The loops, as (kind, shift), that a batch entering ``first`` may run, in
-    order; a one-row shift batch skips the full one-row loop."""
-    kinds = dict.fromkeys((first, "general"))
-    variants = (True, False) if shift else (False,)
-    return [(kind, s) for kind in kinds for s in variants if s or not (kind == "row" and shift)]
-
-
-def _in_range(t):
-    """Whether t lies in the range the real loops admit for tau, and for one row for a nonzero sigma * eps."""
-    return 2.0**-510 <= t <= 2.0**450
-
-
-def _assert_chains(batches, firsts, shifts):
-    """Each batch ran a prefix of its chain of loops, from its first; of those
-    that entered a real loop, more than 20 ran to their end there and more than
-    20 reached the general loop; more than 20 of all entered a shift variant,
-    and more than 20 did not."""
-    assert len(batches) == len(firsts) == len(shifts)
-    for batch, first, shift in zip(batches, firsts, shifts):
-        assert [run[:2] for run in batch] == _chain(first, shift)[: len(batch)]
-    real = [batch for batch, first in zip(batches, firsts) if first != "general"]
-    assert 20 < sum(batch[-1][0] == "general" for batch in real) < len(real) - 20
-    assert 20 < sum(shifts) < len(shifts) - 20
-
-
-def _assert_hands_off(batch, first, shift, left):
-    """The batch entered ``first``, its shift variant if ``shift``, which handed on
-    ``left`` iterations; any real loop after it abandoned the same step at once,
-    and the general loops ran the rest."""
-    assert [run[:2] for run in batch] == _chain(first, shift)[: len(batch)]
-    general = [run[0] for run in batch].index("general")
-    assert batch[0][3] == left and all(run[2] == left for run in batch[1 : general + 1])
 
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
@@ -275,7 +210,7 @@ def test_pd_iterate_matches_reference_on_generic_shapes(monkeypatch, m, ns, cplx
     """Every generic-solve shape (N = m+1..m+4) and one larger one, from zero and
     from a mid-run state, and for a real A also from a mid-run state whose
     imaginary halves are +0.0.  A real batch runs a real loop from both of those
-    starts; at eps = 0 every batch enters a shift variant."""
+    starts, and one whose state has nonzero imaginary halves the general loop."""
     runs = _spy(monkeypatch)
     first = "general" if cplx else "row" if m == 1 else "real"
     rng = np.random.default_rng(100 * m + cplx)
@@ -290,12 +225,10 @@ def test_pd_iterate_matches_reference_on_generic_shapes(monkeypatch, m, ns, cplx
                 zero = (np.zeros(2 * n), np.zeros(2 * m), np.zeros(2 * n))
                 mid = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
                 starts = [zero, mid] if cplx else [zero, mid, tuple(map(_real_half, mid))]
-                # the mid state's nonzero imaginary halves send a real A to the general loop
                 for (x, z, xbar), entry in zip(starts, (first, "general", first)):
                     runs.clear()
-                    _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, n)
-                    (batch,) = _batches(runs)
-                    assert batch[0][:2] == (entry, eps == 0.0), (n, eps, iters)
+                    _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters)
+                    assert runs == [entry], (n, eps, iters)
 
 
 def test_kernel_signatures_keep_the_positions_the_benchmark_reads():
@@ -308,9 +241,9 @@ def test_kernel_signatures_keep_the_positions_the_benchmark_reads():
 
 
 def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
-    """Calls on one shape and variant, whatever their values, run the loop generated
-    for the first; real batches from zero build the real loop of their shape and
-    no general loop.  eps = 0 builds the shift variants, each once."""
+    """Calls on one shape and kind, whatever their values and eps = 0 among them,
+    run the loop generated for the first; real batches from zero build the real
+    loop of their shape and no general loop."""
     built = []
     source = kern._pd_source
     monkeypatch.setattr(kern, "_pd_source", lambda *key: built.append(key) or source(*key))
@@ -327,10 +260,7 @@ def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
             y[0] = 1.0
             for _ in range(2):
                 state = kern.pd_iterate(K, y, eps, 0.1, 0.1, *state, 3)
-    assert built == [
-        (4, 10, False, False), (2, 10, False, False), (2, 8, True, False), (4, 10, True, False),
-        (4, 10, False, True), (2, 10, False, True), (2, 8, True, True), (4, 10, True, True),
-    ]
+    assert built == [(4, 10, False), (2, 10, False), (2, 8, True), (4, 10, True)]
 
 
 def test_pd_iterate_returns_arrays_no_later_call_writes():
@@ -346,7 +276,7 @@ def test_pd_iterate_returns_arrays_no_later_call_writes():
 
 
 def test_pd_iterate_builds_no_array_per_step(monkeypatch):
-    """A batch builds one array, the returned x: the steps write into per-call buffers."""
+    """A batch builds three arrays, the x, z and xbar it returns, and none in its steps."""
     rng = np.random.default_rng(5)
     K, y = _realified(rng.uniform(-3, 3, (2, 4))), rng.normal(size=4)
     state = (rng.normal(size=8), rng.normal(size=4), rng.normal(size=8))
@@ -354,9 +284,9 @@ def test_pd_iterate_builds_no_array_per_step(monkeypatch):
     array = np.array
     monkeypatch.setattr(np, "array", lambda *a, **k: built.append(a) or array(*a, **k))
     kern._pd_loop.cache_clear()
-    x, _, _ = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, *state, 250)
+    got = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, *state, 250)
     kern._pd_loop.cache_clear()
-    assert len(built) == 1 and array(built[0][0]).tobytes() == x.tobytes()
+    assert [array(a[0]).tobytes() for a in built] == [v.tobytes() for v in got]
 
 
 def _solver_setup(inst):
@@ -375,7 +305,7 @@ def test_pd_iterate_matches_reference_on_families(which):
         eps = float(inst.eps)
         x, z, xbar = np.zeros(2 * inst.n), np.zeros(2 * inst.m), np.zeros(2 * inst.n)
         for iters in (1, 250, 250):  # each batch starts where the one before stopped
-            _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, inst.n)
+            _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters)
             x, z, xbar = kern.pd_iterate(K, y, eps, step, step, x, z, xbar, iters)
 
 
@@ -415,8 +345,8 @@ K_EDGE = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 1.0, -1.0, 2.0]])
         ),
         pytest.param(
             # a one-row real K of two columns whose K xbar sums two -0.0
-            # products: the zero terms BLAS adds make it +0.0, and so must the
-            # two-column step, or the first step's z0 keeps the sign of -0.0
+            # products: the + 0.0 that ends a real sum makes it +0.0, or the
+            # first step's z0 keeps the sign of -0.0
             [[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]], [0.0, 0.0], 0.25, 0.3,
             [-0.0, -0.0, 0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0, 0.0, 0.0],
             id="two-column-minus-zero-sum",
@@ -426,7 +356,7 @@ K_EDGE = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 1.0, -1.0, 2.0]])
 @pytest.mark.parametrize("iters", [1, 250])
 def test_pd_iterate_matches_reference_on_edge_cases(K, y, eps, tau, x, z, xbar, iters):
     arr = lambda v: np.array(v, dtype=np.float64)
-    _pd_same_bytes(arr(K), arr(y), eps, tau, 0.4, arr(x), arr(z), arr(xbar), iters, 2)
+    _pd_same_bytes(arr(K), arr(y), eps, tau, 0.4, arr(x), arr(z), arr(xbar), iters)
 
 
 def test_pd_iterate_pair_shrink_edge_is_exact():
@@ -446,15 +376,16 @@ FIXED_Y = [Q(-1, 2), Q(3, 16)]
 
 @pytest.fixture(scope="module")
 def fixed_point():
-    """``(K, y, eps, step, n)`` as solve_numeric sets them up, and the state the iteration settles at."""
+    """``(K, y, eps, step)`` as solve_numeric sets them up, and the state the iteration settles at."""
     inst = qcbp.Instance(A=RationalMatrix.from_rows(FIXED_A), y=RationalVector.from_items(FIXED_Y), eps=Q(1, 8))
     assert qcbp.solve_numeric(inst).converged
     K, y, step = _solver_setup(inst)
-    setup = (K, y, float(inst.eps), step, inst.n)
+    setup = (K, y, float(inst.eps), step)
     zero = (np.zeros(2 * inst.n), np.zeros(2 * inst.m), np.zeros(2 * inst.n))
-    state = pd_reference.pd_iterate(K, y, float(inst.eps), step, step, *zero, 1000, inst.n)
-    after = pd_reference.pd_iterate(K, y, float(inst.eps), step, step, *state, 1, inst.n)
+    state = pd_reference.pd_iterate(*setup, step, *zero, 1000)
+    after = pd_reference.pd_iterate(*setup, step, *state, 1)
     assert [v.tobytes() for v in after] == [v.tobytes() for v in state], "not a fixed point"
+    assert any(v == 0.0 and math.copysign(1.0, v) < 0 for v in state[0].tolist()), "no -0.0 in x"
     return setup, zero, state
 
 
@@ -462,30 +393,27 @@ def fixed_point():
 @pytest.mark.parametrize("start", ["zero", "fixed"])
 def test_pd_iterate_matches_reference_at_a_fixed_point(fixed_point, start, iters):
     """From zero the loop reaches the fixed point inside a batch; from the fixed point it stays there."""
-    (K, y, eps, step, n), zero, fixed = fixed_point
+    (K, y, eps, step), zero, fixed = fixed_point
     x, z, xbar = zero if start == "zero" else fixed
-    _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, n)
+    _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters)
 
 
-class _CountingK(np.ndarray):
-    """An operator that counts its ``.dot`` calls, those of its transpose included."""
-
-    dots = 0
-
-    def dot(self, v):
-        _CountingK.dots += 1
-        return np.asarray(self).dot(v)
-
-
-def test_pd_iterate_stops_after_one_iteration_at_a_fixed_point(fixed_point):
-    (K, y, eps, step, _), zero, fixed = fixed_point
-    counted = K.view(_CountingK)
-    _CountingK.dots = 0
-    kern.pd_iterate(counted, y, eps, step, step, *zero, 250)
-    assert _CountingK.dots == 2 * 250  # the fixed point lies beyond the first batch
-    _CountingK.dots = 0
-    got = kern.pd_iterate(counted, y, eps, step, step, *fixed, 250)
-    assert _CountingK.dots == 2  # K xbar and K^T z of the one iteration that changed nothing
+def test_pd_iterate_stops_after_one_iteration_at_a_fixed_point(fixed_point, monkeypatch):
+    """The fixed point's loop, real with two rows, takes one root a step, its dual
+    norm's: 250 from zero, where the fixed point lies beyond the first batch,
+    and one from the fixed point, whose one iteration changes nothing."""
+    (K, y, eps, step), zero, fixed = fixed_point
+    roots = []
+    monkeypatch.setattr(kern, "math", SimpleNamespace(sqrt=lambda v: roots.append(v) or math.sqrt(v)))
+    kern._pd_loop.cache_clear()
+    try:
+        kern.pd_iterate(K, y, eps, step, step, *zero, 250)
+        assert len(roots) == 250
+        roots.clear()
+        got = kern.pd_iterate(K, y, eps, step, step, *fixed, 250)
+    finally:
+        kern._pd_loop.cache_clear()
+    assert len(roots) == 1
     assert [v.tobytes() for v in got] == [v.tobytes() for v in fixed]
 
 
@@ -493,16 +421,16 @@ def test_pd_iterate_stops_after_one_iteration_at_a_fixed_point(fixed_point):
 @pytest.mark.parametrize("iters", [1, 2, 250])
 def test_pd_iterate_fixed_point_is_bit_exact(fixed_point, which, iters):
     """A state float-equal to the fixed point but with one zero of the other sign is not the fixed point."""
-    (K, y, eps, step, n), _, (x, z, xbar) = fixed_point
+    (K, y, eps, step), _, (x, z, xbar) = fixed_point
     v = (x if which == "x" else xbar).copy()
     i = next(j for j, e in enumerate(v.tolist()) if e == 0.0)
     v[i] = -v[i]
     x, xbar = (v, xbar) if which == "x" else (x, v)
     assert np.array_equal(x, fixed_point[2][0]) and np.array_equal(xbar, fixed_point[2][2])
-    _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters, n)
+    _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters)
 
 
-# --- the one-row real loop --------------------------------------------------------
+# --- the real loops -----------------------------------------------------------------
 
 
 def _real_op(a):
@@ -519,45 +447,56 @@ def _one_row(row):
     return _real_op([row])
 
 
+# normal values and edge values: signed zeros, a subnormal, +-inf, NaNs of both signs and huge and tiny powers of 2
+_EDGES = (0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, -math.nan, 2.0**600, -(2.0**-600))
+
+
+def _edge_entry(rng, share):
+    return rng.choice(_EDGES) if rng.random() < share else rng.uniform(-3, 3)
+
+
+def _edge_scalars(rng):
+    """tau, sigma and eps mixing normal and edge values, far outside [2**-510, 2**450] among them."""
+    tau = rng.choice((0.0, 2.0**-600, 1e-300, 2.0**-510, rng.uniform(0.05, 1), 2.0**450, 1e300, math.inf))
+    sigma = rng.choice((-rng.uniform(0.05, 1), 0.0, math.inf, rng.uniform(0.05, 1)))
+    eps = rng.choice((0.0, 2.0**-560, math.inf, math.nan, rng.uniform(0, 1)))
+    return tau, sigma, eps
+
+
 def test_pd_iterate_matches_reference_on_one_row_real_edge_values(monkeypatch):
-    """400 one-row real batches of widths 2-5 whose K, state and scalars mix normal and edge values.
-
-    The first 200 draw tau and sigma * eps with edge values too; the other 200
-    draw tau at or between the bounds of its range and sigma * eps in it or
-    +-0.0.  A batch whose tau or nonzero sigma * eps lies outside that range
-    runs the general loop; every other one enters the one-row loop, its shift
-    variant when sigma * eps is +-0.0.  Some of those hand off to the general
-    loop (a NaN, inf or an underflow on the way) and some run to their end.
-    """
-    runs, firsts, shifts = _spy(monkeypatch), [], []
+    """400 one-row real batches of widths 2-5 whose K, state and scalars mix normal
+    and edge values.  Each runs the one-row loop to its end: a NaN, an inf or a
+    product that rounds to zero on the way changes nothing about the loop."""
+    runs = _spy(monkeypatch)
     rng = random.Random(4242)
-
-    def state_entry():
-        return rng.choice((0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan)) if rng.random() < 0.25 else rng.uniform(-3, 3)
-
-    for bounded in [False] * 200 + [True] * 200:
+    for _ in range(400):
         n = rng.randint(2, 5)
         row = [rng.choice((-1, 1)) * rng.choice((0.0, 2.0**-1070, 2.0**600, rng.uniform(0.1, 3))) for _ in range(n)]
-        y = np.array([state_entry(), 0.0])
-        if bounded:
-            tau = rng.choice((2.0**-510, rng.uniform(0.05, 1), 2.0**450))
-            sigma = rng.choice((-rng.uniform(0.05, 1), 0.0, rng.uniform(0.05, 1)))
-            eps = rng.choice((0.0, rng.uniform(0, 1)))
-            sigma = abs(sigma) if eps else sigma  # sigma * eps in range, or +-0.0
-        else:
-            tau = rng.choice((0.0, 1e-300, rng.uniform(0.05, 1), 1e300))
-            sigma = rng.choice((-rng.uniform(0.05, 1), 0.0, np.inf, rng.uniform(0.05, 1)))
-            eps = rng.choice((0.0, np.inf, np.nan, rng.uniform(0, 1)))
-        iters = rng.choice((1, 2, 60, 250))
+        y = np.array([_edge_entry(rng, 0.25), 0.0])
         x, z, xbar = np.zeros(2 * n), np.zeros(2), np.zeros(2 * n)  # imaginary halves +0.0
-        x[:n], z[0], xbar[:n] = [state_entry() for _ in range(n)], state_entry(), [state_entry() for _ in range(n)]
-        _pd_same_bytes(_one_row(row), y, eps, tau, sigma, x, z, xbar, iters, n)
-        se = sigma * eps
-        firsts.append("row" if _in_range(tau) and (se == 0.0 or _in_range(se)) else "general")
-        shifts.append(se == 0.0)
-    assert firsts[200:] == ["row"] * 200
-    _assert_chains(_batches(runs), firsts, shifts)
+        draw = lambda count: [_edge_entry(rng, 0.25) for _ in range(count)]
+        x[:n], z[:1], xbar[:n] = draw(n), draw(1), draw(n)
+        tau, sigma, eps = _edge_scalars(rng)
+        _pd_same_bytes(_one_row(row), y, eps, tau, sigma, x, z, xbar, rng.choice((1, 2, 60, 250)))
+    assert runs == ["row"] * 400
 
+
+def test_pd_iterate_matches_reference_on_real_edge_values(monkeypatch):
+    """400 real batches of 2-4 rows whose K, state and scalars mix normal and edge
+    values, NaNs of both signs among them.  Each runs the real loop to its end.
+    Every sum has one order, so where NaNs of both signs meet, the result's sign
+    is the spec's too."""
+    runs = _spy(monkeypatch)
+    rng = random.Random(4343)
+    for _ in range(400):
+        m, n = rng.randint(2, 4), rng.randint(2, 5)
+        K = _real_op([[_edge_entry(rng, 0.2) for _ in range(n)] for _ in range(m)])
+        y, x, z, xbar = np.zeros(2 * m), np.zeros(2 * n), np.zeros(2 * m), np.zeros(2 * n)  # imaginary halves +0.0
+        y[:m], z[:m] = [_edge_entry(rng, 0.2) for _ in range(m)], [_edge_entry(rng, 0.2) for _ in range(m)]
+        x[:n], xbar[:n] = [_edge_entry(rng, 0.2) for _ in range(n)], [_edge_entry(rng, 0.2) for _ in range(n)]
+        tau, sigma, eps = _edge_scalars(rng)
+        _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, rng.choice((1, 2, 40)))
+    assert runs == ["real"] * 400
 
 
 _ROW_BASE = dict(
@@ -574,130 +513,33 @@ def _broken(name, index, value):
 
 
 @pytest.mark.parametrize(
-    "change, dots_per_step",
+    "change, kind",
     [
-        pytest.param({}, 1, id="one-row-real"),
-        pytest.param(_broken("K", (0, 4), -0.0), 2, id="minus-zero-in-K-top-right"),
-        pytest.param(_broken("K", (1, 0), -0.0), 2, id="minus-zero-in-K-bottom-left"),
-        pytest.param(_broken("K", (0, 1), np.inf), 2, id="K-not-finite"),
-        pytest.param(_broken("y", 1, -0.0), 2, id="minus-zero-in-y1"),
-        pytest.param(_broken("x", 3, 1e-300), 2, id="nonzero-imaginary-x"),
-        pytest.param(_broken("x", 5, -0.0), 2, id="minus-zero-imaginary-x"),
-        pytest.param(_broken("z", 1, -0.0), 2, id="minus-zero-z1"),
-        pytest.param(_broken("z", 1, 0.5), 2, id="nonzero-z1"),
-        pytest.param(_broken("xbar", 4, -0.0), 2, id="minus-zero-imaginary-xbar"),
-        pytest.param({"tau": -0.3}, 2, id="negative-tau"),
-        pytest.param({"tau": np.inf}, 2, id="infinite-tau"),
-        pytest.param({"tau": np.nan}, 2, id="nan-tau"),
+        pytest.param({}, "row", id="one-row-real"),
+        pytest.param(_broken("K", (0, 4), -0.0), "general", id="minus-zero-in-K-top-right"),
+        pytest.param(_broken("K", (1, 0), -0.0), "general", id="minus-zero-in-K-bottom-left"),
+        pytest.param(_broken("K", (0, 1), np.inf), "row", id="K-not-finite"),
+        pytest.param(_broken("y", 1, -0.0), "general", id="minus-zero-in-y1"),
+        pytest.param(_broken("x", 3, 1e-300), "general", id="nonzero-imaginary-x"),
+        pytest.param(_broken("x", 5, -0.0), "general", id="minus-zero-imaginary-x"),
+        pytest.param(_broken("z", 1, -0.0), "general", id="minus-zero-z1"),
+        pytest.param(_broken("z", 1, 0.5), "general", id="nonzero-z1"),
+        pytest.param(_broken("xbar", 4, -0.0), "general", id="minus-zero-imaginary-xbar"),
+        pytest.param({"tau": -0.3}, "row", id="negative-tau"),
+        pytest.param({"tau": np.inf}, "row", id="infinite-tau"),
+        pytest.param({"tau": np.nan}, "row", id="nan-tau"),
     ],
 )
 @pytest.mark.parametrize("iters", [1, 3])
-def test_pd_iterate_one_row_entry_conditions(change, dots_per_step, iters):
-    """Each entry condition broken on its own sends the batch to the general loop,
-    two BLAS products a step; with all of them held, the batch makes one."""
-    case = {**_ROW_BASE, **change}
-    K = case["K"]
-    _CountingK.dots = 0
-    with np.errstate(all="ignore"):
-        kern.pd_iterate(K.view(_CountingK), case["y"], 0.25, case["tau"], 0.4, case["x"], case["z"], case["xbar"], iters)
-    assert _CountingK.dots == dots_per_step * iters
-    _pd_same_bytes(K, case["y"], 0.25, case["tau"], 0.4, case["x"], case["z"], case["xbar"], iters, 3)
-
-
-def test_pd_iterate_one_row_real_solve_makes_one_blas_call_per_step():
-    """A family solve's first batch, from zero as solve_numeric sets it up, makes
-    no BLAS call at two columns, where K xbar is formed in Python, and one gemv
-    a step and no other BLAS call at three."""
-    for n_dim, dots in ((2, 0), (3, 250)):
-        inst = families.perturbed_instance(1, 14, families.FamilyParams(n_dim=n_dim))
-        K, y, step = _solver_setup(inst)
-        zero = (np.zeros(2 * inst.n), np.zeros(2), np.zeros(2 * inst.n))
-        _CountingK.dots = 0
-        got = kern.pd_iterate(K.view(_CountingK), y, float(inst.eps), step, step, *zero, 250)
-        assert _CountingK.dots == dots, n_dim
-        want = pd_reference.pd_iterate(K, y, float(inst.eps), step, step, *zero, 250, inst.n)
-        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
-
-
-@pytest.mark.parametrize(
-    "row, y0, tau, z0, step, iters",
-    [
-        # z falls by 1/2 a step; at 0.25, its product with 5e-324 rounds to zero
-        pytest.param([0.5, 5e-324], 0.5, 1.0, 1.75, 2, 60, id="underflowing-product"),
-        # z grows by 1e306 a step until it overflows
-        pytest.param([1.0, 0.5], -1e306, 2.0**-510, 0.0, 179, 181, id="overflowing-dual"),
-    ],
-)
-def test_pd_iterate_one_row_hands_off_mid_batch(monkeypatch, row, y0, tau, z0, step, iters):
-    """A step that the one-row loop cannot take byte for byte hands the rest of the batch,
-    from the state it started with, to the general loop, at two columns and with
-    a third, zero column, which takes the same steps.  eps = 2**-510, the least
-    sigma * eps the full one-row loop takes, keeps the factor at 1.0, as eps = 0
-    does, but runs the full variant; the shift variant hands on to the general
-    loop's."""
+def test_pd_iterate_one_row_entry_conditions(monkeypatch, change, kind, iters):
+    """A signed zero or a nonzero value in an off-diagonal block of K or in an
+    imaginary half of y, x, z or xbar, each on its own, makes a one-row batch
+    complex: it runs the general loop.  A K that is not finite and a negative,
+    infinite or NaN tau leave it real."""
     runs = _spy(monkeypatch)
-    for n in (2, 3):
-        K, y, x = _one_row(row + [0.0] * (n - 2)), np.array([y0, 0.0]), np.zeros(2 * n)
-        z = np.array([z0, 0.0])
-        # the gemvs of a step and of an abandoned one, which makes K xbar alone: a
-        # general step makes two, a one-row step one at three columns, none at two
-        gemvs = {"row": (n - 2, n - 2), "general": (2, 1)}
-        for eps in (0.0, 2.0**-510):
-            runs.clear()
-            _CountingK.dots = 0
-            with np.errstate(all="ignore"):
-                kern.pd_iterate(K.view(_CountingK), y, eps, tau, 1.0, x, z, x, iters)
-            (batch,) = _batches(runs)
-            _assert_hands_off(batch, "row", eps == 0.0, iters - step)
-            assert _CountingK.dots == sum(
-                gemvs[kind][0] * (given - left) + gemvs[kind][1] * (left > 0) for kind, _, given, left in batch
-            )
-            _pd_same_bytes(K, y, eps, tau, 1.0, x, z, x, iters, n)
-
-
-
-# --- the real loop of two or more rows ------------------------------------------
-
-
-def test_pd_iterate_matches_reference_on_real_edge_values(monkeypatch):
-    """400 real batches of 2-4 rows whose K, state and scalars mix normal and edge values.
-
-    The first 200 draw tau with edge values too, the other 200 at or between
-    the bounds of its range.  A batch whose tau lies outside that range runs
-    the general loop; every other one enters the real loop, its shift variant
-    when sigma * eps is +-0.0.  Some of those hand the rest of their batch to
-    the general loop (a NaN or an inf on the way) and some run to their end.  The
-    NaN put in is the one an invalid operation such as inf * 0 makes, so every
-    NaN of a batch has the same bytes: where NaNs of both signs meet in a BLAS
-    sum, the sign of the result depends on BLAS's order of operations, which
-    varies between calls, and no loop, the reference included, fixes it.
-    """
-    runs, firsts, shifts = _spy(monkeypatch), [], []
-    rng = random.Random(4343)
-    nan = np.inf * 0.0
-    edges = (0.0, -0.0, 5e-324, np.inf, -np.inf, nan, 2.0**600, -(2.0**-600))
-
-    def entry(edge):
-        return rng.choice(edge) if rng.random() < 0.2 else rng.uniform(-3, 3)
-
-    for bounded in [False] * 200 + [True] * 200:
-        m, n = rng.randint(2, 4), rng.randint(2, 5)
-        K = _real_op([[entry(edges[:3] + edges[6:]) for _ in range(n)] for _ in range(m)])  # finite
-        y, x, z, xbar = np.zeros(2 * m), np.zeros(2 * n), np.zeros(2 * m), np.zeros(2 * n)  # imaginary halves +0.0
-        y[:m], z[:m] = [entry(edges) for _ in range(m)], [entry(edges) for _ in range(m)]
-        x[:n], xbar[:n] = [entry(edges) for _ in range(n)], [entry(edges) for _ in range(n)]
-        if bounded:
-            tau = rng.choice((2.0**-510, rng.uniform(0.05, 1), 2.0**450))
-        else:
-            tau = rng.choice((0.0, 1e-300, rng.uniform(0.05, 1), 1e300))
-        sigma = rng.choice((-rng.uniform(0.05, 1), 0.0, np.inf, rng.uniform(0.05, 1)))
-        eps = rng.choice((0.0, np.inf, nan, rng.uniform(0, 1)))
-        iters = rng.choice((1, 2, 40))
-        _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, iters, n)
-        firsts.append("real" if _in_range(tau) else "general")
-        shifts.append(sigma * eps == 0.0)
-    assert firsts[200:] == ["real"] * 200
-    _assert_chains(_batches(runs), firsts, shifts)
+    case = {**_ROW_BASE, **change}
+    _pd_same_bytes(case["K"], case["y"], 0.25, case["tau"], 0.4, case["x"], case["z"], case["xbar"], iters)
+    assert runs == [kind]
 
 
 _REAL_BASE = dict(
@@ -715,57 +557,43 @@ def _real_broken(name, index, value):
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, kind",
     [
-        pytest.param({}, id="real"),
+        pytest.param({}, "real", id="real"),
         *(
-            pytest.param(_real_broken("K", (i, j), value), id=f"{label}-in-K{i}{j}")
+            pytest.param(_real_broken("K", (i, j), value), "general", id=f"{label}-in-K{i}{j}")
             for i, j in ((0, 3), (1, 5), (2, 0), (3, 2))  # both off-diagonal blocks
             for label, value in (("minus-zero", -0.0), ("nonzero", 0.5))
         ),
-        pytest.param(_real_broken("K", (0, 1), np.inf), id="K-infinite"),
-        pytest.param(_real_broken("K", (3, 4), np.nan), id="K-nan"),
+        pytest.param(_real_broken("K", (0, 1), np.inf), "real", id="K-infinite"),
+        # the bottom-right block, which the real loop does not read
+        pytest.param(_real_broken("K", (3, 4), np.nan), "real", id="K-nan"),
         *(
-            pytest.param(_real_broken(name, index, value), id=f"{label}-in-{name}{index}")
+            pytest.param(_real_broken(name, index, value), "general", id=f"{label}-in-{name}{index}")
             for name, index in (("y", 3), ("x", 4), ("z", 2), ("xbar", 5))  # imaginary halves
             for label, value in (("minus-zero", -0.0), ("nonzero", 1e-300))
         ),
-        pytest.param({"tau": -0.3}, id="negative-tau"),
-        pytest.param({"tau": np.inf}, id="infinite-tau"),
-        pytest.param({"tau": np.nan}, id="nan-tau"),
+        pytest.param({"tau": -0.3}, "real", id="negative-tau"),
+        pytest.param({"tau": np.inf}, "real", id="infinite-tau"),
+        pytest.param({"tau": np.nan}, "real", id="nan-tau"),
     ],
 )
-def test_pd_iterate_real_entry_conditions(monkeypatch, change):
-    """Each entry condition broken on its own sends a two-row batch to the general loop;
-    with all of them held, the batch runs to its end in the real loop.  The same
-    holds for the shift variants, which eps = 0 selects."""
+def test_pd_iterate_real_entry_conditions(monkeypatch, change, kind):
+    """The same for a two-row batch, at eps = 0.25 and at eps = 0."""
     runs = _spy(monkeypatch)
     case = {**_REAL_BASE, **change}
     for eps in (0.25, 0.0):
-        runs.clear()
-        args = (case["K"], case["y"], eps, case["tau"], 0.4, case["x"], case["z"], case["xbar"], 3)
-        with np.errstate(all="ignore"):
-            kern.pd_iterate(*args)
-        (batch,) = _batches(runs)
-        assert {run[1][:2] for run in runs} == {(4, 6)}
-        if change:  # a NaN on the way may send the general shift variant's batch on to the full one
-            assert [run[:2] for run in batch] == _chain("general", eps == 0.0)[: len(batch)]
-        else:
-            assert batch == [("real", eps == 0.0, 3, 0)]
-        _pd_same_bytes(*args, 3)
+        _pd_same_bytes(case["K"], case["y"], eps, case["tau"], 0.4, case["x"], case["z"], case["xbar"], 3)
+    assert runs == [kind] * 2
 
 
 def test_real_solves_never_run_the_general_loop(monkeypatch):
     """solve_numeric sets every real instance up for a real loop: one-row
-    instances run the one-row loop, those of two and three rows the real loop,
-    its shift variant at eps = 0."""
-    runs = _spy(monkeypatch)
-    spied = kern._pd_loop
-
-    def real_only(*key):
-        return spied(*key) if key[2] else pytest.fail(f"general loop for {key}")
-
-    monkeypatch.setattr(kern, "_pd_loop", real_only)
+    instances run the one-row loop and those of two and three rows the real
+    loop, at eps = 1/8 and at eps = 0."""
+    built = []
+    build = kern._pd_loop
+    monkeypatch.setattr(kern, "_pd_loop", lambda *key: built.append(key) or build(*key))
 
     def inst(rows, y, eps=Q(1, 8)):
         return qcbp.Instance(A=RationalMatrix.from_rows(rows), y=RationalVector.from_items(y), eps=eps)
@@ -787,35 +615,15 @@ def test_real_solves_never_run_the_general_loop(monkeypatch):
         inst(three_rows, [Q(1, 3), Q(-1, 4), Q(2, 5)], Q(0)),
     ):
         assert qcbp.solve_numeric(case).converged
-    real = {key for kind, key, _, _ in runs if kind == "real"}
-    assert real == {(4, 8, True, False), (6, 10, True, False), (4, 8, True, True), (6, 10, True, True)}
-
-
-def test_pd_iterate_real_hands_off_mid_batch(monkeypatch):
-    """A step whose new z is not finite hands the rest of the batch, from the
-    state it started with, to the general loop.  Here z0 grows by 1e306 a
-    step (eps = 0 and eps = 5e-324 keep the factor at 1; tau = 2**-510, the
-    least the real loops take, keeps x small) and overflows at step 179.  From
-    the shift variant the full real loop is tried first and abandons the same
-    step."""
-    runs = _spy(monkeypatch)
-    K, y = _real_op([[1.0, 0.5], [0.5, 1.0]]), np.array([-1e306, 0.0, 0.0, 0.0])
-    state = (np.zeros(4), np.zeros(4), np.zeros(4))
-    for eps in (0.0, 5e-324):
-        runs.clear()
-        with np.errstate(all="ignore"):
-            kern.pd_iterate(K, y, eps, 2.0**-510, 1.0, *state, 181)
-        (batch,) = _batches(runs)
-        _assert_hands_off(batch, "real", eps == 0.0, 181 - 179)
-        _pd_same_bytes(K, y, eps, 2.0**-510, 1.0, *state, 181, 2)
+    assert set(built) == {(2, 4, True), (2, 6, True), (4, 8, True), (6, 10, True)}
 
 
 # --- the signed factor of the real loops ---------------------------------------------
 
 
 def _root_factor(t, w):
-    """max(0.0, 1.0 - t / sqrt(w * w)), 0.0 unless sqrt(w * w) > 0: a real pair's
-    shrink factor, or the one-row dual factor, formed from the root of the square."""
+    """max(0.0, 1.0 - t / sqrt(w * w)), 0.0 unless sqrt(w * w) > 0: the general
+    loop's form of a factor, on a pair whose imaginary part is zero."""
     mag = math.sqrt(w * w)
     f = 1.0 - t / mag if mag > 0 else 0.0
     return f if f > 0.0 else 0.0
@@ -836,18 +644,18 @@ def _same_factor(factor, t, w):
         assert pack("d", got) == pack("d", want), (t, v, want, got)
 
 
-# tau, or a nonzero sigma * eps for one row: the bounds of the range the real loops take and values between
+# tau or sigma * eps: the bounds of [2**-510, 2**450] and values between
 _RANGE_T = [2.0**-510, math.nextafter(2.0**-510, 1.0), 1e-100, 0.3, 1.0, 7.5, 1e100, math.nextafter(2.0**450, 0.0), 2.0**450]
 
 
 def test_signed_factor_is_the_root_of_the_square():
-    """For t in [2**-510, 2**450] the factor read from w's sign has the bytes of the
-    one from sqrt(w * w), at edge values of w, across the band where w * w stops
-    being normal or finite and on 20,000 seeded bit patterns.  Outside the range
-    the two differ: w * w underflows to 0 where t / |w| < 1, or overflows where
-    t / |w| rounds 1 - t / |w| below 1; and t = 0, one row's sigma * eps = +-0.0,
-    differs where w * w underflows, which is why that batch skips the full
-    one-row loop."""
+    """For t in [2**-510, 2**450] the factor read from w's sign, which the real
+    loops take, has the bytes of the one from sqrt(w * w), at edge values of w,
+    across the band where w * w stops being normal or finite and on 20,000
+    seeded bit patterns: there a real pair's step agrees with the general form.
+    Outside the range the two differ: w * w underflows to 0 where t / |w| < 1,
+    or overflows where t / |w| rounds 1 - t / |w| below 1, and t = 0 differs
+    where w * w underflows."""
     factor = _signed_factor()
     edges = [0.0, 5e-324, 2.0**-1022, 2.0**-600, 1e-300, 0.5, 1.0, 3.0, 1e300, 1.7976931348623157e308, math.inf, math.nan]
     band = [
@@ -871,30 +679,8 @@ def test_signed_factor_is_the_root_of_the_square_on_any_float(t, w):
     _same_factor(_signed_factor(), t, w)
 
 
-@pytest.mark.parametrize("kind", ["one-row", "two-column", "real"])
-@pytest.mark.parametrize("name", ["tau", "sigma-eps"])
-def test_pd_iterate_real_range_bounds(monkeypatch, kind, name):
-    """tau, and for one row a nonzero sigma * eps, at either bound of [2**-510,
-    2**450] enter the real loop, and their float neighbours outside send the
-    batch to the general loop.  sigma * eps is not bounded for two rows or more."""
-    runs = _spy(monkeypatch)
-    first, K, y, x, z = _SHIFT_KINDS[kind]
-    y, x, z = (np.array(v, dtype=np.float64) for v in (y, x, z))
-    for bound, outward in ((2.0**-510, 0.0), (2.0**450, math.inf)):
-        for value, inside in ((bound, True), (math.nextafter(bound, outward), False)):
-            tau, eps = (value, 0.25) if name == "tau" else (0.3, value)  # sigma = 1: sigma * eps = eps
-            runs.clear()
-            _pd_same_bytes(K, y, eps, tau, 1.0, x, z, x, 3, K.shape[1] // 2)
-            (batch,) = _batches(runs)
-            entered = first if inside or (name == "sigma-eps" and first == "real") else "general"
-            assert batch[0][:2] == (entered, False), value
-
-
-# --- the shift variants -------------------------------------------------------------
-
-
-# Each loop kind's first loop, K and state (y, x, z); the real kinds keep +0.0 imaginary halves.
-_SHIFT_KINDS = {
+# Each loop kind, K and state (y, x, z); the real kinds keep +0.0 imaginary halves.
+_KINDS = {
     "one-row": ("row", _one_row([1.0, -2.0, 0.5]), [1.0, 0.0], _ROW_BASE["x"], [0.1, 0.0]),
     "two-column": ("row", _one_row([1.0, -2.0]), [1.0, 0.0], [0.3, -0.1, 0.0, 0.0], [0.1, 0.0]),
     "real": ("real", _REAL_BASE["K"], _REAL_BASE["y"], _REAL_BASE["x"], _REAL_BASE["z"]),
@@ -908,103 +694,110 @@ _SHIFT_KINDS = {
 }
 
 
+def _kind_case(kind):
+    """The kind's loop, K and (y, x, z) as float64 arrays."""
+    loop, K, *state = _KINDS[kind]
+    return loop, K, *(np.array(v, dtype=np.float64) for v in state)
+
+
+@pytest.mark.parametrize("kind", ["one-row", "two-column", "real"])
+@pytest.mark.parametrize("name", ["tau", "sigma-eps"])
+def test_pd_iterate_real_range_bounds(monkeypatch, kind, name):
+    """The real loops take tau and sigma * eps of any size: at either bound of
+    [2**-510, 2**450], the range they once admitted, and at the float neighbours
+    outside it, every batch runs its real loop and gives the spec's bytes."""
+    runs = _spy(monkeypatch)
+    loop, K, y, x, z = _kind_case(kind)
+    for bound, outward in ((2.0**-510, 0.0), (2.0**450, math.inf)):
+        for value in (bound, math.nextafter(bound, outward)):
+            tau, eps = (value, 0.25) if name == "tau" else (0.3, value)  # sigma = 1: sigma * eps = eps
+            _pd_same_bytes(K, y, eps, tau, 1.0, x, z, x, 3)
+    assert runs == [loop] * 4
+
+
+# --- the step at sigma * eps = +-0.0 ---------------------------------------------------
+
+
 def _tiny_dual(y, x, z):
     """y = 0, x = xbar = 0 and every nonzero z_i scaled below 2**-537: u = z, whose
-    squares round to 0, so nrm = 0 and the full loop scales z to signed zeros."""
+    squares round to 0, so ||u|| = 0 and the factor's formula scales u to zeros."""
     return 0.0 * y, 0.0 * x, z * 2.0**-540
 
 
 def _nan_dual(y, x, z):
     z = z.copy()
-    z[0] = np.inf * 0.0  # the NaN an invalid operation makes, as in the edge-value tests
+    z[0] = np.nan
     return y, x, z
 
 
 @pytest.mark.parametrize("iters", [1, 40])
 @pytest.mark.parametrize(
-    "kind, state, eps, sigma, loops",
+    "kind, state, eps, sigma",
     [
+        *(pytest.param(kind, _tiny_dual, 0.0, 0.4, id=f"tiny-dual-{kind}") for kind in _KINDS),
+        pytest.param("general", _nan_dual, 0.0, 0.4, id="nan-dual-general"),
         *(
-            # no |u_i| reaches 2**-511: the shift variant hands the whole batch to the full
-            # one, a one-row shift variant to the general loop's shift variant and so on
-            pytest.param(kind, _tiny_dual, 0.0, 0.4, "shift, full", id=f"tiny-dual-{kind}")
-            for kind in _SHIFT_KINDS
-        ),
-        # a NaN in u makes nrm NaN and the factor 0: handed on, as above
-        pytest.param("general", _nan_dual, 0.0, 0.4, "shift, full", id="nan-dual-general"),
-        *(
-            pytest.param(kind, None, eps, sigma, loops, id=f"{label}-{kind}")
-            for kind in _SHIFT_KINDS
-            for label, eps, sigma, loops in (
-                ("zero-sigma", 0.5, 0.0, "shift"),  # sigma * eps = +0.0
-                ("negative-sigma", 0.0, -0.4, "shift"),  # sigma * eps = -0.0
-                ("infinite-sigma", 0.0, np.inf, "full"),  # sigma * eps = NaN
+            pytest.param(kind, None, eps, sigma, id=f"{label}-{kind}")
+            for kind in _KINDS
+            for label, eps, sigma in (
+                ("zero-sigma", 0.5, 0.0),  # sigma * eps = +0.0
+                ("negative-sigma", 0.0, -0.4),  # sigma * eps = -0.0
+                ("infinite-sigma", 0.0, np.inf),  # sigma * eps = NaN: the factor's formula
             )
         ),
     ],
 )
-def test_pd_iterate_shift_variant_guards(monkeypatch, kind, state, eps, sigma, loops, iters):
-    """sigma * eps = +-0.0 selects the shift variant, which takes each step as v = u
-    unless that step's nrm might be 0 or NaN; then it hands the rest of the batch
-    to the full variant, or from one row to the general loop's shift variant.
-    All return the bytes of the reference."""
+def test_pd_iterate_shift_variant_guards(monkeypatch, kind, state, eps, sigma, iters):
+    """sigma * eps = +-0.0 takes every dual step as v = u, with no guard on ||u||:
+    where u.u rounds to 0 the step keeps the tiny u, not the zeros the factor's
+    formula would give.  Every loop gives the spec's bytes."""
     runs = _spy(monkeypatch)
-    first, K, y, x, z = _SHIFT_KINDS[kind]
-    y, x, z = (np.array(v, dtype=np.float64) for v in (y, x, z))
+    loop, K, y, x, z = _kind_case(kind)
     if state:
         y, x, z = state(y, x, z)
-    with np.errstate(all="ignore"):
-        _pd_same_bytes(K, y, eps, 0.3, sigma, x, z, x, iters, K.shape[1] // 2)
-    (batch,) = _batches(runs)
-    if loops == "shift":  # the whole batch in the shift variant
-        assert batch == [(first, True, iters, 0)]
-    elif loops == "shift, full":  # handed on at the first step, by each loop up to the chain's first full one
-        chain = _chain(first, True)
-        full = [s for _, s in chain].index(False)
-        assert batch == [(*run, iters, iters) for run in chain[:full]] + [(*chain[full], iters, 0)]
-    else:  # sigma * eps = NaN: no shift variant; a real loop of two rows or more, then the general one
-        first = "general" if first == "row" else first  # NaN is out of the one-row loop's range
-        assert [run[:2] for run in batch] == _chain(first, False) and batch[0][2] == iters
+    _pd_same_bytes(K, y, eps, 0.3, sigma, x, z, x, iters)
+    assert runs == [loop]
+    if state is _tiny_dual and iters == 1:
+        assert kern.pd_iterate(K, y, eps, 0.3, sigma, x, z, x, 1)[1].tobytes() == z.tobytes()
+
+
+class _CountingK(np.ndarray):
+    """An array that counts its ``.dot`` calls, those of its views included."""
+
+    dots = 0
+
+    def dot(self, v):
+        _CountingK.dots += 1
+        return np.asarray(self).dot(v)
 
 
 @pytest.mark.parametrize(
-    "kind, shift, dots_per_step",
+    "kind, shift",
     [
-        pytest.param(kind, shift, dots, id=f"{kind}-{'shift' if shift else 'full'}")
-        for kind, full, shifted in (("general", 3, 2), ("real", 3, 2), ("one-row", 1, 1), ("two-column", 0, 0))
-        for shift, dots in ((False, full), (True, shifted))
+        pytest.param(kind, shift, id=f"{kind}-{'shift' if shift else 'full'}")
+        for kind in ("general", "real", "one-row", "two-column")
+        for shift in (False, True)
     ],
 )
-def test_pd_iterate_blas_calls_per_step(monkeypatch, kind, shift, dots_per_step):
-    """Each loop makes its count of BLAS calls a step, the ddot u.u included: K
-    xbar, u.u and K^T z in the general and real loops, all but u.u in their shift
-    variants, K xbar alone in the one-row loops and none at two columns."""
-    first, K, y, x, z = _SHIFT_KINDS[kind]
-    y, x, z = (np.array(v, dtype=np.float64) for v in (y, x, z))
-    for name in ("empty", "zeros"):  # the loops' buffers, so that ua.dot(ua) counts too
-        alloc = getattr(np, name)
-        monkeypatch.setattr(np, name, lambda *a, alloc=alloc, **k: alloc(*a, **k).view(_CountingK))
-    build = kern._pd_loop
-    build.cache_clear()
-    runs = _spy(monkeypatch)
+def test_pd_iterate_blas_calls_per_step(kind, shift):
+    """No loop makes a BLAS call, at sigma * eps = 0 and not: K and the state arrays
+    count no ``.dot`` call, the source has no ``@``, and the loop names no
+    function but ``range``, ``sqrt``, ``_bits`` and ``_array`` and reads its
+    arrays through ``ravel`` and ``tolist`` alone, once a call."""
+    loop, K, y, x, z = _kind_case(kind)
+    real = loop != "general"
+    names = set(kern._pd_loop(*K.shape, real).__code__.co_names)
+    assert names <= {"range", "sqrt", "_bits", "_array", "ravel", "tolist"}
+    assert "@" not in kern._pd_source(*K.shape, real)
     _CountingK.dots = 0
-    try:
-        kern.pd_iterate(K.view(_CountingK), y, 0.0 if shift else 0.25, 0.3, 0.4, x, z, x, 5)
-    finally:
-        build.cache_clear()
-    assert _batches(runs) == [[(first, shift, 5, 0)]]
-    assert _CountingK.dots == dots_per_step * 5
+    counted = [v.view(_CountingK) for v in (K, y, x, z)]
+    kern.pd_iterate(*counted[:2], 0.0 if shift else 0.25, 0.3, 0.4, counted[2], counted[3], counted[2], 5)
+    assert _CountingK.dots == 0
 
 
-# --- byte replays of the real solves ------------------------------------------------
+# --- byte replays of the solves -----------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def _blas():
-    """numpy's BLAS: its name and version."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"{blas['name']} {blas['version']}"
 
 
 def _two_column_instances():
@@ -1024,6 +817,9 @@ def _two_column_instances():
 # the real shapes of generic-solve that are not two columns: m = 1 with N = 3..5, m = 2, 3 with N = m+1..m+4
 _REAL_SHAPES = [(1, n) for n in range(3, 6)] + [(m, n) for m in (2, 3) for n in range(m + 1, m + 5)]
 
+# the complex shapes of generic-solve: m = 1..3 with N = m+1..m+4
+_COMPLEX_SHAPES = [(m, n) for m in (1, 2, 3) for n in range(m + 1, m + 5)]
+
 
 def _real_instances():
     """48 seeded real instances with entries up to 3 in A and 1/2 in y, as generic-solve
@@ -1039,10 +835,25 @@ def _real_instances():
     return cases
 
 
-def _pd_replay(monkeypatch, instances):
+def _complex_instances():
+    """24 seeded complex instances, real and imaginary parts up to 3 in A and 1/2
+    in y as generic-solve draws them; instance i has shape i mod 12 and eps
+    (0, 1/8, 1/2)[i mod 3]."""
+    rng = random.Random(1401)
+    part = lambda top, den: ComplexQ(Q(rng.randint(-top, top), den), Q(rng.randint(-top, top), den))
+    cases = []
+    for i in range(24):
+        m, n = _COMPLEX_SHAPES[i % 12]
+        rows = [[part(24, rng.randint(8, 24)) for _ in range(n)] for _ in range(m)]
+        y = RationalVector(tuple(part(8, 16) for _ in range(m)))
+        cases.append(qcbp.Instance(A=RationalMatrix.from_rows(rows), y=y, eps=(Q(0), Q(1, 8), Q(1, 2))[i % 3]))
+    return cases
+
+
+def _pd_replay(monkeypatch, instances, reports=True):
     """Solve every instance at tol 1e-6 and return the set of K's shapes, the count
     of ``pd_iterate`` calls and the sha256, in call order, of each call's input
-    and output bytes and of each ``SolveReport.to_json()``."""
+    and output bytes and, if ``reports``, of each ``SolveReport.to_json()``."""
     digest, calls = hashlib.sha256(), []
     run = kern.pd_iterate
 
@@ -1057,16 +868,17 @@ def _pd_replay(monkeypatch, instances):
     monkeypatch.setattr(kern, "pd_iterate", recorded)
     for inst in instances:
         report = qcbp.solve_numeric(inst, Q(1, 10**6))
-        digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+        if reports:
+            digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
     return set(calls), len(calls), digest.hexdigest()
 
 
-def _assert_replay(monkeypatch, name, instances, shapes):
+def _assert_replay(monkeypatch, name, instances, shapes, reports=True):
     """The replay of ``instances`` runs K of ``shapes`` and gives the calls and digest of golden ``name``."""
     want = json.loads((GOLDEN / name).read_text())
-    got = _pd_replay(monkeypatch, instances)
+    got = _pd_replay(monkeypatch, instances, reports)
     assert got[0] == shapes
-    assert got[1:] == (want["calls"], want["sha256"]), f"recorded on {want['blas']}; this is {_blas()}"
+    assert got[1:] == (want["calls"], want["sha256"]), f"the primal-dual bytes of {name} moved"
 
 
 def test_pd_replay_of_two_column_solves_keeps_its_bytes(monkeypatch):
@@ -1079,32 +891,15 @@ def test_pd_replay_of_two_column_solves_keeps_its_bytes(monkeypatch):
 
 def test_pd_replay_of_real_solves_keeps_its_bytes(monkeypatch):
     """The same for 48 real solves of the other real loops: one row of three to
-    five columns, and two and three rows, each shape at eps = 0, 1/8 and 1/2."""
+    five columns, and two and three rows, each shape at eps = 0, 1/8 and 1/2.
+    The reports are left out: 11 of these solves certify a polished point,
+    which np.linalg.lstsq computes with the CPU's BLAS kernels (ROADMAP item 29b)."""
     shapes = {(2 * m, 2 * n) for m, n in _REAL_SHAPES}
-    _assert_replay(monkeypatch, "pd_replay_real.json", _real_instances(), shapes)
+    _assert_replay(monkeypatch, "pd_replay_real.json", _real_instances(), shapes, reports=False)
 
 
-def test_two_column_gemv_is_unfused():
-    """The installed BLAS's gemv of a one-row real 2 x 4 K gives (K xbar)_0 as
-    (a0 * b0 + a1 * b1) + 0.0, byte for byte, on 20,000 seeded cases of normal
-    and edge values (NaN compared as NaN), one gemv call a case.  The sum is
-    formed by numpy's elementwise operations, each rounded as a Python float's."""
-    rng = np.random.default_rng(2002)
-    finite = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1070, 2.0**520, -(2.0**-520), 1e300, -1e-300, 1.7976931348623157e308]
-
-    def draw(edges):
-        normal = rng.uniform(-3, 3, (20_000, 2)) * 2.0 ** rng.integers(-40, 41, (20_000, 2))
-        return np.where(rng.random((20_000, 2)) < 0.4, rng.choice(edges, (20_000, 2)), normal)
-
-    a, b = draw(finite), draw(finite + [math.inf, -math.inf])
-    K, xb = np.zeros((20_000, 2, 4)), np.zeros((20_000, 4))
-    K[:, 0, :2] = K[:, 1, 2:] = a
-    xb[:, :2] = b
-    with np.errstate(all="ignore"):  # inf and NaN are among the compared values
-        got = np.array([Ki.dot(xi)[0] for Ki, xi in zip(K, xb)])
-        want = (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + 0.0
-    moved = np.count_nonzero((got.view(np.int64) != want.view(np.int64)) & ~(np.isnan(got) & np.isnan(want)))
-    assert not moved, (
-        f"{moved} of 20,000 gemv results differ from (a0 * b0 + a1 * b1) + 0.0: the two-column "
-        f"one-row step of _kernels.pd_iterate assumes an unfused gemv, and this BLAS ({_blas()}) fuses"
-    )
+def test_pd_replay_of_complex_solves_keeps_its_bytes(monkeypatch):
+    """The same for 24 complex solves of the general loop, two of each complex
+    shape of generic-solve, reports left out as above."""
+    shapes = {(2 * m, 2 * n) for m, n in _COMPLEX_SHAPES}
+    _assert_replay(monkeypatch, "pd_replay_complex.json", _complex_instances(), shapes, reports=False)

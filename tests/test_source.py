@@ -150,12 +150,10 @@ def test_generated_source_is_compiled_in_one_place():
 
 def test_real_loops_take_no_root_of_a_square():
     """The real loops read |w| from w's sign: a one-row loop's source holds no
-    ``sqrt(``, a full loop of two rows or more one, its dual norm
-    ``sqrt(ua.dot(ua))``, and that loop's shift variant none."""
+    ``sqrt(``, and a loop of two rows or more one, its dual norm's."""
     for n in range(2, 6):
-        for shift in (False, True):
-            assert _kernels._pd_source(2, 2 * n, True, shift).count("sqrt(") == 0
-            for m in (2, 3):
-                source = _kernels._pd_source(2 * m, 2 * n, True, shift)
-                assert source.count("sqrt(") == (0 if shift else 1)
-                assert shift or "sqrt(ua.dot(ua))" in source
+        assert _kernels._pd_source(2, 2 * n, True).count("sqrt(") == 0
+        for m in (2, 3):
+            source = _kernels._pd_source(2 * m, 2 * n, True)
+            assert source.count("sqrt(") == 1
+            assert f"sqrt({' + '.join(f'v{i} * v{i}' for i in range(m))})" in source
