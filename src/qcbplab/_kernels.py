@@ -7,8 +7,9 @@ object arrays.  The primal-dual iteration defines its own float arithmetic:
 every sum is a fixed left-to-right sum of Python floats, with no BLAS call, so
 its bytes do not depend on the CPU.  It runs in straight-line loops that one
 generator emits per problem shape, one for complex batches and one for real
-batches, which step the real halves of the state alone (the arithmetic is in
-the comment above ``pd_iterate``).
+batches, which step the real halves of the state alone, and past a bound on
+K's size in the same steps on float64 arrays (the arithmetic is in the
+comment above ``pd_iterate``).
 
 Exactness note: the scan is exact on int64 when rhs and W = sum_i M_i^2 are
 below 2**62, where M_i bounds |s_i(p)| over the box.  Callers prove that in
@@ -178,7 +179,15 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # compiled and kept (``_pd_loop``) once per shape of K and kind, real or not.
 # Building a shape's loop costs what it saves over a list loop in two to ten
 # batches of 250 iterations (measurements in ROADMAP's dead ends): it pays off
-# for a shape that runs more than a few batches in one process.
+# for a shape that runs more than a few batches in one process.  A step's cost
+# grows with the entries of K the loop reads, and CPython 3.11 compiles no sum
+# of some 3,000 terms (RecursionError); a step on float64 arrays costs its
+# numpy calls' overhead, 20-45 us up to a few thousand entries of K on a
+# 2-core x86-64 Xeon, where the two cross near 128 entries.  So a batch whose
+# loop would read more than ``_STRAIGHT_MAX`` entries of K (the top-left
+# block alone when real) runs ``_pd_arrays``: the same operations in the same
+# order on numpy arrays, each sum a cumulative sum, which adds one term at a
+# time.
 #
 # Fixed-point exit: one iteration is a deterministic function of the state
 # (x, z, xbar) and of the fixed K, y, eps, tau and sigma, so once an iteration
@@ -194,6 +203,9 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # 3.11 gives a + b and a * b of two NaNs b's sign before it specializes the
 # instruction (its first seven runs) and a's after.  So the loops return every
 # NaN as ``math.nan``, and a state's bytes depend on the inputs alone.
+
+_STRAIGHT_MAX = 128
+
 
 def _bits(v):
     """The float64 bytes of a list of floats."""
@@ -316,6 +328,51 @@ def _real(K, y, x, z, xbar):
     return not any(b"".join(v.tobytes() for v in zero))
 
 
+def _sums(products, axis, real):
+    """The sums of ``products`` along ``axis``, each left to right (the last
+    partial sum of a cumulative sum, which adds one term at a time), then
+    ``+ 0.0`` if ``real``."""
+    total = np.add.accumulate(products, axis=axis).take(-1, axis=axis)
+    return total + 0.0 if real else total
+
+
+def _shrink_factors(t, w, real):
+    """max(0.0, 1.0 - t / |w|) on each pair of w, and 0.0 unless |w| > 0."""
+    if real:
+        f = np.where(w > 0.0, 1.0 - t / w, np.where(w < 0.0, 1.0 + t / w, 0.0))
+    else:
+        n = w.shape[0] // 2
+        mag = np.sqrt(w[:n] * w[:n] + w[n:] * w[n:])
+        f = np.tile(np.where(mag > 0, 1.0 - t / mag, 0.0), 2)
+    return np.where(f > 0.0, f, 0.0)
+
+
+def _pd_arrays(K, y, eps, tau, sigma, x, z, xbar, iters, real):
+    """``pd_loop``'s steps on float64 arrays: the same operations in the same
+    order, with numpy's correctly rounded ``*``, ``+``, ``-``, ``/`` and ``sqrt``."""
+    m, n = K.shape[0] // 2, K.shape[1] // 2
+    if real:
+        K, y, x, z, xbar = K[:m, :n], y[:m], x[:n], z[:m], xbar[:n]
+    with np.errstate(all="ignore"):
+        sy, se = sigma * y, sigma * eps
+        for _ in range(iters):
+            v = (z + sigma * _sums(K * xbar, 1, real)) - sy
+            if se != 0.0:
+                mag = abs(v[0]) if v.shape[0] == 1 else math.sqrt(_sums(v * v, 0, False))
+                factor = 1.0 - se / mag if mag > 0 else 0.0
+                v = v * (factor if factor > 0.0 else 0.0)
+            w = x - tau * _sums(K * v[:, None], 0, real)
+            p = w * _shrink_factors(tau, w, real)
+            c = 2.0 * p - x
+            if all((a == b).all() and a.tobytes() == b.tobytes() for a, b in ((p, x), (v, z), (c, xbar))):
+                break  # a fixed point: the state already holds the new bytes
+            x, z, xbar = p, v, c
+    pad = (lambda v: np.concatenate((v, np.zeros_like(v)))) if real else (lambda v: v)
+    return tuple(np.where(v == v, v, math.nan) for v in map(pad, (x, z, xbar)))
+
+
 def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters):
-    loop = _pd_loop(*K.shape, _real(K, y, x, z, xbar))
-    return loop(K, y, eps, tau, sigma, x, z, xbar, iters)
+    real = _real(K, y, x, z, xbar)
+    if (K.size // 4 if real else K.size) > _STRAIGHT_MAX:
+        return _pd_arrays(K, y, eps, tau, sigma, x, z, xbar, iters, real)
+    return _pd_loop(*K.shape, real)(K, y, eps, tau, sigma, x, z, xbar, iters)

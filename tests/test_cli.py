@@ -1298,24 +1298,43 @@ def test_solve_with_huge_entries_keeps_stderr_clean(capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+_BASELINE_GATE = [
+    *(
+        f"tests/test_cli.py::test_golden_output_bytes[{name}]"
+        for name in (
+            "solve_two_rows-argv0",
+            "solve_single_row-argv1",
+            "solve_complex-argv3",
+            "adversarial_solve-argv4",
+            "solve_single_row_eps0-argv11",
+            "solve_complex_eps0-argv12",
+        )
+    ),
+    "tests/test_cli.py::test_solve_with_huge_entries_keeps_stderr_clean",
+    "tests/test_kernels.py::test_pd_replay_of_two_column_solves_keeps_its_bytes",
+    "tests/test_kernels.py::test_pd_replay_kernel_calls_keep_their_bytes[pd_replay_real.json]",
+    "tests/test_kernels.py::test_pd_replay_kernel_calls_keep_their_bytes[pd_replay_complex.json]",
+]
+
+
 def test_solve_bytes_hold_on_the_baseline_blas_kernels():
     """The goldens of ``solve`` and ``adversarial --solve`` but solve_ill_posed,
-    and the three primal-dual byte replays, keep their bytes in a process whose
-    OpenBLAS runs its x86-64 baseline kernels (``OPENBLAS_CORETYPE=Prescott``):
-    the primal-dual kernel makes no BLAS call.  solve_ill_posed certifies a
-    polished point, which np.linalg.lstsq computes with the CPU's kernels
-    (ROADMAP item 29b)."""
-    select = "(test_golden_output_bytes and solve and not ill_posed) or huge_entries_keeps or pd_replay"
+    the two-column byte replay and the kernel calls of the real and complex
+    replays keep their bytes in a process whose OpenBLAS runs its x86-64
+    baseline kernels (``OPENBLAS_CORETYPE=Prescott``): the primal-dual kernel
+    makes no BLAS call.  solve_ill_posed, and the reports of 12 replayed
+    solves, certify a polished point, which np.linalg.lstsq computes with the
+    CPU's kernels (ROADMAP item 29b)."""
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "addopts=", "-k", select,
-         "tests/test_cli.py", "tests/test_kernels.py"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "addopts=", "-rA", *_BASELINE_GATE],
         capture_output=True,
         text=True,
         cwd=SRC.parent,
         env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_CORETYPE": "Prescott"},
         timeout=120,
     )
-    assert proc.returncode == 0 and "\n10 passed," in proc.stdout, proc.stdout[-3000:]
+    passed = {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("PASSED ")}
+    assert proc.returncode == 0 and passed == set(_BASELINE_GATE), (sorted(set(_BASELINE_GATE) - passed), proc.stdout[-3000:])
 
 
 def module(argv):

@@ -18,7 +18,6 @@ import tracemalloc
 from fractions import Fraction as Q
 from pathlib import Path
 from struct import pack, unpack
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -167,14 +166,18 @@ def test_int64_scan_memory_stays_blocked():
 # --- primal-dual kernel -----------------------------------------------------------
 
 
+_ARRAYS = kern._pd_arrays
+
+
 def _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, iters):
-    """Run the kernel and the spec on one state; x, z and xbar must agree byte for byte."""
+    """Run the kernel, its array steps and the spec on one state; x, z and xbar
+    must agree byte for byte."""
     args = (K, y, eps, tau, sigma, x, z, xbar, iters)
     want = pd_reference.pd_iterate(*args)
-    got = kern.pd_iterate(*args)
-    for name, w, g in zip(("x", "z", "xbar"), want, got):
-        assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == w.shape, name
-        assert g.tobytes() == w.tobytes(), (name, w.tolist(), g.tolist())
+    for path, got in (("kernel", kern.pd_iterate(*args)), ("arrays", _ARRAYS(*args, pd_reference.is_real(*args[:2], *args[5:8])))):
+        for name, w, g in zip(("x", "z", "xbar"), want, got):
+            assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == w.shape, (path, name)
+            assert g.tobytes() == w.tobytes(), (path, name, w.tolist(), g.tolist())
 
 
 def _realified(a):
@@ -189,16 +192,26 @@ def _real_half(v):
 
 
 def _spy(monkeypatch):
-    """Replace the loop builder ``kern._pd_loop`` by one that logs the kind of loop
-    each batch runs: ``row`` (real, one row), ``real`` or ``general``."""
+    """Replace the loop builder ``kern._pd_loop`` and the array steps
+    ``kern._pd_arrays`` by ones that log the kind of loop each batch runs:
+    ``row`` (real, one row), ``real`` or ``general``, and ``arrays`` after it
+    for the array steps."""
     runs = []
-    build = kern._pd_loop
+    build, steps = kern._pd_loop, kern._pd_arrays
+
+    def kind(rows, real):
+        return ("row" if rows == 2 else "real") if real else "general"
 
     def spied(rows, cols, real):
-        runs.append(("row" if rows == 2 else "real") if real else "general")
+        runs.append(kind(rows, real))
         return build(rows, cols, real)
 
+    def spied_arrays(K, *args):
+        runs.append(kind(K.shape[0], args[-1]) + " arrays")
+        return steps(K, *args)
+
     monkeypatch.setattr(kern, "_pd_loop", spied)
+    monkeypatch.setattr(kern, "_pd_arrays", spied_arrays)
     return runs
 
 
@@ -210,9 +223,11 @@ def test_pd_iterate_matches_reference_on_generic_shapes(monkeypatch, m, ns, cplx
     """Every generic-solve shape (N = m+1..m+4) and one larger one, from zero and
     from a mid-run state, and for a real A also from a mid-run state whose
     imaginary halves are +0.0.  A real batch runs a real loop from both of those
-    starts, and one whose state has nonzero imaginary halves the general loop."""
+    starts, and one whose state has nonzero imaginary halves the general loop;
+    at m = 10, N = 50, past ``_STRAIGHT_MAX`` entries, each on arrays."""
     runs = _spy(monkeypatch)
     first = "general" if cplx else "row" if m == 1 else "real"
+    large = " arrays" if m == 10 else ""
     rng = np.random.default_rng(100 * m + cplx)
     for n in ns:
         for eps in (0.0, 0.125, 0.5):
@@ -228,7 +243,30 @@ def test_pd_iterate_matches_reference_on_generic_shapes(monkeypatch, m, ns, cplx
                 for (x, z, xbar), entry in zip(starts, (first, "general", first)):
                     runs.clear()
                     _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters)
-                    assert runs == [entry], (n, eps, iters)
+                    assert runs == [entry + large], (n, eps, iters)
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_pd_iterate_steps_on_arrays_past_the_straight_line_bound(monkeypatch, cplx):
+    """A one-row batch runs a straight-line loop up to ``_STRAIGHT_MAX`` read
+    entries of K and the array steps past it, with the spec's bytes on both
+    sides, also at 1,600 columns, whose straight-line sums CPython cannot
+    compile.  The array steps call no BLAS function and no ``@`` either."""
+    for f in (kern._pd_arrays, kern._sums, kern._shrink_factors):
+        assert not {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"} & set(f.__code__.co_names)
+        assert "@" not in inspect.getsource(f)
+    runs = _spy(monkeypatch)
+    kind = "general" if cplx else "row"
+    most = kern._STRAIGHT_MAX // 4 if cplx else kern._STRAIGHT_MAX
+    rng = np.random.default_rng(31 + cplx)
+    for n, want in ((most, kind), (most + 1, kind + " arrays"), (1600, kind + " arrays")):
+        a = rng.uniform(-3, 3, (1, n)) + (1j * rng.uniform(-3, 3, (1, n)) if cplx else 0)
+        K, y = _realified(a), np.array([0.25, 0.125 if cplx else 0.0])
+        step = 1.0 / float(np.linalg.norm(K, 2))
+        for eps in (0.0, 0.125):
+            runs.clear()
+            _pd_same_bytes(K, y, eps, step, step, np.zeros(2 * n), np.zeros(2), np.zeros(2 * n), 3)
+            assert runs == [want], n
 
 
 def test_kernel_signatures_keep_the_positions_the_benchmark_reads():
@@ -404,15 +442,12 @@ def test_pd_iterate_stops_after_one_iteration_at_a_fixed_point(fixed_point, monk
     and one from the fixed point, whose one iteration changes nothing."""
     (K, y, eps, step), zero, fixed = fixed_point
     roots = []
-    monkeypatch.setattr(kern, "math", SimpleNamespace(sqrt=lambda v: roots.append(v) or math.sqrt(v)))
-    kern._pd_loop.cache_clear()
-    try:
-        kern.pd_iterate(K, y, eps, step, step, *zero, 250)
-        assert len(roots) == 250
-        roots.clear()
-        got = kern.pd_iterate(K, y, eps, step, step, *fixed, 250)
-    finally:
-        kern._pd_loop.cache_clear()
+    loop = kern._compiled(kern._pd_source(*K.shape, True), "counted")
+    monkeypatch.setitem(loop.__globals__, "sqrt", lambda v: roots.append(v) or math.sqrt(v))
+    loop(K, y, eps, step, step, *zero, 250)
+    assert len(roots) == 250
+    roots.clear()
+    got = loop(K, y, eps, step, step, *fixed, 250)
     assert len(roots) == 1
     assert [v.tobytes() for v in got] == [v.tobytes() for v in fixed]
 
@@ -850,56 +885,75 @@ def _complex_instances():
     return cases
 
 
-def _pd_replay(monkeypatch, instances, reports=True):
-    """Solve every instance at tol 1e-6 and return the set of K's shapes, the count
-    of ``pd_iterate`` calls and the sha256, in call order, of each call's input
-    and output bytes and, if ``reports``, of each ``SolveReport.to_json()``."""
-    digest, calls = hashlib.sha256(), []
+_REPLAYS = {
+    "pd_replay_two_column.json": (_two_column_instances, {(2, 4)}),
+    "pd_replay_real.json": (_real_instances, {(2 * m, 2 * n) for m, n in _REAL_SHAPES}),
+    "pd_replay_complex.json": (_complex_instances, {(2 * m, 2 * n) for m, n in _COMPLEX_SHAPES}),
+}
+
+
+@functools.cache
+def _pd_replay(name):
+    """Solve every instance of replay ``name`` at tol 1e-6 and return the set of
+    K's shapes, the count of ``pd_iterate`` calls and two sha256 digests, in
+    call order: ``kernel_sha256`` of each call's input and output bytes, and
+    ``sha256`` of the same bytes with each ``SolveReport.to_json()`` after its
+    solve's calls."""
+    kernel, full, calls = hashlib.sha256(), hashlib.sha256(), []
     run = kern.pd_iterate
 
     def recorded(K, y, eps, tau, sigma, x, z, xbar, iters):
-        digest.update(pack("<3q3d", *K.shape, iters, eps, tau, sigma))
-        digest.update(b"".join(v.tobytes() for v in (K, y, x, z, xbar)))
+        data = pack("<3q3d", *K.shape, iters, eps, tau, sigma) + b"".join(v.tobytes() for v in (K, y, x, z, xbar))
         out = run(K, y, eps, tau, sigma, x, z, xbar, iters)
-        digest.update(b"".join(v.tobytes() for v in out))
+        data += b"".join(v.tobytes() for v in out)
+        kernel.update(data)
+        full.update(data)
         calls.append(K.shape)
         return out
 
-    monkeypatch.setattr(kern, "pd_iterate", recorded)
-    for inst in instances:
-        report = qcbp.solve_numeric(inst, Q(1, 10**6))
-        if reports:
-            digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
-    return set(calls), len(calls), digest.hexdigest()
+    kern.pd_iterate = recorded
+    try:
+        for inst in _REPLAYS[name][0]():
+            report = qcbp.solve_numeric(inst, Q(1, 10**6))
+            full.update(json.dumps(report.to_json(), sort_keys=True).encode())
+    finally:
+        kern.pd_iterate = run
+    return set(calls), {"calls": len(calls), "kernel_sha256": kernel.hexdigest(), "sha256": full.hexdigest()}
 
 
-def _assert_replay(monkeypatch, name, instances, shapes, reports=True):
-    """The replay of ``instances`` runs K of ``shapes`` and gives the calls and digest of golden ``name``."""
+def _assert_replay(name, digest):
+    """The replay ``name`` runs K of its shapes and gives the calls and ``digest`` of its golden."""
     want = json.loads((GOLDEN / name).read_text())
-    got = _pd_replay(monkeypatch, instances, reports)
-    assert got[0] == shapes
-    assert got[1:] == (want["calls"], want["sha256"]), f"the primal-dual bytes of {name} moved"
+    shapes, got = _pd_replay(name)
+    assert shapes == _REPLAYS[name][1]
+    assert (got["calls"], got[digest]) == (want["calls"], want[digest]), f"the {digest} of {name} moved"
 
 
-def test_pd_replay_of_two_column_solves_keeps_its_bytes(monkeypatch):
+def test_pd_replay_of_two_column_solves_keeps_its_bytes():
     """Every primal-dual batch of the family solves and of 42 other one-row
     two-column solves, eps = 0 among them, and every report they give, keep the
     bytes recorded in tests/golden.  A change that moves a byte on purpose
     records the file again from ``_pd_replay`` and names the calls that moved."""
-    _assert_replay(monkeypatch, "pd_replay_two_column.json", _two_column_instances(), {(2, 4)})
+    _assert_replay("pd_replay_two_column.json", "sha256")
 
 
-def test_pd_replay_of_real_solves_keeps_its_bytes(monkeypatch):
+def test_pd_replay_of_real_solves_keeps_its_bytes():
     """The same for 48 real solves of the other real loops: one row of three to
     five columns, and two and three rows, each shape at eps = 0, 1/8 and 1/2.
-    The reports are left out: 11 of these solves certify a polished point,
-    which np.linalg.lstsq computes with the CPU's BLAS kernels (ROADMAP item 29b)."""
-    shapes = {(2 * m, 2 * n) for m, n in _REAL_SHAPES}
-    _assert_replay(monkeypatch, "pd_replay_real.json", _real_instances(), shapes, reports=False)
+    11 of them certify a polished point, which np.linalg.lstsq computes with
+    the CPU's BLAS kernels (ROADMAP item 29b), so their reports hold on the
+    CPU that recorded them."""
+    _assert_replay("pd_replay_real.json", "sha256")
 
 
-def test_pd_replay_of_complex_solves_keeps_its_bytes(monkeypatch):
+def test_pd_replay_of_complex_solves_keeps_its_bytes():
     """The same for 24 complex solves of the general loop, two of each complex
-    shape of generic-solve, reports left out as above."""
-    shapes = {(2 * m, 2 * n) for m, n in _COMPLEX_SHAPES}
-    _assert_replay(monkeypatch, "pd_replay_complex.json", _complex_instances(), shapes, reports=False)
+    shape of generic-solve; one of them certifies a polished point."""
+    _assert_replay("pd_replay_complex.json", "sha256")
+
+
+@pytest.mark.parametrize("name", ["pd_replay_real.json", "pd_replay_complex.json"])
+def test_pd_replay_kernel_calls_keep_their_bytes(name):
+    """The kernel calls of the real and complex replays alone, reports left out,
+    keep their bytes: on any CPU, since the kernel makes no BLAS call."""
+    _assert_replay(name, "kernel_sha256")

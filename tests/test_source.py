@@ -48,8 +48,10 @@ NAME_OWNERS = {
     "isqrt": {"rationals"},  # every root in src/ is one of rationals' own
     "sqrt_upper_ints": {"rationals", "qcbp"},  # qcbp takes it only for the dual bound
     "scaled_integers": {"rationals", "qcbp"},  # qcbp scales an instance in _realified only
-    # only the solver loop and training silence numpy; float_norm cannot warn, so no caller guards it
-    "errstate": {"qcbp", "mlp"},
+    # only the solver loop, training and the kernel's array steps, which must
+    # not warn where its Python-float loops cannot, silence numpy; float_norm
+    # cannot warn, so no caller guards it
+    "errstate": {"qcbp", "mlp", "_kernels"},
 }
 
 
