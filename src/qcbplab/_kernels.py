@@ -324,8 +324,8 @@ def _real(K, y, x, z, xbar):
     """Whether the batch is real: K's off-diagonal blocks and the imaginary halves
     of y, x, z and xbar are +0.0, all eight bytes zero."""
     m, n = K.shape[0] // 2, K.shape[1] // 2
-    zero = (K[:m, n:], K[m:, :n], y[m:], x[n:], z[m:], xbar[n:])
-    return not any(b"".join(v.tobytes() for v in zero))
+    zero = b"".join(v.tobytes() for v in (K[:m, n:], K[m:, :n], y[m:], x[n:], z[m:], xbar[n:]))
+    return zero.count(0) == len(zero)
 
 
 def _sums(products, axis, real):

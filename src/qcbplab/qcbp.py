@@ -242,7 +242,9 @@ class SolveReport:
     objective_ub - lower_bound brackets the suboptimality.  ``iterations``
     counts the iterations accounted for, batch by batch; those after
     a bit-exact fixed point are not simulated (on the generic-solve
-    benchmark workload, seed 1, 108,256 of 154,500 were).
+    benchmark workload, seed 1, 108,256 of 154,500 were), and a solve whose
+    batch returns its input state stops and accounts for the rest of
+    ``max_iter``.
     """
 
     x: RationalVector
@@ -325,6 +327,9 @@ def named_entries(inst: Instance) -> list[tuple[str, Q]]:
     return named
 
 
+Pair = tuple[int, int]  # a rational as (numerator, denominator > 0), not reduced
+
+
 def _dyadic_ints(v: np.ndarray) -> tuple[list[int], int]:
     """Integers X and an exponent E with v == X / 2**E exactly, entry by entry.
 
@@ -335,8 +340,9 @@ def _dyadic_ints(v: np.ndarray) -> tuple[list[int], int]:
     return [p << (e + 1 - d.bit_length()) for p, d in ratios], e
 
 
-def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Q:
-    """Weak-duality lower bound from an exactified dual iterate.
+def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Pair:
+    """Weak-duality lower bound from an exactified dual iterate, as an integer
+    pair (numerator, denominator > 0), not reduced.
 
     Scales z down by a certified bound on the pair-infinity norm of K^T z so
     the scaled vector is dual feasible, then evaluates the dual objective with
@@ -355,7 +361,7 @@ def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Q:
     zp, zq = sqrt_upper_ints(sum(v * v for v in zs), 1 << (2 * f))  # ||z|| <= zp / zq
     en, ed = eps.numerator, eps.denominator
     # (-<y, z> - eps zp / zq) / (cp / cq)
-    return Q((-ip * ed * zq - scale * en * zp) * cq, scale * ed * zq * cp)
+    return (-ip * ed * zq - scale * en * zp) * cq, scale * ed * zq * cp
 
 
 def float_norm(d: np.ndarray) -> float:
@@ -419,17 +425,33 @@ def _polish_dual(K: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray | No
         return None
 
 
-def _certify_primal(scaled: _ScaledInstance, x: np.ndarray) -> tuple[Q, Q, Q, np.ndarray]:
-    """Exactify a float point: (objective_ub, residual_sq, residual_ub, x), x itself.
+def _certify_primal(scaled: _ScaledInstance, x: np.ndarray) -> tuple[Pair, Pair, Pair, np.ndarray]:
+    """Exactify a float point: (objective_ub, residual_sq, residual_ub, x), x itself,
+    each bound an integer pair (numerator, denominator > 0), not reduced.
 
     With x = X / 2**E the residual of row i is (k_i . X - y_i 2**E) / (den 2**E),
     and objective_ub sums ``abs_upper_ints`` of X over 2**E: exact when x is real.
     """
     xs, e = _dyadic_ints(x)
     sq = sum((sum(map(mul, row, xs)) - (yi << e)) ** 2 for row, yi in zip(scaled.k, scaled.y))
-    residual_sq = Q(sq, (scaled.den << e) ** 2)
+    d2 = (scaled.den << e) ** 2
     mags, w = abs_upper_ints(xs, 1 << e)
-    return Q(sum(mags), w), residual_sq, dyadic_sqrt_upper(residual_sq), x
+    return (sum(mags), w), (sq, d2), sqrt_upper_ints(sq, d2), x
+
+
+def _lt(a: Pair, b: Pair) -> bool:
+    """a < b for rationals given as integer pairs (numerator, denominator > 0)."""
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def _le(a: Pair, b: Pair) -> bool:
+    """a <= b for rationals given as integer pairs (numerator, denominator > 0)."""
+    return a[0] * b[1] <= b[0] * a[1]
+
+
+def _gap_within(upper: Pair, lower: Pair, tol: Pair) -> bool:
+    """upper - lower <= tol for rationals given as integer pairs (numerator, denominator > 0)."""
+    return _le((upper[0] * lower[1] - lower[0] * upper[1], upper[1] * lower[1]), tol)
 
 
 def _exact_point(x: np.ndarray) -> RationalVector:
@@ -452,6 +474,10 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     exact certificates as the iterate and can only improve the best certified
     point or lower bound; the iteration itself continues unchanged.  Never
     trusts a float: all reported bounds are recomputed over the rationals.
+    A batch after the first that returns its input state bit for bit has
+    stalled: the kernel, the certificates and polishing are deterministic, so
+    every later full batch would repeat it, and the solve accounts for them
+    without running them (only a last, shorter batch still runs).
     An entry of A or y, or eps, past float64's range raises FloatRangeError
     naming it, and an operator norm bound past that range or below its
     normal range raises ValueError naming the bound; entries that round to
@@ -472,8 +498,9 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
         eps_f = float(inst.eps)
     except OverflowError:
         raise float_range_error(named_entries(inst)) from None
-    try:
-        L = float(dyadic_sqrt_upper(norm_sq))
+    L_num, L_den = sqrt_upper_ints(norm_sq.numerator, norm_sq.denominator)
+    try:  # an integer true division rounds as float(Fraction) does
+        L = L_num / L_den
     except OverflowError:
         raise ValueError("the operator norm bound of A is past float64's range") from None
     if 0 < L < sys.float_info.min:
@@ -482,55 +509,72 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
 
     z, x = np.zeros(K.shape[0]), np.zeros(K.shape[1])
     xbar = x.copy()
+    tol_q = tol.numerator, tol.denominator
     bound = inst.eps + tol
+    bound_q = bound.numerator, bound.denominator
 
     batch = 250
     iterations = 0
-    best_lower = Q(0)  # x=0 shows the optimum is >= 0
-    best_feasible: tuple[Q, Q, Q, np.ndarray] | None = None
+    best_lower: Pair = (0, 1)  # x=0 shows the optimum is >= 0
+    best_feasible: tuple[Pair, Pair, Pair, np.ndarray] | None = None
+    certified = False  # the last gap test's result
 
     def offer(candidate):
         nonlocal best_feasible
-        if candidate[2] <= bound and (best_feasible is None or candidate[0] < best_feasible[0]):
+        if _le(candidate[2], bound_q) and (best_feasible is None or _lt(candidate[0], best_feasible[0])):
             best_feasible = candidate
 
-    def certified() -> bool:
-        return best_feasible is not None and best_feasible[0] - best_lower <= tol
+    def raise_lower(lower):
+        nonlocal best_lower
+        if _lt(best_lower, lower):  # the old bound wins a tie
+            best_lower = lower
+
+    def gap_closed() -> bool:
+        return best_feasible is not None and _gap_within(best_feasible[0], best_lower, tol_q)
 
     # float overflow needs no warning: the finite checks and the exact
     # certificates reject whatever it spoils
     with np.errstate(over="ignore", invalid="ignore"):
         while iterations < max_iter:
             todo = min(batch, max_iter - iterations)
+            state = x, z, xbar
             x, z, xbar = _kernels.pd_iterate(K, yv, eps_f, step, step, x, z, xbar, todo)
             iterations += todo
+            if iterations > todo and all(a.tobytes() == b.tobytes() for a, b in zip((x, z, xbar), state)):
+                # stalled after the first batch: every later batch of 250 returns
+                # this state again and certifies it as the last batch did, so
+                # only a shorter last batch still runs
+                iterations = max_iter - (max_iter - iterations) % batch
+                continue
 
             try:  # _dyadic_ints rejects a NaN or infinite entry
-                best_lower = max(best_lower, _dual_lower_bound(z, scaled, inst.eps))
+                raise_lower(_dual_lower_bound(z, scaled, inst.eps))
                 last = _certify_primal(scaled, x)
             except (ValueError, OverflowError):
                 raise FloatingPointError(f"the primal-dual iterate is not finite after {iterations} iterations") from None
             offer(last)
-            if not certified():
-                x_pol = _polish_primal(K, yv, eps_f, float(bound), z)
+            certified = gap_closed()
+            if not certified:
+                x_pol = _polish_primal(K, yv, eps_f, bound_q[0] / bound_q[1], z)
                 if x_pol is not None and np.isfinite(x_pol).all():
                     offer(_certify_primal(scaled, x_pol))
                     z_pol = _polish_dual(K, x_pol, z)
                     if z_pol is not None and np.isfinite(z_pol).all():
-                        best_lower = max(best_lower, _dual_lower_bound(z_pol, scaled, inst.eps))
-            if certified():
+                        raise_lower(_dual_lower_bound(z_pol, scaled, inst.eps))
+                    certified = gap_closed()
+            if certified:
                 break
 
     objective_ub, residual_sq, residual_ub, x_float = best_feasible or last
     return SolveReport(
         x=_exact_point(x_float),
         x_float=x_float,
-        objective_ub=objective_ub,
-        lower_bound=best_lower,
-        residual_sq=residual_sq,
-        residual_ub=residual_ub,
+        objective_ub=Q(*objective_ub),
+        lower_bound=Q(*best_lower),
+        residual_sq=Q(*residual_sq),
+        residual_ub=Q(*residual_ub),
         iterations=iterations,
-        converged=certified(),
+        converged=certified,
     )
 
 

@@ -17,8 +17,11 @@ returns: :func:`sqrt_upper_ints` is the upper root on a numerator and a
 denominator, returning an integer pair (``dyadic_sqrt_upper`` is that pair as
 a Fraction).  :func:`abs_upper_ints` is the one upper bound on a complex
 entry's magnitude, integers over one denominator, exact on a real entry:
-:func:`operator_norm_sq_upper` sums its magnitudes into one Fraction, and
-the solver's l1 certificate in ``qcbp`` reads it too.
+:func:`operator_norm_sq_upper` sums its magnitudes into one Fraction (one
+row needs none: its Frobenius bound is the norm), and the solver's l1
+certificate in ``qcbp`` reads it too.  The solver keeps its bounds as such
+unreduced integer pairs, compares them by cross-multiplication, and builds
+a Fraction only for the values it reports.
 """
 
 from __future__ import annotations
@@ -307,10 +310,14 @@ def operator_norm_sq_upper(rows: list[list[int]], den: int) -> Q:
     imaginary half does not matter.  Uses min(Frobenius bound,
     max-column-sum x max-row-sum bound over the entry magnitudes of
     :func:`abs_upper_ints`), both the same rational whatever the common
-    ``den``.  For a single row the Frobenius bound is the spectral norm itself.
+    ``den``.  For a single row the Frobenius bound is the spectral norm itself,
+    and the Hölder bound, sum_j |a_j| times max_j |a_j|, is never below it: one
+    row returns it and forms no magnitudes.
     """
     den_sq = den * den
     fro = sum(v * v for row in rows for v in row)  # over den_sq
+    if len(rows) == 1:
+        return Q(fro, den_sq)
     bounds = [abs_upper_ints(row, den) for row in rows]
     mags, w_sq = [m for m, _ in bounds], bounds[0][1] ** 2  # every row's w is the same
     holder = max(map(sum, mags)) * max(map(sum, zip(*mags)))  # over w_sq

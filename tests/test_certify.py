@@ -66,12 +66,14 @@ def test_certificates_equal_fraction_reference():
 
         objective_ub, residual_sq, residual_ub, x_float = qcbp._certify_primal(scaled, x)
         want = ref.certify_primal(inst, x)
-        assert (objective_ub, residual_sq, residual_ub) == want[:3], (inst, x)
+        assert (Q(*objective_ub), Q(*residual_sq), Q(*residual_ub)) == want[:3], (inst, x)
+        assert residual_ub == rationals.sqrt_upper_ints(*residual_sq)
         assert x_float is x
         assert qcbp._exact_point(x_float) == want[3]
         got = qcbp._dual_lower_bound(z, scaled, inst.eps)
-        assert got == ref.dual_lower_bound(z, exact_k, y_exact, inst.eps, n), (inst, z)
-        assert all(type(v) is Q for v in (objective_ub, residual_sq, residual_ub, got))
+        assert Q(*got) == ref.dual_lower_bound(z, exact_k, y_exact, inst.eps, n), (inst, z)
+        for pair in (objective_ub, residual_sq, residual_ub, got):
+            assert len(pair) == 2 and all(type(v) is int for v in pair) and pair[1] > 0
 
 
 def test_certificates_on_solver_iterates_equal_fraction_reference(monkeypatch):
@@ -101,10 +103,36 @@ def test_certificates_on_solver_iterates_equal_fraction_reference(monkeypatch):
         exact_k, y_exact = ref.realified_exact(inst.A, inst.y)
         for kind, v, out in calls:
             if kind == "primal":
-                assert out[:3] == ref.certify_primal(inst, v)[:3]
+                assert tuple(Q(*pair) for pair in out[:3]) == ref.certify_primal(inst, v)[:3]
             else:
-                assert out == ref.dual_lower_bound(v, exact_k, y_exact, inst.eps, inst.n)
+                assert Q(*out) == ref.dual_lower_bound(v, exact_k, y_exact, inst.eps, inst.n)
         assert rep.x == ref.certify_primal(inst, rep.x_float)[3]
+
+
+def test_pair_comparisons_equal_fraction_comparisons():
+    """The solve loop's tests on integer pairs (residual <= bound, objective <
+    best, lower bound < new one, and upper - lower <= tol) give the Fraction
+    comparison's answer on ties, unreduced pairs, zero numerators and negative
+    lower bounds."""
+    rng = random.Random(31)
+
+    def pair():
+        q = Q(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))  # few values, so many ties
+        g = rng.choice((1, 2, 3, 2**40, PRIMES[0]))
+        return q.numerator * g, q.denominator * g
+
+    seen = set()
+    for _ in range(4000):
+        a, b, c = pair(), pair(), pair()
+        qa, qb, qc = Q(*a), Q(*b), Q(*c)
+        assert qcbp._le(a, b) == (qa <= qb), (a, b)
+        assert qcbp._lt(a, b) == (qa < qb), (a, b)
+        assert qcbp._gap_within(a, b, c) == (qa - qb <= qc), (a, b, c)
+        seen.add(("tie", qa == qb and a != b))
+        seen.add(("gap tie", qa - qb == qc))
+        seen.add(("zero", a[0] == 0 and a[1] > 1))
+        seen.add(("negative lower", qb < 0 and qa - qb <= qc))
+    assert {key for key, hit in seen if hit} == {"tie", "gap tie", "zero", "negative lower"}
 
 
 @pytest.mark.parametrize(

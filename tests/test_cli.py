@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qcbplab import cli, families, halting, mlp, qcbp
+from qcbplab import _kernels, cli, families, halting, mlp, qcbp
 
 
 def run(argv, capsys):
@@ -1293,6 +1293,27 @@ def test_solve_with_huge_entries_keeps_stderr_clean(capsys):
     code, out, err = run(argv, capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / "solve_huge_entries.out").read_text()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("solve_stalled_y1e20", ["solve", "--A", "1,2", "--y", "1" + "0" * 20, "--max-iter", "20000"]),
+        ("solve_stalled_y1e307", ["solve", "--A", "1,2", "--y", HUGE, "--eps", "1" + "0" * 306, "--max-iter", "5000"]),
+    ],
+)
+def test_stalled_solve_stops_and_keeps_its_bytes(name, argv, monkeypatch, capsys):
+    """A batch after the first that returns its input ends the solve: every
+    later batch would repeat it.  Both solves return their state in their second
+    batch; they ran 80 and 20 kernel calls before and print the same bytes
+    (ROADMAP item 13 moves these bytes on purpose)."""
+    calls = []
+    pd_iterate = _kernels.pd_iterate
+    monkeypatch.setattr(_kernels, "pd_iterate", lambda *args: calls.append(1) or pd_iterate(*args))
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.out").read_text()
+    assert len(calls) == 2
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

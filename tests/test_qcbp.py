@@ -235,6 +235,48 @@ def test_solver_rejects_rank_deficient():
         qcbp.solve_numeric(bad, Q(1, 1000))
 
 
+def test_solve_loop_keeps_each_comparisons_strictness(monkeypatch):
+    """On scripted certificates: a residual equal to eps + tol is accepted, a
+    candidate that ties the best objective does not replace it, and a gap equal
+    to tol certifies; the bounds come as unreduced pairs."""
+    tol = Q(1, 10**6)
+    xs = [np.full(4, float(i)) for i in range(3)]
+    primal = iter([
+        ((3, 1), (0, 1), (2, 2 * 10**6), xs[0]),  # residual == eps + tol
+        ((6, 2), (0, 1), (0, 1), xs[1]),  # objective ties the best
+        ((5, 1), (0, 1), (0, 1), xs[2]),
+    ])
+    dual = iter([(1, 1), (2, 2), (3 * 10**6 - 1, 10**6)])  # the last leaves a gap of tol
+    monkeypatch.setattr(qcbp._kernels, "pd_iterate", lambda K, y, e, t, s, x, z, xbar, iters: (x + 1, z + 1, xbar + 1))
+    monkeypatch.setattr(qcbp, "_certify_primal", lambda scaled, x: next(primal))
+    monkeypatch.setattr(qcbp, "_dual_lower_bound", lambda z, scaled, eps: next(dual))
+    monkeypatch.setattr(qcbp, "_polish_primal", lambda *args: None)
+    rep = qcbp.solve_numeric(single([1, 2]), tol, max_iter=1000)
+    assert (rep.converged, rep.iterations) == (True, 750)
+    assert rep.x_float is xs[0]
+    assert (rep.objective_ub, rep.lower_bound, rep.residual_ub) == (3, 3 - tol, tol)
+
+
+def test_stalled_solve_still_runs_its_last_shorter_batch(monkeypatch):
+    """A kernel state of period 2 returns after every 250 iterations, so the
+    second batch stalls the solve; the last batch of 125 still runs, and the
+    report certifies its state.  The first batch returns its input too, and is
+    certified: there was nothing before it."""
+    calls = []
+
+    def period_two(K, y, eps, tau, sigma, x, z, xbar, iters):
+        calls.append(iters)
+        return tuple(0.25 - v if iters % 2 else v.copy() for v in (x, z, xbar))
+
+    monkeypatch.setattr(qcbp._kernels, "pd_iterate", period_two)
+    monkeypatch.setattr(qcbp, "_polish_primal", lambda *args: None)
+    rep = qcbp.solve_numeric(single([1, 2]), Q(1, 10**6), max_iter=625)
+    assert calls == [250, 250, 125]
+    assert (rep.converged, rep.iterations) == (False, 625)
+    assert rep.x_float.tolist() == [0.25] * 4
+    assert rep.residual_sq == Q(5, 8)  # |(3/4 - 1) + 3i/4|^2
+
+
 def test_solver_overflow_warns_nothing():
     """An iteration that overflows is left to the exact certificates, without a numpy warning."""
     inst = single([1, 2], y=10**307)

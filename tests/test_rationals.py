@@ -295,6 +295,29 @@ def test_norm_bound_equals_fraction_reference_on_both_sides_of_the_min():
     assert sides == {True, False}
 
 
+def test_one_row_norm_bound_equals_fraction_reference():
+    """One row returns its Frobenius bound, forming no magnitudes: the Holder
+    bound is never below it.  Real and complex rows, tied magnitudes
+    (a permuted or conjugated entry, a sign flip) and denominators up to 2**40."""
+    rng = random.Random(43)
+    dens = (1, 3, 7, 2**20, 2**40, 3 * 2**38)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        cplx = rng.random() < 0.5
+
+        def part():
+            return Q(rng.randint(-2**20, 2**20), rng.choice(dens))
+
+        row = [ComplexQ(part(), part() if cplx else Q(0)) for _ in range(n)]
+        for _ in range(rng.randint(0, n)):  # an entry of the same magnitude as another
+            e = row[rng.randrange(n)]
+            row[rng.randrange(n)] = rng.choice((ComplexQ(-e.re, e.im), ComplexQ(e.im, e.re), ComplexQ(e.re, -e.im)))
+        mat = RationalMatrix((tuple(row),))
+        ints, den = scaled_integers([[e.re for e in row] + [e.im for e in row]])
+        got = operator_norm_sq_upper(ints, den)
+        assert got == ref.operator_norm_sq_upper(mat) == l2_norm_sq(RationalVector(tuple(row))), mat
+
+
 def test_ceil_log2():
     rng = random.Random(8)
     qs = [abs(rand_q(rng)) for _ in range(100)]
