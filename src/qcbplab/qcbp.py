@@ -21,8 +21,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import ceil, floor, frexp, inf, isfinite, ldexp, sqrt
-from operator import mul
+from functools import reduce
+from math import ceil, floor, frexp, hypot, inf, isfinite, ldexp, sqrt
+from operator import add, mul, sub
 from typing import Iterable
 
 import numpy as np
@@ -276,13 +277,14 @@ class _ScaledInstance:
 
     ``den`` is the lcm of every denominator in A and y; ``k`` holds the rows
     of [[Re A, -Im A], [Im A, Re A]], ``k_cols`` its columns and ``y`` the
-    stacked (Re y, Im y), all scaled by ``den``.
+    stacked (Re y, Im y), all scaled by ``den``.  ``real`` says A and y are real.
     """
 
     k: list[list[int]]
     k_cols: list[tuple[int, ...]]
     y: list[int]
     den: int
+    real: bool
 
     def floats(self) -> tuple[np.ndarray, np.ndarray]:
         """K and y in float64; an integer true division rounds correctly, as float(Fraction) does."""
@@ -303,8 +305,8 @@ def _realified(A: RationalMatrix, y: RationalVector) -> tuple[_ScaledInstance, i
     )
     y_int = ints.pop()
     k = [r[:n] + [-v for v in r[n:]] for r in ints] + [r[n:] + r[:n] for r in ints]
-    scaled = _ScaledInstance(k=k, k_cols=list(zip(*k)), y=y_int, den=den)
     real = not any(v for r in ints for v in r[n:])
+    scaled = _ScaledInstance(k=k, k_cols=list(zip(*k)), y=y_int, den=den, real=real and not any(y_int[A.m :]))
     rank = row_rank([r[:n] for r in ints]) if real else row_rank(k) // 2
     return scaled, rank, operator_norm_sq_upper(ints, den)
 
@@ -382,47 +384,101 @@ def float_norm(d: np.ndarray) -> float:
         return inf
 
 
-def _polish_primal(K: np.ndarray, yv: np.ndarray, eps: float, bound: float, z: np.ndarray) -> np.ndarray | None:
+# Polishing computes on Python floats, as the primal-dual kernel does: each
+# operation rounds on its own, every sum runs left to right and every norm is
+# math.hypot, which CPython computes itself.  So a candidate's bytes depend
+# neither on the CPU nor on a BLAS or LAPACK library.
+
+def _dot(a, b) -> float:
+    """a_0 * b_0 + a_1 * b_1 + ..., left to right (a and b not empty)."""
+    return reduce(add, map(mul, a, b))
+
+
+def _reflect(v: list[float], tau: float, y: list[float]) -> list[float]:
+    """The Householder reflection y - tau (v . y) v."""
+    s = tau * _dot(v, y)
+    return [yi - s * vi for yi, vi in zip(y, v)]
+
+
+def _lstsq(cols: list, b: list[float]) -> list[float] | None:
+    """The least-squares solution of A x = b for A with columns ``cols``, or, with more
+    columns than rows, the least-norm solution, by Householder QR; None at a zero
+    (or non-finite) pivot, where a column of A, or of A^T if A is wide, depends
+    on those before it.
+
+    Reflector k maps entries k.. of a vector y to ``_reflect(v, tau, y)``, with
+    v[0] = 1 and |v_i| <= 1, so no step squares an entry.  A tall A = QR gives
+    x with R x = (Q^T b)[:cols]; a wide A = R^T Q^T, from the QR of A^T, gives
+    x = Q (w, 0) with R^T w = b.  R is kept by columns.
+    """
+    tall = len(cols) <= len(b)
+    R, reflectors = [list(c) for c in (cols if tall else zip(*cols))], []
+    for k, col in enumerate(R):
+        x0, norm = col[k], hypot(*col[k:])
+        if not 0.0 < norm < inf:
+            return None
+        v0 = x0 - norm if x0 < 0 else x0 + norm  # |v0| = |x0| + norm: no cancellation
+        reflectors.append(([1.0, *(t / v0 for t in col[k + 1 :])], 1.0 + abs(x0) / norm))
+        col[k] = norm if x0 < 0 else -norm
+        for c in R[k + 1 :]:
+            c[k:] = _reflect(*reflectors[k], c[k:])
+    if tall:
+        for k, (v, tau) in enumerate(reflectors):
+            b = b[:k] + _reflect(v, tau, b[k:])
+        x = [0.0] * len(R)
+        for k in reversed(range(len(R))):
+            x[k] = reduce(sub, (R[j][k] * x[j] for j in range(k + 1, len(R))), b[k]) / R[k][k]
+        return x
+    w = []
+    for k, col in enumerate(R):
+        w.append(reduce(sub, map(mul, col[:k], w), b[k]) / col[k])
+    x = w + [0.0] * (len(cols) - len(w))
+    for k in reversed(range(len(R))):
+        x[k:] = _reflect(*reflectors[k], x[k:])
+    return x
+
+
+def _polish_primal(K: list, y: list[float], eps: float, bound: float, z: list[float], n: int) -> list[float] | None:
     """Least-squares primal candidate on the support the dual iterate points at.
 
-    Ranks the column pairs by the pair norm of K^T z and, for k = 1..m, solves
-    K_S x_S = y + eps z/||z|| on the top k pairs S: the saddle-point condition
-    Kx - y = eps z/||z|| on a guessed support.  Returns the candidate of least
-    float pair l1 norm whose float residual is within ``bound``, or None.
+    K is A's real part, with y and z real, or the realified K, whose column j
+    pairs with n + j.  Ranks the n column pairs by the pair norm of K^T z and,
+    for k = 1..m, solves K_S x_S = y + eps z/||z|| on the top k pairs S:
+    the saddle-point condition Kx - y = eps z/||z|| on a guessed support.
+    Returns the candidate of least float pair l1 norm whose float residual is
+    within ``bound``, or None.
     """
-    n = K.shape[1] // 2
-    kt_z = K.T @ z
-    order = np.argsort(-np.hypot(kt_z[:n], kt_z[n:]), kind="stable")
-    z_norm = float_norm(z)
-    target = yv + eps * z / z_norm if z_norm > 0 else yv
-    best, best_l1 = None, np.inf
-    for k in range(1, K.shape[0] // 2 + 1):
-        cols = np.concatenate([order[:k], order[:k] + n])
-        x = np.zeros(2 * n)
-        try:
-            x[cols] = np.linalg.lstsq(K[:, cols], target, rcond=None)[0]
-        except np.linalg.LinAlgError:
+    cols = list(zip(*K))
+    halves = len(cols) // n
+    kt_z = [_dot(c, z) for c in cols]
+    order = sorted(range(n), key=[hypot(*kt_z[j::n]) for j in range(n)].__getitem__, reverse=True)
+    z_norm = hypot(*z)
+    target = [yi + eps * zi / z_norm for yi, zi in zip(y, z)] if z_norm > 0 else y
+    best, best_l1 = None, inf
+    for k in range(1, len(K) // halves + 1):
+        support = [j + h * n for h in range(halves) for j in order[:k]]
+        xs = _lstsq([cols[j] for j in support], target)
+        if xs is None:
             continue
-        l1 = np.hypot(x[:n], x[n:]).sum()
-        if float_norm(K @ x - yv) <= bound and l1 < best_l1:
-            best, best_l1 = x, l1
+        l1 = reduce(add, (hypot(*xs[i::k]) for i in range(k)))
+        residual = hypot(*(_dot(row, xs) - yi for row, yi in zip(zip(*(cols[j] for j in support)), y)))
+        if residual <= bound and l1 < best_l1:
+            x = dict(zip(support, xs))
+            best, best_l1 = [x.get(j, 0.0) for j in range(len(cols))], l1
     return best
 
 
-def _polish_dual(K: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray | None:
-    """Nearest point to z with (K^T z)_j = -x_j/|x_j| on the support of x, or None."""
-    n = x.shape[0] // 2
-    mag = np.hypot(x[:n], x[n:])
-    support = np.flatnonzero(mag > 0)
-    if support.size == 0:
+def _polish_dual(K: list, x: list[float], z: list[float], n: int) -> list[float] | None:
+    """Nearest point to z with (K^T z)_j = -x_j/|x_j| on the support of x, or None;
+    K, x and z as ``_polish_primal`` takes them."""
+    mag = [hypot(*x[j::n]) for j in range(n)]
+    support = [j + h * n for h in range(len(x) // n) for j in range(n) if mag[j] > 0]
+    if not support:
         return None
-    rows = np.concatenate([support, support + n])
-    M = K[:, rows].T
-    b = -x[rows] / np.concatenate([mag[support], mag[support]])
-    try:
-        return z + np.linalg.lstsq(M, b - M @ z, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return None
+    M_cols = [[row[j] for j in support] for row in K]  # M = K_S^T
+    r = [-x[j] / mag[j % n] - _dot(row, z) for j, row in zip(support, zip(*M_cols))]
+    d = _lstsq(M_cols, r)
+    return None if d is None else [zi + di for zi, di in zip(z, d)]
 
 
 def _certify_primal(scaled: _ScaledInstance, x: np.ndarray) -> tuple[Pair, Pair, Pair, np.ndarray]:
@@ -529,41 +585,44 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
         if _lt(best_lower, lower):  # the old bound wins a tie
             best_lower = lower
 
+    # polishing solves on A's real part and the real halves of y and z when the
+    # instance is real, and gives +0.0 imaginary halves, as the kernel's real loop does
+    rows, cols = (inst.m, inst.n) if scaled.real else K.shape
+    K_pol, y_pol = K[:rows, :cols].tolist(), yv[:rows].tolist()
+
     def gap_closed() -> bool:
         return best_feasible is not None and _gap_within(best_feasible[0], best_lower, tol_q)
 
-    # float overflow needs no warning: the finite checks and the exact
-    # certificates reject whatever it spoils
-    with np.errstate(over="ignore", invalid="ignore"):
-        while iterations < max_iter:
-            todo = min(batch, max_iter - iterations)
-            state = x, z, xbar
-            x, z, xbar = _kernels.pd_iterate(K, yv, eps_f, step, step, x, z, xbar, todo)
-            iterations += todo
-            if iterations > todo and all(a.tobytes() == b.tobytes() for a, b in zip((x, z, xbar), state)):
-                # stalled after the first batch: every later batch of 250 returns
-                # this state again and certifies it as the last batch did, so
-                # only a shorter last batch still runs
-                iterations = max_iter - (max_iter - iterations) % batch
-                continue
+    while iterations < max_iter:
+        todo = min(batch, max_iter - iterations)
+        state = x, z, xbar
+        x, z, xbar = _kernels.pd_iterate(K, yv, eps_f, step, step, x, z, xbar, todo)
+        iterations += todo
+        if iterations > todo and all(a.tobytes() == b.tobytes() for a, b in zip((x, z, xbar), state)):
+            # stalled after the first batch: every later batch of 250 returns
+            # this state again and certifies it as the last batch did, so
+            # only a shorter last batch still runs
+            iterations = max_iter - (max_iter - iterations) % batch
+            continue
 
-            try:  # _dyadic_ints rejects a NaN or infinite entry
-                raise_lower(_dual_lower_bound(z, scaled, inst.eps))
-                last = _certify_primal(scaled, x)
-            except (ValueError, OverflowError):
-                raise FloatingPointError(f"the primal-dual iterate is not finite after {iterations} iterations") from None
-            offer(last)
-            certified = gap_closed()
-            if not certified:
-                x_pol = _polish_primal(K, yv, eps_f, bound_q[0] / bound_q[1], z)
-                if x_pol is not None and np.isfinite(x_pol).all():
-                    offer(_certify_primal(scaled, x_pol))
-                    z_pol = _polish_dual(K, x_pol, z)
-                    if z_pol is not None and np.isfinite(z_pol).all():
-                        raise_lower(_dual_lower_bound(z_pol, scaled, inst.eps))
-                    certified = gap_closed()
-            if certified:
-                break
+        try:  # _dyadic_ints rejects a NaN or infinite entry
+            raise_lower(_dual_lower_bound(z, scaled, inst.eps))
+            last = _certify_primal(scaled, x)
+        except (ValueError, OverflowError):
+            raise FloatingPointError(f"the primal-dual iterate is not finite after {iterations} iterations") from None
+        offer(last)
+        certified = gap_closed()
+        if not certified:
+            z_pol = z[:rows].tolist()
+            x_pol = _polish_primal(K_pol, y_pol, eps_f, bound_q[0] / bound_q[1], z_pol, inst.n)
+            if x_pol is not None and all(map(isfinite, x_pol)):
+                offer(_certify_primal(scaled, np.array(x_pol + [0.0] * (2 * inst.n - cols))))
+                z_pol = _polish_dual(K_pol, x_pol, z_pol, inst.n)
+                if z_pol is not None and all(map(isfinite, z_pol)):
+                    raise_lower(_dual_lower_bound(np.array(z_pol + [0.0] * (2 * inst.m - rows)), scaled, inst.eps))
+                certified = gap_closed()
+        if certified:
+            break
 
     objective_ub, residual_sq, residual_ub, x_float = best_feasible or last
     return SolveReport(

@@ -1325,6 +1325,7 @@ _BASELINE_GATE = [
         for name in (
             "solve_two_rows-argv0",
             "solve_single_row-argv1",
+            "solve_ill_posed-argv2",
             "solve_complex-argv3",
             "adversarial_solve-argv4",
             "solve_single_row_eps0-argv11",
@@ -1333,19 +1334,19 @@ _BASELINE_GATE = [
     ),
     "tests/test_cli.py::test_solve_with_huge_entries_keeps_stderr_clean",
     "tests/test_kernels.py::test_pd_replay_of_two_column_solves_keeps_its_bytes",
+    "tests/test_kernels.py::test_pd_replay_of_real_solves_keeps_its_bytes",
+    "tests/test_kernels.py::test_pd_replay_of_complex_solves_keeps_its_bytes",
     "tests/test_kernels.py::test_pd_replay_kernel_calls_keep_their_bytes[pd_replay_real.json]",
     "tests/test_kernels.py::test_pd_replay_kernel_calls_keep_their_bytes[pd_replay_complex.json]",
 ]
 
 
 def test_solve_bytes_hold_on_the_baseline_blas_kernels():
-    """The goldens of ``solve`` and ``adversarial --solve`` but solve_ill_posed,
-    the two-column byte replay and the kernel calls of the real and complex
-    replays keep their bytes in a process whose OpenBLAS runs its x86-64
-    baseline kernels (``OPENBLAS_CORETYPE=Prescott``): the primal-dual kernel
-    makes no BLAS call.  solve_ill_posed, and the reports of 12 replayed
-    solves, certify a polished point, which np.linalg.lstsq computes with the
-    CPU's kernels (ROADMAP item 29b)."""
+    """Every golden of ``solve`` and ``adversarial --solve`` and every byte
+    replay, reports included, keeps its bytes in a process whose OpenBLAS runs
+    its x86-64 baseline kernels (``OPENBLAS_CORETYPE=Prescott``): the solver
+    makes no BLAS or LAPACK call.  The primal-dual kernel and polishing's
+    least-squares solves form their own sums on Python floats."""
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "addopts=", "-rA", *_BASELINE_GATE],
         capture_output=True,

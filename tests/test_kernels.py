@@ -940,9 +940,8 @@ def test_pd_replay_of_two_column_solves_keeps_its_bytes():
 def test_pd_replay_of_real_solves_keeps_its_bytes():
     """The same for 48 real solves of the other real loops: one row of three to
     five columns, and two and three rows, each shape at eps = 0, 1/8 and 1/2.
-    11 of them certify a polished point, which np.linalg.lstsq computes with
-    the CPU's BLAS kernels (ROADMAP item 29b), so their reports hold on the
-    CPU that recorded them."""
+    Nine of them certify a polished point, whose least-squares solve forms its
+    own sums as the kernel does, so their reports hold on every CPU."""
     _assert_replay("pd_replay_real.json", "sha256")
 
 

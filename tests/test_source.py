@@ -48,10 +48,10 @@ NAME_OWNERS = {
     "isqrt": {"rationals"},  # every root in src/ is one of rationals' own
     "sqrt_upper_ints": {"rationals", "qcbp"},  # qcbp takes it only for the dual bound
     "scaled_integers": {"rationals", "qcbp"},  # qcbp scales an instance in _realified only
-    # only the solver loop, training and the kernel's array steps, which must
-    # not warn where its Python-float loops cannot, silence numpy; float_norm
-    # cannot warn, so no caller guards it
-    "errstate": {"qcbp", "mlp", "_kernels"},
+    # only training and the kernel's array steps, which must not warn where its
+    # Python-float loops cannot, silence numpy: the solver's batch loop does no
+    # numpy arithmetic, and float_norm cannot warn, so no caller guards it
+    "errstate": {"mlp", "_kernels"},
 }
 
 
@@ -159,3 +159,42 @@ def test_real_loops_take_no_root_of_a_square():
             source = _kernels._pd_source(2 * m, 2 * n, True)
             assert source.count("sqrt(") == 1
             assert f"sqrt({' + '.join(f'v{i} * v{i}' for i in range(m))})" in source
+
+
+# the certified solver's own functions: the batch loop, its exact set-up and
+# certificates, polishing and its least-squares routine
+SOLVER = {
+    "solve_numeric",
+    "_realified",
+    "_certify_primal",
+    "_dual_lower_bound",
+    "_polish_primal",
+    "_polish_dual",
+    "_lstsq",
+    "_reflect",
+    "_dot",
+}
+
+
+def _blas_uses(node) -> list[str]:
+    """Each ``@``, and each name or attribute ``dot``, ``matmul`` or ``linalg``, under ``node``."""
+    found = []
+    for n in ast.walk(node):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult):
+            found.append("@")
+        name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
+        if name in {"dot", "matmul", "linalg"}:
+            found.append(name)
+    return found
+
+
+def test_the_solver_names_no_blas_or_lapack_entry_point():
+    """No function of the certified solver multiplies through numpy, whose BLAS
+    and LAPACK kernels the CPU picks, so a ``solve`` byte does not depend on the CPU."""
+    tree = ast.parse((Path(qcbplab.__file__).parent / "qcbp.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert SOLVER <= defs.keys()
+    assert {name: _blas_uses(defs[name]) for name in SOLVER} == {name: [] for name in SOLVER}
+    # the check sees each kind of use
+    probe = ast.parse("a @ b; a.dot(b); np.matmul(a, b); np.linalg.lstsq(a, b); c @= d")
+    assert sorted(_blas_uses(probe)) == ["@", "@", "dot", "linalg", "matmul"]
