@@ -137,9 +137,9 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 #
 # One batch of Chambolle-Pock iterations for min ||x||_{1,pair} subject to
 # ||Kx - y||_2 <= eps on the realified operator K (2m x 2n); coordinate i
-# pairs with n + i.  K, y, x, z and xbar are float64 arrays, the rest
-# Python scalars.  Returns the state (x, z, xbar) after ``iters`` iterations
-# as float64 arrays.
+# pairs with n + i.  K is a list of rows, y, x, z and xbar are lists of
+# Python floats and the rest Python scalars.  Returns the state (x, z, xbar)
+# after ``iters`` iterations as three new lists of floats.
 #
 # The kernel defines its float arithmetic itself, so a state's bytes depend
 # neither on the CPU nor on a BLAS library's summation order.  Every step runs
@@ -201,8 +201,8 @@ def grid_scan(coeffs: np.ndarray, shift: np.ndarray, rhs: int, k: int, exact_fal
 # comparison with a NaN is false, so a factor with a NaN term is 0.0.  But the
 # bits of a NaN result are not fixed: IEEE 754 leaves them open, and CPython
 # 3.11 gives a + b and a * b of two NaNs b's sign before it specializes the
-# instruction (its first seven runs) and a's after.  So the loops return every
-# NaN as ``math.nan``, and a state's bytes depend on the inputs alone.
+# instruction (its first seven runs) and a's after.  So ``pd_iterate`` returns
+# every NaN as ``math.nan``, and a state's bytes depend on the inputs alone.
 
 _STRAIGHT_MAX = 128
 
@@ -222,11 +222,6 @@ def _unpack(names):
 
 def _listed(names):
     return "[" + ", ".join(names) + "]"
-
-
-def _array(v):
-    """v as a float64 array, each NaN as ``math.nan``."""
-    return np.array([t if t == t else math.nan for t in v])
 
 
 def _dot(a, b, real):
@@ -276,16 +271,16 @@ def _pd_source(rows, cols, real):
     x, b, w, p, c = (_names(s, primal) for s in "xbwpc")
     z, sy, v = (_names(s, dual) for s in ("z", "sy", "v"))
     k = [_names(f"k{i}_", primal) for i in range(dual)]
-    half = (lambda s: f"[:{s}]") if real else (lambda s: "")
+    rest = ["*_"] if real else []  # the entries past the real halves and K's top-left block
     head = [
-        f"{_unpack([e for row in k for e in row])} = K{f'[:{m}, :{n}]' if real else ''}.ravel().tolist()",
-        f"{_unpack(sy)} = y{half(m)}.tolist()",
+        f"{_unpack([f'({_unpack(row + rest)})' for row in k] + rest)} = K",
+        f"{_unpack(sy + rest)} = y",
         *(f"{si} = sigma * {si}" for si in sy),
         "se = sigma * eps",
         "shift = se == 0.0",
-        f"{_unpack(x)} = x{half(n)}.tolist()",
-        f"{_unpack(z)} = z{half(m)}.tolist()",
-        f"{_unpack(b)} = xbar{half(n)}.tolist()",
+        f"{_unpack(x + rest)} = x",
+        f"{_unpack(z + rest)} = z",
+        f"{_unpack(b + rest)} = xbar",
     ]
     scaled = [*_factor("factor", "se", v, f"sqrt({_dot(v, v, False)})"), *(f"{a} = {a} * factor" for a in v)]
     body = [
@@ -296,7 +291,7 @@ def _pd_source(rows, cols, real):
         *(line for j in range(n) for line in _shrunk(w[j::n], p[j::n])),
         *_step_end(z, v, x, b, p, c),
     ]
-    state = ", ".join(f"_array({_listed(s + ['0.0'] * len(s) if real else s)})" for s in (x, z, b))
+    state = ", ".join(_listed(s + ["0.0"] * len(s) if real else s) for s in (x, z, b))
     lines = [
         "def pd_loop(K, y, eps, tau, sigma, x, z, xbar, iters):",
         *("    " + line for line in head),
@@ -309,7 +304,7 @@ def _pd_source(rows, cols, real):
 
 def _compiled(source, label):
     """The ``pd_loop`` that ``source`` defines."""
-    namespace = dict(_array=_array, sqrt=math.sqrt, _bits=_bits)
+    namespace = dict(sqrt=math.sqrt, _bits=_bits)
     exec(compile(source, f"<pd_loop {label}>", "exec"), namespace)
     return namespace["pd_loop"]
 
@@ -323,8 +318,9 @@ def _pd_loop(rows, cols, real):
 def _real(K, y, x, z, xbar):
     """Whether the batch is real: K's off-diagonal blocks and the imaginary halves
     of y, x, z and xbar are +0.0, all eight bytes zero."""
-    m, n = K.shape[0] // 2, K.shape[1] // 2
-    zero = b"".join(v.tobytes() for v in (K[:m, n:], K[m:, :n], y[m:], x[n:], z[m:], xbar[n:]))
+    m, n = len(K) // 2, len(K[0]) // 2
+    blocks = [v for row in K[:m] for v in row[n:]] + [v for row in K[m:] for v in row[:n]]
+    zero = _bits(blocks + y[m:] + x[n:] + z[m:] + xbar[n:])
     return zero.count(0) == len(zero)
 
 
@@ -350,6 +346,7 @@ def _shrink_factors(t, w, real):
 def _pd_arrays(K, y, eps, tau, sigma, x, z, xbar, iters, real):
     """``pd_loop``'s steps on float64 arrays: the same operations in the same
     order, with numpy's correctly rounded ``*``, ``+``, ``-``, ``/`` and ``sqrt``."""
+    K, y, x, z, xbar = map(np.array, (K, y, x, z, xbar))
     m, n = K.shape[0] // 2, K.shape[1] // 2
     if real:
         K, y, x, z, xbar = K[:m, :n], y[:m], x[:n], z[:m], xbar[:n]
@@ -367,12 +364,14 @@ def _pd_arrays(K, y, eps, tau, sigma, x, z, xbar, iters, real):
             if all((a == b).all() and a.tobytes() == b.tobytes() for a, b in ((p, x), (v, z), (c, xbar))):
                 break  # a fixed point: the state already holds the new bytes
             x, z, xbar = p, v, c
-    pad = (lambda v: np.concatenate((v, np.zeros_like(v)))) if real else (lambda v: v)
-    return tuple(np.where(v == v, v, math.nan) for v in map(pad, (x, z, xbar)))
+    return tuple(v.tolist() + [0.0] * len(v) if real else v.tolist() for v in (x, z, xbar))
 
 
 def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters):
     real = _real(K, y, x, z, xbar)
-    if (K.size // 4 if real else K.size) > _STRAIGHT_MAX:
-        return _pd_arrays(K, y, eps, tau, sigma, x, z, xbar, iters, real)
-    return _pd_loop(*K.shape, real)(K, y, eps, tau, sigma, x, z, xbar, iters)
+    rows, cols = len(K), len(K[0])
+    if (rows * cols // 4 if real else rows * cols) > _STRAIGHT_MAX:
+        state = _pd_arrays(K, y, eps, tau, sigma, x, z, xbar, iters, real)
+    else:
+        state = _pd_loop(rows, cols, real)(K, y, eps, tau, sigma, x, z, xbar, iters)
+    return tuple([t if t == t else math.nan for t in v] for v in state)  # each NaN as math.nan

@@ -13,9 +13,10 @@ seed reproduce outputs byte for byte.
 
 Exit codes: 0 ok, 2 input error, 3 numerical failure.
 
-Only ``qcbp`` and ``rationals`` load with this module; each subcommand
-imports the layers it runs (``families``, ``halting``, ``mlp``) itself, so
-``oracle`` and ``solve`` start without the family, machine or network code.
+Only ``qcbp`` and ``rationals`` load with this module, and numpy does not;
+each subcommand imports the layers it runs (``families``, ``halting``,
+``mlp``) itself, so ``oracle`` and ``solve`` start without the family,
+machine or network code.
 """
 
 from __future__ import annotations
@@ -237,7 +238,9 @@ def cmd_adversarial(args: argparse.Namespace) -> int:
             r1 = qcbp.solve_numeric(families.perturbed_instance(1, n, p), tol)
             r2 = qcbp.solve_numeric(families.perturbed_instance(2, n, p), tol)
             if r1.converged and r2.converged:
-                solver_dist = repr(qcbp.float_norm(r1.x_float - r2.x_float))
+                from qcbplab import mlp  # float_norm; the solves have loaded numpy already
+
+                solver_dist = repr(mlp.float_norm(mlp.realify_vector(r1.x) - mlp.realify_vector(r2.x)))
             else:
                 uncertified += 1
         with _fits_float64(f"--a: the output distance of n={n}"):

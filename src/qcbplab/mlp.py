@@ -27,7 +27,6 @@ from fractions import Fraction as Q
 import numpy as np
 
 from qcbplab import families, qcbp
-from qcbplab.qcbp import float_norm
 from qcbplab.rationals import RationalVector
 
 
@@ -71,6 +70,24 @@ def realify_vector(x: RationalVector) -> np.ndarray:
         )
     except OverflowError:
         raise qcbp.float_range_error((f"x[{j}]", v) for j, e in enumerate(x.entries) for v in (e.re, e.im)) from None
+
+
+def float_norm(d: np.ndarray) -> float:
+    """l2 norm of the 1-D float array ``d``, one path for every finite d:
+    ``sqrt(s.dot(s)) * 2**e`` for s = d * 2**-e, e the binary exponent of
+    max|d|.  No |s_i| reaches 1, so no square overflows and numpy never warns,
+    and the norm of d * 2**k is 2**k times d's, bit for bit, wherever that
+    scaling loses no bits.  Past float64's range, or with an inf entry, the
+    norm is inf; with a NaN entry, NaN."""
+    top = float(np.abs(d).max(initial=0.0))
+    if not math.isfinite(top):
+        return top
+    e = math.frexp(top)[1]
+    s = np.ldexp(d, -e)
+    try:
+        return math.ldexp(math.sqrt(s.dot(s)), e)
+    except OverflowError:
+        return math.inf
 
 
 # --- the network ------------------------------------------------------------------
@@ -348,7 +365,7 @@ def _layer_norm_estimate(w: np.ndarray) -> tuple[float, int]:
     exact, and a zero or non-finite largest entry gives e = 0.  The estimate
     is returned unscaled, since s * 2**e may lie outside float range.  The
     loop normalises its own data, so it takes the plain root, not
-    ``qcbp.float_norm``: no square it forms exceeds rows * cols.
+    ``float_norm``: no square it forms exceeds rows * cols.
     """
     e = math.frexp(float(np.abs(w).max()))[1]
     w = np.ldexp(w, -e)

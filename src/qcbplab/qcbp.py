@@ -22,13 +22,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import reduce
-from math import ceil, floor, frexp, hypot, inf, isfinite, ldexp, sqrt
+from math import ceil, floor, hypot, inf, isfinite
 from operator import add, mul, sub
+from struct import pack
 from typing import Iterable
 
-import numpy as np
-
-from qcbplab import _kernels
 from qcbplab.rationals import (
     CZERO,
     CONE,
@@ -241,15 +239,14 @@ class SolveReport:
     vector; ``objective_ub`` an exact upper bound on its l1 value; and
     ``lower_bound`` a weak-duality lower bound on the true optimum, so
     objective_ub - lower_bound brackets the suboptimality.  ``iterations``
-    counts the iterations accounted for, batch by batch; those after
-    a bit-exact fixed point are not simulated (on the generic-solve
-    benchmark workload, seed 1, 108,256 of 154,500 were), and a solve whose
-    batch returns its input state stops and accounts for the rest of
-    ``max_iter``.
+    counts the iterations accounted for, batch by batch.  A batch stops at a
+    bit-exact fixed point (at seed 1 generic-solve simulated 108,256 of its
+    154,500 over 618 kernel calls, families-solve 23,052 of 25,000 over 100),
+    and a solve whose batch returns its input state stops and accounts for
+    the rest of ``max_iter``.
     """
 
     x: RationalVector
-    x_float: np.ndarray
     objective_ub: Q
     lower_bound: Q
     residual_sq: Q
@@ -286,10 +283,9 @@ class _ScaledInstance:
     den: int
     real: bool
 
-    def floats(self) -> tuple[np.ndarray, np.ndarray]:
-        """K and y in float64; an integer true division rounds correctly, as float(Fraction) does."""
-        den = self.den
-        return np.array([[v / den for v in row] for row in self.k]), np.array([v / den for v in self.y])
+    def floats(self) -> tuple[list[list[float]], list[float]]:
+        """The rows of K and y as floats; an integer true division rounds correctly, as float(Fraction) does."""
+        return [[v / self.den for v in row] for row in self.k], [v / self.den for v in self.y]
 
 
 def _realified(A: RationalMatrix, y: RationalVector) -> tuple[_ScaledInstance, int, Q]:
@@ -332,17 +328,17 @@ def named_entries(inst: Instance) -> list[tuple[str, Q]]:
 Pair = tuple[int, int]  # a rational as (numerator, denominator > 0), not reduced
 
 
-def _dyadic_ints(v: np.ndarray) -> tuple[list[int], int]:
+def _dyadic_ints(v: list[float]) -> tuple[list[int], int]:
     """Integers X and an exponent E with v == X / 2**E exactly, entry by entry.
 
     Raises ValueError for NaN and OverflowError for an infinite entry.
     """
-    ratios = [t.as_integer_ratio() for t in v.tolist()]
+    ratios = [t.as_integer_ratio() for t in v]
     e = max(d.bit_length() for _, d in ratios) - 1
     return [p << (e + 1 - d.bit_length()) for p, d in ratios], e
 
 
-def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Pair:
+def _dual_lower_bound(z: list[float], scaled: _ScaledInstance, eps: Q) -> Pair:
     """Weak-duality lower bound from an exactified dual iterate, as an integer
     pair (numerator, denominator > 0), not reduced.
 
@@ -364,24 +360,6 @@ def _dual_lower_bound(z: np.ndarray, scaled: _ScaledInstance, eps: Q) -> Pair:
     en, ed = eps.numerator, eps.denominator
     # (-<y, z> - eps zp / zq) / (cp / cq)
     return (-ip * ed * zq - scale * en * zp) * cq, scale * ed * zq * cp
-
-
-def float_norm(d: np.ndarray) -> float:
-    """l2 norm of the 1-D float array ``d``, one path for every finite d:
-    ``sqrt(s.dot(s)) * 2**e`` for s = d * 2**-e, e the binary exponent of
-    max|d|.  No |s_i| reaches 1, so no square overflows and numpy never warns,
-    and the norm of d * 2**k is 2**k times d's, bit for bit, wherever that
-    scaling loses no bits.  Past float64's range, or with an inf entry, the
-    norm is inf; with a NaN entry, NaN."""
-    top = float(np.abs(d).max(initial=0.0))
-    if not isfinite(top):
-        return top
-    e = frexp(top)[1]
-    s = np.ldexp(d, -e)
-    try:
-        return ldexp(sqrt(s.dot(s)), e)
-    except OverflowError:
-        return inf
 
 
 # Polishing computes on Python floats, as the primal-dual kernel does: each
@@ -481,7 +459,7 @@ def _polish_dual(K: list, x: list[float], z: list[float], n: int) -> list[float]
     return None if d is None else [zi + di for zi, di in zip(z, d)]
 
 
-def _certify_primal(scaled: _ScaledInstance, x: np.ndarray) -> tuple[Pair, Pair, Pair, np.ndarray]:
+def _certify_primal(scaled: _ScaledInstance, x: list[float]) -> tuple[Pair, Pair, Pair, list[float]]:
     """Exactify a float point: (objective_ub, residual_sq, residual_ub, x), x itself,
     each bound an integer pair (numerator, denominator > 0), not reduced.
 
@@ -510,9 +488,9 @@ def _gap_within(upper: Pair, lower: Pair, tol: Pair) -> bool:
     return _le((upper[0] * lower[1] - lower[0] * upper[1], upper[1] * lower[1]), tol)
 
 
-def _exact_point(x: np.ndarray) -> RationalVector:
+def _exact_point(x: list[float]) -> RationalVector:
     """The complex vector whose entries are the dyadic values of x = (re, im)."""
-    xq = [Q(*v.as_integer_ratio()) for v in x.tolist()]
+    xq = [Q(*v.as_integer_ratio()) for v in x]
     n = len(xq) // 2
     return RationalVector(tuple(ComplexQ(xq[j], xq[n + j]) for j in range(n)))
 
@@ -540,6 +518,8 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     0.0 are accepted.  An iterate that is no longer finite raises
     FloatingPointError.
     """
+    from qcbplab import _kernels
+
     tol = Q(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -563,8 +543,8 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
         raise ValueError("the operator norm bound of A is below float64's normal range")
     step = 1.0 / L if L > 0 else 1.0
 
-    z, x = np.zeros(K.shape[0]), np.zeros(K.shape[1])
-    xbar = x.copy()
+    z, x, xbar = [0.0] * len(K), [0.0] * len(K[0]), [0.0] * len(K[0])
+    state_format = f"<{len(z) + 2 * len(x)}d"
     tol_q = tol.numerator, tol.denominator
     bound = inst.eps + tol
     bound_q = bound.numerator, bound.denominator
@@ -572,7 +552,7 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
     batch = 250
     iterations = 0
     best_lower: Pair = (0, 1)  # x=0 shows the optimum is >= 0
-    best_feasible: tuple[Pair, Pair, Pair, np.ndarray] | None = None
+    best_feasible: tuple[Pair, Pair, Pair, list[float]] | None = None
     certified = False  # the last gap test's result
 
     def offer(candidate):
@@ -587,18 +567,18 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
 
     # polishing solves on A's real part and the real halves of y and z when the
     # instance is real, and gives +0.0 imaginary halves, as the kernel's real loop does
-    rows, cols = (inst.m, inst.n) if scaled.real else K.shape
-    K_pol, y_pol = K[:rows, :cols].tolist(), yv[:rows].tolist()
+    rows, cols = (inst.m, inst.n) if scaled.real else (len(K), len(K[0]))
+    K_pol, y_pol = [row[:cols] for row in K[:rows]], yv[:rows]
 
     def gap_closed() -> bool:
         return best_feasible is not None and _gap_within(best_feasible[0], best_lower, tol_q)
 
     while iterations < max_iter:
         todo = min(batch, max_iter - iterations)
-        state = x, z, xbar
+        state = pack(state_format, *x, *z, *xbar)
         x, z, xbar = _kernels.pd_iterate(K, yv, eps_f, step, step, x, z, xbar, todo)
         iterations += todo
-        if iterations > todo and all(a.tobytes() == b.tobytes() for a, b in zip((x, z, xbar), state)):
+        if iterations > todo and pack(state_format, *x, *z, *xbar) == state:
             # stalled after the first batch: every later batch of 250 returns
             # this state again and certifies it as the last batch did, so
             # only a shorter last batch still runs
@@ -613,21 +593,19 @@ def solve_numeric(inst: Instance, tol=Q(1, 10**6), max_iter: int = 200_000) -> S
         offer(last)
         certified = gap_closed()
         if not certified:
-            z_pol = z[:rows].tolist()
-            x_pol = _polish_primal(K_pol, y_pol, eps_f, bound_q[0] / bound_q[1], z_pol, inst.n)
+            x_pol = _polish_primal(K_pol, y_pol, eps_f, bound_q[0] / bound_q[1], z[:rows], inst.n)
             if x_pol is not None and all(map(isfinite, x_pol)):
-                offer(_certify_primal(scaled, np.array(x_pol + [0.0] * (2 * inst.n - cols))))
-                z_pol = _polish_dual(K_pol, x_pol, z_pol, inst.n)
+                offer(_certify_primal(scaled, x_pol + [0.0] * (2 * inst.n - cols)))
+                z_pol = _polish_dual(K_pol, x_pol, z[:rows], inst.n)
                 if z_pol is not None and all(map(isfinite, z_pol)):
-                    raise_lower(_dual_lower_bound(np.array(z_pol + [0.0] * (2 * inst.m - rows)), scaled, inst.eps))
+                    raise_lower(_dual_lower_bound(z_pol + [0.0] * (2 * inst.m - rows), scaled, inst.eps))
                 certified = gap_closed()
         if certified:
             break
 
-    objective_ub, residual_sq, residual_ub, x_float = best_feasible or last
+    objective_ub, residual_sq, residual_ub, x_point = best_feasible or last
     return SolveReport(
-        x=_exact_point(x_float),
-        x_float=x_float,
+        x=_exact_point(x_point),
         objective_ub=Q(*objective_ub),
         lower_bound=Q(*best_lower),
         residual_sq=Q(*residual_sq),
@@ -690,6 +668,8 @@ def brute_force_min(inst: Instance, grid_exp: int) -> BruteForceReport:
     ``_kernels``), on int64 when that is proved exact and on Python ints
     otherwise.  N <= 4, grid_exp <= 8, real instances only.
     """
+    from qcbplab import _kernels
+
     if inst.n > 4:
         raise GridTooLargeError(f"brute force supports N <= 4, got {inst.n}")
     if grid_exp > 8 or grid_exp < 0:

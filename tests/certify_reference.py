@@ -7,8 +7,6 @@ returned rational is equal.
 
 from fractions import Fraction as Q
 
-import numpy as np
-
 from qcbplab.rationals import (
     ComplexQ,
     RationalMatrix,
@@ -40,7 +38,7 @@ def pair_l1_upper(entries: list[Q], n: int) -> Q:
     return total
 
 
-def dual_lower_bound(z: np.ndarray, exact_k, y_exact, eps: Q, n: int) -> Q:
+def dual_lower_bound(z: list[float], exact_k, y_exact, eps: Q, n: int) -> Q:
     zq = [Q(float(v)) for v in z]
     two_m = len(zq)
     kt_z = [sum(exact_k[i][j] * zq[i] for i in range(two_m)) for j in range(2 * n)]
@@ -51,7 +49,7 @@ def dual_lower_bound(z: np.ndarray, exact_k, y_exact, eps: Q, n: int) -> Q:
     return (-ip - eps * z_norm_ub) / c_ub
 
 
-def certify_primal(inst, x: np.ndarray) -> tuple[Q, Q, Q, RationalVector]:
+def certify_primal(inst, x: list[float]) -> tuple[Q, Q, Q, RationalVector]:
     """(objective_ub, residual_sq, residual_ub, x_exact)."""
     n = inst.n
     xq = [Q(float(v)) for v in x]

@@ -8,8 +8,6 @@ to right, so the bytes depend on nothing but the inputs.
 
 import math
 
-import numpy as np
-
 
 def _sum(terms):
     """terms[0] + terms[1] + ..., left to right."""
@@ -32,19 +30,19 @@ def _norm(v):
 
 def is_real(K, y, x, z, xbar):
     """Whether K's off-diagonal blocks and the imaginary halves of y, x, z and xbar are all +0.0."""
-    m, n = K.shape[0] // 2, K.shape[1] // 2
-    parts = (K[:m, n:].ravel(), K[m:, :n].ravel(), y[m:], x[n:], z[m:], xbar[n:])
-    return all(v == 0.0 and math.copysign(1.0, v) > 0 for part in parts for v in part.tolist())
+    m, n = len(K) // 2, len(K[0]) // 2
+    parts = ([v for row in K[:m] for v in row[n:]], [v for row in K[m:] for v in row[:n]], y[m:], x[n:], z[m:], xbar[n:])
+    return all(v == 0.0 and math.copysign(1.0, v) > 0 for part in parts for v in part)
 
 
 def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters):
-    """``iters`` steps from (x, z, xbar); a real batch steps the real halves alone,
-    with ``+ 0.0`` after each sum of products.  Every NaN returned is ``math.nan``."""
+    """``iters`` steps from (x, z, xbar), with K a list of rows and the rest lists
+    of floats; a real batch steps the real halves alone, with ``+ 0.0`` after
+    each sum of products.  Returns three lists; every NaN in them is ``math.nan``."""
     real = is_real(K, y, x, z, xbar)
-    m, n = K.shape[0] // 2, K.shape[1] // 2
+    m, n = len(K) // 2, len(K[0]) // 2
     if real:
-        K, y, x, z, xbar = K[:m, :n], y[:m], x[:n], z[:m], xbar[:n]
-    K, y, x, z, xbar = (v.tolist() for v in (K, y, x, z, xbar))
+        K, y, x, z, xbar = [row[:n] for row in K[:m]], y[:m], x[:n], z[:m], xbar[:n]
     zero = [0.0] if real else []
     cols = list(zip(*K))
     pairs = [[j] for j in range(n)] if real else [[j, n + j] for j in range(n)]
@@ -66,4 +64,4 @@ def pd_iterate(K, y, eps, tau, sigma, x, z, xbar, iters):
         xbar = [2.0 * a - b for a, b in zip(x_new, x)]
         x, z = x_new, z_new
     pad = (lambda v: v + [0.0] * len(v)) if real else (lambda v: v)
-    return tuple(np.array([t if t == t else math.nan for t in pad(v)], dtype=np.float64) for v in (x, z, xbar))
+    return tuple([t if t == t else math.nan for t in pad(v)] for v in (x, z, xbar))

@@ -3,8 +3,8 @@
 import math
 import random
 from fractions import Fraction as Q
+from struct import pack
 
-import numpy as np
 import pytest
 
 from qcbplab import qcbp, rationals
@@ -51,7 +51,7 @@ def rand_floats(rng, size):
             out.append(rng.choice(SPECIAL))
         else:
             out.append(math.ldexp(rng.gauss(0, 1), rng.randint(-1000, 1000)))
-    return np.array(out)
+    return out
 
 
 def test_certificates_equal_fraction_reference():
@@ -64,12 +64,12 @@ def test_certificates_equal_fraction_reference():
         x = rand_floats(rng, 2 * n)
         z = rand_floats(rng, 2 * inst.m)
 
-        objective_ub, residual_sq, residual_ub, x_float = qcbp._certify_primal(scaled, x)
+        objective_ub, residual_sq, residual_ub, x_point = qcbp._certify_primal(scaled, x)
         want = ref.certify_primal(inst, x)
         assert (Q(*objective_ub), Q(*residual_sq), Q(*residual_ub)) == want[:3], (inst, x)
         assert residual_ub == rationals.sqrt_upper_ints(*residual_sq)
-        assert x_float is x
-        assert qcbp._exact_point(x_float) == want[3]
+        assert x_point is x
+        assert qcbp._exact_point(x_point) == want[3]
         got = qcbp._dual_lower_bound(z, scaled, inst.eps)
         assert Q(*got) == ref.dual_lower_bound(z, exact_k, y_exact, inst.eps, n), (inst, z)
         for pair in (objective_ub, residual_sq, residual_ub, got):
@@ -106,7 +106,9 @@ def test_certificates_on_solver_iterates_equal_fraction_reference(monkeypatch):
                 assert tuple(Q(*pair) for pair in out[:3]) == ref.certify_primal(inst, v)[:3]
             else:
                 assert Q(*out) == ref.dual_lower_bound(v, exact_k, y_exact, inst.eps, inst.n)
-        assert rep.x == ref.certify_primal(inst, rep.x_float)[3]
+        # the report's point and bound are those of one certified candidate
+        certified = [(ref.certify_primal(inst, v)[3], Q(*out[0])) for kind, v, out in calls if kind == "primal"]
+        assert (rep.x, rep.objective_ub) in certified
 
 
 def test_pair_comparisons_equal_fraction_comparisons():
@@ -145,8 +147,8 @@ def test_nonfinite_iterates_raise_as_the_reference(bad):
     n, m = inst.n, inst.m
     scaled = qcbp._realified(inst.A, inst.y)[0]
     exact_k, y_exact = ref.realified_exact(inst.A, inst.y)
-    x = np.array((bad + [0.5] * (2 * n))[: 2 * n])
-    z = np.array((bad + [0.5] * (2 * m))[: 2 * m])
+    x = (bad + [0.5] * (2 * n))[: 2 * n]
+    z = (bad + [0.5] * (2 * m))[: 2 * m]
     cases = [
         (lambda: ref.certify_primal(inst, x), lambda: qcbp._certify_primal(scaled, x)),
         (
@@ -186,8 +188,14 @@ def _rank_cases(rng):
         yield RationalMatrix(tuple(tuple(r) for r in rows))
 
 
-def _as_float_bytes(rows):
-    return np.array([[float(v) for v in row] for row in rows]).tobytes()
+def _bits(rows):
+    """The float64 bytes of a list of rows of floats."""
+    return b"".join(pack(f"<{len(row)}d", *row) for row in rows)
+
+
+def _as_floats(rows):
+    """The float of each Fraction, row by row."""
+    return [[float(v) for v in row] for row in rows]
 
 
 def test_row_rank_and_norm_bound_equal_fraction_reference():
@@ -206,7 +214,7 @@ def test_row_rank_and_norm_bound_equal_fraction_reference():
         assert [Q(v, scaled.den) for v in scaled.y] == y_exact
         assert scaled.k_cols == list(zip(*scaled.k))
         K, yv = scaled.floats()
-        assert K.tobytes() == _as_float_bytes(exact_k) and yv.tobytes() == _as_float_bytes([y_exact])
+        assert _bits(K) == _bits(_as_floats(exact_k)) and _bits([yv]) == _bits(_as_floats([y_exact]))
         ranks.add((rank, mat.m))
     assert any(rank < m for rank, m in ranks) and any(rank == m for rank, m in ranks)
 
@@ -239,7 +247,7 @@ def test_float_set_up_equals_float_of_each_fraction():
         y = RationalVector(tuple(entry() for _ in range(m)))
         K, yv = qcbp._realified(mat, y)[0].floats()
         exact_k, y_exact = ref.realified_exact(mat, y)
-        for got, want in zip(K.ravel().tolist() + yv.tolist(), [v for row in exact_k for v in row] + y_exact):
+        for got, want in zip(sum(K, []) + yv, [v for row in exact_k for v in row] + y_exact):
             assert got.hex() == float(want).hex(), want
     past = RationalMatrix.from_rows([[Q(MAX + 2**970), 1]])  # the halfway point rounds to 2**1024
     with pytest.raises(OverflowError):

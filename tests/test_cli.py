@@ -1446,6 +1446,35 @@ def test_package_and_exact_layers_load_no_solver():
     assert (proc.stdout, proc.stderr) == ("False False\n", "")
 
 
+# runs each argv of a JSON list through ``cli.main`` in one process and prints,
+# after each, its exit code and whether numpy is loaded
+_NUMPY_AFTER = """
+import json, sys
+from qcbplab.cli import main
+print(json.dumps([[main(argv), "numpy" in sys.modules] for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_exact_subcommands_never_load_numpy():
+    """``oracle``, ``halting`` and ``adversarial`` without ``--solve`` run no float
+    code and never load numpy, one after another in one process; ``solve`` then does."""
+    runs = [
+        ["oracle", "--A", "2,1"],
+        ["halting", "--machine", "builtin:even", "--n-max", "5"],
+        ["adversarial", "--n-max", "3"],
+        ["solve", "--A", "2,1"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_AFTER, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, False], [0, False], [0, False], [0, True]]
+
+
 def test_main_calls_in_one_process_share_one_parser(tmp_path, capsys):
     """The parser is built once; each later main() call prints what a fresh process prints."""
     cfg = tmp_path / "embedded.cfg"

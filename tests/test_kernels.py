@@ -169,26 +169,48 @@ def test_int64_scan_memory_stays_blocked():
 _ARRAYS = kern._pd_arrays
 
 
+def _bits(v):
+    """The float64 bytes of a list of floats."""
+    return pack(f"<{len(v)}d", *v)
+
+
 def _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, iters):
-    """Run the kernel, its array steps and the spec on one state; x, z and xbar
-    must agree byte for byte."""
+    """Run the kernel, its array steps and the spec on one state, K a list of rows
+    and y, x, z and xbar lists of floats; the x, z and xbar they return must be
+    lists of floats that agree byte for byte."""
     args = (K, y, eps, tau, sigma, x, z, xbar, iters)
     want = pd_reference.pd_iterate(*args)
-    for path, got in (("kernel", kern.pd_iterate(*args)), ("arrays", _ARRAYS(*args, pd_reference.is_real(*args[:2], *args[5:8])))):
+    nan = lambda v: [t if t == t else math.nan for t in v]  # pd_iterate's last step after the array steps
+    arrays = map(nan, _ARRAYS(*args, pd_reference.is_real(*args[:2], *args[5:8])))
+    for path, got in (("kernel", kern.pd_iterate(*args)), ("arrays", arrays)):
         for name, w, g in zip(("x", "z", "xbar"), want, got):
-            assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == w.shape, (path, name)
-            assert g.tobytes() == w.tobytes(), (path, name, w.tolist(), g.tolist())
+            assert type(g) is list and all(type(t) is float for t in g) and len(g) == len(w), (path, name)
+            assert _bits(g) == _bits(w), (path, name, w, g)
+
+
+def _zeros(n):
+    return [0.0] * n
 
 
 def _realified(a):
-    """[[Re a, -Im a], [Im a, Re a]] as a C-contiguous float64 array; -Im a is
-    formed as 0.0 - Im a, so a real a gets +0.0 blocks, as qcbp._realified builds them."""
-    return np.ascontiguousarray(np.block([[a.real, 0.0 - a.imag], [a.imag, a.real]]))
+    """The rows of [[Re a, -Im a], [Im a, Re a]]; -Im a is formed as 0.0 - Im a,
+    so a real a gets +0.0 blocks, as qcbp._realified builds them."""
+    return np.block([[a.real, 0.0 - a.imag], [a.imag, a.real]]).tolist()
+
+
+def _step(K):
+    """1 / ||K||_2."""
+    return 1.0 / float(np.linalg.norm(K, 2))
+
+
+def _normal(rng, *sizes):
+    """Seeded standard normal lists of the given lengths."""
+    return tuple(rng.normal(size=n).tolist() for n in sizes)
 
 
 def _real_half(v):
     """v with its imaginary half replaced by +0.0."""
-    return np.concatenate([v[: len(v) // 2], np.zeros(len(v) // 2)])
+    return v[: len(v) // 2] + _zeros(len(v) // 2)
 
 
 def _spy(monkeypatch):
@@ -207,7 +229,7 @@ def _spy(monkeypatch):
         return build(rows, cols, real)
 
     def spied_arrays(K, *args):
-        runs.append(kind(K.shape[0], args[-1]) + " arrays")
+        runs.append(kind(len(K), args[-1]) + " arrays")
         return steps(K, *args)
 
     monkeypatch.setattr(kern, "_pd_loop", spied)
@@ -234,11 +256,11 @@ def test_pd_iterate_matches_reference_on_generic_shapes(monkeypatch, m, ns, cplx
             a = rng.uniform(-3, 3, (m, n)) + (1j * rng.uniform(-3, 3, (m, n)) if cplx else 0)
             b = rng.uniform(-0.5, 0.5, m) + (1j * rng.uniform(-0.5, 0.5, m) if cplx else 0)
             K = _realified(a)
-            y = np.concatenate([np.real(b), np.imag(b)])
-            step = 1.0 / float(np.linalg.norm(K, 2))
+            y = np.concatenate([np.real(b), np.imag(b)]).tolist()
+            step = _step(K)
             for iters in (1, 250):
-                zero = (np.zeros(2 * n), np.zeros(2 * m), np.zeros(2 * n))
-                mid = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
+                zero = (_zeros(2 * n), _zeros(2 * m), _zeros(2 * n))
+                mid = _normal(rng, 2 * n, 2 * m, 2 * n)
                 starts = [zero, mid] if cplx else [zero, mid, tuple(map(_real_half, mid))]
                 for (x, z, xbar), entry in zip(starts, (first, "general", first)):
                     runs.clear()
@@ -261,11 +283,11 @@ def test_pd_iterate_steps_on_arrays_past_the_straight_line_bound(monkeypatch, cp
     rng = np.random.default_rng(31 + cplx)
     for n, want in ((most, kind), (most + 1, kind + " arrays"), (1600, kind + " arrays")):
         a = rng.uniform(-3, 3, (1, n)) + (1j * rng.uniform(-3, 3, (1, n)) if cplx else 0)
-        K, y = _realified(a), np.array([0.25, 0.125 if cplx else 0.0])
-        step = 1.0 / float(np.linalg.norm(K, 2))
+        K, y = _realified(a), [0.25, 0.125 if cplx else 0.0]
+        step = _step(K)
         for eps in (0.0, 0.125):
             runs.clear()
-            _pd_same_bytes(K, y, eps, step, step, np.zeros(2 * n), np.zeros(2), np.zeros(2 * n), 3)
+            _pd_same_bytes(K, y, eps, step, step, _zeros(2 * n), _zeros(2), _zeros(2 * n), 3)
             assert runs == [want], n
 
 
@@ -290,41 +312,48 @@ def test_pd_iterate_builds_one_loop_per_shape(monkeypatch):
     for eps in (0.25, 0.0):
         for m, n in ((2, 5), (2, 5), (1, 5)):
             K = _realified(rng.uniform(-3, 3, (m, n)))
-            state = (rng.normal(size=2 * n), rng.normal(size=2 * m), rng.normal(size=2 * n))
-            kern.pd_iterate(K, rng.normal(size=2 * m), eps, 0.1, 0.1, *state, 3)
+            state = _normal(rng, 2 * n, 2 * m, 2 * n)
+            kern.pd_iterate(K, rng.normal(size=2 * m).tolist(), eps, 0.1, 0.1, *state, 3)
         for K in (_one_row([1.5, -2.0, 0.5, 3.0]), _real_op(rng.uniform(-3, 3, (2, 5)))):
-            state = (np.zeros(K.shape[1]), np.zeros(K.shape[0]), np.zeros(K.shape[1]))
-            y = np.zeros(K.shape[0])
-            y[0] = 1.0
+            state = (_zeros(len(K[0])), _zeros(len(K)), _zeros(len(K[0])))
+            y = [1.0] + _zeros(len(K) - 1)
             for _ in range(2):
                 state = kern.pd_iterate(K, y, eps, 0.1, 0.1, *state, 3)
     assert built == [(4, 10, False), (2, 10, False), (2, 8, True), (4, 10, True)]
 
 
 def test_pd_iterate_returns_arrays_no_later_call_writes():
-    """The z and xbar of one call keep their bytes through a later call on the same shape."""
+    """A call returns three new lists, none of them an input list, and the lists
+    of one call keep their bytes through a later call on the same shape."""
     rng = np.random.default_rng(11)
     K = _realified(rng.uniform(-3, 3, (2, 5)))
-    y = rng.normal(size=4)
-    first = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, rng.normal(size=10), rng.normal(size=4), rng.normal(size=10), 5)
-    kept = [v.tobytes() for v in first]
-    second = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, rng.normal(size=10), rng.normal(size=4), rng.normal(size=10), 5)
-    assert [v.tobytes() for v in second] != kept
-    assert [v.tobytes() for v in first] == kept
+    y = rng.normal(size=4).tolist()
+    state = _normal(rng, 10, 4, 10)
+    first = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, *state, 5)
+    assert not [v for v in first if any(v is u for u in (K, y, *state))]
+    kept = [_bits(v) for v in first]
+    second = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, *_normal(rng, 10, 4, 10), 5)
+    assert [_bits(v) for v in second] != kept
+    assert [_bits(v) for v in first] == kept
 
 
 def test_pd_iterate_builds_no_array_per_step(monkeypatch):
-    """A batch builds three arrays, the x, z and xbar it returns, and none in its steps."""
+    """A batch builds no array, in its steps or for the state it returns: the
+    loop names no numpy function, its root is ``math.sqrt``, and a batch of 250
+    iterations calls ``np.array`` not once."""
     rng = np.random.default_rng(5)
-    K, y = _realified(rng.uniform(-3, 3, (2, 4))), rng.normal(size=4)
-    state = (rng.normal(size=8), rng.normal(size=4), rng.normal(size=8))
+    K, y = _realified(rng.uniform(-3, 3, (2, 4))), rng.normal(size=4).tolist()
+    state = _normal(rng, 8, 4, 8)
+    kern._pd_loop.cache_clear()
+    loop = kern._pd_loop(len(K), len(K[0]), False)
+    assert not {"np", "numpy", "array", "asarray", "tolist", "ravel"} & set(loop.__code__.co_names)
+    assert loop.__globals__["sqrt"] is math.sqrt
     built = []
     array = np.array
     monkeypatch.setattr(np, "array", lambda *a, **k: built.append(a) or array(*a, **k))
-    kern._pd_loop.cache_clear()
     got = kern.pd_iterate(K, y, 0.25, 0.1, 0.1, *state, 250)
     kern._pd_loop.cache_clear()
-    assert [array(a[0]).tobytes() for a in built] == [v.tobytes() for v in got]
+    assert built == [] and [type(v) for v in got] == [list] * 3
 
 
 def _solver_setup(inst):
@@ -341,13 +370,13 @@ def test_pd_iterate_matches_reference_on_families(which):
         inst = families.perturbed_instance(which, n, p)
         K, y, step = _solver_setup(inst)
         eps = float(inst.eps)
-        x, z, xbar = np.zeros(2 * inst.n), np.zeros(2 * inst.m), np.zeros(2 * inst.n)
+        x, z, xbar = _zeros(2 * inst.n), _zeros(2 * inst.m), _zeros(2 * inst.n)
         for iters in (1, 250, 250):  # each batch starts where the one before stopped
             _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters)
             x, z, xbar = kern.pd_iterate(K, y, eps, step, step, x, z, xbar, iters)
 
 
-K_EDGE = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 1.0, -1.0, 2.0]])
+K_EDGE = [[1.0, -2.0, 0.5, 3.0], [0.25, 1.0, -1.0, 2.0]]
 
 
 @pytest.mark.parametrize(
@@ -362,10 +391,10 @@ K_EDGE = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 1.0, -1.0, 2.0]])
             id="huge-entries-overflow-to-inf",
         ),
         pytest.param(
-            K_EDGE, [1.0, 0.5], 0.25, 0.3, [np.nan, 1.0, 0.0, 2.0], [0.5, 0.5], [1.0, 1.0, 1.0, 1.0], id="nan-in-x",
+            K_EDGE, [1.0, 0.5], 0.25, 0.3, [math.nan, 1.0, 0.0, 2.0], [0.5, 0.5], [1.0, 1.0, 1.0, 1.0], id="nan-in-x",
         ),
         pytest.param(
-            K_EDGE, [1.0, 0.5], 0.25, 0.3, [1.0, 1.0, 0.0, 2.0], [np.nan, 0.5], [1.0, np.nan, 1.0, 1.0],
+            K_EDGE, [1.0, 0.5], 0.25, 0.3, [1.0, 1.0, 0.0, 2.0], [math.nan, 0.5], [1.0, math.nan, 1.0, 1.0],
             id="nan-in-z-and-xbar",
         ),
         pytest.param(
@@ -378,7 +407,7 @@ K_EDGE = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 1.0, -1.0, 2.0]])
         pytest.param(
             # zero dual norm leaves w = x, and |(3, -4)| = 5 = tau shrinks the
             # pair to (0.0, -0.0) exactly
-            np.zeros((2, 4)), [0.0, 0.0], 0.5, 5.0, [3.0, 1.0, -4.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+            [_zeros(4), _zeros(4)], [0.0, 0.0], 0.5, 5.0, [3.0, 1.0, -4.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
             id="pair-shrinks-to-zero",
         ),
         pytest.param(
@@ -393,17 +422,16 @@ K_EDGE = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 1.0, -1.0, 2.0]])
 )
 @pytest.mark.parametrize("iters", [1, 250])
 def test_pd_iterate_matches_reference_on_edge_cases(K, y, eps, tau, x, z, xbar, iters):
-    arr = lambda v: np.array(v, dtype=np.float64)
-    _pd_same_bytes(arr(K), arr(y), eps, tau, 0.4, arr(x), arr(z), arr(xbar), iters)
+    _pd_same_bytes(K, y, eps, tau, 0.4, x, z, xbar, iters)
 
 
 def test_pd_iterate_pair_shrink_edge_is_exact():
     """The pair-shrink case above really lands on signed zeros after one step."""
     x, _, xbar = kern.pd_iterate(
-        np.zeros((2, 4)), np.zeros(2), 0.5, 5.0, 0.4, np.array([3.0, 1.0, -4.0, 0.0]), np.zeros(2), np.zeros(4), 1
+        [_zeros(4), _zeros(4)], _zeros(2), 0.5, 5.0, 0.4, [3.0, 1.0, -4.0, 0.0], _zeros(2), _zeros(4), 1
     )
-    assert x.tobytes() == np.array([0.0, 0.0, -0.0, 0.0]).tobytes()
-    assert xbar.tobytes() == np.array([-3.0, -1.0, 4.0, 0.0]).tobytes()
+    assert _bits(x) == _bits([0.0, 0.0, -0.0, 0.0])
+    assert _bits(xbar) == _bits([-3.0, -1.0, 4.0, 0.0])
 
 
 # A generic-solve shape (m = 2, N = 4, eps = 1/8) whose iteration from zero
@@ -419,11 +447,11 @@ def fixed_point():
     assert qcbp.solve_numeric(inst).converged
     K, y, step = _solver_setup(inst)
     setup = (K, y, float(inst.eps), step)
-    zero = (np.zeros(2 * inst.n), np.zeros(2 * inst.m), np.zeros(2 * inst.n))
+    zero = (_zeros(2 * inst.n), _zeros(2 * inst.m), _zeros(2 * inst.n))
     state = pd_reference.pd_iterate(*setup, step, *zero, 1000)
     after = pd_reference.pd_iterate(*setup, step, *state, 1)
-    assert [v.tobytes() for v in after] == [v.tobytes() for v in state], "not a fixed point"
-    assert any(v == 0.0 and math.copysign(1.0, v) < 0 for v in state[0].tolist()), "no -0.0 in x"
+    assert [_bits(v) for v in after] == [_bits(v) for v in state], "not a fixed point"
+    assert any(v == 0.0 and math.copysign(1.0, v) < 0 for v in state[0]), "no -0.0 in x"
     return setup, zero, state
 
 
@@ -442,14 +470,14 @@ def test_pd_iterate_stops_after_one_iteration_at_a_fixed_point(fixed_point, monk
     and one from the fixed point, whose one iteration changes nothing."""
     (K, y, eps, step), zero, fixed = fixed_point
     roots = []
-    loop = kern._compiled(kern._pd_source(*K.shape, True), "counted")
+    loop = kern._compiled(kern._pd_source(len(K), len(K[0]), True), "counted")
     monkeypatch.setitem(loop.__globals__, "sqrt", lambda v: roots.append(v) or math.sqrt(v))
     loop(K, y, eps, step, step, *zero, 250)
     assert len(roots) == 250
     roots.clear()
     got = loop(K, y, eps, step, step, *fixed, 250)
     assert len(roots) == 1
-    assert [v.tobytes() for v in got] == [v.tobytes() for v in fixed]
+    assert [_bits(v) for v in got] == [_bits(v) for v in fixed]
 
 
 @pytest.mark.parametrize("which", ["x", "xbar"])
@@ -457,11 +485,11 @@ def test_pd_iterate_stops_after_one_iteration_at_a_fixed_point(fixed_point, monk
 def test_pd_iterate_fixed_point_is_bit_exact(fixed_point, which, iters):
     """A state float-equal to the fixed point but with one zero of the other sign is not the fixed point."""
     (K, y, eps, step), _, (x, z, xbar) = fixed_point
-    v = (x if which == "x" else xbar).copy()
-    i = next(j for j, e in enumerate(v.tolist()) if e == 0.0)
+    v = list(x if which == "x" else xbar)
+    i = next(j for j, e in enumerate(v) if e == 0.0)
     v[i] = -v[i]
     x, xbar = (v, xbar) if which == "x" else (x, v)
-    assert np.array_equal(x, fixed_point[2][0]) and np.array_equal(xbar, fixed_point[2][2])
+    assert x == fixed_point[2][0] and xbar == fixed_point[2][2]
     _pd_same_bytes(K, y, eps, step, step, x, z, xbar, iters)
 
 
@@ -469,12 +497,10 @@ def test_pd_iterate_fixed_point_is_bit_exact(fixed_point, which, iters):
 
 
 def _real_op(a):
-    """The realified K of a real A, as solve_numeric sets it up: its zero blocks hold +0.0."""
-    a = np.asarray(a, dtype=np.float64)
-    m, n = a.shape
-    K = np.zeros((2 * m, 2 * n))
-    K[:m, :n] = K[m:, n:] = a
-    return K
+    """The rows of the realified K of a real A, as solve_numeric sets it up: its zero blocks hold +0.0."""
+    a = np.asarray(a, dtype=np.float64).tolist()
+    n = len(a[0])
+    return [row + _zeros(n) for row in a] + [_zeros(n) + row for row in a]
 
 
 def _one_row(row):
@@ -507,10 +533,9 @@ def test_pd_iterate_matches_reference_on_one_row_real_edge_values(monkeypatch):
     for _ in range(400):
         n = rng.randint(2, 5)
         row = [rng.choice((-1, 1)) * rng.choice((0.0, 2.0**-1070, 2.0**600, rng.uniform(0.1, 3))) for _ in range(n)]
-        y = np.array([_edge_entry(rng, 0.25), 0.0])
-        x, z, xbar = np.zeros(2 * n), np.zeros(2), np.zeros(2 * n)  # imaginary halves +0.0
-        draw = lambda count: [_edge_entry(rng, 0.25) for _ in range(count)]
-        x[:n], z[:1], xbar[:n] = draw(n), draw(1), draw(n)
+        y = [_edge_entry(rng, 0.25), 0.0]
+        draw = lambda count: [_edge_entry(rng, 0.25) for _ in range(count)] + _zeros(count)  # imaginary halves +0.0
+        x, z, xbar = draw(n), draw(1), draw(n)
         tau, sigma, eps = _edge_scalars(rng)
         _pd_same_bytes(_one_row(row), y, eps, tau, sigma, x, z, xbar, rng.choice((1, 2, 60, 250)))
     assert runs == ["row"] * 400
@@ -526,25 +551,31 @@ def test_pd_iterate_matches_reference_on_real_edge_values(monkeypatch):
     for _ in range(400):
         m, n = rng.randint(2, 4), rng.randint(2, 5)
         K = _real_op([[_edge_entry(rng, 0.2) for _ in range(n)] for _ in range(m)])
-        y, x, z, xbar = np.zeros(2 * m), np.zeros(2 * n), np.zeros(2 * m), np.zeros(2 * n)  # imaginary halves +0.0
-        y[:m], z[:m] = [_edge_entry(rng, 0.2) for _ in range(m)], [_edge_entry(rng, 0.2) for _ in range(m)]
-        x[:n], xbar[:n] = [_edge_entry(rng, 0.2) for _ in range(n)], [_edge_entry(rng, 0.2) for _ in range(n)]
+        draw = lambda count: [_edge_entry(rng, 0.2) for _ in range(count)] + _zeros(count)  # imaginary halves +0.0
+        y, z = draw(m), draw(m)
+        x, xbar = draw(n), draw(n)
         tau, sigma, eps = _edge_scalars(rng)
         _pd_same_bytes(K, y, eps, tau, sigma, x, z, xbar, rng.choice((1, 2, 40)))
     assert runs == ["real"] * 400
 
 
 _ROW_BASE = dict(
-    K=_one_row([1.0, -2.0, 0.5]), y=np.array([1.0, 0.0]), tau=0.3,
-    x=np.array([0.3, -0.1, 0.2, 0.0, 0.0, 0.0]), z=np.array([0.1, 0.0]), xbar=np.array([0.3, -0.1, 0.2, 0.0, 0.0, 0.0]),
+    K=_one_row([1.0, -2.0, 0.5]), y=[1.0, 0.0], tau=0.3,
+    x=[0.3, -0.1, 0.2, 0.0, 0.0, 0.0], z=[0.1, 0.0], xbar=[0.3, -0.1, 0.2, 0.0, 0.0, 0.0],
 )
+
+
+def _replaced(v, index, value):
+    """A copy of the list v, or of the rows v if ``index`` is a pair (i, j), with one entry replaced."""
+    if type(index) is tuple:
+        i, j = index
+        return v[:i] + [_replaced(v[i], j, value)] + v[i + 1 :]
+    return v[:index] + [value] + v[index + 1 :]
 
 
 def _broken(name, index, value):
     """The base one-row state with one entry of one part replaced."""
-    v = _ROW_BASE[name].copy()
-    v[index] = value
-    return {name: v}
+    return {name: _replaced(_ROW_BASE[name], index, value)}
 
 
 @pytest.mark.parametrize(
@@ -553,7 +584,7 @@ def _broken(name, index, value):
         pytest.param({}, "row", id="one-row-real"),
         pytest.param(_broken("K", (0, 4), -0.0), "general", id="minus-zero-in-K-top-right"),
         pytest.param(_broken("K", (1, 0), -0.0), "general", id="minus-zero-in-K-bottom-left"),
-        pytest.param(_broken("K", (0, 1), np.inf), "row", id="K-not-finite"),
+        pytest.param(_broken("K", (0, 1), math.inf), "row", id="K-not-finite"),
         pytest.param(_broken("y", 1, -0.0), "general", id="minus-zero-in-y1"),
         pytest.param(_broken("x", 3, 1e-300), "general", id="nonzero-imaginary-x"),
         pytest.param(_broken("x", 5, -0.0), "general", id="minus-zero-imaginary-x"),
@@ -561,8 +592,8 @@ def _broken(name, index, value):
         pytest.param(_broken("z", 1, 0.5), "general", id="nonzero-z1"),
         pytest.param(_broken("xbar", 4, -0.0), "general", id="minus-zero-imaginary-xbar"),
         pytest.param({"tau": -0.3}, "row", id="negative-tau"),
-        pytest.param({"tau": np.inf}, "row", id="infinite-tau"),
-        pytest.param({"tau": np.nan}, "row", id="nan-tau"),
+        pytest.param({"tau": math.inf}, "row", id="infinite-tau"),
+        pytest.param({"tau": math.nan}, "row", id="nan-tau"),
     ],
 )
 @pytest.mark.parametrize("iters", [1, 3])
@@ -578,17 +609,14 @@ def test_pd_iterate_one_row_entry_conditions(monkeypatch, change, kind, iters):
 
 
 _REAL_BASE = dict(
-    K=_real_op([[1.0, -2.0, 0.5], [0.25, 1.5, -1.0]]), y=np.array([1.0, -0.5, 0.0, 0.0]), tau=0.3,
-    x=np.array([0.3, -0.1, 0.2, 0.0, 0.0, 0.0]), z=np.array([0.1, 0.2, 0.0, 0.0]),
-    xbar=np.array([0.3, -0.1, 0.2, 0.0, 0.0, 0.0]),
+    K=_real_op([[1.0, -2.0, 0.5], [0.25, 1.5, -1.0]]), y=[1.0, -0.5, 0.0, 0.0], tau=0.3,
+    x=[0.3, -0.1, 0.2, 0.0, 0.0, 0.0], z=[0.1, 0.2, 0.0, 0.0], xbar=[0.3, -0.1, 0.2, 0.0, 0.0, 0.0],
 )
 
 
 def _real_broken(name, index, value):
     """The base two-row real state with one entry of one part replaced."""
-    v = _REAL_BASE[name].copy()
-    v[index] = value
-    return {name: v}
+    return {name: _replaced(_REAL_BASE[name], index, value)}
 
 
 @pytest.mark.parametrize(
@@ -600,17 +628,17 @@ def _real_broken(name, index, value):
             for i, j in ((0, 3), (1, 5), (2, 0), (3, 2))  # both off-diagonal blocks
             for label, value in (("minus-zero", -0.0), ("nonzero", 0.5))
         ),
-        pytest.param(_real_broken("K", (0, 1), np.inf), "real", id="K-infinite"),
+        pytest.param(_real_broken("K", (0, 1), math.inf), "real", id="K-infinite"),
         # the bottom-right block, which the real loop does not read
-        pytest.param(_real_broken("K", (3, 4), np.nan), "real", id="K-nan"),
+        pytest.param(_real_broken("K", (3, 4), math.nan), "real", id="K-nan"),
         *(
             pytest.param(_real_broken(name, index, value), "general", id=f"{label}-in-{name}{index}")
             for name, index in (("y", 3), ("x", 4), ("z", 2), ("xbar", 5))  # imaginary halves
             for label, value in (("minus-zero", -0.0), ("nonzero", 1e-300))
         ),
         pytest.param({"tau": -0.3}, "real", id="negative-tau"),
-        pytest.param({"tau": np.inf}, "real", id="infinite-tau"),
-        pytest.param({"tau": np.nan}, "real", id="nan-tau"),
+        pytest.param({"tau": math.inf}, "real", id="infinite-tau"),
+        pytest.param({"tau": math.nan}, "real", id="nan-tau"),
     ],
 )
 def test_pd_iterate_real_entry_conditions(monkeypatch, change, kind):
@@ -730,9 +758,9 @@ _KINDS = {
 
 
 def _kind_case(kind):
-    """The kind's loop, K and (y, x, z) as float64 arrays."""
+    """The kind's loop, K and (y, x, z) as lists of floats."""
     loop, K, *state = _KINDS[kind]
-    return loop, K, *(np.array(v, dtype=np.float64) for v in state)
+    return loop, K, *([float(t) for t in v] for v in state)
 
 
 @pytest.mark.parametrize("kind", ["one-row", "two-column", "real"])
@@ -756,13 +784,11 @@ def test_pd_iterate_real_range_bounds(monkeypatch, kind, name):
 def _tiny_dual(y, x, z):
     """y = 0, x = xbar = 0 and every nonzero z_i scaled below 2**-537: u = z, whose
     squares round to 0, so ||u|| = 0 and the factor's formula scales u to zeros."""
-    return 0.0 * y, 0.0 * x, z * 2.0**-540
+    return [0.0 * t for t in y], [0.0 * t for t in x], [t * 2.0**-540 for t in z]
 
 
 def _nan_dual(y, x, z):
-    z = z.copy()
-    z[0] = np.nan
-    return y, x, z
+    return y, x, _replaced(z, 0, math.nan)
 
 
 @pytest.mark.parametrize("iters", [1, 40])
@@ -777,7 +803,7 @@ def _nan_dual(y, x, z):
             for label, eps, sigma in (
                 ("zero-sigma", 0.5, 0.0),  # sigma * eps = +0.0
                 ("negative-sigma", 0.0, -0.4),  # sigma * eps = -0.0
-                ("infinite-sigma", 0.0, np.inf),  # sigma * eps = NaN: the factor's formula
+                ("infinite-sigma", 0.0, math.inf),  # sigma * eps = NaN: the factor's formula
             )
         ),
     ],
@@ -793,17 +819,7 @@ def test_pd_iterate_shift_variant_guards(monkeypatch, kind, state, eps, sigma, i
     _pd_same_bytes(K, y, eps, 0.3, sigma, x, z, x, iters)
     assert runs == [loop]
     if state is _tiny_dual and iters == 1:
-        assert kern.pd_iterate(K, y, eps, 0.3, sigma, x, z, x, 1)[1].tobytes() == z.tobytes()
-
-
-class _CountingK(np.ndarray):
-    """An array that counts its ``.dot`` calls, those of its views included."""
-
-    dots = 0
-
-    def dot(self, v):
-        _CountingK.dots += 1
-        return np.asarray(self).dot(v)
+        assert _bits(kern.pd_iterate(K, y, eps, 0.3, sigma, x, z, x, 1)[1]) == _bits(z)
 
 
 @pytest.mark.parametrize(
@@ -815,19 +831,15 @@ class _CountingK(np.ndarray):
     ],
 )
 def test_pd_iterate_blas_calls_per_step(kind, shift):
-    """No loop makes a BLAS call, at sigma * eps = 0 and not: K and the state arrays
-    count no ``.dot`` call, the source has no ``@``, and the loop names no
-    function but ``range``, ``sqrt``, ``_bits`` and ``_array`` and reads its
-    arrays through ``ravel`` and ``tolist`` alone, once a call."""
+    """No loop makes a BLAS call, at sigma * eps = 0 and not: the source has no
+    ``@``, the loop names no function but ``range``, ``sqrt`` and ``_bits`` and
+    unpacks its lists with no call, and it gives the spec's bytes."""
     loop, K, y, x, z = _kind_case(kind)
     real = loop != "general"
-    names = set(kern._pd_loop(*K.shape, real).__code__.co_names)
-    assert names <= {"range", "sqrt", "_bits", "_array", "ravel", "tolist"}
-    assert "@" not in kern._pd_source(*K.shape, real)
-    _CountingK.dots = 0
-    counted = [v.view(_CountingK) for v in (K, y, x, z)]
-    kern.pd_iterate(*counted[:2], 0.0 if shift else 0.25, 0.3, 0.4, counted[2], counted[3], counted[2], 5)
-    assert _CountingK.dots == 0
+    names = set(kern._pd_loop(len(K), len(K[0]), real).__code__.co_names)
+    assert names <= {"range", "sqrt", "_bits"}
+    assert "@" not in kern._pd_source(len(K), len(K[0]), real)
+    _pd_same_bytes(K, y, 0.0 if shift else 0.25, 0.3, 0.4, x, z, x, 5)
 
 
 # --- byte replays of the solves -----------------------------------------------------
@@ -903,12 +915,13 @@ def _pd_replay(name):
     run = kern.pd_iterate
 
     def recorded(K, y, eps, tau, sigma, x, z, xbar, iters):
-        data = pack("<3q3d", *K.shape, iters, eps, tau, sigma) + b"".join(v.tobytes() for v in (K, y, x, z, xbar))
+        shape = len(K), len(K[0])
+        data = pack("<3q3d", *shape, iters, eps, tau, sigma) + b"".join(map(_bits, (sum(K, []), y, x, z, xbar)))
         out = run(K, y, eps, tau, sigma, x, z, xbar, iters)
-        data += b"".join(v.tobytes() for v in out)
+        data += b"".join(map(_bits, out))
         kernel.update(data)
         full.update(data)
-        calls.append(K.shape)
+        calls.append(shape)
         return out
 
     kern.pd_iterate = recorded

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from qcbplab import qcbp
+from qcbplab import _kernels, mlp, qcbp
 from qcbplab.rationals import (
     ComplexQ,
     RationalMatrix,
@@ -240,20 +240,21 @@ def test_solve_loop_keeps_each_comparisons_strictness(monkeypatch):
     candidate that ties the best objective does not replace it, and a gap equal
     to tol certifies; the bounds come as unreduced pairs."""
     tol = Q(1, 10**6)
-    xs = [np.full(4, float(i)) for i in range(3)]
+    xs = [[float(i)] * 4 for i in range(3)]
     primal = iter([
         ((3, 1), (0, 1), (2, 2 * 10**6), xs[0]),  # residual == eps + tol
         ((6, 2), (0, 1), (0, 1), xs[1]),  # objective ties the best
         ((5, 1), (0, 1), (0, 1), xs[2]),
     ])
     dual = iter([(1, 1), (2, 2), (3 * 10**6 - 1, 10**6)])  # the last leaves a gap of tol
-    monkeypatch.setattr(qcbp._kernels, "pd_iterate", lambda K, y, e, t, s, x, z, xbar, iters: (x + 1, z + 1, xbar + 1))
+    step = lambda K, y, e, t, s, x, z, xbar, iters: tuple([a + 1 for a in v] for v in (x, z, xbar))
+    monkeypatch.setattr(_kernels, "pd_iterate", step)
     monkeypatch.setattr(qcbp, "_certify_primal", lambda scaled, x: next(primal))
     monkeypatch.setattr(qcbp, "_dual_lower_bound", lambda z, scaled, eps: next(dual))
     monkeypatch.setattr(qcbp, "_polish_primal", lambda *args: None)
     rep = qcbp.solve_numeric(single([1, 2]), tol, max_iter=1000)
     assert (rep.converged, rep.iterations) == (True, 750)
-    assert rep.x_float is xs[0]
+    assert rep.x == RationalVector.from_items([ComplexQ(Q(0), Q(0))] * 2)  # xs[0], the first candidate
     assert (rep.objective_ub, rep.lower_bound, rep.residual_ub) == (3, 3 - tol, tol)
 
 
@@ -266,14 +267,14 @@ def test_stalled_solve_still_runs_its_last_shorter_batch(monkeypatch):
 
     def period_two(K, y, eps, tau, sigma, x, z, xbar, iters):
         calls.append(iters)
-        return tuple(0.25 - v if iters % 2 else v.copy() for v in (x, z, xbar))
+        return tuple([0.25 - a for a in v] if iters % 2 else list(v) for v in (x, z, xbar))
 
-    monkeypatch.setattr(qcbp._kernels, "pd_iterate", period_two)
+    monkeypatch.setattr(_kernels, "pd_iterate", period_two)
     monkeypatch.setattr(qcbp, "_polish_primal", lambda *args: None)
     rep = qcbp.solve_numeric(single([1, 2]), Q(1, 10**6), max_iter=625)
     assert calls == [250, 250, 125]
     assert (rep.converged, rep.iterations) == (False, 625)
-    assert rep.x_float.tolist() == [0.25] * 4
+    assert rep.x == RationalVector.from_items([ComplexQ(Q(1, 4), Q(1, 4))] * 2)
     assert rep.residual_sq == Q(5, 8)  # |(3/4 - 1) + 3i/4|^2
 
 
@@ -431,7 +432,7 @@ def test_float_norm_is_the_plain_root_where_every_square_is_normal(d):
     with np.errstate(over="ignore"):
         square = d.dot(d)
     assume(math.isfinite(square))
-    assert qcbp.float_norm(d) == math.sqrt(square)
+    assert mlp.float_norm(d) == math.sqrt(square)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -443,20 +444,20 @@ def test_float_norm_commutes_with_power_of_two_scaling(d, k, sign):
     k *= sign
     scaled = np.ldexp(d, k)
     assume(all(v == 0 or _normal(abs(v)) for v in scaled.tolist()))
-    assert qcbp.float_norm(scaled) == math.ldexp(qcbp.float_norm(d), k)
+    assert mlp.float_norm(scaled) == math.ldexp(mlp.float_norm(d), k)
 
 
 def test_float_norm_of_zero_inf_nan_and_past_the_range():
-    assert qcbp.float_norm(np.zeros(3)) == 0.0
-    assert qcbp.float_norm(np.array([])) == 0.0
-    assert qcbp.float_norm(np.array([3 * 2.0**-600, 4 * 2.0**-600])) == 5 * 2.0**-600
-    assert qcbp.float_norm(np.array([3 * 2.0**600, -4 * 2.0**600])) == 5 * 2.0**600
-    assert qcbp.float_norm(np.array([np.inf, 1.0])) == math.inf
-    assert qcbp.float_norm(np.array([-np.inf, 1e300])) == math.inf
-    assert qcbp.float_norm(np.array([2.0**1023, 2.0**1023])) == math.ldexp(math.sqrt(2.0), 1023)
-    assert qcbp.float_norm(np.array([1.7e308, 1.7e308])) == math.inf  # the norm itself is past the range
-    assert math.isnan(qcbp.float_norm(np.array([np.nan, 1.0])))
-    assert math.isnan(qcbp.float_norm(np.array([np.inf, np.nan])))
+    assert mlp.float_norm(np.zeros(3)) == 0.0
+    assert mlp.float_norm(np.array([])) == 0.0
+    assert mlp.float_norm(np.array([3 * 2.0**-600, 4 * 2.0**-600])) == 5 * 2.0**-600
+    assert mlp.float_norm(np.array([3 * 2.0**600, -4 * 2.0**600])) == 5 * 2.0**600
+    assert mlp.float_norm(np.array([np.inf, 1.0])) == math.inf
+    assert mlp.float_norm(np.array([-np.inf, 1e300])) == math.inf
+    assert mlp.float_norm(np.array([2.0**1023, 2.0**1023])) == math.ldexp(math.sqrt(2.0), 1023)
+    assert mlp.float_norm(np.array([1.7e308, 1.7e308])) == math.inf  # the norm itself is past the range
+    assert math.isnan(mlp.float_norm(np.array([np.nan, 1.0])))
+    assert math.isnan(mlp.float_norm(np.array([np.inf, np.nan])))
 
 
 # --- polishing safety --------------------------------------------------------------------
@@ -582,7 +583,7 @@ def test_brute_force_examples():
 
 def test_brute_force_reports_a_scan_with_no_feasible_point(monkeypatch):
     """The relaxed grid always holds a feasible point, so a scan that finds none is a bug."""
-    monkeypatch.setattr(qcbp._kernels, "grid_scan", lambda *args: (-1, []))
+    monkeypatch.setattr(_kernels, "grid_scan", lambda *args: (-1, []))
     with pytest.raises(RuntimeError, match="relaxation bug"):
         qcbp.brute_force_min(single([2, 1]), 4)
 

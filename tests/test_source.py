@@ -52,6 +52,11 @@ NAME_OWNERS = {
     # Python-float loops cannot, silence numpy: the solver's batch loop does no
     # numpy arithmetic, and float_norm cannot warn, so no caller guards it
     "errstate": {"mlp", "_kernels"},
+    # numpy computes in the kernel's grid scan and array steps and in the
+    # network alone (and in cmd_nn's one format call), so the exact
+    # subcommands and the solver's set-up start without it
+    "np": {"_kernels", "mlp", "cli"},
+    "numpy": {"_kernels", "mlp", "cli"},
 }
 
 
